@@ -7,12 +7,10 @@ import (
 	"diagnet/internal/probe"
 )
 
-// DiagnoseBatch diagnoses many samples in parallel. A Model is not safe
-// for concurrent Diagnose calls (the backward pass reuses layer caches),
-// so each worker runs its own Session (a private network clone plus
-// scratch buffers) and shards the samples in contiguous chunks, each
-// diagnosed with one fused batched pass; results come back in input order
-// regardless of scheduling. workers ≤ 0 selects GOMAXPROCS.
+// DiagnoseBatch diagnoses many samples in parallel: the samples are
+// sharded in contiguous chunks, each diagnosed with one fused batched pass
+// on a pooled Session; results come back in input order regardless of
+// scheduling. workers ≤ 0 selects GOMAXPROCS.
 func (m *Model) DiagnoseBatch(features [][]float64, layout probe.Layout, workers int) []*Diagnosis {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -24,25 +22,19 @@ func (m *Model) DiagnoseBatch(features [][]float64, layout probe.Layout, workers
 	if len(features) == 0 {
 		return out
 	}
-	if workers <= 1 {
-		copy(out, m.NewSession().DiagnoseBatch(features, layout))
-		return out
-	}
-
 	// Contiguous chunks keep each worker's fused pass as large as possible
 	// (one forward/backward per chunk instead of per sample).
 	chunk := (len(features) + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(features); lo += chunk {
-		hi := lo + chunk
-		if hi > len(features) {
-			hi = len(features)
-		}
+		hi := min(lo+chunk, len(features))
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			copy(out[lo:hi], m.NewSession().DiagnoseBatch(features[lo:hi], layout))
-		}(lo, hi)
+			s := m.acquire()
+			defer m.sessions.Put(s)
+			copy(out[lo:hi], s.DiagnoseBatch(features[lo:hi], layout))
+		}()
 	}
 	wg.Wait()
 	return out

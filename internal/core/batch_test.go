@@ -1,57 +1,14 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"diagnet/internal/probe"
 )
 
-func TestDiagnoseBatchMatchesSerial(t *testing.T) {
-	m := trainedModel(t)
-	_, test := trainTestData(t)
-	n := test.Len()
-	if n > 40 {
-		n = 40
-	}
-	features := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		features[i] = test.Samples[i].Features
-	}
-
-	serial := m.DiagnoseBatch(features, test.Layout, 1)
-	old := runtime.GOMAXPROCS(4)
-	parallel := m.DiagnoseBatch(features, test.Layout, 4)
-	runtime.GOMAXPROCS(old)
-
-	for i := range serial {
-		if serial[i].Family != parallel[i].Family {
-			t.Fatalf("sample %d: family %v vs %v", i, serial[i].Family, parallel[i].Family)
-		}
-		for j := range serial[i].Final {
-			if serial[i].Final[j] != parallel[i].Final[j] {
-				t.Fatalf("sample %d feature %d: %v vs %v", i, j, serial[i].Final[j], parallel[i].Final[j])
-			}
-		}
-	}
-}
-
 func TestDiagnoseBatchEmpty(t *testing.T) {
 	m := trainedModel(t)
 	if got := m.DiagnoseBatch(nil, probe.FullLayout(), 4); len(got) != 0 {
 		t.Fatal("empty batch")
-	}
-}
-
-func TestDiagnoseBatchDoesNotMutateModel(t *testing.T) {
-	m := trainedModel(t)
-	_, test := trainTestData(t)
-	before := m.Net.Params()[0].Value.Clone()
-	m.DiagnoseBatch([][]float64{test.Samples[0].Features, test.Samples[1].Features}, test.Layout, 2)
-	after := m.Net.Params()[0].Value
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
-			t.Fatal("batch diagnosis mutated the model weights")
-		}
 	}
 }

@@ -36,7 +36,11 @@ func TestAuxScoresMappingOnSubLayout(t *testing.T) {
 
 	// Full-layout aux scores must be exactly the forest's scores.
 	direct := m.Aux.Scores(s.Features)
-	mapped := m.auxScores(s.Features, full)
+	auxScores := func(features []float64, layout probe.Layout) []float64 {
+		return m.auxScoresInto(features, layout, make([]float64, full.NumFeatures()),
+			make([]float64, m.Aux.Causes()), make([]float64, layout.NumFeatures()))
+	}
+	mapped := auxScores(s.Features, full)
 	for j := range direct {
 		if direct[j] != mapped[j] {
 			t.Fatal("full-layout aux mapping must be the identity")
@@ -47,7 +51,7 @@ func TestAuxScoresMappingOnSubLayout(t *testing.T) {
 	// full-layout feature's score from a zero-filled vector.
 	sub := probe.NewLayout([]int{netsim.SING, netsim.BEAU})
 	subFeat := full.Project(s.Features, sub)
-	subScores := m.auxScores(subFeat, sub)
+	subScores := auxScores(subFeat, sub)
 	if len(subScores) != sub.NumFeatures() {
 		t.Fatalf("sub scores len %d", len(subScores))
 	}

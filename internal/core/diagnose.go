@@ -45,42 +45,24 @@ func (d *Diagnosis) Ranked() []int {
 
 // Diagnose runs the full DiagNet pipeline on a raw measurement vector
 // collected under `layout` (which may contain landmarks the model never
-// saw during training — the whole point of root-cause extensibility).
+// saw during training — the whole point of root-cause extensibility). It
+// is a one-row Session.DiagnoseBatch on a pooled session, safe for
+// concurrent use.
 func (m *Model) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 	return m.DiagnoseContext(context.Background(), features, layout)
 }
 
-// DiagnoseContext is Diagnose carrying a request context: when the
-// context holds an active trace span, the pipeline records a
-// "core.diagnose" child span with per-stage children at the same
-// boundaries as the telemetry StageClock, and the total-latency
-// histogram captures the trace ID as its tail exemplar.
+// DiagnoseContext is Diagnose carrying a request context; see
+// Session.DiagnoseBatchContext for what it records on an active trace.
 func (m *Model) DiagnoseContext(ctx context.Context, features []float64, layout probe.Layout) *Diagnosis {
-	if len(features) != layout.NumFeatures() {
-		panic("core: feature vector does not match layout")
-	}
-	mDiagnoses.Inc()
-	_, span := tracing.StartSpan(ctx, "core.diagnose")
-	span.SetAttr("features", layout.NumFeatures())
-	stages := span.Stages()
-	clock := telemetry.StartStages()
-	normed := m.Norm.Apply(features, layout)
-	clock.Mark(mStageNormalize)
-	stages.Mark("core.stage.normalize")
-
-	// Steps ①–④: coarse prediction; step ⑤: one backpropagation pass of
-	// the ideal-label loss L* down to the inputs (§III-E).
-	grad, coarse := m.Net.InputGradient(normed, -1)
-	d := m.postprocess(grad, coarse, features, layout, nil, clock, stages)
-	clock.DoneExemplar(mDiagnoseTotal, span.TraceID())
-	span.End()
-	return d
+	s := m.acquire()
+	defer m.sessions.Put(s)
+	return s.DiagnoseBatchContext(ctx, [][]float64{features}, layout)[0]
 }
 
-// scratch holds reusable per-worker buffers for the pipeline stages after
-// the network passes. A nil *scratch means "allocate fresh" — the
-// single-shot Diagnose path — while serving Sessions keep one scratch per
-// worker so the hot path stops allocating intermediates.
+// scratch holds a session's reusable buffers for the pipeline stages
+// around the network passes, so the hot path stops allocating
+// intermediates.
 type scratch struct {
 	normed  []float64 // normalized input (batch: b×n backing array)
 	fullVec []float64 // aux forest full-layout projection
@@ -101,7 +83,7 @@ func grow(buf []float64, n int) []float64 {
 // into a Diagnosis: Eq. 1 attention, Algorithm 1 weighting and §III-F
 // ensemble averaging. grad and coarse are consumed (the attention and
 // output slices are freshly allocated — a Diagnosis outlives any scratch);
-// sc may be nil, clock and stages may be nil.
+// sc holds the intermediates, clock and stages may be nil.
 func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layout, sc *scratch, clock *telemetry.StageClock, stages *tracing.StageSpans) *Diagnosis {
 	fam := probe.Family(nn.Argmax(coarse))
 
@@ -137,18 +119,10 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 			wU += tuned[j]
 		}
 	}
-	var fullVec, scores, aux []float64
-	if sc != nil {
-		sc.fullVec = grow(sc.fullVec, m.FullLayout.NumFeatures())
-		sc.scores = grow(sc.scores, m.Aux.Causes())
-		sc.aux = grow(sc.aux, layout.NumFeatures())
-		fullVec, scores, aux = sc.fullVec, sc.scores, sc.aux
-	} else {
-		fullVec = make([]float64, m.FullLayout.NumFeatures())
-		scores = make([]float64, m.Aux.Causes())
-		aux = make([]float64, layout.NumFeatures())
-	}
-	m.auxScoresInto(features, layout, fullVec, scores, aux)
+	sc.fullVec = grow(sc.fullVec, m.FullLayout.NumFeatures())
+	sc.scores = grow(sc.scores, m.Aux.Causes())
+	sc.aux = grow(sc.aux, layout.NumFeatures())
+	aux := m.auxScoresInto(features, layout, sc.fullVec, sc.scores, sc.aux)
 	final := make([]float64, len(tuned))
 	for j := range final {
 		final[j] = wU*tuned[j] + (1-wU)*aux[j]
@@ -206,18 +180,11 @@ func scoreWeighting(gamma, coarse []float64, layout probe.Layout, fam probe.Fami
 	return tuned
 }
 
-// auxScores evaluates the auxiliary forest on the sample and re-indexes
-// its full-layout scores onto the inference layout.
-func (m *Model) auxScores(features []float64, layout probe.Layout) []float64 {
-	fullVec := make([]float64, m.FullLayout.NumFeatures())
-	scores := make([]float64, m.Aux.Causes())
-	out := make([]float64, layout.NumFeatures())
-	return m.auxScoresInto(features, layout, fullVec, scores, out)
-}
-
-// auxScoresInto is auxScores writing through caller-provided buffers:
-// fullVec (full-layout projection scratch), scores (full-layout cause
-// scores) and out (per-feature scores on the inference layout).
+// auxScoresInto evaluates the auxiliary forest on the sample and
+// re-indexes its full-layout scores onto the inference layout, writing
+// through caller-provided buffers: fullVec (full-layout projection
+// scratch), scores (full-layout cause scores) and out (per-feature scores
+// on the inference layout, returned).
 // Landmarks absent from the inference layout are zero-filled, mirroring
 // the extensible-forest missing-value policy.
 func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, scores, out []float64) []float64 {
@@ -250,11 +217,10 @@ func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, 
 }
 
 // CoarsePredict returns only the coarse family distribution for a raw
-// sample (step ④), without running attention or the ensemble.
+// sample (step ④), without running attention or the ensemble. Like
+// Diagnose it runs on a pooled session and is safe for concurrent use.
 func (m *Model) CoarsePredict(features []float64, layout probe.Layout) []float64 {
-	normed := m.Norm.Apply(features, layout)
-	x := make([]float64, len(normed))
-	copy(x, normed)
-	logits := m.Net.Forward(matFromRow(x))
-	return nn.Softmax(logits).Row(0)
+	s := m.acquire()
+	defer m.sessions.Put(s)
+	return s.net.Predict(s.normalize([][]float64{features}, layout)).Row(0)
 }

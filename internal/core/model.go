@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"diagnet/internal/dataset"
 	"diagnet/internal/forest"
@@ -13,7 +14,9 @@ import (
 
 // Model is a trained DiagNet instance. A general model diagnoses every
 // service; Specialize derives per-service variants that share the frozen
-// convolution (§IV-F).
+// convolution (§IV-F). Once trained a Model is read-only — every method
+// that fits weights (Specialize, Retrain) works on a clone — so it is safe
+// for concurrent use, and must not be copied by value.
 type Model struct {
 	Cfg Config
 	// TrainLayout is the landmark layout available at training time (the
@@ -35,6 +38,10 @@ type Model struct {
 	FullLayout probe.Layout
 	// ServiceID is -1 for the general model, or the specialized service.
 	ServiceID int
+
+	// sessions pools the Sessions behind Diagnose, CoarsePredict and
+	// DiagnoseBatch: each holds layer caches and scratch, never weights.
+	sessions sync.Pool
 }
 
 // TrainResult bundles a trained model with its learning history.

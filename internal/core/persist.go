@@ -7,13 +7,9 @@ import (
 	"io"
 
 	"diagnet/internal/forest"
-	"diagnet/internal/mat"
 	"diagnet/internal/nn"
 	"diagnet/internal/probe"
 )
-
-// matFromRow wraps a single sample vector as a 1×n batch.
-func matFromRow(x []float64) *mat.Matrix { return mat.FromSlice(1, len(x), x) }
 
 // modelWire is the gob format of a trained model.
 type modelWire struct {

@@ -10,29 +10,45 @@ import (
 	"diagnet/internal/tracing"
 )
 
-// Session is a per-worker inference context: a private clone of the
-// model's mutable network plus reusable scratch buffers. A Model is not
-// safe for concurrent Diagnose calls (the backward pass reuses layer
-// caches), so every serving worker holds its own Session; the normalizer,
-// auxiliary forest and layouts are read-only and shared with the parent
-// Model. A Session itself must not be used concurrently.
+// Session is one goroutine's inference context over a Model: a view of
+// the network (nn.Network.View — its own per-pass layer caches over the
+// model's weight matrices, which an inference pass only reads) plus
+// reusable scratch buffers. The weights, normalizer, auxiliary forest and
+// layouts are read-only and shared with the Model and with every other
+// session of it, so a session costs its caches, not a copy of the model.
+// A Session itself must not be used concurrently; the serving engine keeps
+// one per worker, and Model's own methods take one from a per-model pool.
 type Session struct {
 	m   *Model
 	net *nn.Network
 	sc  scratch
 }
 
-// NewSession clones the model's network into a private inference session.
+// NewSession returns a fresh inference session sharing the model's
+// weights. The model must not be trained in place afterwards (Specialize
+// and Retrain clone before they write).
 func (m *Model) NewSession() *Session {
-	return &Session{m: m, net: m.Net.Clone()}
+	return &Session{m: m, net: m.Net.View()}
+}
+
+// acquire takes a session from the model's pool, building one when the
+// pool is empty. Callers return it with m.sessions.Put.
+func (m *Model) acquire() *Session {
+	if s, ok := m.sessions.Get().(*Session); ok {
+		return s
+	}
+	return m.NewSession()
 }
 
 // Model returns the read-only model this session serves.
 func (s *Session) Model() *Model { return s.m }
 
-// Diagnose is Model.Diagnose against the session's private network and
-// scratch buffers, safe to call concurrently with other sessions of the
-// same model.
+// Network returns the session's inference view of the model's network: its
+// Params alias the model's weight matrices.
+func (s *Session) Network() *nn.Network { return s.net }
+
+// Diagnose is a one-row DiagnoseBatch, safe to call concurrently with
+// other sessions of the same model.
 func (s *Session) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 	return s.DiagnoseBatch([][]float64{features}, layout)[0]
 }
@@ -70,18 +86,13 @@ func (s *Session) DiagnoseBatchContext(ctx context.Context, features [][]float64
 	span.SetAttr("features", n)
 	stages := span.Stages()
 	clock := telemetry.StartStages()
-
-	s.sc.normed = grow(s.sc.normed, b*n)
-	x := mat.FromSlice(b, n, s.sc.normed)
-	for i, f := range features {
-		m.Norm.ApplyInto(f, layout, x.Row(i))
-	}
+	x := s.normalize(features, layout)
 	clock.Mark(mStageNormalize)
 	stages.Mark("core.stage.normalize")
 
 	// Steps ①–④ for the whole batch, then step ⑤ — one backpropagation of
 	// the per-sample ideal-label losses down to the inputs (§III-E). Rows
-	// are independent, so grads.Row(i) matches the single-sample pass.
+	// are independent, so grads.Row(i) is what a one-row pass would give.
 	if cap(s.sc.targets) < b {
 		s.sc.targets = make([]int, b)
 	}
@@ -107,4 +118,16 @@ func (s *Session) DiagnoseBatchContext(ctx context.Context, features [][]float64
 	clock.DoneExemplar(mDiagnoseTotal, span.TraceID())
 	span.End()
 	return out
+}
+
+// normalize writes the normalized rows into the session's scratch and
+// returns them as a b×n batch, valid until the session's next call.
+func (s *Session) normalize(features [][]float64, layout probe.Layout) *mat.Matrix {
+	b, n := len(features), layout.NumFeatures()
+	s.sc.normed = grow(s.sc.normed, b*n)
+	x := mat.FromSlice(b, n, s.sc.normed)
+	for i, f := range features {
+		s.m.Norm.ApplyInto(f, layout, x.Row(i))
+	}
+	return x
 }

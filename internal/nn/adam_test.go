@@ -15,7 +15,7 @@ func TestAdamMatchesManualFirstSteps(t *testing.T) {
 	w := 0.0
 	for step := 1; step <= 5; step++ {
 		g := float64(step) * 0.5
-		p.Grad.Data[0] = g
+		p.grad().Data[0] = g
 		o.Step([]*Param{p})
 		m = 0.9*m + 0.1*g
 		v = 0.999*v + 0.001*g*g
@@ -31,7 +31,7 @@ func TestAdamMatchesManualFirstSteps(t *testing.T) {
 func TestAdamSkipsFrozen(t *testing.T) {
 	p := newParam("w", 1, 1)
 	p.Frozen = true
-	p.Grad.Data[0] = 10
+	p.grad().Data[0] = 10
 	o := NewAdam()
 	o.Step([]*Param{p})
 	if p.Value.Data[0] != 0 {
@@ -41,7 +41,7 @@ func TestAdamSkipsFrozen(t *testing.T) {
 
 func TestAdamReset(t *testing.T) {
 	p := newParam("w", 1, 1)
-	p.Grad.Data[0] = 1
+	p.grad().Data[0] = 1
 	o := NewAdam()
 	o.Step([]*Param{p})
 	o.Reset()
@@ -52,12 +52,12 @@ func TestAdamReset(t *testing.T) {
 
 func TestAdamClipNorm(t *testing.T) {
 	p := newParam("w", 1, 2)
-	p.Grad.Data[0], p.Grad.Data[1] = 30, 40
+	p.grad().Data[0], p.grad().Data[1] = 30, 40
 	o := NewAdam()
 	o.ClipNorm = 5
 	o.Step([]*Param{p})
 	// After clipping the gradient is (3, 4); first Adam step ≈ -lr·sign.
-	if p.Grad.Data[0] != 3 || p.Grad.Data[1] != 4 {
+	if p.grad().Data[0] != 3 || p.grad().Data[1] != 4 {
 		t.Fatalf("gradient not clipped: %v", p.Grad.Data)
 	}
 }

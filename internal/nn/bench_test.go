@@ -72,6 +72,7 @@ func BenchmarkTableITrainStep(b *testing.B) {
 	x, labels := benchBatch(rng, 64, 7)
 	tr := NewTrainer(net)
 	var ce SoftmaxCrossEntropy
+	net.SetTraining(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,13 +87,10 @@ func BenchmarkTableITrainStep(b *testing.B) {
 func BenchmarkInputGradient(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	net, _ := tableINet(rng)
-	x := make([]float64, 10*5+5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
+	x, _ := benchBatch(rng, 1, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.InputGradient(x, -1)
+		net.InputGradientBatch(x, nil)
 	}
 }

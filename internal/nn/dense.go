@@ -9,8 +9,11 @@ import (
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
 // (one sample per row) and Backward consumes the gradient of the loss with
-// respect to Forward's output, accumulates parameter gradients, and returns
-// the gradient with respect to Forward's input.
+// respect to Forward's output, accumulates parameter gradients when its
+// network is in training mode (Network.SetTraining), and returns the
+// gradient with respect to Forward's input. Outside training mode neither
+// pass writes a Param, so any number of views (Network.View) may run over
+// one set of weights.
 type Layer interface {
 	Forward(x *mat.Matrix) *mat.Matrix
 	Backward(dout *mat.Matrix) *mat.Matrix
@@ -51,18 +54,19 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 	return y
 }
 
-// Backward accumulates dW = xᵀ·dout and db = colsum(dout), and returns
-// dx = dout·Wᵀ.
+// Backward returns dx = dout·Wᵀ and, in training mode, accumulates
+// dW = xᵀ·dout and db = colsum(dout).
 func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	dw := mat.MulT1(nil, d.x, dout)
-	d.W.Grad.AddInPlace(dw)
-	for i := 0; i < dout.Rows; i++ {
-		row := dout.Row(i)
-		for j, v := range row {
-			d.B.Grad.Data[j] += v
+	if d.W.training {
+		d.W.grad().AddInPlace(mat.MulT1(nil, d.x, dout))
+		db := d.B.grad().Data
+		for i := 0; i < dout.Rows; i++ {
+			for j, v := range dout.Row(i) {
+				db[j] += v
+			}
 		}
 	}
 	return mat.MulT2(nil, dout, d.W.Value)

@@ -13,13 +13,18 @@ type trainingAware interface {
 	SetTraining(bool)
 }
 
-// SetTraining switches every mode-aware layer between training and
-// inference behaviour. Trainer.Fit toggles it automatically; Forward
-// outside training runs in inference mode by default.
+// SetTraining switches the network between training and inference
+// behaviour: mode-aware layers follow it, and Backward accumulates
+// parameter gradients only in training mode. Trainer.Fit toggles it
+// automatically; a network is in inference mode by default, where Forward
+// and Backward read the parameters and never write them.
 func (n *Network) SetTraining(training bool) {
 	for _, l := range n.Layers {
 		if ta, ok := l.(trainingAware); ok {
 			ta.SetTraining(training)
+		}
+		for _, p := range l.Params() {
+			p.training = training
 		}
 	}
 }

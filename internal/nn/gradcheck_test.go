@@ -20,10 +20,12 @@ func lossOf(net *Network, x *mat.Matrix, labels []int) float64 {
 func checkParamGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int, tol float64) {
 	t.Helper()
 	var ce SoftmaxCrossEntropy
+	net.SetTraining(true) // parameter gradients accumulate only in training mode
 	net.ZeroGrads()
 	logits := net.Forward(x)
 	_, dlogits := ce.Loss(logits, labels)
 	net.Backward(dlogits)
+	net.SetTraining(false)
 
 	const h = 1e-5
 	for pi, p := range net.Params() {
@@ -48,7 +50,6 @@ func checkParamGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int
 func checkInputGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int, tol float64) {
 	t.Helper()
 	var ce SoftmaxCrossEntropy
-	net.ZeroGrads()
 	logits := net.Forward(x)
 	_, dlogits := ce.Loss(logits, labels)
 	dx := net.Backward(dlogits)

@@ -369,7 +369,8 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 }
 
 // Backward propagates gradients through pooling and convolution,
-// accumulating kernel/bias gradients and returning input gradients.
+// returning input gradients and, in training mode, accumulating the
+// kernel/bias gradients.
 func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	if lp.x == nil || dout.Rows != lp.nCached || dout.Cols != lp.OutWidth() {
 		panic("nn: LandPool.Backward shape mismatch with Forward")
@@ -377,8 +378,11 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	ell := lp.ell
 	dx := mat.New(lp.x.Rows, lp.x.Cols)
 	kern := lp.Kernel.Value
-	dkern := lp.Kernel.Grad
-	dbias := lp.Bias.Grad.Data
+	var dkern *mat.Matrix // nil outside training mode
+	var dbias []float64
+	if lp.Kernel.training {
+		dkern, dbias = lp.Kernel.grad(), lp.Bias.grad().Data
+	}
 	needSort := false
 	for _, op := range lp.Ops {
 		if _, ok := op.(sortedPoolOp); ok {
@@ -432,8 +436,10 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 				if g == 0 {
 					continue
 				}
-				dbias[fi] += g
-				mat.Axpy(g, xl, dkern.Row(fi))
+				if dkern != nil {
+					dbias[fi] += g
+					mat.Axpy(g, xl, dkern.Row(fi))
+				}
 				mat.Axpy(g, kern.Row(fi), dxl)
 			}
 		}

@@ -84,25 +84,12 @@ func (SoftmaxCrossEntropy) WeightedLoss(logits *mat.Matrix, labels []int, weight
 	return total / wsum, grad
 }
 
-// CrossEntropyGrad returns the gradient of the "ideal label" loss
-// L* = −log softmax(logits)[target] with respect to the logits of a single
-// sample (1×c). This is the backward seed of the attention mechanism
-// (paper §III-E).
-func CrossEntropyGrad(logits *mat.Matrix, target int) *mat.Matrix {
-	if logits.Rows != 1 {
-		panic("nn: CrossEntropyGrad expects a single-row batch")
-	}
-	g := mat.New(1, logits.Cols)
-	softmaxRow(logits.Row(0), g.Row(0))
-	g.Data[target] -= 1
-	return g
-}
-
-// IdealLossGrad is the batched CrossEntropyGrad: row i of the result is
-// softmax(logits[i]) − onehot(targets[i]), the backward seed of sample i's
-// own ideal-label loss. No 1/batch scaling is applied — the loss is a
-// per-sample sum, so each input-gradient row is exactly what the
-// single-sample pass would produce.
+// IdealLossGrad returns the gradient of the "ideal label" losses
+// L*_i = −log softmax(logits[i])[targets[i]] with respect to the logits:
+// row i is softmax(logits[i]) − onehot(targets[i]), the backward seed of
+// the attention mechanism (paper §III-E). No 1/batch scaling is applied —
+// the loss is a per-sample sum, so each input-gradient row is exactly
+// what a one-row pass would produce.
 func IdealLossGrad(logits *mat.Matrix, targets []int) *mat.Matrix {
 	if logits.Rows != len(targets) {
 		panic(fmt.Sprintf("nn: IdealLossGrad: %d rows vs %d targets", logits.Rows, len(targets)))

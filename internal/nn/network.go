@@ -32,9 +32,9 @@ func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
 	return x
 }
 
-// Backward propagates dout from the output back to the input, accumulating
-// parameter gradients, and returns the gradient with respect to the input
-// batch.
+// Backward propagates dout from the output back to the input and returns
+// the gradient with respect to the input batch; in training mode it also
+// accumulates parameter gradients.
 func (n *Network) Backward(dout *mat.Matrix) *mat.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dout = n.Layers[i].Backward(dout)
@@ -67,36 +67,21 @@ func (n *Network) ParamCount() (total, trainable int) {
 // ZeroGrads clears all accumulated gradients.
 func (n *Network) ZeroGrads() { zeroGrads(n.Params()) }
 
-// InputGradient returns the gradient of the ideal-label cross-entropy loss
-// L* = −log softmax(f(x))[target] with respect to the input features of a
-// single sample, plus the softmax probabilities of the forward pass. This
-// is DiagNet's attention primitive (§III-E): it requires white-box access
-// to the network, which this engine provides by construction. Parameter
-// gradients accumulated by the pass are discarded.
-func (n *Network) InputGradient(x []float64, target int) (grad []float64, probs []float64) {
-	in := mat.FromSlice(1, len(x), append([]float64(nil), x...))
-	logits := n.Forward(in)
-	if target < 0 {
-		// Caller wants the arg-max class as the ideal label.
-		target = Argmax(logits.Row(0))
-	}
-	p := Softmax(logits)
-	dlogits := CrossEntropyGrad(logits, target)
-	n.ZeroGrads()
-	dx := n.Backward(dlogits)
-	n.ZeroGrads()
-	return dx.Row(0), p.Row(0)
-}
-
-// InputGradientBatch is the batched InputGradient: one forward and one
-// backward pass over the whole b×n batch instead of b separate passes.
-// Because no layer mixes information across rows, row i of the returned
-// gradient equals what InputGradient(x.Row(i), targets[i]) would produce —
-// but the weight matrices are streamed from memory once per batch rather
-// than once per sample, which is what makes the serving engine's
-// micro-batching pay. targets may be nil (per-row arg-max ideal labels) or
-// hold one class per row, -1 selecting that row's arg-max. The input batch
-// is mutated-safe: callers may reuse x's backing storage afterwards.
+// InputGradientBatch returns, for every row of the b×n batch x, the
+// gradient of that row's ideal-label cross-entropy loss
+// L* = −log softmax(f(x))[target] with respect to its input features, plus
+// the softmax probabilities of the forward pass. This is DiagNet's
+// attention primitive (§III-E): it requires white-box access to the
+// network, which this engine provides by construction. One forward and one
+// backward pass cover the whole batch, so the weight matrices are streamed
+// from memory once per batch rather than once per sample — which is what
+// makes the serving engine's micro-batching pay — and because no layer
+// mixes information across rows, row i equals what the b = 1 pass on
+// x.Row(i) produces. targets may be nil (per-row arg-max ideal labels) or
+// hold one class per row, -1 selecting that row's arg-max. Outside
+// training mode the pass writes no Param (only the layers' caches), so it
+// is safe on a View of weights other goroutines are reading. The input
+// batch is mutated-safe: callers may reuse x's backing storage afterwards.
 func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs *mat.Matrix) {
 	logits := n.Forward(x)
 	tg := targets
@@ -111,12 +96,7 @@ func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs
 			tg[i] = Argmax(logits.Row(i))
 		}
 	}
-	probs = Softmax(logits)
-	dlogits := IdealLossGrad(logits, tg)
-	n.ZeroGrads()
-	dx := n.Backward(dlogits)
-	n.ZeroGrads()
-	return dx, probs
+	return n.Backward(IdealLossGrad(logits, tg)), Softmax(logits)
 }
 
 // Predict returns the softmax class probabilities for a batch.
@@ -207,22 +187,37 @@ func buildLayer(spec LayerSpec, rng *rand.Rand) (Layer, error) {
 	}
 }
 
+// View returns an inference view of the network: fresh layers with their
+// own per-pass caches whose Params alias the source's Value matrices and
+// carry no Grad. Building one copies no weights, and a pass over a view
+// in inference mode (the default) writes nothing the source or another
+// view can see, so any number of goroutines may each run their own view of
+// one trained network. Training a view would write the shared weights;
+// Clone first.
+func (n *Network) View() *Network {
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
+		switch l := l.(type) {
+		case *Dense:
+			layers[i] = &Dense{In: l.In, Out: l.Out, W: l.W.view(), B: l.B.view()}
+		case *LandPool:
+			layers[i] = &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: l.Kernel.view(), Bias: l.Bias.view()}
+		case *ReLU:
+			layers[i] = NewReLU()
+		case *Dropout:
+			layers[i] = NewDropout(l.Rate, rand.New(rand.NewSource(0)))
+		default:
+			panic(fmt.Sprintf("nn: View: unknown layer type %T", l))
+		}
+	}
+	return NewNetwork(layers...)
+}
+
 // Clone returns a deep copy of the network (weights, freeze flags).
 func (n *Network) Clone() *Network {
-	rng := rand.New(rand.NewSource(0))
-	var layers []Layer
-	for _, l := range n.Layers {
-		nl, err := buildLayer(l.Spec(), rng)
-		if err != nil {
-			panic(err)
-		}
-		layers = append(layers, nl)
-	}
-	c := NewNetwork(layers...)
-	src, dst := n.Params(), c.Params()
-	for i := range src {
-		copy(dst[i].Value.Data, src[i].Value.Data)
-		dst[i].Frozen = src[i].Frozen
+	c := n.View()
+	for _, p := range c.Params() {
+		p.Value = p.Value.Clone()
 	}
 	return c
 }

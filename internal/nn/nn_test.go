@@ -235,16 +235,14 @@ func TestInputGradientNormalizesAsAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	lp := NewLandPool(2, 4, 1, DefaultPoolOps(), rng)
 	net := NewNetwork(lp, NewDense(lp.OutWidth(), 3, rng))
-	x := make([]float64, 5*2+1)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	grad, probs := net.InputGradient(x, -1)
-	if len(grad) != len(x) {
-		t.Fatalf("grad len %d, want %d", len(grad), len(x))
+	x, _ := randBatch(rng, 1, 5*2+1, 3)
+	grads, probs := net.InputGradientBatch(x, nil)
+	grad := grads.Row(0)
+	if len(grad) != x.Cols {
+		t.Fatalf("grad len %d, want %d", len(grad), x.Cols)
 	}
 	var s float64
-	for _, p := range probs {
+	for _, p := range probs.Row(0) {
 		s += p
 	}
 	if math.Abs(s-1) > 1e-9 {
@@ -264,13 +262,13 @@ func TestInputGradientNormalizesAsAttention(t *testing.T) {
 
 func TestSGDDecaySchedule(t *testing.T) {
 	p := newParam("w", 1, 1)
-	p.Grad.Data[0] = 1
+	p.grad().Data[0] = 1
 	o := &SGD{LR: 1, Momentum: 0, Decay: 1, Nesterov: false}
 	o.Step([]*Param{p}) // lr = 1/(1+0) = 1
 	if p.Value.Data[0] != -1 {
 		t.Fatalf("after step 1: %v", p.Value.Data[0])
 	}
-	p.Grad.Data[0] = 1
+	p.grad().Data[0] = 1
 	o.Step([]*Param{p}) // lr = 1/(1+1) = 0.5
 	if p.Value.Data[0] != -1.5 {
 		t.Fatalf("after step 2: %v", p.Value.Data[0])
@@ -283,7 +281,7 @@ func TestSGDNesterovMatchesManual(t *testing.T) {
 	var v, w float64
 	for i := 0; i < 5; i++ {
 		g := float64(i + 1)
-		p.Grad.Data[0] = g
+		p.grad().Data[0] = g
 		o.Step([]*Param{p})
 		v = 0.9*v - 0.1*g
 		w += 0.9*v - 0.1*g
@@ -379,17 +377,17 @@ func TestNetworkNumericallyRobust(t *testing.T) {
 	lp := NewLandPool(5, 8, 5, DefaultPoolOps(), rng)
 	net := NewNetwork(lp, NewDense(lp.OutWidth(), 16, rng), NewReLU(), NewDense(16, 7, rng))
 	for _, scale := range []float64{0, 1e-12, 1e6, -1e6} {
-		x := make([]float64, 10*5+5)
-		for i := range x {
-			x[i] = scale * rng.Float64()
+		x := mat.New(1, 10*5+5)
+		for i := range x.Data {
+			x.Data[i] = scale * rng.Float64()
 		}
-		grad, probs := net.InputGradient(x, -1)
-		for _, p := range probs {
+		grad, probs := net.InputGradientBatch(x, nil)
+		for _, p := range probs.Data {
 			if math.IsNaN(p) || math.IsInf(p, 0) {
 				t.Fatalf("scale %v: non-finite probability", scale)
 			}
 		}
-		for _, g := range grad {
+		for _, g := range grad.Data {
 			if math.IsNaN(g) || math.IsInf(g, 0) {
 				t.Fatalf("scale %v: non-finite gradient", scale)
 			}

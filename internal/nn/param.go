@@ -20,20 +20,37 @@ import (
 )
 
 // Param is one trainable tensor: its value, the gradient accumulated by the
-// latest backward pass, and a freeze flag honoured by optimizers.
+// latest training-mode backward pass, and a freeze flag honoured by
+// optimizers. Grad is nil until the parameter is first trained: a network
+// loaded only to serve holds one matrix per parameter, and the Params of
+// an inference view (Network.View) never get one.
 type Param struct {
 	Name   string
 	Value  *mat.Matrix
 	Grad   *mat.Matrix
 	Frozen bool
+
+	// training is set while the owning network is in training mode
+	// (Network.SetTraining): only then does its layer's Backward accumulate
+	// into Grad. Outside it a pass reads Value and writes nothing here.
+	training bool
 }
 
 func newParam(name string, rows, cols int) *Param {
-	return &Param{
-		Name:  name,
-		Value: mat.New(rows, cols),
-		Grad:  mat.New(rows, cols),
+	return &Param{Name: name, Value: mat.New(rows, cols)}
+}
+
+// grad returns the gradient accumulator, allocating it on first use.
+func (p *Param) grad() *mat.Matrix {
+	if p.Grad == nil {
+		p.Grad = mat.New(p.Value.Rows, p.Value.Cols)
 	}
+	return p.Grad
+}
+
+// view returns a Param that aliases p's value and carries no gradient.
+func (p *Param) view() *Param {
+	return &Param{Name: p.Name, Value: p.Value, Frozen: p.Frozen}
 }
 
 // glorotInit fills p.Value with Glorot/Xavier-uniform samples for a layer
@@ -45,9 +62,11 @@ func glorotInit(p *Param, fanIn, fanOut int, rng *rand.Rand) {
 	}
 }
 
-// zeroGrads clears the gradients of every param in ps.
+// zeroGrads clears the gradients of every param in ps that has one.
 func zeroGrads(ps []*Param) {
 	for _, p := range ps {
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
 	}
 }

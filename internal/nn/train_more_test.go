@@ -96,7 +96,7 @@ func TestWeightedLossBadWeightsPanics(t *testing.T) {
 
 func TestSGDClipNorm(t *testing.T) {
 	p := newParam("w", 1, 2)
-	p.Grad.Data[0], p.Grad.Data[1] = 30, 40 // norm 50
+	p.grad().Data[0], p.grad().Data[1] = 30, 40 // norm 50
 	o := &SGD{LR: 1, ClipNorm: 5}
 	o.Step([]*Param{p})
 	// Clipped gradient: (3, 4); update = -lr·g.
@@ -108,9 +108,9 @@ func TestSGDClipNorm(t *testing.T) {
 func TestSGDClipNormIgnoresFrozen(t *testing.T) {
 	frozen := newParam("f", 1, 1)
 	frozen.Frozen = true
-	frozen.Grad.Data[0] = 1e6 // must not count toward the norm
+	frozen.grad().Data[0] = 1e6 // must not count toward the norm
 	live := newParam("w", 1, 1)
-	live.Grad.Data[0] = 3
+	live.grad().Data[0] = 3
 	o := &SGD{LR: 1, ClipNorm: 5}
 	o.Step([]*Param{frozen, live})
 	if live.Value.Data[0] != -3 {
@@ -124,21 +124,12 @@ func TestSGDClipNormIgnoresFrozen(t *testing.T) {
 func TestSGDResetClearsState(t *testing.T) {
 	p := newParam("w", 1, 1)
 	o := NewSGD()
-	p.Grad.Data[0] = 1
+	p.grad().Data[0] = 1
 	o.Step([]*Param{p})
 	o.Reset()
 	if o.step != 0 || o.velocity != nil {
 		t.Fatal("Reset incomplete")
 	}
-}
-
-func TestCrossEntropyGradSingleRowOnly(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	CrossEntropyGrad(mat.New(2, 3), 0)
 }
 
 func TestHistoryEpochs(t *testing.T) {

@@ -241,9 +241,11 @@ func (e *Engine) Close(ctx context.Context) error {
 // it reaches BatchMax or when the adaptive wait expires, whichever first.
 // The wait is BatchWait scaled by an EWMA of recent batch occupancy: when
 // batches have been running near-empty (light load) the next lone request
-// waits only a sliver of BatchWait, and as soon as batches start filling
-// the wait stretches back out to coalesce harder. Under heavy backlog the
-// timer is moot — the fill loop drains the queue without ever parking.
+// asks for only a sliver of BatchWait (the Go timer still takes ≥ 1 ms to
+// fire on an idle process; DESIGN.md §11), and as soon as batches start
+// filling the wait stretches back out to coalesce harder. Under heavy
+// backlog the timer is moot — the fill loop drains the queue without ever
+// parking.
 func (e *Engine) dispatch() {
 	defer e.dispatcherWG.Done()
 	defer close(e.batches)

@@ -43,15 +43,17 @@ type Registry struct {
 // snapshot is one immutable, fully warmed serving configuration: the
 // per-worker replicas of one version's models. Workers index replicas by
 // worker ID; nothing in a snapshot is ever mutated after Store, so readers
-// need no locks.
+// need no locks. Every replica of every snapshot of a version reads the
+// one copy of that version's weights the bundle holds: a promoted bundle's
+// parameters are never written.
 type snapshot struct {
 	version  string
 	replicas []*replica
 }
 
-// replica is one worker's private model set: sessions clone the mutable
-// network per worker (the backward pass reuses layer caches) and carry the
-// scratch buffers that keep the hot path allocation-light.
+// replica is one worker's private session set: a session owns the layer
+// caches an inference pass writes and the scratch buffers that keep the
+// hot path allocation-light, and shares the weights with the bundle.
 type replica struct {
 	general     *core.Session
 	specialized map[int]*core.Session
@@ -150,9 +152,9 @@ func (r *Registry) AddModel(version string, m *core.Model) error {
 // Promote builds per-worker replicas of the named version, warms every
 // session up with a real inference, and atomically swaps it in. In-flight
 // batches finish on the snapshot they started with; the warm-up means the
-// first post-swap request never pays clone-and-touch costs, and a model
-// that cannot produce a finite distribution is rejected before any traffic
-// reaches it.
+// first post-swap request finds every session's caches and scratch
+// already sized, and a model that cannot produce a finite distribution is
+// rejected before any traffic reaches it.
 func (r *Registry) Promote(version string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,7 +296,7 @@ func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	return nil
 }
 
-// buildSnapshot clones and warms per-worker sessions. Called with r.mu
+// buildSnapshot builds and warms per-worker sessions. Called with r.mu
 // held.
 func (r *Registry) buildSnapshot(version string, b *core.Bundle) (*snapshot, error) {
 	return r.buildSnapshotN(version, b, r.workers)
@@ -325,9 +327,9 @@ func (r *Registry) buildSnapshotN(version string, b *core.Bundle, workers int) (
 	return snap, nil
 }
 
-// warmup runs one inference through a fresh session: it touches every
-// weight matrix (paging the clone in) and proves the model still produces
-// a finite coarse distribution before promotion exposes it to traffic.
+// warmup runs one inference through a fresh session: it sizes the
+// session's layer caches and scratch and proves the model still produces a
+// finite coarse distribution before promotion exposes it to traffic.
 func warmup(s *core.Session, features []float64) error {
 	d := s.Diagnose(features, s.Model().TrainLayout)
 	for _, p := range d.Coarse {

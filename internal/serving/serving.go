@@ -12,12 +12,14 @@
 //     the whole b×n matrix (core.Session.DiagnoseBatch), so the network's
 //     weights are streamed once per batch instead of once per request. The
 //     wait adapts to load: an EWMA of recent batch occupancy scales it
-//     down, so a lone request under light load sees almost no added
-//     latency while a loaded queue coalesces aggressively.
+//     down, so a lone request under light load waits for little more than
+//     the ~1 ms a short timer takes to fire on an idle process, while a
+//     loaded queue coalesces aggressively.
 //
 //   - Versioned model registry. Named model versions (general + per-service
 //     specialized bundles) are loaded from disk or memory, warmed up with a
-//     real inference per worker replica, and promoted by an atomic pointer
+//     real inference per worker session (sessions share the version's one
+//     copy of the weights), and promoted by an atomic pointer
 //     swap — the deployment path for §VI drift-triggered retrains and
 //     service specialization. Every response is attributable to exactly
 //     one version; rollback re-promotes the previous one.
@@ -59,8 +61,9 @@ type Config struct {
 	// BatchMax is the micro-batch size cap (default 32).
 	BatchMax int
 	// BatchWait is the longest a batch collects before flushing partially
-	// filled (default 2ms). The effective wait adapts below this under
-	// light load, so single requests see ~no added latency.
+	// filled (default 2ms). The requested wait adapts below this under
+	// light load, down to BatchWait/BatchMax; the timer itself takes about
+	// a millisecond to fire on an idle process.
 	BatchWait time.Duration
 	// QueueDepth bounds the submission queue; non-blocking submissions
 	// beyond it are shed (default 256).

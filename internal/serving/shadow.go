@@ -101,7 +101,7 @@ func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64,
 		incVersion: incVersion,
 		layout:     layout,
 		services:   svcs,
-		features:   features,
+		features:   append([][]float64(nil), features...), // the worker reuses its slice for the batch's next group
 		incCoarse:  incCoarse,
 		incPerItem: incDur / time.Duration(len(features)),
 	}
