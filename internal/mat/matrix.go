@@ -1,10 +1,19 @@
-// Package mat provides small dense float64 matrix and vector kernels used
-// throughout DiagNet: storage, BLAS-1 style helpers and a cache-friendly,
-// optionally parallel matrix multiplication.
+// Package mat provides the small dense float64 matrix and vector kernels
+// used throughout DiagNet: storage, BLAS-1 style helpers and the three
+// matrix products of a dense layer (Mul, MulT1, MulT2).
+//
+// The products share one driver (mul.go): the right-hand operand is packed
+// into 8-column panels, each reused for every 4-row tile of the left-hand
+// operand, and a tile is accumulated in registers by an AVX2 micro-kernel
+// (gemm_amd64.s). Products shorter than a tile, the ragged edges of larger
+// ones, and every product on a machine without the kernel run scalar loops.
 //
 // The package is deliberately minimal — it implements exactly the
-// operations the neural network and the baselines need, with deterministic
-// results independent of GOMAXPROCS.
+// operations the neural network and the baselines need — and its results
+// are deterministic: every output element is reduced in index order by
+// separately rounded multiplies and adds, so its bits depend neither on
+// GOMAXPROCS, nor on which of the two code paths computed it, nor on how
+// many other rows were multiplied in the same call.
 package mat
 
 import (

@@ -6,174 +6,253 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the number of multiply-adds below which Mul runs
-// single-threaded: goroutine fan-out costs more than it saves on small
-// products.
-const parallelThreshold = 1 << 16
+// Shape of the register-tiled kernel: a tileRows×tileCols block of the
+// output stays in registers for a whole pass over k, fed by a packed
+// panelDepth×tileCols panel of the right-hand operand (16 KiB, on the
+// stack of the goroutine that packs it).
+const (
+	tileRows   = 4
+	tileCols   = 8
+	panelDepth = 256
+)
+
+// parallelThreshold is the number of multiply-adds below which a product
+// runs on the calling goroutine: fanning out costs more than it saves. It
+// is measured, see DESIGN.md.
+const parallelThreshold = 1 << 17
+
+// minDepth is the length of the reduction below which the scalar loops run
+// whatever the shape: a product of depth one (the weight gradient of a
+// one-sample batch) is an outer product, one multiply per output and
+// nothing to keep in registers, and the fixed cost of a kernel call per
+// tile is not repaid. Measured, see DESIGN.md.
+const minDepth = 2
 
 // Mul stores a·b into dst (allocating when dst is nil) and returns dst.
-//
-// The kernel uses the i-k-j loop order so the inner loop streams over
-// contiguous rows of b and dst, and shards rows of a across GOMAXPROCS
-// workers for large products. Row sharding keeps the reduction order within
-// each output element sequential, so results are identical no matter how
-// many workers run.
 func Mul(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul: inner dims %d vs %d", a.Cols, b.Rows))
 	}
-	dst = ensureShape(dst, a.Rows, b.Cols)
-	if dst == a || dst == b {
-		panic("mat: Mul: dst must not alias an operand")
-	}
-	dst.Zero()
-
-	work := a.Rows * a.Cols * b.Cols
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers == 1 || a.Rows == 1 {
-		mulRows(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	chunk := (a.Rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < a.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulRows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return dst
+	return gemm{op: opMul, a: a, b: b, m: a.Rows, n: b.Cols, k: a.Cols}.run(dst)
 }
 
-// mulRows computes rows [lo, hi) of dst = a·b.
-func mulRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyTo(av, b.Data[k*n:(k+1)*n], drow)
-		}
-	}
-}
-
-// MulT1 returns aᵀ·b without materializing the transpose of a. Large
-// products shard the output rows across GOMAXPROCS workers; each output
-// element reduces over k sequentially, so results are independent of the
-// worker count.
+// MulT1 stores aᵀ·b into dst (allocating when dst is nil) without
+// materializing the transpose of a, and returns dst.
 func MulT1(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulT1: inner dims %d vs %d", a.Rows, b.Rows))
 	}
-	dst = ensureShape(dst, a.Cols, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers == 1 || a.Cols == 1 {
-		mulT1Rows(dst, a, b, 0, a.Cols)
+	return gemm{op: opMulT1, a: a, b: b, m: a.Cols, n: b.Cols, k: a.Rows}.run(dst)
+}
+
+// MulT2 stores a·bᵀ into dst (allocating when dst is nil) without
+// materializing the transpose of b, and returns dst.
+func MulT2(dst, a, b *Matrix) *Matrix {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulT2: inner dims %d vs %d", a.Cols, b.Cols))
+	}
+	return gemm{op: opMulT2, a: a, b: b, m: a.Rows, n: b.Rows, k: a.Cols}.run(dst)
+}
+
+type gemmOp uint8
+
+const (
+	opMul gemmOp = iota
+	opMulT1
+	opMulT2
+)
+
+func (op gemmOp) String() string { return [...]string{"Mul", "MulT1", "MulT2"}[op] }
+
+// gemm is one product dst = A·B with A m×k and B k×n, where op says how A
+// and B are read out of a and b. Every element of dst is the sum over k,
+// in index order and starting from +0, of separately rounded products;
+// which code computes an element (the micro-kernel or the scalar loops, on
+// which goroutine) never changes its bits for finite operands.
+type gemm struct {
+	op        gemmOp
+	dst, a, b *Matrix
+	m, n, k   int
+}
+
+// run checks dst and computes the product into it, on one goroutine
+// when it is small and otherwise sharded over GOMAXPROCS workers that each
+// own a disjoint block of dst.
+func (g gemm) run(dst *Matrix) *Matrix {
+	dst = ensureShape(dst, g.m, g.n)
+	if dst == g.a || dst == g.b {
+		panic(fmt.Sprintf("mat: %v: dst must not alias an operand", g.op))
+	}
+	g.dst = dst
+
+	units := g.units()
+	workers := min(runtime.GOMAXPROCS(0), units)
+	if workers <= 1 || g.m*g.n*g.k < parallelThreshold {
+		g.share(0, units)
 		return dst
 	}
-	if workers > a.Cols {
-		workers = a.Cols
-	}
-	chunk := (a.Cols + workers - 1) / workers
+	shared := g // the copy the workers capture: g itself stays on the stack
+	chunk := (units + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < a.Cols; lo += chunk {
-		hi := lo + chunk
-		if hi > a.Cols {
-			hi = a.Cols
-		}
+	for lo := 0; lo < units; lo += chunk {
+		hi := min(lo+chunk, units)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			mulT1Rows(dst, a, b, lo, hi)
-		}(lo, hi)
+			shared.share(lo, hi)
+		}()
 	}
 	wg.Wait()
 	return dst
 }
 
-// mulT1Rows computes output rows [lo, hi) of dst = aᵀ·b.
-func mulT1Rows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
+// tiled reports whether the micro-kernel runs: the product holds a whole
+// tile and is at least minDepth deep. The tile height is also the measured
+// crossover: from tileRows rows on, packing b into panels is repaid even
+// when half of a is zeros the scalar loop would skip; below it (a single
+// diagnosis is one row) the scalar loops win.
+func (g *gemm) tiled() bool {
+	return haveKernel && g.m >= tileRows && g.n >= tileCols && g.k >= minDepth
+}
+
+// units is the number of pieces a product can be shared out in: column
+// panels when tiled, so that no panel is packed twice, and rows otherwise.
+func (g *gemm) units() int {
+	if g.tiled() {
+		return g.n / tileCols
+	}
+	return g.m
+}
+
+// share computes units [lo, hi) of the product: rows with the scalar loops,
+// or column panels, of which the micro-kernel computes the whole tiles and
+// the scalar loops the ragged bottom rows and, next to the last panel, the
+// ragged right columns.
+func (g *gemm) share(lo, hi int) {
+	if !g.tiled() {
+		g.scalar(lo, hi, 0, g.n)
+		return
+	}
+	j0, jt, j1 := lo*tileCols, hi*tileCols, hi*tileCols
+	if hi == g.n/tileCols {
+		j1 = g.n
+	}
+	it := g.m / tileRows * tileRows
+	g.tiles(it, j0, jt)
+	g.scalar(it, g.m, j0, jt)
+	g.scalar(0, g.m, jt, j1)
+}
+
+// tiles computes dst[0:m, j0:j1], a whole number of tiles. Each panel of
+// B is packed once and reused for every row tile of A. A product deeper
+// than panelDepth takes several passes; a later pass picks the partial sums
+// up from dst, which continues the same in-order reduction.
+func (g *gemm) tiles(m, j0, j1 int) {
+	aRow, aK := g.a.Cols, 1
+	if g.op == opMulT1 {
+		aRow, aK = 1, g.a.Cols
+	}
+	var panel [panelDepth * tileCols]float64
+	for j := j0; j < j1; j += tileCols {
+		for k0 := 0; k0 < g.k; k0 += panelDepth {
+			kn := min(panelDepth, g.k-k0)
+			if g.op == opMulT2 {
+				packT(panel[:kn*tileCols], g.b, k0, j)
+			} else {
+				pack(panel[:kn*tileCols], g.b, k0, j)
+			}
+			for i := 0; i < m; i += tileRows {
+				tile(g.dst.Data[i*g.n+j:], g.n, g.a.Data[i*aRow+k0*aK:], aRow, aK, panel[:], kn, k0 > 0)
+			}
 		}
+	}
+}
+
+// pack copies b[k0:k0+kn, j:j+tileCols] into panel, k-major. Packing is
+// what makes the kernel's k loop read consecutive cache lines: a column
+// panel of a 512-wide b would touch one line per 4 KiB page and keep
+// hitting the same cache set.
+func pack(panel []float64, b *Matrix, k0, j int) {
+	src := k0*b.Cols + j
+	for o := 0; o < len(panel); o += tileCols {
+		p, s := (*[tileCols]float64)(panel[o:]), (*[tileCols]float64)(b.Data[src:])
+		p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		src += b.Cols
+	}
+}
+
+// packT copies the transpose of b[j:j+tileCols, k0:k0+kn] into panel,
+// k-major: the panel of bᵀ that MulT2 multiplies by.
+func packT(panel []float64, b *Matrix, k0, j int) {
+	kn := len(panel) / tileCols
+	for jj := 0; jj < tileCols; jj++ {
+		row := b.Data[(j+jj)*b.Cols+k0:][:kn]
+		for kk, v := range row {
+			panel[kk*tileCols+jj] = v
+		}
+	}
+}
+
+// scalar computes dst[i0:i1, j0:j1] with the scalar loops of the product.
+func (g *gemm) scalar(i0, i1, j0, j1 int) {
+	if i0 >= i1 || j0 >= j1 {
+		return
+	}
+	switch g.op {
+	case opMul:
+		mulRows(g.dst, g.a, g.b, i0, i1, j0, j1)
+	case opMulT1:
+		mulT1Rows(g.dst, g.a, g.b, i0, i1, j0, j1)
+	case opMulT2:
+		mulT2Rows(g.dst, g.a, g.b, i0, i1, j0, j1)
+	}
+}
+
+// mulRows stores rows [i0, i1), columns [j0, j1) of a·b into dst. It uses the
+// i-k-j loop order so the inner loop streams over contiguous rows of b and
+// dst. Skipping a zero element of a leaves the bits of the sum unchanged
+// when b is finite (the skipped product is ±0 and the sum, which starts at
+// +0, is never −0), which is why the kernel, which does not skip, still
+// agrees with it.
+func mulRows(dst, a, b *Matrix, i0, i1, j0, j1 int) {
+	n := b.Cols
+	for i := i0; i < i1; i++ {
+		drow := dst.Row(i)[j0:j1]
+		clear(drow)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			axpyTo(av, b.Data[k*n+j0:k*n+j1], drow)
+		}
+	}
+}
+
+// mulT1Rows stores rows [i0, i1), columns [j0, j1) of aᵀ·b into dst.
+func mulT1Rows(dst, a, b *Matrix, i0, i1, j0, j1 int) {
+	n := b.Cols
+	for i := i0; i < i1; i++ {
+		drow := dst.Row(i)[j0:j1]
+		clear(drow)
 		for k := 0; k < a.Rows; k++ {
 			av := a.Data[k*a.Cols+i]
 			if av == 0 {
 				continue
 			}
-			axpyTo(av, b.Data[k*n:(k+1)*n], drow)
+			axpyTo(av, b.Data[k*n+j0:k*n+j1], drow)
 		}
 	}
 }
 
-// MulT2 returns a·bᵀ without materializing the transpose of b.
-func MulT2(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulT2: inner dims %d vs %d", a.Cols, b.Cols))
-	}
-	dst = ensureShape(dst, a.Rows, b.Rows)
-	work := a.Rows * a.Cols * b.Rows
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers == 1 || a.Rows == 1 {
-		mulT2Rows(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	chunk := (a.Rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < a.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulT2Rows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return dst
-}
-
-func mulT2Rows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// mulT2Rows stores rows [i0, i1), columns [j0, j1) of a·bᵀ into dst.
+func mulT2Rows(dst, a, b *Matrix, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
+		for j := j0; j < j1; j++ {
 			drow[j] = Dot(arow, b.Row(j))
 		}
 	}
-}
-
-// MulVec returns m·x as a new vector.
-func MulVec(m *Matrix, x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec: len %d, want %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		y[i] = Dot(m.Row(i), x)
-	}
-	return y
 }
 
 // Dot returns the inner product of equal-length vectors a and b.

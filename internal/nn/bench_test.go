@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,13 +85,20 @@ func BenchmarkTableITrainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkInputGradient is the serving pass (forward, then backward to the
+// inputs) for a single diagnosis, which runs mat's scalar loops, and for a
+// fused batch of 64, which runs its tiled kernel.
 func BenchmarkInputGradient(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	net, _ := tableINet(rng)
-	x, _ := benchBatch(rng, 1, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.InputGradientBatch(x, nil)
+	for _, batch := range []int{1, 64} {
+		b.Run(fmt.Sprintf("B%d", batch), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			net, _ := tableINet(rng)
+			x, _ := benchBatch(rng, batch, 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.InputGradientBatch(x, nil)
+			}
+		})
 	}
 }
