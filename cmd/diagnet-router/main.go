@@ -12,62 +12,47 @@
 //	               [-state-dir state/ [-profile-on-breach 500]]
 //	               [-log-format text|json] [-trace=true]
 //
-// API (proxied to the replicas):
-//
-//	POST /v1/diagnose        routed with service affinity + hedging
-//	POST /v1/diagnose-batch  scatter-gathered across ready replicas
-//	GET  /v1/model           proxied to the best-ranked replica
-//	GET  /v1/metrics         the router's own telemetry snapshot (JSON; exposition via Accept)
-//	GET  /metrics            the router's own metrics, Prometheus/OpenMetrics text
-//	GET  /v1/fleet/metrics   exactly-merged federated fleet view + per-replica breakdown
-//	GET  /v1/slo             SLO burn-rate alert state machine (404 unless -slo-target)
-//	GET  /v1/profiles        anomaly-captured CPU/heap profile ring (404 unless -state-dir)
-//	GET  /v1/replicas        per-replica health/breaker/load status
-//	GET  /healthz            liveness (204 while the process runs)
-//	GET  /readyz             readiness (503 until a replica is ready)
+// API: POST /v1/diagnose (routed with service affinity + hedging) and
+// /v1/diagnose-batch (scatter-gathered across ready replicas) and GET
+// /v1/model are proxied to the replicas; the router's own are /v1/metrics
+// and /metrics, /v1/replicas (per-replica health/breaker/load),
+// /v1/fleet/metrics (the exactly-merged federated view), /v1/slo (404
+// unless -slo-target), /v1/profiles (404 unless -state-dir), /healthz and
+// /readyz (503 until a replica is ready).
 //
 // -hedge-after 0 (the default) derives the hedging delay from the
 // observed attempt-latency p90; a fixed duration pins it; a negative
-// value disables hedging.
-//
-// Fleet observability (DESIGN.md §16): -federate-interval scrapes every
-// replica's /metrics on that cadence and maintains the exactly-merged
-// fleet view. -slo-target turns on multi-window burn-rate alerting over
-// the federated /v1/diagnose metrics (availability, plus a latency
-// objective when -slo-latency-ms is set). With -state-dir, a firing
-// burn-rate alert — or a windowed fleet p99 above -profile-on-breach
-// (ms) — captures a CPU+heap profile pair into the on-disk ring under
-// <state-dir>/profiles, rate-limited to one capture per cooldown.
+// value disables hedging. -federate-interval, -slo-target,
+// -slo-latency-ms, -state-dir and -profile-on-breach configure the fleet
+// observability plane (DESIGN.md §16, README "Fleet observability").
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"diagnet/internal/cluster"
+	"diagnet/internal/obs"
 	"diagnet/internal/tracing"
 )
 
 func main() {
+	var cfg cluster.Config
 	addr := flag.String("addr", ":8420", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedging delay: 0 = adaptive (attempt-latency p90), <0 = hedging off")
+	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "hedging delay: 0 = adaptive (attempt-latency p90), <0 = hedging off")
 	affinity := flag.Bool("affinity", true, "consistent-hash service affinity (false = pure least-loaded)")
-	healthInterval := flag.Duration("health-interval", 500*time.Millisecond, "replica /readyz sweep period")
-	attemptTimeout := flag.Duration("attempt-timeout", 30*time.Second, "per-replica attempt timeout")
-	federateInterval := flag.Duration("federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
-	sloTarget := flag.Float64("slo-target", 0, "SLO goal over federated /v1/diagnose metrics, e.g. 0.999 (0 = SLO engine off)")
-	sloLatencyMs := flag.Float64("slo-latency-ms", 0, "latency objective threshold in ms; use a latency-bucket bound for an exact split (0 = availability objective only)")
-	profileOnBreach := flag.Float64("profile-on-breach", 0, "also capture a profile pair when the windowed fleet p99 exceeds this many ms (0 = burn-rate triggers only)")
+	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "replica /readyz sweep period")
+	flag.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", 30*time.Second, "per-replica attempt timeout")
+	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
+	flag.Float64Var(&cfg.Obs.SLOTarget, "slo-target", 0, "SLO goal over federated /v1/diagnose metrics, e.g. 0.999 (0 = SLO engine off)")
+	flag.Float64Var(&cfg.Obs.SLOLatencyMs, "slo-latency-ms", 0, "latency objective threshold in ms; use a latency-bucket bound for an exact split (0 = availability objective only)")
+	flag.Float64Var(&cfg.Obs.ProfileOnBreachMs, "profile-on-breach", 0, "also capture a profile pair when the windowed fleet p99 exceeds this many ms (0 = burn-rate triggers only)")
 	stateDir := flag.String("state-dir", "", "state directory; anomaly profile captures land under <state-dir>/profiles (empty = profiling off)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	traceOn := flag.Bool("trace", true, "record route/attempt spans")
@@ -87,58 +72,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	obsCfg := cluster.ObsConfig{
-		FederateInterval:  *federateInterval,
-		SLOTarget:         *sloTarget,
-		SLOLatencyMs:      *sloLatencyMs,
-		ProfileOnBreachMs: *profileOnBreach,
-	}
+	cfg.NoAffinity = !*affinity
 	if *stateDir != "" {
-		obsCfg.ProfileDir = filepath.Join(*stateDir, "profiles")
+		cfg.Obs.ProfileDir = filepath.Join(*stateDir, "profiles")
 	}
-	rt := cluster.NewRouter(urls, cluster.Config{
-		HedgeAfter:     *hedgeAfter,
-		NoAffinity:     !*affinity,
-		HealthInterval: *healthInterval,
-		AttemptTimeout: *attemptTimeout,
-		Obs:            obsCfg,
-	})
-	defer rt.Close()
+	rt := cluster.NewRouter(urls, cfg)
 	slog.Info("router pool built", "replicas", len(urls),
-		"hedge_after", *hedgeAfter, "affinity", *affinity,
-		"federate_interval", *federateInterval, "slo_target", *sloTarget,
-		"profiling", obsCfg.ProfileDir != "")
+		"hedge_after", cfg.HedgeAfter, "affinity", *affinity,
+		"federate_interval", cfg.Obs.FederateInterval, "slo_target", cfg.Obs.SLOTarget,
+		"profiling", cfg.Obs.ProfileDir != "")
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		slog.Info("router listening", "addr", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
+	slog.Info("router listening", "addr", *addr)
+	err := obs.ListenAndServe(context.Background(), *addr, rt)
+	rt.Close()
+	if err != nil {
 		slog.Error("http server failed", "err", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		slog.Info("shutting down: draining in-flight requests")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			slog.Warn("forced shutdown", "err", err)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			slog.Error("http server failed", "err", err)
-			os.Exit(1)
-		}
 	}
 }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log"
@@ -20,7 +19,9 @@ import (
 	"time"
 
 	"diagnet"
+	"diagnet/internal/analysis"
 	"diagnet/internal/continual"
+	"diagnet/internal/core"
 	"diagnet/internal/serving"
 )
 
@@ -54,65 +55,41 @@ func run(out io.Writer) error {
 	cfg.Epochs = epochs
 	model := diagnet.TrainGeneral(train, diagnet.KnownRegions(), cfg).Model
 
-	engine := diagnet.NewServingEngine(diagnet.ServingConfig{BatchMax: 16, BatchWait: time.Millisecond})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		engine.Close(ctx)
-	}()
-	reg := engine.Registry()
-	if err := reg.AddModel("boot", model); err != nil {
-		return err
-	}
-	if err := reg.Promote("boot"); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "serving version %q\n", reg.Active())
-
-	// 2. A journal-backed sample store under a scratch state dir: every
-	// accepted sample is journaled pre-ack, so a restarted daemon keeps
-	// its buffer (diagnetd puts this under <state-dir>/continual).
+	// 2. Boot the replica the way diagnetd -continual -state-dir does —
+	// analysis.Open is the daemon's own boot order — over a scratch state
+	// dir: every accepted sample is journaled pre-ack under
+	// <state-dir>/continual, so a restarted daemon keeps its buffer.
 	stateDir, err := os.MkdirTemp("", "diagnet-continual-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(stateDir)
-	store, err := continual.OpenStore(continual.StoreConfig{Dir: stateDir + "/samples"})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	trainer, err := continual.NewTrainer(continual.TrainerConfig{
-		Epochs:        retrainEpochs,
-		SpecializeMin: -1,
-		CheckpointDir: stateDir + "/ckpt",
+	srv, err := analysis.Open(analysis.Options{
+		Bundle:    core.NewBundle(model),
+		StateDir:  stateDir,
+		Serving:   serving.Config{BatchMax: 16, BatchWait: time.Millisecond},
+		Continual: true,
+		Trainer:   continual.TrainerConfig{Epochs: retrainEpochs, SpecializeMin: -1},
+		Loop: continual.Config{
+			// A permissive gate keeps the walkthrough fast; production keeps
+			// the defaults (64 shadow samples, non-negative holdout gain).
+			Gate:           continual.GateConfig{MinShadowSamples: shadowMin, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+			ShadowFraction: 1,
+			CheckInterval:  10 * time.Millisecond,
+			MinSamples:     1,
+			WatchWindow:    300 * time.Millisecond,
+			// The watchdog compares live behavior against a small shadow-phase
+			// baseline; with few reference vectors PSI carries sampling noise
+			// ~ classes·(1/n_ref + 1/n_live), so the walkthrough leaves margin.
+			WatchPSI: 1.5,
+		},
 	})
 	if err != nil {
 		return err
 	}
-	ctrl, err := continual.NewController(continual.Config{
-		Engine:  engine,
-		Store:   store,
-		Trainer: trainer,
-		// A permissive gate keeps the walkthrough fast; production keeps
-		// the defaults (64 shadow samples, non-negative holdout gain).
-		Gate:           continual.GateConfig{MinShadowSamples: shadowMin, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
-		ShadowFraction: 1,
-		CheckInterval:  10 * time.Millisecond,
-		MinSamples:     1,
-		WatchWindow:    300 * time.Millisecond,
-		// The watchdog compares live behavior against a small shadow-phase
-		// baseline; with few reference vectors PSI carries sampling noise
-		// ~ classes·(1/n_ref + 1/n_live), so the walkthrough leaves margin.
-		WatchPSI: 1.5,
-		StateDir: stateDir + "/state",
-	})
-	if err != nil {
-		return err
-	}
-	ctrl.Start()
-	defer ctrl.Close()
+	defer srv.Close()
+	reg, ctrl := srv.Engine().Registry(), srv.Continual()
+	fmt.Fprintf(out, "serving version %q\n", reg.Active())
 
 	// 3. Live ingestion: buffer labeled feedback (ground truth from
 	// resolved incidents — in production POST /v1/continual/samples; the
@@ -127,11 +104,13 @@ func run(out io.Writer) error {
 			return err
 		}
 	}
+	buf := ctrl.Status()
 	fmt.Fprintf(out, "buffered %d live samples (%d labeled) across %d strata\n",
-		store.Len(), store.LabeledLen(), store.Strata())
+		buf.StoreSamples, buf.StoreLabeled, buf.Strata)
 
 	// 4. Keep live traffic flowing while the cycle runs — the shadow tee
-	// needs requests to copy through the candidate.
+	// needs requests to copy through the candidate, and the server taps
+	// every served diagnosis into the buffer and the watchdog.
 	stop := make(chan struct{})
 	var pump sync.WaitGroup
 	pump.Add(1)
@@ -148,12 +127,9 @@ func run(out io.Writer) error {
 			default:
 			}
 			s := &test.Samples[rng.Intn(test.Len())]
-			res, err := engine.SubmitWait(context.Background(), &serving.Request{
-				ServiceID: s.Service, Layout: test.Layout, Features: s.Features,
+			srv.Diagnose(&analysis.DiagnoseRequest{
+				ServiceID: s.Service, Landmarks: test.Layout.Landmarks, Features: s.Features,
 			})
-			if err == nil {
-				ctrl.ObserveServing(res.Diagnosis.Coarse)
-			}
 		}
 	}()
 	defer func() { close(stop); pump.Wait() }()
@@ -204,12 +180,12 @@ func run(out io.Writer) error {
 		return fmt.Errorf("no degraded samples")
 	}
 	s := &deg.Samples[0]
-	res, err := engine.SubmitWait(context.Background(), &serving.Request{
-		ServiceID: s.Service, Layout: test.Layout, Features: s.Features,
+	res, err := srv.Diagnose(&analysis.DiagnoseRequest{
+		ServiceID: s.Service, Landmarks: test.Layout.Landmarks, Features: s.Features,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "diagnosis from %q: family %s\n", res.Version, res.Diagnosis.Family)
+	fmt.Fprintf(out, "diagnosis from %q: family %s\n", res.ModelVersion, res.Family)
 	return nil
 }

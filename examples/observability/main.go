@@ -80,7 +80,7 @@ func startReplica(model *diagnet.Model, layout diagnet.Layout) *replica {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.Handle("/metrics", obs.ExpositionHandler(reg))
-	mux.Handle("/v1/diagnose", obs.Instrument(reg, "diagnose", flaky))
+	mux.Handle("/v1/diagnose", obs.Instrument(reg, "http", "diagnose", flaky.ServeHTTP))
 	return &replica{srv: httptest.NewServer(mux), flaky: flaky}
 }
 

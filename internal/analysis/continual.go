@@ -17,6 +17,7 @@ import (
 
 	"diagnet/internal/continual"
 	"diagnet/internal/core"
+	"diagnet/internal/obs"
 )
 
 // AttachContinual wires a continual-learning controller into the server:
@@ -84,7 +85,7 @@ func (s *Server) handleContinual(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, ctrl.Status())
+	obs.WriteJSON(w, ctrl.Status())
 }
 
 // RetrainRequest optionally names why the operator forced a cycle; the
@@ -116,7 +117,7 @@ func (s *Server) handleContinualRetrain(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]string{"status": "retrain triggered", "reason": reason})
+	obs.WriteJSON(w, map[string]string{"status": "retrain triggered", "reason": reason})
 }
 
 // FeedbackRequest carries ground-truth labeled samples — incident
@@ -161,5 +162,5 @@ func (s *Server) handleContinualSamples(w http.ResponseWriter, r *http.Request) 
 		}
 		resp.Ingested++
 	}
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }

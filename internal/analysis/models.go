@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"diagnet/internal/obs"
 	"diagnet/internal/serving"
 )
 
@@ -44,7 +45,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	reg := s.engine.Registry()
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, ModelsResponse{Active: reg.Active(), Versions: reg.Versions()})
+		obs.WriteJSON(w, ModelsResponse{Active: reg.Active(), Versions: reg.Versions()})
 	case http.MethodPost:
 		var act ModelAction
 		if !decodeBody(w, r, &act) {
@@ -58,7 +59,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		writeJSON(w, ModelActionResult{OK: true, Active: reg.Active(), Detail: act.Action})
+		obs.WriteJSON(w, ModelActionResult{OK: true, Active: reg.Active(), Detail: act.Action})
 	default:
 		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
 	}

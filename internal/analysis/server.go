@@ -41,7 +41,7 @@ const maxRequestBytes = 8 << 20
 
 // recoverMiddleware turns handler panics into 500s instead of letting one
 // bad request kill the whole analysis process. (The route span, which
-// lives inside instrument, separately marks the trace as errored — the
+// lives inside obs.Instrument, separately marks the trace as errored — the
 // trace survives in the always-keep ring even when this log line scrolls
 // away.)
 func recoverMiddleware(next http.Handler) http.Handler {
@@ -124,9 +124,7 @@ type ModelInfo struct {
 
 // Server is the analysis service. Requests flow through the serving
 // engine's bounded queue, micro-batcher and worker pool; models live in
-// the engine's versioned registry and are hot-swapped atomically (so
-// SetSpecialized during live traffic is race-free, unlike the old
-// per-server model map).
+// the engine's versioned registry and are hot-swapped atomically.
 //
 // The server feeds every coarse prediction into a drift detector
 // (§II-A: networks and services evolve); once EnableDrift has frozen a
@@ -140,10 +138,8 @@ type Server struct {
 	// HTTP (versions can still be registered in-process).
 	ModelDir string
 
-	// ready gates GET /readyz: false until state recovery and the boot
-	// promotion finish, and again once Close starts draining. Liveness
-	// (/healthz) stays 204 throughout — the process is alive, just not
-	// ready for traffic.
+	// ready gates GET /readyz: false until Open's boot finishes, and again
+	// once Close starts draining (/healthz stays 204 throughout).
 	ready atomic.Bool
 
 	mu    sync.Mutex // guards drift
@@ -155,36 +151,32 @@ type Server struct {
 	loop atomic.Pointer[continual.Controller]
 
 	// profiler, when set via AttachProfiler, backs /v1/profiles and is
-	// triggered by diagnetd's local p99 breach watcher.
+	// triggered by the local p99 breach watcher.
 	profiler atomic.Pointer[obs.Profiler]
+
+	// What Open acquired beyond the engine, released by Close: the state
+	// journal, the continual sample store, and the breach watcher's
+	// stop-and-await (nil when the plane is off).
+	persist    *serving.Persistence
+	store      *continual.SampleStore
+	stopBreach func()
 }
 
-// NewServer wraps a general model in a default-configured serving engine,
-// registered and promoted as version "boot". Call Close to drain it.
+// NewServer serves a general model from a default-configured, in-memory
+// replica (version "boot", ready at once). Call Close to drain it.
 func NewServer(general *core.Model) *Server {
-	return NewServerWithConfig(general, serving.Config{})
-}
-
-// NewServerWithConfig is NewServer with explicit engine tuning.
-func NewServerWithConfig(general *core.Model, cfg serving.Config) *Server {
-	s := NewServerFromEngine(serving.New(cfg))
-	if general != nil {
-		if err := s.engine.Registry().AddModel("boot", general); err != nil {
-			panic(err) // fresh registry: only a nil model can fail, and that's a caller bug
-		}
-		if err := s.engine.Registry().Promote("boot"); err != nil {
-			panic(fmt.Sprintf("analysis: boot model failed warm-up: %v", err))
-		}
-		s.SetReady(true)
+	s, err := Open(Options{Bundle: core.NewBundle(general)})
+	if err != nil {
+		panic(fmt.Sprintf("analysis: %v", err)) // nil model or failed warm-up: a caller bug
 	}
 	return s
 }
 
-// NewServerFromEngine wraps an existing engine (whose registry the caller
-// has populated, e.g. from -model-dir). The server takes over Close. It
-// starts NOT ready: the caller signals SetReady(true) once state
-// recovery and the boot promotion are done — until then GET /readyz
-// answers 503 so load balancers hold traffic back.
+// NewServerFromEngine is the low-level constructor under Open: it wraps
+// an engine whose registry the caller populates and promotes itself. The
+// server takes over Close. It starts NOT ready: the caller signals
+// SetReady(true) once its boot is done — until then GET /readyz answers
+// 503 so load balancers hold traffic back.
 func NewServerFromEngine(e *serving.Engine) *Server {
 	return &Server{
 		engine: e,
@@ -192,8 +184,8 @@ func NewServerFromEngine(e *serving.Engine) *Server {
 	}
 }
 
-// SetReady flips the /readyz gate (true once recovery + boot promotion
-// are done; Close flips it back before draining).
+// SetReady flips the /readyz gate (Open sets it last; Close clears it
+// first).
 func (s *Server) SetReady(v bool) { s.ready.Store(v) }
 
 // Ready reports the /readyz gate.
@@ -201,16 +193,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Engine exposes the serving engine (registry access, stats).
 func (s *Server) Engine() *serving.Engine { return s.engine }
-
-// Close drains the serving engine: queued and in-flight diagnoses finish,
-// new submissions get ErrClosed. /readyz flips to 503 before the drain
-// starts, so orchestrators stop routing while in-flight work finishes.
-func (s *Server) Close() error {
-	s.ready.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), serving.DrainTimeout)
-	defer cancel()
-	return s.engine.Close(ctx)
-}
 
 // EnableDrift freezes the drift reference: diagnoses so far form the
 // baseline, later ones fill the live window.
@@ -241,12 +223,6 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 	return s.engine.Registry().SetSpecialized(serviceID, m)
 }
 
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // Handler returns the service's HTTP handler:
 //
 //	POST /v1/diagnose       → DiagnoseResponse
@@ -268,18 +244,21 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Every /v1 route is instrumented with request/error counters and a
 // latency histogram; the aggregate is served by /v1/metrics itself.
 func (s *Server) Handler() http.Handler {
+	instrument := func(route string, h http.HandlerFunc) http.HandlerFunc {
+		return obs.Instrument(telemetry.Default(), "http", route, h)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/diagnose", instrument("diagnose", s.handleDiagnose))
 	mux.HandleFunc("/v1/diagnose-batch", instrument("diagnose_batch", s.handleBatch))
 	mux.HandleFunc("/v1/model", instrument("model", s.handleModel))
 	mux.HandleFunc("/v1/models", instrument("models", s.handleModels))
 	mux.HandleFunc("/v1/drift", instrument("drift", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.DriftStatus())
+		obs.WriteJSON(w, s.DriftStatus())
 	}))
 	mux.HandleFunc("/v1/continual", instrument("continual", s.handleContinual))
 	mux.HandleFunc("/v1/continual/retrain", instrument("continual_retrain", s.handleContinualRetrain))
 	mux.HandleFunc("/v1/continual/samples", instrument("continual_samples", s.handleContinualSamples))
-	mux.HandleFunc("/v1/metrics", instrument("metrics", handleMetrics))
+	mux.HandleFunc("/v1/metrics", instrument("metrics", obs.ServeMetrics))
 	mux.HandleFunc("/v1/traces", instrument("traces", handleTraces))
 	mux.HandleFunc("/v1/traces/", instrument("trace", handleTraceByID))
 	// The scrape-standard exposition endpoint. Deliberately uninstrumented
@@ -329,6 +308,10 @@ type BatchResponse struct {
 // maxBatch bounds a single batch request.
 const maxBatch = 1024
 
+// mBatchSize is the batch-size histogram; the per-route counters, latency
+// histograms and the in-flight gauge (DESIGN.md §10) are obs.Instrument's.
+var mBatchSize = telemetry.Default().Histogram("http.diagnose_batch.size", telemetry.SizeBuckets)
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -365,7 +348,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
-	writeJSON(w, resp)
+	obs.WriteJSON(w, resp)
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +363,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.diagnose(r.Context(), &req, false)
 	switch {
 	case err == nil:
-		writeJSON(w, resp)
+		obs.WriteJSON(w, resp)
 	case errors.Is(err, serving.ErrQueueFull):
 		// Admission control: tell the client when to come back instead of
 		// letting the queue convoy collapse tail latency for everyone.
@@ -493,5 +476,5 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		info.Specialized = append(info.Specialized, id)
 	}
 	sort.Ints(info.Specialized)
-	writeJSON(w, info)
+	obs.WriteJSON(w, info)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"diagnet/internal/core"
 	"diagnet/internal/serving"
 )
 
@@ -22,12 +23,15 @@ import (
 // one-slot queue so a burst of concurrent posts reliably overflows it.
 func TestDiagnoseShedsWith429(t *testing.T) {
 	m, _ := fixture(t)
-	s := NewServerWithConfig(m, serving.Config{
+	s, err := Open(Options{Bundle: core.NewBundle(m), Serving: serving.Config{
 		BatchMax:   1,
 		BatchWait:  time.Millisecond,
 		QueueDepth: 1,
 		Workers:    1,
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -111,12 +115,15 @@ func TestDiagnoseAfterCloseReturns503(t *testing.T) {
 // blocking admission instead of shedding itself.
 func TestBatchEndpointUsesBlockingAdmission(t *testing.T) {
 	m, _ := fixture(t)
-	s := NewServerWithConfig(m, serving.Config{
+	s, err := Open(Options{Bundle: core.NewBundle(m), Serving: serving.Config{
 		BatchMax:   4,
 		BatchWait:  time.Millisecond,
 		QueueDepth: 2,
 		Workers:    1,
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"diagnet/internal/obs"
 	"diagnet/internal/tracing"
 )
 
@@ -32,7 +33,7 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, tracing.Default().Traces())
+	obs.WriteJSON(w, tracing.Default().Traces())
 }
 
 // handleTraceByID serves GET /v1/traces/{id} as a span tree. When several
@@ -53,7 +54,7 @@ func handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "trace not found (expired from the ring, or never sampled)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, traceView{
+	obs.WriteJSON(w, traceView{
 		TraceID:      rec.TraceID,
 		Root:         rec.Root,
 		Start:        rec.Start,

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -80,14 +79,13 @@ func diagnoseBody(t testing.TB) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// Real replica: a full diagnetd stack (serving engine + analysis server)
-// on a loopback listener, with kill/restart on a stable address.
+// Real replica: the diagnetd stack analysis.Open boots, on a loopback
+// listener, with kill/restart on a stable address.
 
 type realReplica struct {
-	t      testing.TB
-	addr   string // stable host:port, survives kill/restart
-	engine *serving.Engine
-	srv    *analysis.Server
+	t    testing.TB
+	addr string // stable host:port, survives kill/restart
+	srv  *analysis.Server
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -104,28 +102,24 @@ func startRealReplica(t testing.TB) *realReplica {
 // startRealReplicaWith boots a replica serving the given model.
 func startRealReplicaWith(t testing.TB, m *core.Model) *realReplica {
 	t.Helper()
-	e := serving.New(serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256})
-	if err := e.Registry().AddModel("boot", m); err != nil {
+	srv, err := analysis.Open(analysis.Options{
+		Bundle:  core.NewBundle(m),
+		Serving: serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Registry().Promote("boot"); err != nil {
-		t.Fatal(err)
-	}
-	srv := analysis.NewServerFromEngine(e)
-	srv.SetReady(true)
-	r := &realReplica{t: t, engine: e, srv: srv}
+	r := &realReplica{t: t, srv: srv}
+	t.Cleanup(func() {
+		r.kill()
+		srv.Close()
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.addr = ln.Addr().String()
 	r.serve(ln)
-	t.Cleanup(func() {
-		r.kill()
-		ctx, cancel := context.WithTimeout(context.Background(), serving.DrainTimeout)
-		defer cancel()
-		e.Close(ctx)
-	})
 	return r
 }
 

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"net/http"
-
-	"diagnet/internal/telemetry"
-	"diagnet/internal/tracing"
-)
+import "diagnet/internal/telemetry"
 
 // Router-plane metrics (DESIGN.md §14): hedging economics, failover and
 // backpressure volume, replica health churn, and per-attempt latency.
@@ -22,73 +16,4 @@ var (
 	mBreakerTransitions = telemetry.Default().Counter("router.replica.breaker_transitions")
 	mAttemptLatency     = telemetry.Default().Histogram("router.attempt.latency_ms", nil)
 	mScatterChunks      = telemetry.Default().Histogram("router.scatter.chunks", telemetry.SizeBuckets)
-	mInflight           = telemetry.Default().Gauge("router.http.inflight")
 )
-
-// routeMetrics is one route's instrumentation bundle (the router-side
-// mirror of the analysis plane's per-route metrics).
-type routeMetrics struct {
-	requests *telemetry.Counter
-	errors   *telemetry.Counter
-	latency  *telemetry.Histogram
-}
-
-func newRouteMetrics(name string) *routeMetrics {
-	return &routeMetrics{
-		requests: telemetry.Default().Counter("router." + name + ".requests"),
-		errors:   telemetry.Default().Counter("router." + name + ".errors"),
-		latency:  telemetry.Default().Histogram("router."+name+".latency_ms", nil),
-	}
-}
-
-// statusRecorder captures the response status for error counting.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a router route with counters, a latency histogram and
-// the route span: an incoming W3C traceparent joins the client's trace,
-// and every replica attempt the route makes becomes a child span, so one
-// trace shows route → attempt → hedge across the whole cluster hop. The
-// trace ID is echoed in X-Trace-Id and captured as the latency
-// histogram's tail exemplar.
-func instrument(name string, next http.HandlerFunc) http.HandlerFunc {
-	m := newRouteMetrics(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.requests.Inc()
-		mInflight.Add(1)
-		clock := telemetry.StartStages()
-		ctx := tracing.Extract(r.Context(), r.Header)
-		ctx, span := tracing.StartSpan(ctx, "router."+name)
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.path", r.URL.Path)
-		if id := span.TraceID(); id != "" {
-			w.Header().Set("X-Trace-Id", id)
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		finished := false
-		defer func() {
-			mInflight.Add(-1)
-			clock.DoneExemplar(m.latency, span.TraceID())
-			if !finished || rec.status >= 400 {
-				m.errors.Inc()
-			}
-			span.SetAttr("http.status", rec.status)
-			switch {
-			case !finished:
-				span.SetError(fmt.Errorf("panic routing %s", r.URL.Path))
-			case rec.status >= 500:
-				span.SetError(fmt.Errorf("http %d", rec.status))
-			}
-			span.End()
-		}()
-		next(rec, r.WithContext(ctx))
-		finished = true
-	}
-}

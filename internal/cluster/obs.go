@@ -43,10 +43,6 @@ type ObsConfig struct {
 	ProfileCooldown time.Duration
 	// ProfileCPUDuration bounds one CPU profile (default 5s).
 	ProfileCPUDuration time.Duration
-	// MinBreachCount is the minimum number of windowed observations before
-	// a p99 breach may trigger (default 20) — a handful of slow requests
-	// right after boot is noise, not an incident.
-	MinBreachCount int64
 }
 
 // routerObs is the router's observability plane: the federator (always
@@ -162,19 +158,9 @@ func (ro *routerObs) checkBreach(fleet *telemetry.Export) {
 	if !ok {
 		return
 	}
-	window, ok := obs.SubtractHistogram(cur, ro.prevLat)
+	p99, breached := obs.Breach(cur, ro.prevLat, ro.cfg.ProfileOnBreachMs)
 	ro.prevLat = cur
-	if !ok {
-		return
-	}
-	minCount := ro.cfg.MinBreachCount
-	if minCount <= 0 {
-		minCount = 20
-	}
-	if window.Count() < minCount {
-		return
-	}
-	if p99 := window.Quantile(0.99); p99 > ro.cfg.ProfileOnBreachMs {
+	if breached {
 		slog.Warn("cluster: fleet p99 breach", "p99_ms", p99, "bound_ms", ro.cfg.ProfileOnBreachMs)
 		ro.profiler.Trigger("fleet-p99-breach")
 	}

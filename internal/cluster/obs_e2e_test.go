@@ -32,7 +32,7 @@ func startObsReplica(t testing.TB, version string) *obsReplica {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.Handle("/metrics", obs.ExpositionHandler(rep.reg))
-	mux.Handle("/v1/diagnose", obs.Instrument(rep.reg, "diagnose",
+	mux.Handle("/v1/diagnose", obs.Instrument(rep.reg, "http", "diagnose",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if rep.fail.Load() {
 				http.Error(w, "injected fault", http.StatusInternalServerError)

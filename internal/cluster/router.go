@@ -60,12 +60,17 @@ func NewRouter(urls []string, cfg Config) *Router {
 		latHist: telemetry.NewHistogram(nil),
 	}
 	rt.obs = newRouterObs(rt.pool, cfg.Obs)
+	// Every replica attempt a route makes becomes a child of its route
+	// span, so one trace shows route → attempt → hedge across the hop.
+	route := func(name string, h http.HandlerFunc) http.HandlerFunc {
+		return obs.Instrument(telemetry.Default(), "router", name, h)
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/diagnose", instrument("diagnose", rt.handleDiagnose))
-	mux.HandleFunc("/v1/diagnose-batch", instrument("diagnose_batch", rt.handleBatch))
-	mux.HandleFunc("/v1/model", instrument("model", rt.handleModel))
-	mux.HandleFunc("/v1/metrics", instrument("metrics", handleMetrics))
-	mux.HandleFunc("/v1/replicas", instrument("replicas", rt.handleReplicas))
+	mux.HandleFunc("/v1/diagnose", route("diagnose", rt.handleDiagnose))
+	mux.HandleFunc("/v1/diagnose-batch", route("diagnose_batch", rt.handleBatch))
+	mux.HandleFunc("/v1/model", route("model", rt.handleModel))
+	mux.HandleFunc("/v1/metrics", route("metrics", obs.ServeMetrics))
+	mux.HandleFunc("/v1/replicas", route("replicas", rt.handleReplicas))
 	mux.Handle("/metrics", obs.ExpositionHandler(telemetry.Default()))
 	mux.HandleFunc("/v1/fleet/metrics", rt.handleFleetMetrics)
 	mux.HandleFunc("/v1/slo", rt.handleSLO)
@@ -475,28 +480,7 @@ func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.pool.Status())
-}
-
-// handleMetrics serves the router's process-wide telemetry snapshot
-// (JSON), or the OpenMetrics exposition when the Accept header asks for
-// it — same negotiation as the analysis plane's /v1/metrics.
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	if obs.WantsExposition(r) {
-		obs.ServeExposition(w, r, telemetry.Default())
-		return
-	}
-	writeJSON(w, telemetry.Default().Snapshot())
-}
-
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	obs.WriteJSON(w, rt.pool.Status())
 }
 
 // handleBatch scatter-gathers a batch: the request list is split into
@@ -595,5 +579,5 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeUpstream(w, fail.out)
 		return
 	}
-	writeJSON(w, merged)
+	obs.WriteJSON(w, merged)
 }

@@ -107,14 +107,14 @@ func (c *Checkpointer) Write(payload []byte) (uint64, error) {
 	if err := writeFileSync(tmp, buf); err != nil {
 		return 0, err
 	}
-	crash(CrashPreRename) // temp durable, not yet published
+	crash(CrashPreRename, c.dir) // temp durable, not yet published
 	if err := os.Rename(tmp, final); err != nil {
 		return 0, fmt.Errorf("durable: publish checkpoint: %w", err)
 	}
 	if err := syncDir(c.dir); err != nil {
 		return 0, err
 	}
-	crash(CrashPostRename) // published; manifest and pruning still pending
+	crash(CrashPostRename, c.dir) // published; manifest and pruning still pending
 	c.gen = gen
 	mCheckpoints.Inc()
 	// The manifest is a convenience pointer, not the source of truth —

@@ -44,30 +44,37 @@ var ErrInjectedCrash = errors.New("durable: injected crash")
 var (
 	crashMu    sync.Mutex
 	crashPoint CrashPoint // "" = disarmed
+	crashDir   string     // "" = any journal or checkpointer in the process
 )
 
 // SetCrashPoint arms one crash point (one-shot). Tests only.
-func SetCrashPoint(p CrashPoint) {
+func SetCrashPoint(p CrashPoint) { SetCrashPointIn("", p) }
+
+// SetCrashPointIn arms p for the journal or checkpointer rooted at dir
+// only: a process running several state planes (the soak) can kill one
+// without a live one reaching the point first.
+func SetCrashPointIn(dir string, p CrashPoint) {
 	crashMu.Lock()
-	crashPoint = p
+	crashPoint, crashDir = p, dir
 	crashMu.Unlock()
 }
 
 // ClearCrashPoint disarms injection.
 func ClearCrashPoint() { SetCrashPoint("") }
 
-// crashArmed reports whether p is armed without tripping it — for sites
-// that must corrupt state before dying (torn writes).
-func crashArmed(p CrashPoint) bool {
+// crashArmed reports whether p is armed for dir without tripping it — for
+// sites that must corrupt state before dying (torn writes).
+func crashArmed(p CrashPoint, dir string) bool {
 	crashMu.Lock()
 	defer crashMu.Unlock()
-	return crashPoint == p
+	return crashPoint == p && (crashDir == "" || crashDir == dir)
 }
 
-// crash panics with ErrInjectedCrash if p is armed, disarming first.
-func crash(p CrashPoint) {
+// crash panics with ErrInjectedCrash if p is armed for dir, disarming
+// first.
+func crash(p CrashPoint, dir string) {
 	crashMu.Lock()
-	if crashPoint != p {
+	if crashPoint != p || (crashDir != "" && crashDir != dir) {
 		crashMu.Unlock()
 		return
 	}

@@ -370,11 +370,11 @@ func (j *Journal) Append(payload []byte) error {
 	// Crash injection: a torn write is "some prefix of the record reached
 	// the disk". Writing header + half the payload then dying models the
 	// worst case the scanner must absorb.
-	if crashArmed(CrashMidAppend) {
+	if crashArmed(CrashMidAppend, j.dir) {
 		j.f.Write(hdr[:])
 		j.f.Write(payload[:len(payload)/2])
 		j.f.Sync()
-		crash(CrashMidAppend)
+		crash(CrashMidAppend, j.dir)
 	}
 	if _, err := j.f.Write(hdr[:]); err != nil {
 		return fmt.Errorf("durable: append: %w", err)
@@ -386,7 +386,7 @@ func (j *Journal) Append(payload []byte) error {
 	j.appended = true
 	j.pending++
 	mAppends.Inc()
-	crash(CrashPreSync) // full write in the page cache, not yet stable
+	crash(CrashPreSync, j.dir) // full write in the page cache, not yet stable
 	switch j.opt.Fsync {
 	case FsyncAlways:
 		if err := j.syncLocked(); err != nil {
@@ -399,7 +399,7 @@ func (j *Journal) Append(payload []byte) error {
 			}
 		}
 	}
-	crash(CrashPostSync) // durable; the ack must survive from here on
+	crash(CrashPostSync, j.dir) // durable; the ack must survive from here on
 	return nil
 }
 

@@ -202,6 +202,40 @@ func TestJournalCrashMidAppendTornWriteRecovered(t *testing.T) {
 	}
 }
 
+// TestCrashPointScopedToOneDir: a point armed for one state dir passes a
+// journal in another unharmed — in a process with several state planes
+// (the soak) a live journal must not take the crash meant for the scratch
+// one.
+func TestCrashPointScopedToOneDir(t *testing.T) {
+	target, bystander := t.TempDir(), t.TempDir()
+	jt, err := Open(target, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jt.Close()
+	jb, err := Open(bystander, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jb.Close()
+	SetCrashPointIn(target, CrashMidAppend)
+	defer ClearCrashPoint()
+	if err := jb.Append([]byte("bystander")); err != nil {
+		t.Fatalf("bystander append under a point armed elsewhere: %v", err)
+	}
+	crashed := false
+	func() {
+		defer RecoverCrash(&crashed)
+		jt.Append([]byte("doomed"))
+	}()
+	if !crashed {
+		t.Fatal("the point did not fire in its own dir")
+	}
+	if got := replayAll(t, bystander); len(got) != 1 {
+		t.Fatalf("bystander journal holds %v, want its one record", got)
+	}
+}
+
 func TestJournalCrashPreSyncLosesOnlyUnacknowledged(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})

@@ -104,7 +104,7 @@ func BenchmarkExposition(b *testing.B) {
 			reg := benchRegistry()
 			work := reg.Histogram("http.diagnose.latency_ms", telemetry.LatencyBuckets)
 			mux := http.NewServeMux()
-			mux.Handle("/v1/diagnose", Instrument(reg, "diagnose",
+			mux.Handle("/v1/diagnose", Instrument(reg, "http", "diagnose",
 				http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					// A stand-in for inference: touch the registry the way
 					// the serving path does.

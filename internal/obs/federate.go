@@ -201,7 +201,7 @@ func (f *Federator) ServeView(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "federation has not completed a sweep yet", http.StatusServiceUnavailable)
 		return
 	}
-	if WantsExposition(r) {
+	if wantsExposition(r) {
 		w.Header().Set("Content-Type", ContentType)
 		_ = WriteExposition(w, &view.Fleet)
 		return

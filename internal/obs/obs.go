@@ -33,11 +33,20 @@
 package obs
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"diagnet/internal/telemetry"
+	"diagnet/internal/tracing"
 )
 
 // PromName maps a dotted registry name to a Prometheus metric family
@@ -67,23 +76,19 @@ func PromName(name string) string {
 	return b.String()
 }
 
-// WantsExposition reports whether the request's Accept header prefers the
+// wantsExposition reports whether the request's Accept header prefers the
 // Prometheus/OpenMetrics text format over the legacy JSON snapshot. The
 // JSON shape stays the default (and byte-compatible) so existing tooling
 // keeps working without sending a header.
-func WantsExposition(r *http.Request) bool {
+func wantsExposition(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "openmetrics") ||
 		strings.Contains(accept, "text/plain")
 }
 
-// ServeExposition writes the registry's current state in the exposition
+// serveExposition writes the registry's current state in the exposition
 // text format.
-func ServeExposition(w http.ResponseWriter, r *http.Request, reg *telemetry.Registry) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+func serveExposition(w http.ResponseWriter, reg *telemetry.Registry) {
 	w.Header().Set("Content-Type", ContentType)
 	ex := reg.Export()
 	_ = WriteExposition(w, &ex)
@@ -96,39 +101,63 @@ func ExpositionHandler(reg *telemetry.Registry) http.Handler {
 	scrapes := reg.Counter("obs.scrapes")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		scrapes.Inc()
-		ServeExposition(w, r, reg)
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		serveExposition(w, reg)
 	})
 }
 
-// Instrument wraps an HTTP handler with the standard per-route metrics —
-// http.<route>.requests, http.<route>.errors (status ≥ 400 or panic) and
-// http.<route>.latency_ms — recorded into the GIVEN registry rather than
-// the process default. The analysis and cluster planes instrument their
-// own routes directly; this helper exists for handlers outside those
-// packages, and for multi-replica-in-one-process setups (tests, the
-// observability example) where each replica needs its own registry so the
-// federated fleet view sums distinct processes, not one shared registry
-// counted twice.
-func Instrument(reg *telemetry.Registry, route string, inner http.Handler) http.Handler {
-	requests := reg.Counter("http." + route + ".requests")
-	errors := reg.Counter("http." + route + ".errors")
-	latency := reg.Histogram("http."+route+".latency_ms", nil)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+// Instrument is the one per-route HTTP front of every daemon: it counts
+// <prefix>.<route>.requests and .errors (status ≥ 400 or panic), times
+// <prefix>.<route>.latency_ms, tracks the <prefix>.inflight gauge — all in
+// the GIVEN registry, so several replicas in one process (soak, tests, the
+// observability example) each keep their own — and opens the route's
+// trace span "<prefix>.<route>": an incoming W3C traceparent continues the
+// caller's trace, otherwise the route starts a fresh local root. The
+// response echoes the trace ID in X-Trace-Id so a client can fetch its
+// own trace from /v1/traces/{id}, and the latency histogram captures the
+// trace ID as its tail exemplar. A panic still propagates to the server's
+// recoverer; the deferred block keeps gauge, counters and span consistent
+// on that path too.
+func Instrument(reg *telemetry.Registry, prefix, route string, next http.HandlerFunc) http.HandlerFunc {
+	name := prefix + "." + route
+	requests := reg.Counter(name + ".requests")
+	failed := reg.Counter(name + ".errors")
+	latency := reg.Histogram(name+".latency_ms", nil)
+	inflight := reg.Gauge(prefix + ".inflight")
+	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
+		inflight.Add(1)
+		clock := telemetry.StartStages()
+		ctx := tracing.Extract(r.Context(), r.Header)
+		ctx, span := tracing.StartSpan(ctx, name)
+		span.SetAttr("http.method", r.Method)
+		span.SetAttr("http.path", r.URL.Path)
+		if id := span.TraceID(); id != "" {
+			w.Header().Set("X-Trace-Id", id)
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		finished := false
 		defer func() {
-			// Runs during panic unwinding too: a panic counts as an error
-			// and the panic keeps propagating to the server's recoverer.
-			latency.Observe(telemetry.Millis(time.Since(start)))
+			inflight.Add(-1)
+			clock.DoneExemplar(latency, span.TraceID())
 			if !finished || rec.status >= 400 {
-				errors.Inc()
+				failed.Inc()
 			}
+			span.SetAttr("http.status", rec.status)
+			switch {
+			case !finished:
+				span.SetError(fmt.Errorf("panic serving %s", r.URL.Path))
+			case rec.status >= 500:
+				span.SetError(fmt.Errorf("http %d", rec.status))
+			}
+			span.End()
 		}()
-		inner.ServeHTTP(rec, r)
+		next(rec, r.WithContext(ctx))
 		finished = true
-	})
+	}
 }
 
 // statusRecorder captures the response status for error counting.
@@ -140,4 +169,61 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
+}
+
+// ServeMetrics serves GET /v1/metrics on every daemon: the process-wide
+// telemetry snapshot as one JSON document (byte-compatible for
+// diagnet-top and older tooling), or the exposition text when the Accept
+// header asks for it — same data, scrape-standard shape.
+func ServeMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		return
+	}
+	if wantsExposition(r) {
+		serveExposition(w, telemetry.Default())
+		return
+	}
+	WriteJSON(w, telemetry.Default().Snapshot())
+}
+
+// WriteJSON writes v as a JSON response.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// ListenAndServe is how diagnetd and diagnet-router serve: h on addr with
+// the timeouts both daemons configure, until SIGINT/SIGTERM (or ctx is
+// done); then it stops accepting, gives in-flight requests 15 s to finish
+// and returns once the listener has — nil after a clean drain. The caller
+// closes what h uses afterwards, so nothing is torn down under a request.
+func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	slog.Info("shutting down: draining in-flight requests")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		slog.Warn("forced shutdown", "err", err)
+	}
+	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

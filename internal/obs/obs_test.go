@@ -391,7 +391,7 @@ func TestProfilerHTTP(t *testing.T) {
 // not the process default.
 func TestInstrument(t *testing.T) {
 	reg := telemetry.New()
-	h := Instrument(reg, "diagnose", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Instrument(reg, "http", "diagnose", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("fail") != "" {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}
@@ -421,6 +421,11 @@ func TestInstrument(t *testing.T) {
 	hp, ok := ex.Histogram("http.diagnose.latency_ms")
 	if !ok || hp.Count() != 4 {
 		t.Errorf("latency histogram: ok=%v count=%d", ok, hp.Count())
+	}
+	// The in-flight gauge lives under the prefix, in the same registry,
+	// and is back to zero once the requests are done.
+	if v, ok := ex.Gauge("http.inflight"); !ok || v != 0 {
+		t.Errorf("http.inflight = %v (present=%v), want 0", v, ok)
 	}
 }
 
@@ -477,4 +482,40 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("condition not met within %v", timeout)
+}
+
+// TestBreach pins the one p99 trigger both daemons use: judged on the
+// window between two exports, never on fewer than 20 observations, and
+// never across a counter reset.
+func TestBreach(t *testing.T) {
+	reg := telemetry.New()
+	h := reg.Histogram("lat", nil)
+	point := func() *telemetry.HistogramPoint {
+		ex := reg.Export()
+		p, ok := ex.Histogram("lat")
+		if !ok {
+			t.Fatal("histogram missing from export")
+		}
+		return p
+	}
+	for i := 0; i < 19; i++ {
+		h.Observe(900)
+	}
+	first := point()
+	if _, breached := Breach(first, nil, 500); breached {
+		t.Error("19 slow observations breached: below the minimum window")
+	}
+	h.Observe(900)
+	if p99, breached := Breach(point(), nil, 500); !breached || p99 <= 500 {
+		t.Errorf("20 observations at 900ms: p99 %v breached %v, want a breach", p99, breached)
+	}
+	for i := 0; i < 300; i++ {
+		h.Observe(1)
+	}
+	if p99, breached := Breach(point(), first, 500); breached {
+		t.Errorf("window of 1 slow + 300 fast breached at p99 %v: the lifetime leaked into the window", p99)
+	}
+	if _, breached := Breach(first, point(), 500); breached {
+		t.Error("a shrinking histogram (restart) breached")
+	}
 }

@@ -10,6 +10,7 @@ package soak
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -32,6 +33,7 @@ import (
 	"diagnet/internal/netsim"
 	"diagnet/internal/obs"
 	"diagnet/internal/resilience"
+	"diagnet/internal/serving"
 	"diagnet/internal/stats"
 	"diagnet/internal/tracing"
 )
@@ -112,7 +114,8 @@ func Run(cfg Config) (*Summary, error) {
 	replicas := make([]*replica, cfg.Replicas)
 	urls := make([]string, cfg.Replicas)
 	for i := range replicas {
-		r, err := startReplica(i, model, filepath.Join(stateRoot, fmt.Sprintf("replica-%d", i)))
+		// The continual loop runs on replica 0 (which the schedule never kills).
+		r, err := startReplica(i, replicaOptions(model, filepath.Join(stateRoot, fmt.Sprintf("replica-%d", i)), i == 0, cfg.Seed))
 		if err != nil {
 			sum.fail("boot: %v", err)
 			return sum, errors.New(sum.Violations[0])
@@ -134,10 +137,9 @@ func Run(cfg Config) (*Summary, error) {
 	go routerSrv.Serve(ln)
 	routerURL := "http://" + ln.Addr().String()
 
-	// Continual loop on replica 0 (which the schedule never kills).
-	ctrl, store, err := startContinual(replicas[0], testData, cfg.Seed)
-	if err != nil {
-		sum.fail("continual boot: %v", err)
+	// Pre-fill replica 0's sample store so retrain triggers have material.
+	if err := prefillSamples(replicas[0].srv.Continual(), testData); err != nil {
+		sum.fail("continual pre-fill: %v", err)
 		return sum, errors.New(sum.Violations[0])
 	}
 
@@ -153,7 +155,7 @@ func Run(cfg Config) (*Summary, error) {
 		loadWG.Add(1)
 		go func(w int) {
 			defer loadWG.Done()
-			clientLoad(routerURL, testData, stats.NewLockedStream(cfg.Seed, int64(w)+1), &counts, ctrl, stopLoad)
+			clientLoad(routerURL, testData, stats.NewLockedStream(cfg.Seed, int64(w)+1), &counts, stopLoad)
 		}(w)
 	}
 
@@ -166,7 +168,7 @@ func Run(cfg Config) (*Summary, error) {
 	}()
 
 	start := time.Now()
-	runSchedule(schedule, replicas, ctrl, routerURL, stateRoot, sum, logf, start)
+	runSchedule(schedule, replicas, routerURL, stateRoot, sum, logf, start)
 
 	// --- Quiesce --------------------------------------------------------
 	remaining := cfg.Duration - time.Since(start)
@@ -179,12 +181,13 @@ func Run(cfg Config) (*Summary, error) {
 	sampleWG.Wait()
 	counts.fill(sum.Requests)
 
-	// Everything that generates traffic is stopped; the continual loop
-	// goes next (it may be mid-cycle — Close cancels and waits).
-	if err := ctrl.Close(); err != nil {
-		sum.fail("continual close: %v", err)
+	// The serving-path sample tap is part of the shipped boot: replica 0's
+	// share of the load must have reached its controller.
+	if seen, err := continualSeen(replicas[0].url()); err != nil {
+		sum.fail("continual status: %v", err)
+	} else if seen <= int64(len(testData.Samples)) {
+		sum.fail("continual tap dead: store_seen %d never rose above the %d pre-filled samples", seen, len(testData.Samples))
 	}
-	store.Close()
 
 	// Federation exactness while the fleet is quiet: one final sweep must
 	// equal the sum of independent per-replica scrapes, counter for
@@ -248,16 +251,41 @@ func trainFixture() (*core.Model, *dataset.Dataset) {
 	return core.TrainGeneral(train, known, mc).Model, test
 }
 
-// startContinual wires the closed learning loop onto replica 0's engine,
-// pre-filling the sample store so retrain triggers have material.
-func startContinual(rep *replica, d *dataset.Dataset, seed int64) (*continual.Controller, *continual.SampleStore, error) {
-	store, err := continual.OpenStore(continual.StoreConfig{PerStratum: 32, Seed: seed})
-	if err != nil {
-		return nil, nil, err
+// replicaOptions is a soak replica's tuning: the e2e fixtures' small
+// batches over a journal-backed state dir, plus — on the continual host —
+// the closed learning loop with a permissive gate and fast timers (the
+// soak asserts lifecycle, not model quality).
+func replicaOptions(model *core.Model, stateDir string, continualHost bool, seed int64) analysis.Options {
+	return analysis.Options{
+		Bundle:    core.NewBundle(model),
+		StateDir:  stateDir,
+		Fsync:     durable.FsyncBatch,
+		Serving:   serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256},
+		Continual: continualHost,
+		Store:     continual.StoreConfig{PerStratum: 32, Seed: seed, Fsync: durable.FsyncBatch},
+		Trainer:   continual.TrainerConfig{Epochs: 1, Seed: seed, SpecializeMin: -1},
+		Loop: continual.Config{
+			Gate: continual.GateConfig{
+				MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100,
+			},
+			ShadowFraction:  1,
+			ShadowTimeout:   2 * time.Second,
+			CheckInterval:   20 * time.Millisecond,
+			MinSamples:      16,
+			WatchWindow:     500 * time.Millisecond,
+			WatchWindowSize: 64,
+			WatchPSI:        100,
+			Fsync:           durable.FsyncBatch,
+			Seed:            seed,
+		},
 	}
+}
+
+// prefillSamples offers the labeled test set to the loop's sample store.
+func prefillSamples(ctrl *continual.Controller, d *dataset.Dataset) error {
 	for i := range d.Samples {
 		s := &d.Samples[i]
-		store.Ingest(continual.Sample{
+		err := ctrl.Ingest(continual.Sample{
 			Service:   s.Service,
 			Landmarks: d.Layout.Landmarks,
 			Features:  s.Features,
@@ -265,34 +293,28 @@ func startContinual(rep *replica, d *dataset.Dataset, seed int64) (*continual.Co
 			Cause:     s.Cause,
 			Labeled:   true,
 		})
+		if err != nil {
+			return err
+		}
 	}
-	tr, err := continual.NewTrainer(continual.TrainerConfig{Epochs: 1, Seed: seed, SpecializeMin: -1})
+	return nil
+}
+
+// continualSeen reads store_seen from a replica's GET /v1/continual.
+func continualSeen(replicaURL string) (int64, error) {
+	resp, err := http.Get(replicaURL + "/v1/continual")
 	if err != nil {
-		store.Close()
-		return nil, nil, err
+		return 0, err
 	}
-	ctrl, err := continual.NewController(continual.Config{
-		Engine:  rep.Engine(),
-		Store:   store,
-		Trainer: tr,
-		Gate: continual.GateConfig{
-			MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100,
-		},
-		ShadowFraction:  1,
-		ShadowTimeout:   2 * time.Second,
-		CheckInterval:   20 * time.Millisecond,
-		MinSamples:      16,
-		WatchWindow:     500 * time.Millisecond,
-		WatchWindowSize: 64,
-		WatchPSI:        100, // the soak asserts lifecycle, not model quality
-		Seed:            seed,
-	})
-	if err != nil {
-		store.Close()
-		return nil, nil, err
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("GET /v1/continual: %s", resp.Status)
 	}
-	ctrl.Start()
-	return ctrl, store, nil
+	var st continual.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return 0, err
+	}
+	return st.StoreSeen, nil
 }
 
 // requestCounts tallies client-observed outcomes.
@@ -308,12 +330,11 @@ func (c *requestCounts) fill(m map[string]int64) {
 	m["transport"] = c.transport.Load()
 }
 
-// clientLoad drives diagnose traffic through the router until stopped,
-// feeding every response's coarse view back to the continual loop (the
-// live-sample path) and classifying the outcome. Retries are disabled —
-// the soak wants the raw status the fleet actually produced, not one
-// laundered by client-side resilience.
-func clientLoad(routerURL string, d *dataset.Dataset, rng *stats.LockedRand, counts *requestCounts, ctrl *continual.Controller, stop <-chan struct{}) {
+// clientLoad drives diagnose traffic through the router until stopped and
+// classifies each outcome. Retries are disabled — the soak wants the raw
+// status the fleet actually produced, not one laundered by client-side
+// resilience.
+func clientLoad(routerURL string, d *dataset.Dataset, rng *stats.LockedRand, counts *requestCounts, stop <-chan struct{}) {
 	client := analysis.NewClient(routerURL)
 	client.Retry = resilience.RetryPolicy{MaxAttempts: 1}
 	defer client.HTTP.CloseIdleConnections()
@@ -334,14 +355,11 @@ func clientLoad(routerURL string, d *dataset.Dataset, rng *stats.LockedRand, cou
 			Features:  s.Features,
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		resp, err := client.Diagnose(ctx, req)
+		_, err := client.Diagnose(ctx, req)
 		cancel()
 		switch {
 		case err == nil:
 			counts.ok.Add(1)
-			if resp != nil && len(resp.Coarse) > 0 {
-				ctrl.ObserveServing(resp.Coarse)
-			}
 		default:
 			var statusErr *resilience.HTTPStatusError
 			switch {
@@ -359,7 +377,7 @@ func clientLoad(routerURL string, d *dataset.Dataset, rng *stats.LockedRand, cou
 }
 
 // runSchedule dispatches the scripted events at their offsets.
-func runSchedule(schedule []Event, replicas []*replica, ctrl *continual.Controller, routerURL, stateRoot string, sum *Summary, logf func(string, ...any), start time.Time) {
+func runSchedule(schedule []Event, replicas []*replica, routerURL, stateRoot string, sum *Summary, logf func(string, ...any), start time.Time) {
 	crashDir := filepath.Join(stateRoot, "crash-scratch")
 	crashes := 0
 	for _, ev := range schedule {
@@ -390,11 +408,12 @@ func runSchedule(schedule []Event, replicas []*replica, ctrl *continual.Controll
 				sum.CrashInjections++
 			}
 		case EvRetrain:
-			if err := ctrl.TriggerRetrain("soak"); err == nil {
-				sum.Retrains++
-			} // refused mid-cycle: expected, the poke is the point
+			triggerRetrain(replicas[0].url(), sum)
 		case EvFleetCheck:
 			fleetCheck(routerURL, sum)
+			if _, err := continualSeen(replicas[0].url()); err != nil {
+				sum.fail("replica 0 mid-run: %v", err)
+			}
 		}
 	}
 }
@@ -414,7 +433,7 @@ func crashAndRecover(dir string, site durable.CrashPoint) error {
 			return err
 		}
 	}
-	durable.SetCrashPoint(site)
+	durable.SetCrashPointIn(dir, site) // replica 0 journals a sample per served request: it must not trip the point first
 	var crashed bool
 	func() {
 		defer durable.RecoverCrash(&crashed)
@@ -442,6 +461,25 @@ func crashAndRecover(dir string, site durable.CrashPoint) error {
 		return fmt.Errorf("replay after %s lost acknowledged records: %d < 3", site, n)
 	}
 	return nil
+}
+
+// triggerRetrain pokes the loop through the route an operator would use.
+// 409 (mid-cycle) is expected — the poke is the point; anything else but
+// 202 is a violation.
+func triggerRetrain(replicaURL string, sum *Summary) {
+	resp, err := http.Post(replicaURL+"/v1/continual/retrain", "application/json", strings.NewReader(`{"reason":"soak"}`))
+	if err != nil {
+		sum.fail("retrain trigger: %v", err)
+		return
+	}
+	drainClose(resp)
+	switch resp.StatusCode {
+	case http.StatusAccepted:
+		sum.Retrains++
+	case http.StatusConflict:
+	default:
+		sum.fail("retrain trigger returned %d", resp.StatusCode)
+	}
 }
 
 // fleetCheck polls the router's federated view; any 5xx is a violation
