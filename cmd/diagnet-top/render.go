@@ -19,6 +19,7 @@ const (
 	metricRequests = "http_diagnose_requests"
 	metricErrors   = "http_diagnose_errors"
 	metricLatency  = "http_diagnose_latency_ms"
+	metricPassRows = "serving_pass_rows"
 )
 
 // sloDoc mirrors the router's /v1/slo response.
@@ -93,6 +94,10 @@ type window struct {
 	ErrRate  float64 // errors per request in the window, 0..1
 	P50, P99 float64 // ms; NaN-free — 0 when the window is empty
 	Count    int64
+	// RowsPerPass is the mean number of requests one inference pass fused
+	// (only same-service, same-layout requests of a batch can); 0 when
+	// the window holds no pass.
+	RowsPerPass float64
 }
 
 func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
@@ -115,24 +120,31 @@ func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
 	if dReq > 0 && dErr > 0 {
 		w.ErrRate = float64(dErr) / float64(dReq)
 	}
-	curLat, ok := cur.Histogram(metricLatency)
-	if !ok {
-		return w
+	if passes, ok := histogramDelta(prev, cur, metricPassRows); ok && passes.Count() > 0 {
+		w.RowsPerPass = passes.Sum / float64(passes.Count())
 	}
-	var prevLat *telemetry.HistogramPoint
-	if prev != nil {
-		prevLat, _ = prev.Histogram(metricLatency)
-	}
-	delta, ok := obs.SubtractHistogram(curLat, prevLat)
-	if !ok {
-		return w
-	}
-	w.Count = delta.Count()
-	if w.Count > 0 {
-		w.P50 = delta.Quantile(0.5)
-		w.P99 = delta.Quantile(0.99)
+	if lat, ok := histogramDelta(prev, cur, metricLatency); ok {
+		w.Count = lat.Count()
+		if w.Count > 0 {
+			w.P50 = lat.Quantile(0.5)
+			w.P99 = lat.Quantile(0.99)
+		}
 	}
 	return w
+}
+
+// histogramDelta is the distribution of the observations a histogram took
+// between prev and cur; false when either side lacks it or it was reset.
+func histogramDelta(prev, cur *telemetry.Export, name string) (telemetry.HistogramPoint, bool) {
+	curH, ok := cur.Histogram(name)
+	if !ok {
+		return telemetry.HistogramPoint{}, false
+	}
+	var prevH *telemetry.HistogramPoint
+	if prev != nil {
+		prevH, _ = prev.Histogram(name)
+	}
+	return obs.SubtractHistogram(curH, prevH)
 }
 
 // render writes the fleet dashboard for the window between two samples.
@@ -158,8 +170,8 @@ func render(out io.Writer, prev, cur *fleetSample) {
 		}
 	}
 
-	fmt.Fprintf(out, "\n  %-32s %-8s %-9s %8s %10s %10s\n",
-		"REPLICA", "HEALTH", "BREAKER", "QPS", "P99(ms)", "OUTSTD")
+	fmt.Fprintf(out, "\n  %-32s %-8s %-9s %8s %10s %10s %10s\n",
+		"REPLICA", "HEALTH", "BREAKER", "QPS", "P99(ms)", "OUTSTD", "ROWS/PASS")
 	// Join the federated per-replica exports with the pool's health rows
 	// by replica name (both use the base URL).
 	health := map[string]cluster.ReplicaStatus{}
@@ -188,15 +200,16 @@ func render(out io.Writer, prev, cur *fleetSample) {
 			}
 			breaker = h.Breaker
 		}
-		fmt.Fprintf(out, "  %-32s %-8s %-9s %8.1f %10s %10d\n",
-			r.Name, healthy, breaker, w.QPS, fmtMs(w.P99), h.Outstanding)
+		fmt.Fprintf(out, "  %-32s %-8s %-9s %8.1f %10s %10d %10s\n",
+			r.Name, healthy, breaker, w.QPS, fmtMs(w.P99), h.Outstanding, fmtMs(w.RowsPerPass))
 	}
 	for _, wmsg := range cur.View.Warnings {
 		fmt.Fprintf(out, "\n  warning: %s\n", wmsg)
 	}
 }
 
-// fmtMs renders a millisecond quantile, or a dash for an empty window.
+// fmtMs renders a windowed value (a millisecond quantile, rows per pass), or
+// a dash for an empty window.
 func fmtMs(v float64) string {
 	if v <= 0 {
 		return "     —"

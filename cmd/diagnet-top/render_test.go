@@ -151,3 +151,39 @@ func TestCollectWithoutSLO(t *testing.T) {
 		t.Errorf("unexpected render:\n%s", sb.String())
 	}
 }
+
+// The ROWS/PASS column is the windowed mean of serving.pass.rows: what a
+// replica's inference passes fused between the two samples, not since boot.
+func TestRenderRowsPerPass(t *testing.T) {
+	passes := func(e telemetry.Export, count int64, sum float64) telemetry.Export {
+		e.Histograms = append(e.Histograms, telemetry.HistogramPoint{
+			Name:       metricPassRows,
+			Bounds:     []float64{1, 2, 4},
+			Cumulative: []int64{0, 0, count, count},
+			Sum:        sum,
+		})
+		return e
+	}
+	at := time.Now()
+	prev := &fleetSample{At: at, View: obs.FleetView{Replicas: []obs.ReplicaMetrics{
+		{Name: "http://r1", Export: passes(exportWith(20, 0), 10, 20)},
+		{Name: "http://r2", Export: passes(exportWith(20, 0), 10, 20)},
+	}}}
+	// r1 served 90 more requests in 30 passes; r2 served none.
+	cur := &fleetSample{At: at.Add(time.Second), View: obs.FleetView{Replicas: []obs.ReplicaMetrics{
+		{Name: "http://r1", Export: passes(exportWith(110, 0), 40, 110)},
+		{Name: "http://r2", Export: passes(exportWith(20, 0), 10, 20)},
+	}}}
+	var sb strings.Builder
+	render(&sb, prev, cur)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		switch {
+		case strings.Contains(line, "REPLICA") && !strings.HasSuffix(line, "ROWS/PASS"):
+			t.Errorf("header lacks the ROWS/PASS column: %q", line)
+		case strings.Contains(line, "http://r1") && !strings.HasSuffix(line, "   3.0"):
+			t.Errorf("r1 fused 90 rows in 30 passes, want 3.0: %q", line)
+		case strings.Contains(line, "http://r2") && !strings.HasSuffix(line, "—"):
+			t.Errorf("r2 ran no pass in the window, want a dash: %q", line)
+		}
+	}
+}

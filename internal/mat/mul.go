@@ -6,27 +6,43 @@ import (
 	"sync"
 )
 
-// Shape of the register-tiled kernel: a tileRows×tileCols block of the
-// output stays in registers for a whole pass over k, fed by a packed
-// panelDepth×tileCols panel of the right-hand operand (16 KiB, on the
-// stack of the goroutine that packs it).
+// Shapes of the two micro-kernels. The tile kernel keeps a
+// tileRows×tileCols block of the output in registers for a whole pass over
+// k, fed by a packed panelDepth×tileCols panel of the right-hand operand
+// (16 KiB, on the stack of the goroutine that packs it). The row kernel
+// computes rowCols columns of one output row straight from b, rowColsT
+// columns when b is read transposed.
 const (
 	tileRows   = 4
 	tileCols   = 8
 	panelDepth = 256
+	rowCols    = 32
+	rowColsT   = 16
 )
 
-// parallelThreshold is the number of multiply-adds below which a product
-// runs on the calling goroutine: fanning out costs more than it saves. It
-// is measured, see DESIGN.md.
-const parallelThreshold = 1 << 17
+// The measured constants of the driver; DESIGN.md has the numbers.
+const (
+	// tileFrom is the number of rows from which packing b into panels is
+	// repaid by reusing each panel for every tile of rows, tileFromT the
+	// same where b is read transposed (there the row kernel has the
+	// transposing to do for every row, so packing wins sooner). Below it,
+	// and for the rows past the last whole tile, the row kernel runs.
+	tileFrom  = 12
+	tileFromT = 8
 
-// minDepth is the length of the reduction below which the scalar loops run
-// whatever the shape: a product of depth one (the weight gradient of a
-// one-sample batch) is an outer product, one multiply per output and
-// nothing to keep in registers, and the fixed cost of a kernel call per
-// tile is not repaid. Measured, see DESIGN.md.
-const minDepth = 2
+	// minDepth is the length of the reduction below which no panel is
+	// packed either: a shallow product (the weight gradient of a batch of a
+	// few samples) is a few multiplies per output, and the tile kernel's
+	// fixed cost per call and the packing are not repaid.
+	minDepth = 6
+
+	// parallelThreshold and rowParallelThreshold are the number of
+	// multiply-adds below which a product runs on the calling goroutine,
+	// for products shared out by column panels and by rows: fanning out
+	// costs more than it saves.
+	parallelThreshold    = 1 << 17
+	rowParallelThreshold = 1 << 20
+)
 
 // Mul stores a·b into dst (allocating when dst is nil) and returns dst.
 func Mul(dst, a, b *Matrix) *Matrix {
@@ -67,8 +83,8 @@ func (op gemmOp) String() string { return [...]string{"Mul", "MulT1", "MulT2"}[o
 // gemm is one product dst = A·B with A m×k and B k×n, where op says how A
 // and B are read out of a and b. Every element of dst is the sum over k,
 // in index order and starting from +0, of separately rounded products;
-// which code computes an element (the micro-kernel or the scalar loops, on
-// which goroutine) never changes its bits for finite operands.
+// which code computes an element (either micro-kernel or the scalar loops,
+// on which goroutine) never changes its bits for finite operands.
 type gemm struct {
 	op        gemmOp
 	dst, a, b *Matrix
@@ -85,9 +101,13 @@ func (g gemm) run(dst *Matrix) *Matrix {
 	}
 	g.dst = dst
 
-	units := g.units()
+	units, threshold := g.m, rowParallelThreshold
+	if g.tiled() {
+		// Column panels, so that no panel is packed twice.
+		units, threshold = g.n/tileCols, parallelThreshold
+	}
 	workers := min(runtime.GOMAXPROCS(0), units)
-	if workers <= 1 || g.m*g.n*g.k < parallelThreshold {
+	if workers <= 1 || g.m*g.n*g.k < threshold {
 		g.share(0, units)
 		return dst
 	}
@@ -106,31 +126,24 @@ func (g gemm) run(dst *Matrix) *Matrix {
 	return dst
 }
 
-// tiled reports whether the micro-kernel runs: the product holds a whole
-// tile and is at least minDepth deep. The tile height is also the measured
-// crossover: from tileRows rows on, packing b into panels is repaid even
-// when half of a is zeros the scalar loop would skip; below it (a single
-// diagnosis is one row) the scalar loops win.
+// tiled reports whether the product is worth packing panels for. It then is
+// shared out by column panels, and otherwise by rows.
 func (g *gemm) tiled() bool {
-	return haveKernel && g.m >= tileRows && g.n >= tileCols && g.k >= minDepth
-}
-
-// units is the number of pieces a product can be shared out in: column
-// panels when tiled, so that no panel is packed twice, and rows otherwise.
-func (g *gemm) units() int {
-	if g.tiled() {
-		return g.n / tileCols
+	from := tileFrom
+	if g.op == opMulT2 {
+		from = tileFromT
 	}
-	return g.m
+	return haveKernel && g.m >= from && g.n >= tileCols && g.k >= minDepth
 }
 
-// share computes units [lo, hi) of the product: rows with the scalar loops,
-// or column panels, of which the micro-kernel computes the whole tiles and
-// the scalar loops the ragged bottom rows and, next to the last panel, the
-// ragged right columns.
+// share computes units [lo, hi) of the product. The one shape rule: whole
+// tiles go to the tile kernel on packed panels; the rows of a product too
+// short to tile and the rows past the last whole tile go to the row kernel;
+// the columns past the last panel, like everything on a machine without the
+// kernels, go to the scalar loops.
 func (g *gemm) share(lo, hi int) {
 	if !g.tiled() {
-		g.scalar(lo, hi, 0, g.n)
+		g.rows(lo, hi, 0, g.n)
 		return
 	}
 	j0, jt, j1 := lo*tileCols, hi*tileCols, hi*tileCols
@@ -139,8 +152,50 @@ func (g *gemm) share(lo, hi int) {
 	}
 	it := g.m / tileRows * tileRows
 	g.tiles(it, j0, jt)
-	g.scalar(it, g.m, j0, jt)
+	g.rows(it, g.m, j0, jt)
 	g.scalar(0, g.m, jt, j1)
+}
+
+// rows computes dst[i0:i1, j0:j1] one output row at a time with the row
+// kernel, which needs no panel: it reads the rows of b in place. The kernel
+// computes whole blocks of columns, so the last block is placed flush with
+// j1 and recomputes the columns it shares with the one before it, from the
+// same operands to the same bits. A range narrower than one block is left
+// to the scalar loops.
+func (g *gemm) rows(i0, i1, j0, j1 int) {
+	if i0 >= i1 {
+		return
+	}
+	w := rowCols
+	if g.op == opMulT2 {
+		w = rowColsT
+	}
+	if !haveKernel || j1-j0 < w || g.k == 0 {
+		g.scalar(i0, i1, j0, j1)
+		return
+	}
+	aRow, aK := g.aStrides()
+	ldb := g.b.Cols
+	for j := j0; j < j1; j += w {
+		j = min(j, j1-w)
+		for i := i0; i < i1; i++ {
+			c, a := g.dst.Data[i*g.n+j:], g.a.Data[i*aRow:]
+			if g.op == opMulT2 {
+				rowT(c, a, g.b.Data[j*ldb:], ldb, g.k)
+			} else {
+				row(c, a, aK, g.b.Data[j:], ldb, g.k)
+			}
+		}
+	}
+}
+
+// aStrides is how both kernels walk A in a: element (i, k) is at
+// a.Data[i*aRow+k*aK].
+func (g *gemm) aStrides() (aRow, aK int) {
+	if g.op == opMulT1 {
+		return 1, g.a.Cols
+	}
+	return g.a.Cols, 1
 }
 
 // tiles computes dst[0:m, j0:j1], a whole number of tiles. Each panel of
@@ -148,10 +203,7 @@ func (g *gemm) share(lo, hi int) {
 // than panelDepth takes several passes; a later pass picks the partial sums
 // up from dst, which continues the same in-order reduction.
 func (g *gemm) tiles(m, j0, j1 int) {
-	aRow, aK := g.a.Cols, 1
-	if g.op == opMulT1 {
-		aRow, aK = 1, g.a.Cols
-	}
+	aRow, aK := g.aStrides()
 	var panel [panelDepth * tileCols]float64
 	for j := j0; j < j1; j += tileCols {
 		for k0 := 0; k0 < g.k; k0 += panelDepth {

@@ -89,7 +89,7 @@ func BenchmarkTableITrainStep(b *testing.B) {
 // inputs) for a single diagnosis, which runs mat's scalar loops, and for a
 // fused batch of 64, which runs its tiled kernel.
 func BenchmarkInputGradient(b *testing.B) {
-	for _, batch := range []int{1, 64} {
+	for _, batch := range []int{1, 2, 3, 5, 7, 64} {
 		b.Run(fmt.Sprintf("B%d", batch), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			net, _ := tableINet(rng)

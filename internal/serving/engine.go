@@ -388,6 +388,7 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 // under the lead's trace.
 func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc int, layout probe.Layout, members []*item, features [][]float64) {
 	lead := members[0]
+	mPassRows.Observe(float64(len(members)))
 	bctx, bspan := tracing.StartSpan(lead.ctx, "serving.batch")
 	bspan.SetAttr("batch.size", len(members))
 	bspan.SetAttr("model.version", snap.version)

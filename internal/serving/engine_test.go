@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"diagnet/internal/probe"
 )
 
 // TestEngineMatchesDirect is the correctness anchor for batching: a
@@ -125,5 +127,42 @@ func TestEngineClosedRejectsSubmissions(t *testing.T) {
 	}
 	if err := e.Close(ctx); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestPassRowsRecordsWhatAPassFused: serving.batch.size is what the
+// dispatcher cut; only requests of one (service, layout) fuse, and
+// serving.pass.rows is what each pass was handed. One batch of six requests
+// under two layouts is two passes, and every served request is in one.
+func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
+	_, test := fixture(t)
+	// As in TestCanceledHedgeLoserFreesBatchSlot, the huge BatchWait means
+	// the batch flushes because all six slots filled: it is one batch.
+	e := newEngine(t, Config{BatchMax: 6, BatchWait: 30 * time.Second, Workers: 1})
+	req := sampleRequest(t)
+	sub := probe.NewLayout(test.Layout.Landmarks[:3])
+	narrow := &Request{ServiceID: req.ServiceID, Layout: sub, Features: test.Layout.Project(req.Features, sub)}
+
+	served, batches := e.Stats().Served, mBatchSize.Count()
+	passes, rows := mPassRows.Count(), mPassRows.Sum()
+	var items []*item
+	for _, r := range []*Request{req, narrow, req, req, narrow, req} {
+		it := &item{ctx: context.Background(), req: r, done: make(chan outcome, 1)}
+		items = append(items, it)
+		e.queue <- it
+	}
+	for _, it := range items {
+		if out := <-it.done; out.err != nil {
+			t.Fatal(out.err)
+		}
+	}
+	if d := mBatchSize.Count() - batches; d != 1 {
+		t.Fatalf("the six requests were cut into %d batches, want 1", d)
+	}
+	if d := mPassRows.Count() - passes; d != 2 {
+		t.Fatalf("a batch under two layouts recorded %d passes, want 2", d)
+	}
+	if got, want := mPassRows.Sum()-rows, float64(e.Stats().Served-served); got != want || want != 6 {
+		t.Fatalf("pass rows sum to %v, served %v, want both 6", got, want)
 	}
 }
