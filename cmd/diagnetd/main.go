@@ -8,7 +8,7 @@
 //	         [-model-dir models/ [-serve-version v2]]
 //	         [-state-dir state/ [-fsync always|batch|never] [-profile-on-breach 500]]
 //	         [-continual [-retrain-interval 1h] [-shadow-fraction 0.05] [-promote-min-gain 0]]
-//	         [-batch-max 32] [-batch-wait 2ms] [-queue-depth 256] [-workers 0]
+//	         [-batch-max 32] [-queue-depth 256] [-workers 0]
 //	         [-pprof 127.0.0.1:6060] [-log-format text|json]
 //	         [-trace=true] [-trace-sample 1.0] [-trace-slow 250ms]
 //
@@ -54,7 +54,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"diagnet/internal/analysis"
 	"diagnet/internal/durable"
@@ -84,7 +83,6 @@ func run(ctx context.Context, args []string) error {
 	fs.StringVar(&opt.StateDir, "state-dir", "", "durable state directory: journal + checkpoints of the model lifecycle (empty = in-memory only)")
 	fsyncMode := fs.String("fsync", "always", "state journal durability: always, batch or never")
 	fs.IntVar(&opt.Serving.BatchMax, "batch-max", 32, "micro-batch size cap for fused inference")
-	fs.DurationVar(&opt.Serving.BatchWait, "batch-wait", 2*time.Millisecond, "max wait to fill a micro-batch (adapts down under light load)")
 	fs.IntVar(&opt.Serving.QueueDepth, "queue-depth", 256, "bounded admission queue; overflow is shed with 429")
 	fs.IntVar(&opt.Serving.Workers, "workers", 0, "inference workers (0 = GOMAXPROCS)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = off)")

@@ -229,7 +229,7 @@ func NewAnalysisServer(general *Model) *AnalysisServer { return analysis.NewServ
 // NewAnalysisClient returns a client for an analysis service.
 func NewAnalysisClient(baseURL string) *AnalysisClient { return analysis.NewClient(baseURL) }
 
-// Serving-engine types (DESIGN.md §11): adaptive micro-batching, the
+// Serving-engine types (DESIGN.md §11): micro-batching from backlog, the
 // versioned model registry with atomic hot swap, and admission control.
 type (
 	// ServingEngine coalesces concurrent diagnoses into fused micro-batches.

@@ -67,7 +67,7 @@ func run(out io.Writer) error {
 	srv, err := analysis.Open(analysis.Options{
 		Bundle:    core.NewBundle(model),
 		StateDir:  stateDir,
-		Serving:   serving.Config{BatchMax: 16, BatchWait: time.Millisecond},
+		Serving:   serving.Config{BatchMax: 16},
 		Continual: true,
 		Trainer:   continual.TrainerConfig{Epochs: retrainEpochs, SpecializeMin: -1},
 		Loop: continual.Config{

@@ -79,7 +79,7 @@ func startReplica(model *diagnet.Model, layout diagnet.Layout) *replica {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.Handle("/metrics", obs.ExpositionHandler(reg))
+	mux.Handle("GET /metrics", obs.ExpositionHandler(reg))
 	mux.Handle("/v1/diagnose", obs.Instrument(reg, "http", "diagnose", flaky.ServeHTTP))
 	return &replica{srv: httptest.NewServer(mux), flaky: flaky}
 }

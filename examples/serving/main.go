@@ -62,8 +62,8 @@ func run(out io.Writer) error {
 
 	// 2. Start the engine and promote v1. Workers, batching and admission
 	// are all defaulted; production knobs are diagnetd's -batch-max,
-	// -batch-wait, -queue-depth and -workers flags.
-	engine := diagnet.NewServingEngine(diagnet.ServingConfig{BatchMax: 16, BatchWait: time.Millisecond})
+	// -queue-depth and -workers flags.
+	engine := diagnet.NewServingEngine(diagnet.ServingConfig{BatchMax: 16})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()

@@ -81,10 +81,6 @@ func (s *Server) handleContinual(w http.ResponseWriter, r *http.Request) {
 	if ctrl == nil {
 		return
 	}
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	obs.WriteJSON(w, ctrl.Status())
 }
 
@@ -97,10 +93,6 @@ type RetrainRequest struct {
 func (s *Server) handleContinualRetrain(w http.ResponseWriter, r *http.Request) {
 	ctrl := s.continualCtl(w)
 	if ctrl == nil {
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req RetrainRequest
@@ -138,10 +130,6 @@ type FeedbackResponse struct {
 func (s *Server) handleContinualSamples(w http.ResponseWriter, r *http.Request) {
 	ctrl := s.continualCtl(w)
 	if ctrl == nil {
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req FeedbackRequest

@@ -40,14 +40,22 @@ func newContinualService(t *testing.T) (*Server, string, *continual.Controller, 
 
 func TestContinualRoutesNotFoundWhenDisabled(t *testing.T) {
 	_, ts := newService(t)
-	for _, path := range []string{"/v1/continual", "/v1/continual/retrain", "/v1/continual/samples"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/continual"},
+		{http.MethodPost, "/v1/continual/retrain"},
+		{http.MethodPost, "/v1/continual/samples"},
+	} {
+		req, err := http.NewRequest(route.method, ts.URL+route.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s without a controller: status %d, want 404", path, resp.StatusCode)
+			t.Fatalf("%s %s without a controller: status %d, want 404", route.method, route.path, resp.StatusCode)
 		}
 	}
 }

@@ -41,28 +41,27 @@ type ModelActionResult struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
+// handleModelsList serves GET /v1/models.
+func (s *Server) handleModelsList(w http.ResponseWriter, r *http.Request) {
 	reg := s.engine.Registry()
-	switch r.Method {
-	case http.MethodGet:
-		obs.WriteJSON(w, ModelsResponse{Active: reg.Active(), Versions: reg.Versions()})
-	case http.MethodPost:
-		var act ModelAction
-		if !decodeBody(w, r, &act) {
-			return
-		}
-		if err := s.applyModelAction(&act); err != nil {
-			status := http.StatusBadRequest
-			if strings.Contains(err.Error(), "disabled") {
-				status = http.StatusForbidden
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		obs.WriteJSON(w, ModelActionResult{OK: true, Active: reg.Active(), Detail: act.Action})
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	obs.WriteJSON(w, ModelsResponse{Active: reg.Active(), Versions: reg.Versions()})
+}
+
+// handleModelAction serves POST /v1/models.
+func (s *Server) handleModelAction(w http.ResponseWriter, r *http.Request) {
+	var act ModelAction
+	if !decodeBody(w, r, &act) {
+		return
 	}
+	if err := s.applyModelAction(&act); err != nil {
+		status := http.StatusBadRequest
+		if strings.Contains(err.Error(), "disabled") {
+			status = http.StatusForbidden
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	obs.WriteJSON(w, ModelActionResult{OK: true, Active: s.engine.Registry().Active(), Detail: act.Action})
 }
 
 // applyModelAction executes one admin action against the registry.

@@ -156,7 +156,7 @@ func Open(opt Options) (_ *Server, err error) {
 
 	cfg := s.engine.Config()
 	slog.Info("serving model version", "version", boot, "history_depth", len(reg.History()),
-		"batch_max", cfg.BatchMax, "batch_wait", cfg.BatchWait,
+		"batch_max", cfg.BatchMax,
 		"queue_depth", cfg.QueueDepth, "workers", cfg.Workers,
 		"durable", s.persist != nil, "profiling", s.Profiler() != nil, "continual", opt.Continual)
 	s.SetReady(true)

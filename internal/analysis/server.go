@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -242,29 +241,32 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 //	GET  /readyz            → 204 ready / 503 recovering or draining
 //
 // Every /v1 route is instrumented with request/error counters and a
-// latency histogram; the aggregate is served by /v1/metrics itself.
+// latency histogram; the aggregate is served by /v1/metrics itself. The
+// mux owns the method checks: a wrong method is answered 405 with an Allow
+// header before the route's instrumentation sees the request.
 func (s *Server) Handler() http.Handler {
 	instrument := func(route string, h http.HandlerFunc) http.HandlerFunc {
 		return obs.Instrument(telemetry.Default(), "http", route, h)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/diagnose", instrument("diagnose", s.handleDiagnose))
-	mux.HandleFunc("/v1/diagnose-batch", instrument("diagnose_batch", s.handleBatch))
+	mux.HandleFunc("POST /v1/diagnose", instrument("diagnose", s.handleDiagnose))
+	mux.HandleFunc("POST /v1/diagnose-batch", instrument("diagnose_batch", s.handleBatch))
 	mux.HandleFunc("/v1/model", instrument("model", s.handleModel))
-	mux.HandleFunc("/v1/models", instrument("models", s.handleModels))
+	mux.HandleFunc("GET /v1/models", instrument("models", s.handleModelsList))
+	mux.HandleFunc("POST /v1/models", instrument("models", s.handleModelAction))
 	mux.HandleFunc("/v1/drift", instrument("drift", func(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, s.DriftStatus())
 	}))
-	mux.HandleFunc("/v1/continual", instrument("continual", s.handleContinual))
-	mux.HandleFunc("/v1/continual/retrain", instrument("continual_retrain", s.handleContinualRetrain))
-	mux.HandleFunc("/v1/continual/samples", instrument("continual_samples", s.handleContinualSamples))
-	mux.HandleFunc("/v1/metrics", instrument("metrics", obs.ServeMetrics))
-	mux.HandleFunc("/v1/traces", instrument("traces", handleTraces))
-	mux.HandleFunc("/v1/traces/", instrument("trace", handleTraceByID))
+	mux.HandleFunc("GET /v1/continual", instrument("continual", s.handleContinual))
+	mux.HandleFunc("POST /v1/continual/retrain", instrument("continual_retrain", s.handleContinualRetrain))
+	mux.HandleFunc("POST /v1/continual/samples", instrument("continual_samples", s.handleContinualSamples))
+	mux.HandleFunc("GET /v1/metrics", instrument("metrics", obs.ServeMetrics))
+	mux.HandleFunc("GET /v1/traces", instrument("traces", handleTraces))
+	mux.HandleFunc("GET /v1/traces/", instrument("trace", handleTraceByID))
 	// The scrape-standard exposition endpoint. Deliberately uninstrumented
 	// (like the probes): the federator hits it every sweep interval and
 	// would drown the request metrics; it counts its own scrapes instead.
-	mux.Handle("/metrics", obs.ExpositionHandler(telemetry.Default()))
+	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	profiles := func(w http.ResponseWriter, r *http.Request) {
 		p := s.profiler.Load()
 		if p == nil {
@@ -273,8 +275,8 @@ func (s *Server) Handler() http.Handler {
 		}
 		p.ServeHTTP(w, r)
 	}
-	mux.HandleFunc("/v1/profiles", profiles)
-	mux.HandleFunc("/v1/profiles/", profiles)
+	mux.HandleFunc("GET /v1/profiles", profiles)
+	mux.HandleFunc("GET /v1/profiles/", profiles)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -313,10 +315,6 @@ const maxBatch = 1024
 var mBatchSize = telemetry.Default().Histogram("http.diagnose_batch.size", telemetry.SizeBuckets)
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req BatchRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -330,32 +328,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Responses: make([]*DiagnoseResponse, len(req.Requests)),
 		Errors:    make([]string, len(req.Requests)),
 	}
-	// Fan the batch out across the engine's workers: every sample becomes
-	// one submission (blocking admission, so a big batch squeezes through
-	// a small queue), the micro-batcher regroups them into fused passes,
-	// and the indexed writes keep output order stable.
-	var wg sync.WaitGroup
+	// Validate every sample, then hand the valid ones to the engine in one
+	// call that queues them all, in request order, before it waits for any
+	// (blocking admission, so a big batch squeezes through a small queue).
+	// Workers cut micro-batches from what is queued and never wait, so a
+	// goroutine per sample would trickle the batch in behind them and be
+	// served as many small passes (DESIGN.md §11).
+	subs := make([]*serving.Request, 0, len(req.Requests))
+	slots := make([]int, 0, len(req.Requests)) // subs[k] is req.Requests[slots[k]]
 	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := s.diagnose(r.Context(), &req.Requests[i], true)
-			if err != nil {
-				resp.Errors[i] = err.Error()
-				return
-			}
-			resp.Responses[i] = out
-		}(i)
+		sub, err := s.validate(&req.Requests[i])
+		if err != nil {
+			resp.Errors[i] = err.Error()
+			continue
+		}
+		subs, slots = append(subs, sub), append(slots, i)
 	}
-	wg.Wait()
+	results, errs := s.engine.SubmitAll(r.Context(), subs)
+	for k, i := range slots {
+		if errs[k] != nil {
+			resp.Errors[i] = errs[k].Error()
+			continue
+		}
+		resp.Responses[i] = s.respond(&req.Requests[i], subs[k].Layout, results[k])
+	}
 	obs.WriteJSON(w, resp)
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req DiagnoseRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -366,8 +366,9 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, resp)
 	case errors.Is(err, serving.ErrQueueFull):
 		// Admission control: tell the client when to come back instead of
-		// letting the queue convoy collapse tail latency for everyone.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.engine.Config()))
+		// letting the queue convoy collapse tail latency for everyone
+		// (Retry-After has 1 s resolution; a full queue drains well inside it).
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, serving.ErrClosed):
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
@@ -380,13 +381,6 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// retryAfterSeconds suggests a backoff: one full batch wait rounded up to
-// the next whole second (Retry-After has 1s resolution).
-func retryAfterSeconds(cfg serving.Config) string {
-	secs := int(cfg.BatchWait.Seconds()) + 1
-	return strconv.Itoa(secs)
-}
-
 // Diagnose runs the pipeline on a request (also usable in-process). It
 // blocks for queue space rather than shedding; HTTP handlers instead pass
 // their request context and shed on overflow.
@@ -396,6 +390,25 @@ func (s *Server) Diagnose(req *DiagnoseRequest) (*DiagnoseResponse, error) {
 
 // diagnose validates, submits to the serving engine and shapes the reply.
 func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bool) (*DiagnoseResponse, error) {
+	sub, err := s.validate(req)
+	if err != nil {
+		return nil, err
+	}
+	var res *serving.Result
+	if blocking {
+		res, err = s.engine.SubmitWait(ctx, sub)
+	} else {
+		res, err = s.engine.Submit(ctx, sub)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.respond(req, sub.Layout, res), nil
+}
+
+// validate checks a request against the active model's deployment layout
+// and shapes it for the engine: invalid requests never spend a queue slot.
+func (s *Server) validate(req *DiagnoseRequest) (*serving.Request, error) {
 	if len(req.Landmarks) == 0 {
 		return nil, fmt.Errorf("analysis: no landmarks in request")
 	}
@@ -414,24 +427,12 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 	if err := layout.Validate(bundle.General.FullLayout); err != nil {
 		return nil, fmt.Errorf("analysis: bad landmark list: %w", err)
 	}
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 5
-	}
-	if topK > layout.NumFeatures() {
-		topK = layout.NumFeatures()
-	}
+	return &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}, nil
+}
 
-	sub := &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}
-	var res *serving.Result
-	if blocking {
-		res, err = s.engine.SubmitWait(ctx, sub)
-	} else {
-		res, err = s.engine.Submit(ctx, sub)
-	}
-	if err != nil {
-		return nil, err
-	}
+// respond feeds a served diagnosis to the drift detector and the continual
+// plane and shapes the client's reply.
+func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving.Result) *DiagnoseResponse {
 	diag := res.Diagnosis
 
 	s.mu.Lock()
@@ -441,6 +442,13 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 		s.feedContinual(ctrl, req, diag)
 	}
 
+	topK := req.TopK
+	if topK <= 0 {
+		topK = 5
+	}
+	if topK > layout.NumFeatures() {
+		topK = layout.NumFeatures()
+	}
 	resp := &DiagnoseResponse{
 		Family:        diag.Family.String(),
 		Coarse:        diag.Coarse,
@@ -456,7 +464,7 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 			Score:   diag.Final[j],
 		})
 	}
-	return resp, nil
+	return resp
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {

@@ -29,10 +29,6 @@ type traceView struct {
 // /v1/traces/{id} — the target of the exemplar trace IDs that
 // /v1/metrics attaches to its tail-latency lines.
 func handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	obs.WriteJSON(w, tracing.Default().Traces())
 }
 
@@ -40,10 +36,6 @@ func handleTraces(w http.ResponseWriter, r *http.Request) {
 // local roots share the ID (an in-process agent calling an in-process
 // server), the recorder has already merged them into one record.
 func handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
 	if id == "" || strings.Contains(id, "/") {
 		http.Error(w, "trace id required", http.StatusBadRequest)

@@ -104,7 +104,7 @@ func startRealReplicaWith(t testing.TB, m *core.Model) *realReplica {
 	t.Helper()
 	srv, err := analysis.Open(analysis.Options{
 		Bundle:  core.NewBundle(m),
-		Serving: serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256},
+		Serving: serving.Config{BatchMax: 8, QueueDepth: 256},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,16 +66,16 @@ func NewRouter(urls []string, cfg Config) *Router {
 		return obs.Instrument(telemetry.Default(), "router", name, h)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/diagnose", route("diagnose", rt.handleDiagnose))
-	mux.HandleFunc("/v1/diagnose-batch", route("diagnose_batch", rt.handleBatch))
-	mux.HandleFunc("/v1/model", route("model", rt.handleModel))
-	mux.HandleFunc("/v1/metrics", route("metrics", obs.ServeMetrics))
+	mux.HandleFunc("POST /v1/diagnose", route("diagnose", rt.handleDiagnose))
+	mux.HandleFunc("POST /v1/diagnose-batch", route("diagnose_batch", rt.handleBatch))
+	mux.HandleFunc("GET /v1/model", route("model", rt.handleModel))
+	mux.HandleFunc("GET /v1/metrics", route("metrics", obs.ServeMetrics))
 	mux.HandleFunc("/v1/replicas", route("replicas", rt.handleReplicas))
-	mux.Handle("/metrics", obs.ExpositionHandler(telemetry.Default()))
-	mux.HandleFunc("/v1/fleet/metrics", rt.handleFleetMetrics)
-	mux.HandleFunc("/v1/slo", rt.handleSLO)
-	mux.HandleFunc("/v1/profiles", rt.handleProfiles)
-	mux.HandleFunc("/v1/profiles/", rt.handleProfiles)
+	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
+	mux.HandleFunc("GET /v1/fleet/metrics", rt.handleFleetMetrics)
+	mux.HandleFunc("GET /v1/slo", rt.handleSLO)
+	mux.HandleFunc("GET /v1/profiles", rt.handleProfiles)
+	mux.HandleFunc("GET /v1/profiles/", rt.handleProfiles)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -459,10 +459,6 @@ func scanServiceID(body []byte) (int, bool) {
 }
 
 func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -472,10 +468,6 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil, "", false))
 }
 
@@ -490,10 +482,6 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // order. One failed chunk fails the whole batch with that chunk's status
 // — partial batches would silently drop incidents from bulk post-mortems.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return

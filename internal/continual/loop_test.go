@@ -20,7 +20,7 @@ import (
 func loopEngine(t *testing.T) *serving.Engine {
 	t.Helper()
 	m, _ := fixture(t)
-	e := serving.New(serving.Config{BatchMax: 4, BatchWait: time.Millisecond, Workers: 2})
+	e := serving.New(serving.Config{BatchMax: 4, Workers: 2})
 	if err := e.Registry().AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}

@@ -334,3 +334,224 @@ func TestScoreWeightingExtremeCases(t *testing.T) {
 		}
 	}
 }
+
+// randomLayout draws 1..NumRegions distinct regions in random order.
+func randomLayout(rng *rand.Rand) probe.Layout {
+	regions := rng.Perm(netsim.NumRegions)
+	return probe.NewLayout(regions[:1+rng.Intn(netsim.NumRegions)])
+}
+
+// dyadicMass spreads exactly one unit of mass over the features selected by
+// keep, in multiples of 1/1024: every partial sum is exact in float64, so a
+// family share of 0 or 1 is the float 0 or 1 and not a neighbour of it.
+func dyadicMass(rng *rand.Rand, n int, keep func(j int) bool) []float64 {
+	var idx []int
+	for j := 0; j < n; j++ {
+		if keep(j) {
+			idx = append(idx, j)
+		}
+	}
+	gamma := make([]float64, n)
+	for unit := 0; unit < 1024; unit++ {
+		gamma[idx[rng.Intn(len(idx))]] += 1.0 / 1024
+	}
+	return gamma
+}
+
+// TestScoreWeightingConservesMass is the metamorphic statement of
+// Algorithm 1 over seeded random γ̂, coarse vectors and layouts: whenever
+// the predicted family holds a share 0 < s < 1 of the attention, the tuned
+// vector is still a distribution, the family holds exactly the coarse
+// confidence w, the rest 1 − w, and inside each of the two groups every
+// feature was scaled by one factor (so their order is untouched); at
+// s ∈ {0, 1} and for the nominal family γ̂ comes back unchanged.
+func TestScoreWeightingConservesMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const tol = 1e-12
+	for trial := 0; trial < 500; trial++ {
+		layout := randomLayout(rng)
+		n := layout.NumFeatures()
+		gamma := make([]float64, n)
+		var total float64
+		for j := range gamma {
+			gamma[j] = rng.ExpFloat64()
+			total += gamma[j]
+		}
+		for j := range gamma {
+			gamma[j] /= total
+		}
+		coarse := make([]float64, probe.NumFamilies)
+		for k := range coarse {
+			coarse[k] = rng.Float64() * 3 // Algorithm 1 normalizes: w = y_φ / Σy
+		}
+		fam := probe.Family(1 + rng.Intn(int(probe.NumFamilies)-1))
+		inFam := func(j int) bool { return layout.FamilyOf(j) == fam }
+
+		var ysum float64
+		for _, y := range coarse {
+			ysum += y
+		}
+		w := coarse[fam] / ysum
+		tuned := scoreWeighting(gamma, coarse, layout, fam)
+		var sum, famMass float64
+		for j, v := range tuned {
+			sum += v
+			if inFam(j) {
+				famMass += v
+			}
+		}
+		if math.Abs(sum-1) > tol || math.Abs(famMass-w) > tol || math.Abs(sum-famMass-(1-w)) > tol {
+			t.Fatalf("trial %d (%v, family %v): Σtuned = %v, family mass %v, want 1 and w = %v", trial, layout.Landmarks, fam, sum, famMass, w)
+		}
+		for i := range tuned {
+			for j := range tuned {
+				if inFam(i) == inFam(j) && gamma[i] < gamma[j] && tuned[i] > tuned[j] {
+					t.Fatalf("trial %d: features %d and %d of one group swapped order (γ̂ %v < %v, tuned %v > %v)",
+						trial, i, j, gamma[i], gamma[j], tuned[i], tuned[j])
+				}
+			}
+		}
+
+		// Extreme shares and the nominal family: γ̂ unchanged, bit for bit.
+		for name, g := range map[string][]float64{
+			"s=0": dyadicMass(rng, n, func(j int) bool { return !inFam(j) }),
+			"s=1": dyadicMass(rng, n, inFam),
+		} {
+			for j, v := range scoreWeighting(g, coarse, layout, fam) {
+				if v != g[j] {
+					t.Fatalf("trial %d: %s changed feature %d from %v to %v", trial, name, j, g[j], v)
+				}
+			}
+		}
+		for j, v := range scoreWeighting(gamma, coarse, layout, probe.FamNominal) {
+			if v != gamma[j] {
+				t.Fatalf("trial %d: nominal family changed feature %d from %v to %v", trial, j, gamma[j], v)
+			}
+		}
+	}
+}
+
+// TestUnknownWeightAndEnsembleEndpoints pins the §III-F ensemble at its two
+// ends on a trained model. w_U is a share of the tuned attention, so it
+// lies in [0, 1] under any layout, and it is exactly 0 when every probed
+// landmark was seen in training — then Final is the forest's score vector
+// and ranks as the forest does. When all the attention sits on landmarks
+// the model never saw, w_U is 1 and Final ranks as the weighted attention
+// does.
+func TestUnknownWeightAndEnsembleEndpoints(t *testing.T) {
+	m := trainedModel(t)
+	_, test := trainTestData(t)
+	deg := test.Degraded()
+	rng := rand.New(rand.NewSource(43))
+	known := knownRegions()
+	var sc scratch
+	for trial := 0; trial < 40; trial++ {
+		smp := &deg.Samples[rng.Intn(deg.Len())]
+
+		layout := randomLayout(rng)
+		d := m.Diagnose(test.Layout.Project(smp.Features, layout), layout)
+		if d.UnknownWeight < 0 || d.UnknownWeight > 1+1e-12 {
+			t.Fatalf("trial %d (%v): w_U = %v outside [0, 1]", trial, layout.Landmarks, d.UnknownWeight)
+		}
+
+		// Every landmark known: w_U = 0 and the forest alone decides.
+		perm := rng.Perm(len(known))
+		sub := make([]int, 1+rng.Intn(len(known)))
+		for i := range sub {
+			sub[i] = known[perm[i]]
+		}
+		layout = probe.NewLayout(sub)
+		features := test.Layout.Project(smp.Features, layout)
+		d = m.Diagnose(features, layout)
+		if d.UnknownWeight != 0 {
+			t.Fatalf("trial %d (%v): w_U = %v with every landmark known, want 0", trial, sub, d.UnknownWeight)
+		}
+		aux := m.auxScoresInto(features, layout, make([]float64, m.FullLayout.NumFeatures()),
+			make([]float64, m.Aux.Causes()), make([]float64, layout.NumFeatures()))
+		for j := range aux {
+			if d.Final[j] != aux[j] {
+				t.Fatalf("trial %d: w_U = 0 but Final[%d] = %v, forest says %v", trial, j, d.Final[j], aux[j])
+			}
+		}
+
+		// All attention on unseen landmarks: hand postprocess a gradient
+		// that is zero everywhere else. Its mass is dyadic so that Eq. 1
+		// reproduces it exactly; with a nominal prediction Algorithm 1
+		// leaves it alone and w_U is the float 1, with a fault family it
+		// rescales and w_U is 1 up to rounding.
+		layout = probe.NewLayout(append(append([]int(nil), netsim.HiddenLandmarks()...), sub...))
+		features = test.Layout.Project(smp.Features, layout)
+		unseen := func(j int) bool { return !layout.IsLocal(j) && !m.Known[layout.Landmarks[j/int(probe.NumMetrics)]] }
+		for _, fam := range []probe.Family{probe.FamNominal, probe.FamLatency, probe.FamBandwidth} {
+			coarse := make([]float64, probe.NumFamilies)
+			for k := range coarse {
+				coarse[k] = 0.05
+			}
+			coarse[fam] = 0.7
+			grad := dyadicMass(rng, layout.NumFeatures(), unseen)
+			d = m.postprocess(grad, coarse, features, layout, &sc, nil, nil)
+			if fam == probe.FamNominal && d.UnknownWeight != 1 {
+				t.Fatalf("trial %d: w_U = %v with all attention on unseen landmarks, want 1", trial, d.UnknownWeight)
+			}
+			if math.Abs(d.UnknownWeight-1) > 1e-12 {
+				t.Fatalf("trial %d (%v): w_U = %v with all attention on unseen landmarks, want 1", trial, fam, d.UnknownWeight)
+			}
+			byTuned := (&Diagnosis{Final: d.Tuned}).Ranked()
+			for r, j := range d.Ranked() {
+				if d.Tuned[j] == 0 {
+					break // below the attention's support only the forest's rounding-sized share is left
+				}
+				if j != byTuned[r] {
+					t.Fatalf("trial %d (%v): w_U = 1 but rank %d is feature %d, the weighted attention says %d", trial, fam, r, j, byTuned[r])
+				}
+			}
+		}
+	}
+}
+
+// TestDiagnosisFollowsLandmarkPermutation: the order in which a client
+// lists its landmarks carries no information, so permuting the landmarks
+// of a request permutes Final (and Attention, Tuned) with it and leaves the
+// coarse distribution and w_U alone. Not bit for bit — LandPooling's
+// avg/var operators sum over landmarks in request order (a third of these
+// trials differ, by at most 2.3e-16) — hence the 1e-12 tolerance on scores
+// that sum to one.
+func TestDiagnosisFollowsLandmarkPermutation(t *testing.T) {
+	m := trainedModel(t)
+	_, test := trainTestData(t)
+	deg := test.Degraded()
+	rng := rand.New(rand.NewSource(47))
+	const tol = 1e-12
+	near := func(a, b float64) bool { return math.Abs(a-b) <= tol }
+	for trial := 0; trial < 40; trial++ {
+		smp := &deg.Samples[rng.Intn(deg.Len())]
+		layout := randomLayout(rng)
+		perm := rng.Perm(layout.NumLandmarks())
+		shuffled := make([]int, len(perm))
+		for pos, from := range perm {
+			shuffled[pos] = layout.Landmarks[from]
+		}
+		permuted := probe.NewLayout(shuffled)
+		a := m.Diagnose(test.Layout.Project(smp.Features, layout), layout)
+		b := m.Diagnose(test.Layout.Project(smp.Features, permuted), permuted)
+
+		for k := range a.Coarse {
+			if !near(a.Coarse[k], b.Coarse[k]) {
+				t.Fatalf("trial %d: coarse[%d] moved %v -> %v under %v", trial, k, a.Coarse[k], b.Coarse[k], perm)
+			}
+		}
+		if !near(a.UnknownWeight, b.UnknownWeight) {
+			t.Fatalf("trial %d: w_U moved %v -> %v under %v", trial, a.UnknownWeight, b.UnknownWeight, perm)
+		}
+		for j := 0; j < permuted.NumFeatures(); j++ {
+			from := j // local features keep their place
+			if !permuted.IsLocal(j) {
+				from = perm[j/int(probe.NumMetrics)]*int(probe.NumMetrics) + j%int(probe.NumMetrics)
+			}
+			if !near(a.Attention[from], b.Attention[j]) || !near(a.Tuned[from], b.Tuned[j]) || !near(a.Final[from], b.Final[j]) {
+				t.Fatalf("trial %d: %s scored %v/%v/%v, %v/%v/%v after permuting landmarks by %v (attention/tuned/final)", trial,
+					permuted.FeatureName(j), a.Attention[from], a.Tuned[from], a.Final[from], b.Attention[j], b.Tuned[j], b.Final[j], perm)
+			}
+		}
+	}
+}

@@ -147,10 +147,13 @@ func TestServerConcurrentSafety(t *testing.T) {
 func TestSaturationSheddingLoad(t *testing.T) {
 	s := &Server{MaxConcurrentTransfers: 1}
 	gate := make(chan struct{})
-	// Wrap the handler so we can hold one download open.
+	heldReturned := make(chan struct{})
+	// Wrap the handler so we can hold one download open, and see its
+	// handler return.
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("hold") == "1" {
 			<-gate
+			defer close(heldReturned)
 		}
 		s.Handler().ServeHTTP(w, r)
 	})
@@ -197,8 +200,15 @@ func TestSaturationSheddingLoad(t *testing.T) {
 	release()
 	close(gate)
 	// Let the held background download drain its slot before checking
-	// that transfers flow again (it may legitimately grab it first).
+	// that transfers flow again (it may legitimately grab it first). The
+	// client reading the last byte is not that: the handler's deferred
+	// release runs after its last write, so wait for the handler itself.
 	<-bgDone
+	select {
+	case <-heldReturned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held download's handler never returned")
+	}
 	// After release, transfers flow again.
 	resp, err = http.Get(ts.URL + "/download?bytes=100")
 	if err != nil {

@@ -84,7 +84,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ping", s.handlePing)
 	mux.HandleFunc("/download", s.handleDownload)
-	mux.HandleFunc("/upload", s.handleUpload)
+	mux.HandleFunc("POST /upload", s.handleUpload)
 	mux.HandleFunc("/stats", s.handleStats)
 	return mux
 }
@@ -137,10 +137,6 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	release, ok := s.acquire()
 	if !ok {
 		http.Error(w, "landmark saturated", http.StatusServiceUnavailable)

@@ -192,10 +192,6 @@ func (f *Federator) View() (FleetView, bool) {
 // ServeView writes the fleet view as JSON (GET /v1/fleet/metrics), or 503
 // before the first sweep.
 func (f *Federator) ServeView(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	view, ok := f.View()
 	if !ok {
 		http.Error(w, "federation has not completed a sweep yet", http.StatusServiceUnavailable)

@@ -96,15 +96,12 @@ func serveExposition(w http.ResponseWriter, reg *telemetry.Registry) {
 
 // ExpositionHandler serves GET /metrics from the given registry, counting
 // scrapes (into the same registry) so the observability plane observes
-// itself.
+// itself. Like every handler in this package it leaves the method check to
+// the mux: mount it under a "GET " pattern.
 func ExpositionHandler(reg *telemetry.Registry) http.Handler {
 	scrapes := reg.Counter("obs.scrapes")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		scrapes.Inc()
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
 		serveExposition(w, reg)
 	})
 }
@@ -176,10 +173,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 // diagnet-top and older tooling), or the exposition text when the Accept
 // header asks for it — same data, scrape-standard shape.
 func ServeMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if wantsExposition(r) {
 		serveExposition(w, telemetry.Default())
 		return

@@ -246,10 +246,6 @@ func (p *Profiler) List() []Capture {
 //	GET /v1/profiles                  — JSON list, newest first
 //	GET /v1/profiles/{id}/{file}      — download one profile file
 func (p *Profiler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/profiles")
 	rest = strings.Trim(rest, "/")
 	if rest == "" {

@@ -334,10 +334,6 @@ func (e *SLOEngine) Status(now time.Time) []ObjectiveStatus {
 
 // ServeStatus writes the SLO status as JSON (GET /v1/slo).
 func (e *SLOEngine) ServeStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

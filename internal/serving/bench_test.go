@@ -179,7 +179,7 @@ func BenchmarkShadowTee(b *testing.B) {
 	}{{"off", 0}, {"on", 0.05}, {"full", 1}}
 	for _, v := range variants {
 		b.Run(fmt.Sprintf("tee-%s/c16", v.name), func(b *testing.B) {
-			e := New(Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, QueueDepth: 1024, Workers: 1})
+			e := New(Config{BatchMax: 64, QueueDepth: 1024, Workers: 1})
 			if err := e.Registry().AddModel("bench", m); err != nil {
 				b.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func BenchmarkServeBatched(b *testing.B) {
 	req := benchRequest(b)
 	for _, c := range benchConcurrency {
 		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			e := New(Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, QueueDepth: 1024, Workers: 1})
+			e := New(Config{BatchMax: 64, QueueDepth: 1024, Workers: 1})
 			if err := e.Registry().AddModel("bench", m); err != nil {
 				b.Fatal(err)
 			}

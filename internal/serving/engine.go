@@ -10,7 +10,6 @@ import (
 
 	"diagnet/internal/core"
 	"diagnet/internal/probe"
-	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
 
@@ -27,24 +26,21 @@ type outcome struct {
 	err error
 }
 
-// Engine is the batched inference engine: a bounded submission queue, a
-// dispatcher that coalesces submissions into adaptive micro-batches, and a
-// worker pool (one model replica per worker) that executes them. See the
-// package comment for the policy; see New for lifecycle.
+// Engine is the batched inference engine: a bounded submission queue and
+// a worker pool (one model replica per worker) whose workers cut their own
+// micro-batches out of whatever is queued. See the package comment for the
+// policy; see New for lifecycle.
 type Engine struct {
 	cfg Config
 	reg *Registry
 
-	// mu guards queue against send-after-close: Submit holds it shared for
-	// the enqueue, Close holds it exclusively around close(queue).
+	// mu guards queue against send-after-close: enqueue holds it shared for
+	// the send, Close holds it exclusively around close(queue).
 	mu     sync.RWMutex
 	closed bool
 
-	queue   chan *item
-	batches chan []*item
-
-	dispatcherWG sync.WaitGroup
-	workerWG     sync.WaitGroup
+	queue    chan *item
+	workerWG sync.WaitGroup
 
 	depth        atomic.Int64
 	served       atomic.Int64
@@ -65,27 +61,36 @@ type Engine struct {
 	shadowOnce    sync.Once
 }
 
-// New starts an engine: the dispatcher and cfg.Workers workers spin up
-// immediately, but submissions fail with ErrNoModel until a version is
-// promoted through Registry(). Call Close to drain and stop.
+// New starts an engine: cfg.Workers workers spin up immediately, but
+// submissions fail with ErrNoModel until a version is promoted through
+// Registry(). Call Close to drain and stop.
 func New(cfg Config) *Engine {
+	e := alloc(cfg)
+	e.start()
+	return e
+}
+
+// alloc builds an engine nothing runs on yet: admission works and the queue
+// holds what is enqueued until start (tests fill it first, which makes the
+// backlog a worker finds exact instead of a race).
+func alloc(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
+	return &Engine{
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.Workers),
 		queue:    make(chan *item, cfg.QueueDepth),
-		batches:  make(chan []*item, cfg.Workers),
 		shadowCh: make(chan *shadowJob, cfg.QueueDepth),
 	}
-	e.dispatcherWG.Add(1)
-	go e.dispatch()
-	for w := 0; w < cfg.Workers; w++ {
+}
+
+// start launches the workers and the shadow executor.
+func (e *Engine) start() {
+	for w := 0; w < e.cfg.Workers; w++ {
 		e.workerWG.Add(1)
 		go e.worker(w)
 	}
 	e.shadowWG.Add(1)
 	go e.shadowWorker()
-	return e
 }
 
 // Registry returns the engine's model registry.
@@ -113,9 +118,8 @@ func (e *Engine) Stats() Stats {
 // Cancellations and expired deadlines are counted apart — a hedging router
 // cancels its losing duplicate on every hedge, so canceled drops are the
 // normal currency of tail-latency hedging while expired ones signal real
-// overload. The dispatcher calls this while forming batches, which is what
-// keeps a canceled hedge loser from displacing a live request out of a
-// micro-batch.
+// overload. Workers call this while forming batches, which is what keeps a
+// canceled hedge loser from displacing a live request out of a micro-batch.
 func (e *Engine) shedDead(it *item, err error) {
 	if errors.Is(err, context.Canceled) {
 		e.shedCanceled.Add(1)
@@ -139,64 +143,104 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 }
 
 // SubmitWait is Submit with blocking admission: instead of shedding on a
-// full queue it waits for space (still bounded by ctx). Bulk paths — the
-// batch endpoint fanning one HTTP request into many submissions — use this
-// so a large batch squeezes through a small queue instead of shedding
-// itself.
+// full queue it waits for space (still bounded by ctx).
 func (e *Engine) SubmitWait(ctx context.Context, req *Request) (*Result, error) {
 	return e.submit(ctx, req, true)
 }
 
+// SubmitAll is the bulk path: it enqueues every request in order with
+// blocking admission, on the caller's goroutine, and only then waits for
+// the answers — results[i] and errs[i] belong to reqs[i]. Because workers
+// cut batches from what is queued, a caller that queues its whole backlog
+// before anyone waits is what lets that backlog be served as full fused
+// batches; a batch larger than the queue squeezes through it instead of
+// shedding itself. Once ctx dies the rest is not enqueued and what is
+// already queued is shed as canceled or expired.
+func (e *Engine) SubmitAll(ctx context.Context, reqs []*Request) (results []*Result, errs []error) {
+	results, errs = make([]*Result, len(reqs)), make([]error, len(reqs))
+	items := make([]*item, len(reqs))
+	for i, req := range reqs {
+		items[i] = newItem(ctx, req)
+	}
+	// Nothing but the sends between the first item and the last: a worker
+	// the first send wakes should find the rest already queued.
+	for i, it := range items {
+		errs[i] = e.enqueue(ctx, it, true)
+	}
+	for i, it := range items {
+		if errs[i] == nil {
+			results[i], errs[i] = await(ctx, it)
+		}
+	}
+	return results, errs
+}
+
+// submit is SubmitAll for one request: enqueue, then await.
 func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+	it := newItem(ctx, req)
+	if err := e.enqueue(ctx, it, wait); err != nil {
 		return nil, err
 	}
-	if e.reg.current() == nil {
-		return nil, ErrNoModel
-	}
-	// The queue-wait span covers admission through batch pickup; its End
-	// moves to whichever path settles the item (serveBatch/serveGroup on
-	// the worker, or the shed paths right here).
-	qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
-	it := &item{ctx: qctx, req: req, qspan: qspan, done: make(chan outcome, 1)}
+	return await(ctx, it)
+}
 
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		qspan.SetError(ErrClosed)
-		qspan.End()
-		return nil, ErrClosed
-	}
-	if wait {
-		// Blocking enqueue under the read lock is safe: the dispatcher
-		// keeps draining the queue, so the send always makes progress and
-		// Close simply waits its turn behind us.
-		select {
-		case e.queue <- it:
-			e.mu.RUnlock()
-		case <-ctx.Done():
-			e.mu.RUnlock()
-			err := ctxErr(ctx)
-			qspan.SetError(err)
-			qspan.End()
-			return nil, err
-		}
-	} else {
-		select {
-		case e.queue <- it:
-			e.mu.RUnlock()
-		default:
-			e.mu.RUnlock()
-			e.shedFull.Add(1)
-			mShedFull.Inc()
-			qspan.SetError(ErrQueueFull)
-			qspan.End()
-			return nil, ErrQueueFull
-		}
+// newItem opens a submission. Its queue-wait span covers admission through
+// batch pickup; the span's End moves to whichever path settles the item
+// (nextBatch/serveBatch/serveGroup on the worker, or enqueue's shed paths).
+func newItem(ctx context.Context, req *Request) *item {
+	qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
+	return &item{ctx: qctx, req: req, qspan: qspan, done: make(chan outcome, 1)}
+}
+
+// enqueue admits one item into the submission queue — blocking for space
+// when wait is set, shedding with ErrQueueFull otherwise — and closes the
+// item's span if it is turned away.
+func (e *Engine) enqueue(ctx context.Context, it *item, wait bool) error {
+	if err := e.send(ctx, it, wait); err != nil {
+		it.qspan.SetError(err)
+		it.qspan.End()
+		return err
 	}
 	e.depth.Add(1)
 	mQueueDepth.Set(float64(e.depth.Load()))
+	return nil
+}
 
+func (e *Engine) send(ctx context.Context, it *item, wait bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if e.reg.current() == nil {
+		return ErrNoModel
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if wait {
+		// Blocking under the read lock is safe: the workers keep draining
+		// the queue, so the send always makes progress and Close simply
+		// waits its turn behind us.
+		select {
+		case e.queue <- it:
+			return nil
+		case <-ctx.Done():
+			return ctxErr(ctx)
+		}
+	}
+	select {
+	case e.queue <- it:
+		return nil
+	default:
+		e.shedFull.Add(1)
+		mShedFull.Inc()
+		return ErrQueueFull
+	}
+}
+
+// await waits for a queued item's outcome, bounded by ctx.
+func await(ctx context.Context, it *item) (*Result, error) {
 	select {
 	case out := <-it.done:
 		return out.res, out.err
@@ -208,9 +252,8 @@ func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (*Result, 
 }
 
 // Close stops admission, drains queued and in-flight work, and waits for
-// the dispatcher and workers to exit (bounded by ctx). Submissions racing
-// with Close either make it into the queue — and are served — or get
-// ErrClosed.
+// the workers to exit (bounded by ctx). Submissions racing with Close
+// either make it into the queue — and are served — or get ErrClosed.
 func (e *Engine) Close(ctx context.Context) error {
 	e.mu.Lock()
 	if !e.closed {
@@ -221,7 +264,6 @@ func (e *Engine) Close(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		e.dispatcherWG.Wait()
 		e.workerWG.Wait()
 		// Workers are the only shadow producers; with them gone the tee
 		// queue can close and the executor drains what is left.
@@ -237,91 +279,57 @@ func (e *Engine) Close(ctx context.Context) error {
 	}
 }
 
-// dispatch coalesces queued items into micro-batches. A batch flushes when
-// it reaches BatchMax or when the adaptive wait expires, whichever first.
-// The wait is BatchWait scaled by an EWMA of recent batch occupancy: when
-// batches have been running near-empty (light load) the next lone request
-// asks for only a sliver of BatchWait (the Go timer still takes ≥ 1 ms to
-// fire on an idle process; DESIGN.md §11), and as soon as batches start
-// filling the wait stretches back out to coalesce harder. Under heavy
-// backlog the timer is moot — the fill loop drains the queue without ever
-// parking.
-func (e *Engine) dispatch() {
-	defer e.dispatcherWG.Done()
-	defer close(e.batches)
-
-	// Start latency-biased: the first requests after boot are served
-	// almost immediately.
-	fill := 1 / float64(e.cfg.BatchMax)
-	for {
-		// Pull the batch lead, settling abandoned items (canceled hedge
-		// losers, expired deadlines) on the spot: a dead item must not seed
-		// a batch, hold the adaptive-wait timer open, or occupy a slot.
-		var first *item
-		for first == nil {
-			it, ok := <-e.queue
-			if !ok {
-				return
-			}
-			e.depth.Add(-1)
-			if err := it.ctx.Err(); err != nil {
-				e.shedDead(it, err)
-				continue
-			}
-			first = it
-		}
-		start := time.Now()
-		batch := make([]*item, 1, e.cfg.BatchMax)
-		batch[0] = first
-
-		wait := time.Duration(fill * float64(e.cfg.BatchWait))
-		timer := time.NewTimer(wait)
-		closed := false
-	fillLoop:
-		for len(batch) < e.cfg.BatchMax {
+// nextBatch cuts a worker's next micro-batch from the backlog: it blocks
+// for one live item, then takes whatever else is queued right now, up to
+// BatchMax, and never waits for more. Batches therefore grow with real
+// queueing — a lone request on an idle engine is a batch of one, served at
+// once — and no timer decides anything. Abandoned items (canceled hedge
+// losers, expired deadlines) are settled on the spot: a dead item must not
+// seed a batch or occupy a slot. An empty batch means the queue is closed
+// and drained.
+func (e *Engine) nextBatch() []*item {
+	batch := make([]*item, 0, e.cfg.BatchMax)
+	for len(batch) < e.cfg.BatchMax {
+		var it *item
+		var ok bool
+		if len(batch) == 0 {
+			it, ok = <-e.queue
+		} else {
 			select {
-			case it, ok := <-e.queue:
-				if !ok {
-					closed = true
-					break fillLoop
-				}
-				e.depth.Add(-1)
-				if err := it.ctx.Err(); err != nil {
-					e.shedDead(it, err)
-					continue
-				}
-				batch = append(batch, it)
-			case <-timer.C:
-				break fillLoop
+			case it, ok = <-e.queue:
+			default:
+				return batch
 			}
 		}
-		timer.Stop()
-
-		// EWMA of occupancy adapts the next wait; α=0.25 follows load
-		// shifts within a handful of batches without jittering on one-offs.
-		fill = 0.75*fill + 0.25*float64(len(batch))/float64(e.cfg.BatchMax)
-		mQueueDepth.Set(float64(e.depth.Load()))
-		mBatchSize.Observe(float64(len(batch)))
-		mBatchWaitMs.Observe(telemetry.Millis(time.Since(start)))
-
-		e.batches <- batch
-		if closed {
-			return
+		if !ok {
+			return batch
 		}
+		e.depth.Add(-1)
+		if err := it.ctx.Err(); err != nil {
+			e.shedDead(it, err)
+			continue
+		}
+		batch = append(batch, it)
 	}
+	return batch
 }
 
-// worker executes micro-batches. Each batch is served by exactly one
-// registry snapshot (one atomic load), so responses are attributable to
-// exactly one model version even while a promotion swaps the pointer
-// mid-stream. Within a batch, items are grouped by (service, layout) and
-// every group runs as one fused forward/backward pass on the worker's
-// private session.
+// worker cuts micro-batches from the queue and executes them until the
+// queue is closed and drained. Each batch is served by exactly one registry
+// snapshot (one atomic load), so responses are attributable to exactly one
+// model version even while a promotion swaps the pointer mid-stream. Within
+// a batch, items are grouped by (service, layout) and every group runs as
+// one fused forward/backward pass on the worker's private session.
 func (e *Engine) worker(id int) {
 	defer e.workerWG.Done()
-	for batch := range e.batches {
-		snap := e.reg.current()
-		e.serveBatch(snap, id, batch)
+	for {
+		batch := e.nextBatch()
+		if len(batch) == 0 {
+			return
+		}
+		mQueueDepth.Set(float64(e.depth.Load()))
+		mBatchSize.Observe(float64(len(batch)))
+		e.serveBatch(e.reg.current(), id, batch)
 	}
 }
 

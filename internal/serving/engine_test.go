@@ -2,11 +2,12 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"diagnet/internal/probe"
 )
@@ -42,7 +43,7 @@ func TestEngineMatchesDirect(t *testing.T) {
 // correct answer back — i.e. batching never crosses wires between requests.
 func TestEngineCoalescesConcurrentSubmissions(t *testing.T) {
 	m, test := fixture(t)
-	e := newEngine(t, Config{BatchMax: 8, BatchWait: 2 * time.Millisecond, Workers: 2})
+	e := newEngine(t, Config{BatchMax: 8, Workers: 2})
 
 	deg := test.Degraded()
 	n := deg.Len()
@@ -130,15 +131,14 @@ func TestEngineClosedRejectsSubmissions(t *testing.T) {
 	}
 }
 
-// TestPassRowsRecordsWhatAPassFused: serving.batch.size is what the
-// dispatcher cut; only requests of one (service, layout) fuse, and
-// serving.pass.rows is what each pass was handed. One batch of six requests
-// under two layouts is two passes, and every served request is in one.
+// TestPassRowsRecordsWhatAPassFused: serving.batch.size is what a worker
+// cut from the backlog; only requests of one (service, layout) fuse, and
+// serving.pass.rows is what each pass was handed. Six queued requests under
+// two layouts are one batch and two passes, and every served request is in
+// one.
 func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
 	_, test := fixture(t)
-	// As in TestCanceledHedgeLoserFreesBatchSlot, the huge BatchWait means
-	// the batch flushes because all six slots filled: it is one batch.
-	e := newEngine(t, Config{BatchMax: 6, BatchWait: 30 * time.Second, Workers: 1})
+	e := allocEngine(t, Config{BatchMax: 6, Workers: 1})
 	req := sampleRequest(t)
 	sub := probe.NewLayout(test.Layout.Landmarks[:3])
 	narrow := &Request{ServiceID: req.ServiceID, Layout: sub, Features: test.Layout.Project(req.Features, sub)}
@@ -147,10 +147,9 @@ func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
 	passes, rows := mPassRows.Count(), mPassRows.Sum()
 	var items []*item
 	for _, r := range []*Request{req, narrow, req, req, narrow, req} {
-		it := &item{ctx: context.Background(), req: r, done: make(chan outcome, 1)}
-		items = append(items, it)
-		e.queue <- it
+		items = append(items, queueItem(e, context.Background(), r))
 	}
+	e.start()
 	for _, it := range items {
 		if out := <-it.done; out.err != nil {
 			t.Fatal(out.err)
@@ -164,5 +163,111 @@ func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
 	}
 	if got, want := mPassRows.Sum()-rows, float64(e.Stats().Served-served); got != want || want != 6 {
 		t.Fatalf("pass rows sum to %v, served %v, want both 6", got, want)
+	}
+}
+
+// TestBacklogBeyondBatchMaxIsCutIntoFullBatches: a worker takes what is
+// queued up to BatchMax and leaves the rest for the next cut, so ten queued
+// requests at BatchMax 4 are batches of 4, 4 and 2 — ⌈N/BatchMax⌉, nothing
+// lost, nothing served twice.
+func TestBacklogBeyondBatchMaxIsCutIntoFullBatches(t *testing.T) {
+	e := allocEngine(t, Config{BatchMax: 4, QueueDepth: 16, Workers: 1})
+	req := sampleRequest(t)
+	served, batches, rows := e.Stats().Served, mBatchSize.Count(), mBatchSize.Sum()
+	var items []*item
+	for i := 0; i < 10; i++ {
+		items = append(items, queueItem(e, context.Background(), req))
+	}
+	e.start()
+	for i, it := range items {
+		if out := <-it.done; out.err != nil || out.res == nil {
+			t.Fatalf("item %d: %v", i, out.err)
+		}
+	}
+	if n, sum := mBatchSize.Count()-batches, mBatchSize.Sum()-rows; n != 3 || sum != 10 {
+		t.Fatalf("ten queued requests were cut into %d batches holding %v, want 3 holding 10", n, sum)
+	}
+	if d := e.Stats().Served - served; d != 10 {
+		t.Fatalf("served %d of 10", d)
+	}
+}
+
+// TestLoneSubmitIsABatchOfOne: on an idle engine nothing holds a request
+// back to wait for company — each sequential Submit is cut as its own
+// batch the moment a worker sees it. Pinned on serving.batch.size, not on
+// wall time.
+func TestLoneSubmitIsABatchOfOne(t *testing.T) {
+	e := newEngine(t, Config{BatchMax: 32, Workers: 2})
+	req := sampleRequest(t)
+	batches, rows := mBatchSize.Count(), mBatchSize.Sum()
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := e.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, sum := mBatchSize.Count()-batches, mBatchSize.Sum()-rows; c != n || sum != n {
+		t.Fatalf("%d sequential submissions were cut into %d batches holding %v, want %d batches of 1", n, c, sum, n)
+	}
+}
+
+// TestSubmitAllQueuesTheBacklogBeforeWaiting pins the bulk call: answers
+// come back in request order (each sample is told apart by its own top
+// cause), a backlog far deeper than the queue squeezes through it, and a
+// caller that gives up mid-enqueue leaves nothing behind — the rest is
+// never queued and what was queued is shed as canceled, not served.
+func TestSubmitAllQueuesTheBacklogBeforeWaiting(t *testing.T) {
+	m, test := fixture(t)
+	deg := test.Degraded()
+	reqs := make([]*Request, 1024)
+	want := make([]int, len(reqs))
+	for i := range reqs {
+		s := &deg.Samples[i%deg.Len()]
+		reqs[i] = &Request{ServiceID: s.Service, Layout: test.Layout, Features: s.Features}
+		if i < deg.Len() {
+			want[i] = m.Diagnose(s.Features, test.Layout).Ranked()[0]
+		} else {
+			want[i] = want[i%deg.Len()]
+		}
+	}
+
+	e := newEngine(t, Config{BatchMax: 4, QueueDepth: 8, Workers: 2})
+	results, errs := e.SubmitAll(context.Background(), reqs)
+	for i := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if got := results[i].Diagnosis.Ranked()[0]; got != want[i] {
+			t.Fatalf("request %d answered with top cause %d, want %d: results are out of request order", i, got, want[i])
+		}
+	}
+	if s := e.Stats(); s.ShedFull != 0 {
+		t.Fatalf("blocking admission shed %d requests", s.ShedFull)
+	}
+
+	// The caller's context dies while SubmitAll is blocked on the full
+	// queue of an engine nobody serves yet.
+	stalled := allocEngine(t, Config{BatchMax: 4, QueueDepth: 8, Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for len(stalled.queue) < 8 {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	results, errs = stalled.SubmitAll(ctx, reqs[:32])
+	for i := range errs {
+		if !errors.Is(errs[i], context.Canceled) || results[i] != nil {
+			t.Fatalf("request %d after the caller left: result %v, err %v, want context.Canceled", i, results[i], errs[i])
+		}
+	}
+	stalled.start()
+	ctxDrain, stop := context.WithTimeout(context.Background(), DrainTimeout)
+	defer stop()
+	if err := stalled.Close(ctxDrain); err != nil {
+		t.Fatal(err)
+	}
+	if s := stalled.Stats(); s.ShedCanceled != 8 || s.Served != 0 {
+		t.Fatalf("after the caller left: %d shed as canceled, %d served, want the 8 queued shed and none served", s.ShedCanceled, s.Served)
 	}
 }

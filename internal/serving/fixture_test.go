@@ -62,8 +62,18 @@ func sampleRequest(t testing.TB) *Request {
 // "boot" and registers a drain on test cleanup.
 func newEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
+	e := allocEngine(t, cfg)
+	e.start()
+	return e
+}
+
+// allocEngine is newEngine before start: the test queues its backlog first
+// (queueItem) and calls e.start() itself, so what the first worker finds in
+// the queue is exact rather than a race against the submitters.
+func allocEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
 	m, _ := fixture(t)
-	e := New(cfg)
+	e := alloc(cfg)
 	if err := e.Registry().AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}
@@ -78,4 +88,12 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 		}
 	})
 	return e
+}
+
+// queueItem puts one submission straight into the queue, exactly what
+// enqueue leaves there, and returns it so the test can read its outcome.
+func queueItem(e *Engine, ctx context.Context, req *Request) *item {
+	it := &item{ctx: ctx, req: req, done: make(chan outcome, 1)}
+	e.queue <- it
+	return it
 }

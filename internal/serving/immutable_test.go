@@ -62,7 +62,7 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	svc := deg.Samples[0].Service
 	general := valueBits(m)
 
-	e := newEngine(t, Config{BatchMax: 4, BatchWait: time.Millisecond, Workers: 3})
+	e := newEngine(t, Config{BatchMax: 4, Workers: 3})
 	reg := e.Registry()
 	serve := func() {
 		t.Helper()

@@ -3,14 +3,13 @@ package serving
 import "diagnet/internal/telemetry"
 
 // Serving-plane metrics (DESIGN.md §11): queue pressure, batching shape
-// (what the dispatcher cut, serving.batch.size, and what one pass actually
-// fused of it, serving.pass.rows), shedding and model lifecycle. Resolved
-// once at init so the hot path pays only atomic operations; GET /v1/metrics
-// exposes them alongside the rest of the registry.
+// (what a worker cut from the backlog, serving.batch.size, and what one pass
+// actually fused of it, serving.pass.rows), shedding and model lifecycle.
+// Resolved once at init so the hot path pays only atomic operations; GET
+// /v1/metrics exposes them alongside the rest of the registry.
 var (
 	mQueueDepth   = telemetry.Default().Gauge("serving.queue.depth")
 	mBatchSize    = telemetry.Default().Histogram("serving.batch.size", telemetry.SizeBuckets)
-	mBatchWaitMs  = telemetry.Default().Histogram("serving.batch.wait_ms", nil)
 	mPassRows     = telemetry.Default().Histogram("serving.pass.rows", telemetry.SizeBuckets)
 	mServed       = telemetry.Default().Counter("serving.requests.served")
 	mShedFull     = telemetry.Default().Counter("serving.shed.queue_full")

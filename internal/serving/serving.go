@@ -5,16 +5,16 @@
 //
 // It has three pillars:
 //
-//   - Adaptive micro-batching. Concurrent Diagnose submissions land in a
-//     bounded queue and are coalesced into micro-batches (flush on
-//     max-batch-size or max-wait, whichever first). Each worker diagnoses a
-//     batch's same-layout samples with one fused forward/backward pass over
-//     the whole b×n matrix (core.Session.DiagnoseBatch), so the network's
-//     weights are streamed once per batch instead of once per request. The
-//     wait adapts to load: an EWMA of recent batch occupancy scales it
-//     down, so a lone request under light load waits for little more than
-//     the ~1 ms a short timer takes to fire on an idle process, while a
-//     loaded queue coalesces aggressively.
+//   - Micro-batching from backlog. Diagnose submissions land in a bounded
+//     queue; a free worker blocks for one, then takes whatever else is
+//     queued at that moment, up to BatchMax. Nothing waits on a timer: a
+//     lone request on an idle engine is a batch of one served at once, and
+//     batches grow exactly as fast as requests queue behind busy workers.
+//     Bulk callers enqueue their whole backlog before waiting (SubmitAll),
+//     so it is there to be taken whole. Each worker diagnoses a batch's
+//     same-layout samples with one fused forward/backward pass over the
+//     whole b×n matrix (core.Session.DiagnoseBatch), so the network's
+//     weights are streamed once per batch instead of once per request.
 //
 //   - Versioned model registry. Named model versions (general + per-service
 //     specialized bundles) are loaded from disk or memory, warmed up with a
@@ -60,10 +60,10 @@ var (
 type Config struct {
 	// BatchMax is the micro-batch size cap (default 32).
 	BatchMax int
-	// BatchWait is the longest a batch collects before flushing partially
-	// filled (default 2ms). The requested wait adapts below this under
-	// light load, down to BatchWait/BatchMax; the timer itself takes about
-	// a millisecond to fire on an idle process.
+	// BatchWait has no effect: batches are cut from the backlog, never
+	// held open on a timer. The field is declared only because
+	// bench/stack.go, frozen until ROADMAP item 1, names it in a literal;
+	// that item deletes both.
 	BatchWait time.Duration
 	// QueueDepth bounds the submission queue; non-blocking submissions
 	// beyond it are shed (default 256).
@@ -77,9 +77,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

@@ -55,7 +55,7 @@ func TestInstallShadowSemantics(t *testing.T) {
 // the candidate is the same model.
 func TestShadowTeeDeliversObservations(t *testing.T) {
 	m, test := fixture(t)
-	e := newEngine(t, Config{BatchMax: 4, BatchWait: time.Millisecond, Workers: 2})
+	e := newEngine(t, Config{BatchMax: 4, Workers: 2})
 	if err := e.Registry().AddModel("cand", m); err != nil {
 		t.Fatal(err)
 	}

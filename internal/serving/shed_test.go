@@ -10,23 +10,11 @@ import (
 
 // TestSubmitShedsOnFullQueue pins the non-blocking admission path: with the
 // queue at capacity, Submit must return ErrQueueFull immediately and count
-// the shed. The engine is built by hand without a dispatcher so the queue
-// stays full deterministically instead of racing a drain.
+// the shed. The engine is allocated but never started, so the queue stays
+// full deterministically instead of racing a drain.
 func TestSubmitShedsOnFullQueue(t *testing.T) {
-	m, _ := fixture(t)
-	cfg := Config{QueueDepth: 2}.withDefaults()
-	e := &Engine{
-		cfg:     cfg,
-		reg:     NewRegistry(1),
-		queue:   make(chan *item, cfg.QueueDepth),
-		batches: make(chan []*item, 1),
-	}
-	if err := e.reg.AddModel("boot", m); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.reg.Promote("boot"); err != nil {
-		t.Fatal(err)
-	}
+	e := allocEngine(t, Config{QueueDepth: 2, Workers: 1})
+	cfg := e.Config()
 	req := sampleRequest(t)
 
 	// Fill the queue: with nobody draining, the first QueueDepth submissions
@@ -71,7 +59,7 @@ func TestSubmitShedsOnFullQueue(t *testing.T) {
 // item whose deadline ran out while queued is dropped before any model
 // work, counted as an expired shed, never as served.
 func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
-	e := newEngine(t, Config{BatchMax: 4, BatchWait: time.Millisecond})
+	e := newEngine(t, Config{BatchMax: 4})
 	req := sampleRequest(t)
 	before := e.Stats()
 
@@ -79,9 +67,7 @@ func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
 	// queue holds after a caller's deadline fires while waiting.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	it := &item{ctx: ctx, req: req, done: make(chan outcome, 1)}
-	e.queue <- it
-	out := <-it.done
+	out := <-queueItem(e, ctx, req).done
 	if !errors.Is(out.err, context.DeadlineExceeded) {
 		t.Fatalf("outcome err = %v, want context.DeadlineExceeded", out.err)
 	}
@@ -107,43 +93,35 @@ func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
 
 // TestCanceledHedgeLoserFreesBatchSlot pins the hedging contract on the
 // engine (DESIGN.md §14): a request canceled while queued — the losing
-// duplicate of a tail-latency hedge — is settled by the dispatcher during
+// duplicate of a tail-latency hedge — is settled by the worker during
 // batch formation, counted under ShedCanceled (not ShedExpired, not
 // Served), and its BatchMax slot goes to a live request instead.
 func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
-	// BatchWait is deliberately huge: with BatchMax=2, the only way the
-	// batch flushes promptly is by filling both slots with live items. If
-	// the canceled loser consumed a slot, the second live request would sit
-	// out a 30s wait in the next batch and the test would time out below.
-	e := newEngine(t, Config{BatchMax: 2, BatchWait: 30 * time.Second, Workers: 1})
+	e := allocEngine(t, Config{BatchMax: 2, Workers: 1})
 	req := sampleRequest(t)
 	before := e.Stats()
+	batches, rows := mBatchSize.Count(), mBatchSize.Sum()
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	loser := &item{ctx: canceled, req: req, done: make(chan outcome, 1)}
-	liveA := &item{ctx: context.Background(), req: req, done: make(chan outcome, 1)}
-	liveB := &item{ctx: context.Background(), req: req, done: make(chan outcome, 1)}
 	// Queue order: the dead hedge loser first, so it would both seed the
-	// batch and take a slot if the dispatcher did not settle it.
-	e.queue <- loser
-	e.queue <- liveA
-	e.queue <- liveB
+	// batch and take one of its two slots if the worker did not settle it —
+	// and the two live requests would then be cut into two batches.
+	loser := queueItem(e, canceled, req)
+	liveA := queueItem(e, context.Background(), req)
+	liveB := queueItem(e, context.Background(), req)
+	e.start()
 
-	out := <-loser.done
-	if !errors.Is(out.err, context.Canceled) {
+	if out := <-loser.done; !errors.Is(out.err, context.Canceled) {
 		t.Fatalf("loser outcome = %v, want context.Canceled", out.err)
 	}
-	deadline := time.After(5 * time.Second)
 	for _, it := range []*item{liveA, liveB} {
-		select {
-		case out := <-it.done:
-			if out.err != nil || out.res == nil {
-				t.Fatalf("live request failed: %v", out.err)
-			}
-		case <-deadline:
-			t.Fatal("live request starved: the canceled loser consumed its batch slot")
+		if out := <-it.done; out.err != nil || out.res == nil {
+			t.Fatalf("live request failed: %v", out.err)
 		}
+	}
+	if n, sum := mBatchSize.Count()-batches, mBatchSize.Sum()-rows; n != 1 || sum != 2 {
+		t.Fatalf("the two live requests were cut into %d batches of %v in total, want one batch of 2: the canceled loser consumed a slot", n, sum)
 	}
 	after := e.Stats()
 	if d := after.ShedCanceled - before.ShedCanceled; d != 1 {
@@ -163,7 +141,7 @@ func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
 // result — and Close itself returns once the queue is drained.
 func TestCloseDrainsInFlight(t *testing.T) {
 	m, _ := fixture(t)
-	e := New(Config{BatchMax: 4, BatchWait: 5 * time.Millisecond, Workers: 2})
+	e := New(Config{BatchMax: 4, Workers: 2})
 	if err := e.Registry().AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestHotSwapUnderLoad is the acceptance check for the versioned registry:
@@ -20,7 +19,7 @@ import (
 // SetSpecialized/Promote vs Diagnose data race the registry exists to fix.
 func TestHotSwapUnderLoad(t *testing.T) {
 	m, _ := fixture(t)
-	e := New(Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256, Workers: 2})
+	e := New(Config{BatchMax: 8, QueueDepth: 256, Workers: 2})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
 		defer cancel()

@@ -260,7 +260,7 @@ func replicaOptions(model *core.Model, stateDir string, continualHost bool, seed
 		Bundle:    core.NewBundle(model),
 		StateDir:  stateDir,
 		Fsync:     durable.FsyncBatch,
-		Serving:   serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256},
+		Serving:   serving.Config{BatchMax: 8, QueueDepth: 256},
 		Continual: continualHost,
 		Store:     continual.StoreConfig{PerStratum: 32, Seed: seed, Fsync: durable.FsyncBatch},
 		Trainer:   continual.TrainerConfig{Epochs: 1, Seed: seed, SpecializeMin: -1},
