@@ -247,7 +247,7 @@ func probeRound(ctx context.Context, prober *landmark.MultiProber, urls []string
 	return snap, nil
 }
 
-// serveMetrics exposes the telemetry snapshot and per-landmark health as
+// serveMetrics exposes the telemetry export and per-landmark health as
 // one JSON document on GET /metrics.
 func serveMetrics(addr string, prober *landmark.MultiProber) {
 	mux := http.NewServeMux()
@@ -258,7 +258,7 @@ func serveMetrics(addr string, prober *landmark.MultiProber) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
-			Metrics   diagnet.MetricsSnapshot           `json:"metrics"`
+			Metrics   diagnet.MetricsExport             `json:"metrics"`
 			Landmarks map[string]diagnet.LandmarkHealth `json:"landmarks"`
 		}{diagnet.Metrics(), prober.Health()})
 	})

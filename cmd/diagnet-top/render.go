@@ -13,14 +13,9 @@ import (
 	"diagnet/internal/telemetry"
 )
 
-// metricRequests et al. are the federated (Prometheus-form) names of the
-// diagnose route's metrics.
-const (
-	metricRequests = "http_diagnose_requests"
-	metricErrors   = "http_diagnose_errors"
-	metricLatency  = "http_diagnose_latency_ms"
-	metricPassRows = "serving_pass_rows"
-)
+// metricPassRows is the serving engine's rows-per-pass histogram; the
+// diagnose route's own metrics are named by obs.DiagnoseRoute.
+const metricPassRows = "serving.pass.rows"
 
 // sloDoc mirrors the router's /v1/slo response.
 type sloDoc struct {
@@ -105,12 +100,13 @@ func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
 	if elapsed <= 0 {
 		return w
 	}
-	curReq, _ := cur.Counter(metricRequests)
-	curErr, _ := cur.Counter(metricErrors)
+	route := obs.DiagnoseRoute
+	curReq, _ := cur.Counter(route.Requests)
+	curErr, _ := cur.Counter(route.Errors)
 	var prevReq, prevErr int64
 	if prev != nil {
-		prevReq, _ = prev.Counter(metricRequests)
-		prevErr, _ = prev.Counter(metricErrors)
+		prevReq, _ = prev.Counter(route.Requests)
+		prevErr, _ = prev.Counter(route.Errors)
 	}
 	dReq, dErr := curReq-prevReq, curErr-prevErr
 	if dReq < 0 { // replica restarted and counters reset: show the window as empty
@@ -123,7 +119,7 @@ func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
 	if passes, ok := histogramDelta(prev, cur, metricPassRows); ok && passes.Count() > 0 {
 		w.RowsPerPass = passes.Sum / float64(passes.Count())
 	}
-	if lat, ok := histogramDelta(prev, cur, metricLatency); ok {
+	if lat, ok := histogramDelta(prev, cur, route.Latency); ok {
 		w.Count = lat.Count()
 		if w.Count > 0 {
 			w.P50 = lat.Quantile(0.5)

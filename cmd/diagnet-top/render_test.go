@@ -47,11 +47,11 @@ func (f *fakeRouter) serve(t *testing.T) *httptest.Server {
 func exportWith(n, e int64) telemetry.Export {
 	return telemetry.Export{
 		Counters: []telemetry.CounterPoint{
-			{Name: metricErrors, Value: e},
-			{Name: metricRequests, Value: n},
+			{Name: "http.diagnose.errors", Value: e},
+			{Name: "http.diagnose.requests", Value: n},
 		},
 		Histograms: []telemetry.HistogramPoint{{
-			Name:       metricLatency,
+			Name:       "http.diagnose.latency_ms",
 			Bounds:     []float64{1, 10, 100},
 			Cumulative: []int64{0, n, n, n},
 			Sum:        float64(n) * 5,

@@ -51,28 +51,28 @@ import (
 	"diagnet/internal/services"
 	"diagnet/internal/serving"
 	"diagnet/internal/telemetry"
-	"diagnet/internal/trace"
 	"diagnet/internal/tracing"
 )
 
 // Telemetry types (DESIGN.md §10). Every layer of the pipeline records into
-// one process-wide registry; Metrics snapshots it for export.
+// one process-wide registry; Metrics exports it.
 type (
-	// MetricsSnapshot is a point-in-time copy of every counter, gauge and
-	// histogram in the process (JSON-marshalable).
-	MetricsSnapshot = telemetry.Snapshot
-	// HistogramSnapshot summarizes one latency/size distribution
-	// (count, sum, mean, p50/p90/p99).
-	HistogramSnapshot = telemetry.HistogramSnapshot
+	// MetricsExport is a point-in-time copy of every counter, gauge and
+	// histogram in the process, sorted by name (JSON-marshalable; the
+	// document the daemons serve at /v1/metrics).
+	MetricsExport = telemetry.Export
+	// HistogramPoint is one latency/size distribution with its full
+	// bucket state: Count, Sum, any Quantile, the tail exemplar.
+	HistogramPoint = telemetry.HistogramPoint
 	// MetricsRegistry is a named-metric registry; Default() is the
 	// process-wide one all DiagNet packages record into.
 	MetricsRegistry = telemetry.Registry
 )
 
-// Metrics snapshots the process-wide telemetry registry: per-stage Diagnose
+// Metrics exports the process-wide telemetry registry: per-stage Diagnose
 // timings, HTTP route latencies, probing-plane health counters, training
 // progress. Serve it as JSON or feed it to a scraper.
-func Metrics() MetricsSnapshot { return telemetry.Default().Snapshot() }
+func Metrics() MetricsExport { return telemetry.Default().Export() }
 
 // MetricsRegistryDefault returns the process-wide registry itself, for
 // callers that want to add their own counters next to DiagNet's.
@@ -289,7 +289,7 @@ type (
 	// MeasurementSource abstracts where an agent's samples come from.
 	MeasurementSource = collector.Source
 	// Trace is a recorded probing session (record/replay).
-	Trace = trace.Trace
+	Trace = collector.Trace
 )
 
 // NewAgent builds a probing agent over a measurement source.
@@ -306,11 +306,11 @@ func NewSimSource(w *World, client int, svc Service, layout Layout, faultsAt fun
 
 // RecordTrace samples a source at the given ticks into a replayable trace.
 func RecordTrace(src MeasurementSource, layout Layout, ticks []int64) *Trace {
-	return trace.Record(src, layout, ticks)
+	return collector.RecordTrace(src, layout, ticks)
 }
 
 // LoadTrace reads a trace written by (*Trace).Save.
-func LoadTrace(r io.Reader) (*Trace, error) { return trace.Load(r) }
+func LoadTrace(r io.Reader) (*Trace, error) { return collector.LoadTrace(r) }
 
 // DefaultConfig returns the paper's Table I hyperparameters.
 func DefaultConfig() Config { return core.DefaultConfig() }

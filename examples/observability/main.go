@@ -79,6 +79,7 @@ func startReplica(model *diagnet.Model, layout diagnet.Layout) *replica {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
+	mux.Handle("GET /v1/metrics", obs.MetricsHandler(reg)) // what the router federates
 	mux.Handle("GET /metrics", obs.ExpositionHandler(reg))
 	mux.Handle("/v1/diagnose", obs.Instrument(reg, "http", "diagnose", flaky.ServeHTTP))
 	return &replica{srv: httptest.NewServer(mux), flaky: flaky}
@@ -166,10 +167,10 @@ func run(out io.Writer) error {
 	if err := getJSON(client, gw.URL+"/v1/fleet/metrics", &view); err != nil {
 		return fmt.Errorf("fleet metrics: %w", err)
 	}
-	fleetReqs, _ := view.Fleet.Counter("http_diagnose_requests")
+	fleetReqs, _ := view.Fleet.Counter(obs.DiagnoseRoute.Requests)
 	fmt.Fprintf(out, "healthy: fleet served %d diagnoses —", fleetReqs)
 	for _, r := range view.Replicas {
-		n, _ := r.Export.Counter("http_diagnose_requests")
+		n, _ := r.Export.Counter(obs.DiagnoseRoute.Requests)
 		fmt.Fprintf(out, " %d", n)
 	}
 	fmt.Fprintf(out, " per replica (sums exactly)\n")

@@ -112,8 +112,8 @@ func run(out io.Writer) error {
 
 	// 4. Close the loop from metrics: the diagnose route's latency
 	// histogram carries an exemplar naming the trace behind its tail.
-	snap := diagnet.Metrics()
-	if h, ok := snap.Histograms["http.diagnose.latency_ms"]; ok && h.Exemplar != nil {
+	metrics := diagnet.Metrics()
+	if h, ok := metrics.Histogram("http.diagnose.latency_ms"); ok && h.Exemplar != nil {
 		fmt.Fprintf(out, "p99 exemplar: %.2f ms -> trace %s\n", h.Exemplar.Value, h.Exemplar.TraceID)
 	}
 	return nil

@@ -73,12 +73,9 @@ func (c *Client) do(ctx context.Context, method, path string, payload, out any) 
 		if err != nil {
 			return err
 		}
-		defer func() {
-			// Drain whatever the decoder left so the transport can
-			// reuse the connection instead of tearing it down.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
+		// Whatever the decoder leaves is drained, so the transport can
+		// reuse the connection instead of tearing it down.
+		defer resilience.DrainClose(resp.Body, resilience.DrainAll)
 		if resp.StatusCode != http.StatusOK {
 			// The server's error text is the diagnosis: keep a bounded
 			// excerpt instead of discarding it. A Retry-After header (the

@@ -10,8 +10,8 @@ import (
 	"diagnet/internal/telemetry"
 )
 
-// fetchSnapshot GETs /v1/metrics and decodes it.
-func fetchSnapshot(t *testing.T, baseURL string) telemetry.Snapshot {
+// fetchExport GETs /v1/metrics and decodes it.
+func fetchExport(t *testing.T, baseURL string) telemetry.Export {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/metrics")
 	if err != nil {
@@ -24,21 +24,35 @@ func fetchSnapshot(t *testing.T, baseURL string) telemetry.Snapshot {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("metrics content type %q", ct)
 	}
-	var snap telemetry.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var ex telemetry.Export
+	if err := json.NewDecoder(resp.Body).Decode(&ex); err != nil {
 		t.Fatal(err)
 	}
-	return snap
+	return ex
+}
+
+// counter and observations read one metric of an export, 0 when absent.
+func counter(e *telemetry.Export, name string) int64 {
+	v, _ := e.Counter(name)
+	return v
+}
+
+func observations(e *telemetry.Export, name string) int64 {
+	h, ok := e.Histogram(name)
+	if !ok {
+		return 0
+	}
+	return h.Count()
 }
 
 // TestMetricsEndpoint is the acceptance check for the telemetry tentpole:
 // after serving traffic, GET /v1/metrics must report per-route latency
-// percentiles and the per-stage Diagnose timings recorded by internal/core.
-// The registry is process-wide and shared across tests, so everything is
-// asserted as a delta against a baseline snapshot.
+// distributions and the per-stage Diagnose timings recorded by
+// internal/core. The registry is process-wide and shared across tests, so
+// everything is asserted as a delta against a baseline export.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newService(t)
-	before := fetchSnapshot(t, ts.URL)
+	before := fetchExport(t, ts.URL)
 
 	req := sampleRequest(t)
 	body, err := json.Marshal(req)
@@ -73,23 +87,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	after := fetchSnapshot(t, ts.URL)
+	after := fetchExport(t, ts.URL)
 
-	if d := after.Counters["http.diagnose.requests"] - before.Counters["http.diagnose.requests"]; d != n+1 {
+	if d := counter(&after, "http.diagnose.requests") - counter(&before, "http.diagnose.requests"); d != n+1 {
 		t.Fatalf("diagnose request delta %d, want %d", d, n+1)
 	}
-	if d := after.Counters["http.diagnose.errors"] - before.Counters["http.diagnose.errors"]; d != 1 {
+	if d := counter(&after, "http.diagnose.errors") - counter(&before, "http.diagnose.errors"); d != 1 {
 		t.Fatalf("diagnose error delta %d, want 1", d)
 	}
 
 	// Per-route latency percentiles.
-	lat := after.Histograms["http.diagnose.latency_ms"]
-	if lat.Count-before.Histograms["http.diagnose.latency_ms"].Count != n+1 {
-		t.Fatalf("latency observations %d -> %d, want +%d",
-			before.Histograms["http.diagnose.latency_ms"].Count, lat.Count, n+1)
+	if d := observations(&after, "http.diagnose.latency_ms") - observations(&before, "http.diagnose.latency_ms"); d != n+1 {
+		t.Fatalf("latency observations +%d, want +%d", d, n+1)
 	}
-	if !(lat.P50 > 0 && lat.P50 <= lat.P90 && lat.P90 <= lat.P99) {
-		t.Fatalf("latency percentiles not ordered: p50=%v p90=%v p99=%v", lat.P50, lat.P90, lat.P99)
+	lat, _ := after.Histogram("http.diagnose.latency_ms")
+	if p50, p90, p99 := lat.Quantile(0.5), lat.Quantile(0.9), lat.Quantile(0.99); !(p50 > 0 && p50 <= p90 && p90 <= p99) {
+		t.Fatalf("latency percentiles not ordered: p50=%v p90=%v p99=%v", p50, p90, p99)
 	}
 
 	// Per-stage Diagnose timings from internal/core. Requests now run
@@ -102,7 +115,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"core.diagnose.total_ms",
 	}
 	for _, name := range perPass {
-		d := after.Histograms[name].Count - before.Histograms[name].Count
+		d := observations(&after, name) - observations(&before, name)
 		if d < 1 {
 			t.Fatalf("stage %s observed %d times, want >= 1", name, d)
 		}
@@ -113,22 +126,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		"core.diagnose.stage.ensemble_ms",
 	}
 	for _, name := range perSample {
-		d := after.Histograms[name].Count - before.Histograms[name].Count
+		d := observations(&after, name) - observations(&before, name)
 		if d < n+2 {
 			t.Fatalf("stage %s observed %d times, want >= %d", name, d, n+2)
 		}
 	}
-	if d := after.Counters["core.diagnose.calls"] - before.Counters["core.diagnose.calls"]; d < n+2 {
+	if d := counter(&after, "core.diagnose.calls") - counter(&before, "core.diagnose.calls"); d < n+2 {
 		t.Fatalf("core.diagnose.calls delta %d, want >= %d", d, n+2)
 	}
 
 	// Batch sizes are recorded.
-	if d := after.Histograms["http.diagnose_batch.size"].Count - before.Histograms["http.diagnose_batch.size"].Count; d != 1 {
+	if d := observations(&after, "http.diagnose_batch.size") - observations(&before, "http.diagnose_batch.size"); d != 1 {
 		t.Fatalf("batch size delta %d, want 1", d)
 	}
 	// The in-flight gauge exists; while /v1/metrics itself is being served
 	// it reads at least 1 (the metrics request is instrumented too).
-	if got, ok := after.Gauges["http.inflight"]; !ok || got < 1 {
+	if got, ok := after.Gauge("http.inflight"); !ok || got < 1 {
 		t.Fatalf("http.inflight gauge = %v, present=%v", got, ok)
 	}
 }

@@ -223,7 +223,7 @@ func (s *Server) watchBreach(p *obs.Profiler, boundMs float64) {
 				return
 			case <-t.C:
 				ex := telemetry.Default().Export()
-				cur, ok := ex.Histogram("http.diagnose.latency_ms")
+				cur, ok := ex.Histogram(obs.DiagnoseRoute.Latency)
 				if !ok {
 					continue
 				}

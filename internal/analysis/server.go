@@ -232,8 +232,8 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 //	GET  /v1/continual      → continual-learning loop status (404 when disabled)
 //	POST /v1/continual/retrain → trigger a retrain cycle
 //	POST /v1/continual/samples → ingest labeled feedback samples
-//	GET  /v1/metrics        → telemetry.Snapshot (JSON) or exposition via Accept
-//	GET  /metrics           → OpenMetrics text exposition
+//	GET  /v1/metrics        → telemetry.Export as JSON (what the router federates)
+//	GET  /metrics           → the same Export as OpenMetrics text
 //	GET  /v1/profiles       → anomaly profile captures (404 when disabled)
 //	GET  /v1/traces         → kept-trace summaries (newest first)
 //	GET  /v1/traces/{id}    → one trace as a span tree
@@ -260,12 +260,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/continual", instrument("continual", s.handleContinual))
 	mux.HandleFunc("POST /v1/continual/retrain", instrument("continual_retrain", s.handleContinualRetrain))
 	mux.HandleFunc("POST /v1/continual/samples", instrument("continual_samples", s.handleContinualSamples))
-	mux.HandleFunc("GET /v1/metrics", instrument("metrics", obs.ServeMetrics))
+	mux.HandleFunc("GET /v1/metrics", instrument("metrics", obs.MetricsHandler(telemetry.Default())))
 	mux.HandleFunc("GET /v1/traces", instrument("traces", handleTraces))
 	mux.HandleFunc("GET /v1/traces/", instrument("trace", handleTraceByID))
-	// The scrape-standard exposition endpoint. Deliberately uninstrumented
-	// (like the probes): the federator hits it every sweep interval and
-	// would drown the request metrics; it counts its own scrapes instead.
+	// The scrape-standard exposition endpoint. Uninstrumented like the
+	// probes — a scraper hits it every interval; it counts its own scrapes
+	// instead (obs.scrapes).
 	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	profiles := func(w http.ResponseWriter, r *http.Request) {
 		p := s.profiler.Load()

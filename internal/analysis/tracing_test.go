@@ -141,22 +141,8 @@ func TestTraceExemplarLoop(t *testing.T) {
 	}
 
 	exemplarID := func() string {
-		var snap struct {
-			Histograms map[string]struct {
-				Exemplar *struct {
-					TraceID string `json:"trace_id"`
-				} `json:"exemplar"`
-			} `json:"histograms"`
-		}
-		r, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		h, ok := snap.Histograms["http.diagnose.latency_ms"]
+		ex := fetchExport(t, ts.URL)
+		h, ok := ex.Histogram("http.diagnose.latency_ms")
 		if !ok {
 			t.Fatal("no http.diagnose.latency_ms histogram in /v1/metrics")
 		}

@@ -39,8 +39,8 @@
 //
 // Every hop is traced (router route → replica attempt → hedge) with W3C
 // traceparent propagation into the replicas, and counted in
-// internal/telemetry; the router serves /healthz, /readyz and /v1/metrics
-// like the other daemons.
+// internal/telemetry; the router serves /healthz, /readyz, /v1/metrics
+// (JSON) and /metrics (text) like the other daemons.
 package cluster
 
 import (

@@ -149,8 +149,21 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 	if d := rt.hedgeDelay(); d != 30*time.Millisecond {
 		t.Errorf("cold delay %v, want the 30ms default", d)
 	}
+	// The rule is "fewer than 20 samples": 19 keep the default, the 20th
+	// switches to the observed p90 — all 20 sit in the (50,100] bucket, so
+	// the interpolated rank 18 of 20 is exactly 95ms.
+	for i := 0; i < 19; i++ {
+		rt.latHist.Observe(80)
+	}
+	if d := rt.hedgeDelay(); d != 30*time.Millisecond {
+		t.Errorf("delay on 19 samples %v, want the 30ms default", d)
+	}
+	rt.latHist.Observe(80)
+	if d := rt.hedgeDelay(); d != 95*time.Millisecond {
+		t.Errorf("delay on exactly 20 samples %v, want the 95ms p90", d)
+	}
 	// 100 samples at ~80ms: p90 ≈ 80ms.
-	for i := 0; i < 100; i++ {
+	for i := 20; i < 100; i++ {
 		rt.latHist.Observe(80)
 	}
 	if d := rt.hedgeDelay(); d < 60*time.Millisecond || d > 120*time.Millisecond {

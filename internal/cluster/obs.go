@@ -154,7 +154,7 @@ func (ro *routerObs) checkBreach(fleet *telemetry.Export) {
 	if ro.profiler == nil || ro.cfg.ProfileOnBreachMs <= 0 {
 		return
 	}
-	cur, ok := fleet.Histogram("http_diagnose_latency_ms")
+	cur, ok := fleet.Histogram(obs.DiagnoseRoute.Latency)
 	if !ok {
 		return
 	}

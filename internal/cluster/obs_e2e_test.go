@@ -31,7 +31,8 @@ func startObsReplica(t testing.TB, version string) *obsReplica {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.Handle("/metrics", obs.ExpositionHandler(rep.reg))
+	mux.Handle("GET /v1/metrics", obs.MetricsHandler(rep.reg))
+	mux.Handle("GET /metrics", obs.ExpositionHandler(rep.reg))
 	mux.Handle("/v1/diagnose", obs.Instrument(rep.reg, "http", "diagnose",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if rep.fail.Load() {
@@ -47,7 +48,8 @@ func startObsReplica(t testing.TB, version string) *obsReplica {
 
 func (o *obsReplica) url() string { return o.srv.URL }
 
-// scrapeExport fetches and strictly parses one exposition endpoint.
+// scrapeExport fetches one /metrics endpoint and runs the text writer's
+// lint over it; the result carries Prometheus family names.
 func scrapeExport(t testing.TB, url string) telemetry.Export {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -91,8 +93,10 @@ func getJSON(t testing.TB, url string, v any) int {
 
 // TestFederationExactMerge boots 3 replicas with distinct registries,
 // drives a known per-replica load, and asserts the router's federated
-// fleet view equals the arithmetic sum of the per-replica scrapes —
-// counters, histogram _count/_sum, and every cumulative bucket.
+// fleet view is the replicas' own registries, summed: every counter and
+// histogram family carries the name it has in Registry.Export() — no
+// mapping in between — counters equal the per-replica sums, and so do
+// histogram sums and every cumulative bucket.
 func TestFederationExactMerge(t *testing.T) {
 	reps := []*obsReplica{
 		startObsReplica(t, "r0"),
@@ -121,12 +125,41 @@ func TestFederationExactMerge(t *testing.T) {
 		}
 	}
 
-	// Wait until a sweep has seen all 24 requests.
+	// Independent ground truth, now that the replicas are quiet: read each
+	// registry in process and sum, in replica order (the merge's order, so
+	// the float sums match to the bit).
+	wantCounters := map[string]int64{}
+	wantHists := map[string]*telemetry.HistogramPoint{}
+	for i, rep := range reps {
+		ex := rep.reg.Export()
+		if v, ok := ex.Counter("http.diagnose.requests"); !ok || v != int64(loads[i]) {
+			t.Fatalf("replica %d: requests=%d ok=%v, want %d", i, v, ok, loads[i])
+		}
+		for _, c := range ex.Counters {
+			wantCounters[c.Name] += c.Value
+		}
+		for _, h := range ex.Histograms {
+			w := wantHists[h.Name]
+			if w == nil {
+				w = &telemetry.HistogramPoint{Cumulative: make([]int64, len(h.Cumulative))}
+				wantHists[h.Name] = w
+			}
+			w.Sum += h.Sum
+			for j, c := range h.Cumulative {
+				w.Cumulative[j] += c
+			}
+		}
+	}
+	if wantCounters["http.diagnose.requests"] != 24 || wantHists["http.diagnose.latency_ms"].Count() != 24 {
+		t.Fatalf("ground truth is off: %v", wantCounters)
+	}
+
+	// Wait for a sweep that has seen all 24 requests, then compare.
 	var view obs.FleetView
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if code := getJSON(t, gw.URL+"/v1/fleet/metrics", &view); code == http.StatusOK {
-			if v, ok := view.Fleet.Counter("http_diagnose_requests"); ok && v == 24 {
+			if h, ok := view.Fleet.Histogram("http.diagnose.latency_ms"); ok && h.Count() == 24 {
 				break
 			}
 		}
@@ -143,59 +176,35 @@ func TestFederationExactMerge(t *testing.T) {
 			t.Fatalf("replica %s scrape error: %s", r.Name, r.Error)
 		}
 	}
-
-	// Independent ground truth: scrape each replica ourselves and sum.
-	var wantReqs, wantCount int64
-	var wantSum float64
-	var wantCum []int64
-	for i, rep := range reps {
-		ex := scrapeExport(t, rep.url()+"/metrics")
-		v, ok := ex.Counter("http_diagnose_requests")
-		if !ok || v != int64(loads[i]) {
-			t.Fatalf("replica %d: requests=%d ok=%v, want %d", i, v, ok, loads[i])
+	if len(view.Fleet.Counters) != len(wantCounters) || len(view.Fleet.Histograms) != len(wantHists) {
+		t.Errorf("fleet has %d counter and %d histogram families, the replicas %d and %d",
+			len(view.Fleet.Counters), len(view.Fleet.Histograms), len(wantCounters), len(wantHists))
+	}
+	for _, c := range view.Fleet.Counters {
+		if want, ok := wantCounters[c.Name]; !ok {
+			t.Errorf("fleet counter %q is not a name any replica's registry uses", c.Name)
+		} else if c.Value != want {
+			t.Errorf("fleet %s = %d != sum of replicas %d", c.Name, c.Value, want)
 		}
-		wantReqs += v
-		h, ok := ex.Histogram("http_diagnose_latency_ms")
+	}
+	for _, h := range view.Fleet.Histograms {
+		want, ok := wantHists[h.Name]
 		if !ok {
-			t.Fatalf("replica %d: no latency histogram", i)
+			t.Errorf("fleet histogram %q is not a name any replica's registry uses", h.Name)
+			continue
 		}
-		wantCount += h.Count()
-		wantSum += h.Sum
-		if wantCum == nil {
-			wantCum = make([]int64, len(h.Cumulative))
+		if h.Sum != want.Sum {
+			t.Errorf("fleet %s sum %v != arithmetic sum %v", h.Name, h.Sum, want.Sum)
 		}
 		for j, c := range h.Cumulative {
-			wantCum[j] += c
+			if c != want.Cumulative[j] {
+				t.Errorf("fleet %s bucket[%d]=%d != sum %d", h.Name, j, c, want.Cumulative[j])
+			}
 		}
 	}
 
-	// Re-fetch the fleet view so it is at least as fresh as our scrapes.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		getJSON(t, gw.URL+"/v1/fleet/metrics", &view)
-		h, ok := view.Fleet.Histogram("http_diagnose_latency_ms")
-		if ok && h.Count() == wantCount {
-			if v, _ := view.Fleet.Counter("http_diagnose_requests"); v != wantReqs {
-				t.Fatalf("fleet requests %d != sum of replicas %d", v, wantReqs)
-			}
-			if h.Sum != wantSum {
-				t.Fatalf("fleet latency sum %v != arithmetic sum %v", h.Sum, wantSum)
-			}
-			for j, c := range h.Cumulative {
-				if c != wantCum[j] {
-					t.Fatalf("fleet bucket[%d]=%d != sum %d", j, c, wantCum[j])
-				}
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet histogram never matched: %+v", h)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// The fleet view also negotiates: Accept exposition text, and that
-	// text must itself pass the strict parser.
+	// The fleet view has one path, so it negotiates: Accept the text
+	// rendering, and that text must itself pass the writer's lint.
 	req, _ := http.NewRequest(http.MethodGet, gw.URL+"/v1/fleet/metrics", nil)
 	req.Header.Set("Accept", obs.ContentType)
 	resp, err := http.DefaultClient.Do(req)
@@ -376,74 +385,87 @@ func TestLiveExpositionLint(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation is the satellite table test: /v1/metrics
-// keeps its JSON shape byte-compatible by default and serves the
-// exposition only when the Accept header asks for it — on both the
-// replica and the router.
+// TestMetricsContentNegotiation pins "one path, one format" on a real
+// replica and on the router: whatever the Accept header says, /v1/metrics
+// is the registry's Export as JSON and /metrics the same Export as
+// OpenMetrics text. Only the router's /v1/fleet/metrics, which has no text
+// twin, still negotiates — each case is named for what its header does
+// there.
 func TestMetricsContentNegotiation(t *testing.T) {
 	rep := startRealReplica(t)
-	rt := newTestRouter(t, []string{rep.url()}, Config{})
+	rt := newTestRouter(t, []string{rep.url()}, Config{
+		Obs: ObsConfig{FederateInterval: 25 * time.Millisecond},
+	})
 	gw := httptest.NewServer(rt)
 	defer gw.Close()
+	for deadline := time.Now().Add(5 * time.Second); getJSON(t, gw.URL+"/v1/fleet/metrics", nil) != http.StatusOK; {
+		if time.Now().After(deadline) {
+			t.Fatal("federation never completed a sweep")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	cases := []struct {
-		name       string
-		accept     string
-		exposition bool
+		name      string
+		accept    string
+		fleetText bool
 	}{
 		{"no accept header keeps JSON", "", false},
 		{"wildcard keeps JSON", "*/*", false},
 		{"json keeps JSON", "application/json", false},
-		{"openmetrics negotiates exposition", obs.ContentType, false /* set below */},
-		{"text/plain negotiates exposition", "text/plain; version=0.0.4", false},
+		{"openmetrics negotiates exposition", obs.ContentType, true},
+		{"text/plain negotiates exposition", "text/plain; version=0.0.4", true},
 	}
-	cases[3].exposition = true
-	cases[4].exposition = true
-
-	for _, base := range []string{rep.url(), gw.URL} {
-		// JSON byte-compatibility baseline.
-		req, _ := http.NewRequest(http.MethodGet, base+"/v1/metrics", nil)
+	get := func(t *testing.T, url, accept string) (contentType, body string) {
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline := readAllString(t, resp)
-		resp.Body.Close()
-		if !json.Valid([]byte(baseline)) {
-			t.Fatalf("%s: default /v1/metrics is not JSON", base)
+		defer resp.Body.Close()
+		return resp.Header.Get("Content-Type"), readAllString(t, resp)
+	}
+	wantText := func(t *testing.T, path, ct, body string) {
+		if ct != obs.ContentType {
+			t.Errorf("%s: content type %q, want exposition", path, ct)
 		}
+		if _, err := obs.ParseExposition([]byte(body)); err != nil {
+			t.Errorf("%s: exposition fails strict parse: %v", path, err)
+		}
+	}
 
+	for _, base := range []string{rep.url(), gw.URL} {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				req, _ := http.NewRequest(http.MethodGet, base+"/v1/metrics", nil)
-				if tc.accept != "" {
-					req.Header.Set("Accept", tc.accept)
+				ct, body := get(t, base+"/v1/metrics", tc.accept)
+				if !strings.HasPrefix(ct, "application/json") {
+					t.Errorf("/v1/metrics: content type %q, want JSON", ct)
 				}
-				resp, err := http.DefaultClient.Do(req)
+				ex, err := obs.DecodeExport([]byte(body))
 				if err != nil {
-					t.Fatal(err)
+					t.Errorf("/v1/metrics: not a JSON Export: %v", err)
 				}
-				defer resp.Body.Close()
-				bodyStr := readAllString(t, resp)
-				ct := resp.Header.Get("Content-Type")
-				if tc.exposition {
-					if ct != obs.ContentType {
-						t.Errorf("content type %q, want exposition", ct)
-					}
-					if _, err := obs.ParseExposition([]byte(bodyStr)); err != nil {
-						t.Errorf("negotiated exposition fails strict parse: %v", err)
-					}
-				} else {
-					if !strings.HasPrefix(ct, "application/json") {
-						t.Errorf("content type %q, want JSON", ct)
-					}
-					var snap struct {
-						Counters   map[string]int64 `json:"counters"`
-						Histograms map[string]any   `json:"histograms"`
-					}
-					if err := json.Unmarshal([]byte(bodyStr), &snap); err != nil {
-						t.Errorf("JSON shape broke: %v", err)
-					}
+				if len(ex.Counters)+len(ex.Histograms) == 0 {
+					t.Error("/v1/metrics: Export is empty")
+				}
+
+				ct, body = get(t, base+"/metrics", tc.accept)
+				wantText(t, "/metrics", ct, body)
+
+				ct, body = get(t, gw.URL+"/v1/fleet/metrics", tc.accept)
+				if tc.fleetText {
+					wantText(t, "/v1/fleet/metrics", ct, body)
+					return
+				}
+				var view obs.FleetView
+				if !strings.HasPrefix(ct, "application/json") {
+					t.Errorf("/v1/fleet/metrics: content type %q, want JSON", ct)
+				}
+				if err := json.Unmarshal([]byte(body), &view); err != nil || len(view.Replicas) != 1 {
+					t.Errorf("/v1/fleet/metrics: JSON fleet view broke (%v): %s", err, body)
 				}
 			})
 		}

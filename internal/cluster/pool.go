@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -135,11 +134,9 @@ func (p *Pool) check(ctx context.Context, r *Replica) bool {
 	if err != nil {
 		return false
 	}
-	// Drain before Close: an unread body (the 503's error text, say) makes
-	// the transport discard the connection instead of returning it to the
-	// keep-alive pool — at sweep cadence that is a steady TIME_WAIT leak.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-	resp.Body.Close()
+	// Drained, not just closed: the 503's error text, say, would otherwise
+	// cost the keep-alive connection at sweep cadence.
+	resilience.DrainClose(resp.Body, 4<<10)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		// Seed the latency EWMA so a replica that was idle since boot still
 		// has a (rough) latency estimate when selection tiebreaks on it.

@@ -15,6 +15,7 @@ import (
 
 	"diagnet/internal/analysis"
 	"diagnet/internal/obs"
+	"diagnet/internal/resilience"
 	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
@@ -69,7 +70,7 @@ func NewRouter(urls []string, cfg Config) *Router {
 	mux.HandleFunc("POST /v1/diagnose", route("diagnose", rt.handleDiagnose))
 	mux.HandleFunc("POST /v1/diagnose-batch", route("diagnose_batch", rt.handleBatch))
 	mux.HandleFunc("GET /v1/model", route("model", rt.handleModel))
-	mux.HandleFunc("GET /v1/metrics", route("metrics", obs.ServeMetrics))
+	mux.HandleFunc("GET /v1/metrics", route("metrics", obs.MetricsHandler(telemetry.Default())))
 	mux.HandleFunc("/v1/replicas", route("replicas", rt.handleReplicas))
 	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	mux.HandleFunc("GET /v1/fleet/metrics", rt.handleFleetMetrics)
@@ -134,11 +135,10 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter != 0 {
 		return rt.cfg.HedgeAfter
 	}
-	s := rt.latHist.Snapshot()
-	if s.Count < 20 {
+	if rt.latHist.Count() < 20 {
 		return rt.cfg.HedgeDefault
 	}
-	d := time.Duration(s.P90 * float64(time.Millisecond))
+	d := time.Duration(rt.latHist.Quantile(0.90) * float64(time.Millisecond))
 	if d < rt.cfg.HedgeMin {
 		d = rt.cfg.HedgeMin
 	}
@@ -330,10 +330,7 @@ func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string
 	// Bounded tail drain before Close: readResponse may stop short of EOF
 	// (Content-Length fast path, maxBody cap), and an undrained body costs
 	// the keep-alive connection on every proxied request.
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 32<<10))
-		resp.Body.Close()
-	}()
+	defer resilience.DrainClose(resp.Body, 32<<10)
 	out.status = resp.StatusCode
 	out.header = resp.Header
 	if out.body, err = readResponse(resp); err != nil {

@@ -1,20 +1,19 @@
-// Package trace records and replays probing sessions: a Trace captures
-// the (tick, feature vector, QoE flag) stream a collector agent observed,
-// can be persisted with gob, and can be replayed as a collector source —
-// letting diagnoses be reproduced offline from field recordings, the
-// "post-mortem analysis of past incidents" workflow of §III-A.
-package trace
+package collector
 
 import (
 	"encoding/gob"
 	"fmt"
 	"io"
 
-	"diagnet/internal/collector"
 	"diagnet/internal/probe"
 )
 
-// Trace is one recorded probing session.
+// Trace is one recorded probing session: the (tick, feature vector, QoE
+// flag) stream an agent observed. It can be persisted with gob and
+// replayed as a Source — letting diagnoses be reproduced offline from
+// field recordings, the "post-mortem analysis of past incidents" workflow
+// of §III-A. (A probe-session recording, not a request trace: those are
+// internal/tracing.)
 type Trace struct {
 	// Landmarks is the layout the features were collected under.
 	Landmarks []int
@@ -23,8 +22,8 @@ type Trace struct {
 	Degraded  []bool
 }
 
-// New returns an empty trace for the given layout.
-func New(layout probe.Layout) *Trace {
+// NewTrace returns an empty trace for the given layout.
+func NewTrace(layout probe.Layout) *Trace {
 	return &Trace{Landmarks: append([]int(nil), layout.Landmarks...)}
 }
 
@@ -44,9 +43,9 @@ func (t *Trace) Append(tick int64, features []float64, degraded bool) {
 	t.Degraded = append(t.Degraded, degraded)
 }
 
-// Record samples a source for the given ticks and returns the trace.
-func Record(src collector.Source, layout probe.Layout, ticks []int64) *Trace {
-	t := New(layout)
+// RecordTrace samples a source for the given ticks and returns the trace.
+func RecordTrace(src Source, layout probe.Layout, ticks []int64) *Trace {
+	t := NewTrace(layout)
 	for _, tick := range ticks {
 		t.Append(tick, src.Sample(tick), src.Degraded(tick))
 	}
@@ -58,8 +57,8 @@ func (t *Trace) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(t)
 }
 
-// Load reads a trace written by Save.
-func Load(r io.Reader) (*Trace, error) {
+// LoadTrace reads a trace written by Save.
+func LoadTrace(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := gob.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
@@ -67,7 +66,7 @@ func Load(r io.Reader) (*Trace, error) {
 	return &t, nil
 }
 
-// Replay exposes the trace as a collector source. Ticks outside the
+// Replay exposes the trace as a Source. Ticks outside the
 // recording panic — a replayed agent must follow the recorded schedule.
 type Replay struct {
 	trace *Trace
@@ -83,7 +82,7 @@ func (t *Trace) Replay() *Replay {
 	return r
 }
 
-// Sample implements collector.Source.
+// Sample implements Source.
 func (r *Replay) Sample(tick int64) []float64 {
 	i, ok := r.index[tick]
 	if !ok {
@@ -92,7 +91,7 @@ func (r *Replay) Sample(tick int64) []float64 {
 	return r.trace.Features[i]
 }
 
-// Degraded implements collector.Source.
+// Degraded implements Source.
 func (r *Replay) Degraded(tick int64) bool {
 	i, ok := r.index[tick]
 	if !ok {
@@ -101,4 +100,4 @@ func (r *Replay) Degraded(tick int64) bool {
 	return r.trace.Degraded[i]
 }
 
-var _ collector.Source = (*Replay)(nil)
+var _ Source = (*Replay)(nil)

@@ -1,20 +1,19 @@
-package trace
+package collector
 
 import (
 	"bytes"
 	"testing"
 
-	"diagnet/internal/collector"
 	"diagnet/internal/netsim"
 	"diagnet/internal/probe"
 	"diagnet/internal/services"
 )
 
-func simSource() (collector.Source, probe.Layout) {
+func simSource() (Source, probe.Layout) {
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
 	layout := probe.FullLayout()
 	svc := services.Service{ID: 0, Kind: services.ImageLocal, Host: netsim.GRAV}
-	src := collector.NewSimSource(w, netsim.AMST, svc, layout, func(tick int64) []netsim.Fault {
+	src := NewSimSource(w, netsim.AMST, svc, layout, func(tick int64) []netsim.Fault {
 		if tick >= 5 {
 			return []netsim.Fault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV)}
 		}
@@ -33,7 +32,7 @@ func ticksUpTo(n int64) []int64 {
 
 func TestRecordAndReplayIdentical(t *testing.T) {
 	src, layout := simSource()
-	tr := Record(src, layout, ticksUpTo(10))
+	tr := RecordTrace(src, layout, ticksUpTo(10))
 	if tr.Len() != 10 {
 		t.Fatalf("len %d", tr.Len())
 	}
@@ -61,12 +60,12 @@ func TestRecordAndReplayIdentical(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src, layout := simSource()
-	tr := Record(src, layout, ticksUpTo(6))
+	tr := RecordTrace(src, layout, ticksUpTo(6))
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := LoadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +82,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("zzz")); err == nil {
+	if _, err := LoadTrace(bytes.NewBufferString("zzz")); err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestReplayUnknownTickPanics(t *testing.T) {
 	src, layout := simSource()
-	tr := Record(src, layout, ticksUpTo(3))
+	tr := RecordTrace(src, layout, ticksUpTo(3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
@@ -101,7 +100,7 @@ func TestReplayUnknownTickPanics(t *testing.T) {
 
 func TestAppendCopiesAndValidates(t *testing.T) {
 	layout := probe.NewLayout([]int{0})
-	tr := New(layout)
+	tr := NewTrace(layout)
 	x := make([]float64, layout.NumFeatures())
 	tr.Append(0, x, false)
 	x[0] = 42
@@ -119,8 +118,8 @@ func TestAppendCopiesAndValidates(t *testing.T) {
 // A replayed trace drives a collector agent exactly like the live source.
 func TestAgentOverReplay(t *testing.T) {
 	src, layout := simSource()
-	tr := Record(src, layout, ticksUpTo(20))
-	agent := collector.NewAgent(tr.Replay(), layout.NumFeatures(), collector.Config{Warmup: 3})
+	tr := RecordTrace(src, layout, ticksUpTo(20))
+	agent := NewAgent(tr.Replay(), layout.NumFeatures(), Config{Warmup: 3})
 	events := 0
 	for tick := int64(0); tick < 20; tick++ {
 		if _, degraded := agent.Step(tick); degraded {

@@ -40,12 +40,20 @@ func BenchmarkDiagnoseTelemetry(b *testing.B) {
 // bump the call counter.
 func TestDiagnoseRecordsStageTimings(t *testing.T) {
 	m := syntheticModel(6, []int{24, 12})
-	before := telemetry.Default().Snapshot()
+	before := telemetry.Default().Export()
 	m.Diagnose(goldenInput(), probe.FullLayout())
-	after := telemetry.Default().Snapshot()
+	after := telemetry.Default().Export()
 
-	if after.Counters["core.diagnose.calls"] != before.Counters["core.diagnose.calls"]+1 {
+	calls := func(e *telemetry.Export) int64 { v, _ := e.Counter("core.diagnose.calls"); return v }
+	if calls(&after) != calls(&before)+1 {
 		t.Fatal("diagnose call not counted")
+	}
+	observed := func(e *telemetry.Export, name string) int64 {
+		h, ok := e.Histogram(name)
+		if !ok {
+			return 0
+		}
+		return h.Count()
 	}
 	for _, name := range []string{
 		"core.diagnose.stage.normalize_ms",
@@ -54,9 +62,9 @@ func TestDiagnoseRecordsStageTimings(t *testing.T) {
 		"core.diagnose.stage.ensemble_ms",
 		"core.diagnose.total_ms",
 	} {
-		if after.Histograms[name].Count != before.Histograms[name].Count+1 {
+		if observed(&after, name) != observed(&before, name)+1 {
 			t.Errorf("%s not observed (count %d → %d)", name,
-				before.Histograms[name].Count, after.Histograms[name].Count)
+				observed(&before, name), observed(&after, name))
 		}
 	}
 }

@@ -49,6 +49,11 @@ func TestDownloadExactBytes(t *testing.T) {
 	if n != 12345 {
 		t.Fatalf("got %d bytes", n)
 	}
+	// The handler counts the bytes after it has written them, so the client
+	// can finish reading a moment before the counter moves.
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().BytesServed != 12345 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if s.Stats().BytesServed != 12345 || s.Stats().Downloads != 1 {
 		t.Fatalf("stats %+v", s.Stats())
 	}

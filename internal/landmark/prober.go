@@ -208,8 +208,7 @@ func (p *Prober) ping(ctx context.Context, base string) error {
 	if err != nil {
 		return err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resilience.DrainClose(resp.Body, resilience.DrainAll)
 	if resp.StatusCode != http.StatusNoContent {
 		return fmt.Errorf("ping: %w", &resilience.HTTPStatusError{Code: resp.StatusCode})
 	}
@@ -284,8 +283,7 @@ func (p *Prober) upload(ctx context.Context, base string, n int64) error {
 	if err != nil {
 		return err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resilience.DrainClose(resp.Body, resilience.DrainAll)
 	if resp.StatusCode != http.StatusNoContent {
 		return fmt.Errorf("upload: %w", &resilience.HTTPStatusError{Code: resp.StatusCode})
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -156,7 +157,7 @@ func BenchmarkExposition(b *testing.B) {
 
 // BenchmarkWriteExposition prices one render of a production-size
 // registry to the OpenMetrics text format — the per-scrape cost a
-// replica pays when the router's federator sweeps it.
+// daemon pays when a Prometheus-style scraper reads GET /metrics.
 func BenchmarkWriteExposition(b *testing.B) {
 	reg := benchRegistry()
 	ex := reg.Export()
@@ -169,8 +170,26 @@ func BenchmarkWriteExposition(b *testing.B) {
 	}
 }
 
-// BenchmarkParseExposition prices the strict decode of one replica's
-// scrape — the federator pays this per replica per sweep.
+// BenchmarkDecodeExport prices the validated decode of one replica's
+// /v1/metrics payload — the federator pays this per replica per sweep.
+func BenchmarkDecodeExport(b *testing.B) {
+	buf, err := json.Marshal(benchRegistry().Export())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeExport(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseExposition prices the text writer's lint over one
+// production-size exposition (tests and the fuzzer run it; nothing in
+// production does).
 func BenchmarkParseExposition(b *testing.B) {
 	reg := benchRegistry()
 	ex := reg.Export()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -15,6 +14,33 @@ import (
 // OpenMetrics text format is the Prometheus exposition format that admits
 // exemplars; Prometheus negotiates it natively.
 const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
+
+// PromName maps a dotted registry name to a Prometheus metric family
+// name: every character outside [a-zA-Z0-9_:] becomes '_', and a leading
+// digit is prefixed. The text writer below is its one caller — everything
+// else, on either side of a federation hop, speaks dotted names.
+func PromName(name string) string {
+	var b strings.Builder
+	b.Grow(len(name) + 1)
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
+			b.WriteByte(c)
+		case c >= '0' && c <= '9':
+			if i == 0 {
+				b.WriteByte('_')
+			}
+			b.WriteByte(c)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	if b.Len() == 0 {
+		return "_"
+	}
+	return b.String()
+}
 
 // WriteExposition renders an Export in the OpenMetrics text format:
 // per-family HELP/TYPE pairs, counters as <name>_total, histograms as
@@ -113,8 +139,8 @@ func writeHistogram(bw *bufio.Writer, p *telemetry.HistogramPoint) {
 }
 
 // formatValue renders a float64 so it round-trips exactly through
-// strconv.ParseFloat — federation merges parsed values, so the text hop
-// must not lose precision.
+// strconv.ParseFloat: a scraper must read back the value the registry
+// holds, non-finite ones included.
 func formatValue(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -135,13 +161,4 @@ func escapeHelp(s string) string {
 	}
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// sortExport re-sorts an Export in place by metric name — parsed and
-// merged exports pass through here so every downstream consumer sees the
-// same deterministic order a Registry.Export() has natively.
-func sortExport(ex *telemetry.Export) {
-	sort.Slice(ex.Counters, func(i, j int) bool { return ex.Counters[i].Name < ex.Counters[j].Name })
-	sort.Slice(ex.Gauges, func(i, j int) bool { return ex.Gauges[i].Name < ex.Gauges[j].Name })
-	sort.Slice(ex.Histograms, func(i, j int) bool { return ex.Histograms[i].Name < ex.Histograms[j].Name })
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
+	"diagnet/internal/resilience"
 	"diagnet/internal/telemetry"
 )
 
@@ -18,14 +20,8 @@ type FederatorConfig struct {
 	// router's pool), re-evaluated each sweep so membership changes are
 	// picked up without restarting the federator.
 	Targets func() []string
-	// Client performs the scrapes; nil means a client with Timeout.
-	Client *http.Client
-	// Path is the scrape path on each target (default /metrics).
-	Path string
 	// Timeout bounds one scrape (default 2s).
 	Timeout time.Duration
-	// GaugePolicy overrides DefaultGaugePolicy when non-nil.
-	GaugePolicy func(string) GaugePolicy
 	// Registry receives the federator's own metrics (default
 	// telemetry.Default()).
 	Registry *telemetry.Registry
@@ -48,12 +44,14 @@ type FleetView struct {
 	Warnings      []string         `json:"warnings,omitempty"`
 }
 
-// Federator periodically scrapes every replica's exposition endpoint,
-// decodes each through the strict parser, and maintains the exactly-merged
-// fleet view. It does not own a goroutine — the caller drives Sweep from
-// its own loop (the router folds it into its background cadence).
+// Federator fetches every replica's GET /v1/metrics, validates each
+// decoded Export (DecodeExport) and maintains the exactly-merged fleet
+// view, under the replicas' own dotted names. It does not own a goroutine
+// — the caller drives Sweep from its own loop (the router folds it into
+// its background cadence).
 type Federator struct {
-	cfg FederatorConfig
+	cfg    FederatorConfig
+	client *http.Client
 
 	sweeps *telemetry.Counter
 	errs   *telemetry.Counter
@@ -68,19 +66,13 @@ func NewFederator(cfg FederatorConfig) *Federator {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.Client == nil {
-		// Private transport: scrape keep-alives must not pile up in (or
-		// outlive the federator on) the process-global DefaultTransport —
-		// leak checks over a closed federator would see its idle conns.
-		tr, _ := http.DefaultTransport.(*http.Transport)
-		if tr != nil {
-			tr = tr.Clone()
-			tr.MaxIdleConnsPerHost = 4
-		}
-		cfg.Client = &http.Client{Timeout: cfg.Timeout, Transport: tr}
-	}
-	if cfg.Path == "" {
-		cfg.Path = "/metrics"
+	// Private transport: scrape keep-alives must not pile up in (or
+	// outlive the federator on) the process-global DefaultTransport —
+	// leak checks over a closed federator would see its idle conns.
+	tr, _ := http.DefaultTransport.(*http.Transport)
+	if tr != nil {
+		tr = tr.Clone()
+		tr.MaxIdleConnsPerHost = 4
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -88,15 +80,16 @@ func NewFederator(cfg FederatorConfig) *Federator {
 	}
 	return &Federator{
 		cfg:    cfg,
+		client: &http.Client{Timeout: cfg.Timeout, Transport: tr},
 		sweeps: reg.Counter("obs.federate.sweeps"),
 		errs:   reg.Counter("obs.federate.errors"),
 	}
 }
 
 // Sweep scrapes all current targets concurrently, merges the successful
-// exports, and publishes the new fleet view. Scrape or parse failures
-// degrade that replica to an error entry — the merge proceeds over the
-// replicas that answered.
+// exports, and publishes the new fleet view. A replica that does not
+// answer, or whose payload fails validation, degrades to an error entry —
+// the merge proceeds over the replicas that answered.
 func (f *Federator) Sweep(ctx context.Context) FleetView {
 	f.sweeps.Inc()
 	targets := f.cfg.Targets()
@@ -119,7 +112,7 @@ func (f *Federator) Sweep(ctx context.Context) FleetView {
 			f.errs.Inc()
 		}
 	}
-	fleet, warnings := MergeExports(exports, f.cfg.GaugePolicy)
+	fleet, warnings := MergeExports(exports)
 	view := FleetView{
 		UpdatedUnixMs: time.Now().UnixMilli(),
 		Replicas:      replicas,
@@ -133,30 +126,26 @@ func (f *Federator) Sweep(ctx context.Context) FleetView {
 	return view
 }
 
-// scrape fetches and strictly parses one replica's exposition.
+// scrape fetches and validates one replica's Export.
 func (f *Federator) scrape(ctx context.Context, base string) ReplicaMetrics {
 	rm := ReplicaMetrics{Name: base}
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+f.cfg.Path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/metrics", nil)
 	if err != nil {
 		rm.Error = err.Error()
 		return rm
 	}
-	req.Header.Set("Accept", ContentType)
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		rm.Error = err.Error()
 		return rm
 	}
-	// Drain every exit path (error status, parse failure, oversized body
-	// tail) before Close, so the scrape connection goes back to the
-	// keep-alive pool — a federator re-dialing per sweep leaks sockets
-	// into TIME_WAIT at exactly the cadence it scrapes.
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		resp.Body.Close()
-	}()
+	// Every exit path (error status, oversized body tail) drains, so the
+	// scrape connection goes back to the keep-alive pool — a federator
+	// re-dialing per sweep leaks sockets into TIME_WAIT at exactly the
+	// cadence it scrapes.
+	defer resilience.DrainClose(resp.Body, 64<<10)
 	if resp.StatusCode != http.StatusOK {
 		rm.Error = fmt.Sprintf("status %d", resp.StatusCode)
 		return rm
@@ -166,7 +155,7 @@ func (f *Federator) scrape(ctx context.Context, base string) ReplicaMetrics {
 		rm.Error = err.Error()
 		return rm
 	}
-	ex, err := ParseExposition(body)
+	ex, err := DecodeExport(body)
 	if err != nil {
 		rm.Error = err.Error()
 		return rm
@@ -175,10 +164,47 @@ func (f *Federator) scrape(ctx context.Context, base string) ReplicaMetrics {
 	return rm
 }
 
+// DecodeExport decodes one replica's /v1/metrics payload and enforces
+// what a Registry.Export guarantees and the merge relies on, so that a
+// broken or foreign replica is rejected instead of polluting the fleet:
+// exactly one JSON document; counters non-negative; histograms with
+// strictly ascending bounds and len(bounds)+1 cumulative counts that
+// start non-negative and never decrease. Gauge values are unconstrained:
+// a NaN loss is a fact about the replica, not a malformed payload.
+func DecodeExport(data []byte) (telemetry.Export, error) {
+	var ex telemetry.Export
+	if err := json.Unmarshal(data, &ex); err != nil { // also refuses anything after the document
+		return telemetry.Export{}, fmt.Errorf("obs: decode export: %w", err)
+	}
+	for _, c := range ex.Counters {
+		if c.Value < 0 {
+			return telemetry.Export{}, fmt.Errorf("obs: counter %q: negative value %d", c.Name, c.Value)
+		}
+	}
+	for _, h := range ex.Histograms {
+		if len(h.Cumulative) != len(h.Bounds)+1 {
+			return telemetry.Export{}, fmt.Errorf("obs: histogram %q: %d cumulative counts for %d bounds", h.Name, len(h.Cumulative), len(h.Bounds))
+		}
+		for j := 1; j < len(h.Bounds); j++ {
+			if h.Bounds[j] <= h.Bounds[j-1] {
+				return telemetry.Export{}, fmt.Errorf("obs: histogram %q: bounds not strictly ascending at %v", h.Name, h.Bounds[j])
+			}
+		}
+		last := int64(0)
+		for _, c := range h.Cumulative {
+			if c < last {
+				return telemetry.Export{}, fmt.Errorf("obs: histogram %q: cumulative counts negative or decreasing at %d", h.Name, c)
+			}
+			last = c
+		}
+	}
+	return ex, nil
+}
+
 // Close releases the federator's idle scrape connections. Idempotent;
 // the caller must have stopped driving Sweep first.
 func (f *Federator) Close() {
-	f.cfg.Client.CloseIdleConnections()
+	f.client.CloseIdleConnections()
 }
 
 // View returns the latest fleet view; ok is false before the first sweep
@@ -189,8 +215,19 @@ func (f *Federator) View() (FleetView, bool) {
 	return f.view, f.ok
 }
 
-// ServeView writes the fleet view as JSON (GET /v1/fleet/metrics), or 503
-// before the first sweep.
+// wantsExposition reports whether the request's Accept header asks for the
+// OpenMetrics text rendering. Only the fleet view negotiates: unlike a
+// daemon's own registry (/v1/metrics JSON, /metrics text) it has one path.
+func wantsExposition(r *http.Request) bool {
+	accept := r.Header.Get("Accept")
+	return strings.Contains(accept, "openmetrics") ||
+		strings.Contains(accept, "text/plain")
+}
+
+// ServeView writes the fleet view (GET /v1/fleet/metrics) as JSON — the
+// merged Export plus the per-replica breakdown — or, when the Accept
+// header asks, the merged Export as OpenMetrics text; 503 before the
+// first sweep.
 func (f *Federator) ServeView(w http.ResponseWriter, r *http.Request) {
 	view, ok := f.View()
 	if !ok {

@@ -7,29 +7,18 @@ import (
 	"diagnet/internal/telemetry"
 )
 
-// GaugePolicy decides how one gauge family aggregates across replicas.
-type GaugePolicy int
-
-const (
-	// GaugeSum adds replica values — right for occupancy-style gauges
-	// (in-flight requests, queue depths) where the fleet total is the sum
-	// of per-replica totals.
-	GaugeSum GaugePolicy = iota
-	// GaugeAvg averages replica values — right for level-style gauges
-	// (readiness, drift scores, config epochs) where summing across the
-	// fleet is meaningless.
-	GaugeAvg
-)
-
-// DefaultGaugePolicy classifies by name: occupancy-style gauges sum, the
-// rest average.
-func DefaultGaugePolicy(name string) GaugePolicy {
+// gaugeSums reports how one gauge family aggregates across replicas, by
+// name: occupancy-style gauges (in-flight requests, queue depths) sum —
+// the fleet total is the sum of the per-replica totals — and level-style
+// gauges (readiness, drift scores, config epochs), where a sum across the
+// fleet is meaningless, average.
+func gaugeSums(name string) bool {
 	for _, marker := range []string{"inflight", "in_flight", "outstanding", "depth", "pending"} {
 		if strings.Contains(name, marker) {
-			return GaugeSum
+			return true
 		}
 	}
-	return GaugeAvg
+	return false
 }
 
 // MergeExports combines per-replica exports into one fleet export:
@@ -42,14 +31,11 @@ func DefaultGaugePolicy(name string) GaugePolicy {
 //     reported in warnings rather than polluting the merge. The merged
 //     exemplar is the one with the largest value — the fleet-wide tail
 //     witness.
-//   - gauges: policy-chosen sum or mean.
+//   - gauges: sum or mean, chosen by name (gaugeSums).
 //
 // The result is sorted by name, so merging the same inputs always yields
-// byte-identical exposition.
-func MergeExports(exports []telemetry.Export, policy func(string) GaugePolicy) (telemetry.Export, []string) {
-	if policy == nil {
-		policy = DefaultGaugePolicy
-	}
+// byte-identical renderings.
+func MergeExports(exports []telemetry.Export) (telemetry.Export, []string) {
 	var warnings []string
 
 	counters := map[string]int64{}
@@ -103,7 +89,7 @@ func MergeExports(exports []telemetry.Export, policy func(string) GaugePolicy) (
 	}
 	for name, a := range gauges {
 		v := a.sum
-		if policy(name) == GaugeAvg && a.n > 0 {
+		if !gaugeSums(name) && a.n > 0 {
 			v = a.sum / float64(a.n)
 		}
 		out.Gauges = append(out.Gauges, telemetry.GaugePoint{Name: name, Value: v})
@@ -111,7 +97,7 @@ func MergeExports(exports []telemetry.Export, policy func(string) GaugePolicy) (
 	for _, h := range hists {
 		out.Histograms = append(out.Histograms, *h)
 	}
-	sortExport(&out)
+	out.Sort()
 	return out, warnings
 }
 

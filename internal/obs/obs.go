@@ -1,18 +1,23 @@
 // Package obs is DiagNet's fleet observability plane (DESIGN.md §16),
-// layered on the internal/telemetry registry:
+// layered on the internal/telemetry registry. There is one metric model,
+// telemetry.Export, under one name space, the dotted registry names; this
+// package renders it, moves it between processes and consumes it:
 //
-//   - Prometheus text exposition. Every daemon serves GET /metrics in the
-//     OpenMetrics text format — counters (_total), gauges, and fixed-bucket
-//     histograms with cumulative _bucket series, _sum/_count and the
-//     registry's tail exemplars annotated on their bucket line. Zero
-//     dependencies: the writer and its strict parser live here.
+//   - Two renderings. Every daemon serves its registry's Export as JSON at
+//     GET /v1/metrics (MetricsHandler) and as OpenMetrics text at
+//     GET /metrics (ExpositionHandler) — counters (_total), gauges, and
+//     fixed-bucket histograms with cumulative _bucket series, _sum/_count
+//     and the tail exemplars annotated on their bucket line. The text
+//     writer is the one place a dotted name becomes a Prometheus family
+//     name (PromName); ParseExposition is that writer's lint.
 //
-//   - Metric federation. The router scrapes each replica's /metrics on a
-//     timer, decodes it with the same strict parser, and merges the fleet
-//     exactly: counters and cumulative buckets sum element-wise (exact
-//     because every histogram of a given name shares fixed bounds), gauges
-//     aggregate under a name-based policy. GET /v1/fleet/metrics serves
-//     the merged view with a per-replica breakdown.
+//   - Metric federation. The router fetches each replica's /v1/metrics on
+//     a timer, validates the decoded Export (DecodeExport), and merges the
+//     fleet exactly: counters and cumulative buckets sum element-wise
+//     (exact because every histogram of a given name shares fixed bounds),
+//     gauges sum or average by name. GET /v1/fleet/metrics serves the
+//     merged view with a per-replica breakdown, under the names the
+//     replicas' own registries use.
 //
 //   - SLO engine. Declarative objectives (availability and a latency
 //     threshold over /v1/diagnose) evaluated with multi-window burn-rate
@@ -41,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,87 +53,74 @@ import (
 	"diagnet/internal/tracing"
 )
 
-// PromName maps a dotted registry name to a Prometheus metric family
-// name: every character outside [a-zA-Z0-9_:] becomes '_', and a leading
-// digit is prefixed. Idempotent, so parsed-and-re-exposed names are
-// stable across federation hops.
-func PromName(name string) string {
-	var b strings.Builder
-	b.Grow(len(name) + 1)
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-			b.WriteByte(c)
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				b.WriteByte('_')
-			}
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
+// MetricsHandler serves GET /v1/metrics: the registry's Export as one
+// JSON document, whatever the request's Accept header says — the text
+// rendering of the same Export has its own path. Like every handler in
+// this package it leaves the method check to the mux: mount it under a
+// "GET " pattern.
+func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, reg.Export())
 	}
-	if b.Len() == 0 {
-		return "_"
-	}
-	return b.String()
 }
 
-// wantsExposition reports whether the request's Accept header prefers the
-// Prometheus/OpenMetrics text format over the legacy JSON snapshot. The
-// JSON shape stays the default (and byte-compatible) so existing tooling
-// keeps working without sending a header.
-func wantsExposition(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "openmetrics") ||
-		strings.Contains(accept, "text/plain")
-}
-
-// serveExposition writes the registry's current state in the exposition
-// text format.
-func serveExposition(w http.ResponseWriter, reg *telemetry.Registry) {
-	w.Header().Set("Content-Type", ContentType)
-	ex := reg.Export()
-	_ = WriteExposition(w, &ex)
-}
-
-// ExpositionHandler serves GET /metrics from the given registry, counting
-// scrapes (into the same registry) so the observability plane observes
-// itself. Like every handler in this package it leaves the method check to
-// the mux: mount it under a "GET " pattern.
+// ExpositionHandler serves GET /metrics: the registry's Export as
+// OpenMetrics text, counting scrapes (into the same registry) so the
+// observability plane observes itself.
 func ExpositionHandler(reg *telemetry.Registry) http.Handler {
 	scrapes := reg.Counter("obs.scrapes")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		scrapes.Inc()
-		serveExposition(w, reg)
+		w.Header().Set("Content-Type", ContentType)
+		ex := reg.Export()
+		_ = WriteExposition(w, &ex)
 	})
 }
 
-// Instrument is the one per-route HTTP front of every daemon: it counts
-// <prefix>.<route>.requests and .errors (status ≥ 400 or panic), times
-// <prefix>.<route>.latency_ms, tracks the <prefix>.inflight gauge — all in
-// the GIVEN registry, so several replicas in one process (soak, tests, the
-// observability example) each keep their own — and opens the route's
-// trace span "<prefix>.<route>": an incoming W3C traceparent continues the
-// caller's trace, otherwise the route starts a fresh local root. The
-// response echoes the trace ID in X-Trace-Id so a client can fetch its
-// own trace from /v1/traces/{id}, and the latency histogram captures the
-// trace ID as its tail exemplar. A panic still propagates to the server's
-// recoverer; the deferred block keeps gauge, counters and span consistent
-// on that path too.
-func Instrument(reg *telemetry.Registry, prefix, route string, next http.HandlerFunc) http.HandlerFunc {
+// RouteNames are the registry names Instrument records one HTTP route
+// under. Everything that reads a route's metrics — the SLO objectives,
+// both p99-breach watchers, diagnet-top — takes the names from here, so
+// the scheme is spelled once.
+type RouteNames struct {
+	Requests string // counter
+	Errors   string // counter: status ≥ 400 or panic
+	Latency  string // histogram, milliseconds
+}
+
+// RouteMetrics names the metrics of route <prefix>.<route>.
+func RouteMetrics(prefix, route string) RouteNames {
 	name := prefix + "." + route
-	requests := reg.Counter(name + ".requests")
-	failed := reg.Counter(name + ".errors")
-	latency := reg.Histogram(name+".latency_ms", nil)
+	return RouteNames{name + ".requests", name + ".errors", name + ".latency_ms"}
+}
+
+// DiagnoseRoute is the replicas' POST /v1/diagnose — the route the fleet's
+// objectives, breach triggers and dashboard are about.
+var DiagnoseRoute = RouteMetrics("http", "diagnose")
+
+// Instrument is the one per-route HTTP front of every daemon: it counts
+// the route's requests and errors (status ≥ 400 or panic) and times its
+// latency under the RouteMetrics names, tracks the <prefix>.inflight gauge
+// — all in the GIVEN registry, so several replicas in one process (soak,
+// tests, the observability example) each keep their own — and opens the
+// route's trace span "<prefix>.<route>": an incoming W3C traceparent
+// continues the caller's trace, otherwise the route starts a fresh local
+// root. The response echoes the trace ID in X-Trace-Id so a client can
+// fetch its own trace from /v1/traces/{id}, and the latency histogram
+// captures the trace ID as its tail exemplar. A panic still propagates to
+// the server's recoverer; the deferred block keeps gauge, counters and
+// span consistent on that path too.
+func Instrument(reg *telemetry.Registry, prefix, route string, next http.HandlerFunc) http.HandlerFunc {
+	names, spanName := RouteMetrics(prefix, route), prefix+"."+route
+	requests := reg.Counter(names.Requests)
+	failed := reg.Counter(names.Errors)
+	latency := reg.Histogram(names.Latency, nil)
 	inflight := reg.Gauge(prefix + ".inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		inflight.Add(1)
 		clock := telemetry.StartStages()
 		ctx := tracing.Extract(r.Context(), r.Header)
-		ctx, span := tracing.StartSpan(ctx, name)
+		ctx, span := tracing.StartSpan(ctx, spanName)
 		span.SetAttr("http.method", r.Method)
 		span.SetAttr("http.path", r.URL.Path)
 		if id := span.TraceID(); id != "" {
@@ -168,22 +159,14 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// ServeMetrics serves GET /v1/metrics on every daemon: the process-wide
-// telemetry snapshot as one JSON document (byte-compatible for
-// diagnet-top and older tooling), or the exposition text when the Accept
-// header asks for it — same data, scrape-standard shape.
-func ServeMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsExposition(r) {
-		serveExposition(w, telemetry.Default())
-		return
-	}
-	WriteJSON(w, telemetry.Default().Snapshot())
-}
-
-// WriteJSON writes v as a JSON response.
+// WriteJSON writes v as a JSON response. A value that does not encode
+// leaves the client a 200 with a cut-off body, so the error is logged: a
+// blank document must not be silent.
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		slog.Warn("obs: JSON response not written", "type", fmt.Sprintf("%T", v), "err", err)
+	}
 }
 
 // ListenAndServe is how diagnetd and diagnet-router serve: h on addr with

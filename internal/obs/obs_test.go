@@ -2,6 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -94,7 +98,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 
 	// Re-exposing the parsed export must be byte-identical modulo the
-	// already-prom names: exposition is idempotent across federation hops.
+	// already-prom names: the writer is stable on its own output.
 	var buf2, buf3 bytes.Buffer
 	if err := WriteExposition(&buf2, &got); err != nil {
 		t.Fatalf("re-write: %v", err)
@@ -147,10 +151,10 @@ func TestParserLint(t *testing.T) {
 func TestMergeExact(t *testing.T) {
 	mkReplica := func(reqs, errs int64, latencies []float64, inflight float64) telemetry.Export {
 		reg := telemetry.New()
-		reg.Counter("http_diagnose_requests").Add(reqs)
-		reg.Counter("http_diagnose_errors").Add(errs)
-		reg.Gauge("http_inflight").Set(inflight)
-		h := reg.Histogram("http_diagnose_latency_ms", []float64{1, 10, 100})
+		reg.Counter("http.diagnose.requests").Add(reqs)
+		reg.Counter("http.diagnose.errors").Add(errs)
+		reg.Gauge("http.inflight").Set(inflight)
+		h := reg.Histogram("http.diagnose.latency_ms", []float64{1, 10, 100})
 		for _, v := range latencies {
 			h.Observe(v)
 		}
@@ -160,21 +164,21 @@ func TestMergeExact(t *testing.T) {
 	b := mkReplica(200, 1, []float64{0.7, 500}, 3)
 	c := mkReplica(50, 0, []float64{5, 5, 5}, 1)
 
-	fleet, warnings := MergeExports([]telemetry.Export{a, b, c}, nil)
+	fleet, warnings := MergeExports([]telemetry.Export{a, b, c})
 	if len(warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
-	if v, _ := fleet.Counter("http_diagnose_requests"); v != 350 {
+	if v, _ := fleet.Counter("http.diagnose.requests"); v != 350 {
 		t.Errorf("requests: got %d, want 350", v)
 	}
-	if v, _ := fleet.Counter("http_diagnose_errors"); v != 6 {
+	if v, _ := fleet.Counter("http.diagnose.errors"); v != 6 {
 		t.Errorf("errors: got %d, want 6", v)
 	}
 	// inflight matches the occupancy heuristic, so it sums.
-	if v, _ := fleet.Gauge("http_inflight"); v != 6 {
+	if v, _ := fleet.Gauge("http.inflight"); v != 6 {
 		t.Errorf("inflight: got %v, want 6", v)
 	}
-	h, ok := fleet.Histogram("http_diagnose_latency_ms")
+	h, ok := fleet.Histogram("http.diagnose.latency_ms")
 	if !ok {
 		t.Fatalf("merged histogram missing")
 	}
@@ -194,14 +198,14 @@ func TestMergeExact(t *testing.T) {
 
 func TestMergeGaugeAvgAndBoundsMismatch(t *testing.T) {
 	r1 := telemetry.New()
-	r1.Gauge("drift_score").Set(0.2)
+	r1.Gauge("drift.score").Set(0.2)
 	r1.Histogram("h", []float64{1, 2}).Observe(1)
 	r2 := telemetry.New()
-	r2.Gauge("drift_score").Set(0.4)
+	r2.Gauge("drift.score").Set(0.4)
 	r2.Histogram("h", []float64{1, 3}).Observe(1)
 
-	fleet, warnings := MergeExports([]telemetry.Export{r1.Export(), r2.Export()}, nil)
-	if v, _ := fleet.Gauge("drift_score"); math.Abs(v-0.3) > 1e-12 {
+	fleet, warnings := MergeExports([]telemetry.Export{r1.Export(), r2.Export()})
+	if v, _ := fleet.Gauge("drift.score"); math.Abs(v-0.3) > 1e-12 {
 		t.Errorf("avg gauge: got %v, want 0.3", v)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "mismatched bounds") {
@@ -429,25 +433,223 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
+// TestExpositionHandlerAndNegotiation pins "one path, one format" at the
+// handlers: ExpositionHandler serves lint-clean text and MetricsHandler a
+// JSON Export of the same registry, whatever the Accept header asks for.
 func TestExpositionHandlerAndNegotiation(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("a.b").Add(1)
-	srv := httptest.NewServer(ExpositionHandler(reg))
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", ExpositionHandler(reg))
+	mux.Handle("GET /v1/metrics", MetricsHandler(reg))
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	resp, err := http.Get(srv.URL)
+	get := func(path, accept string) (string, []byte) {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+path, nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("Content-Type"), body
+	}
+	for _, accept := range []string{"", "*/*", "application/json", ContentType, "text/plain; version=0.0.4"} {
+		ct, body := get("/metrics", accept)
+		if ct != ContentType {
+			t.Errorf("/metrics, Accept %q: content type %q", accept, ct)
+		}
+		text, err := ParseExposition(body)
+		if err != nil {
+			t.Errorf("/metrics, Accept %q: self-scrape fails lint: %v\n%s", accept, err, body)
+		}
+		if v, _ := text.Counter("a_b"); v != 1 {
+			t.Errorf("/metrics, Accept %q: a_b = %d, want 1", accept, v)
+		}
+		ct, body = get("/v1/metrics", accept)
+		if ct != "application/json" {
+			t.Errorf("/v1/metrics, Accept %q: content type %q", accept, ct)
+		}
+		ex, err := DecodeExport(body)
+		if err != nil {
+			t.Errorf("/v1/metrics, Accept %q: %v\n%s", accept, err, body)
+		}
+		if v, _ := ex.Counter("a.b"); v != 1 {
+			t.Errorf("/v1/metrics, Accept %q: a.b = %d, want 1", accept, v)
+		}
+	}
+}
+
+// goldenRegistry is the fixed state behind testdata/exposition.golden.
+func goldenRegistry() *telemetry.Registry {
+	reg := telemetry.New()
+	reg.Counter("http.diagnose.requests").Add(42)
+	reg.Counter("http.diagnose.errors").Add(3)
+	reg.Counter("9lives").Inc()
+	reg.Gauge("http.inflight").Set(2.5)
+	reg.Gauge("nn.train.loss").Set(math.NaN())
+	reg.Gauge("nn.train.val_loss").Set(math.Inf(1))
+	reg.Gauge("drift.score").Set(-0.125)
+	h := reg.Histogram("http.diagnose.latency_ms", []float64{1, 10, 100})
+	h.Observe(0.5)
+	h.Observe(5)
+	h.Observe(50)
+	h.Observe(500)
+	h.ObserveExemplar(7, "deadbeef")
+	reg.Histogram("serving.pass.rows", telemetry.SizeBuckets).ObserveExemplar(5000, "cafe")
+	reg.Histogram("empty.hist", []float64{0.25})
+	return reg
+}
+
+// TestExpositionGolden pins GET /metrics byte for byte: the golden file is
+// what the commit before the Snapshot model was deleted wrote for this
+// registry — sanitized names, non-finite gauges, exemplar lines, an empty
+// histogram and all. A scraper must not see this refactor.
+func TestExpositionGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "exposition.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != ContentType {
-		t.Errorf("content type: %q", got)
+	rec := httptest.NewRecorder()
+	ExpositionHandler(goldenRegistry()).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	// The handler counts its own scrape into the registry it renders; the
+	// golden registry had no such family.
+	got := strings.Replace(rec.Body.String(),
+		"# HELP obs_scrapes DiagNet counter obs.scrapes.\n# TYPE obs_scrapes counter\nobs_scrapes_total 1\n", "", 1)
+	if got != string(want) {
+		t.Errorf("exposition drifted from the golden file:\n%s\nwant:\n%s", got, want)
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+}
+
+// TestDecodeExport is the replica-payload validation table: what the
+// federator accepts into the merge and what it turns away.
+func TestDecodeExport(t *testing.T) {
+	hist := func(bounds, cumulative string) string {
+		return `{"histograms":[{"name":"h","bounds":` + bounds + `,"cumulative":` + cumulative + `,"sum":1}]}`
+	}
+	cases := []struct {
+		name, doc string
+		ok        bool
+	}{
+		{"empty export", `{"counters":[],"gauges":[],"histograms":[]}`, true},
+		{"well-formed", `{"counters":[{"name":"a","value":0},{"name":"b","value":7}],"gauges":[{"name":"g","value":-1.5}],` +
+			`"histograms":[{"name":"h","bounds":[1,10],"cumulative":[0,2,2],"sum":3.5,"exemplar":{"value":2,"trace_id":"ab"}}]}`, true},
+		{"non-finite gauge", `{"gauges":[{"name":"nn.train.loss","value":"NaN"},{"name":"nn.train.val_loss","value":"+Inf"}]}`, true},
+		{"trailing newline", "{}\n", true},
+		{"descending bounds", hist(`[10,1]`, `[0,1,1]`), false},
+		{"repeated bound", hist(`[1,1]`, `[0,1,1]`), false},
+		{"short cumulative", hist(`[1,10]`, `[0,1]`), false},
+		{"long cumulative", hist(`[1,10]`, `[0,1,1,1]`), false},
+		{"missing cumulative", `{"histograms":[{"name":"h","bounds":[1],"sum":0}]}`, false},
+		{"decreasing cumulative", hist(`[1,10]`, `[2,1,2]`), false},
+		{"negative cumulative", hist(`[1,10]`, `[-1,0,0]`), false},
+		{"negative counter", `{"counters":[{"name":"a","value":-1}]}`, false},
+		{"fractional counter", `{"counters":[{"name":"a","value":1.5}]}`, false},
+		{"gauge spelled wrong", `{"gauges":[{"name":"g","value":"Infinity"}]}`, false},
+		{"gauge without a value", `{"gauges":[{"name":"g"}]}`, false},
+		{"trailing garbage", `{"counters":[]} x`, false},
+		{"second document", `{"counters":[]}{"counters":[]}`, false},
+		{"truncated", `{"counters":[{"name":"a","val`, false},
+		{"the deleted map-shaped document", `{"counters":{"a":1},"gauges":{},"histograms":{}}`, false},
+		{"openmetrics text", "# HELP a A.\n# TYPE a counter\na_total 1\n# EOF\n", false},
+		{"empty body", ``, false},
+	}
+	for _, tc := range cases {
+		ex, err := DecodeExport([]byte(tc.doc))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && (len(ex.Counters) != 0 || len(ex.Gauges) != 0 || len(ex.Histograms) != 0) {
+			t.Errorf("%s: rejected payload leaked points: %+v", tc.name, ex)
+		}
+	}
+	ex, err := DecodeExport([]byte(cases[2].doc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseExposition(buf.Bytes()); err != nil {
-		t.Errorf("self-scrape fails lint: %v\n%s", err, buf.String())
+	if v, _ := ex.Gauge("nn.train.loss"); !math.IsNaN(v) {
+		t.Errorf("NaN gauge decoded as %v", v)
+	}
+	if v, _ := ex.Gauge("nn.train.val_loss"); !math.IsInf(v, 1) {
+		t.Errorf("+Inf gauge decoded as %v", v)
+	}
+}
+
+// TestFederatorScrapesJSON drives a sweep over three replicas: a healthy
+// one, one whose registry holds a NaN gauge (a diverged retrain), and one
+// serving a payload that fails validation. The NaN replica stays in the
+// fleet, the broken one becomes an error entry, the merge proceeds, and
+// every name in the fleet view is a name from the replicas' registries.
+func TestFederatorScrapesJSON(t *testing.T) {
+	serve := func(h http.Handler) string {
+		mux := http.NewServeMux()
+		mux.Handle("GET /v1/metrics", h)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	healthy, diverged := telemetry.New(), telemetry.New()
+	for i, reg := range []*telemetry.Registry{healthy, diverged} {
+		reg.Counter(DiagnoseRoute.Requests).Add(int64(10 * (i + 1)))
+		reg.Histogram(DiagnoseRoute.Latency, nil).Observe(float64(i + 1))
+		reg.Gauge("nn.train.loss").Set(0.25)
+	}
+	diverged.Gauge("nn.train.loss").Set(math.NaN())
+	urls := []string{
+		serve(MetricsHandler(healthy)),
+		serve(MetricsHandler(diverged)),
+		serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"counters":[{"name":"http.diagnose.requests","value":-5}]}`)
+		})),
+	}
+	own := telemetry.New()
+	fed := NewFederator(FederatorConfig{Targets: func() []string { return urls }, Registry: own})
+	defer fed.Close()
+	view := fed.Sweep(context.Background())
+
+	if len(view.Replicas) != 3 || view.Replicas[0].Error != "" || view.Replicas[1].Error != "" {
+		t.Fatalf("healthy and diverged replicas must both be in the fleet: %+v", view.Replicas)
+	}
+	if e := view.Replicas[2].Error; !strings.Contains(e, "negative value") {
+		t.Errorf("broken replica's entry: %q, want the validation error", e)
+	}
+	if v := own.Counter("obs.federate.errors").Value(); v != 1 {
+		t.Errorf("obs.federate.errors = %d, want 1", v)
+	}
+	if v, ok := view.Fleet.Counter("http.diagnose.requests"); !ok || v != 30 {
+		t.Errorf("fleet requests = %d (present=%v), want 30: the broken replica must not count", v, ok)
+	}
+	if h, ok := view.Fleet.Histogram("http.diagnose.latency_ms"); !ok || h.Count() != 2 || h.Sum != 3 {
+		t.Errorf("fleet latency = %+v", h)
+	}
+	if v, ok := view.Replicas[1].Export.Gauge("nn.train.loss"); !ok || !math.IsNaN(v) {
+		t.Errorf("diverged replica's loss gauge = %v (present=%v), want NaN", v, ok)
+	}
+	// The fleet view itself — which embeds the NaN — still renders.
+	rec := httptest.NewRecorder()
+	fed.ServeView(rec, httptest.NewRequest(http.MethodGet, "/v1/fleet/metrics", nil))
+	var decoded FleetView
+	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil || len(decoded.Replicas) != 3 {
+		t.Errorf("fleet view with a NaN gauge does not decode: %v\n%s", err, rec.Body.String())
+	}
+}
+
+// TestWriteJSONLogsEncodeError pins that a value encoding/json refuses is
+// reported, not silently served as an empty 200.
+func TestWriteJSONLogsEncodeError(t *testing.T) {
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(prev)
+	WriteJSON(httptest.NewRecorder(), map[string]float64{"x": math.NaN()})
+	if !strings.Contains(logged.String(), "JSON response not written") {
+		t.Errorf("encode error not logged: %q", logged.String())
 	}
 }
 

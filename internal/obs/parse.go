@@ -10,9 +10,11 @@ import (
 )
 
 // ParseExposition strictly parses exposition text back into an Export
-// (metric names are the Prometheus family names). It doubles as the
-// repo's promlint: beyond decoding, it enforces the rules a healthy
-// exposition must satisfy —
+// (metric names are the Prometheus family names the writer produced — the
+// only place those appear). It is WriteExposition's reference lint, run by
+// the tests and the fuzzer against everything the daemons serve at
+// /metrics; nothing in production decodes text. Beyond decoding, it
+// enforces the rules a healthy exposition must satisfy —
 //
 //   - metric family names match [a-zA-Z_:][a-zA-Z0-9_:]*
 //   - every family declares # HELP then # TYPE before any sample, with a
@@ -25,10 +27,6 @@ import (
 //     bucket, then _sum and _count, with _count equal to the +Inf bucket
 //   - exemplars ({trace_id="..."} annotations) appear only on bucket lines
 //   - the document ends with # EOF and nothing follows it
-//
-// The federation path decodes replica scrapes through this same parser,
-// so a replica whose exposition would fail lint is also rejected from the
-// fleet merge — the lint rules are load-bearing, not advisory.
 func ParseExposition(data []byte) (telemetry.Export, error) {
 	p := &parser{}
 	lines := strings.Split(string(data), "\n")
@@ -65,7 +63,7 @@ func ParseExposition(data []byte) (telemetry.Export, error) {
 	if !p.eof {
 		return telemetry.Export{}, fmt.Errorf("obs: missing terminal # EOF")
 	}
-	sortExport(&p.out)
+	p.out.Sort()
 	return p.out, nil
 }
 

@@ -51,21 +51,20 @@ func (o *Objective) counts(ex *telemetry.Export) (bad, total int64, ok bool) {
 	return bad, total, okT && okB
 }
 
-// DefaultObjectives returns the standard pair over the router's federated
-// /v1/diagnose metrics (Prometheus family names — these read the merged
-// fleet export, which carries post-exposition names).
+// DefaultObjectives returns the standard pair over the fleet's
+// /v1/diagnose metrics (DiagnoseRoute, read from the merged fleet export).
 func DefaultObjectives(target, latencyMs float64) []Objective {
 	return []Objective{
 		{
 			Name:     "diagnose-availability",
 			Goal:     target,
-			Requests: "http_diagnose_requests",
-			Errors:   "http_diagnose_errors",
+			Requests: DiagnoseRoute.Requests,
+			Errors:   DiagnoseRoute.Errors,
 		},
 		{
 			Name:        "diagnose-latency",
 			Goal:        target,
-			Histogram:   "http_diagnose_latency_ms",
+			Histogram:   DiagnoseRoute.Latency,
 			ThresholdMs: latencyMs,
 		},
 	}

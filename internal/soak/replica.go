@@ -55,6 +55,7 @@ func (r *replica) boot(ln net.Listener) error {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/diagnose", obs.Instrument(r.reg, "http", "diagnose", inner.ServeHTTP))
 	mux.Handle("/v1/diagnose-batch", obs.Instrument(r.reg, "http", "diagnose_batch", inner.ServeHTTP))
+	mux.Handle("GET /v1/metrics", obs.MetricsHandler(r.reg))
 	mux.Handle("GET /metrics", obs.ExpositionHandler(r.reg))
 	mux.Handle("/", inner)
 

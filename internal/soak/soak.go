@@ -31,7 +31,6 @@ import (
 	"diagnet/internal/forest"
 	"diagnet/internal/leakcheck"
 	"diagnet/internal/netsim"
-	"diagnet/internal/obs"
 	"diagnet/internal/resilience"
 	"diagnet/internal/serving"
 	"diagnet/internal/stats"
@@ -190,9 +189,8 @@ func Run(cfg Config) (*Summary, error) {
 	}
 
 	// Federation exactness while the fleet is quiet: one final sweep must
-	// equal the sum of independent per-replica scrapes, counter for
-	// counter. Sweep first — our own scrapes bump each replica's
-	// obs.scrapes, which is why only http.* counters are compared.
+	// equal the sum of the replicas' own registries, counter for counter
+	// (the http.* ones: the traffic the schedule drove).
 	checkFederation(rt, replicas, sum)
 
 	// --- Teardown (reverse dependency order) ----------------------------
@@ -472,7 +470,7 @@ func triggerRetrain(replicaURL string, sum *Summary) {
 		sum.fail("retrain trigger: %v", err)
 		return
 	}
-	drainClose(resp)
+	resilience.DrainClose(resp.Body, resilience.DrainAll)
 	switch resp.StatusCode {
 	case http.StatusAccepted:
 		sum.Retrains++
@@ -489,7 +487,7 @@ func fleetCheck(routerURL string, sum *Summary) {
 	if err != nil {
 		return // router teardown race at the window edge, not an invariant
 	}
-	drainClose(resp)
+	resilience.DrainClose(resp.Body, resilience.DrainAll)
 	sum.FleetChecks++
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 		sum.fail("fleet view returned %d", resp.StatusCode)
@@ -514,8 +512,7 @@ func sampleResources(sum *Summary, stop <-chan struct{}) {
 
 // checkFederation asserts the exactness invariant: after quiesce, every
 // http.* counter in the federated fleet view equals the sum of the same
-// counter across independent per-replica scrapes. Scrape-order metrics
-// (obs.scrapes bumps on every read) are excluded by the http.* filter.
+// counter — same name, no mapping — across the replicas' own registries.
 func checkFederation(rt *cluster.Router, replicas []*replica, sum *Summary) {
 	fed := rt.Federator()
 	if fed == nil {
@@ -531,19 +528,16 @@ func checkFederation(rt *cluster.Router, replicas []*replica, sum *Summary) {
 			return
 		}
 	}
-	// The fleet view carries exposition (Prom-sanitized) names, the local
-	// registries dotted ones; sum the replicas under the sanitized name.
 	want := map[string]int64{}
 	for _, r := range replicas {
-		ex := r.reg.Export()
-		for i := range ex.Counters {
-			want[obs.PromName(ex.Counters[i].Name)] += ex.Counters[i].Value
+		for _, c := range r.reg.Export().Counters {
+			want[c.Name] += c.Value
 		}
 	}
 	checked := 0
 	for i := range view.Fleet.Counters {
 		name := view.Fleet.Counters[i].Name
-		if !strings.HasPrefix(name, "http_") {
+		if !strings.HasPrefix(name, "http.") {
 			continue
 		}
 		if got := view.Fleet.Counters[i].Value; got != want[name] {
@@ -555,17 +549,6 @@ func checkFederation(rt *cluster.Router, replicas []*replica, sum *Summary) {
 		sum.fail("federation exactness checked zero counters")
 	}
 	sum.FederatedCounters = checked
-}
-
-// drainClose drains and closes a response body (bounded).
-func drainClose(resp *http.Response) {
-	b := make([]byte, 4096)
-	for {
-		if _, err := resp.Body.Read(b); err != nil {
-			break
-		}
-	}
-	resp.Body.Close()
 }
 
 // firstLine truncates a multi-line report to its head for the violation

@@ -1,14 +1,14 @@
 // Package telemetry is DiagNet's dependency-free metrics substrate: atomic
-// counters, float gauges, and fixed-bucket latency histograms with
-// percentile snapshots, collected in a process-wide registry.
+// counters, float gauges, and fixed-bucket latency histograms, collected
+// in a process-wide registry whose one point-in-time view is Export.
 //
 // A production RCA system is a monitoring system first: before DiagNet can
 // diagnose the Internet it must be able to diagnose itself — how long a
 // Diagnose call spends in the forward pass vs. the input-gradient
 // attention pass, how often probe rounds degrade, how many events the
 // collector drops. Every layer of the pipeline records into the default
-// registry; diagnetd exposes it as GET /v1/metrics and diagnet-agent via
-// its -metrics listener.
+// registry; diagnetd renders its Export as GET /v1/metrics (JSON) and
+// GET /metrics (OpenMetrics text), diagnet-agent via its -metrics listener.
 //
 // The hot-path cost is one atomic add per counter event and one binary
 // search plus two atomic adds per histogram observation; stage timing adds
@@ -17,6 +17,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"sync"
@@ -117,12 +118,13 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// Observe folds one value in.
+// Observe folds one value in. Observations are durations and sizes: v
+// must be finite, or Sum stops being a number the JSON rendering carries.
 func (h *Histogram) Observe(v float64) { h.observe(v) }
 
 // ObserveExemplar is Observe plus exemplar capture: the observation's
 // trace ID is stored in its bucket's exemplar slot (latest observation
-// wins), so tail-bucket entries let a p99 snapshot line point at a
+// wins), so tail-bucket entries let an exported p99 line point at a
 // concrete retrievable trace. An empty trace ID degrades to Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := h.observe(v)
@@ -148,9 +150,10 @@ func (h *Histogram) observe(v float64) int {
 // Count returns how many values were observed.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the running sum of observed values. Like Snapshot, a
-// histogram with zero completed observations reports 0 (a racing Observe
-// may have CAS-ed the sum before its bucket count landed).
+// Sum returns the running sum of observed values. A histogram with zero
+// completed observations reports 0 (a racing Observe may have CAS-ed the
+// sum before its bucket count landed; a half-applied observation must not
+// leak).
 func (h *Histogram) Sum() float64 {
 	if h.count.Load() == 0 {
 		return 0
@@ -158,112 +161,46 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Bounds returns the histogram's finite upper bounds (a copy).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // Cumulative returns the cumulative bucket counts: Cumulative()[i] is the
-// number of observations ≤ Bounds()[i], and the final element (the +Inf
-// bucket) is the total count. Prometheus exposition and the fleet
-// federation merge both consume this form — cumulative counts over shared
+// number of observations ≤ the i-th bound, and the final element (the +Inf
+// bucket) is the total count. Both renderings of an Export and the fleet
+// federation merge consume this form — cumulative counts over shared
 // fixed bounds merge exactly by element-wise addition.
 func (h *Histogram) Cumulative() []int64 {
-	out := make([]int64, len(h.counts))
+	return h.cumulative(make([]int64, 0, len(h.counts)))
+}
+
+// cumulative appends the cumulative bucket counts to dst.
+func (h *Histogram) cumulative(dst []int64) []int64 {
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
-		out[i] = cum
+		dst = append(dst, cum)
 	}
-	return out
+	return dst
 }
 
-// HistogramSnapshot is a consistent-enough point-in-time view of a
-// histogram: totals plus interpolated percentiles. A histogram with zero
-// observations reports the documented sentinel 0 for Sum, Mean and every
-// percentile — never an interpolated value and never NaN, so snapshots
-// always stay JSON-marshalable (check Count before trusting percentiles).
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	// Exemplar, when present, is the captured observation nearest the
-	// distribution's tail (scanning buckets from the top) — the concrete
-	// trace behind this histogram's worst latencies.
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
+// Quantile is HistogramPoint.Quantile over the live buckets, for a caller
+// that reads one quantile on a hot path (the router's hedge delay): the
+// usual layouts fit the stack buffer, so it allocates nothing.
+func (h *Histogram) Quantile(q float64) float64 {
+	var buf [32]int64
+	p := HistogramPoint{Bounds: h.bounds, Cumulative: h.cumulative(buf[:0])}
+	return p.Quantile(q)
 }
 
-// Snapshot computes the current totals and percentiles. Percentiles are
-// linearly interpolated inside their bucket; values in the overflow bucket
-// report the last bound (the histogram cannot resolve beyond it). Zero
-// observations yield the all-zero sentinel snapshot (see
-// HistogramSnapshot).
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	s := HistogramSnapshot{Count: total, Sum: math.Float64frombits(h.sum.Load())}
-	if total == 0 {
-		// Sentinel: no observations means no percentiles. Sum is forced to
-		// 0 too (a racing Observe may have CAS-ed the sum before its bucket
-		// count landed; a half-applied observation must not leak).
-		s.Sum = 0
-		return s
-	}
-	s.Mean = s.Sum / float64(total)
-	s.P50 = h.quantile(counts, total, 0.50)
-	s.P90 = h.quantile(counts, total, 0.90)
-	s.P99 = h.quantile(counts, total, 0.99)
-	// Tail exemplar: scan from the overflow bucket down, first captured
-	// exemplar of a non-empty bucket wins.
-	for i := len(counts) - 1; i >= 0; i-- {
-		if counts[i] == 0 {
-			continue
-		}
-		if ex := h.exemplars[i].Load(); ex != nil {
-			s.Exemplar = ex
-			break
+// Point captures the histogram's full state under the given name — what
+// Registry.Export does for every registered histogram. The exemplar is
+// the captured observation nearest the distribution's tail: scanning from
+// the overflow bucket down, the first non-empty bucket holding one wins.
+func (h *Histogram) Point(name string) HistogramPoint {
+	p := HistogramPoint{Name: name, Bounds: append([]float64(nil), h.bounds...), Cumulative: h.Cumulative(), Sum: h.Sum()}
+	for i := len(h.counts) - 1; i >= 0 && p.Exemplar == nil; i-- {
+		if h.counts[i].Load() > 0 {
+			p.Exemplar = h.exemplars[i].Load()
 		}
 	}
-	return s
-}
-
-// quantile interpolates the q-quantile from bucket counts. total must be
-// > 0 (Snapshot returns the zero sentinel before calling it otherwise).
-func (h *Histogram) quantile(counts []int64, total int64, q float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1] // overflow: saturate at the last bound
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
+	return p
 }
 
 // Registry holds named metrics. Names are dotted lowercase paths
@@ -344,36 +281,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Snapshot is a JSON-marshalable point-in-time view of a registry.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Snapshot captures every metric's current value. The maps marshal to
-// JSON with sorted keys (encoding/json sorts map keys), so two snapshots
-// of the same state are byte-identical — pinned by TestSnapshotDeterministic.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
-	}
-	return s
-}
-
 // CounterPoint is one counter's exported value.
 type CounterPoint struct {
 	Name  string `json:"name"`
@@ -388,15 +295,59 @@ type GaugePoint struct {
 
 // HistogramPoint is one histogram's full exported state: finite upper
 // bounds plus cumulative counts (the final element is the +Inf bucket,
-// i.e. the total count). Unlike HistogramSnapshot it carries enough to
-// re-derive any quantile — and to merge exactly across processes, because
-// every DiagNet histogram of a given name shares the same fixed bounds.
+// i.e. the total count). It carries enough to derive any quantile — and
+// to merge exactly across processes, because every DiagNet histogram of a
+// given name shares the same fixed bounds.
 type HistogramPoint struct {
 	Name       string    `json:"name"`
 	Bounds     []float64 `json:"bounds"`
 	Cumulative []int64   `json:"cumulative"` // len(Bounds)+1; last = Count
 	Sum        float64   `json:"sum"`
 	Exemplar   *Exemplar `json:"exemplar,omitempty"` // tail exemplar
+}
+
+// MarshalJSON and UnmarshalJSON keep a gauge's JSON form total:
+// encoding/json refuses NaN and ±Inf — and one diverged training epoch
+// sets nn.train.loss to NaN — so those three values cross the wire as the
+// strings "NaN", "+Inf", "-Inf", the text form's spellings, and decode
+// back to the same value. Value stays a plain float64 for the code that
+// does arithmetic on it.
+func (g GaugePoint) MarshalJSON() ([]byte, error) {
+	var v any = g.Value
+	switch {
+	case math.IsNaN(g.Value):
+		v = "NaN"
+	case math.IsInf(g.Value, 1):
+		v = "+Inf"
+	case math.IsInf(g.Value, -1):
+		v = "-Inf"
+	}
+	return json.Marshal(struct {
+		Name  string `json:"name"`
+		Value any    `json:"value"`
+	}{g.Name, v})
+}
+
+func (g *GaugePoint) UnmarshalJSON(b []byte) error {
+	var w struct {
+		Name  string          `json:"name"`
+		Value json.RawMessage `json:"value"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	g.Name = w.Name
+	switch string(w.Value) {
+	case `"NaN"`:
+		g.Value = math.NaN()
+	case `"+Inf"`:
+		g.Value = math.Inf(1)
+	case `"-Inf"`:
+		g.Value = math.Inf(-1)
+	default:
+		return json.Unmarshal(w.Value, &g.Value)
+	}
+	return nil
 }
 
 // Count returns the total observation count (the +Inf bucket).
@@ -407,10 +358,12 @@ func (p *HistogramPoint) Count() int64 {
 	return p.Cumulative[len(p.Cumulative)-1]
 }
 
-// Quantile interpolates the q-quantile from the cumulative buckets, with
-// the same semantics as Histogram.Snapshot: linear interpolation inside
-// the bucket, overflow saturates at the last finite bound, and an empty
-// histogram reports the 0 sentinel.
+// Quantile interpolates the q-quantile from the cumulative buckets — the
+// one quantile routine: linear interpolation inside the bucket, a rank in
+// the overflow bucket saturates at the last finite bound (the histogram
+// cannot resolve beyond it), and zero observations report the sentinel 0,
+// never an interpolated value and never NaN (check Count before trusting
+// a quantile).
 func (p *HistogramPoint) Quantile(q float64) float64 {
 	total := p.Count()
 	if total <= 0 || len(p.Bounds) == 0 {
@@ -441,10 +394,11 @@ func (p *HistogramPoint) Quantile(q float64) float64 {
 	return p.Bounds[len(p.Bounds)-1]
 }
 
-// Export is the deterministic, exposition-grade view of a registry: every
-// slice is sorted by metric name and histograms carry their full bucket
-// state. The Prometheus exposition writer, the fleet federation merge and
-// the SLO engine all consume this form (internal/obs).
+// Export is the one point-in-time view of a registry: every slice is
+// sorted by metric name and histograms carry their full bucket state.
+// Everything downstream consumes this form under these dotted names — the
+// JSON and OpenMetrics renderings, the fleet federation merge, the SLO
+// engine (internal/obs).
 type Export struct {
 	Counters   []CounterPoint   `json:"counters"`
 	Gauges     []GaugePoint     `json:"gauges"`
@@ -499,17 +453,16 @@ func (r *Registry) Export() Export {
 		e.Gauges = append(e.Gauges, GaugePoint{Name: name, Value: g.Value()})
 	}
 	for name, h := range r.hists {
-		p := HistogramPoint{
-			Name:       name,
-			Bounds:     h.Bounds(),
-			Cumulative: h.Cumulative(),
-			Sum:        h.Sum(),
-		}
-		p.Exemplar = h.Snapshot().Exemplar
-		e.Histograms = append(e.Histograms, p)
+		e.Histograms = append(e.Histograms, h.Point(name))
 	}
+	e.Sort()
+	return e
+}
+
+// Sort orders every slice by metric name — the order Registry.Export
+// promises; an Export assembled elsewhere (a fleet merge) restores it here.
+func (e *Export) Sort() {
 	sort.Slice(e.Counters, func(i, j int) bool { return e.Counters[i].Name < e.Counters[j].Name })
 	sort.Slice(e.Gauges, func(i, j int) bool { return e.Gauges[i].Name < e.Gauges[j].Name })
 	sort.Slice(e.Histograms, func(i, j int) bool { return e.Histograms[i].Name < e.Histograms[j].Name })
-	return e
 }

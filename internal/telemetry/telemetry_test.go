@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -34,16 +35,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
 	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count %d", s.Count)
+	p := h.Point("")
+	if p.Count() != 100 {
+		t.Fatalf("count %d", p.Count())
 	}
-	if math.Abs(s.Mean-0.505) > 1e-9 {
-		t.Fatalf("mean %v", s.Mean)
+	if mean := p.Sum / float64(p.Count()); math.Abs(mean-0.505) > 1e-9 {
+		t.Fatalf("mean %v", mean)
 	}
 	// Interpolation inside [0,1]: p50 ≈ 0.5, p99 ≈ 0.99.
-	if math.Abs(s.P50-0.5) > 0.02 || math.Abs(s.P99-0.99) > 0.02 {
-		t.Fatalf("p50=%v p99=%v", s.P50, s.P99)
+	if p50, p99 := p.Quantile(0.5), p.Quantile(0.99); math.Abs(p50-0.5) > 0.02 || math.Abs(p99-0.99) > 0.02 {
+		t.Fatalf("p50=%v p99=%v", p50, p99)
 	}
 }
 
@@ -55,12 +56,12 @@ func TestHistogramAcrossBuckets(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(35) // third bucket
 	}
-	s := h.Snapshot()
-	if s.P50 > 10 {
-		t.Fatalf("p50 %v should be inside the first bucket", s.P50)
+	p := h.Point("")
+	if p50 := p.Quantile(0.5); p50 > 10 {
+		t.Fatalf("p50 %v should be inside the first bucket", p50)
 	}
-	if s.P99 <= 20 || s.P99 > 40 {
-		t.Fatalf("p99 %v should be inside (20,40]", s.P99)
+	if p99 := p.Quantile(0.99); p99 <= 20 || p99 > 40 {
+		t.Fatalf("p99 %v should be inside (20,40]", p99)
 	}
 }
 
@@ -69,17 +70,17 @@ func TestHistogramOverflowSaturates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1000)
 	}
-	s := h.Snapshot()
-	if s.P50 != 2 || s.P99 != 2 {
-		t.Fatalf("overflow quantiles should saturate at the last bound: %+v", s)
+	p := h.Point("")
+	if p.Quantile(0.5) != 2 || p.Quantile(0.99) != 2 || h.Quantile(0.99) != 2 {
+		t.Fatalf("overflow quantiles should saturate at the last bound: %+v", p)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(nil)
-	s := h.Snapshot()
-	if s.Count != 0 || s.Sum != 0 || s.P50 != 0 {
-		t.Fatalf("empty snapshot %+v", s)
+	p := h.Point("")
+	if p.Count() != 0 || p.Sum != 0 || p.Quantile(0.5) != 0 {
+		t.Fatalf("empty point %+v", p)
 	}
 }
 
@@ -110,19 +111,26 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	r.Counter("reqs").Add(3)
 	r.Gauge("inflight").Set(2)
 	r.Histogram("lat_ms", nil).Observe(12)
-	b, err := json.Marshal(r.Snapshot())
+	want := r.Export()
+	b, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Snapshot
+	var got Export
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Counters["reqs"] != 3 || got.Gauges["inflight"] != 2 {
-		t.Fatalf("roundtrip %+v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("roundtrip %+v, want %+v", got, want)
 	}
-	if got.Histograms["lat_ms"].Count != 1 {
-		t.Fatalf("histogram roundtrip %+v", got.Histograms["lat_ms"])
+	if v, ok := got.Counter("reqs"); !ok || v != 3 {
+		t.Fatalf("counter roundtrip %d, %v", v, ok)
+	}
+	if v, ok := got.Gauge("inflight"); !ok || v != 2 {
+		t.Fatalf("gauge roundtrip %v, %v", v, ok)
+	}
+	if h, ok := got.Histogram("lat_ms"); !ok || h.Count() != 1 || h.Sum != 12 {
+		t.Fatalf("histogram roundtrip %+v", h)
 	}
 }
 
@@ -153,7 +161,10 @@ func TestConcurrentObservations(t *testing.T) {
 	if g.Value() != workers*each {
 		t.Fatalf("gauge %v, want %d", g.Value(), workers*each)
 	}
-	if got := h.Snapshot().Count; got != workers*each {
+	if cum := h.Cumulative(); cum[len(cum)-1] != workers*each {
+		t.Fatalf("histogram +Inf bucket %d, want %d", cum[len(cum)-1], workers*each)
+	}
+	if got := h.Count(); got != workers*each {
 		t.Fatalf("histogram count %d, want %d", got, workers*each)
 	}
 }
@@ -188,12 +199,12 @@ func TestStageClockMarksAndTotal(t *testing.T) {
 	if a.Count() != 1 || b.Count() != 1 || total.Count() != 1 {
 		t.Fatal("missing observations")
 	}
-	sa, sb, st := a.Snapshot(), b.Snapshot(), total.Snapshot()
-	if st.Sum < sa.Sum || st.Sum < sb.Sum {
-		t.Fatalf("total %v should cover each stage (%v, %v)", st.Sum, sa.Sum, sb.Sum)
+	sa, sb, st := a.Sum(), b.Sum(), total.Sum()
+	if st < sa || st < sb {
+		t.Fatalf("total %v should cover each stage (%v, %v)", st, sa, sb)
 	}
-	if sa.Sum <= 0 || sb.Sum <= 0 {
-		t.Fatalf("stage laps must be positive: %v %v", sa.Sum, sb.Sum)
+	if sa <= 0 || sb <= 0 {
+		t.Fatalf("stage laps must be positive: %v %v", sa, sb)
 	}
 }
 
@@ -224,53 +235,55 @@ func BenchmarkStageClock(b *testing.B) {
 	}
 }
 
-// TestEmptyHistogramSnapshotSentinel pins the zero-observation contract:
-// every field of the snapshot is the documented sentinel 0 — not an
-// interpolated value, not NaN — and the snapshot marshals to JSON
-// cleanly (NaN would fail encoding/json and break GET /v1/metrics).
-func TestEmptyHistogramSnapshotSentinel(t *testing.T) {
+// TestEmptyHistogramSentinel pins the zero-observation contract: the sum
+// and every quantile of an empty histogram are the documented sentinel 0
+// — not an interpolated value, not NaN — on the exported point, on the
+// live histogram and on a point with no buckets at all.
+func TestEmptyHistogramSentinel(t *testing.T) {
 	h := NewHistogram(nil)
-	s := h.Snapshot()
-	if s.Count != 0 {
-		t.Fatalf("count %d on an empty histogram", s.Count)
+	p := h.Point("empty")
+	if p.Count() != 0 {
+		t.Fatalf("count %d on an empty histogram", p.Count())
 	}
+	var bare HistogramPoint
 	for name, v := range map[string]float64{
-		"sum": s.Sum, "mean": s.Mean, "p50": s.P50, "p90": s.P90, "p99": s.P99,
+		"sum": p.Sum, "p50": p.Quantile(0.5), "p90": p.Quantile(0.9), "p99": p.Quantile(0.99),
+		"live p90": h.Quantile(0.9), "bare p99": bare.Quantile(0.99),
 	} {
 		if v != 0 {
 			t.Errorf("%s = %v on an empty histogram (want sentinel 0)", name, v)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s = %v is not JSON-marshalable", name, v)
-		}
 	}
-	if s.Exemplar != nil {
-		t.Fatalf("exemplar %+v on an empty histogram", s.Exemplar)
+	if bare.Count() != 0 {
+		t.Errorf("count %d on a point with no buckets", bare.Count())
 	}
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatalf("empty snapshot does not marshal: %v", err)
+	if p.Exemplar != nil {
+		t.Fatalf("exemplar %+v on an empty histogram", p.Exemplar)
+	}
+	if _, err := json.Marshal(p); err != nil {
+		t.Fatalf("empty point does not marshal: %v", err)
 	}
 }
 
 // TestHistogramExemplar checks that tail-bucket exemplars surface in
-// snapshots and that the tail-most captured exemplar wins.
+// exported points and that the tail-most captured exemplar wins.
 func TestHistogramExemplar(t *testing.T) {
 	h := NewHistogram(nil)
 	h.ObserveExemplar(0.5, "trace-fast")
 	h.ObserveExemplar(400, "trace-slow")
 	h.Observe(401) // same bucket, no trace: must not clobber the exemplar
-	s := h.Snapshot()
-	if s.Exemplar == nil {
-		t.Fatal("no exemplar in snapshot")
+	p := h.Point("")
+	if p.Exemplar == nil {
+		t.Fatal("no exemplar in the exported point")
 	}
-	if s.Exemplar.TraceID != "trace-slow" || s.Exemplar.Value != 400 {
-		t.Fatalf("want the tail exemplar, got %+v", s.Exemplar)
+	if p.Exemplar.TraceID != "trace-slow" || p.Exemplar.Value != 400 {
+		t.Fatalf("want the tail exemplar, got %+v", p.Exemplar)
 	}
 	// Empty trace ID degrades to a plain observation.
 	h2 := NewHistogram(nil)
 	h2.ObserveExemplar(1, "")
-	if s2 := h2.Snapshot(); s2.Count != 1 || s2.Exemplar != nil {
-		t.Fatalf("empty-trace observation mishandled: %+v", s2)
+	if p2 := h2.Point(""); p2.Count() != 1 || p2.Exemplar != nil {
+		t.Fatalf("empty-trace observation mishandled: %+v", p2)
 	}
 }
 
@@ -279,8 +292,8 @@ func TestDoneExemplar(t *testing.T) {
 	h := NewHistogram(nil)
 	c := StartStages()
 	c.DoneExemplar(h, "trace-x")
-	if s := h.Snapshot(); s.Count != 1 || s.Exemplar == nil || s.Exemplar.TraceID != "trace-x" {
-		t.Fatalf("exemplar not recorded through the clock: %+v", s)
+	if p := h.Point(""); p.Count() != 1 || p.Exemplar == nil || p.Exemplar.TraceID != "trace-x" {
+		t.Fatalf("exemplar not recorded through the clock: %+v", p)
 	}
 	var nilClock *StageClock
 	nilClock.DoneExemplar(h, "y") // must no-op
@@ -290,7 +303,7 @@ func TestDoneExemplar(t *testing.T) {
 }
 
 // TestHistogramSum pins the Sum accessor: running total of observed
-// values, with the zero-observation sentinel shared with Snapshot.
+// values, with the zero-observation sentinel the exported point shares.
 func TestHistogramSum(t *testing.T) {
 	h := NewHistogram(nil)
 	if h.Sum() != 0 {
@@ -302,8 +315,8 @@ func TestHistogramSum(t *testing.T) {
 	if got := h.Sum(); got != 4.0 {
 		t.Fatalf("Sum = %v, want 4", got)
 	}
-	if s := h.Snapshot(); s.Sum != h.Sum() {
-		t.Fatalf("Snapshot.Sum %v != Sum() %v", s.Sum, h.Sum())
+	if p := h.Point(""); p.Sum != h.Sum() {
+		t.Fatalf("Point.Sum %v != Sum() %v", p.Sum, h.Sum())
 	}
 }
 
@@ -373,29 +386,72 @@ func TestRegistryExportDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic pins that the JSON wire form of Snapshot is
-// byte-stable for identical registry state (map keys sort in
-// encoding/json) — older tooling diffs snapshots and must not churn.
+// TestSnapshotDeterministic pins the JSON wire form of an Export byte for
+// byte — what GET /v1/metrics serves and the federator decodes: sorted by
+// name, dotted names, full bucket state, and non-finite floats spelled as
+// the text form spells them.
 func TestSnapshotDeterministic(t *testing.T) {
 	r := New()
 	r.Counter("b.two").Add(2)
 	r.Counter("a.one").Inc()
-	r.Histogram("h.lat", nil).Observe(3)
-	a, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("snapshot JSON not deterministic:\n%s\n%s", a, b)
+	r.Gauge("nn.train.loss").Set(math.NaN())
+	r.Gauge("g.level").Set(-0.5)
+	r.Histogram("h.lat", []float64{1, 10}).ObserveExemplar(3, "ab12")
+	const want = `{"counters":[{"name":"a.one","value":1},{"name":"b.two","value":2}],` +
+		`"gauges":[{"name":"g.level","value":-0.5},{"name":"nn.train.loss","value":"NaN"}],` +
+		`"histograms":[{"name":"h.lat","bounds":[1,10],"cumulative":[0,1,1],"sum":3,` +
+		`"exemplar":{"value":3,"trace_id":"ab12"}}]}`
+	for i := 0; i < 2; i++ {
+		got, err := json.Marshal(r.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("export JSON:\n%s\nwant:\n%s", got, want)
+		}
 	}
 }
 
-// TestHistogramPointQuantile pins that the exported cumulative form
-// reproduces the live histogram's interpolated quantiles exactly.
+// TestExportJSONTotal pins that a non-finite gauge — a diverged training
+// loss — does not blank the JSON rendering of an Export: NaN and ±Inf
+// cross the wire and decode back to the same value.
+func TestExportJSONTotal(t *testing.T) {
+	r := New()
+	r.Gauge("nan").Set(math.NaN())
+	r.Gauge("neg").Set(math.Inf(-1))
+	r.Gauge("pos").Set(math.Inf(1))
+	r.Gauge("fin").Set(1.5)
+	b, err := json.Marshal(r.Export())
+	if err != nil {
+		t.Fatalf("export with non-finite gauges does not marshal: %v", err)
+	}
+	var got Export
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("decode %s: %v", b, err)
+	}
+	if v, _ := got.Gauge("nan"); !math.IsNaN(v) {
+		t.Errorf("NaN gauge decoded as %v", v)
+	}
+	if v, _ := got.Gauge("neg"); !math.IsInf(v, -1) {
+		t.Errorf("-Inf gauge decoded as %v", v)
+	}
+	if v, _ := got.Gauge("pos"); !math.IsInf(v, 1) {
+		t.Errorf("+Inf gauge decoded as %v", v)
+	}
+	if v, _ := got.Gauge("fin"); v != 1.5 {
+		t.Errorf("finite gauge decoded as %v", v)
+	}
+	for _, bad := range []string{`{"gauges":[{"name":"g","value":"fast"}]}`, `{"gauges":[{"name":"g"}]}`} {
+		if err := json.Unmarshal([]byte(bad), &got); err == nil {
+			t.Errorf("decoded %s", bad)
+		}
+	}
+}
+
+// TestHistogramPointQuantile pins the one quantile routine on values
+// recorded from the Snapshot percentiles it replaced (the 999999 lands in
+// the overflow bucket, so the upper quantiles saturate at the last bound),
+// and that the live histogram's Quantile is the same routine.
 func TestHistogramPointQuantile(t *testing.T) {
 	r := New()
 	h := r.Histogram("q.lat", nil)
@@ -408,16 +464,21 @@ func TestHistogramPointQuantile(t *testing.T) {
 	if !ok {
 		t.Fatal("histogram missing from export")
 	}
-	s := h.Snapshot()
 	for _, q := range []struct {
 		q    float64
 		want float64
-	}{{0.50, s.P50}, {0.90, s.P90}, {0.99, s.P99}} {
+	}{{0.50, 37.5}, {0.90, 60000}, {0.99, 60000}} {
 		if got := p.Quantile(q.q); got != q.want {
 			t.Fatalf("Quantile(%v) = %v, want %v", q.q, got, q.want)
 		}
+		if got := h.Quantile(q.q); got != q.want {
+			t.Fatalf("live Quantile(%v) = %v, want %v", q.q, got, q.want)
+		}
 	}
-	if p.Count() != s.Count || p.Sum != s.Sum {
-		t.Fatalf("count/sum mismatch: point %d/%v snapshot %d/%v", p.Count(), p.Sum, s.Count, s.Sum)
+	if n := testing.AllocsPerRun(100, func() { h.Quantile(0.9) }); n != 0 {
+		t.Errorf("live Quantile allocates %v times per call, want 0 (the router calls it per request)", n)
+	}
+	if p.Count() != h.Count() || p.Sum != h.Sum() || p.Sum != 1.0210396e+06 {
+		t.Fatalf("count/sum mismatch: point %d/%v live %d/%v", p.Count(), p.Sum, h.Count(), h.Sum())
 	}
 }

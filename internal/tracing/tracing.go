@@ -12,7 +12,7 @@
 // record the trace ID of tail observations, so a p99 line points at a
 // concrete retrievable trace).
 //
-// Not to be confused with internal/trace, which records and replays probe
+// Not to be confused with collector.Trace, which records and replays probe
 // *sessions* (measurement data); internal/tracing records request
 // *executions* (causal timing).
 //
