@@ -90,8 +90,8 @@ type window struct {
 	P50, P99 float64 // ms; NaN-free — 0 when the window is empty
 	Count    int64
 	// RowsPerPass is the mean number of requests one inference pass fused
-	// (only same-service, same-layout requests of a batch can); 0 when
-	// the window holds no pass.
+	// (all of a micro-batch whose models share the trunk, whatever their
+	// services and layouts); 0 when the window holds no pass.
 	RowsPerPass float64
 }
 

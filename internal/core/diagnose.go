@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"diagnet/internal/mat"
 	"diagnet/internal/nn"
 	"diagnet/internal/probe"
 	"diagnet/internal/telemetry"
@@ -53,28 +54,48 @@ func (m *Model) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 }
 
 // DiagnoseContext is Diagnose carrying a request context; see
-// Session.DiagnoseBatchContext for what it records on an active trace.
+// Session.DiagnoseRows for what it records on an active trace.
 func (m *Model) DiagnoseContext(ctx context.Context, features []float64, layout probe.Layout) *Diagnosis {
 	s := m.acquire()
 	defer m.sessions.Put(s)
-	return s.DiagnoseBatchContext(ctx, [][]float64{features}, layout)[0]
+	return s.diagnoseBatch(ctx, [][]float64{features}, layout)[0]
 }
 
-// scratch holds a session's reusable buffers for the pipeline stages
-// around the network passes, so the hot path stops allocating
-// intermediates.
+// scratch holds a session's reusable buffers — the pass's row order,
+// groups and gather/scatter matrices, and the intermediates of the pipeline
+// stages after it — so the hot path allocates only what a Diagnosis keeps
+// and what the layers return.
 type scratch struct {
-	normed  []float64 // normalized input (batch: b×n backing array)
+	rows    []Row // DiagnoseBatch's rows
+	headOf  []int // per row: index of its head
+	ends    []int // per head: end of its run of order
+	order   []int // row indices, head by head
+	targets []int // per-row ideal labels of one head's pass
+
+	groups []widthGroup
+	pooled []float64   // pooled rows of every width group, in order (backing array)
+	grad   []float64   // the heads' gradients w.r.t. the trunk's activations, in order
+	probs  [][]float64 // per position: coarse distribution
+	grads  [][]float64 // per position: input gradient
+
 	fullVec []float64 // aux forest full-layout projection
 	scores  []float64 // aux forest full-layout cause scores
 	aux     []float64 // aux forest scores on the inference layout
-	targets []int     // per-row ideal labels for the batched pass
+}
+
+// widthGroup is the rows of one pass that carry the same number of
+// features, hence of landmarks: what one LandPool pass takes.
+type widthGroup struct {
+	width   int
+	pos     []int     // the group's positions in the pass
+	x       []float64 // normalized inputs (backing array)
+	dpooled []float64 // the group's rows of the pooled gradient, gathered
 }
 
 // grow returns buf resized to n, reusing capacity when possible.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -222,5 +243,7 @@ func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, 
 func (m *Model) CoarsePredict(features []float64, layout probe.Layout) []float64 {
 	s := m.acquire()
 	defer m.sessions.Put(s)
-	return s.net.Predict(s.normalize([][]float64{features}, layout)).Row(0)
+	x := mat.New(1, layout.NumFeatures())
+	m.Norm.ApplyInto(features, layout, x.Row(0))
+	return s.net.Predict(x).Row(0)
 }

@@ -13,10 +13,11 @@ import (
 )
 
 // Model is a trained DiagNet instance. A general model diagnoses every
-// service; Specialize derives per-service variants that share the frozen
-// convolution (§IV-F). Once trained a Model is read-only — every method
-// that fits weights (Specialize, Retrain) works on a clone — so it is safe
-// for concurrent use, and must not be copied by value.
+// service; Specialize derives per-service variants that share its frozen
+// trunk (§IV-F). Once trained a Model is read-only — every method that fits
+// weights (Specialize, Retrain) fits copies and never writes a frozen
+// parameter — so it is safe for concurrent use, and must not be copied by
+// value.
 type Model struct {
 	Cfg Config
 	// TrainLayout is the landmark layout available at training time (the
@@ -234,11 +235,12 @@ func balancedWeights(labels []int, classes int) []float64 {
 	return w
 }
 
-// Specialize derives a per-service model from a general one: the
-// LandPooling kernel and the first fully connected block are frozen (they
-// extract global network features shared across services) and only the
-// final layers are retrained on the service's own samples (§IV-F). The
-// returned model shares the auxiliary forest and normalizer.
+// Specialize derives a per-service model from a general one: the trunk —
+// the LandPooling kernel and the first fully connected block, which extract
+// global network features shared across services — is the general model's
+// own, frozen, and only the head is a copy, retrained on the service's
+// samples (§IV-F; trunk.go has the split). The returned model also shares
+// the auxiliary forest and normalizer.
 func (m *Model) Specialize(train *dataset.Dataset, serviceID int) *TrainResult {
 	if m.ServiceID != -1 {
 		panic("core: Specialize must start from the general model")
@@ -247,19 +249,7 @@ func (m *Model) Specialize(train *dataset.Dataset, serviceID int) *TrainResult {
 	if svcData.Len() == 0 {
 		panic(fmt.Sprintf("core: no training samples for service %d", serviceID))
 	}
-	spec := &Model{
-		Cfg:         m.Cfg,
-		TrainLayout: m.TrainLayout,
-		Known:       m.Known,
-		Norm:        m.Norm,
-		Net:         m.Net.Clone(),
-		Aux:         m.Aux,
-		FullLayout:  m.FullLayout,
-		ServiceID:   serviceID,
-	}
-	// Freeze everything except the final layers: LandPool (kernel+bias)
-	// and the first Dense block stay fixed.
-	freezeShared(spec.Net)
+	spec := m.derive(headOver(m.Net), serviceID)
 
 	// Fine-tune on the service's own samples plus an equally sized slice
 	// of the other services' samples. The mix-in regularizes the final
@@ -274,27 +264,18 @@ func (m *Model) Specialize(train *dataset.Dataset, serviceID int) *TrainResult {
 	return &TrainResult{Model: spec, History: hist}
 }
 
-// freezeShared marks the shared feature extractor — the LandPooling
-// kernel and the first fully connected block — frozen, the paper's
-// service-specialization scheme (§IV-F): only the final layers remain
-// trainable.
-func freezeShared(net *nn.Network) {
-	frozen := 0
-	for _, l := range net.Layers {
-		switch l.(type) {
-		case *nn.LandPool:
-			for _, p := range l.Params() {
-				p.Frozen = true
-				frozen++
-			}
-		case *nn.Dense:
-			if frozen < 4 { // LandPool(2) + first Dense(2)
-				for _, p := range l.Params() {
-					p.Frozen = true
-					frozen++
-				}
-			}
-		}
+// derive returns a new model around net that shares everything else —
+// normalizer, forest, layouts, known-landmark set, all read-only — with m.
+func (m *Model) derive(net *nn.Network, serviceID int) *Model {
+	return &Model{
+		Cfg:         m.Cfg,
+		TrainLayout: m.TrainLayout,
+		Known:       m.Known,
+		Norm:        m.Norm,
+		Net:         net,
+		Aux:         m.Aux,
+		FullLayout:  m.FullLayout,
+		ServiceID:   serviceID,
 	}
 }
 

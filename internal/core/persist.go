@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 
 	"diagnet/internal/forest"
 	"diagnet/internal/nn"
@@ -42,32 +43,47 @@ func (m *Model) Save(w io.Writer) error {
 		Aux:            auxBuf.Bytes(),
 		ServiceID:      m.ServiceID,
 	}
+	// Sorted, so that saving a model twice gives the same bytes (map
+	// iteration order would not); decoding does not care about the order.
 	for r := range m.Known {
 		wire.Known = append(wire.Known, r)
 	}
+	sort.Ints(wire.Known)
 	return gob.NewEncoder(w).Encode(wire)
 }
 
 // Load reads a model written by Save.
 func Load(r io.Reader) (*Model, error) {
+	_, m, err := load(r, nil, nil)
+	return m, err
+}
+
+// load decodes one saved model and also returns its wire form. like, when
+// not nil, is an already loaded model and likeWire the wire it came from: a
+// forest whose encoded bytes equal like's is not decoded a second time but
+// shared with it (a bundle's specialized models all carry the general
+// model's forest).
+func load(r io.Reader, likeWire *modelWire, like *Model) (*modelWire, *Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
+		return nil, nil, fmt.Errorf("core: load: %w", err)
 	}
 	net, err := nn.Load(bytes.NewReader(wire.Net))
 	if err != nil {
-		return nil, fmt.Errorf("core: load net: %w", err)
+		return nil, nil, fmt.Errorf("core: load net: %w", err)
 	}
-	aux, err := forest.LoadExtensible(bytes.NewReader(wire.Aux))
-	if err != nil {
-		return nil, fmt.Errorf("core: load aux: %w", err)
+	var aux *forest.Extensible
+	if like != nil && bytes.Equal(wire.Aux, likeWire.Aux) {
+		aux = like.Aux
+	} else if aux, err = forest.LoadExtensible(bytes.NewReader(wire.Aux)); err != nil {
+		return nil, nil, fmt.Errorf("core: load aux: %w", err)
 	}
 	known := make(map[int]bool, len(wire.Known))
 	for _, r := range wire.Known {
 		known[r] = true
 	}
 	norm := wire.Norm
-	return &Model{
+	return &wire, &Model{
 		Cfg:         wire.Cfg,
 		TrainLayout: probe.NewLayout(wire.TrainLandmarks),
 		Known:       known,

@@ -18,10 +18,10 @@ type RetrainOptions struct {
 	// BatchSize defaults to the model config's.
 	BatchSize int
 	Seed      int64
-	// HeadOnly freezes the LandPooling kernel and the first fully
-	// connected block, exactly the paper's service-specialization scheme
-	// (§IV-F): the shared feature extractor is preserved and only the
-	// final layers adapt to the new data.
+	// HeadOnly keeps the model's trunk (the LandPooling kernel and the
+	// first fully connected block) — shared with the source model, not
+	// copied — and fits only a copy of the head, exactly the paper's
+	// service-specialization scheme (§IV-F).
 	HeadOnly bool
 	// OnEpoch, when non-nil, runs after every epoch; returning false stops
 	// the retrain (best-validation weights are still restored). Background
@@ -42,8 +42,8 @@ func (o RetrainOptions) withDefaults(cfg Config) RetrainOptions {
 	return o
 }
 
-// Retrain warm-starts a copy of the model and continues fitting its
-// coarse classifier on new data: the weights, normalizer, known-landmark
+// Retrain warm-starts a copy of the model (of its head only, with
+// HeadOnly) and continues fitting its coarse classifier on new data: the weights, normalizer, known-landmark
 // set and auxiliary forest all carry over, so the retrain adapts the
 // decision function instead of rebuilding it — the paper's extensibility
 // premise (§II-A) applied to the time axis. The receiver is never
@@ -63,19 +63,13 @@ func (m *Model) Retrain(train *dataset.Dataset, opt RetrainOptions) (*TrainResul
 			train.Layout.NumFeatures(), m.FullLayout.NumFeatures())
 	}
 	opt = opt.withDefaults(m.Cfg)
-	next := &Model{
-		Cfg:         m.Cfg,
-		TrainLayout: m.TrainLayout,
-		Known:       m.Known,
-		Norm:        m.Norm,
-		Net:         m.Net.Clone(),
-		Aux:         m.Aux,
-		FullLayout:  m.FullLayout,
-		ServiceID:   m.ServiceID,
-	}
+	var net *nn.Network
 	if opt.HeadOnly {
-		freezeShared(next.Net)
+		net = headOver(m.Net)
+	} else {
+		net = m.Net.Clone()
 	}
+	next := m.derive(net, m.ServiceID)
 	hist := next.fitCoarse(train, nn.TrainConfig{
 		Epochs:    opt.Epochs,
 		BatchSize: opt.BatchSize,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sort"
 
 	"diagnet/internal/mat"
 	"diagnet/internal/nn"
@@ -10,25 +12,112 @@ import (
 	"diagnet/internal/tracing"
 )
 
-// Session is one goroutine's inference context over a Model: a view of
-// the network (nn.Network.View — its own per-pass layer caches over the
-// model's weight matrices, which an inference pass only reads) plus
-// reusable scratch buffers. The weights, normalizer, auxiliary forest and
-// layouts are read-only and shared with the Model and with every other
-// session of it, so a session costs its caches, not a copy of the model.
-// A Session itself must not be used concurrently; the serving engine keeps
-// one per worker, and Model's own methods take one from a per-model pool.
+// Session is one goroutine's inference context over one model or over a
+// whole bundle: inference views (nn.Network.View — their own per-pass
+// layer caches over the models' weight matrices, which a pass only reads)
+// of each distinct trunk and of every head, plus one set of reusable
+// scratch buffers. The weights, normalizers, forests and layouts are
+// read-only and shared with the models and with every other session of
+// them, so a session costs its caches, not a copy of anything. A Session
+// itself must not be used concurrently; the serving engine keeps one per
+// worker, and Model's own methods take one from a per-model pool.
 type Session struct {
-	m   *Model
+	// heads holds one entry per model, the models of one trunk next to each
+	// other; heads[0] is the session's first model (a bundle's general).
+	heads  []head
+	trunks []trunk
+	// byService maps a service to its head. A service without an entry —
+	// every service, in a one-model session — is served by heads[0].
+	byService map[int]int
+	// net is the complete inference view of heads[0]'s network.
 	net *nn.Network
-	sc  scratch
+
+	sc     scratch
+	passes []int
+}
+
+// head is one model's own layers, above the trunk it aliases.
+type head struct {
+	m       *Model
+	service int // the service the session diagnoses with m
+	top     *nn.Network
+	trunk   int // index into Session.trunks
+}
+
+// trunk is one shared feature extractor (trunk.go). LandPooling is the only
+// layer that sees how many landmarks a row carries, so a pass runs it once
+// per input width, each on its own view (a layer's caches belong to one
+// forward/backward pair); everything above it runs once over all rows.
+type trunk struct {
+	params []*nn.Param // what makes two trunks one: sameTrunk
+	pools  []nn.Layer  // LandPool views, one per width group of a pass
+	rest   []nn.Layer  // the first Dense and what follows it, up to the heads
+}
+
+// Row is one sample of a DiagnoseRows pass.
+type Row struct {
+	// Service selects the model: the bundle's specialized model for it, or
+	// the general model (in a one-model session, that model).
+	Service int
+	// Layout is the probed landmark layout of Features.
+	Layout   probe.Layout
+	Features []float64
 }
 
 // NewSession returns a fresh inference session sharing the model's
 // weights. The model must not be trained in place afterwards (Specialize
-// and Retrain clone before they write).
-func (m *Model) NewSession() *Session {
-	return &Session{m: m, net: m.Net.View()}
+// and Retrain fit copies).
+func (m *Model) NewSession() *Session { return newSession([]*Model{m}, []int{m.ServiceID}) }
+
+// NewSession returns a fresh inference session over every model of the
+// bundle: Row.Service picks the head, and rows of models that share a trunk
+// share its pass. The bundle's model set must not change afterwards (the
+// serving registry builds a new bundle and new sessions instead).
+func (b *Bundle) NewSession() *Session {
+	models, services := []*Model{b.General}, []int{-1}
+	for id := range b.Specialized {
+		services = append(services, id)
+	}
+	sort.Ints(services[1:])
+	for _, id := range services[1:] {
+		models = append(models, b.Specialized[id])
+	}
+	return newSession(models, services)
+}
+
+// newSession builds a session whose heads[0] is models[0]; services[i] is
+// the service models[i] is diagnosed for.
+func newSession(models []*Model, services []int) *Session {
+	s := &Session{heads: make([]head, 0, len(models))}
+	for i, m := range models {
+		net := m.Net.View()
+		k, params := trunkLayers(net), trunkParams(net)
+		ti := 0
+		for ti < len(s.trunks) && !sameTrunk(s.trunks[ti].params, params) {
+			ti++
+		}
+		if ti == len(s.trunks) {
+			s.trunks = append(s.trunks, trunk{params: params, pools: []nn.Layer{net.Layers[0]}, rest: net.Layers[1:k]})
+		}
+		if i == 0 {
+			s.net = net
+		}
+		// Trunks are numbered in order of first appearance, so inserting
+		// behind the last head of the same trunk keeps models[0] first and
+		// every trunk's heads one contiguous run.
+		at := len(s.heads)
+		for at > 0 && s.heads[at-1].trunk > ti {
+			at--
+		}
+		s.heads = slices.Insert(s.heads, at, head{m: m, service: services[i], top: nn.NewNetwork(net.Layers[k:]...), trunk: ti})
+	}
+	if len(s.heads) > 1 {
+		s.byService = make(map[int]int, len(s.heads)-1)
+	}
+	for i := 1; i < len(s.heads); i++ {
+		s.byService[s.heads[i].service] = i
+	}
+	return s
 }
 
 // acquire takes a session from the model's pool, building one when the
@@ -40,12 +129,28 @@ func (m *Model) acquire() *Session {
 	return m.NewSession()
 }
 
-// Model returns the read-only model this session serves.
-func (s *Session) Model() *Model { return s.m }
+// Model returns the session's first model: the one a model session was
+// built for, a bundle session's general model.
+func (s *Session) Model() *Model { return s.heads[0].m }
 
-// Network returns the session's inference view of the model's network: its
-// Params alias the model's weight matrices.
+// ModelFor returns the read-only model this session diagnoses a service
+// with, and the service that model is specialized for in the session: the
+// given one, or -1 when it falls back to the first (general) model.
+func (s *Session) ModelFor(serviceID int) (m *Model, served int) {
+	if h, ok := s.byService[serviceID]; ok {
+		return s.heads[h].m, serviceID
+	}
+	return s.heads[0].m, -1
+}
+
+// Network returns the session's inference view of its first model's
+// network: its Params alias the model's weight matrices.
 func (s *Session) Network() *nn.Network { return s.net }
+
+// Passes returns how many rows each trunk pass of the latest DiagnoseRows
+// call fused (one entry, the batch size, unless the batch mixed models
+// that do not share a trunk). Valid until the session's next call.
+func (s *Session) Passes() []int { return s.passes }
 
 // Diagnose is a one-row DiagnoseBatch, safe to call concurrently with
 // other sessions of the same model.
@@ -53,81 +158,224 @@ func (s *Session) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 	return s.DiagnoseBatch([][]float64{features}, layout)[0]
 }
 
-// DiagnoseBatch diagnoses b samples that share one layout with a single
-// fused forward/backward pass over the b×n batch: the network's weight
-// matrices are streamed from memory once per micro-batch instead of once
-// per sample, which is where the serving engine's batching throughput
-// comes from. Results are in input order and each Diagnosis is freshly
-// allocated (only intermediates live in the session's scratch).
+// DiagnoseBatch diagnoses b samples that share one layout with the
+// session's first model: a DiagnoseRows pass whose rows form a single
+// group. Results are in input order.
 func (s *Session) DiagnoseBatch(features [][]float64, layout probe.Layout) []*Diagnosis {
-	return s.DiagnoseBatchContext(context.Background(), features, layout)
+	return s.diagnoseBatch(context.Background(), features, layout)
 }
 
-// DiagnoseBatchContext is DiagnoseBatch carrying a request context: when
-// the context holds an active trace span (the serving engine passes the
-// micro-batch span of the group's lead request), the fused pass records a
-// "core.diagnose" child span with stage children at the StageClock
-// boundaries, and the total-latency histogram captures the trace ID as
-// its tail exemplar.
-func (s *Session) DiagnoseBatchContext(ctx context.Context, features [][]float64, layout probe.Layout) []*Diagnosis {
-	b, n := len(features), layout.NumFeatures()
+func (s *Session) diagnoseBatch(ctx context.Context, features [][]float64, layout probe.Layout) []*Diagnosis {
+	rows := s.sc.rows[:0]
+	for _, f := range features {
+		rows = append(rows, Row{Service: s.heads[0].m.ServiceID, Layout: layout, Features: f})
+	}
+	s.sc.rows = rows
+	return s.DiagnoseRows(ctx, rows)
+}
+
+// DiagnoseRows diagnoses a batch of samples that may each name their own
+// service and layout, with one fused forward/backward pass per trunk: the
+// rows are normalized and run through LandPooling per input width, the
+// pooled rows of all widths go through the rest of the trunk as one matrix,
+// each head consumes its own rows of the result and backpropagates its
+// rows' ideal-label losses (§III-E) into one gradient matrix, and that goes
+// back down the trunk the same way. The weight matrices are streamed from
+// memory once per micro-batch instead of once per sample or per service,
+// which is where the serving engine's batching throughput comes from — and
+// because no layer mixes rows, every Diagnosis is bit-identical to what a
+// one-row pass on its model gives. A batch with a single width and a
+// single head is passed as it stands, with no gather or scatter copy.
+// Results are in input order and each Diagnosis is freshly allocated (only
+// intermediates live in the session's scratch).
+//
+// When ctx holds an active trace span (the serving engine passes the
+// micro-batch's span), the call records a "core.diagnose" child span with
+// stage children at the StageClock boundaries, and the total-latency
+// histogram captures the trace ID as its tail exemplar.
+func (s *Session) DiagnoseRows(ctx context.Context, rows []Row) []*Diagnosis {
+	b := len(rows)
 	if b == 0 {
 		return nil
 	}
-	m := s.m
-	for _, f := range features {
-		if len(f) != n {
+	// Order the rows head by head with a counting sort: ends[h] is where
+	// head h's run of `order` ends. Heads are stored trunk by trunk, so the
+	// rows of one trunk are a contiguous run as well.
+	sc := &s.sc
+	sc.headOf, sc.order = grow(sc.headOf, b), grow(sc.order, b)
+	sc.ends = grow(sc.ends, len(s.heads))
+	clear(sc.ends)
+	for i := range rows {
+		if len(rows[i].Features) != rows[i].Layout.NumFeatures() {
 			panic("core: feature vector does not match layout")
 		}
+		h := s.byService[rows[i].Service]
+		sc.headOf[i] = h
+		sc.ends[h]++
 	}
+	sum := 0
+	for h, n := range sc.ends {
+		sc.ends[h] = sum
+		sum += n
+	}
+	for i, h := range sc.headOf {
+		sc.order[sc.ends[h]] = i
+		sc.ends[h]++
+	}
+
 	mDiagnoses.Add(int64(b))
 	_, span := tracing.StartSpan(ctx, "core.diagnose")
 	span.SetAttr("batch.size", b)
-	span.SetAttr("features", n)
 	stages := span.Stages()
 	clock := telemetry.StartStages()
-	x := s.normalize(features, layout)
-	clock.Mark(mStageNormalize)
-	stages.Mark("core.stage.normalize")
-
-	// Steps ①–④ for the whole batch, then step ⑤ — one backpropagation of
-	// the per-sample ideal-label losses down to the inputs (§III-E). Rows
-	// are independent, so grads.Row(i) is what a one-row pass would give.
-	if cap(s.sc.targets) < b {
-		s.sc.targets = make([]int, b)
-	}
-	targets := s.sc.targets[:b]
-	for i := range targets {
-		targets[i] = -1
-	}
-	grads, probs := s.net.InputGradientBatch(x, targets)
-
-	// Stage telemetry granularity under batching: normalize and total are
-	// marked once per fused pass, while the per-row stages mark every row
-	// (the first row's forward_gradient lap absorbs the batch's shared
-	// network pass). Stage spans mirror that for the first row only — one
-	// set of stage children per fused pass keeps traces readable.
 	out := make([]*Diagnosis, b)
-	for i := range out {
-		rowStages := stages
-		if i > 0 {
-			rowStages = nil
+	s.passes = s.passes[:0]
+	lo := 0
+	for h0 := 0; h0 < len(s.heads); {
+		h1 := h0 + 1
+		for h1 < len(s.heads) && s.heads[h1].trunk == s.heads[h0].trunk {
+			h1++
 		}
-		out[i] = m.postprocess(grads.Row(i), probs.Row(i), features[i], layout, &s.sc, clock, rowStages)
+		if hi := sc.ends[h1-1]; hi > lo {
+			// Stage spans for the first pass only: one set of stage
+			// children per call keeps traces readable.
+			s.pass(h0, h1, lo, hi, rows, out, clock, stages)
+			s.passes = append(s.passes, hi-lo)
+			lo, stages = hi, nil
+		}
+		h0 = h1
 	}
 	clock.DoneExemplar(mDiagnoseTotal, span.TraceID())
 	span.End()
 	return out
 }
 
-// normalize writes the normalized rows into the session's scratch and
-// returns them as a b×n batch, valid until the session's next call.
-func (s *Session) normalize(features [][]float64, layout probe.Layout) *mat.Matrix {
-	b, n := len(features), layout.NumFeatures()
-	s.sc.normed = grow(s.sc.normed, b*n)
-	x := mat.FromSlice(b, n, s.sc.normed)
-	for i, f := range features {
-		s.m.Norm.ApplyInto(f, layout, x.Row(i))
+// pass runs heads[h0:h1] — the heads of one trunk — over their rows,
+// order[lo:hi], and writes each row's Diagnosis to its slot of out. Row
+// positions below are relative to lo.
+//
+// Stage telemetry granularity under batching: normalize is marked once per
+// pass, while the per-row stages mark every row (the first row's
+// forward_gradient lap absorbs the shared network pass).
+func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *telemetry.StageClock, stages *tracing.StageSpans) {
+	sc := &s.sc
+	t := &s.trunks[s.heads[h0].trunk]
+	order := sc.order[lo:hi]
+	n := len(order)
+
+	// Width groups, and every row normalized by its own model into its
+	// group's input matrix.
+	ng := 0
+	for p, r := range order {
+		w := len(rows[r].Features)
+		g := 0
+		for g < ng && sc.groups[g].width != w {
+			g++
+		}
+		if g == ng {
+			if ng++; g == len(sc.groups) {
+				sc.groups = append(sc.groups, widthGroup{})
+			}
+			sc.groups[g].width, sc.groups[g].pos = w, sc.groups[g].pos[:0]
+		}
+		sc.groups[g].pos = append(sc.groups[g].pos, p)
 	}
-	return x
+	groups := sc.groups[:ng]
+	for len(t.pools) < len(groups) {
+		t.pools = append(t.pools, nn.NewNetwork(t.pools[0]).View().Layers[0])
+	}
+	for gi := range groups {
+		g := &groups[gi]
+		g.x = grow(g.x, len(g.pos)*g.width)
+		for i, p := range g.pos {
+			row := &rows[order[p]]
+			s.heads[sc.headOf[order[p]]].m.Norm.ApplyInto(row.Features, row.Layout, g.x[i*g.width:(i+1)*g.width])
+		}
+	}
+	clock.Mark(mStageNormalize)
+	stages.Mark("core.stage.normalize")
+
+	// Up the trunk: LandPooling per width group, the pooled rows scattered
+	// to their positions, then one matrix through the rest.
+	var act *mat.Matrix
+	for gi := range groups {
+		g := &groups[gi]
+		pooled := t.pools[gi].Forward(mat.FromSlice(len(g.pos), g.width, g.x))
+		if len(groups) == 1 {
+			act = pooled
+			break
+		}
+		if act == nil {
+			sc.pooled = grow(sc.pooled, n*pooled.Cols)
+			act = mat.FromSlice(n, pooled.Cols, sc.pooled)
+		}
+		for i, p := range g.pos {
+			copy(act.Row(p), pooled.Row(i))
+		}
+	}
+	for _, l := range t.rest {
+		act = l.Forward(act)
+	}
+
+	// Steps ①–④ per head on its rows of the trunk's activations, then step
+	// ⑤ — one backpropagation of the per-sample ideal-label losses
+	// (§III-E) — down to those activations. Rows are independent, so every
+	// row of the gradient is what a one-row pass would give.
+	sc.targets = grow(sc.targets, n)
+	sc.probs, sc.grads = grow(sc.probs, n), grow(sc.grads, n)
+	var grad *mat.Matrix
+	for h, a := h0, 0; h < h1; h++ {
+		z := sc.ends[h] - lo
+		if z == a {
+			continue
+		}
+		in := act
+		if z-a < n {
+			in = mat.FromSlice(z-a, act.Cols, act.Data[a*act.Cols:z*act.Cols])
+		}
+		targets := sc.targets[:z-a]
+		for i := range targets {
+			targets[i] = -1
+		}
+		g, probs := s.heads[h].top.InputGradientBatch(in, targets)
+		for i := a; i < z; i++ {
+			sc.probs[i] = probs.Row(i - a)
+		}
+		if z-a == n {
+			grad = g
+			break
+		}
+		if grad == nil {
+			sc.grad = grow(sc.grad, n*act.Cols)
+			grad = mat.FromSlice(n, act.Cols, sc.grad)
+		}
+		copy(grad.Data[a*act.Cols:z*act.Cols], g.Data)
+		a = z
+	}
+
+	// Down the trunk, mirrored.
+	for i := len(t.rest) - 1; i >= 0; i-- {
+		grad = t.rest[i].Backward(grad)
+	}
+	for gi := range groups {
+		g := &groups[gi]
+		dpooled := grad
+		if len(groups) > 1 {
+			g.dpooled = grow(g.dpooled, len(g.pos)*grad.Cols)
+			dpooled = mat.FromSlice(len(g.pos), grad.Cols, g.dpooled)
+			for i, p := range g.pos {
+				copy(dpooled.Row(i), grad.Row(p))
+			}
+		}
+		dx := t.pools[gi].Backward(dpooled)
+		for i, p := range g.pos {
+			sc.grads[p] = dx.Row(i)
+		}
+	}
+
+	for p, r := range order {
+		row := &rows[r]
+		out[r] = s.heads[sc.headOf[r]].m.postprocess(sc.grads[p], sc.probs[p], row.Features, row.Layout, sc, clock, stages)
+		stages = nil
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -32,8 +33,58 @@ func pathCorpus(t *testing.T, m *Model) (layouts []probe.Layout, rows [][][]floa
 	return layouts, rows
 }
 
-// There is one inference path: every entry point is a Session batch pass,
-// and no layer mixes rows, so all of them agree to the bit.
+var cachedBundle *Bundle
+
+// trainedBundle is the trained general model with the specialized models of
+// three services, built once.
+func trainedBundle(t *testing.T) *Bundle {
+	t.Helper()
+	if cachedBundle == nil {
+		train, _ := trainTestData(t)
+		b := NewBundle(trainedModel(t))
+		for i := 0; len(b.Specialized) < 3; i++ {
+			b.SpecializeAll(train, []int{train.Samples[i].Service})
+		}
+		cachedBundle = b
+	}
+	return cachedBundle
+}
+
+// mixedCorpus is pathCorpus crossed with the models of trainedBundle: every
+// (service, layout, sample) as a DiagnoseRows row, shuffled, next to what
+// that row's own model answers through Model.Diagnose. Service -1 and an
+// unknown service are both the general model's.
+func mixedCorpus(t *testing.T, b *Bundle) (rows []Row, want []*Diagnosis) {
+	t.Helper()
+	layouts, samples := pathCorpus(t, b.General)
+	services := []int{-1, 987654}
+	for id := range b.Specialized {
+		services = append(services, id)
+	}
+	slices.Sort(services)
+	for _, svc := range services {
+		for li, layout := range layouts {
+			for _, x := range samples[li][:8] {
+				rows = append(rows, Row{Service: svc, Layout: layout, Features: x})
+			}
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	for _, r := range rows {
+		want = append(want, b.ModelFor(r.Service).Diagnose(r.Features, r.Layout))
+	}
+	return rows, want
+}
+
+// fusedSizes are the sizes a fragmented batch is served in (the row kernel,
+// and whole tiles with rows past them) and the full one.
+func fusedSizes(n int) []int { return []int{1, 2, 3, 5, 7, n} }
+
+// There is one inference path: every entry point is a Session.DiagnoseRows
+// pass, and no layer mixes rows, so all of them agree to the bit — five
+// ways: Model.Diagnose, a one-model session, a fused same-layout batch, a
+// batch that mixes layouts, and a bundle session's batch that mixes
+// services and layouts in shuffled order.
 func TestDiagnosePathsBitIdentical(t *testing.T) {
 	m := trainedModel(t)
 	layouts, rows := pathCorpus(t, m)
@@ -46,9 +97,7 @@ func TestDiagnosePathsBitIdentical(t *testing.T) {
 				t.Fatalf("layout %d row %d: Session.Diagnose differs from Model.Diagnose", li, i)
 			}
 		}
-		// Fused passes of the sizes a fragmented batch is served in (the
-		// row kernel, and whole tiles with rows past them) and the full one.
-		for _, group := range []int{1, 2, 3, 5, 7, len(want)} {
+		for _, group := range fusedSizes(len(want)) {
 			if got := sess.DiagnoseBatch(rows[li][:group], layout); !reflect.DeepEqual(want[:group], got) {
 				t.Fatalf("layout %d: Session.DiagnoseBatch of %d rows differs from Model.Diagnose", li, group)
 			}
@@ -59,6 +108,69 @@ func TestDiagnosePathsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("layout %d: Model.DiagnoseBatch(…, 4) differs from Model.Diagnose", li)
 		}
+	}
+
+	b := trainedBundle(t)
+	mixed, want := mixedCorpus(t, b)
+	bundleSess := b.NewSession()
+	for _, group := range fusedSizes(len(mixed)) {
+		if got := bundleSess.DiagnoseRows(context.Background(), mixed[:group]); !reflect.DeepEqual(want[:group], got) {
+			t.Fatalf("bundle session: %d rows across services and layouts differ from their models' Model.Diagnose", group)
+		}
+		if p := bundleSess.Passes(); len(p) != 1 || p[0] != group {
+			t.Fatalf("bundle session ran passes %v for %d rows that share the trunk, want one pass of all", p, group)
+		}
+	}
+	// Across layouts only: each model's own session over its rows of the
+	// shuffled corpus (a specialized model's session stands on the trunk it
+	// aliases).
+	for svc, model := range b.Specialized {
+		var own []Row
+		var ownWant []*Diagnosis
+		for i, r := range mixed {
+			if r.Service == svc {
+				own, ownWant = append(own, r), append(ownWant, want[i])
+			}
+		}
+		one := model.NewSession()
+		for _, group := range fusedSizes(len(own)) {
+			if got := one.DiagnoseRows(context.Background(), own[:group]); !reflect.DeepEqual(ownWant[:group], got) {
+				t.Fatalf("service %d: %d rows across layouts differ from Model.Diagnose", svc, group)
+			}
+		}
+	}
+}
+
+// The steady-state pass allocates what a Diagnosis keeps and what the
+// layers return, nothing for its own bookkeeping: a single-group pass of b
+// rows stays at the 61 + 5·b allocations Session.DiagnoseBatch made before
+// passes could mix services and layouts (66 for one row, 381 for 64), and a
+// mixed pass, once its scratch is sized, adds only what the layers of each
+// further group return (its gather/scatter matrices are scratch).
+func TestPassAllocations(t *testing.T) {
+	b := trainedBundle(t)
+	layouts, rows := pathCorpus(t, b.General)
+	var batch [][]float64
+	for len(batch) < 64 {
+		batch = append(batch, rows[0]...)
+	}
+	batch = batch[:64]
+	for name, sess := range map[string]*Session{"model": b.General.NewSession(), "bundle": b.NewSession()} {
+		for _, n := range []int{1, 64} {
+			sess.DiagnoseBatch(batch[:n], layouts[0])
+			if got, limit := testing.AllocsPerRun(20, func() { sess.DiagnoseBatch(batch[:n], layouts[0]) }), float64(61+5*n); got > limit {
+				t.Errorf("%s session: a single-group pass of %d rows makes %v allocations, want at most %v", name, n, got, limit)
+			}
+		}
+	}
+	mixed, _ := mixedCorpus(t, b)
+	mixed = mixed[:28]
+	sess := b.NewSession()
+	sess.DiagnoseRows(context.Background(), mixed)
+	groups := 3 + 1 + len(b.Specialized) // width groups and heads
+	single := 61 + 5*len(mixed)
+	if got, limit := testing.AllocsPerRun(20, func() { sess.DiagnoseRows(context.Background(), mixed) }), float64(single+15*groups); got > limit {
+		t.Errorf("a mixed pass of %d rows makes %v allocations, want at most %v (%d for a single group + 15 per group)", len(mixed), got, limit, single)
 	}
 }
 

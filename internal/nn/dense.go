@@ -55,13 +55,16 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 }
 
 // Backward returns dx = dout·Wᵀ and, in training mode, accumulates
-// dW = xᵀ·dout and db = colsum(dout).
+// dW = xᵀ·dout and db = colsum(dout) for the parameters that are not
+// frozen.
 func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	if d.W.training {
+	if d.W.accumulates() {
 		d.W.grad().AddInPlace(mat.MulT1(nil, d.x, dout))
+	}
+	if d.B.accumulates() {
 		db := d.B.grad().Data
 		for i := 0; i < dout.Rows; i++ {
 			for j, v := range dout.Row(i) {

@@ -370,7 +370,7 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward propagates gradients through pooling and convolution,
 // returning input gradients and, in training mode, accumulating the
-// kernel/bias gradients.
+// gradients of the kernel and bias unless they are frozen.
 func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	if lp.x == nil || dout.Rows != lp.nCached || dout.Cols != lp.OutWidth() {
 		panic("nn: LandPool.Backward shape mismatch with Forward")
@@ -378,10 +378,13 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	ell := lp.ell
 	dx := mat.New(lp.x.Rows, lp.x.Cols)
 	kern := lp.Kernel.Value
-	var dkern *mat.Matrix // nil outside training mode
+	var dkern *mat.Matrix // nil outside training mode and when frozen
 	var dbias []float64
-	if lp.Kernel.training {
-		dkern, dbias = lp.Kernel.grad(), lp.Bias.grad().Data
+	if lp.Kernel.accumulates() {
+		dkern = lp.Kernel.grad()
+	}
+	if lp.Bias.accumulates() {
+		dbias = lp.Bias.grad().Data
 	}
 	needSort := false
 	for _, op := range lp.Ops {
@@ -436,8 +439,10 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 				if g == 0 {
 					continue
 				}
-				if dkern != nil {
+				if dbias != nil {
 					dbias[fi] += g
+				}
+				if dkern != nil {
 					mat.Axpy(g, xl, dkern.Row(fi))
 				}
 				mat.Axpy(g, kern.Row(fi), dxl)

@@ -36,10 +36,32 @@ func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
 // the gradient with respect to the input batch; in training mode it also
 // accumulates parameter gradients.
 func (n *Network) Backward(dout *mat.Matrix) *mat.Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	return n.backwardFrom(0, dout)
+}
+
+// backwardFrom is Backward stopped after layer `lowest`: what it returns
+// is the gradient with respect to that layer's input.
+func (n *Network) backwardFrom(lowest int, dout *mat.Matrix) *mat.Matrix {
+	for i := len(n.Layers) - 1; i >= lowest; i-- {
 		dout = n.Layers[i].Backward(dout)
 	}
 	return dout
+}
+
+// lowestTrainable returns the index of the first layer holding a parameter
+// that is not frozen (len(Layers) when there is none). A training step
+// backpropagates no further: nothing below learns, and a fit never reads
+// the input gradient — so a head-only fit does not pay for the frozen
+// trunk's backward pass.
+func (n *Network) lowestTrainable() int {
+	for i, l := range n.Layers {
+		for _, p := range l.Params() {
+			if !p.Frozen {
+				return i
+			}
+		}
+	}
+	return len(n.Layers)
 }
 
 // Params returns all parameters of all layers in order.

@@ -48,6 +48,12 @@ func (p *Param) grad() *mat.Matrix {
 	return p.Grad
 }
 
+// accumulates reports whether a backward pass adds into p's gradient: only
+// in training mode, and never for a frozen parameter — a frozen Param may
+// alias the matrices of a model that is being served (core's shared
+// trunk), so training neither allocates a gradient for it nor writes it.
+func (p *Param) accumulates() bool { return p.training && !p.Frozen }
+
 // view returns a Param that aliases p's value and carries no gradient.
 func (p *Param) view() *Param {
 	return &Param{Name: p.Name, Value: p.Value, Frozen: p.Frozen}

@@ -112,6 +112,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 	sinceBest := 0
 
 	type batchRef struct{ group, lo, hi int }
+	lowest := t.Net.lowestTrainable()
 	t.Net.SetTraining(true)
 	defer t.Net.SetTraining(false)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -144,7 +145,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 			t.Net.ZeroGrads()
 			logits := t.Net.Forward(bx)
 			loss, dlogits := t.Loss.WeightedLoss(logits, by, t.ClassWeights)
-			t.Net.Backward(dlogits)
+			t.Net.backwardFrom(lowest, dlogits)
 			t.Opt.Step(t.Net.Params())
 			epochLoss += loss
 			batches++
@@ -214,16 +215,26 @@ func (t *Trainer) Accuracy(x *mat.Matrix, labels []int) float64 {
 	return float64(correct) / float64(x.Rows)
 }
 
+// snapshotWeights copies the values of the trainable parameters, indexed
+// like n.Params(); a frozen parameter's entry stays nil.
 func snapshotWeights(n *Network) [][]float64 {
-	var ws [][]float64
-	for _, p := range n.Params() {
-		ws = append(ws, append([]float64(nil), p.Value.Data...))
+	ps := n.Params()
+	ws := make([][]float64, len(ps))
+	for i, p := range ps {
+		if !p.Frozen {
+			ws[i] = append([]float64(nil), p.Value.Data...)
+		}
 	}
 	return ws
 }
 
+// restoreWeights writes a snapshot back. Frozen parameters are never
+// written: the fit did not move them, and their matrices may belong to a
+// model other goroutines are serving.
 func restoreWeights(n *Network, ws [][]float64) {
 	for i, p := range n.Params() {
-		copy(p.Value.Data, ws[i])
+		if !p.Frozen {
+			copy(p.Value.Data, ws[i])
+		}
 	}
 }

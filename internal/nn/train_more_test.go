@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"diagnet/internal/mat"
@@ -165,5 +166,64 @@ func TestOnEpochHook(t *testing.T) {
 	}
 	if h.Epochs() != 3 {
 		t.Fatalf("trained %d epochs, want 3", h.Epochs())
+	}
+}
+
+// backwardCounter counts the Backward calls that reach a layer.
+type backwardCounter struct {
+	Layer
+	calls int
+}
+
+func (c *backwardCounter) Backward(dout *mat.Matrix) *mat.Matrix {
+	c.calls++
+	return c.Layer.Backward(dout)
+}
+
+// A fit never touches a frozen parameter — its matrices may be the ones a
+// served model is being read through: no gradient is allocated for it, its
+// value is neither updated nor rewritten by the best-weights restore, and
+// the backward pass stops at the lowest trainable layer. What the fit does
+// to the trainable layers is exactly what fitting them alone on the frozen
+// layers' activations does, to the bit.
+func TestFitNeverTouchesFrozenParams(t *testing.T) {
+	net := attentionNet(31, 3) // LandPool, Dense, ReLU, Dense
+	frozen := NewNetwork(net.Layers[0], net.Layers[1], net.Layers[2])
+	for _, p := range frozen.Params() {
+		p.Frozen = true
+	}
+	before := paramBits(frozen)
+	head := NewNetwork(net.Layers[3]).Clone()
+	pool, first := &backwardCounter{Layer: net.Layers[0]}, &backwardCounter{Layer: net.Layers[1]}
+	last := &backwardCounter{Layer: net.Layers[3]}
+	net.Layers[0], net.Layers[1], net.Layers[3] = pool, first, last
+
+	rng := rand.New(rand.NewSource(32))
+	x, labels := randBatch(rng, 96, 7*3+2, 4)
+	valX, valLabels := randBatch(rng, 32, 7*3+2, 4)
+	cfg := TrainConfig{Epochs: 4, BatchSize: 16, Seed: 33}
+	NewTrainer(net).Fit(x, labels, valX, valLabels, cfg)
+
+	if pool.calls != 0 || first.calls != 0 || last.calls == 0 {
+		t.Fatalf("backward reached the frozen LandPool %d times and the frozen Dense %d times (the trainable layer %d)", pool.calls, first.calls, last.calls)
+	}
+	for i, p := range frozen.Params() {
+		if p.Grad != nil {
+			t.Fatalf("frozen param %d was given a gradient", i)
+		}
+	}
+	if !slices.Equal(before, paramBits(frozen)) {
+		t.Fatal("the fit wrote a frozen parameter")
+	}
+
+	features := frozen.View()
+	NewTrainer(head).Fit(features.Forward(x), labels, features.Forward(valX), valLabels, cfg)
+	for i, p := range head.Params() {
+		got := last.Layer.Params()[i]
+		for j, v := range p.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(got.Value.Data[j]) {
+				t.Fatalf("head param %d[%d]: %v fitted over the frozen layers, %v fitted alone on their activations", i, j, got.Value.Data[j], v)
+			}
+		}
 	}
 }

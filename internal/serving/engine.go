@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"diagnet/internal/core"
-	"diagnet/internal/probe"
 	"diagnet/internal/tracing"
 )
 
@@ -186,7 +185,7 @@ func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (*Result, 
 
 // newItem opens a submission. Its queue-wait span covers admission through
 // batch pickup; the span's End moves to whichever path settles the item
-// (nextBatch/serveBatch/serveGroup on the worker, or enqueue's shed paths).
+// (nextBatch/serveBatch on the worker, or enqueue's shed paths).
 func newItem(ctx context.Context, req *Request) *item {
 	qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
 	return &item{ctx: qctx, req: req, qspan: qspan, done: make(chan outcome, 1)}
@@ -317,9 +316,10 @@ func (e *Engine) nextBatch() []*item {
 // worker cuts micro-batches from the queue and executes them until the
 // queue is closed and drained. Each batch is served by exactly one registry
 // snapshot (one atomic load), so responses are attributable to exactly one
-// model version even while a promotion swaps the pointer mid-stream. Within
-// a batch, items are grouped by (service, layout) and every group runs as
-// one fused forward/backward pass on the worker's private session.
+// model version even while a promotion swaps the pointer mid-stream, and by
+// one call of the worker's bundle session: whatever services and layouts
+// the batch mixes, its rows share one pass through the trunk (DESIGN.md
+// §8).
 func (e *Engine) worker(id int) {
 	defer e.workerWG.Done()
 	for {
@@ -333,7 +333,17 @@ func (e *Engine) worker(id int) {
 	}
 }
 
-// serveBatch groups live items and diagnoses each group in one fused pass.
+// serveBatch diagnoses the live items of a micro-batch in one session call,
+// recovering a panicking model into per-item errors instead of killing the
+// worker.
+//
+// Trace topology: the "serving.batch" span is a child of the first live
+// member's queue-wait span (so a lone request gets the full route →
+// queue_wait → batch → core.diagnose nesting), and cross-links tie the
+// fusion together — the batch span links to every member's queue-wait
+// span, and every other member's queue-wait span links back to the batch
+// span that served it, so a member's trace still reaches the shared
+// inference work even though that work was recorded under the lead's trace.
 func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 	live := batch[:0]
 	for _, it := range batch {
@@ -354,60 +364,21 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 	if len(live) == 0 {
 		return
 	}
-	rep := snap.replicas[worker]
-
-	// Group by (session, layout): items of the same service and landmark
-	// set share one batched inference. done tracks items already grouped.
-	grouped := make([]bool, len(live))
-	var members []*item
-	var features [][]float64
-	for i, lead := range live {
-		if grouped[i] {
-			continue
-		}
-		sess, svc := rep.sessionFor(lead.req.ServiceID)
-		members = append(members[:0], lead)
-		features = append(features[:0], lead.req.Features)
-		for j := i + 1; j < len(live); j++ {
-			if grouped[j] {
-				continue
-			}
-			s2, _ := rep.sessionFor(live[j].req.ServiceID)
-			if s2 == sess && layoutEqual(lead.req.Layout, live[j].req.Layout) {
-				grouped[j] = true
-				members = append(members, live[j])
-				features = append(features, live[j].req.Features)
-			}
-		}
-		e.serveGroup(snap, worker, sess, svc, lead.req.Layout, members, features)
-	}
-}
-
-// serveGroup runs one fused pass over a same-layout group, recovering a
-// panicking model into per-item errors instead of killing the worker.
-//
-// Trace topology: the "serving.batch" span is a child of the group lead's
-// queue-wait span (the lead is always its own lead, so a lone request gets
-// the full route → queue_wait → batch → core.diagnose nesting), and
-// cross-links tie the fusion together — the batch span links to every
-// member's queue-wait span, and every non-lead member's queue-wait span
-// links back to the batch span that served it, so a member's trace still
-// reaches the shared inference work even though that work was recorded
-// under the lead's trace.
-func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc int, layout probe.Layout, members []*item, features [][]float64) {
-	lead := members[0]
-	mPassRows.Observe(float64(len(members)))
+	sess := snap.sessions[worker]
+	lead := live[0]
 	bctx, bspan := tracing.StartSpan(lead.ctx, "serving.batch")
-	bspan.SetAttr("batch.size", len(members))
+	bspan.SetAttr("batch.size", len(live))
 	bspan.SetAttr("model.version", snap.version)
 	bspan.SetAttr("worker", worker)
 	bref := bspan.Context()
-	for _, it := range members {
+	rows := make([]core.Row, len(live))
+	for k, it := range live {
 		bspan.Link(it.qspan.Context())
 		if it != lead {
 			it.qspan.Link(bref)
 		}
 		it.qspan.End() // queue wait is over: the batch has picked the item up
+		rows[k] = core.Row{Service: it.req.ServiceID, Layout: it.req.Layout, Features: it.req.Features}
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -415,7 +386,7 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc 
 			err := fmt.Errorf("serving: model panic: %v", rec)
 			bspan.SetError(err)
 			bspan.End()
-			for _, it := range members {
+			for _, it := range live {
 				select {
 				case it.done <- outcome{err: err}:
 				default: // already answered before the panic
@@ -424,12 +395,16 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc 
 		}
 	}()
 	inferStart := time.Now()
-	diags := sess.DiagnoseBatchContext(bctx, features, layout)
+	diags := sess.DiagnoseRows(bctx, rows)
 	inferDur := time.Since(inferStart)
 	bspan.End()
-	for k, it := range members {
+	for _, n := range sess.Passes() {
+		mPassRows.Observe(float64(n))
+	}
+	for k, it := range live {
 		e.served.Add(1)
 		mServed.Inc()
+		_, svc := sess.ModelFor(it.req.ServiceID)
 		it.done <- outcome{res: &Result{
 			Diagnosis:    diags[k],
 			ModelService: svc,
@@ -437,28 +412,6 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc 
 		}}
 	}
 	// Shadow tee, strictly after every member has its answer: a sampled
-	// copy of the group replays through the candidate off-path.
-	if e.ShadowTee() > 0 {
-		svcs := make([]int, len(members))
-		incCoarse := make([][]float64, len(members))
-		for k, it := range members {
-			svcs[k] = it.req.ServiceID
-			incCoarse[k] = diags[k].Coarse
-		}
-		e.maybeTee(svcs, layout, features, incCoarse, snap.version, inferDur)
-	}
-}
-
-// layoutEqual reports whether two layouts probe the same landmark regions
-// in the same order.
-func layoutEqual(a, b probe.Layout) bool {
-	if len(a.Landmarks) != len(b.Landmarks) {
-		return false
-	}
-	for i := range a.Landmarks {
-		if a.Landmarks[i] != b.Landmarks[i] {
-			return false
-		}
-	}
-	return true
+	// copy of the batch replays through the candidate off-path.
+	e.maybeTee(rows, diags, snap.version, inferDur)
 }

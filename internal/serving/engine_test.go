@@ -132,34 +132,48 @@ func TestEngineClosedRejectsSubmissions(t *testing.T) {
 }
 
 // TestPassRowsRecordsWhatAPassFused: serving.batch.size is what a worker
-// cut from the backlog; only requests of one (service, layout) fuse, and
-// serving.pass.rows is what each pass was handed. Six queued requests under
-// two layouts are one batch and two passes, and every served request is in
-// one.
+// cut from the backlog and serving.pass.rows is what one trunk pass fused of
+// it — everything, whatever services and layouts the batch mixes, as long
+// as the models share the trunk. Six queued requests over two layouts and
+// two services (one served by a specialized head, one by the general) are
+// one batch and one pass of six rows, each answered by its own model.
 func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
-	_, test := fixture(t)
+	m, test := fixture(t)
 	e := allocEngine(t, Config{BatchMax: 6, Workers: 1})
 	req := sampleRequest(t)
+	if err := e.Registry().SetSpecialized(req.ServiceID, m.Specialize(test, req.ServiceID).Model); err != nil {
+		t.Fatal(err)
+	}
 	sub := probe.NewLayout(test.Layout.Landmarks[:3])
 	narrow := &Request{ServiceID: req.ServiceID, Layout: sub, Features: test.Layout.Project(req.Features, sub)}
+	other := &Request{ServiceID: req.ServiceID + 1000, Layout: sub, Features: narrow.Features}
 
 	served, batches := e.Stats().Served, mBatchSize.Count()
 	passes, rows := mPassRows.Count(), mPassRows.Sum()
+	reqs := []*Request{req, narrow, other, req, narrow, other}
 	var items []*item
-	for _, r := range []*Request{req, narrow, req, req, narrow, req} {
+	for _, r := range reqs {
 		items = append(items, queueItem(e, context.Background(), r))
 	}
 	e.start()
-	for _, it := range items {
-		if out := <-it.done; out.err != nil {
+	for i, it := range items {
+		out := <-it.done
+		if out.err != nil {
 			t.Fatal(out.err)
+		}
+		want := reqs[i].ServiceID
+		if reqs[i] == other {
+			want = -1
+		}
+		if out.res.ModelService != want {
+			t.Fatalf("request %d (service %d) answered by model %d, want %d", i, reqs[i].ServiceID, out.res.ModelService, want)
 		}
 	}
 	if d := mBatchSize.Count() - batches; d != 1 {
 		t.Fatalf("the six requests were cut into %d batches, want 1", d)
 	}
-	if d := mPassRows.Count() - passes; d != 2 {
-		t.Fatalf("a batch under two layouts recorded %d passes, want 2", d)
+	if d := mPassRows.Count() - passes; d != 1 {
+		t.Fatalf("a batch over two layouts and two services recorded %d passes, want 1", d)
 	}
 	if got, want := mPassRows.Sum()-rows, float64(e.Stats().Served-served); got != want || want != 6 {
 		t.Fatalf("pass rows sum to %v, served %v, want both 6", got, want)

@@ -25,29 +25,32 @@ func valueBits(models ...*core.Model) []uint64 {
 	return bits
 }
 
-// assertBorrowed fails unless every session of the snapshot reads the
-// bundle's own parameter matrices (one copy of the weights per process)
-// and holds no gradient.
-func assertBorrowed(t *testing.T, snap *snapshot, b *core.Bundle) {
+// assertBorrowed fails unless the snapshot holds one session per worker and
+// each of them serves the bundle's own models — general and every
+// specialized one — through an inference view that reads the general
+// model's parameter matrices and holds no gradient (one copy of the
+// weights per process; core pins the same for the heads).
+func assertBorrowed(t *testing.T, snap *snapshot, b *core.Bundle, workers int) {
 	t.Helper()
-	check := func(s *core.Session, m *core.Model) {
-		t.Helper()
-		if s.Model() != m {
-			t.Fatal("session serves a model that is not the bundle's")
+	if len(snap.sessions) != workers {
+		t.Fatalf("version %q: %d sessions, want one per worker (%d)", snap.version, len(snap.sessions), workers)
+	}
+	for _, sess := range snap.sessions {
+		if sess.Model() != b.General {
+			t.Fatal("session serves a general model that is not the bundle's")
 		}
-		for i, p := range s.Network().Params() {
-			if p.Value != m.Net.Params()[i].Value || p.Grad != nil {
-				t.Fatalf("version %q service %d param %d: session holds its own weights or a gradient", snap.version, m.ServiceID, i)
+		for i, p := range sess.Network().Params() {
+			if p.Value != b.General.Net.Params()[i].Value || p.Grad != nil {
+				t.Fatalf("version %q param %d: session holds its own weights or a gradient", snap.version, i)
 			}
 		}
-	}
-	for _, rep := range snap.replicas {
-		check(rep.general, b.General)
-		if len(rep.specialized) != len(b.Specialized) {
-			t.Fatalf("replica has %d specialized sessions, bundle %d", len(rep.specialized), len(b.Specialized))
+		for id, m := range b.Specialized {
+			if got, svc := sess.ModelFor(id); got != m || svc != id {
+				t.Fatalf("version %q service %d: session does not serve the bundle's specialized model", snap.version, id)
+			}
 		}
-		for id, s := range rep.specialized {
-			check(s, b.Specialized[id])
+		if got, svc := sess.ModelFor(-12345); got != b.General || svc != -1 {
+			t.Fatal("an unknown service must fall back to the general model")
 		}
 	}
 }
@@ -83,9 +86,11 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 		wg.Wait()
 		// The engine hands batches to whichever worker is free; this makes
 		// "on all workers" certain.
-		for _, rep := range reg.current().replicas {
-			s, _ := rep.sessionFor(svc)
-			s.DiagnoseBatch([][]float64{deg.Samples[0].Features, deg.Samples[1].Features}, test.Layout)
+		for _, sess := range reg.current().sessions {
+			sess.DiagnoseRows(context.Background(), []core.Row{
+				{Service: svc, Layout: test.Layout, Features: deg.Samples[0].Features},
+				{Service: -1, Layout: test.Layout, Features: deg.Samples[1].Features},
+			})
 		}
 	}
 	serve()
@@ -126,8 +131,8 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	if active.General != m || active.Specialized[svc] != spec {
 		t.Fatal("active bundle does not hold the promoted models")
 	}
-	assertBorrowed(t, reg.current(), active)
-	assertBorrowed(t, reg.shadow(), core.NewBundle(retrained.Model))
+	assertBorrowed(t, reg.current(), active, 3)
+	assertBorrowed(t, reg.shadow(), core.NewBundle(retrained.Model), 1)
 	if !slices.Equal(general, valueBits(m)) {
 		t.Fatal("the promoted general model's weights were written")
 	}
@@ -136,5 +141,65 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	}
 	if !slices.Equal(candidate, valueBits(retrained.Model)) {
 		t.Fatal("the shadow candidate's weights were written")
+	}
+}
+
+// Training from the model that is being served never writes it: Specialize
+// and Retrain(HeadOnly) build a head over the promoted general model's own
+// trunk matrices — the ones the workers are reading — and neither the
+// fit's gradient accumulation nor its best-weights restore may touch a
+// frozen parameter. Run under -race; the trunk's bits are compared too.
+func TestTrainingFromTheServedModelWhileServing(t *testing.T) {
+	m, test := fixture(t)
+	deg := test.Degraded()
+	svc := deg.Samples[0].Service
+	before := valueBits(m)
+
+	e := newEngine(t, Config{BatchMax: 4, Workers: 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; ; i += 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := &deg.Samples[i%deg.Len()]
+				if _, err := e.SubmitWait(context.Background(), &Request{ServiceID: s.Service, Layout: test.Layout, Features: s.Features}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	spec := m.Specialize(test, svc).Model
+	head, err := m.Retrain(test, core.RetrainOptions{Epochs: 2, Seed: 5, HeadOnly: true})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, valueBits(m)) {
+		t.Fatal("training from the served model wrote its weights")
+	}
+	for _, derived := range []*core.Model{spec, head.Model} {
+		shared, own := 0, 0
+		for i, p := range derived.Net.Params() {
+			switch src := m.Net.Params()[i]; {
+			case p.Value == src.Value && p.Frozen && p.Grad == nil:
+				shared++
+			case p.Value != src.Value && !p.Frozen:
+				own++
+			default:
+				t.Fatalf("param %d: neither a frozen alias of the served model's matrix without a gradient nor a trainable copy", i)
+			}
+		}
+		if shared != 4 || own == 0 {
+			t.Fatalf("derived model shares %d parameters and owns %d, want the 4 trunk parameters shared and a head of its own", shared, own)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"diagnet/internal/core"
 	"diagnet/internal/durable"
 )
 
@@ -226,8 +227,64 @@ func TestRegistrySpecializedModelRecovered(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no snapshot after recovery")
 	}
-	if _, svc := snap.replicas[0].sessionFor(3); svc != 3 {
+	if _, svc := snap.sessions[0].ModelFor(3); svc != 3 {
 		t.Fatalf("service 3 not served by specialized session (got %d)", svc)
+	}
+}
+
+// TestBundleHoldsOneTrunkOneForestAcrossRecovery is the serving half of
+// core's TestBundleHoldsOneTrunkOneForest: a specialized model installed at
+// run time, and the same model recovered from the journal by a restarted
+// process (where it is decoded on its own, with a private copy of
+// everything), both enter the active bundle through core.Bundle.Attach —
+// the bundle holds one trunk and one forest either way, and the recovered
+// head answers like the installed one.
+func TestBundleHoldsOneTrunkOneForestAcrossRecovery(t *testing.T) {
+	dir := t.TempDir()
+	m, test := fixture(t)
+	deg := test.Degraded()
+	svc := deg.Samples[0].Service
+	spec := m.Specialize(test, svc).Model
+
+	holdsOne := func(when string, reg *Registry) *core.Model {
+		t.Helper()
+		b, _, err := reg.ActiveBundle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := b.Specialized[svc]
+		if held == nil {
+			t.Fatalf("%s: service %d has no specialized model", when, svc)
+		}
+		for i, p := range held.Net.Params() {
+			if shared := p.Value == b.General.Net.Params()[i].Value; shared != (i < 4) {
+				t.Fatalf("%s: param %d shared with the general model = %v, want exactly the four trunk parameters", when, i, shared)
+			}
+		}
+		if held.Aux != b.General.Aux || held.Norm != b.General.Norm {
+			t.Fatalf("%s: the specialized model holds its own forest or normalizer", when)
+		}
+		return held
+	}
+
+	reg, _, _ := openPersistent(t, dir, "v1")
+	if err := reg.Promote("v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetSpecialized(svc, spec); err != nil {
+		t.Fatal(err)
+	}
+	if held := holdsOne("after SetSpecialized", reg); held != spec {
+		t.Fatal("a model specialized from the served general has nothing to fold and must be held as it is")
+	}
+
+	reg2, _, _ := openPersistent(t, dir, "v1")
+	recovered := holdsOne("after journal recovery", reg2)
+	for i := 0; i < 8; i++ {
+		s := &deg.Samples[i]
+		if !reflect.DeepEqual(spec.Diagnose(s.Features, test.Layout), recovered.Diagnose(s.Features, test.Layout)) {
+			t.Fatalf("sample %d: the recovered specialized model diagnoses differently", i)
+		}
 	}
 }
 

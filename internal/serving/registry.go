@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -40,35 +41,19 @@ type Registry struct {
 	shadowCur atomic.Pointer[snapshot]
 }
 
-// snapshot is one immutable, fully warmed serving configuration: the
-// per-worker replicas of one version's models. Workers index replicas by
-// worker ID; nothing in a snapshot is ever mutated after Store, so readers
-// need no locks. Every replica of every snapshot of a version reads the
-// one copy of that version's weights the bundle holds: a promoted bundle's
-// parameters are never written.
+// snapshot is one immutable, fully warmed serving configuration: one bundle
+// session (core.Bundle.NewSession) per worker, indexed by worker ID. A
+// session owns the layer caches an inference pass writes and the scratch
+// that keeps the hot path allocation-light; the weights, forest and
+// normalizer it reads are the one copy the version's bundle holds, which is
+// never written. Nothing in a snapshot is mutated after Store other than
+// each session by its own worker, so readers need no locks.
 type snapshot struct {
 	version  string
-	replicas []*replica
+	sessions []*core.Session
 }
 
-// replica is one worker's private session set: a session owns the layer
-// caches an inference pass writes and the scratch buffers that keep the
-// hot path allocation-light, and shares the weights with the bundle.
-type replica struct {
-	general     *core.Session
-	specialized map[int]*core.Session
-}
-
-// sessionFor returns the session serving a service, falling back to the
-// general model, plus the service the session specializes (-1 = general).
-func (r *replica) sessionFor(serviceID int) (*core.Session, int) {
-	if s, ok := r.specialized[serviceID]; ok {
-		return s, serviceID
-	}
-	return r.general, -1
-}
-
-// NewRegistry builds a registry whose snapshots carry `workers` replicas.
+// NewRegistry builds a registry whose snapshots carry `workers` sessions.
 func NewRegistry(workers int) *Registry {
 	if workers <= 0 {
 		workers = 1
@@ -82,7 +67,7 @@ func (r *Registry) current() *snapshot { return r.cur.Load() }
 // shadow returns the shadow snapshot (nil when no candidate is installed).
 func (r *Registry) shadow() *snapshot { return r.shadowCur.Load() }
 
-// InstallShadow builds a single-replica snapshot of a registered version
+// InstallShadow builds a single-session snapshot of a registered version
 // and installs it as the shadow candidate, replacing any previous one.
 // The same warm-up as a promotion applies: a candidate that cannot
 // produce a finite distribution is rejected here, before any teed
@@ -149,12 +134,12 @@ func (r *Registry) AddModel(version string, m *core.Model) error {
 	return r.Add(version, core.NewBundle(m))
 }
 
-// Promote builds per-worker replicas of the named version, warms every
-// session up with a real inference, and atomically swaps it in. In-flight
-// batches finish on the snapshot they started with; the warm-up means the
-// first post-swap request finds every session's caches and scratch
-// already sized, and a model that cannot produce a finite distribution is
-// rejected before any traffic reaches it.
+// Promote builds one bundle session per worker for the named version, warms
+// each up with a real inference through every model, and atomically swaps
+// it in. In-flight batches finish on the snapshot they started with; the
+// warm-up means the first post-swap request finds every session's caches
+// and scratch already sized, and a model that cannot produce a finite
+// distribution is rejected before any traffic reaches it.
 func (r *Registry) Promote(version string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -236,7 +221,7 @@ func (r *Registry) restoreSpecialized(version string, serviceID int, m *core.Mod
 	if !ok {
 		return fmt.Errorf("serving: unknown version %q", version)
 	}
-	b.Specialized[serviceID] = m
+	b.Attach(serviceID, m)
 	return nil
 }
 
@@ -265,7 +250,9 @@ func (r *Registry) Rollback() (string, error) {
 // SetSpecialized installs (or replaces) a per-service specialized model in
 // the active version via copy-on-write: a new bundle and a new snapshot
 // are built and swapped atomically, so concurrent diagnoses see either the
-// old or the new model set, never a map mid-mutation.
+// old or the new model set, never a map mid-mutation. The model enters the
+// bundle through core.Bundle.Attach: one whose trunk holds the general
+// model's bits shares its pass, any other is served in a pass of its own.
 func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	if m == nil {
 		return fmt.Errorf("serving: nil specialized model for service %d", serviceID)
@@ -281,7 +268,7 @@ func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	for id, sm := range old.Specialized {
 		nb.Specialized[id] = sm
 	}
-	nb.Specialized[serviceID] = m
+	nb.Attach(serviceID, m)
 	snap, err := r.buildSnapshot(cur.version, nb)
 	if err != nil {
 		return err
@@ -302,43 +289,31 @@ func (r *Registry) buildSnapshot(version string, b *core.Bundle) (*snapshot, err
 	return r.buildSnapshotN(version, b, r.workers)
 }
 
-// buildSnapshotN is buildSnapshot with an explicit replica count (shadow
-// snapshots carry one replica — the tee executor is a single goroutine).
+// buildSnapshotN is buildSnapshot with an explicit session count (shadow
+// snapshots carry one — the tee executor is a single goroutine). Every
+// session is warmed up with one real inference per model: that sizes its
+// layer caches and scratch, and proves each model still produces a finite
+// coarse distribution before promotion exposes it to traffic.
 func (r *Registry) buildSnapshotN(version string, b *core.Bundle, workers int) (*snapshot, error) {
-	snap := &snapshot{version: version, replicas: make([]*replica, workers)}
-	warm := make([]float64, b.General.TrainLayout.NumFeatures())
-	for w := range snap.replicas {
-		rep := &replica{
-			general:     b.General.NewSession(),
-			specialized: make(map[int]*core.Session, len(b.Specialized)),
-		}
-		if err := warmup(rep.general, warm); err != nil {
-			return nil, fmt.Errorf("serving: version %q general model: %w", version, err)
-		}
-		for id, m := range b.Specialized {
-			sess := m.NewSession()
-			if err := warmup(sess, warm); err != nil {
-				return nil, fmt.Errorf("serving: version %q service %d: %w", version, id, err)
+	snap := &snapshot{version: version, sessions: make([]*core.Session, workers)}
+	layout := b.General.TrainLayout
+	rows := []core.Row{{Service: -1, Layout: layout, Features: make([]float64, layout.NumFeatures())}}
+	for id := range b.Specialized {
+		rows = append(rows, core.Row{Service: id, Layout: layout, Features: rows[0].Features})
+	}
+	for w := range snap.sessions {
+		sess := b.NewSession()
+		for i, d := range sess.DiagnoseRows(context.Background(), rows) {
+			for _, p := range d.Coarse {
+				if math.IsNaN(p) || math.IsInf(p, 0) {
+					return nil, fmt.Errorf("serving: version %q service %d: warm-up produced a non-finite coarse distribution", version, rows[i].Service)
+				}
 			}
-			rep.specialized[id] = sess
+			mWarmups.Inc()
 		}
-		snap.replicas[w] = rep
+		snap.sessions[w] = sess
 	}
 	return snap, nil
-}
-
-// warmup runs one inference through a fresh session: it sizes the
-// session's layer caches and scratch and proves the model still produces a
-// finite coarse distribution before promotion exposes it to traffic.
-func warmup(s *core.Session, features []float64) error {
-	d := s.Diagnose(features, s.Model().TrainLayout)
-	for _, p := range d.Coarse {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("warm-up produced a non-finite coarse distribution")
-		}
-	}
-	mWarmups.Inc()
-	return nil
 }
 
 // Active returns the live version name ("" before the first promotion).

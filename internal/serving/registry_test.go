@@ -80,12 +80,12 @@ func TestRegistrySetSpecializedNeedsActiveVersion(t *testing.T) {
 	if len(infos[0].Specialized) != 1 || infos[0].Specialized[0] != 3 {
 		t.Fatalf("specialized set %v, want [3]", infos[0].Specialized)
 	}
-	// The replica for the specialized service is actually used.
+	// The session routes the specialized service to its own head.
 	snap := r.current()
-	if _, svc := snap.replicas[0].sessionFor(3); svc != 3 {
+	if _, svc := snap.sessions[0].ModelFor(3); svc != 3 {
 		t.Fatal("specialized session not routed")
 	}
-	if _, svc := snap.replicas[0].sessionFor(7); svc != -1 {
+	if _, svc := snap.sessions[0].ModelFor(7); svc != -1 {
 		t.Fatal("unknown service must fall back to general")
 	}
 }

@@ -11,17 +11,19 @@
 //     lone request on an idle engine is a batch of one served at once, and
 //     batches grow exactly as fast as requests queue behind busy workers.
 //     Bulk callers enqueue their whole backlog before waiting (SubmitAll),
-//     so it is there to be taken whole. Each worker diagnoses a batch's
-//     same-layout samples with one fused forward/backward pass over the
-//     whole b×n matrix (core.Session.DiagnoseBatch), so the network's
-//     weights are streamed once per batch instead of once per request.
+//     so it is there to be taken whole. Each worker diagnoses a batch with
+//     one call of its bundle session (core.Session.DiagnoseRows): whatever
+//     services and layouts the batch mixes, its rows share one
+//     forward/backward pass through the trunk every model of the version
+//     aliases, so the weights are streamed once per batch instead of once
+//     per request or per service.
 //
 //   - Versioned model registry. Named model versions (general + per-service
 //     specialized bundles) are loaded from disk or memory, warmed up with a
-//     real inference per worker session (sessions share the version's one
-//     copy of the weights), and promoted by an atomic pointer
-//     swap — the deployment path for §VI drift-triggered retrains and
-//     service specialization. Every response is attributable to exactly
+//     real inference through every model on each worker's session
+//     (sessions share the version's one copy of the weights), and promoted
+//     by an atomic pointer swap — the deployment path for §VI
+//     drift-triggered retrains and service specialization. Every response is attributable to exactly
 //     one version; rollback re-promotes the previous one.
 //
 //   - Admission control. The queue is bounded: overflow is shed
@@ -68,7 +70,7 @@ type Config struct {
 	// QueueDepth bounds the submission queue; non-blocking submissions
 	// beyond it are shed (default 256).
 	QueueDepth int
-	// Workers sizes the worker pool and the per-version replica set
+	// Workers sizes the worker pool and the per-version session set
 	// (default GOMAXPROCS).
 	Workers int
 }

@@ -1,10 +1,11 @@
 package serving
 
 import (
+	"context"
 	"math"
 	"time"
 
-	"diagnet/internal/probe"
+	"diagnet/internal/core"
 	"diagnet/internal/telemetry"
 )
 
@@ -13,7 +14,7 @@ import (
 // already-answered requests is replayed through the candidate on a
 // dedicated executor goroutine. The tee runs strictly after the real
 // response has been settled — the serving path only pays one atomic load
-// and, for sampled groups, a non-blocking channel send — so a slow or
+// and, for sampled batches, a non-blocking channel send — so a slow or
 // broken candidate can never add client latency. A full tee queue drops
 // the sample (counted), it never backpressures.
 
@@ -37,13 +38,11 @@ type ShadowObservation struct {
 	ShadowLatency    time.Duration
 }
 
-// shadowJob replays one served group through the candidate.
+// shadowJob replays one served micro-batch through the candidate.
 type shadowJob struct {
 	snap       *snapshot // candidate snapshot pinned at tee time
 	incVersion string
-	layout     probe.Layout
-	services   []int
-	features   [][]float64
+	rows       []core.Row
 	incCoarse  [][]float64
 	incPerItem time.Duration
 }
@@ -77,9 +76,10 @@ func (e *Engine) SetShadowObserver(fn func(ShadowObservation)) {
 	e.observer.Store(&fn)
 }
 
-// maybeTee samples a served group into the shadow queue. Called by
-// serveGroup after every member's outcome has been delivered.
-func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64, incCoarse [][]float64, incVersion string, incDur time.Duration) {
+// maybeTee samples a served micro-batch into the shadow queue. Called by
+// serveBatch after every member's outcome has been delivered; rows is the
+// batch's own slice, which the worker does not touch again.
+func (e *Engine) maybeTee(rows []core.Row, diags []*core.Diagnosis, incVersion string, incDur time.Duration) {
 	frac := e.ShadowTee()
 	if frac <= 0 {
 		return
@@ -88,9 +88,9 @@ func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64,
 	if snap == nil {
 		return
 	}
-	n := int64(len(features))
+	n := int64(len(rows))
 	seen := e.teeSeen.Add(n)
-	// Threshold sampling at group granularity: tee while the running
+	// Threshold sampling at batch granularity: tee while the running
 	// teed/seen ratio is below the target fraction. Deterministic, cheap,
 	// and converges to the fraction without per-item RNG.
 	if float64(e.teeSent.Load()+n)/float64(seen) > frac && frac < 1 {
@@ -99,11 +99,12 @@ func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64,
 	job := &shadowJob{
 		snap:       snap,
 		incVersion: incVersion,
-		layout:     layout,
-		services:   svcs,
-		features:   append([][]float64(nil), features...), // the worker reuses its slice for the batch's next group
-		incCoarse:  incCoarse,
-		incPerItem: incDur / time.Duration(len(features)),
+		rows:       rows,
+		incCoarse:  make([][]float64, len(rows)),
+		incPerItem: incDur / time.Duration(len(rows)),
+	}
+	for k, d := range diags {
+		job.incCoarse[k] = d.Coarse
 	}
 	select {
 	case e.shadowCh <- job:
@@ -117,8 +118,10 @@ func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64,
 }
 
 // shadowWorker drains the tee queue: each job is replayed through the
-// candidate's single replica as fused per-session passes, and the
-// observer receives one observation per sample.
+// candidate's single session with the same one-call pass the serving
+// workers use (the candidate may specialize services the incumbent served
+// generally; its session resolves that), and the observer receives one
+// observation per sample.
 func (e *Engine) shadowWorker() {
 	defer e.shadowWG.Done()
 	for job := range e.shadowCh {
@@ -134,51 +137,27 @@ func (e *Engine) runShadowJob(job *shadowJob) {
 			mShadowPanics.Inc()
 		}
 	}()
+	start := time.Now()
+	diags := job.snap.sessions[0].DiagnoseRows(context.Background(), job.rows)
+	dur := time.Since(start)
+	mShadowInferMs.Observe(telemetry.Millis(dur))
 	obs := e.observerFn()
-	rep := job.snap.replicas[0]
-
-	// Group members by the candidate session their service maps to (the
-	// candidate may specialize services the incumbent served generally).
-	done := make([]bool, len(job.features))
-	for i := range job.features {
-		if done[i] {
-			continue
-		}
-		sess, _ := rep.sessionFor(job.services[i])
-		idx := []int{i}
-		feats := [][]float64{job.features[i]}
-		for j := i + 1; j < len(job.features); j++ {
-			if done[j] {
-				continue
-			}
-			if s2, _ := rep.sessionFor(job.services[j]); s2 == sess {
-				done[j] = true
-				idx = append(idx, j)
-				feats = append(feats, job.features[j])
-			}
-		}
-		start := time.Now()
-		diags := sess.DiagnoseBatch(feats, job.layout)
-		dur := time.Since(start)
-		mShadowInferMs.Observe(telemetry.Millis(dur))
-		if obs == nil {
-			continue
-		}
-		per := dur / time.Duration(len(idx))
-		for k, gi := range idx {
-			inc := job.incCoarse[gi]
-			sh := diags[k].Coarse
-			obs(ShadowObservation{
-				ServiceID:        job.services[gi],
-				IncumbentVersion: job.incVersion,
-				ShadowVersion:    job.snap.version,
-				Incumbent:        inc,
-				Shadow:           sh,
-				Agree:            argmax(inc) == argmax(sh),
-				IncumbentLatency: job.incPerItem,
-				ShadowLatency:    per,
-			})
-		}
+	if obs == nil {
+		return
+	}
+	per := dur / time.Duration(len(job.rows))
+	for k, d := range diags {
+		inc := job.incCoarse[k]
+		obs(ShadowObservation{
+			ServiceID:        job.rows[k].Service,
+			IncumbentVersion: job.incVersion,
+			ShadowVersion:    job.snap.version,
+			Incumbent:        inc,
+			Shadow:           d.Coarse,
+			Agree:            argmax(inc) == argmax(d.Coarse),
+			IncumbentLatency: job.incPerItem,
+			ShadowLatency:    per,
+		})
 	}
 }
 
