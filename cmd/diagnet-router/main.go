@@ -1,18 +1,17 @@
 // Command diagnet-router fronts a fleet of diagnetd replicas with
-// health-aware routing, consistent-hash service affinity, tail-latency
-// hedging, scatter-gather batches and honored backpressure (DESIGN.md
-// §14).
+// health- and load-aware placement, tail-latency hedging, scatter-gather
+// batches and honored backpressure (DESIGN.md §14).
 //
 // Usage:
 //
 //	diagnet-router -replicas 'http://10.0.0.1:8421,http://10.0.0.2:8421,http://10.0.0.3:8421'
-//	               [-addr :8420] [-hedge-after 0] [-affinity=true]
+//	               [-addr :8420] [-hedge-after 0]
 //	               [-health-interval 500ms] [-attempt-timeout 30s]
 //	               [-federate-interval 15s] [-slo-target 0.999] [-slo-latency-ms 250]
 //	               [-state-dir state/ [-profile-on-breach 500]]
 //	               [-log-format text|json] [-trace=true]
 //
-// API: POST /v1/diagnose (routed with service affinity + hedging) and
+// API: POST /v1/diagnose (least-loaded ready replica, hedged) and
 // /v1/diagnose-batch (scatter-gathered across ready replicas) and GET
 // /v1/model are proxied to the replicas; the router's own are /v1/metrics
 // and /metrics, /v1/replicas (per-replica health/breaker/load),
@@ -46,7 +45,6 @@ func main() {
 	addr := flag.String("addr", ":8420", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "hedging delay: 0 = adaptive (attempt-latency p90), <0 = hedging off")
-	affinity := flag.Bool("affinity", true, "consistent-hash service affinity (false = pure least-loaded)")
 	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "replica /readyz sweep period")
 	flag.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", 30*time.Second, "per-replica attempt timeout")
 	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
@@ -72,13 +70,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg.NoAffinity = !*affinity
 	if *stateDir != "" {
 		cfg.Obs.ProfileDir = filepath.Join(*stateDir, "profiles")
 	}
 	rt := cluster.NewRouter(urls, cfg)
 	slog.Info("router pool built", "replicas", len(urls),
-		"hedge_after", cfg.HedgeAfter, "affinity", *affinity,
+		"hedge_after", cfg.HedgeAfter,
 		"federate_interval", cfg.Obs.FederateInterval, "slo_target", cfg.Obs.SLOTarget,
 		"profiling", cfg.Obs.ProfileDir != "")
 

@@ -257,9 +257,9 @@ func NewAnalysisServerFromEngine(e *ServingEngine) *AnalysisServer {
 }
 
 // Replicated serving tier (DESIGN.md §14): cmd/diagnet-router fans
-// traffic across diagnetd replicas with health-aware routing,
-// consistent-hash service affinity, tail-latency hedging, scatter-gather
-// batches and honored backpressure.
+// traffic across diagnetd replicas with health- and load-aware
+// placement, tail-latency hedging, scatter-gather batches and honored
+// backpressure.
 type (
 	// ClusterRouter routes client traffic across a replica pool; it is an
 	// http.Handler serving the same /v1 API as one replica.

@@ -195,20 +195,10 @@ func post(client *http.Client, url string, body []byte) error {
 // Results land in results/BENCH_router.json via cmd/bench2json.
 func BenchmarkRouter(b *testing.B) {
 	urls := benchCluster(b)
-	// Internet-scale traffic spans many services; a single service ID
-	// would let affinity (correctly) pin the whole benchmark onto one
-	// replica and measure queueing, not routing. 32 distinct IDs spread
-	// the rendezvous keys across the fleet. Unknown IDs fall back to the
-	// general model on the replica, so every body costs the same.
 	req := benchDiagnose(b)
-	bodies := make([][]byte, 32)
-	for i := range bodies {
-		r := req
-		r.ServiceID = 1000 + i
-		var err error
-		if bodies[i], err = json.Marshal(&r); err != nil {
-			b.Fatal(err)
-		}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		b.Fatal(err)
 	}
 	// The bench client gets the same fan-in-sized idle pool as the router's
 	// outbound transport, so neither path pays client-side handshake churn.
@@ -220,20 +210,16 @@ func BenchmarkRouter(b *testing.B) {
 			b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
 				runClients(b, c, func() error {
 					i := int(next.Add(1))
-					return post(client, urls[i%len(urls)], bodies[i%len(bodies)])
+					return post(client, urls[i%len(urls)], body)
 				})
 			})
 		}
 	})
 
 	b.Run("direct-1", func(b *testing.B) {
-		var next atomic.Int64
 		for _, c := range benchConcurrency {
 			b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-				runClients(b, c, func() error {
-					i := int(next.Add(1))
-					return post(client, urls[0], bodies[i%len(bodies)])
-				})
+				runClients(b, c, func() error { return post(client, urls[0], body) })
 			})
 		}
 	})
@@ -243,13 +229,9 @@ func BenchmarkRouter(b *testing.B) {
 			rt := newTestRouter(b, urls, cfg)
 			ts := httptest.NewServer(rt)
 			defer ts.Close()
-			var next atomic.Int64
 			for _, c := range benchConcurrency {
 				b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-					runClients(b, c, func() error {
-						i := int(next.Add(1))
-						return post(client, ts.URL, bodies[i%len(bodies)])
-					})
+					runClients(b, c, func() error { return post(client, ts.URL, body) })
 				})
 			}
 		})

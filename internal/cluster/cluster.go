@@ -5,21 +5,19 @@
 // needs (§II "heavy traffic from millions of users"; NetRCA-style
 // replicated localization).
 //
-// The routing policy has five pillars (DESIGN.md §14):
+// The routing policy has four pillars (DESIGN.md §14):
 //
-//   - Health-aware replica pool. Every replica is actively probed on its
-//     /readyz endpoint; a replica that is recovering, draining or dead
-//     takes no traffic. Per-replica EWMA latency and an
-//     internal/resilience circuit breaker (fed by live request outcomes)
-//     catch the failure modes a readiness probe is too slow or too coarse
-//     to see.
-//
-//   - Pick-two least-loaded routing with consistent-hash affinity. The
-//     request's service ID selects a rendezvous-hashed pair of preferred
-//     replicas, and the less-loaded of the two serves it. Affinity keeps a
-//     service's traffic on the same replicas, so per-service specialized
-//     models and their session caches stay warm; pick-two bounds the
-//     damage when the hash concentrates load.
+//   - Placement from health and load alone. Every replica is actively
+//     probed on its /readyz endpoint; a replica that is recovering,
+//     draining or dead takes no traffic, and a circuit breaker fed by live
+//     request outcomes catches what a readiness probe is too slow or too
+//     coarse to see. Among the rest a request goes to the replica with the
+//     fewest attempts in flight, the attempt-latency EWMA breaking ties.
+//     There is no service affinity: every serving worker of every replica
+//     holds all heads over one trunk in one bundle session, warmed before
+//     the bundle is promoted (DESIGN.md §8, §11), so no replica answers a
+//     service warmer than another and the router reads no request body to
+//     place it.
 //
 //   - Tail-latency hedging. If the chosen replica has not answered after a
 //     p9x-derived delay, the router issues a duplicate to the next
@@ -28,9 +26,10 @@
 //     batch slot (serving.Stats.ShedCanceled), so hedges trade a little
 //     admission work for a lot of tail latency.
 //
-//   - Scatter-gather batches. A large /v1/diagnose-batch is split into
-//     contiguous chunks across the ready replicas, executed in parallel,
-//     and merged back in request order.
+//   - Scatter-gather batches. A large /v1/diagnose-batch is split on
+//     element boundaries into contiguous chunks across the ready replicas,
+//     executed in parallel, and merged back in request order — each
+//     element forwarded as the bytes it arrived in, never decoded.
 //
 //   - Backpressure propagation. A replica's 429 is honored, never blindly
 //     retried against the same replica: the advertised Retry-After parks
@@ -56,6 +55,15 @@ const maxBody = 8 << 20
 // maxBatch bounds a single batch request (mirrors the analysis plane).
 const maxBatch = 1024
 
+// What no deployment has had a reason to tune: constants, not knobs.
+const (
+	hedgeDefault   = 25 * time.Millisecond // adaptive hedge delay until the attempt histogram holds 20 samples
+	hedgeMin       = time.Millisecond      // its floor afterwards: a fast tail must not hedge every request
+	healthTimeout  = time.Second           // one readiness probe
+	loadedFallback = time.Second           // park of a 429-ing replica that sent no Retry-After
+	batchChunk     = 8                     // smallest scatter chunk: at most ceil(len/batchChunk) chunks a batch
+)
+
 // ErrNoReplicas reports that no replica could take the request: none are
 // ready, or every candidate's circuit is open.
 var ErrNoReplicas = errors.New("cluster: no replica available")
@@ -65,31 +73,13 @@ type Config struct {
 	// HedgeAfter is the hedging delay: how long the first attempt may run
 	// before a duplicate is issued to the next replica. Zero derives the
 	// delay from the observed attempt-latency tail (p90 once enough
-	// samples exist, HedgeDefault before that); a negative value disables
-	// hedging.
+	// samples exist, 25ms before that, never under 1ms); a negative value
+	// disables hedging.
 	HedgeAfter time.Duration
-	// HedgeDefault seeds the adaptive delay before the latency histogram
-	// has enough samples to trust its tail (default 25ms).
-	HedgeDefault time.Duration
-	// HedgeMin floors the adaptive delay (default 1ms) so a fast-replica
-	// tail cannot collapse hedging into doubling every request.
-	HedgeMin time.Duration
-	// NoAffinity disables consistent-hash service affinity; requests then
-	// go to the least-loaded ready replica regardless of service.
-	NoAffinity bool
 	// HealthInterval is the /readyz sweep period (default 500ms).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one readiness probe (default 1s).
-	HealthTimeout time.Duration
 	// AttemptTimeout bounds one proxied attempt (default 30s).
 	AttemptTimeout time.Duration
-	// LoadedFallback parks a 429-ing replica when it advertised no
-	// Retry-After (default 1s).
-	LoadedFallback time.Duration
-	// BatchChunk is the smallest scatter-gather chunk; batches are split
-	// into at most ceil(len/BatchChunk) chunks, never more than there are
-	// ready replicas (default 8).
-	BatchChunk int
 	// Breaker tunes the per-replica circuit breakers. The zero value uses
 	// a threshold of 3 consecutive failures and a 5s cooldown — shorter
 	// than the probing plane's default because a replica behind a router
@@ -124,26 +114,11 @@ func defaultTransport() http.RoundTripper {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.HedgeDefault <= 0 {
-		c.HedgeDefault = 25 * time.Millisecond
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = time.Millisecond
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
-	}
-	if c.LoadedFallback <= 0 {
-		c.LoadedFallback = time.Second
-	}
-	if c.BatchChunk <= 0 {
-		c.BatchChunk = 8
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3

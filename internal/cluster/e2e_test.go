@@ -36,7 +36,6 @@ func TestClusterE2E(t *testing.T) {
 	}
 	rt := newTestRouter(t, urls, Config{
 		HealthInterval:  20 * time.Millisecond,
-		HealthTimeout:   500 * time.Millisecond,
 		AttemptTimeout:  10 * time.Second,
 		BreakerCooldown: 200 * time.Millisecond,
 		// Adaptive hedging on: the kill adds transport-error latency noise

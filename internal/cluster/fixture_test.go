@@ -167,9 +167,8 @@ func (r *realReplica) restart() {
 }
 
 // ---------------------------------------------------------------------------
-// Fake replica: a scriptable stand-in for unit tests (affinity,
-// backpressure, hedging, scatter-gather) where a real model would only
-// add noise.
+// Fake replica: a scriptable stand-in for unit tests (backpressure,
+// hedging, scatter-gather) where a real model would only add noise.
 
 type fakeReplica struct {
 	srv   *httptest.Server
@@ -204,6 +203,29 @@ func newFakeReplica(t testing.TB, handle http.Handler) *fakeReplica {
 }
 
 func (f *fakeReplica) url() string { return f.srv.URL }
+
+// firstAttempted scripts "the replica the router tries first is the slow /
+// loaded one" without predicting placement: of the fakes built from it,
+// whichever receives the first request answers through primary from then
+// on, and every other one through other.
+type firstAttempted struct {
+	primary, other http.Handler
+	first          atomic.Pointer[fakeReplica]
+}
+
+// replica adds one fake to the script.
+func (s *firstAttempted) replica(t testing.TB) *fakeReplica {
+	var f *fakeReplica
+	f = newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.first.CompareAndSwap(nil, f)
+		if s.first.Load() == f {
+			s.primary.ServeHTTP(w, r)
+		} else {
+			s.other.ServeHTTP(w, r)
+		}
+	}))
+	return f
+}
 
 // okDiagnose answers every diagnose with a fixed response stamped with
 // the given version (so tests can tell replicas apart by body).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"diagnet/internal/obs"
@@ -57,9 +56,7 @@ type routerObs struct {
 	// delta distribution since the previous sweep, not the lifetime one.
 	prevLat *telemetry.HistogramPoint
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	stopLoop func() // ends the federation loop and awaits it
 }
 
 // newRouterObs wires the observability plane over the pool; returns nil
@@ -68,11 +65,7 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 	if cfg.FederateInterval <= 0 {
 		return nil
 	}
-	ro := &routerObs{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	ro := &routerObs{cfg: cfg}
 	ro.fed = obs.NewFederator(obs.FederatorConfig{
 		Targets: func() []string {
 			reps := pool.Replicas()
@@ -97,11 +90,9 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 		}
 	}
 	if cfg.SLOTarget > 0 {
-		var objectives []obs.Objective
-		if cfg.SLOLatencyMs > 0 {
-			objectives = obs.DefaultObjectives(cfg.SLOTarget, cfg.SLOLatencyMs)
-		} else {
-			objectives = obs.DefaultObjectives(cfg.SLOTarget, 0)[:1]
+		objectives := obs.DefaultObjectives(cfg.SLOTarget, cfg.SLOLatencyMs)
+		if cfg.SLOLatencyMs <= 0 {
+			objectives = objectives[:1] // availability only
 		}
 		ro.slo = obs.NewSLOEngine(obs.SLOConfig{
 			Objectives: objectives,
@@ -121,31 +112,20 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 			},
 		})
 	}
-	go ro.run()
+	ro.stopLoop = every(cfg.FederateInterval, ro.sweep)
 	return ro
 }
 
-// run is the federation loop: sweep, feed the SLO engine, check the
-// windowed fleet p99.
-func (ro *routerObs) run() {
-	defer close(ro.done)
-	t := time.NewTicker(ro.cfg.FederateInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ro.stop:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.FederateInterval*8)
-			view := ro.fed.Sweep(ctx)
-			cancel()
-			now := time.Now()
-			if ro.slo != nil {
-				ro.slo.Observe(now, &view.Fleet)
-			}
-			ro.checkBreach(&view.Fleet)
-		}
+// sweep is one turn of the federation loop: scrape, feed the SLO engine,
+// check the windowed fleet p99.
+func (ro *routerObs) sweep() {
+	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.FederateInterval*8)
+	view := ro.fed.Sweep(ctx)
+	cancel()
+	if ro.slo != nil {
+		ro.slo.Observe(time.Now(), &view.Fleet)
 	}
+	ro.checkBreach(&view.Fleet)
 }
 
 // checkBreach triggers a profile capture when the windowed fleet p99 over
@@ -171,8 +151,7 @@ func (ro *routerObs) checkBreach(fleet *telemetry.Export) {
 // profiler (awaits an in-flight capture), then the federator's idle
 // scrape connections. Idempotent — Router.Close may run more than once.
 func (ro *routerObs) close() {
-	ro.stopOnce.Do(func() { close(ro.stop) })
-	<-ro.done
+	ro.stopLoop()
 	if ro.profiler != nil {
 		ro.profiler.Close()
 	}
@@ -214,12 +193,4 @@ func (rt *Router) Federator() *obs.Federator {
 		return nil
 	}
 	return rt.obs.fed
-}
-
-// Profiler exposes the anomaly profiler (nil when disabled).
-func (rt *Router) Profiler() *obs.Profiler {
-	if rt.obs == nil {
-		return nil
-	}
-	return rt.obs.profiler
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -22,9 +21,7 @@ type Pool struct {
 	client   *http.Client
 	replicas []*Replica
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	stopSweep func() // ends the background sweeper and awaits it
 }
 
 // NewPool builds a pool over the given base URLs and runs one synchronous
@@ -35,25 +32,42 @@ func NewPool(urls []string, cfg Config) *Pool {
 	p := &Pool{
 		cfg: cfg,
 		client: &http.Client{
-			Timeout:   cfg.HealthTimeout,
+			Timeout:   healthTimeout,
 			Transport: cfg.Transport,
 		},
-		stop: make(chan struct{}),
 	}
 	for _, u := range urls {
 		p.replicas = append(p.replicas, newReplica(u, cfg))
 	}
 	p.sweep()
-	p.wg.Add(1)
-	go p.run()
+	p.stopSweep = every(cfg.HealthInterval, p.sweep)
 	return p
+}
+
+// every runs fn on a ticker until the returned stop is called; stop awaits
+// the loop (and an fn in flight) and is idempotent.
+func every(d time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+	return sync.OnceFunc(func() { close(quit); <-done })
 }
 
 // Close stops the health sweeper and releases the probe client's idle
 // connections. Idempotent.
 func (p *Pool) Close() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.wg.Wait()
+	p.stopSweep()
 	p.client.CloseIdleConnections()
 }
 
@@ -82,21 +96,6 @@ func (p *Pool) Status() []ReplicaStatus {
 	return out
 }
 
-// run sweeps readiness until Close.
-func (p *Pool) run() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.sweep()
-		}
-	}
-}
-
 // sweep probes every replica's /readyz concurrently. 2xx marks it ready;
 // anything else — 503 while recovering or draining, connection refused
 // after a crash — takes it out of rotation until a later sweep succeeds.
@@ -106,7 +105,7 @@ func (p *Pool) sweep() {
 		wg.Add(1)
 		go func(r *Replica) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 			defer cancel()
 			ok := p.check(ctx, r)
 			if r.setHealthy(ok) {
@@ -146,29 +145,13 @@ func (p *Pool) check(ctx context.Context, r *Replica) bool {
 	return false
 }
 
-// rendezvous scores a (key, replica) pair for highest-random-weight
-// hashing: every router instance ranks replicas identically for a key,
-// and removing a replica only reassigns that replica's keys.
-func rendezvous(key, name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	h.Write([]byte(name))
-	return h.Sum64()
-}
-
-// Ranked returns the candidate replicas for a request, best first. The
-// base set is the ready replicas whose breaker is not open and whose 429
-// window has passed; if that leaves nothing, loaded/open replicas are
-// readmitted (a parked replica beats a refusal), and as a last resort —
-// before the first sweep, or in a total blackout — every replica is
-// tried.
-//
-// With a non-empty affinity key the set is ordered by rendezvous hash and
-// the top two are swapped into least-loaded-first order (pick-two: the
-// hash names the pair, load picks within it). Without a key, plain
-// least-loaded order with the latency EWMA as tiebreak.
-func (p *Pool) Ranked(key string) []*Replica {
+// Ranked returns the candidate replicas for a request, best first:
+// fewest attempts in flight, the latency EWMA as tiebreak. The base set is
+// the ready replicas whose breaker is not open and whose 429 window has
+// passed; if that leaves nothing, loaded/open replicas are readmitted (a
+// parked replica beats a refusal), and as a last resort — before the
+// first sweep, or in a total blackout — every replica is tried.
+func (p *Pool) Ranked() []*Replica {
 	now := p.cfg.Now()
 	var avail, ready []*Replica
 	for _, r := range p.replicas {
@@ -189,15 +172,6 @@ func (p *Pool) Ranked(key string) []*Replica {
 		list = p.replicas
 	}
 	out := append([]*Replica(nil), list...)
-	if key != "" && !p.cfg.NoAffinity {
-		sort.SliceStable(out, func(i, j int) bool {
-			return rendezvous(key, out[i].name) > rendezvous(key, out[j].name)
-		})
-		if len(out) >= 2 && out[1].Outstanding() < out[0].Outstanding() {
-			out[0], out[1] = out[1], out[0]
-		}
-		return out
-	}
 	sort.SliceStable(out, func(i, j int) bool {
 		oi, oj := out[i].Outstanding(), out[j].Outstanding()
 		if oi != oj {

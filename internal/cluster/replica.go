@@ -10,10 +10,10 @@ import (
 // Replica is one diagnetd instance behind the router: its base URL plus
 // the health state the routing policy reads — readiness (from the active
 // /readyz sweep), a circuit breaker fed by live request outcomes, an EWMA
-// of attempt latency, the in-flight count for pick-two least-loaded, and
+// of attempt latency, the in-flight count for least-loaded placement, and
 // the backpressure window a 429's Retry-After opened.
 type Replica struct {
-	name string // base URL, also the rendezvous-hash identity
+	name string // base URL
 
 	breaker *resilience.Breaker
 	lat     *resilience.EWMA // attempt latency, milliseconds

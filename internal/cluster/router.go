@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,7 +128,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // hedgeDelay returns the current hedging delay, or a negative duration
 // when hedging is disabled. With HedgeAfter unset the delay tracks the
-// observed attempt-latency p90 (floored at HedgeMin): hedge only the
+// observed attempt-latency p90 (floored at hedgeMin): hedge only the
 // requests already slower than nine in ten, so the duplicate-work rate
 // stays around 10% while the p99 collapses toward the p90.
 func (rt *Router) hedgeDelay() time.Duration {
@@ -136,13 +136,9 @@ func (rt *Router) hedgeDelay() time.Duration {
 		return rt.cfg.HedgeAfter
 	}
 	if rt.latHist.Count() < 20 {
-		return rt.cfg.HedgeDefault
+		return hedgeDefault
 	}
-	d := time.Duration(rt.latHist.Quantile(0.90) * float64(time.Millisecond))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
-	}
-	return d
+	return max(hedgeMin, time.Duration(rt.latHist.Quantile(0.90)*float64(time.Millisecond)))
 }
 
 // attemptOutcome is one replica attempt's result.
@@ -153,6 +149,13 @@ type attemptOutcome struct {
 	header http.Header
 	body   []byte
 	err    error
+}
+
+// definitive reports an answer every replica would agree on — a success or
+// a terminal client error — as opposed to a transport error, a 5xx or a
+// 429, which send the request to the next candidate.
+func (o attemptOutcome) definitive() bool {
+	return o.err == nil && o.status != http.StatusTooManyRequests && o.status < 500
 }
 
 // writeUpstream relays an upstream response (or routing failure) to the
@@ -177,11 +180,8 @@ func writeUpstream(w http.ResponseWriter, out attemptOutcome) {
 // transient failures, honored backpressure on 429. Each candidate is
 // tried at most once; the first definitive answer wins and every other
 // in-flight attempt is canceled.
-func (rt *Router) route(ctx context.Context, method, path string, body []byte, key string, hedge bool) attemptOutcome {
-	cands := rt.pool.Ranked(key)
-	if len(cands) == 0 {
-		return attemptOutcome{err: ErrNoReplicas}
-	}
+func (rt *Router) route(ctx context.Context, method, path string, body []byte, hedge bool) attemptOutcome {
+	cands := rt.pool.Ranked()
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 	ch := make(chan attemptOutcome, len(cands)) // buffered: a loser finishing late never blocks
@@ -224,16 +224,15 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, k
 		}
 	}
 
-	var lastFail, loaded429 attemptOutcome
+	var loaded429 attemptOutcome
 	saw429 := false
 	for {
 		select {
 		case out := <-ch:
 			inflight--
 			switch {
-			case out.err == nil && out.status != http.StatusTooManyRequests && out.status < 500:
-				// Definitive: success, or a terminal client error every
-				// replica would agree on. Cancel the losers.
+			case out.definitive():
+				// Cancel the losers.
 				if out.hedged {
 					rt.hedgeWins.Add(1)
 					mHedgeWins.Inc()
@@ -248,7 +247,7 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, k
 				// and try the next candidate — never the same one again.
 				ra := analysis.ParseRetryAfter(out.header)
 				if ra <= 0 {
-					ra = rt.cfg.LoadedFallback
+					ra = loadedFallback
 				}
 				out.rep.markLoaded(rt.cfg.Now(), ra)
 				rt.backpressure.Add(1)
@@ -260,7 +259,6 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, k
 			default:
 				// Transient: transport error or 5xx. Fail over to the next
 				// candidate; the attempt already fed the breaker.
-				lastFail = out
 				if launch(false) {
 					rt.failovers.Add(1)
 					mFailovers.Inc()
@@ -268,7 +266,7 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, k
 					if saw429 {
 						return loaded429 // a "come back later" beats a hard failure
 					}
-					return lastFail
+					return out
 				}
 			}
 		case <-hedgeC:
@@ -281,11 +279,13 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, k
 }
 
 // attempt runs one proxied request against one replica, feeding the
-// breaker, the latency EWMA and the attempt histogram, and tracing the
-// hop as a "cluster.attempt" child span with the traceparent injected so
-// the replica's route span joins the same trace.
+// breaker and — for a definitive answer only — the latency EWMA and the
+// attempt histogram, and tracing the hop as a "cluster.attempt" child span
+// with the traceparent injected so the replica's route span joins the same
+// trace. A replica that fails or sheds instantly must not look like the
+// fastest one to the placement tiebreak, nor drag the hedge delay's p90
+// down during an incident.
 func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string, body []byte, hedged bool, ch chan<- attemptOutcome) {
-	out := attemptOutcome{rep: rep, hedged: hedged}
 	defer rep.outstanding.Add(-1) // matches the Add(1) at the launch site
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
@@ -294,102 +294,82 @@ func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string
 	span.SetAttr("hedge", hedged)
 	defer span.End()
 
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(actx, method, rep.name+path, reader)
-	if err != nil {
-		// A malformed URL is the router's bug, not the replica's failure.
-		out.err = err
-		span.SetError(err)
-		rep.breaker.Success()
-		ch <- out
-		return
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	tracing.Inject(actx, req.Header)
-
 	start := time.Now()
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		out.err = err
-		span.SetError(err)
-		if errors.Is(err, context.Canceled) {
-			// A canceled hedge loser says nothing about the replica's
-			// health; only real failures may open the breaker.
-			rep.breaker.Success()
-		} else {
-			rep.breaker.Failure()
+	out := rt.exchange(actx, rep, method, path, body)
+	out.hedged = hedged
+	// A canceled hedge loser says nothing about the replica's health; only
+	// real failures may open the breaker.
+	failed := out.err != nil && !errors.Is(out.err, context.Canceled)
+	if out.err != nil {
+		span.SetError(out.err)
+	} else {
+		span.SetAttr("http.status", out.status)
+		if out.status >= 500 {
+			failed = true
+			span.SetError(fmt.Errorf("replica %s: http %d", rep.name, out.status))
 		}
-		ch <- out
-		return
 	}
-	// Bounded tail drain before Close: readResponse may stop short of EOF
-	// (Content-Length fast path, maxBody cap), and an undrained body costs
-	// the keep-alive connection on every proxied request.
-	defer resilience.DrainClose(resp.Body, 32<<10)
-	out.status = resp.StatusCode
-	out.header = resp.Header
-	if out.body, err = readResponse(resp); err != nil {
-		out.err = err
-		out.body = nil
-		span.SetError(err)
-		if errors.Is(err, context.Canceled) {
-			rep.breaker.Success()
-		} else {
-			rep.breaker.Failure()
-		}
-		ch <- out
-		return
+	if out.definitive() {
+		lat := telemetry.Millis(time.Since(start))
+		rep.lat.Observe(lat)
+		rt.latHist.Observe(lat)
+		mAttemptLatency.ObserveExemplar(lat, span.TraceID())
 	}
-	lat := telemetry.Millis(time.Since(start))
-	rep.lat.Observe(lat)
-	rt.latHist.Observe(lat)
-	mAttemptLatency.ObserveExemplar(lat, span.TraceID())
-	span.SetAttr("http.status", resp.StatusCode)
-	if resp.StatusCode >= 500 {
-		span.SetError(fmt.Errorf("replica %s: http %d", rep.name, resp.StatusCode))
+	if failed {
 		rep.breaker.Failure()
 	} else {
 		rep.breaker.Success()
 	}
-	ch <- out
+	ch <- out // always: the launch may hold the breaker's half-open trial slot
 }
 
-// readResponse reads a bounded upstream response body, preallocating
-// from Content-Length when the replica sent one.
-func readResponse(resp *http.Response) ([]byte, error) {
-	if cl := resp.ContentLength; cl > 0 && cl <= maxBody {
-		body := make([]byte, cl)
-		n, err := io.ReadFull(resp.Body, body)
+// exchange is the HTTP round trip of one attempt.
+func (rt *Router) exchange(ctx context.Context, rep *Replica, method, path string, body []byte) attemptOutcome {
+	out := attemptOutcome{rep: rep}
+	var reader io.Reader
+	if body != nil {
+		reader = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rep.name+path, reader)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	tracing.Inject(ctx, req.Header)
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	// Bounded tail drain before Close: readBounded may stop short of EOF
+	// (Content-Length fast path, maxBody cap), and an undrained body costs
+	// the keep-alive connection on every proxied request.
+	defer resilience.DrainClose(resp.Body, 32<<10)
+	out.status, out.header = resp.StatusCode, resp.Header
+	out.body, out.err = readBounded(io.LimitReader(resp.Body, maxBody), resp.ContentLength)
+	return out
+}
+
+// readBounded reads r, which the caller has capped at maxBody, to its end.
+// When the peer declared a length the buffer is allocated once at that
+// size — io.ReadAll's doubling growth costs several copies on a typical
+// multi-kilobyte diagnose body, and the proxy path holds every body in
+// memory (hedging needs a replayable request).
+func readBounded(r io.Reader, declared int64) ([]byte, error) {
+	if declared > 0 && declared <= maxBody {
+		body := make([]byte, declared)
+		n, err := io.ReadFull(r, body)
 		return body[:n], err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	return io.ReadAll(r)
 }
 
-// readBody reads a bounded request body, mapping oversize to 413. When
-// the client sent a Content-Length the buffer is allocated once at that
-// size — io.ReadAll's doubling growth costs several copies on a typical
-// multi-kilobyte diagnose body, and the proxy path reads every request
-// into memory (hedging needs a replayable body).
+// readBody reads a request body, answering 413 past maxBody.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	lr := http.MaxBytesReader(w, r.Body, maxBody)
-	var body []byte
-	var err error
-	if cl := r.ContentLength; cl > 0 && cl <= maxBody {
-		body = make([]byte, cl)
-		var n int
-		n, err = io.ReadFull(lr, body)
-		body = body[:n]
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			err = nil // a short body is the client's problem downstream
-		}
-	} else {
-		body, err = io.ReadAll(lr)
-	}
+	body, err := readBounded(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -402,78 +382,45 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// affinityKey extracts the consistent-hash key from a diagnose payload:
-// the service ID, so per-service specialized models stay cache-warm on
-// their replicas. The scan is byte-level, not a JSON decode — a diagnose
-// body is dominated by the feature vector, and fully unmarshaling it just
-// to read one int costs more than the rest of the proxy hop combined. A
-// missing or unparsable ID yields no key (affinity is a placement hint;
-// validation stays the replica's job).
-func (rt *Router) affinityKey(body []byte) string {
-	if rt.cfg.NoAffinity {
-		return ""
-	}
-	id, ok := scanServiceID(body)
-	if !ok {
-		return ""
-	}
-	return "svc:" + strconv.Itoa(id)
-}
-
-// scanServiceID finds `"service_id": <int>` in a JSON object without
-// decoding the document. A pathological body could hide the pattern
-// inside a string value and skew the key, but the key only steers
-// placement — every replica serves every service — so the cheap scan is
-// safe.
-func scanServiceID(body []byte) (int, bool) {
-	i := bytes.Index(body, []byte(`"service_id"`))
-	if i < 0 {
-		return 0, false
-	}
-	i += len(`"service_id"`)
-	for i < len(body) && (body[i] == ' ' || body[i] == '\t' || body[i] == '\n' || body[i] == '\r') {
-		i++
-	}
-	if i >= len(body) || body[i] != ':' {
-		return 0, false
-	}
-	i++
-	for i < len(body) && (body[i] == ' ' || body[i] == '\t' || body[i] == '\n' || body[i] == '\r') {
-		i++
-	}
-	j := i
-	if j < len(body) && body[j] == '-' {
-		j++
-	}
-	for j < len(body) && body[j] >= '0' && body[j] <= '9' {
-		j++
-	}
-	id, err := strconv.Atoi(string(body[i:j]))
-	if err != nil {
-		return 0, false
-	}
-	return id, true
-}
-
 func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	out := rt.route(r.Context(), http.MethodPost, "/v1/diagnose", body, rt.affinityKey(body), true)
-	writeUpstream(w, out)
+	writeUpstream(w, rt.route(r.Context(), http.MethodPost, "/v1/diagnose", body, true))
 }
 
 func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
-	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil, "", false))
+	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil, false))
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, rt.pool.Status())
 }
 
+// The batch envelopes of the analysis plane's /v1/diagnose-batch, every
+// element left as the bytes it arrived in: the router splits and merges on
+// element boundaries and reads nothing inside one.
+type (
+	batchRequest struct {
+		Requests []json.RawMessage `json:"requests"`
+	}
+	batchResponse struct {
+		Responses []json.RawMessage `json:"responses"`
+		Errors    []string          `json:"errors"`
+	}
+)
+
+// encodeRaw writes v as JSON without HTML escaping, which would rewrite
+// the strings inside a RawMessage element.
+func encodeRaw(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
 // handleBatch scatter-gathers a batch: the request list is split into
-// contiguous chunks (one per ready replica, no smaller than BatchChunk),
+// contiguous chunks (one per ready replica, no smaller than batchChunk),
 // the chunks run in parallel through the same failover machinery as
 // single requests, and the per-chunk responses are merged back in request
 // order. One failed chunk fails the whole batch with that chunk's status
@@ -483,7 +430,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req analysis.BatchRequest
+	var req batchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
@@ -494,75 +441,59 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ways := rt.pool.HealthyCount()
-	if ways < 1 {
-		ways = 1
-	}
-	if max := (n + rt.cfg.BatchChunk - 1) / rt.cfg.BatchChunk; ways > max {
-		ways = max
-	}
+	ways := min(max(rt.pool.HealthyCount(), 1), (n+batchChunk-1)/batchChunk)
 	mScatterChunks.Observe(float64(ways))
 	if span := tracing.FromContext(r.Context()); span != nil {
 		span.SetAttr("batch.size", n)
 		span.SetAttr("batch.chunks", ways)
 	}
 
-	merged := analysis.BatchResponse{
-		Responses: make([]*analysis.DiagnoseResponse, n),
-		Errors:    make([]string, n),
-	}
-	type chunkFail struct {
-		out attemptOutcome
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail *chunkFail
-	)
+	merged := batchResponse{Responses: make([]json.RawMessage, n), Errors: make([]string, n)}
+	failed := make(chan attemptOutcome, ways) // one slot per chunk: a send never blocks
+	var wg sync.WaitGroup
 	chunk := (n + ways - 1) / ways
 	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
+		end := min(off+chunk, n)
 		wg.Add(1)
-		go func(off, end int) {
+		go func() {
 			defer wg.Done()
-			payload, err := json.Marshal(analysis.BatchRequest{Requests: req.Requests[off:end]})
-			if err != nil {
-				mu.Lock()
-				if fail == nil {
-					fail = &chunkFail{attemptOutcome{err: err}}
-				}
-				mu.Unlock()
-				return
+			if fail := rt.routeChunk(r.Context(), req.Requests[off:end], merged.Responses[off:end], merged.Errors[off:end]); fail != nil {
+				failed <- *fail
 			}
-			out := rt.route(r.Context(), http.MethodPost, "/v1/diagnose-batch", payload, "", false)
-			if out.err != nil || out.status != http.StatusOK {
-				mu.Lock()
-				if fail == nil {
-					fail = &chunkFail{out}
-				}
-				mu.Unlock()
-				return
-			}
-			var part analysis.BatchResponse
-			if err := json.Unmarshal(out.body, &part); err != nil || len(part.Responses) != end-off {
-				mu.Lock()
-				if fail == nil {
-					fail = &chunkFail{attemptOutcome{err: fmt.Errorf("cluster: replica %s returned a malformed batch chunk", out.rep.Name())}}
-				}
-				mu.Unlock()
-				return
-			}
-			copy(merged.Responses[off:end], part.Responses)
-			copy(merged.Errors[off:end], part.Errors)
-		}(off, end)
+		}()
 	}
 	wg.Wait()
-	if fail != nil {
-		writeUpstream(w, fail.out)
-		return
+	select {
+	case out := <-failed:
+		writeUpstream(w, out)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		if err := encodeRaw(w, merged); err != nil {
+			slog.Warn("cluster: merged batch reply not written", "err", err)
+		}
 	}
-	obs.WriteJSON(w, merged)
+}
+
+// routeChunk sends one contiguous run of batch elements through route and
+// copies the replica's answer into the merged reply's matching slots; a
+// non-nil result is the outcome that fails the batch. A reply without
+// exactly one response and one error slot per element is a failure like
+// any other — merged as it stands it would be a null response beside an
+// empty error, an incident dropped without a word.
+func (rt *Router) routeChunk(ctx context.Context, elems, responses []json.RawMessage, errs []string) *attemptOutcome {
+	var payload bytes.Buffer
+	if err := encodeRaw(&payload, batchRequest{elems}); err != nil {
+		return &attemptOutcome{err: err}
+	}
+	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload.Bytes(), false)
+	if out.err != nil || out.status != http.StatusOK {
+		return &out
+	}
+	var part batchResponse
+	if err := json.Unmarshal(out.body, &part); err != nil || len(part.Responses) != len(elems) || len(part.Errors) != len(elems) {
+		return &attemptOutcome{err: fmt.Errorf("replica %s returned a malformed batch chunk", out.rep.Name())}
+	}
+	copy(responses, part.Responses)
+	copy(errs, part.Errors)
+	return nil
 }

@@ -2,112 +2,42 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"diagnet/internal/analysis"
 )
 
-// byAffinity returns the fake replicas in the order Ranked would emit
-// them for key (rendezvous hash, descending) — the test-side oracle for
-// which replica is the primary.
-func byAffinity(key string, reps []*fakeReplica) []*fakeReplica {
-	out := append([]*fakeReplica(nil), reps...)
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if rendezvous(key, out[j].url()) > rendezvous(key, out[i].url()) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
-}
-
-// TestAffinityPinsService: same service → same replica, every time; a
-// different service may (and for some ID will) land elsewhere.
-func TestAffinityPinsService(t *testing.T) {
-	t.Parallel()
-	a := newFakeReplica(t, okDiagnose("a"))
-	b := newFakeReplica(t, okDiagnose("b"))
-	c := newFakeReplica(t, okDiagnose("c"))
-	reps := []*fakeReplica{a, b, c}
-	rt := newTestRouter(t, []string{a.url(), b.url(), c.url()}, Config{HedgeAfter: -1})
-	ts := httptest.NewServer(rt)
-	defer ts.Close()
-
-	body := func(svc int) []byte {
-		b, _ := json.Marshal(analysis.DiagnoseRequest{ServiceID: svc, Landmarks: []int{0}, Features: []float64{1}})
-		return b
-	}
-	want := byAffinity("svc:7", reps)[0]
-	for i := 0; i < 12; i++ {
-		status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", body(7))
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, status, out)
-		}
-	}
-	if got := want.hits.Load(); got != 12 {
-		t.Errorf("affinity target served %d/12 requests", got)
-	}
-	for _, r := range reps {
-		if r != want && r.hits.Load() != 0 {
-			t.Errorf("non-affine replica %s served %d requests", r.url(), r.hits.Load())
-		}
-	}
-
-	// Some service ID must hash to a different primary (rendezvous spreads
-	// keys); find one and check it actually lands there.
-	for svc := 0; svc < 64; svc++ {
-		other := byAffinity(fmt.Sprintf("svc:%d", svc), reps)[0]
-		if other == want {
-			continue
-		}
-		before := other.hits.Load()
-		if status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", body(svc)); status != http.StatusOK {
-			t.Fatalf("svc %d: status %d: %s", svc, status, out)
-		}
-		if other.hits.Load() != before+1 {
-			t.Errorf("svc %d did not land on its rendezvous primary", svc)
-		}
-		return
-	}
-	t.Error("64 service IDs all hashed to the same primary — rendezvous is not spreading")
-}
-
 // TestBackpressureHonored: a 429ing replica is parked for its advertised
 // Retry-After — the request fails over once, and subsequent requests skip
 // the parked replica entirely instead of blindly retrying into it.
 func TestBackpressureHonored(t *testing.T) {
 	t.Parallel()
-	loaded := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		http.Error(w, "shed", http.StatusTooManyRequests)
-	}))
-	ok := newFakeReplica(t, okDiagnose("ok"))
-	rt := newTestRouter(t, []string{loaded.url(), ok.url()}, Config{HedgeAfter: -1})
+	// Whichever replica the router tries first is the loaded one.
+	script := &firstAttempted{
+		primary: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", "30")
+			http.Error(w, "shed", http.StatusTooManyRequests)
+		}),
+		other: okDiagnose("ok"),
+	}
+	a, b := script.replica(t), script.replica(t)
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
-
-	// Pick a service whose rendezvous primary is the loaded replica so the
-	// first attempt deterministically hits it.
-	svc := -1
-	for s := 0; s < 64; s++ {
-		if byAffinity(fmt.Sprintf("svc:%d", s), []*fakeReplica{loaded, ok})[0] == loaded {
-			svc = s
-			break
-		}
-	}
-	if svc < 0 {
-		t.Fatal("no service ID hashes to the loaded replica")
-	}
-	body, _ := json.Marshal(analysis.DiagnoseRequest{ServiceID: svc, Landmarks: []int{0}, Features: []float64{1}})
+	body := diagnoseFake(t)
 
 	status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", body)
 	if status != http.StatusOK {
 		t.Fatalf("failover request: status %d: %s", status, out)
+	}
+	loaded, ok := a, b
+	if script.first.Load() == b {
+		loaded, ok = b, a
 	}
 	if got := loaded.hits.Load(); got != 1 {
 		t.Fatalf("loaded replica hit %d times on first request, want 1", got)
@@ -172,14 +102,17 @@ func TestFailoverOn5xx(t *testing.T) {
 	bad := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
-	good := newFakeReplica(t, okDiagnose("good"))
-	rt := newTestRouter(t, []string{bad.url(), good.url()}, Config{HedgeAfter: -1, NoAffinity: true})
+	// Slower than any loopback probe, so once it has answered a request the
+	// latency tiebreak ranks the instantly-failing replica first.
+	good := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(5 * time.Millisecond)
+		okDiagnose("good")(w, r)
+	}))
+	rt := newTestRouter(t, []string{bad.url(), good.url()}, Config{HedgeAfter: -1})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
-	// Without affinity ranking is by load; run enough requests that the
-	// bad replica is certainly hit at least once, and every client call
-	// must still succeed.
+	// Every client call must succeed, whichever replica is tried first.
 	body := diagnoseFake(t)
 	for i := 0; i < 10; i++ {
 		if status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", body); status != http.StatusOK {
@@ -187,7 +120,7 @@ func TestFailoverOn5xx(t *testing.T) {
 		}
 	}
 	if bad.hits.Load() == 0 {
-		t.Skip("load-ranked routing never chose the failing replica (legal, just unhelpful)")
+		t.Fatal("the failing replica was never tried")
 	}
 	if s := rt.Stats(); s.Failovers == 0 {
 		t.Errorf("Failovers = 0 after %d hits on a 500ing replica", bad.hits.Load())
@@ -206,12 +139,13 @@ func diagnoseFake(t testing.TB) []byte {
 }
 
 // TestScatterGatherMergesInOrder: a 20-request batch over two replicas
-// comes back as one in-order response, with both replicas doing a chunk.
+// (at most ceil(20/8) = 3 chunks, one per replica: 2) comes back as one
+// in-order response, with both replicas doing a chunk.
 func TestScatterGatherMergesInOrder(t *testing.T) {
 	t.Parallel()
 	a := newFakeReplica(t, echoBatch("a"))
 	b := newFakeReplica(t, echoBatch("b"))
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1, BatchChunk: 4})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -262,26 +196,42 @@ func TestScatterGatherMergesInOrder(t *testing.T) {
 }
 
 // TestBatchChunkFailureFailsWhole: if a chunk cannot be served by any
-// replica, the whole batch fails — no silent partial merges.
+// replica, or comes back without one response and one error slot per
+// element, the whole batch fails — no silent partial merges.
 func TestBatchChunkFailureFailsWhole(t *testing.T) {
 	t.Parallel()
-	boom := func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
+	reply := func(status int, body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+			io.WriteString(w, body)
+		}
 	}
-	a := newFakeReplica(t, http.HandlerFunc(boom))
-	b := newFakeReplica(t, http.HandlerFunc(boom))
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
-	ts := httptest.NewServer(rt)
-	defer ts.Close()
+	for _, tc := range []struct {
+		name   string
+		handle http.HandlerFunc
+		want   int
+	}{
+		{"5xx", reply(http.StatusInternalServerError, "boom"), http.StatusInternalServerError},
+		{"short responses", reply(http.StatusOK, `{"responses":[{},{},{}],"errors":["","","",""]}`), http.StatusServiceUnavailable},
+		{"short errors", reply(http.StatusOK, `{"responses":[{},null,{},{}],"errors":[""]}`), http.StatusServiceUnavailable},
+		{"not JSON", reply(http.StatusOK, `{"responses":[`), http.StatusServiceUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeReplica(t, tc.handle)
+			b := newFakeReplica(t, tc.handle)
+			rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+			ts := httptest.NewServer(rt)
+			defer ts.Close()
 
-	var req analysis.BatchRequest
-	for i := 0; i < 4; i++ {
-		req.Requests = append(req.Requests, analysis.DiagnoseRequest{Landmarks: []int{0}, Features: []float64{1}})
-	}
-	body, _ := json.Marshal(&req)
-	status, _ := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose-batch", body)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status %d, want the chunk's 500 propagated", status)
+			body := `{"requests":[{"n":0},{"n":1},{"n":2},{"n":3}]}`
+			status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose-batch", []byte(body))
+			if status != tc.want {
+				t.Fatalf("status %d (%s), want %d", status, out, tc.want)
+			}
+			if tc.want == http.StatusServiceUnavailable && !strings.Contains(string(out), "malformed batch chunk") {
+				t.Errorf("body %q does not name the malformed chunk", out)
+			}
+		})
 	}
 }
 
