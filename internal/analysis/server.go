@@ -455,8 +455,9 @@ func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving
 		UnknownWeight: diag.UnknownWeight,
 		ModelService:  res.ModelService,
 		ModelVersion:  res.Version,
+		Causes:        make([]Cause, 0, topK),
 	}
-	for _, j := range diag.Ranked()[:topK] {
+	for _, j := range diag.Top(topK) {
 		resp.Causes = append(resp.Causes, Cause{
 			Feature: j,
 			Name:    layout.FeatureName(j),

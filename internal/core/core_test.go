@@ -295,7 +295,7 @@ func TestScoreWeightingAlgorithm1(t *testing.T) {
 	coarse := make([]float64, probe.NumFamilies)
 	coarse[probe.FamLatency] = 0.7
 	coarse[probe.FamNominal] = 0.3
-	tuned := scoreWeighting(gamma, coarse, layout, probe.FamLatency)
+	tuned := scoreWeighting(make([]float64, len(gamma)), gamma, coarse, layout, probe.FamLatency)
 	// p = {0} (only the RTT feature is latency family); s = 0.4, w = 0.7.
 	if math.Abs(tuned[0]-0.4*0.7/0.4) > 1e-12 {
 		t.Fatalf("bonus wrong: %v", tuned[0])
@@ -320,14 +320,14 @@ func TestScoreWeightingExtremeCases(t *testing.T) {
 	coarse[probe.FamLatency] = 1
 	// s == 0: all gamma mass outside the family.
 	gamma := []float64{0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0}
-	tuned := scoreWeighting(gamma, coarse, layout, probe.FamLatency)
+	tuned := scoreWeighting(make([]float64, len(gamma)), gamma, coarse, layout, probe.FamLatency)
 	for j := range gamma {
 		if tuned[j] != gamma[j] {
 			t.Fatal("s=0 must leave scores unchanged")
 		}
 	}
 	// Nominal family: no features belong to it.
-	tuned = scoreWeighting(gamma, coarse, layout, probe.FamNominal)
+	tuned = scoreWeighting(make([]float64, len(gamma)), gamma, coarse, layout, probe.FamNominal)
 	for j := range gamma {
 		if tuned[j] != gamma[j] {
 			t.Fatal("nominal family must leave scores unchanged")
@@ -392,7 +392,7 @@ func TestScoreWeightingConservesMass(t *testing.T) {
 			ysum += y
 		}
 		w := coarse[fam] / ysum
-		tuned := scoreWeighting(gamma, coarse, layout, fam)
+		tuned := scoreWeighting(make([]float64, len(gamma)), gamma, coarse, layout, fam)
 		var sum, famMass float64
 		for j, v := range tuned {
 			sum += v
@@ -417,13 +417,13 @@ func TestScoreWeightingConservesMass(t *testing.T) {
 			"s=0": dyadicMass(rng, n, func(j int) bool { return !inFam(j) }),
 			"s=1": dyadicMass(rng, n, inFam),
 		} {
-			for j, v := range scoreWeighting(g, coarse, layout, fam) {
+			for j, v := range scoreWeighting(make([]float64, len(g)), g, coarse, layout, fam) {
 				if v != g[j] {
 					t.Fatalf("trial %d: %s changed feature %d from %v to %v", trial, name, j, g[j], v)
 				}
 			}
 		}
-		for j, v := range scoreWeighting(gamma, coarse, layout, probe.FamNominal) {
+		for j, v := range scoreWeighting(make([]float64, len(gamma)), gamma, coarse, layout, probe.FamNominal) {
 			if v != gamma[j] {
 				t.Fatalf("trial %d: nominal family changed feature %d from %v to %v", trial, j, gamma[j], v)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"diagnet/internal/mat"
@@ -44,6 +45,32 @@ func (d *Diagnosis) Ranked() []int {
 	return idx
 }
 
+// Top returns the first k entries of Ranked (all of them when k exceeds
+// the feature count) without ranking the rest: a selection that keeps the
+// best k seen so far in order, which for the handful of causes a reply
+// carries beats sorting every feature.
+func (d *Diagnosis) Top(k int) []int {
+	k = min(k, len(d.Final))
+	top := make([]int, 0, k)
+	for j, v := range d.Final {
+		// j goes behind every kept feature that scores at least v: those
+		// have lower indices, which is Ranked's tie-break.
+		at := len(top)
+		for at > 0 && d.Final[top[at-1]] < v {
+			at--
+		}
+		if at == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, 0)
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = j
+	}
+	return top
+}
+
 // Diagnose runs the full DiagNet pipeline on a raw measurement vector
 // collected under `layout` (which may contain landmarks the model never
 // saw during training — the whole point of root-cause extensibility). It
@@ -61,22 +88,18 @@ func (m *Model) DiagnoseContext(ctx context.Context, features []float64, layout 
 	return s.diagnoseBatch(ctx, [][]float64{features}, layout)[0]
 }
 
-// scratch holds a session's reusable buffers — the pass's row order,
-// groups and gather/scatter matrices, and the intermediates of the pipeline
-// stages after it — so the hot path allocates only what a Diagnosis keeps
-// and what the layers return.
+// scratch holds a session's reusable bookkeeping — the pass's row order
+// and groups, and the intermediates of the pipeline stages after it. The
+// pass's matrices are not here: they belong to the session's workspace.
 type scratch struct {
-	rows    []Row // DiagnoseBatch's rows
-	headOf  []int // per row: index of its head
-	ends    []int // per head: end of its run of order
-	order   []int // row indices, head by head
-	targets []int // per-row ideal labels of one head's pass
+	rows   []Row // DiagnoseBatch's rows
+	headOf []int // per row: index of its head
+	ends   []int // per head: end of its run of order
+	order  []int // row indices, head by head
 
 	groups []widthGroup
-	pooled []float64   // pooled rows of every width group, in order (backing array)
-	grad   []float64   // the heads' gradients w.r.t. the trunk's activations, in order
-	probs  [][]float64 // per position: coarse distribution
-	grads  [][]float64 // per position: input gradient
+	probs  [][]float64 // per position: coarse distribution (a workspace row)
+	grads  [][]float64 // per position: input gradient (a workspace row)
 
 	fullVec []float64 // aux forest full-layout projection
 	scores  []float64 // aux forest full-layout cause scores
@@ -86,10 +109,9 @@ type scratch struct {
 // widthGroup is the rows of one pass that carry the same number of
 // features, hence of landmarks: what one LandPool pass takes.
 type widthGroup struct {
-	width   int
-	pos     []int     // the group's positions in the pass
-	x       []float64 // normalized inputs (backing array)
-	dpooled []float64 // the group's rows of the pooled gradient, gathered
+	width int
+	pos   []int       // the group's positions in the pass
+	x     *mat.Matrix // normalized inputs (a workspace matrix)
 }
 
 // grow returns buf resized to n, reusing capacity when possible.
@@ -102,14 +124,26 @@ func grow[T any](buf []T, n int) []T {
 
 // postprocess turns one sample's input gradient and coarse distribution
 // into a Diagnosis: Eq. 1 attention, Algorithm 1 weighting and §III-F
-// ensemble averaging. grad and coarse are consumed (the attention and
-// output slices are freshly allocated — a Diagnosis outlives any scratch);
+// ensemble averaging. grad and coarse are rows of the pass's workspace and
+// are only read: everything the Diagnosis keeps — Coarse included — lives
+// in one slab allocated here, because a Diagnosis outlives the pass.
 // sc holds the intermediates, clock and stages may be nil.
 func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layout, sc *scratch, clock *telemetry.StageClock, stages *tracing.StageSpans) *Diagnosis {
 	fam := probe.Family(nn.Argmax(coarse))
+	c, w := len(coarse), len(grad)
+	slab := make([]float64, c+3*w)
+	d := &Diagnosis{
+		Layout:    layout,
+		Coarse:    slab[:c:c],
+		Family:    fam,
+		Attention: slab[c : c+w : c+w],
+		Tuned:     slab[c+w : c+2*w : c+2*w],
+		Final:     slab[c+2*w:],
+	}
+	copy(d.Coarse, coarse)
 
 	// Equation 1: γ̂_j = |∇_j| / Σ|∇_k|.
-	attention := make([]float64, len(grad))
+	attention := d.Attention
 	var sum float64
 	for i, g := range grad {
 		attention[i] = math.Abs(g)
@@ -129,7 +163,7 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 	clock.Mark(mStageAttention)
 	stages.Mark("core.stage.forward_gradient")
 
-	tuned := scoreWeighting(attention, coarse, layout, fam)
+	tuned := scoreWeighting(d.Tuned, attention, coarse, layout, fam)
 	clock.Mark(mStageWeighting)
 	stages.Mark("core.stage.weighting")
 
@@ -144,29 +178,21 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 	sc.scores = grow(sc.scores, m.Aux.Causes())
 	sc.aux = grow(sc.aux, layout.NumFeatures())
 	aux := m.auxScoresInto(features, layout, sc.fullVec, sc.scores, sc.aux)
-	final := make([]float64, len(tuned))
-	for j := range final {
-		final[j] = wU*tuned[j] + (1-wU)*aux[j]
+	for j := range d.Final {
+		d.Final[j] = wU*tuned[j] + (1-wU)*aux[j]
 	}
+	d.UnknownWeight = wU
 	clock.Mark(mStageEnsemble)
 	stages.Mark("core.stage.ensemble")
-
-	return &Diagnosis{
-		Layout:        layout,
-		Coarse:        coarse,
-		Family:        fam,
-		Attention:     attention,
-		Tuned:         tuned,
-		UnknownWeight: wU,
-		Final:         final,
-	}
+	return d
 }
 
 // scoreWeighting is Algorithm 1 (multi-label score weighting): features of
 // the same family as the best coarse prediction φ receive the bonus w/s,
-// every other feature the penalty (1−w)/(1−s).
-func scoreWeighting(gamma, coarse []float64, layout probe.Layout, fam probe.Family) []float64 {
-	tuned := append([]float64(nil), gamma...)
+// every other feature the penalty (1−w)/(1−s). The result is written to
+// tuned, as long as gamma, and returned.
+func scoreWeighting(tuned, gamma, coarse []float64, layout probe.Layout, fam probe.Family) []float64 {
+	copy(tuned, gamma)
 	// p ← features with the same family as φ. Membership is recomputed
 	// from the layout on the second pass instead of materializing p — the
 	// old index-set map was the hot path's largest allocation.
@@ -243,7 +269,8 @@ func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, 
 func (m *Model) CoarsePredict(features []float64, layout probe.Layout) []float64 {
 	s := m.acquire()
 	defer m.sessions.Put(s)
-	x := mat.New(1, layout.NumFeatures())
+	s.ws.Reset()
+	x := s.ws.Matrix(1, layout.NumFeatures())
 	m.Norm.ApplyInto(features, layout, x.Row(0))
-	return s.net.Predict(x).Row(0)
+	return slices.Clone(s.net.Predict(x).Row(0))
 }

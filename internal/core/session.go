@@ -13,14 +13,16 @@ import (
 )
 
 // Session is one goroutine's inference context over one model or over a
-// whole bundle: inference views (nn.Network.View — their own per-pass
+// whole bundle: inference views (nn.Network.ViewIn — their own per-pass
 // layer caches over the models' weight matrices, which a pass only reads)
-// of each distinct trunk and of every head, plus one set of reusable
-// scratch buffers. The weights, normalizers, forests and layouts are
-// read-only and shared with the models and with every other session of
-// them, so a session costs its caches, not a copy of anything. A Session
-// itself must not be used concurrently; the serving engine keeps one per
-// worker, and Model's own methods take one from a per-model pool.
+// of each distinct trunk and of every head, one workspace that every one
+// of those views draws its activations and gradients from, and one set of
+// reusable bookkeeping buffers. The weights, normalizers, forests and
+// layouts are read-only and shared with the models and with every other
+// session of them, so a session costs its caches and the memory of its
+// largest pass, not a copy of anything. A Session itself must not be used
+// concurrently; the serving engine keeps one per worker, and Model's own
+// methods take one from a per-model pool.
 type Session struct {
 	// heads holds one entry per model, the models of one trunk next to each
 	// other; heads[0] is the session's first model (a bundle's general).
@@ -32,6 +34,10 @@ type Session struct {
 	// net is the complete inference view of heads[0]'s network.
 	net *nn.Network
 
+	// ws is the memory of the pass in flight (DESIGN.md §8, "Pass memory"):
+	// every entry point that runs a view resets it first, and nothing it
+	// hands out is reachable from what the entry point returns.
+	ws     nn.Workspace
 	sc     scratch
 	passes []int
 }
@@ -41,7 +47,8 @@ type head struct {
 	m       *Model
 	service int // the service the session diagnoses with m
 	top     *nn.Network
-	trunk   int // index into Session.trunks
+	trunk   int        // index into Session.trunks
+	in      mat.Matrix // the head's rows of the trunk's activations, during a pass
 }
 
 // trunk is one shared feature extractor (trunk.go). LandPooling is the only
@@ -90,7 +97,7 @@ func (b *Bundle) NewSession() *Session {
 func newSession(models []*Model, services []int) *Session {
 	s := &Session{heads: make([]head, 0, len(models))}
 	for i, m := range models {
-		net := m.Net.View()
+		net := m.Net.ViewIn(&s.ws)
 		k, params := trunkLayers(net), trunkParams(net)
 		ti := 0
 		for ti < len(s.trunks) && !sameTrunk(s.trunks[ti].params, params) {
@@ -109,7 +116,7 @@ func newSession(models []*Model, services []int) *Session {
 		for at > 0 && s.heads[at-1].trunk > ti {
 			at--
 		}
-		s.heads = slices.Insert(s.heads, at, head{m: m, service: services[i], top: nn.NewNetwork(net.Layers[k:]...), trunk: ti})
+		s.heads = slices.Insert(s.heads, at, head{m: m, service: services[i], top: net.Sub(k, len(net.Layers)), trunk: ti})
 	}
 	if len(s.heads) > 1 {
 		s.byService = make(map[int]int, len(s.heads)-1)
@@ -186,8 +193,9 @@ func (s *Session) diagnoseBatch(ctx context.Context, features [][]float64, layou
 // because no layer mixes rows, every Diagnosis is bit-identical to what a
 // one-row pass on its model gives. A batch with a single width and a
 // single head is passed as it stands, with no gather or scatter copy.
-// Results are in input order and each Diagnosis is freshly allocated (only
-// intermediates live in the session's scratch).
+// Results are in input order and each Diagnosis is freshly allocated: the
+// pass's matrices live in the session's workspace, and what a Diagnosis
+// keeps is copied out of it.
 //
 // When ctx holds an active trace span (the serving engine passes the
 // micro-batch's span), the call records a "core.diagnose" child span with
@@ -258,6 +266,7 @@ func (s *Session) DiagnoseRows(ctx context.Context, rows []Row) []*Diagnosis {
 // pass, while the per-row stages mark every row (the first row's
 // forward_gradient lap absorbs the shared network pass).
 func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *telemetry.StageClock, stages *tracing.StageSpans) {
+	s.ws.Reset()
 	sc := &s.sc
 	t := &s.trunks[s.heads[h0].trunk]
 	order := sc.order[lo:hi]
@@ -282,14 +291,14 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 	}
 	groups := sc.groups[:ng]
 	for len(t.pools) < len(groups) {
-		t.pools = append(t.pools, nn.NewNetwork(t.pools[0]).View().Layers[0])
+		t.pools = append(t.pools, nn.NewNetwork(t.pools[0]).ViewIn(&s.ws).Layers[0])
 	}
 	for gi := range groups {
 		g := &groups[gi]
-		g.x = grow(g.x, len(g.pos)*g.width)
+		g.x = s.ws.Matrix(len(g.pos), g.width)
 		for i, p := range g.pos {
 			row := &rows[order[p]]
-			s.heads[sc.headOf[order[p]]].m.Norm.ApplyInto(row.Features, row.Layout, g.x[i*g.width:(i+1)*g.width])
+			s.heads[sc.headOf[order[p]]].m.Norm.ApplyInto(row.Features, row.Layout, g.x.Row(i))
 		}
 	}
 	clock.Mark(mStageNormalize)
@@ -300,14 +309,13 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 	var act *mat.Matrix
 	for gi := range groups {
 		g := &groups[gi]
-		pooled := t.pools[gi].Forward(mat.FromSlice(len(g.pos), g.width, g.x))
+		pooled := t.pools[gi].Forward(g.x)
 		if len(groups) == 1 {
 			act = pooled
 			break
 		}
 		if act == nil {
-			sc.pooled = grow(sc.pooled, n*pooled.Cols)
-			act = mat.FromSlice(n, pooled.Cols, sc.pooled)
+			act = s.ws.Matrix(n, pooled.Cols)
 		}
 		for i, p := range g.pos {
 			copy(act.Row(p), pooled.Row(i))
@@ -321,7 +329,6 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 	// ⑤ — one backpropagation of the per-sample ideal-label losses
 	// (§III-E) — down to those activations. Rows are independent, so every
 	// row of the gradient is what a one-row pass would give.
-	sc.targets = grow(sc.targets, n)
 	sc.probs, sc.grads = grow(sc.probs, n), grow(sc.grads, n)
 	var grad *mat.Matrix
 	for h, a := h0, 0; h < h1; h++ {
@@ -329,15 +336,13 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 		if z == a {
 			continue
 		}
+		hd := &s.heads[h]
 		in := act
 		if z-a < n {
-			in = mat.FromSlice(z-a, act.Cols, act.Data[a*act.Cols:z*act.Cols])
+			hd.in = mat.Matrix{Rows: z - a, Cols: act.Cols, Data: act.Data[a*act.Cols : z*act.Cols]}
+			in = &hd.in
 		}
-		targets := sc.targets[:z-a]
-		for i := range targets {
-			targets[i] = -1
-		}
-		g, probs := s.heads[h].top.InputGradientBatch(in, targets)
+		g, probs := hd.top.InputGradientBatch(in, nil) // per-row arg-max ideal labels
 		for i := a; i < z; i++ {
 			sc.probs[i] = probs.Row(i - a)
 		}
@@ -346,8 +351,7 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 			break
 		}
 		if grad == nil {
-			sc.grad = grow(sc.grad, n*act.Cols)
-			grad = mat.FromSlice(n, act.Cols, sc.grad)
+			grad = s.ws.Matrix(n, act.Cols)
 		}
 		copy(grad.Data[a*act.Cols:z*act.Cols], g.Data)
 		a = z
@@ -361,8 +365,7 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 		g := &groups[gi]
 		dpooled := grad
 		if len(groups) > 1 {
-			g.dpooled = grow(g.dpooled, len(g.pos)*grad.Cols)
-			dpooled = mat.FromSlice(len(g.pos), grad.Cols, g.dpooled)
+			dpooled = s.ws.Matrix(len(g.pos), grad.Cols)
 			for i, p := range g.pos {
 				copy(dpooled.Row(i), grad.Row(p))
 			}
@@ -373,6 +376,7 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 		}
 	}
 
+	// What leaves the pass is copied out of the workspace by postprocess.
 	for p, r := range order {
 		row := &rows[r]
 		out[r] = s.heads[sc.headOf[r]].m.postprocess(sc.grads[p], sc.probs[p], row.Features, row.Layout, sc, clock, stages)

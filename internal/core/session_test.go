@@ -141,12 +141,14 @@ func TestDiagnosePathsBitIdentical(t *testing.T) {
 	}
 }
 
-// The steady-state pass allocates what a Diagnosis keeps and what the
-// layers return, nothing for its own bookkeeping: a single-group pass of b
-// rows stays at the 61 + 5·b allocations Session.DiagnoseBatch made before
-// passes could mix services and layouts (66 for one row, 381 for 64), and a
-// mixed pass, once its scratch is sized, adds only what the layers of each
-// further group return (its gather/scatter matrices are scratch).
+// The steady-state pass allocates what it returns and nothing for itself:
+// every activation and gradient comes from the session's workspace, the
+// bookkeeping from its scratch, and the forest scores into a buffer. What
+// is left per row is its Diagnosis and the one slab behind its four score
+// vectors; what is left per call is the result slice and the call's trace
+// spans. Pinned in allocations and in bytes, for a single-group pass on
+// both kinds of session and for a 28-row pass that mixes three widths and
+// four heads (whose gather/scatter matrices are workspace matrices too).
 func TestPassAllocations(t *testing.T) {
 	b := trainedBundle(t)
 	layouts, rows := pathCorpus(t, b.General)
@@ -155,22 +157,150 @@ func TestPassAllocations(t *testing.T) {
 		batch = append(batch, rows[0]...)
 	}
 	batch = batch[:64]
+	check := func(what string, n int, pass func()) {
+		t.Helper()
+		pass() // the first pass of a new size spills to the heap; the next Reset sizes the workspace
+		if got, limit := testing.AllocsPerRun(20, pass), float64(28+2*n); got > limit {
+			t.Errorf("%s of %d rows makes %v allocations, want at most %v", what, n, got, limit)
+		}
+		if got, limit := bytesPerRun(20, pass), float64(4096+2048*n); got > limit {
+			t.Errorf("%s of %d rows allocates %.0f B, want at most %.0f (2 KiB per row: its Diagnosis and slab)", what, n, got, limit)
+		}
+	}
 	for name, sess := range map[string]*Session{"model": b.General.NewSession(), "bundle": b.NewSession()} {
 		for _, n := range []int{1, 64} {
-			sess.DiagnoseBatch(batch[:n], layouts[0])
-			if got, limit := testing.AllocsPerRun(20, func() { sess.DiagnoseBatch(batch[:n], layouts[0]) }), float64(61+5*n); got > limit {
-				t.Errorf("%s session: a single-group pass of %d rows makes %v allocations, want at most %v", name, n, got, limit)
-			}
+			check(name+" session: a single-group pass", n, func() { sess.DiagnoseBatch(batch[:n], layouts[0]) })
 		}
 	}
 	mixed, _ := mixedCorpus(t, b)
 	mixed = mixed[:28]
 	sess := b.NewSession()
-	sess.DiagnoseRows(context.Background(), mixed)
-	groups := 3 + 1 + len(b.Specialized) // width groups and heads
-	single := 61 + 5*len(mixed)
-	if got, limit := testing.AllocsPerRun(20, func() { sess.DiagnoseRows(context.Background(), mixed) }), float64(single+15*groups); got > limit {
-		t.Errorf("a mixed pass of %d rows makes %v allocations, want at most %v (%d for a single group + 15 per group)", len(mixed), got, limit, single)
+	check("a pass over three widths and four heads", len(mixed), func() { sess.DiagnoseRows(context.Background(), mixed) })
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap allocation
+// of one call of f.
+func bytesPerRun(runs int, f func()) float64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// cloneDiagnoses deep-copies results, so that nothing of the copy shares
+// memory with the original or with the session that produced it.
+func cloneDiagnoses(ds []*Diagnosis) []*Diagnosis {
+	out := make([]*Diagnosis, len(ds))
+	for i, d := range ds {
+		c := *d
+		c.Layout.Landmarks = slices.Clone(d.Layout.Landmarks)
+		c.Coarse, c.Attention = slices.Clone(d.Coarse), slices.Clone(d.Attention)
+		c.Tuned, c.Final = slices.Clone(d.Tuned), slices.Clone(d.Final)
+		out[i] = &c
+	}
+	return out
+}
+
+// The lifetime rule of the pass's memory (DESIGN.md §8): nothing the
+// session's workspace hands out outlives the pass, so everything a
+// Diagnosis keeps must have been copied out of it. Results of pass N are
+// compared with a deep copy of themselves after passes N+1…N+3 of other
+// sizes and other service/layout mixes have overwritten the workspace — on
+// a bundle session, a model session, and Model.Diagnose / CoarsePredict
+// through the session pool. A Coarse that were still a row of the softmax
+// matrix fails here.
+func TestDiagnosisOutlivesThePass(t *testing.T) {
+	b := trainedBundle(t)
+	layouts, rows := pathCorpus(t, b.General)
+	mixed, _ := mixedCorpus(t, b)
+	ctx := context.Background()
+	outlives := func(what string, kept []*Diagnosis, later ...func()) {
+		t.Helper()
+		want := cloneDiagnoses(kept)
+		for _, pass := range later {
+			pass()
+		}
+		if !reflect.DeepEqual(want, kept) {
+			t.Errorf("%s: the results of a pass changed when the session ran its next passes", what)
+		}
+	}
+
+	// Each session first runs its largest pass: that sizes the workspace,
+	// so the passes below are served from it and not from the heap.
+	bs := b.NewSession()
+	bs.DiagnoseRows(ctx, mixed[:48])
+	outlives("bundle session", bs.DiagnoseRows(ctx, mixed[:9]),
+		func() { bs.DiagnoseRows(ctx, mixed[9:41]) },
+		func() { bs.DiagnoseRows(ctx, mixed[41:42]) },
+		func() { bs.DiagnoseBatch(rows[1], layouts[1]) })
+
+	ms := b.General.NewSession()
+	var across []Row
+	for li, layout := range layouts {
+		for _, x := range rows[li][20:] {
+			across = append(across, Row{Service: -1, Layout: layout, Features: x})
+		}
+	}
+	ms.DiagnoseRows(ctx, across)
+	ms.DiagnoseBatch(rows[0], layouts[0])
+	outlives("model session", ms.DiagnoseBatch(rows[0][:5], layouts[0]),
+		func() { ms.DiagnoseBatch(rows[2], layouts[2]) },
+		func() { ms.Diagnose(rows[1][7], layouts[1]) },
+		func() { ms.DiagnoseRows(ctx, across) })
+
+	m := b.General
+	m.DiagnoseBatch(rows[0], layouts[0], 1)
+	coarse := m.CoarsePredict(rows[0][0], layouts[0])
+	wantCoarse := slices.Clone(coarse)
+	outlives("Model.Diagnose", []*Diagnosis{m.Diagnose(rows[0][0], layouts[0])},
+		func() { m.Diagnose(rows[2][3], layouts[2]) },
+		func() { m.CoarsePredict(rows[1][4], layouts[1]) },
+		func() { m.DiagnoseBatch(rows[1], layouts[1], 1) })
+	if !slices.Equal(wantCoarse, coarse) {
+		t.Error("Model.CoarsePredict: the distribution changed when the model ran its next passes")
+	}
+}
+
+// Top is Ranked cut short — same order, same tie-break — on a trained
+// model's diagnoses and on the all-equal scores of the degenerate-gradient
+// fallback.
+func TestTopIsRankedCutShort(t *testing.T) {
+	m := trainedModel(t)
+	layouts, rows := pathCorpus(t, m)
+	var ds []*Diagnosis
+	for li, layout := range layouts {
+		ds = append(ds, m.DiagnoseBatch(rows[li], layout, 1)...)
+	}
+	w := layouts[0].NumFeatures()
+	uniform := make([]float64, w)
+	for j := range uniform {
+		uniform[j] = 1 / float64(w)
+	}
+	ds = append(ds, &Diagnosis{Final: uniform})
+	for i, d := range ds {
+		ranked := d.Ranked()
+		for _, k := range []int{1, 5, len(d.Final), len(d.Final) + 3} {
+			if got, want := d.Top(k), ranked[:min(k, len(ranked))]; !slices.Equal(got, want) {
+				t.Fatalf("diagnosis %d: Top(%d) = %v, want Ranked()[:%d] = %v", i, k, got, k, want)
+			}
+		}
+	}
+}
+
+// The forest half of the ensemble writes through the session's buffers and
+// allocates nothing.
+func TestAuxScoresAllocateNothing(t *testing.T) {
+	m := trainedModel(t)
+	layouts, rows := pathCorpus(t, m)
+	for li, layout := range layouts {
+		fullVec, scores := make([]float64, m.FullLayout.NumFeatures()), make([]float64, m.Aux.Causes())
+		out := make([]float64, layout.NumFeatures())
+		if allocs := testing.AllocsPerRun(10, func() { m.auxScoresInto(rows[li][0], layout, fullVec, scores, out) }); allocs != 0 {
+			t.Errorf("layout %d: auxScoresInto allocates %v times, want 0", li, allocs)
+		}
 	}
 }
 
@@ -261,14 +391,7 @@ func TestInferenceLeavesModelParamsUntouched(t *testing.T) {
 func TestNewSessionCopiesNoWeights(t *testing.T) {
 	m := &Model{Net: buildNet(DefaultConfig(), rand.New(rand.NewSource(1)))}
 	total, _ := m.ParamCount()
-	const n = 20
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < n; i++ {
-		m.NewSession()
-	}
-	runtime.ReadMemStats(&m1)
-	perSession := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	perSession := bytesPerRun(20, func() { m.NewSession() })
 	if limit := 0.05 * 8 * float64(total); perSession > limit {
 		t.Fatalf("NewSession allocates %.0f B, want under %.0f B (5%% of %d float64 parameters)", perSession, limit, total)
 	}

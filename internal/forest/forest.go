@@ -129,17 +129,27 @@ func (e *Extensible) Scores(x []float64) []float64 {
 }
 
 // ScoresInto is Scores writing into a caller-provided buffer of Causes()
-// elements, the batch-friendly entry point serving workers use to keep
-// the hot path allocation-light. It returns out.
+// elements and allocating nothing: the batch-friendly entry point serving
+// workers use. The trees' leaf distributions are summed into out in tree
+// order, as PredictProba sums them, so both give the same bits. It returns
+// out.
 func (e *Extensible) ScoresInto(x, out []float64) []float64 {
 	if len(out) != e.causes {
 		panic("forest: ScoresInto buffer has wrong length")
 	}
-	dist := e.forest.PredictProba(x)
-	unknown := dist[e.causes]
-	share := unknown / float64(e.causes)
-	for k := 0; k < e.causes; k++ {
-		out[k] = dist[k] + share
+	clear(out)
+	var unknown float64
+	for _, t := range e.forest.trees {
+		dist := t.PredictProba(x)
+		for k := range out {
+			out[k] += dist[k]
+		}
+		unknown += dist[e.causes]
+	}
+	inv := 1 / float64(len(e.forest.trees))
+	share := unknown * inv / float64(e.causes)
+	for k := range out {
+		out[k] = out[k]*inv + share
 	}
 	return out
 }

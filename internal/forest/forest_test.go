@@ -180,6 +180,34 @@ func TestExtensibleScoreMassConserved(t *testing.T) {
 	}
 }
 
+// ScoresInto sums the trees as PredictProba does, so its scores are the
+// forest's distribution with the unknown mass spread, bit for bit — and it
+// writes them into the caller's buffer without allocating.
+func TestScoresIntoMatchesPredictProbaAndAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	x, labels := gaussianBlobs(rng, 200)
+	for i := range labels {
+		if i%5 == 0 {
+			labels[i] = 2 // unknown
+		}
+	}
+	e := FitExtensible(x, labels, 2, Config{Trees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 5})
+	out := make([]float64, e.Causes())
+	for _, row := range x {
+		dist := e.Forest().PredictProba(row)
+		share := dist[2] / 2
+		e.ScoresInto(row, out)
+		for k, v := range out {
+			if want := dist[k] + share; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("cause %d: ScoresInto gives %v, the forest's distribution %v", k, v, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.ScoresInto(x[0], out) }); allocs != 0 {
+		t.Fatalf("ScoresInto allocates %v times, want 0", allocs)
+	}
+}
+
 func TestExtensibleRejectsBadLabels(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -13,7 +13,9 @@ import (
 // network is in training mode (Network.SetTraining), and returns the
 // gradient with respect to Forward's input. Outside training mode neither
 // pass writes a Param, so any number of views (Network.View) may run over
-// one set of weights.
+// one set of weights. The matrices both passes return belong to the
+// workspace of the layer's view (Network.ViewIn; the heap when it has
+// none), and a layer may overwrite the matrix it is given (ReLU does).
 type Layer interface {
 	Forward(x *mat.Matrix) *mat.Matrix
 	Backward(dout *mat.Matrix) *mat.Matrix
@@ -28,7 +30,8 @@ type Dense struct {
 	W       *Param // In×Out
 	B       *Param // 1×Out
 
-	x *mat.Matrix // cached input for backward
+	ws *Workspace  // where the outputs of both passes come from (nil: the heap)
+	x  *mat.Matrix // cached input for backward
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -49,7 +52,7 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 		panic(fmt.Sprintf("nn: Dense.Forward: input width %d, want %d", x.Cols, d.In))
 	}
 	d.x = x
-	y := mat.Mul(nil, x, d.W.Value)
+	y := mat.Mul(d.ws.Matrix(x.Rows, d.Out), x, d.W.Value)
 	y.AddRowVector(d.B.Value.Data)
 	return y
 }
@@ -72,7 +75,7 @@ func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 			}
 		}
 	}
-	return mat.MulT2(nil, dout, d.W.Value)
+	return mat.MulT2(d.ws.Matrix(dout.Rows, d.In), dout, d.W.Value)
 }
 
 // Params returns the layer's weight and bias.
@@ -83,7 +86,11 @@ func (d *Dense) Spec() LayerSpec {
 	return LayerSpec{Kind: "dense", Ints: map[string]int{"in": d.In, "out": d.Out}}
 }
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise, in place: Forward overwrites its
+// input and Backward the gradient it is given, and each returns the matrix
+// it was passed. In every network buildLayer can produce, that input is the
+// output of the Dense or Dropout below and that gradient the output of the
+// layer above (or the loss seed) — matrices nobody reads again.
 type ReLU struct {
 	mask []bool
 }
@@ -91,36 +98,35 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier and records the active mask.
+// Forward rectifies x in place and records the active mask.
 func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(y.Data)]
-	for i, v := range y.Data {
+	r.mask = r.mask[:len(x.Data)]
+	for i, v := range x.Data {
 		if v > 0 {
 			r.mask[i] = true
 		} else {
 			r.mask[i] = false
-			y.Data[i] = 0
+			x.Data[i] = 0
 		}
 	}
-	return y
+	return x
 }
 
-// Backward zeroes gradients where the forward input was non-positive.
+// Backward zeroes, in place, the gradients where the forward input was
+// non-positive.
 func (r *ReLU) Backward(dout *mat.Matrix) *mat.Matrix {
 	if len(r.mask) != len(dout.Data) {
 		panic("nn: ReLU.Backward shape mismatch with Forward")
 	}
-	dx := dout.Clone()
-	for i := range dx.Data {
+	for i := range dout.Data {
 		if !r.mask[i] {
-			dx.Data[i] = 0
+			dout.Data[i] = 0
 		}
 	}
-	return dx
+	return dout
 }
 
 // Params returns nil: ReLU has no parameters.

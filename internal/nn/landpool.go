@@ -279,6 +279,8 @@ type LandPool struct {
 	Kernel *Param // F×K
 	Bias   *Param // 1×F
 
+	ws *Workspace // where outputs and per-pass scratch come from (nil: the heap)
+
 	// caches for backward
 	x        *mat.Matrix
 	ell      int
@@ -328,11 +330,11 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		}
 	}
 
-	out := mat.New(x.Rows, lp.OutWidth())
+	out := lp.ws.Matrix(x.Rows, lp.OutWidth()) // every element is written below
 	kern := lp.Kernel.Value
 	bias := lp.Bias.Value.Data
-	vals := make([]float64, ell)
-	idx := make([]int, ell)
+	vals := lp.ws.vector(ell)
+	idx := lp.ws.indices(ell)
 	for s := 0; s < x.Rows; s++ {
 		row := x.Row(s)
 		fcache := lp.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
@@ -376,7 +378,8 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 		panic("nn: LandPool.Backward shape mismatch with Forward")
 	}
 	ell := lp.ell
-	dx := mat.New(lp.x.Rows, lp.x.Cols)
+	dx := lp.ws.Matrix(lp.x.Rows, lp.x.Cols)
+	dx.Zero() // the convolution backward accumulates into it
 	kern := lp.Kernel.Value
 	var dkern *mat.Matrix // nil outside training mode and when frozen
 	var dbias []float64
@@ -392,10 +395,10 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 			needSort = true
 		}
 	}
-	vals := make([]float64, ell)
-	idx := make([]int, ell)
-	dvals := make([]float64, ell)
-	dfilt := make([]float64, ell*lp.F)
+	vals := lp.ws.vector(ell)
+	idx := lp.ws.indices(ell)
+	dvals := lp.ws.vector(ell)
+	dfilt := lp.ws.vector(ell * lp.F)
 	for s := 0; s < lp.x.Rows; s++ {
 		row := lp.x.Row(s)
 		drow := dx.Row(s)

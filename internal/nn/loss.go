@@ -13,7 +13,11 @@ type SoftmaxCrossEntropy struct{}
 
 // Softmax writes the row-wise softmax of logits into a new matrix.
 func Softmax(logits *mat.Matrix) *mat.Matrix {
-	p := mat.New(logits.Rows, logits.Cols)
+	return softmaxInto(mat.New(logits.Rows, logits.Cols), logits)
+}
+
+// softmaxInto writes the row-wise softmax of logits into p and returns p.
+func softmaxInto(p, logits *mat.Matrix) *mat.Matrix {
 	for i := 0; i < logits.Rows; i++ {
 		softmaxRow(logits.Row(i), p.Row(i))
 	}
@@ -84,25 +88,22 @@ func (SoftmaxCrossEntropy) WeightedLoss(logits *mat.Matrix, labels []int, weight
 	return total / wsum, grad
 }
 
-// IdealLossGrad returns the gradient of the "ideal label" losses
-// L*_i = −log softmax(logits[i])[targets[i]] with respect to the logits:
-// row i is softmax(logits[i]) − onehot(targets[i]), the backward seed of
-// the attention mechanism (paper §III-E). No 1/batch scaling is applied —
-// the loss is a per-sample sum, so each input-gradient row is exactly
-// what a one-row pass would produce.
-func IdealLossGrad(logits *mat.Matrix, targets []int) *mat.Matrix {
-	if logits.Rows != len(targets) {
-		panic(fmt.Sprintf("nn: IdealLossGrad: %d rows vs %d targets", logits.Rows, len(targets)))
+// idealLossSeed writes into g the gradient of the "ideal label" losses
+// L*_i = −log softmax(logits[i])[targets[i]] with respect to the logits,
+// given probs = softmax(logits): row i is probs[i] − onehot(targets[i]),
+// the backward seed of the attention mechanism (paper §III-E). No 1/batch
+// scaling is applied — the loss is a per-sample sum, so each input-gradient
+// row is exactly what a one-row pass would produce.
+func idealLossSeed(g, probs *mat.Matrix, targets []int) *mat.Matrix {
+	if probs.Rows != len(targets) {
+		panic(fmt.Sprintf("nn: idealLossSeed: %d rows vs %d targets", probs.Rows, len(targets)))
 	}
-	g := mat.New(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		row := g.Row(i)
-		softmaxRow(logits.Row(i), row)
-		y := targets[i]
-		if y < 0 || y >= logits.Cols {
-			panic(fmt.Sprintf("nn: IdealLossGrad: target %d out of range [0,%d)", y, logits.Cols))
+	copy(g.Data, probs.Data)
+	for i, y := range targets {
+		if y < 0 || y >= probs.Cols {
+			panic(fmt.Sprintf("nn: idealLossSeed: target %d out of range [0,%d)", y, probs.Cols))
 		}
-		row[y] -= 1
+		g.Row(i)[y] -= 1
 	}
 	return g
 }

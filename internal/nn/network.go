@@ -19,6 +19,10 @@ type LayerSpec struct {
 // Network is a sequential stack of layers.
 type Network struct {
 	Layers []Layer
+
+	// ws is where a pass over the network takes its matrices from: the
+	// workspace of a session's view (ViewIn), nil — the heap — otherwise.
+	ws *Workspace
 }
 
 // NewNetwork wraps layers into a network.
@@ -104,11 +108,12 @@ func (n *Network) ZeroGrads() { zeroGrads(n.Params()) }
 // training mode the pass writes no Param (only the layers' caches), so it
 // is safe on a View of weights other goroutines are reading. The input
 // batch is mutated-safe: callers may reuse x's backing storage afterwards.
+// Both results belong to the network's workspace (ViewIn).
 func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs *mat.Matrix) {
 	logits := n.Forward(x)
 	tg := targets
 	if tg == nil {
-		tg = make([]int, logits.Rows)
+		tg = n.ws.indices(logits.Rows)
 		for i := range tg {
 			tg[i] = -1
 		}
@@ -118,12 +123,16 @@ func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs
 			tg[i] = Argmax(logits.Row(i))
 		}
 	}
-	return n.Backward(IdealLossGrad(logits, tg)), Softmax(logits)
+	probs = softmaxInto(n.ws.Matrix(logits.Rows, logits.Cols), logits)
+	seed := idealLossSeed(n.ws.Matrix(logits.Rows, logits.Cols), probs, tg)
+	return n.Backward(seed), probs
 }
 
-// Predict returns the softmax class probabilities for a batch.
+// Predict returns the softmax class probabilities for a batch; they belong
+// to the network's workspace (ViewIn).
 func (n *Network) Predict(x *mat.Matrix) *mat.Matrix {
-	return Softmax(n.Forward(x))
+	logits := n.Forward(x)
+	return softmaxInto(n.ws.Matrix(logits.Rows, logits.Cols), logits)
 }
 
 // Argmax returns the index of the largest value in xs.
@@ -215,15 +224,23 @@ func buildLayer(spec LayerSpec, rng *rand.Rand) (Layer, error) {
 // in inference mode (the default) writes nothing the source or another
 // view can see, so any number of goroutines may each run their own view of
 // one trained network. Training a view would write the shared weights;
-// Clone first.
-func (n *Network) View() *Network {
+// Clone first. Every pass over the view allocates its matrices afresh.
+func (n *Network) View() *Network { return n.ViewIn(nil) }
+
+// ViewIn is View on a workspace: every matrix a pass over the view
+// produces — each layer's output and gradient, the results of
+// InputGradientBatch and Predict — belongs to ws and is taken back by its
+// next Reset (Workspace has the rule), so a pass over a warm workspace
+// allocates nothing. The caller resets ws before each pass, after copying
+// out what it keeps of the last. A nil ws is the heap.
+func (n *Network) ViewIn(ws *Workspace) *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
 		switch l := l.(type) {
 		case *Dense:
-			layers[i] = &Dense{In: l.In, Out: l.Out, W: l.W.view(), B: l.B.view()}
+			layers[i] = &Dense{In: l.In, Out: l.Out, W: l.W.view(), B: l.B.view(), ws: ws}
 		case *LandPool:
-			layers[i] = &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: l.Kernel.view(), Bias: l.Bias.view()}
+			layers[i] = &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: l.Kernel.view(), Bias: l.Bias.view(), ws: ws}
 		case *ReLU:
 			layers[i] = NewReLU()
 		case *Dropout:
@@ -232,7 +249,12 @@ func (n *Network) View() *Network {
 			panic(fmt.Sprintf("nn: View: unknown layer type %T", l))
 		}
 	}
-	return NewNetwork(layers...)
+	return &Network{Layers: layers, ws: ws}
+}
+
+// Sub returns layers [lo, hi) of n as a network on n's workspace.
+func (n *Network) Sub(lo, hi int) *Network {
+	return &Network{Layers: n.Layers[lo:hi], ws: n.ws}
 }
 
 // Clone returns a deep copy of the network (weights, freeze flags).

@@ -55,7 +55,7 @@ const (
 	NumLocal
 )
 
-var localNames = [NumLocal]string{"gw-rtt", "gw-jitter", "cpu", "mem", "io"}
+var localFeatureNames = [NumLocal]string{"local.gw-rtt", "local.gw-jitter", "local.cpu", "local.mem", "local.io"}
 
 // Family enumerates the c = 7 coarse fault families (§III-B).
 type Family int
@@ -213,13 +213,26 @@ func (l Layout) LandmarkPos(region int) int {
 	return -1
 }
 
+// landmarkFeatureNames holds "<region>.<metric>" per region, built once: a
+// reply names every cause it returns, so FeatureName is on the serving path
+// and must not allocate.
+var landmarkFeatureNames = func() [][NumMetrics]string {
+	regions := netsim.DefaultRegions()
+	names := make([][NumMetrics]string, len(regions))
+	for r, region := range regions {
+		for m, metric := range metricNames {
+			names[r][m] = region.Name + "." + metric
+		}
+	}
+	return names
+}()
+
 // FeatureName renders a feature for reports, e.g. "GRAV.rtt" or "local.cpu".
 func (l Layout) FeatureName(i int) string {
-	regions := netsim.DefaultRegions()
 	if l.IsLocal(i) {
-		return "local." + localNames[i-len(l.Landmarks)*int(NumMetrics)]
+		return localFeatureNames[i-len(l.Landmarks)*int(NumMetrics)]
 	}
-	return regions[l.Landmarks[i/int(NumMetrics)]].Name + "." + metricNames[i%int(NumMetrics)]
+	return landmarkFeatureNames[l.Landmarks[i/int(NumMetrics)]][i%int(NumMetrics)]
 }
 
 // CauseOf returns the root-cause feature index a correct diagnosis of the

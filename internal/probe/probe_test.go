@@ -118,6 +118,30 @@ func TestFeatureNames(t *testing.T) {
 	if l.FeatureName(l.LocalIndex(LocalCPU)) != "local.cpu" {
 		t.Fatal("local name wrong")
 	}
+	// Names come from a table built once: every feature of the full layout
+	// and of a 5-landmark one reads as the concatenation it stands for, and
+	// naming allocates nothing.
+	regions := netsim.DefaultRegions()
+	for _, l := range []Layout{l, NewLayout([]int{netsim.BEAU, netsim.AMST, netsim.SING, netsim.SEAT, netsim.LOND})} {
+		for i := 0; i < l.NumFeatures(); i++ {
+			var want string
+			if l.IsLocal(i) {
+				want = "local." + [NumLocal]string{"gw-rtt", "gw-jitter", "cpu", "mem", "io"}[i-l.NumLandmarks()*int(NumMetrics)]
+			} else {
+				want = regions[l.Landmarks[i/int(NumMetrics)]].Name + "." + Metric(i%int(NumMetrics)).String()
+			}
+			if got := l.FeatureName(i); got != want {
+				t.Fatalf("layout %v feature %d: name %q, want %q", l.Landmarks, i, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < l.NumFeatures(); i++ {
+				_ = l.FeatureName(i)
+			}
+		}); allocs != 0 {
+			t.Fatalf("FeatureName allocates %v times per layout, want 0", allocs)
+		}
+	}
 }
 
 func TestProjectExtractsSubLayout(t *testing.T) {
