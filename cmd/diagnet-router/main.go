@@ -8,7 +8,6 @@
 //	               [-addr :8420] [-hedge-after 0]
 //	               [-health-interval 500ms] [-attempt-timeout 30s]
 //	               [-federate-interval 15s] [-slo-target 0.999] [-slo-latency-ms 250]
-//	               [-state-dir state/ [-profile-on-breach 500]]
 //	               [-log-format text|json] [-trace=true]
 //
 // API: POST /v1/diagnose (least-loaded ready replica, hedged) and
@@ -16,14 +15,14 @@
 // /v1/model are proxied to the replicas; the router's own are /v1/metrics
 // and /metrics, /v1/replicas (per-replica health/breaker/load),
 // /v1/fleet/metrics (the exactly-merged federated view), /v1/slo (404
-// unless -slo-target), /v1/profiles (404 unless -state-dir), /healthz and
-// /readyz (503 until a replica is ready).
+// unless -slo-target), /healthz and /readyz (503 until a replica is
+// ready). The router keeps nothing on disk.
 //
 // -hedge-after 0 (the default) derives the hedging delay from the
 // observed attempt-latency p90; a fixed duration pins it; a negative
-// value disables hedging. -federate-interval, -slo-target,
-// -slo-latency-ms, -state-dir and -profile-on-breach configure the fleet
-// observability plane (DESIGN.md §16, README "Fleet observability").
+// value disables hedging. -federate-interval, -slo-target and
+// -slo-latency-ms configure the fleet observability plane (DESIGN.md §16,
+// README "Fleet observability").
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"flag"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -50,8 +48,6 @@ func main() {
 	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
 	flag.Float64Var(&cfg.Obs.SLOTarget, "slo-target", 0, "SLO goal over federated /v1/diagnose metrics, e.g. 0.999 (0 = SLO engine off)")
 	flag.Float64Var(&cfg.Obs.SLOLatencyMs, "slo-latency-ms", 0, "latency objective threshold in ms; use a latency-bucket bound for an exact split (0 = availability objective only)")
-	flag.Float64Var(&cfg.Obs.ProfileOnBreachMs, "profile-on-breach", 0, "also capture a profile pair when the windowed fleet p99 exceeds this many ms (0 = burn-rate triggers only)")
-	stateDir := flag.String("state-dir", "", "state directory; anomaly profile captures land under <state-dir>/profiles (empty = profiling off)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	traceOn := flag.Bool("trace", true, "record route/attempt spans")
 	flag.Parse()
@@ -70,14 +66,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *stateDir != "" {
-		cfg.Obs.ProfileDir = filepath.Join(*stateDir, "profiles")
-	}
 	rt := cluster.NewRouter(urls, cfg)
 	slog.Info("router pool built", "replicas", len(urls),
 		"hedge_after", cfg.HedgeAfter,
-		"federate_interval", cfg.Obs.FederateInterval, "slo_target", cfg.Obs.SLOTarget,
-		"profiling", cfg.Obs.ProfileDir != "")
+		"federate_interval", cfg.Obs.FederateInterval, "slo_target", cfg.Obs.SLOTarget)
 
 	slog.Info("router listening", "addr", *addr)
 	err := obs.ListenAndServe(context.Background(), *addr, rt)

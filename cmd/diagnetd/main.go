@@ -6,7 +6,7 @@
 //
 //	diagnetd -model model.gob [-specialized 'model.svc0.gob,model.svc1.gob'] [-addr :8421]
 //	         [-model-dir models/ [-serve-version v2]]
-//	         [-state-dir state/ [-fsync always|batch|never] [-profile-on-breach 500]]
+//	         [-state-dir state/ [-fsync always|batch|never]]
 //	         [-continual [-retrain-interval 1h] [-shadow-fraction 0.05] [-promote-min-gain 0]]
 //	         [-batch-max 32] [-queue-depth 256] [-workers 0]
 //	         [-pprof 127.0.0.1:6060] [-log-format text|json]
@@ -14,9 +14,8 @@
 //
 // API: the routes of analysis.Server.Handler — POST /v1/diagnose{,-batch},
 // the /v1/models rollout admin, /v1/continual (404 unless -continual),
-// /v1/metrics and /metrics, /v1/traces, /v1/profiles (404 unless
-// -profile-on-breach), /healthz and /readyz (503 until the boot below
-// completes, and again while draining).
+// /v1/metrics and /metrics, /v1/traces, /healthz and /readyz (503 until
+// the boot below completes, and again while draining).
 //
 // The boot and teardown order is analysis.Open / Server.Close (DESIGN.md
 // §18). -model takes a bare model or a diagnet-train -bundle file and
@@ -39,7 +38,9 @@
 //
 // -pprof serves net/http/pprof on a separate listener (keep it on a
 // loopback or otherwise private address; it is intentionally not exposed
-// on the public API port).
+// on the public API port) and is the way to profile a replica:
+// go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=5. It
+// shuts down and is awaited with the API listener.
 package main
 
 import (
@@ -90,7 +91,6 @@ func run(ctx context.Context, args []string) error {
 	traceOn := fs.Bool("trace", true, "record request traces (GET /v1/traces)")
 	traceSample := fs.Float64("trace-sample", 1, "head-sampling rate for normal traces in [0,1]; slow and error traces are always kept")
 	traceSlow := fs.Duration("trace-slow", 0, "latency above which a trace is always kept (0 = default 250ms)")
-	fs.Float64Var(&opt.ProfileOnBreachMs, "profile-on-breach", 0, "capture a CPU+heap profile pair when the windowed /v1/diagnose p99 exceeds this many ms; captures land under <state-dir>/profiles (0 = off)")
 	fs.BoolVar(&opt.Continual, "continual", false, "close the learning loop: buffer live samples, retrain on drift, shadow-evaluate and gate-promote candidates")
 	fs.DurationVar(&opt.Loop.RetrainInterval, "retrain-interval", 0, "also retrain on this timer (0 = drift and manual triggers only)")
 	fs.Float64Var(&opt.Loop.ShadowFraction, "shadow-fraction", 0.05, "fraction of live traffic teed through a shadowing candidate")
@@ -121,13 +121,20 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			slog.Info("pprof listening", "url", "http://"+*pprofAddr+"/debug/pprof/")
-			err := http.ListenAndServe(*pprofAddr, nil) // DefaultServeMux carries net/http/pprof
-			slog.Error("pprof listener exited", "err", err)
-		}()
-	}
+	// The pprof listener stops with the API listener, whichever way that
+	// one ends, and run awaits it.
+	ctx, stopPprof := context.WithCancel(ctx)
+	pprofDone := make(chan struct{})
+	go func() {
+		defer close(pprofDone)
+		if *pprofAddr == "" {
+			return
+		}
+		slog.Info("pprof listening", "url", "http://"+*pprofAddr+"/debug/pprof/")
+		if err := obs.ListenAndServe(ctx, *pprofAddr, http.DefaultServeMux); err != nil {
+			slog.Error("pprof listener failed", "err", err)
+		}
+	}()
 	// SIGHUP forces an immediate checkpoint + journal segment rotation.
 	hup, hupDone := make(chan os.Signal, 1), make(chan struct{})
 	if opt.StateDir != "" {
@@ -147,6 +154,8 @@ func run(ctx context.Context, args []string) error {
 	// but a clean drain avoids failing them at all).
 	slog.Info("analysis service listening", "addr", *addr)
 	err = obs.ListenAndServe(ctx, *addr, srv.Handler())
+	stopPprof()
+	<-pprofDone
 	signal.Stop(hup)
 	close(hup)
 	<-hupDone

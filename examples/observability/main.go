@@ -1,8 +1,7 @@
 // Observability: the fleet observability plane end to end — two replicas
 // with their own metric registries behind a router that federates their
 // expositions into one exactly-merged fleet view, an SLO burn-rate alert
-// driven by injected faults, the anomaly-triggered CPU+heap profile
-// capture, and the recovery that clears the alert.
+// driven by injected faults, and the recovery that clears the alert.
 //
 //	go run ./examples/observability
 //
@@ -10,7 +9,7 @@
 //
 //	diagnetd -addr :8421 ... ; diagnetd -addr :8422 ...
 //	diagnet-router -replicas http://localhost:8421,http://localhost:8422 \
-//	    -federate-interval 1s -slo-target 0.999 -slo-latency-ms 100 -state-dir state/
+//	    -federate-interval 1s -slo-target 0.999 -slo-latency-ms 100
 //	diagnet-top -router http://localhost:8420 -watch
 package main
 
@@ -114,16 +113,11 @@ func run(out io.Writer) error {
 	}
 
 	// 2. Two replicas + the router with the full observability plane:
-	// federation every 50ms (a demo cadence; production uses seconds),
-	// a 99.9% objective, and profile capture into an on-disk ring.
+	// federation every 50ms (a demo cadence; production uses seconds) and
+	// a 99.9% objective.
 	r1, r2 := startReplica(model, test.Layout), startReplica(model, test.Layout)
 	defer r1.srv.Close()
 	defer r2.srv.Close()
-	profileDir, err := os.MkdirTemp("", "diagnet-profiles-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(profileDir)
 	rt := diagnet.NewClusterRouter([]string{r1.srv.URL, r2.srv.URL}, cluster.Config{
 		// Keep errors flowing to the replicas during the burst: an open
 		// breaker would shield them and starve the SLO signal.
@@ -137,9 +131,6 @@ func run(out io.Writer) error {
 				// (5m/1h page, 6h/3d warn).
 				{Name: "fast", Short: 400 * time.Millisecond, Long: 1500 * time.Millisecond, Factor: 2, Severity: "page"},
 			},
-			ProfileDir:         profileDir,
-			ProfileCooldown:    time.Hour,
-			ProfileCPUDuration: 100 * time.Millisecond,
 		},
 	})
 	defer rt.Close()
@@ -192,25 +183,7 @@ func run(out io.Writer) error {
 		}
 	}
 
-	// 5. The firing transition captured a CPU+heap pair into the ring.
-	var profiles struct {
-		Captures []obs.Capture `json:"captures"`
-	}
-	deadline = time.Now().Add(alertDeadline)
-	for len(profiles.Captures) == 0 || profiles.Captures[0].CPUProfile == "" {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("no profile captured")
-		}
-		time.Sleep(50 * time.Millisecond)
-		if err := getJSON(client, gw.URL+"/v1/profiles", &profiles); err != nil {
-			return fmt.Errorf("profiles: %w", err)
-		}
-	}
-	c := profiles.Captures[0]
-	fmt.Fprintf(out, "anomaly profile captured: %s (%s + %s, reason %q)\n",
-		c.ID, c.CPUProfile, c.HeapProfile, c.Reason)
-
-	// 6. Recovery: faults stop, the short window drains, the alert clears.
+	// 5. Recovery: faults stop, the short window drains, the alert clears.
 	r1.flaky.SetConfig(diagnet.FlakyConfig{})
 	r2.flaky.SetConfig(diagnet.FlakyConfig{})
 	fmt.Fprintf(out, "faults healed; waiting for the alert to clear\n")

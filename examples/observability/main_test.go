@@ -9,7 +9,7 @@ import (
 
 // TestRunSmoke runs the observability walkthrough end to end on a shrunk
 // configuration: federated fleet view, injected fault burst, burn-rate
-// alert, profile capture, recovery.
+// alert, recovery.
 func TestRunSmoke(t *testing.T) {
 	nominalSamples, faultSamples = 150, 400
 	filters, hidden, epochs = 4, []int{16, 8}, 2
@@ -23,7 +23,6 @@ func TestRunSmoke(t *testing.T) {
 	for _, want := range []string{
 		"sums exactly",
 		"SLO alert FIRING",
-		"anomaly profile captured",
 		"SLO alert cleared",
 	} {
 		if !strings.Contains(out, want) {

@@ -206,7 +206,7 @@ func TestDriftEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.EnableDrift()
+	srv.enableDrift()
 	status := srv.DriftStatus()
 	if status.Drifted {
 		t.Fatalf("no live data yet: %+v", status)

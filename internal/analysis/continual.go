@@ -6,7 +6,7 @@
 //	POST /v1/continual/retrain  → trigger a retrain cycle now
 //	POST /v1/continual/samples  → ingest ground-truth labeled feedback
 //
-// The routes answer 404 until AttachContinual is called (daemon started
+// The routes answer 404 until attachContinual is called (daemon started
 // without -continual).
 package analysis
 
@@ -20,11 +20,11 @@ import (
 	"diagnet/internal/obs"
 )
 
-// AttachContinual wires a continual-learning controller into the server:
+// attachContinual wires a continual-learning controller into the server:
 // the /v1/continual routes come alive, and every successful diagnosis is
 // tapped into the controller as a pseudo-labeled training sample plus a
 // watchdog observation. Call before serving traffic.
-func (s *Server) AttachContinual(ctrl *continual.Controller) {
+func (s *Server) attachContinual(ctrl *continual.Controller) {
 	s.loop.Store(ctrl)
 }
 

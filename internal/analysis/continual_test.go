@@ -34,7 +34,7 @@ func newContinualService(t *testing.T) (*Server, string, *continual.Controller, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrl.Close() })
-	s.AttachContinual(ctrl)
+	s.attachContinual(ctrl)
 	return s, ts.URL, ctrl, store
 }
 

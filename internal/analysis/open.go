@@ -8,15 +8,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"diagnet/internal/continual"
 	"diagnet/internal/core"
 	"diagnet/internal/durable"
-	"diagnet/internal/obs"
 	"diagnet/internal/serving"
-	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
 
@@ -38,16 +34,12 @@ type Options struct {
 	Specialized []string
 
 	// StateDir makes the model lifecycle crash-safe (DESIGN.md §13) and
-	// hosts continual/{samples,ckpt,state} and profiles/. Empty keeps
-	// everything in memory. Fsync is its journal's durability.
+	// hosts continual/{samples,ckpt,state}. Empty keeps everything in
+	// memory. Fsync is its journal's durability.
 	StateDir string
 	Fsync    durable.FsyncPolicy
 
 	Serving serving.Config
-
-	// ProfileOnBreachMs > 0 captures a CPU+heap profile pair whenever the
-	// windowed /v1/diagnose p99 exceeds it (needs StateDir).
-	ProfileOnBreachMs float64
 
 	// Continual closes the learning loop (DESIGN.md §15). Open sets
 	// Store.Dir, Trainer.{CheckpointDir,Load} and Loop.{Engine,Store,
@@ -138,16 +130,6 @@ func Open(opt Options) (_ *Server, err error) {
 		}
 	}
 
-	if opt.ProfileOnBreachMs > 0 && opt.StateDir == "" {
-		slog.Warn("profile-on-breach needs a state dir for the capture ring; profiling disabled")
-	} else if opt.ProfileOnBreachMs > 0 {
-		prof, err := obs.OpenProfiler(obs.ProfilerConfig{Dir: filepath.Join(opt.StateDir, "profiles")})
-		if err != nil {
-			return nil, err
-		}
-		s.AttachProfiler(prof)
-		s.watchBreach(prof, opt.ProfileOnBreachMs)
-	}
 	if opt.Continual {
 		if err := s.openContinual(opt); err != nil {
 			return nil, err
@@ -158,7 +140,7 @@ func Open(opt Options) (_ *Server, err error) {
 	slog.Info("serving model version", "version", boot, "history_depth", len(reg.History()),
 		"batch_max", cfg.BatchMax,
 		"queue_depth", cfg.QueueDepth, "workers", cfg.Workers,
-		"durable", s.persist != nil, "profiling", s.Profiler() != nil, "continual", opt.Continual)
+		"durable", s.persist != nil, "continual", opt.Continual)
 	s.SetReady(true)
 	return s, nil
 }
@@ -203,39 +185,8 @@ func (s *Server) openContinual(opt Options) error {
 	// diagnoses accumulates; its Drifted signal is the loop's trigger.
 	s.ResetDrift()
 	ctrl.Start()
-	s.AttachContinual(ctrl)
+	s.attachContinual(ctrl)
 	return nil
-}
-
-// watchBreach polls the process-local diagnose latency histogram and
-// triggers a profile capture on a windowed p99 breach (obs.Breach).
-func (s *Server) watchBreach(p *obs.Profiler, boundMs float64) {
-	stop, done := make(chan struct{}), make(chan struct{})
-	s.stopBreach = sync.OnceFunc(func() { close(stop); <-done })
-	go func() {
-		defer close(done)
-		var prev *telemetry.HistogramPoint
-		t := time.NewTicker(15 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				ex := telemetry.Default().Export()
-				cur, ok := ex.Histogram(obs.DiagnoseRoute.Latency)
-				if !ok {
-					continue
-				}
-				p99, breached := obs.Breach(cur, prev, boundMs)
-				prev = cur
-				if breached {
-					slog.Warn("local p99 breach; capturing profiles", "p99_ms", p99, "bound_ms", boundMs)
-					p.Trigger("local-p99-breach")
-				}
-			}
-		}
-	}()
 }
 
 // Close tears the replica down, awaiting each step; the order of its
@@ -243,9 +194,6 @@ func (s *Server) watchBreach(p *obs.Profiler, boundMs float64) {
 // which is also how a failed Open releases what it acquired. Idempotent.
 func (s *Server) Close() error {
 	s.ready.Store(false) // orchestrators stop routing before the drain
-	if s.stopBreach != nil {
-		s.stopBreach()
-	}
 	var errs []error
 	// Before the drain: an in-flight retrain is canceled (its epoch
 	// checkpoint resumes it next boot) and no shadow tee can start
@@ -261,10 +209,6 @@ func (s *Server) Close() error {
 	}
 	if s.persist != nil {
 		errs = append(errs, s.persist.Close())
-	}
-	// Last: a capture the final requests triggered finishes on disk.
-	if p := s.profiler.Load(); p != nil {
-		p.Close()
 	}
 	return errors.Join(errs...)
 }

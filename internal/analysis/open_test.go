@@ -123,7 +123,7 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 			opt.Specialized = []string{filepath.Join(t.TempDir(), "missing.gob")}
 		},
 		"corrupt sample journal": func(t *testing.T, opt *Options) {
-			opt.Continual, opt.ProfileOnBreachMs = true, 500
+			opt.Continual = true
 			corruptSamples(t, opt.StateDir)
 		},
 		"continual dir not writable": func(t *testing.T, opt *Options) {
@@ -195,39 +195,6 @@ func TestOpenContinualTapsServing(t *testing.T) {
 	var st continual.Status
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil || st.StoreSeen != 3 {
 		t.Fatalf("GET /v1/continual: status %d, store_seen %d; want 200, 3", resp.StatusCode, st.StoreSeen)
-	}
-}
-
-// TestCloseFinishesTriggeredCapture: a profile capture triggered by the
-// last requests is complete on disk when Close returns — Close stops and
-// awaits the breach watcher, and closes the profiler after the engine
-// drain. (diagnetd's own shutdown used to skip the profiler altogether.)
-func TestCloseFinishesTriggeredCapture(t *testing.T) {
-	opt := openOptions(t, t.TempDir())
-	opt.ProfileOnBreachMs = 500
-	s, err := Open(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Profiler().Trigger("last-requests") {
-		t.Fatal("trigger suppressed on a fresh profiler")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	leakcheck.VerifyNone(t)
-	captures := s.Profiler().List()
-	if len(captures) != 1 {
-		t.Fatalf("%d captures in the ring after Close, want 1", len(captures))
-	}
-	c := captures[0]
-	if c.Reason != "last-requests" {
-		t.Fatalf("capture %+v has no metadata: it was still in flight when Close returned", c)
-	}
-	for _, file := range []string{c.CPUProfile, c.HeapProfile} {
-		if fi, err := os.Stat(filepath.Join(opt.StateDir, "profiles", c.ID, file)); err != nil || fi.Size() == 0 {
-			t.Fatalf("%s is missing or empty after Close (stat error: %v)", file, err)
-		}
 	}
 }
 

@@ -126,7 +126,7 @@ type ModelInfo struct {
 // the engine's versioned registry and are hot-swapped atomically.
 //
 // The server feeds every coarse prediction into a drift detector
-// (§II-A: networks and services evolve); once EnableDrift has frozen a
+// (§II-A: networks and services evolve); once enableDrift has frozen a
 // reference window, /v1/drift reports whether the live prediction
 // distribution still matches it.
 type Server struct {
@@ -144,21 +144,15 @@ type Server struct {
 	mu    sync.Mutex // guards drift
 	drift *drift.Detector
 
-	// loop, when set via AttachContinual, receives every served diagnosis
+	// loop, when set via attachContinual, receives every served diagnosis
 	// (pseudo-labeled sample + watchdog observation) and backs the
 	// /v1/continual control surface.
 	loop atomic.Pointer[continual.Controller]
 
-	// profiler, when set via AttachProfiler, backs /v1/profiles and is
-	// triggered by the local p99 breach watcher.
-	profiler atomic.Pointer[obs.Profiler]
-
 	// What Open acquired beyond the engine, released by Close: the state
-	// journal, the continual sample store, and the breach watcher's
-	// stop-and-await (nil when the plane is off).
-	persist    *serving.Persistence
-	store      *continual.SampleStore
-	stopBreach func()
+	// journal and the continual sample store (nil when the plane is off).
+	persist *serving.Persistence
+	store   *continual.SampleStore
 }
 
 // NewServer serves a general model from a default-configured, in-memory
@@ -193,9 +187,9 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // Engine exposes the serving engine (registry access, stats).
 func (s *Server) Engine() *serving.Engine { return s.engine }
 
-// EnableDrift freezes the drift reference: diagnoses so far form the
+// enableDrift freezes the drift reference: diagnoses so far form the
 // baseline, later ones fill the live window.
-func (s *Server) EnableDrift() {
+func (s *Server) enableDrift() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drift.Freeze()
@@ -207,13 +201,6 @@ func (s *Server) DriftStatus() drift.Status {
 	defer s.mu.Unlock()
 	return s.drift.Status()
 }
-
-// AttachProfiler wires the anomaly-triggered profiler behind /v1/profiles
-// (404 until attached).
-func (s *Server) AttachProfiler(p *obs.Profiler) { s.profiler.Store(p) }
-
-// Profiler returns the attached profiler (nil when profiling is off).
-func (s *Server) Profiler() *obs.Profiler { return s.profiler.Load() }
 
 // SetSpecialized registers a per-service model in the active version via
 // the registry's copy-on-write snapshot swap — safe under concurrent
@@ -234,7 +221,6 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 //	POST /v1/continual/samples → ingest labeled feedback samples
 //	GET  /v1/metrics        → telemetry.Export as JSON (what the router federates)
 //	GET  /metrics           → the same Export as OpenMetrics text
-//	GET  /v1/profiles       → anomaly profile captures (404 when disabled)
 //	GET  /v1/traces         → kept-trace summaries (newest first)
 //	GET  /v1/traces/{id}    → one trace as a span tree
 //	GET  /healthz           → 204 (liveness)
@@ -267,16 +253,6 @@ func (s *Server) Handler() http.Handler {
 	// probes — a scraper hits it every interval; it counts its own scrapes
 	// instead (obs.scrapes).
 	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
-	profiles := func(w http.ResponseWriter, r *http.Request) {
-		p := s.profiler.Load()
-		if p == nil {
-			http.Error(w, "profiling disabled", http.StatusNotFound)
-			return
-		}
-		p.ServeHTTP(w, r)
-	}
-	mux.HandleFunc("GET /v1/profiles", profiles)
-	mux.HandleFunc("GET /v1/profiles/", profiles)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})

@@ -64,9 +64,9 @@ const (
 	batchChunk     = 8                     // smallest scatter chunk: at most ceil(len/batchChunk) chunks a batch
 )
 
-// ErrNoReplicas reports that no replica could take the request: none are
+// errNoReplicas reports that no replica could take the request: none are
 // ready, or every candidate's circuit is open.
-var ErrNoReplicas = errors.New("cluster: no replica available")
+var errNoReplicas = errors.New("cluster: no replica available")
 
 // Config tunes a Router. The zero value selects the documented defaults.
 type Config struct {
@@ -90,9 +90,8 @@ type Config struct {
 	Transport http.RoundTripper
 	// Now substitutes a fake clock in tests (default time.Now).
 	Now func() time.Time
-	// Obs configures the fleet observability plane: metric federation,
-	// SLO burn-rate alerting, anomaly-triggered profiling. The zero value
-	// disables it.
+	// Obs configures the fleet observability plane: metric federation and
+	// SLO burn-rate alerting. The zero value disables it.
 	Obs ObsConfig
 }
 

@@ -196,7 +196,7 @@ func TestFailedAttemptsDoNotFeedLatency(t *testing.T) {
 			ts := httptest.NewServer(rt)
 			defer ts.Close()
 			badRep := rt.Pool().Replicas()[0]
-			seeded := badRep.LatencyMs()
+			seeded := badRep.latencyMs()
 
 			// 15 definitive answers keep the histogram under the 20 samples
 			// hedgeDelay wants before it trusts the tail; counting the failed
@@ -210,7 +210,7 @@ func TestFailedAttemptsDoNotFeedLatency(t *testing.T) {
 			if bad.hits.Load() == 0 {
 				t.Fatal("the failing replica was never tried")
 			}
-			if got := badRep.LatencyMs(); got != seeded {
+			if got := badRep.latencyMs(); got != seeded {
 				t.Errorf("failing replica's latency EWMA moved %v → %v on %d failed attempts", seeded, got, bad.hits.Load())
 			}
 			if got := rt.latHist.Count(); got != n {

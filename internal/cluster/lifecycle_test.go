@@ -23,7 +23,6 @@ func TestRouterDoubleClose(t *testing.T) {
 		Obs: ObsConfig{
 			FederateInterval: 10 * time.Millisecond,
 			SLOTarget:        0.999,
-			ProfileDir:       t.TempDir(),
 		},
 	})
 	rt.Close()

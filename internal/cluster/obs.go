@@ -7,18 +7,16 @@ import (
 	"time"
 
 	"diagnet/internal/obs"
-	"diagnet/internal/telemetry"
 )
 
 // ObsConfig configures the router's fleet observability plane (DESIGN.md
 // §16): metric federation over the replica pool, SLO burn-rate alerting
-// over the federated view, and anomaly-triggered profile capture. The
-// zero value disables all of it — the router then serves only its own
-// process metrics.
+// over the federated view. The zero value disables all of it — the router
+// then serves only its own process metrics.
 type ObsConfig struct {
 	// FederateInterval is the replica scrape period. Zero disables
-	// federation, and with it the SLO engine and fleet-triggered
-	// profiling (both consume the federated view).
+	// federation, and with it the SLO engine (which consumes the
+	// federated view).
 	FederateInterval time.Duration
 	// SLOTarget is the availability/latency objective (e.g. 0.999). Zero
 	// disables the SLO engine.
@@ -31,30 +29,14 @@ type ObsConfig struct {
 	// BurnRules overrides the default fast(5m/1h, page)/slow(6h/3d, warn)
 	// multi-window rules — tests shrink the windows to seconds.
 	BurnRules []obs.BurnRule
-	// ProfileDir enables anomaly-triggered profiling: captures land in an
-	// on-disk ring under this directory (e.g. <state-dir>/profiles).
-	ProfileDir string
-	// ProfileOnBreachMs additionally triggers a capture when the fleet's
-	// windowed p99 over /v1/diagnose exceeds this bound. Zero disables
-	// the p99 trigger (burn-rate firings still trigger).
-	ProfileOnBreachMs float64
-	// ProfileCooldown rate-limits captures (default 10m).
-	ProfileCooldown time.Duration
-	// ProfileCPUDuration bounds one CPU profile (default 5s).
-	ProfileCPUDuration time.Duration
 }
 
 // routerObs is the router's observability plane: the federator (always
-// present when enabled), plus the optional SLO engine and profiler.
+// present when enabled), plus the optional SLO engine.
 type routerObs struct {
-	cfg      ObsConfig
-	fed      *obs.Federator
-	slo      *obs.SLOEngine
-	profiler *obs.Profiler
-
-	// prevLat anchors the windowed fleet p99: the breach check runs on the
-	// delta distribution since the previous sweep, not the lifetime one.
-	prevLat *telemetry.HistogramPoint
+	cfg ObsConfig
+	fed *obs.Federator
+	slo *obs.SLOEngine
 
 	stopLoop func() // ends the federation loop and awaits it
 }
@@ -77,18 +59,6 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 		},
 		Timeout: cfg.FederateInterval * 4,
 	})
-	if cfg.ProfileDir != "" {
-		p, err := obs.OpenProfiler(obs.ProfilerConfig{
-			Dir:         cfg.ProfileDir,
-			Cooldown:    cfg.ProfileCooldown,
-			CPUDuration: cfg.ProfileCPUDuration,
-		})
-		if err != nil {
-			slog.Warn("cluster: anomaly profiling disabled", "err", err)
-		} else {
-			ro.profiler = p
-		}
-	}
 	if cfg.SLOTarget > 0 {
 		objectives := obs.DefaultObjectives(cfg.SLOTarget, cfg.SLOLatencyMs)
 		if cfg.SLOLatencyMs <= 0 {
@@ -102,9 +72,6 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 					slog.Warn("cluster: SLO alert firing",
 						"objective", ev.Objective, "rule", ev.Rule,
 						"severity", ev.Severity, "burn", ev.Burn)
-					if ro.profiler != nil {
-						ro.profiler.Trigger("slo-" + ev.Objective + "-" + ev.Rule)
-					}
 				} else {
 					slog.Info("cluster: SLO alert cleared",
 						"objective", ev.Objective, "rule", ev.Rule)
@@ -116,8 +83,7 @@ func newRouterObs(pool *Pool, cfg ObsConfig) *routerObs {
 	return ro
 }
 
-// sweep is one turn of the federation loop: scrape, feed the SLO engine,
-// check the windowed fleet p99.
+// sweep is one turn of the federation loop: scrape, feed the SLO engine.
 func (ro *routerObs) sweep() {
 	ctx, cancel := context.WithTimeout(context.Background(), ro.cfg.FederateInterval*8)
 	view := ro.fed.Sweep(ctx)
@@ -125,36 +91,14 @@ func (ro *routerObs) sweep() {
 	if ro.slo != nil {
 		ro.slo.Observe(time.Now(), &view.Fleet)
 	}
-	ro.checkBreach(&view.Fleet)
-}
-
-// checkBreach triggers a profile capture when the windowed fleet p99 over
-// /v1/diagnose exceeds the configured bound.
-func (ro *routerObs) checkBreach(fleet *telemetry.Export) {
-	if ro.profiler == nil || ro.cfg.ProfileOnBreachMs <= 0 {
-		return
-	}
-	cur, ok := fleet.Histogram(obs.DiagnoseRoute.Latency)
-	if !ok {
-		return
-	}
-	p99, breached := obs.Breach(cur, ro.prevLat, ro.cfg.ProfileOnBreachMs)
-	ro.prevLat = cur
-	if breached {
-		slog.Warn("cluster: fleet p99 breach", "p99_ms", p99, "bound_ms", ro.cfg.ProfileOnBreachMs)
-		ro.profiler.Trigger("fleet-p99-breach")
-	}
 }
 
 // close stops the federation loop and releases the plane's resources, in
 // dependency order: loop first (nothing sweeps anymore), then the
-// profiler (awaits an in-flight capture), then the federator's idle
-// scrape connections. Idempotent — Router.Close may run more than once.
+// federator's idle scrape connections. Idempotent — Router.Close may run
+// more than once.
 func (ro *routerObs) close() {
 	ro.stopLoop()
-	if ro.profiler != nil {
-		ro.profiler.Close()
-	}
 	ro.fed.Close()
 }
 
@@ -175,15 +119,6 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.obs.slo.ServeStatus(w, r)
-}
-
-// handleProfiles serves GET /v1/profiles (404 when profiling is off).
-func (rt *Router) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if rt.obs == nil || rt.obs.profiler == nil {
-		http.Error(w, "profiling disabled (set -state-dir)", http.StatusNotFound)
-		return
-	}
-	rt.obs.profiler.ServeHTTP(w, r)
 }
 
 // Federator exposes the federation plane (nil when disabled) — tests and

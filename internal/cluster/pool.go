@@ -74,9 +74,9 @@ func (p *Pool) Close() {
 // Replicas returns the pool members (fixed at construction).
 func (p *Pool) Replicas() []*Replica { return p.replicas }
 
-// HealthyCount returns how many replicas passed their last readiness
+// healthyCount returns how many replicas passed their last readiness
 // probe.
-func (p *Pool) HealthyCount() int {
+func (p *Pool) healthyCount() int {
 	n := 0
 	for _, r := range p.replicas {
 		if r.Healthy() {
@@ -159,7 +159,7 @@ func (p *Pool) Ranked() []*Replica {
 			continue
 		}
 		ready = append(ready, r)
-		if r.Loaded(now) || r.breaker.State() == resilience.Open {
+		if r.loaded(now) || r.breaker.State() == resilience.Open {
 			continue
 		}
 		avail = append(avail, r)
@@ -177,7 +177,7 @@ func (p *Pool) Ranked() []*Replica {
 		if oi != oj {
 			return oi < oj
 		}
-		return out[i].LatencyMs() < out[j].LatencyMs()
+		return out[i].latencyMs() < out[j].latencyMs()
 	})
 	return out
 }

@@ -56,8 +56,8 @@ func (r *Replica) setHealthy(v bool) bool {
 	return true
 }
 
-// Loaded reports whether the replica is inside a 429 backpressure window.
-func (r *Replica) Loaded(now time.Time) bool {
+// loaded reports whether the replica is inside a 429 backpressure window.
+func (r *Replica) loaded(now time.Time) bool {
 	return now.UnixNano() < r.loadedUntil.Load()
 }
 
@@ -71,8 +71,8 @@ func (r *Replica) markLoaded(now time.Time, d time.Duration) {
 // Outstanding returns the in-flight attempt count.
 func (r *Replica) Outstanding() int64 { return r.outstanding.Load() }
 
-// LatencyMs returns the attempt-latency EWMA (0 before any sample).
-func (r *Replica) LatencyMs() float64 { return r.lat.Value() }
+// latencyMs returns the attempt-latency EWMA (0 before any sample).
+func (r *Replica) latencyMs() float64 { return r.lat.Value() }
 
 // ReplicaStatus is one replica's externally visible state (GET
 // /v1/replicas).
@@ -91,7 +91,7 @@ func (r *Replica) status(now time.Time) ReplicaStatus {
 	return ReplicaStatus{
 		Name:        r.name,
 		Healthy:     r.healthy.Load(),
-		Loaded:      r.Loaded(now),
+		Loaded:      r.loaded(now),
 		Breaker:     r.breaker.State().String(),
 		Outstanding: r.outstanding.Load(),
 		LatencyMs:   r.lat.Value(),

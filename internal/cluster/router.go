@@ -39,8 +39,8 @@ type Router struct {
 	failovers      atomic.Int64
 	backpressure   atomic.Int64
 
-	// obs is the fleet observability plane (federation, SLO engine,
-	// anomaly profiler); nil unless Config.Obs enables it.
+	// obs is the fleet observability plane (federation, SLO engine); nil
+	// unless Config.Obs enables it.
 	obs *routerObs
 
 	handler http.Handler
@@ -75,8 +75,6 @@ func NewRouter(urls []string, cfg Config) *Router {
 	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	mux.HandleFunc("GET /v1/fleet/metrics", rt.handleFleetMetrics)
 	mux.HandleFunc("GET /v1/slo", rt.handleSLO)
-	mux.HandleFunc("GET /v1/profiles", rt.handleProfiles)
-	mux.HandleFunc("GET /v1/profiles/", rt.handleProfiles)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -84,7 +82,7 @@ func NewRouter(urls []string, cfg Config) *Router {
 	// its last readiness probe. Load balancers in front of a router fleet
 	// use this exactly like the per-replica /readyz.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if rt.pool.HealthyCount() == 0 {
+		if rt.pool.healthyCount() == 0 {
 			http.Error(w, "no ready replicas", http.StatusServiceUnavailable)
 			return
 		}
@@ -212,7 +210,7 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte, h
 		return false
 	}
 	if !launch(false) {
-		return attemptOutcome{err: ErrNoReplicas}
+		return attemptOutcome{err: errNoReplicas}
 	}
 
 	var hedgeC <-chan time.Time
@@ -441,7 +439,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ways := min(max(rt.pool.HealthyCount(), 1), (n+batchChunk-1)/batchChunk)
+	ways := min(max(rt.pool.healthyCount(), 1), (n+batchChunk-1)/batchChunk)
 	mScatterChunks.Observe(float64(ways))
 	if span := tracing.FromContext(r.Context()); span != nil {
 		span.SetAttr("batch.size", n)

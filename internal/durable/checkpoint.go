@@ -86,9 +86,6 @@ func (c *Checkpointer) generations() ([]uint64, error) {
 	return out, nil
 }
 
-// Gen returns the newest known generation (0 = none yet).
-func (c *Checkpointer) Gen() uint64 { return c.gen }
-
 // Write publishes payload as the next generation: temp file → fsync →
 // rename → dir fsync → manifest, then prunes older generations. The
 // checkpoint is the unit of atomicity; a crash anywhere leaves either

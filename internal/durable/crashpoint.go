@@ -8,7 +8,7 @@ import (
 // Deterministic crash injection (modeled on the PR 1 chaos harness, which
 // injects faults into the probing plane; this one injects process death
 // into the write path). A test arms one CrashPoint; the next time the
-// write path reaches it, the package panics with ErrInjectedCrash —
+// write path reaches it, the package panics with errInjectedCrash —
 // leaving the on-disk state exactly as a real crash at that instant
 // would. The test recovers the panic, reopens the state directory, and
 // asserts the recovery invariants.
@@ -37,9 +37,9 @@ const (
 	CrashPostRename CrashPoint = "post-rename"
 )
 
-// ErrInjectedCrash is the panic value raised at an armed crash point.
+// errInjectedCrash is the panic value raised at an armed crash point.
 // Harness code recovers it with RecoverCrash.
-var ErrInjectedCrash = errors.New("durable: injected crash")
+var errInjectedCrash = errors.New("durable: injected crash")
 
 var (
 	crashMu    sync.Mutex
@@ -70,7 +70,7 @@ func crashArmed(p CrashPoint, dir string) bool {
 	return crashPoint == p && (crashDir == "" || crashDir == dir)
 }
 
-// crash panics with ErrInjectedCrash if p is armed for dir, disarming
+// crash panics with errInjectedCrash if p is armed for dir, disarming
 // first.
 func crash(p CrashPoint, dir string) {
 	crashMu.Lock()
@@ -80,7 +80,7 @@ func crash(p CrashPoint, dir string) {
 	}
 	crashPoint = ""
 	crashMu.Unlock()
-	panic(ErrInjectedCrash)
+	panic(errInjectedCrash)
 }
 
 // RecoverCrash absorbs an injected-crash panic; any other panic value is
@@ -93,7 +93,7 @@ func crash(p CrashPoint, dir string) {
 func RecoverCrash(crashed *bool) {
 	switch r := recover(); r {
 	case nil:
-	case ErrInjectedCrash:
+	case errInjectedCrash:
 		if crashed != nil {
 			*crashed = true
 		}

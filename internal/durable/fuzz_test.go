@@ -51,7 +51,7 @@ func FuzzReplayJournal(f *testing.F) {
 		// 1. The raw scanner: every yielded record must pass its checksum
 		//    (re-verified here independently), and valid must stay within
 		//    the input.
-		valid, clean, err := ScanSegment(bytes.NewReader(data), 1<<20, func(p []byte) error {
+		valid, clean, err := scanSegment(bytes.NewReader(data), 1<<20, func(p []byte) error {
 			if len(p) == 0 {
 				t.Fatal("scanner yielded an empty record")
 			}
@@ -67,7 +67,7 @@ func FuzzReplayJournal(f *testing.F) {
 			t.Fatalf("clean scan stopped early: %d of %d", valid, len(data))
 		}
 		// Records up to `valid` must re-scan identically (determinism).
-		revalid, reclean, _ := ScanSegment(bytes.NewReader(data[:valid]), 1<<20, nil)
+		revalid, reclean, _ := scanSegment(bytes.NewReader(data[:valid]), 1<<20, nil)
 		if revalid != valid || (valid > int64(len(segMagic)) && !reclean) {
 			t.Fatalf("truncated-at-valid rescan disagrees: %d/%v vs %d", revalid, reclean, valid)
 		}

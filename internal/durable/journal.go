@@ -251,17 +251,17 @@ func (j *Journal) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
-// scanSegmentFile opens and scans one segment; see ScanSegment.
+// scanSegmentFile opens and scans one segment; see scanSegment.
 func scanSegmentFile(path string, maxRecord int, fn func([]byte) error) (valid int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, fmt.Errorf("durable: open segment: %w", err)
 	}
 	defer f.Close()
-	return ScanSegment(f, maxRecord, fn)
+	return scanSegment(f, maxRecord, fn)
 }
 
-// ScanSegment reads a segment stream, invoking fn (when non-nil) for each
+// scanSegment reads a segment stream, invoking fn (when non-nil) for each
 // record whose checksum passes. It returns the offset just past the last
 // valid record and whether the segment ended cleanly at a record
 // boundary; clean=false marks a torn or corrupt tail starting at offset
@@ -270,7 +270,7 @@ func scanSegmentFile(path string, maxRecord int, fn func([]byte) error) (valid i
 //
 // Exposed (rather than kept private) so the fuzzer can drive the exact
 // parser the recovery path uses.
-func ScanSegment(r io.Reader, maxRecord int, fn func([]byte) error) (valid int64, clean bool, err error) {
+func scanSegment(r io.Reader, maxRecord int, fn func([]byte) error) (valid int64, clean bool, err error) {
 	if maxRecord <= 0 {
 		maxRecord = 16 << 20
 	}
@@ -454,8 +454,8 @@ func (j *Journal) rotateLocked() error {
 	return j.openSegmentLocked(j.seg + 1)
 }
 
-// Segment returns the index of the open segment.
-func (j *Journal) Segment() uint64 {
+// segment returns the index of the open segment.
+func (j *Journal) segment() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seg

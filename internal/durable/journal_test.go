@@ -59,7 +59,7 @@ func TestJournalSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, j, 20)
-	if j.Segment() == 0 {
+	if j.segment() == 0 {
 		t.Fatal("expected rotation past segment 0")
 	}
 	j.Close()

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -169,6 +168,3 @@ func (q *Queue) Sync() error { return q.j.Sync() }
 
 // Close closes the underlying journal.
 func (q *Queue) Close() error { return q.j.Close() }
-
-// ErrQueueClosed mirrors journal closure for callers that care.
-var ErrQueueClosed = errors.New("durable: queue closed")

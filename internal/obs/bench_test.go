@@ -164,7 +164,7 @@ func BenchmarkWriteExposition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteExposition(io.Discard, &ex); err != nil {
+		if err := writeExposition(io.Discard, &ex); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkParseExposition(b *testing.B) {
 	var buf []byte
 	{
 		w := &sliceWriter{}
-		if err := WriteExposition(w, &ex); err != nil {
+		if err := writeExposition(w, &ex); err != nil {
 			b.Fatal(err)
 		}
 		buf = w.b

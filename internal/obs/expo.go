@@ -42,13 +42,13 @@ func PromName(name string) string {
 	return b.String()
 }
 
-// WriteExposition renders an Export in the OpenMetrics text format:
+// writeExposition renders an Export in the OpenMetrics text format:
 // per-family HELP/TYPE pairs, counters as <name>_total, histograms as
 // cumulative _bucket series with a terminal +Inf bucket plus _sum and
 // _count, the registry's tail exemplar annotated on its bucket line, and
 // a terminal # EOF. Families are emitted in Export order (sorted), so two
 // scrapes of identical state are byte-identical.
-func WriteExposition(w io.Writer, ex *telemetry.Export) error {
+func writeExposition(w io.Writer, ex *telemetry.Export) error {
 	bw := bufio.NewWriter(w)
 	for i := range ex.Counters {
 		c := &ex.Counters[i]

@@ -112,7 +112,7 @@ func (f *Federator) Sweep(ctx context.Context) FleetView {
 			f.errs.Inc()
 		}
 	}
-	fleet, warnings := MergeExports(exports)
+	fleet, warnings := mergeExports(exports)
 	view := FleetView{
 		UpdatedUnixMs: time.Now().UnixMilli(),
 		Replicas:      replicas,
@@ -236,7 +236,7 @@ func (f *Federator) ServeView(w http.ResponseWriter, r *http.Request) {
 	}
 	if wantsExposition(r) {
 		w.Header().Set("Content-Type", ContentType)
-		_ = WriteExposition(w, &view.Fleet)
+		_ = writeExposition(w, &view.Fleet)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -21,7 +21,7 @@ func FuzzParseExposition(f *testing.F) {
 	h.ObserveExemplar(50, "cafe01")
 	var seed bytes.Buffer
 	ex := reg.Export()
-	if err := WriteExposition(&seed, &ex); err != nil {
+	if err := writeExposition(&seed, &ex); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -35,14 +35,14 @@ func FuzzParseExposition(f *testing.F) {
 			return
 		}
 		var out1, out2 bytes.Buffer
-		if err := WriteExposition(&out1, &parsed); err != nil {
+		if err := writeExposition(&out1, &parsed); err != nil {
 			t.Fatalf("write after accept: %v", err)
 		}
 		re, err := ParseExposition(out1.Bytes())
 		if err != nil {
 			t.Fatalf("accepted document fails reparse: %v\ninput: %q\nre-exposed:\n%s", err, data, out1.String())
 		}
-		if err := WriteExposition(&out2, &re); err != nil {
+		if err := writeExposition(&out2, &re); err != nil {
 			t.Fatalf("re-write: %v", err)
 		}
 		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {

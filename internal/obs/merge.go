@@ -21,7 +21,7 @@ func gaugeSums(name string) bool {
 	return false
 }
 
-// MergeExports combines per-replica exports into one fleet export:
+// mergeExports combines per-replica exports into one fleet export:
 //
 //   - counters: integer sum — exact.
 //   - histograms: element-wise sum of cumulative bucket counts plus the
@@ -35,7 +35,7 @@ func gaugeSums(name string) bool {
 //
 // The result is sorted by name, so merging the same inputs always yields
 // byte-identical renderings.
-func MergeExports(exports []telemetry.Export) (telemetry.Export, []string) {
+func mergeExports(exports []telemetry.Export) (telemetry.Export, []string) {
 	var warnings []string
 
 	counters := map[string]int64{}
@@ -127,25 +127,6 @@ func SubtractHistogram(cur, prev *telemetry.HistogramPoint) (telemetry.Histogram
 		out.Cumulative[i] = d
 	}
 	return out, true
-}
-
-// minBreachCount is the least windowed population a p99 breach is judged
-// on — a handful of slow requests right after boot is noise, not an
-// incident.
-const minBreachCount = 20
-
-// Breach is the anomaly profiler's p99 trigger, shared by the replica's
-// local watcher and the router's fleet sweep: it reports the p99 of the
-// observations made between prev and cur (the windowed distribution, not
-// the lifetime one) and whether it exceeds boundMs. A window that cannot
-// be formed or holds fewer than minBreachCount observations never breaches.
-func Breach(cur, prev *telemetry.HistogramPoint, boundMs float64) (p99 float64, breached bool) {
-	window, ok := SubtractHistogram(cur, prev)
-	if !ok || window.Count() < minBreachCount {
-		return 0, false
-	}
-	p99 = window.Quantile(0.99)
-	return p99, p99 > boundMs
 }
 
 func sameBounds(a, b []float64) bool {

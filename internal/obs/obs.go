@@ -25,12 +25,6 @@
 //     the federated counters. GET /v1/slo exposes the alert state machine
 //     and the remaining error budget.
 //
-//   - Anomaly-triggered profiling. When a burn-rate rule fires, or the
-//     fleet p99 breaches a configured bound, a bounded CPU+heap pprof pair
-//     is captured into a small on-disk ring, rate-limited so a sustained
-//     incident costs at most one capture per cooldown. GET /v1/profiles
-//     lists and serves the captures.
-//
 // The paper's premise is diagnosing other services at Internet scale;
 // this package applies the same discipline to the diagnoser itself — the
 // continuously collected, aggregated telemetry substrate that online RCA
@@ -73,14 +67,13 @@ func ExpositionHandler(reg *telemetry.Registry) http.Handler {
 		scrapes.Inc()
 		w.Header().Set("Content-Type", ContentType)
 		ex := reg.Export()
-		_ = WriteExposition(w, &ex)
+		_ = writeExposition(w, &ex)
 	})
 }
 
 // RouteNames are the registry names Instrument records one HTTP route
 // under. Everything that reads a route's metrics — the SLO objectives,
-// both p99-breach watchers, diagnet-top — takes the names from here, so
-// the scheme is spelled once.
+// diagnet-top — takes the names from here, so the scheme is spelled once.
 type RouteNames struct {
 	Requests string // counter
 	Errors   string // counter: status ≥ 400 or panic
@@ -94,7 +87,7 @@ func RouteMetrics(prefix, route string) RouteNames {
 }
 
 // DiagnoseRoute is the replicas' POST /v1/diagnose — the route the fleet's
-// objectives, breach triggers and dashboard are about.
+// objectives and dashboard are about.
 var DiagnoseRoute = RouteMetrics("http", "diagnose")
 
 // Instrument is the one per-route HTTP front of every daemon: it counts

@@ -53,7 +53,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	ex := reg.Export()
-	if err := WriteExposition(&buf, &ex); err != nil {
+	if err := writeExposition(&buf, &ex); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	text := buf.String()
@@ -100,14 +100,14 @@ func TestExpositionRoundTrip(t *testing.T) {
 	// Re-exposing the parsed export must be byte-identical modulo the
 	// already-prom names: the writer is stable on its own output.
 	var buf2, buf3 bytes.Buffer
-	if err := WriteExposition(&buf2, &got); err != nil {
+	if err := writeExposition(&buf2, &got); err != nil {
 		t.Fatalf("re-write: %v", err)
 	}
 	got2, err := ParseExposition(buf2.Bytes())
 	if err != nil {
 		t.Fatalf("re-parse: %v", err)
 	}
-	if err := WriteExposition(&buf3, &got2); err != nil {
+	if err := writeExposition(&buf3, &got2); err != nil {
 		t.Fatalf("re-re-write: %v", err)
 	}
 	if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
@@ -164,7 +164,7 @@ func TestMergeExact(t *testing.T) {
 	b := mkReplica(200, 1, []float64{0.7, 500}, 3)
 	c := mkReplica(50, 0, []float64{5, 5, 5}, 1)
 
-	fleet, warnings := MergeExports([]telemetry.Export{a, b, c})
+	fleet, warnings := mergeExports([]telemetry.Export{a, b, c})
 	if len(warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
@@ -204,7 +204,7 @@ func TestMergeGaugeAvgAndBoundsMismatch(t *testing.T) {
 	r2.Gauge("drift.score").Set(0.4)
 	r2.Histogram("h", []float64{1, 3}).Observe(1)
 
-	fleet, warnings := MergeExports([]telemetry.Export{r1.Export(), r2.Export()})
+	fleet, warnings := mergeExports([]telemetry.Export{r1.Export(), r2.Export()})
 	if v, _ := fleet.Gauge("drift.score"); math.Abs(v-0.3) > 1e-12 {
 		t.Errorf("avg gauge: got %v, want 0.3", v)
 	}
@@ -309,85 +309,6 @@ func TestSLOLatencyObjective(t *testing.T) {
 	bad, total, ok := o.counts(&ex)
 	if !ok || total != 4 || bad != 2 {
 		t.Errorf("counts: bad=%d total=%d ok=%v, want 2/4/true", bad, total, ok)
-	}
-}
-
-// TestProfilerCooldownAndRing pins the rate limit (one capture per
-// cooldown) and the bounded on-disk ring.
-func TestProfilerCooldownAndRing(t *testing.T) {
-	dir := t.TempDir()
-	p, err := OpenProfiler(ProfilerConfig{
-		Dir:         dir,
-		Cooldown:    time.Hour,
-		CPUDuration: 20 * time.Millisecond,
-		MaxCaptures: 2,
-		Registry:    telemetry.New(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Trigger("test-burst") {
-		t.Fatal("first trigger suppressed")
-	}
-	if p.Trigger("test-burst") {
-		t.Fatal("second trigger inside cooldown not suppressed")
-	}
-	waitCaptured(t, p, 1)
-
-	caps := p.List()
-	if caps[0].Reason != "test-burst" {
-		t.Errorf("capture reason: %+v", caps[0])
-	}
-	cpu := filepath.Join(dir, caps[0].ID, caps[0].CPUProfile)
-	heap := filepath.Join(dir, caps[0].ID, caps[0].HeapProfile)
-	for _, f := range []string{cpu, heap} {
-		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
-			t.Errorf("profile file %s missing or empty: %v", f, err)
-		}
-	}
-
-	// Force two more captures past the cooldown; the ring keeps 2.
-	for i := 0; i < 2; i++ {
-		p.last.Store(0)
-		if !p.Trigger("again") {
-			t.Fatalf("trigger %d suppressed", i)
-		}
-		waitFor(t, 5*time.Second, func() bool { return !p.capturing.Load() })
-	}
-	if got := len(p.List()); got != 2 {
-		t.Errorf("ring size: got %d, want 2", got)
-	}
-}
-
-func TestProfilerHTTP(t *testing.T) {
-	dir := t.TempDir()
-	p, err := OpenProfiler(ProfilerConfig{
-		Dir: dir, Cooldown: time.Hour, CPUDuration: 20 * time.Millisecond,
-		Registry: telemetry.New(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Trigger("http-test")
-	waitCaptured(t, p, 1)
-
-	rec := httptest.NewRecorder()
-	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/profiles", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "http-test") {
-		t.Fatalf("list: %d %s", rec.Code, rec.Body.String())
-	}
-	id := p.List()[0].ID
-
-	rec = httptest.NewRecorder()
-	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/profiles/"+id+"/heap.pprof", nil))
-	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
-		t.Errorf("download: %d len=%d", rec.Code, rec.Body.Len())
-	}
-
-	rec = httptest.NewRecorder()
-	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/profiles/../../etc/passwd", nil))
-	if rec.Code == http.StatusOK {
-		t.Errorf("path traversal served: %d", rec.Code)
 	}
 }
 
@@ -650,74 +571,5 @@ func TestWriteJSONLogsEncodeError(t *testing.T) {
 	WriteJSON(httptest.NewRecorder(), map[string]float64{"x": math.NaN()})
 	if !strings.Contains(logged.String(), "JSON response not written") {
 		t.Errorf("encode error not logged: %q", logged.String())
-	}
-}
-
-// waitCaptured blocks until n captures have fully finished (metadata and
-// profile files on disk, no capture in flight).
-func waitCaptured(t *testing.T, p *Profiler, n int) {
-	t.Helper()
-	waitFor(t, 5*time.Second, func() bool {
-		if p.capturing.Load() {
-			return false
-		}
-		caps := p.List()
-		if len(caps) != n {
-			return false
-		}
-		for _, c := range caps {
-			if c.CPUProfile == "" {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("condition not met within %v", timeout)
-}
-
-// TestBreach pins the one p99 trigger both daemons use: judged on the
-// window between two exports, never on fewer than 20 observations, and
-// never across a counter reset.
-func TestBreach(t *testing.T) {
-	reg := telemetry.New()
-	h := reg.Histogram("lat", nil)
-	point := func() *telemetry.HistogramPoint {
-		ex := reg.Export()
-		p, ok := ex.Histogram("lat")
-		if !ok {
-			t.Fatal("histogram missing from export")
-		}
-		return p
-	}
-	for i := 0; i < 19; i++ {
-		h.Observe(900)
-	}
-	first := point()
-	if _, breached := Breach(first, nil, 500); breached {
-		t.Error("19 slow observations breached: below the minimum window")
-	}
-	h.Observe(900)
-	if p99, breached := Breach(point(), nil, 500); !breached || p99 <= 500 {
-		t.Errorf("20 observations at 900ms: p99 %v breached %v, want a breach", p99, breached)
-	}
-	for i := 0; i < 300; i++ {
-		h.Observe(1)
-	}
-	if p99, breached := Breach(point(), first, 500); breached {
-		t.Errorf("window of 1 slow + 300 fast breached at p99 %v: the lifetime leaked into the window", p99)
-	}
-	if _, breached := Breach(first, point(), 500); breached {
-		t.Error("a shrinking histogram (restart) breached")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // ParseExposition strictly parses exposition text back into an Export
 // (metric names are the Prometheus family names the writer produced — the
-// only place those appear). It is WriteExposition's reference lint, run by
+// only place those appear). It is writeExposition's reference lint, run by
 // the tests and the fuzzer against everything the daemons serve at
 // /metrics; nothing in production decodes text. Beyond decoding, it
 // enforces the rules a healthy exposition must satisfy —

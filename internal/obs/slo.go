@@ -109,7 +109,7 @@ type SLOConfig struct {
 	Objectives []Objective
 	Rules      []BurnRule // nil means DefaultBurnRules()
 	// OnTransition, when set, observes alert state changes (the router
-	// uses it to trigger profile capture).
+	// logs each firing and clearing with it).
 	OnTransition func(AlertEvent)
 	// Registry receives the engine's own metrics (default telemetry.Default()).
 	Registry *telemetry.Registry

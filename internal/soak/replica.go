@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"diagnet/internal/analysis"
@@ -16,7 +17,8 @@ import (
 // the boot order the daemon ships — behind an HTTP listener on a stable
 // loopback address, with its OWN telemetry registry so the
 // federation-exactness invariant sums genuinely distinct sources. Only
-// the schedule's goroutine touches it.
+// the schedule's goroutine touches it, except up, which the resource
+// sampler reads.
 type replica struct {
 	index int
 	opt   analysis.Options
@@ -25,6 +27,7 @@ type replica struct {
 
 	srv     *analysis.Server // nil once shut down
 	httpSrv *http.Server     // nil while killed
+	up      atomic.Bool      // serving: set by boot, cleared by kill
 }
 
 // startReplica boots a replica on an ephemeral loopback port.
@@ -61,6 +64,7 @@ func (r *replica) boot(ln net.Listener) error {
 
 	r.srv, r.httpSrv = srv, &http.Server{Handler: mux}
 	go r.httpSrv.Serve(ln)
+	r.up.Store(true)
 	return nil
 }
 
@@ -82,6 +86,7 @@ func (r *replica) checkpoint() error {
 // real crash frees it by exiting; in-process the restart reclaims it).
 // Idempotent.
 func (r *replica) kill() {
+	r.up.Store(false)
 	if r.httpSrv != nil {
 		r.httpSrv.Close()
 		r.httpSrv = nil

@@ -163,7 +163,7 @@ func Run(cfg Config) (*Summary, error) {
 	sampleWG.Add(1)
 	go func() {
 		defer sampleWG.Done()
-		sampleResources(sum, stopSample)
+		sampleResources(sum, replicas, stopSample)
 	}()
 
 	start := time.Now()
@@ -494,9 +494,9 @@ func fleetCheck(routerURL string, sum *Summary) {
 	}
 }
 
-// sampleResources records goroutine and fd counts on a cadence; the
-// growth invariant compares the run's first and last thirds.
-func sampleResources(sum *Summary, stop <-chan struct{}) {
+// sampleResources records goroutine and fd counts on a cadence for the
+// growth invariant (Summary.checkGrowth).
+func sampleResources(sum *Summary, replicas []*replica, stop <-chan struct{}) {
 	t := time.NewTicker(200 * time.Millisecond)
 	defer t.Stop()
 	for {
@@ -504,8 +504,11 @@ func sampleResources(sum *Summary, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			sum.GoroutineSamples = append(sum.GoroutineSamples, len(leakcheck.Interesting()))
-			sum.FDSamples = append(sum.FDSamples, leakcheck.CountFDs())
+			whole := true
+			for _, r := range replicas {
+				whole = whole && r.up.Load()
+			}
+			sum.sample(whole, len(leakcheck.Interesting()), leakcheck.CountFDs())
 		}
 	}
 }

@@ -81,6 +81,48 @@ func TestBuildScheduleInvariants(t *testing.T) {
 	}
 }
 
+// TestFloorGrowthIgnoresAKillDip pins the goroutine-floor verdict across
+// a kill→restart: the killed replica's goroutines are gone while it is
+// down, and a floor sampled in that dip made the last third's ordinary
+// count read as growth. Ticks taken while the fleet is not whole are not
+// samples; a genuine leak still raises the floor.
+func TestFloorGrowthIgnoresAKillDip(t *testing.T) {
+	type tick struct {
+		whole      bool
+		goroutines int
+	}
+	run := func(last int) []tick {
+		var ticks []tick
+		for i := 0; i < 15; i++ {
+			switch {
+			case i == 6 || i == 7: // middle third: one replica killed, then restarted
+				ticks = append(ticks, tick{false, 85})
+			case i >= 10:
+				ticks = append(ticks, tick{true, last})
+			default:
+				ticks = append(ticks, tick{true, 100})
+			}
+		}
+		return ticks
+	}
+	for _, tc := range []struct {
+		name string
+		last int
+		grew bool
+	}{
+		{"steady after restart", 102, false},
+		{"leak", 120, true},
+	} {
+		var sum Summary
+		for _, tk := range run(tc.last) {
+			sum.sample(tk.whole, tk.goroutines, 10)
+		}
+		if _, grew := floorGrowth(sum.GoroutineSamples, 5); grew != tc.grew {
+			t.Errorf("%s: floorGrowth over %v reports growth %v, want %v", tc.name, sum.GoroutineSamples, grew, tc.grew)
+		}
+	}
+}
+
 // TestSoakShortRun boots the full fleet and runs a brief chaos window.
 // CI's 60s soak lives in the workflow; this keeps a smoke-sized version
 // in `go test` so harness regressions surface everywhere.

@@ -32,7 +32,8 @@ type Summary struct {
 	// compared between the fleet view and the per-replica sums.
 	FederatedCounters int `json:"federated_counters_checked"`
 
-	// Resource samples on a 200ms cadence across the chaos phase.
+	// Resource samples on a 200ms cadence across the chaos phase, taken
+	// only while every replica is up (see sample).
 	GoroutineSamples []int `json:"goroutine_samples"`
 	FDSamples        []int `json:"fd_samples"`
 
@@ -49,6 +50,18 @@ type Summary struct {
 
 func (s *Summary) fail(format string, args ...any) {
 	s.Violations = append(s.Violations, fmt.Sprintf(format, args...))
+}
+
+// sample records one tick's goroutine and fd counts, unless the fleet is
+// not whole: a killed replica's connection goroutines and descriptors are
+// gone until its restart, and a floor sampled inside that dip would make
+// the next third's ordinary count read as growth.
+func (s *Summary) sample(whole bool, goroutines, fds int) {
+	if !whole {
+		return
+	}
+	s.GoroutineSamples = append(s.GoroutineSamples, goroutines)
+	s.FDSamples = append(s.FDSamples, fds)
 }
 
 // checkGrowth compares the quiescent floor (minimum) of the last third
