@@ -11,6 +11,7 @@ import (
 	"diagnet/internal/cluster"
 	"diagnet/internal/obs"
 	"diagnet/internal/telemetry"
+	"diagnet/internal/tracing"
 )
 
 // metricPassRows is the serving engine's rows-per-pass histogram; the
@@ -93,6 +94,9 @@ type window struct {
 	// (all of a micro-batch whose models share the trunk, whatever their
 	// services and layouts); 0 when the window holds no pass.
 	RowsPerPass float64
+	// Layers is the mean time of one run of each stage of tracing.Stages,
+	// in its order, in ms; 0 when the window holds no run of it.
+	Layers []float64
 }
 
 func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
@@ -116,8 +120,9 @@ func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
 	if dReq > 0 && dErr > 0 {
 		w.ErrRate = float64(dErr) / float64(dReq)
 	}
-	if passes, ok := histogramDelta(prev, cur, metricPassRows); ok && passes.Count() > 0 {
-		w.RowsPerPass = passes.Sum / float64(passes.Count())
+	w.RowsPerPass = meanDelta(prev, cur, metricPassRows)
+	for _, st := range tracing.Stages {
+		w.Layers = append(w.Layers, meanDelta(prev, cur, tracing.LatencyName(st.Name())))
 	}
 	if lat, ok := histogramDelta(prev, cur, route.Latency); ok {
 		w.Count = lat.Count()
@@ -127,6 +132,15 @@ func windowOf(prev, cur *telemetry.Export, elapsed time.Duration) window {
 		}
 	}
 	return w
+}
+
+// meanDelta is the mean of the observations a histogram took between prev
+// and cur, 0 when there were none.
+func meanDelta(prev, cur *telemetry.Export, name string) float64 {
+	if h, ok := histogramDelta(prev, cur, name); ok && h.Count() > 0 {
+		return h.Sum / float64(h.Count())
+	}
+	return 0
 }
 
 // histogramDelta is the distribution of the observations a histogram took
@@ -180,6 +194,7 @@ func render(out io.Writer, prev, cur *fleetSample) {
 	}
 	rows := append([]obs.ReplicaMetrics(nil), cur.View.Replicas...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	windows := make([]window, len(rows))
 	for i := range rows {
 		r := &rows[i]
 		if r.Error != "" {
@@ -187,6 +202,7 @@ func render(out io.Writer, prev, cur *fleetSample) {
 			continue
 		}
 		w := windowOf(prevRep[r.Name], &r.Export, elapsed)
+		windows[i] = w
 		h, healthy, breaker := health[r.Name], "?", "?"
 		if h.Name != "" {
 			if h.Healthy {
@@ -198,6 +214,27 @@ func render(out io.Writer, prev, cur *fleetSample) {
 		}
 		fmt.Fprintf(out, "  %-32s %-8s %-9s %8.1f %10s %10d %10s\n",
 			r.Name, healthy, breaker, w.QPS, fmtMs(w.P99), h.Outstanding, fmtMs(w.RowsPerPass))
+	}
+	// Where a replica's diagnoses spent their time: the mean run of every
+	// stage in the window, under the stage table's names.
+	fmt.Fprintf(out, "\n  %-32s", "LAYER MEAN (ms)")
+	for _, st := range tracing.Stages {
+		fmt.Fprintf(out, " %*s", len(st.Name()), st.Name())
+	}
+	fmt.Fprintln(out)
+	for i := range rows {
+		if rows[i].Error != "" {
+			continue
+		}
+		fmt.Fprintf(out, "  %-32s", rows[i].Name)
+		for k, st := range tracing.Stages {
+			v := "—"
+			if ms := windows[i].Layers[k]; ms > 0 {
+				v = fmt.Sprintf("%.3f", ms)
+			}
+			fmt.Fprintf(out, " %*s", len(st.Name()), v)
+		}
+		fmt.Fprintln(out)
 	}
 	for _, wmsg := range cur.View.Warnings {
 		fmt.Fprintf(out, "\n  warning: %s\n", wmsg)

@@ -11,6 +11,7 @@ import (
 	"diagnet/internal/cluster"
 	"diagnet/internal/obs"
 	"diagnet/internal/telemetry"
+	"diagnet/internal/tracing"
 )
 
 // fakeRouter serves the three endpoints diagnet-top reads, with swappable
@@ -123,7 +124,8 @@ func TestCollectAndRenderWindowedView(t *testing.T) {
 	}
 	// r2 took no traffic in the window; its row shows 0 qps and an empty
 	// p99, not stale lifetime numbers.
-	for _, line := range strings.Split(out, "\n") {
+	replicaTable, _, _ := strings.Cut(out, "LAYER MEAN")
+	for _, line := range strings.Split(replicaTable, "\n") {
 		if strings.Contains(line, "http://r2") {
 			if !strings.Contains(line, "0.0") || !strings.Contains(line, "—") {
 				t.Errorf("r2 row should be windowed-empty: %q", line)
@@ -176,7 +178,8 @@ func TestRenderRowsPerPass(t *testing.T) {
 	}}}
 	var sb strings.Builder
 	render(&sb, prev, cur)
-	for _, line := range strings.Split(sb.String(), "\n") {
+	replicaTable, _, _ := strings.Cut(sb.String(), "LAYER MEAN")
+	for _, line := range strings.Split(replicaTable, "\n") {
 		switch {
 		case strings.Contains(line, "REPLICA") && !strings.HasSuffix(line, "ROWS/PASS"):
 			t.Errorf("header lacks the ROWS/PASS column: %q", line)
@@ -184,6 +187,54 @@ func TestRenderRowsPerPass(t *testing.T) {
 			t.Errorf("r1 fused 90 rows in 30 passes, want 3.0: %q", line)
 		case strings.Contains(line, "http://r2") && !strings.HasSuffix(line, "—"):
 			t.Errorf("r2 ran no pass in the window, want a dash: %q", line)
+		}
+	}
+}
+
+// The layer table is, per replica, the windowed mean run of every stage of
+// the stage table, read from the federated histograms under the stages'
+// own names.
+func TestRenderLayers(t *testing.T) {
+	stage := func(e telemetry.Export, name string, count int64, sumMs float64) telemetry.Export {
+		e.Histograms = append(e.Histograms, telemetry.HistogramPoint{
+			Name:       tracing.LatencyName(name),
+			Bounds:     []float64{1, 10},
+			Cumulative: []int64{count, count, count},
+			Sum:        sumMs,
+		})
+		return e
+	}
+	at := time.Now()
+	prev := &fleetSample{At: at, View: obs.FleetView{Replicas: []obs.ReplicaMetrics{
+		{Name: "http://r1", Export: stage(exportWith(0, 0), "nn.input_gradient", 10, 2)},
+	}}}
+	// 20 more passes took 5 ms more: 0.25 ms each.
+	cur := &fleetSample{At: at.Add(time.Second), View: obs.FleetView{Replicas: []obs.ReplicaMetrics{
+		{Name: "http://r1", Export: stage(exportWith(0, 0), "nn.input_gradient", 30, 7)},
+	}}}
+	var sb strings.Builder
+	render(&sb, prev, cur)
+	_, layers, ok := strings.Cut(sb.String(), "LAYER MEAN (ms)")
+	if !ok {
+		t.Fatalf("no layer table:\n%s", sb.String())
+	}
+	header, row, _ := strings.Cut(layers, "\n")
+	for _, st := range tracing.Stages {
+		if !strings.Contains(header, st.Name()) {
+			t.Errorf("layer header lacks %s: %q", st.Name(), header)
+		}
+	}
+	fields := strings.Fields(row)
+	if len(fields) != 1+len(tracing.Stages) || fields[0] != "http://r1" {
+		t.Fatalf("layer row %q", row)
+	}
+	for k, st := range tracing.Stages {
+		want := "—"
+		if st == tracing.InputGradientStage {
+			want = "0.250"
+		}
+		if fields[1+k] != want {
+			t.Errorf("%s: %q, want %q", st.Name(), fields[1+k], want)
 		}
 	}
 }

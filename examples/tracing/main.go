@@ -120,7 +120,7 @@ func run(out io.Writer) error {
 }
 
 // fetchTrace polls GET /v1/traces/{id} until the trace contains the
-// server-side core.diagnose span.
+// server-side core.session_diagnose span.
 func fetchTrace(baseURL, id string) ([]spanNode, error) {
 	var tree struct {
 		Spans []spanNode `json:"spans"`
@@ -137,7 +137,7 @@ func fetchTrace(baseURL, id string) ([]spanNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			if hasSpan(tree.Spans, "core.diagnose") {
+			if hasSpan(tree.Spans, "core.session_diagnose") {
 				return tree.Spans, nil
 			}
 		} else {

@@ -21,10 +21,10 @@ func TestRunSmoke(t *testing.T) {
 	for _, want := range []string{
 		"trace_id=",     // slog correlation stamped the agent's log line
 		"http.diagnose", // server route span joined the agent's trace
-		"serving.queue_wait",
+		"serving.submit",
 		"serving.batch",
-		"core.diagnose",
-		"core.stage.ensemble",
+		"core.session_diagnose",
+		"forest.scores",
 		"p99 exemplar:",
 	} {
 		if !strings.Contains(out, want) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"diagnet/internal/telemetry"
+	"diagnet/internal/tracing"
 )
 
 // fetchExport GETs /v1/metrics and decodes it.
@@ -105,30 +106,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("latency percentiles not ordered: p50=%v p90=%v p99=%v", p50, p90, p99)
 	}
 
-	// Per-stage Diagnose timings from internal/core. Requests now run
-	// through the serving engine's fused batched passes: normalize and
-	// total are marked once per micro-batch (at least one pass must have
-	// happened), while the per-row stages still mark every sample — the
-	// batch endpoint contributes 2 more samples on top of the n singles.
-	perPass := []string{
-		"core.diagnose.stage.normalize_ms",
-		"core.diagnose.total_ms",
-	}
-	for _, name := range perPass {
-		d := observations(&after, name) - observations(&before, name)
-		if d < 1 {
-			t.Fatalf("stage %s observed %d times, want >= 1", name, d)
+	// The stage table: serving.submit times every submission — the batch
+	// endpoint contributes 2 more on top of the n singles — and the core
+	// stages time each fused pass of the serving engine, at least one.
+	for _, st := range tracing.Stages {
+		want := int64(1)
+		if st == tracing.SubmitStage {
+			want = int64(n + 2)
 		}
-	}
-	perSample := []string{
-		"core.diagnose.stage.forward_gradient_ms",
-		"core.diagnose.stage.weighting_ms",
-		"core.diagnose.stage.ensemble_ms",
-	}
-	for _, name := range perSample {
-		d := observations(&after, name) - observations(&before, name)
-		if d < n+2 {
-			t.Fatalf("stage %s observed %d times, want >= %d", name, d, n+2)
+		name := tracing.LatencyName(st.Name())
+		if d := observations(&after, name) - observations(&before, name); d < want {
+			t.Fatalf("stage %s observed %d times, want >= %d", name, d, want)
 		}
 	}
 	if d := counter(&after, "core.diagnose.calls") - counter(&before, "core.diagnose.calls"); d < n+2 {

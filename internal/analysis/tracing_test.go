@@ -100,14 +100,16 @@ func TestTraceEndToEnd(t *testing.T) {
 	if tree.TraceID != traceID {
 		t.Fatalf("trace id %q, want %q", tree.TraceID, traceID)
 	}
-	chain := []string{"http.diagnose", "serving.queue_wait", "serving.batch", "core.diagnose"}
+	chain := []string{"http.diagnose", "serving.submit", "serving.batch", "core.session_diagnose"}
 	if !findChain(tree.Spans, chain) {
 		raw, _ := json.MarshalIndent(tree, "", "  ")
 		t.Fatalf("trace lacks the nested chain %v:\n%s", chain, raw)
 	}
-	if !findChain(tree.Spans, append(chain, "core.stage.ensemble")) {
-		raw, _ := json.MarshalIndent(tree, "", "  ")
-		t.Fatalf("core.diagnose span lacks stage children:\n%s", raw)
+	for _, st := range []*tracing.Stage{tracing.NormalizeStage, tracing.InputGradientStage, tracing.ForestStage} {
+		if !findChain(tree.Spans, append(chain, st.Name())) {
+			raw, _ := json.MarshalIndent(tree, "", "  ")
+			t.Fatalf("core.session_diagnose span lacks its %s child:\n%s", st.Name(), raw)
+		}
 	}
 }
 

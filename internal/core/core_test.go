@@ -489,7 +489,8 @@ func TestUnknownWeightAndEnsembleEndpoints(t *testing.T) {
 			}
 			coarse[fam] = 0.7
 			grad := dyadicMass(rng, layout.NumFeatures(), unseen)
-			d = m.postprocess(grad, coarse, features, layout, &sc, nil, nil)
+			d = m.newDiagnosis(coarse, features, layout, &sc)
+			m.attend(d, grad)
 			if fam == probe.FamNominal && d.UnknownWeight != 1 {
 				t.Fatalf("trial %d: w_U = %v with all attention on unseen landmarks, want 1", trial, d.UnknownWeight)
 			}

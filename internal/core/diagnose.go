@@ -9,8 +9,6 @@ import (
 	"diagnet/internal/mat"
 	"diagnet/internal/nn"
 	"diagnet/internal/probe"
-	"diagnet/internal/telemetry"
-	"diagnet/internal/tracing"
 )
 
 // Diagnosis is the output of DiagNet for one degraded sample: the coarse
@@ -103,7 +101,6 @@ type scratch struct {
 
 	fullVec []float64 // aux forest full-layout projection
 	scores  []float64 // aux forest full-layout cause scores
-	aux     []float64 // aux forest scores on the inference layout
 }
 
 // widthGroup is the rows of one pass that carry the same number of
@@ -122,26 +119,34 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// postprocess turns one sample's input gradient and coarse distribution
-// into a Diagnosis: Eq. 1 attention, Algorithm 1 weighting and §III-F
-// ensemble averaging. grad and coarse are rows of the pass's workspace and
-// are only read: everything the Diagnosis keeps — Coarse included — lives
-// in one slab allocated here, because a Diagnosis outlives the pass.
-// sc holds the intermediates, clock and stages may be nil.
-func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layout, sc *scratch, clock *telemetry.StageClock, stages *tracing.StageSpans) *Diagnosis {
-	fam := probe.Family(nn.Argmax(coarse))
-	c, w := len(coarse), len(grad)
+// newDiagnosis starts one row's Diagnosis: the coarse distribution, copied
+// out of the pass's workspace, and the auxiliary forest's per-feature
+// scores α̂ (§III-F), parked in Final until attend averages them in.
+// Everything the Diagnosis keeps lives in one slab allocated here, because
+// a Diagnosis outlives the pass; sc holds the forest's intermediates.
+func (m *Model) newDiagnosis(coarse, features []float64, layout probe.Layout, sc *scratch) *Diagnosis {
+	c, w := len(coarse), layout.NumFeatures()
 	slab := make([]float64, c+3*w)
 	d := &Diagnosis{
 		Layout:    layout,
 		Coarse:    slab[:c:c],
-		Family:    fam,
+		Family:    probe.Family(nn.Argmax(coarse)),
 		Attention: slab[c : c+w : c+w],
 		Tuned:     slab[c+w : c+2*w : c+2*w],
 		Final:     slab[c+2*w:],
 	}
 	copy(d.Coarse, coarse)
+	sc.fullVec = grow(sc.fullVec, m.FullLayout.NumFeatures())
+	sc.scores = grow(sc.scores, m.Aux.Causes())
+	m.auxScoresInto(features, layout, sc.fullVec, sc.scores, d.Final)
+	return d
+}
 
+// attend finishes a Diagnosis from its row's input gradient, a row of the
+// pass's workspace that is only read: Eq. 1 attention, Algorithm 1
+// weighting, and the ensemble average w_U γ̂′ + (1−w_U) α̂ over the forest
+// scores newDiagnosis left in Final.
+func (m *Model) attend(d *Diagnosis, grad []float64) {
 	// Equation 1: γ̂_j = |∇_j| / Σ|∇_k|.
 	attention := d.Attention
 	var sum float64
@@ -160,12 +165,9 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 			attention[i] = u
 		}
 	}
-	clock.Mark(mStageAttention)
-	stages.Mark("core.stage.forward_gradient")
 
-	tuned := scoreWeighting(d.Tuned, attention, coarse, layout, fam)
-	clock.Mark(mStageWeighting)
-	stages.Mark("core.stage.weighting")
+	layout := d.Layout
+	tuned := scoreWeighting(d.Tuned, attention, d.Coarse, layout, d.Family)
 
 	// Ensemble averaging (§III-F): w_U γ̂′ + (1−w_U) α̂.
 	var wU float64
@@ -174,17 +176,10 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 			wU += tuned[j]
 		}
 	}
-	sc.fullVec = grow(sc.fullVec, m.FullLayout.NumFeatures())
-	sc.scores = grow(sc.scores, m.Aux.Causes())
-	sc.aux = grow(sc.aux, layout.NumFeatures())
-	aux := m.auxScoresInto(features, layout, sc.fullVec, sc.scores, sc.aux)
 	for j := range d.Final {
-		d.Final[j] = wU*tuned[j] + (1-wU)*aux[j]
+		d.Final[j] = wU*tuned[j] + (1-wU)*d.Final[j]
 	}
 	d.UnknownWeight = wU
-	clock.Mark(mStageEnsemble)
-	stages.Mark("core.stage.ensemble")
-	return d
 }
 
 // scoreWeighting is Algorithm 1 (multi-label score weighting): features of

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"diagnet/internal/probe"
 	"diagnet/internal/telemetry"
+	"diagnet/internal/tracing"
 )
 
 // BenchmarkDiagnoseTelemetry quantifies the instrumentation overhead of
@@ -35,9 +37,9 @@ func BenchmarkDiagnoseTelemetry(b *testing.B) {
 	})
 }
 
-// TestDiagnoseRecordsStageTimings checks the tentpole's acceptance wiring:
-// a Diagnose call must leave one observation in every stage histogram and
-// bump the call counter.
+// TestDiagnoseRecordsStageTimings: a Diagnose call leaves one observation
+// in the histogram of core.session_diagnose and of each of its stages, and
+// bumps the call counter.
 func TestDiagnoseRecordsStageTimings(t *testing.T) {
 	m := syntheticModel(6, []int{24, 12})
 	before := telemetry.Default().Export()
@@ -55,16 +57,37 @@ func TestDiagnoseRecordsStageTimings(t *testing.T) {
 		}
 		return h.Count()
 	}
-	for _, name := range []string{
-		"core.diagnose.stage.normalize_ms",
-		"core.diagnose.stage.forward_gradient_ms",
-		"core.diagnose.stage.weighting_ms",
-		"core.diagnose.stage.ensemble_ms",
-		"core.diagnose.total_ms",
-	} {
+	for _, st := range coreStages {
+		name := tracing.LatencyName(st.Name())
 		if observed(&after, name) != observed(&before, name)+1 {
 			t.Errorf("%s not observed (count %d → %d)", name,
 				observed(&before, name), observed(&after, name))
 		}
+	}
+}
+
+// coreStages are the stages a DiagnoseRows call times: its own and its
+// pass's three.
+var coreStages = []*tracing.Stage{tracing.SessionStage, tracing.NormalizeStage, tracing.InputGradientStage, tracing.ForestStage}
+
+// TestOneRowPassAllocations: a one-row pass outside any request allocates
+// its Diagnosis and result slice and nothing else — the clock and the
+// stage marks cost nothing — and inside a request whose trace head
+// sampling dropped it adds only its own core.session_diagnose span.
+func TestOneRowPassAllocations(t *testing.T) {
+	m := syntheticModel(6, []int{24, 12})
+	s := m.NewSession()
+	x, full := goldenInput(), probe.FullLayout()
+	rows := []Row{{Service: m.ServiceID, Layout: full, Features: x}}
+	pass := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(50, func() { s.DiagnoseRows(ctx, rows) })
+	}
+	bare := pass(context.Background())
+	ctx, root := tracing.NewTracer(tracing.Config{SampleRate: -1}).StartSpan(context.Background(), "request")
+	defer root.End()
+	unsampled := pass(ctx)
+	t.Logf("one-row pass: %v allocations outside a request, %v in an unsampled one", bare, unsampled)
+	if bare > 3 || unsampled > 6 {
+		t.Errorf("want ≤ 3 outside a request and ≤ 6 unsampled")
 	}
 }

@@ -12,6 +12,10 @@ import (
 	"diagnet/internal/tracing"
 )
 
+// mDiagnoses counts the rows DiagnoseRows diagnoses; its timed stages are
+// declared in the one stage table, tracing.Stages.
+var mDiagnoses = telemetry.Default().Counter("core.diagnose.calls")
+
 // Session is one goroutine's inference context over one model or over a
 // whole bundle: inference views (nn.Network.ViewIn — their own per-pass
 // layer caches over the models' weight matrices, which a pass only reads)
@@ -197,9 +201,11 @@ func (s *Session) diagnoseBatch(ctx context.Context, features [][]float64, layou
 // pass's matrices live in the session's workspace, and what a Diagnosis
 // keeps is copied out of it.
 //
-// When ctx holds an active trace span (the serving engine passes the
-// micro-batch's span), the call records a "core.diagnose" child span with
-// stage children at the StageClock boundaries, and the total-latency
+// The call is timed as the stage core.session_diagnose, and each trunk pass
+// marks its probe.normalize, nn.input_gradient and forest.scores laps
+// (tracing.Stages). When ctx holds an active trace span (the serving engine
+// passes the micro-batch's span) the call is a child span of it, its laps
+// are that span's children when the trace is sampled, and the total's
 // histogram captures the trace ID as its tail exemplar.
 func (s *Session) DiagnoseRows(ctx context.Context, rows []Row) []*Diagnosis {
 	b := len(rows)
@@ -232,10 +238,7 @@ func (s *Session) DiagnoseRows(ctx context.Context, rows []Row) []*Diagnosis {
 	}
 
 	mDiagnoses.Add(int64(b))
-	_, span := tracing.StartSpan(ctx, "core.diagnose")
-	span.SetAttr("batch.size", b)
-	stages := span.Stages()
-	clock := telemetry.StartStages()
+	clock := tracing.SessionStage.Start(ctx)
 	out := make([]*Diagnosis, b)
 	s.passes = s.passes[:0]
 	lo := 0
@@ -245,27 +248,21 @@ func (s *Session) DiagnoseRows(ctx context.Context, rows []Row) []*Diagnosis {
 			h1++
 		}
 		if hi := sc.ends[h1-1]; hi > lo {
-			// Stage spans for the first pass only: one set of stage
-			// children per call keeps traces readable.
-			s.pass(h0, h1, lo, hi, rows, out, clock, stages)
+			s.pass(h0, h1, lo, hi, rows, out, &clock)
 			s.passes = append(s.passes, hi-lo)
-			lo, stages = hi, nil
+			lo = hi
 		}
 		h0 = h1
 	}
-	clock.DoneExemplar(mDiagnoseTotal, span.TraceID())
-	span.End()
+	clock.End()
 	return out
 }
 
 // pass runs heads[h0:h1] — the heads of one trunk — over their rows,
 // order[lo:hi], and writes each row's Diagnosis to its slot of out. Row
-// positions below are relative to lo.
-//
-// Stage telemetry granularity under batching: normalize is marked once per
-// pass, while the per-row stages mark every row (the first row's
-// forward_gradient lap absorbs the shared network pass).
-func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *telemetry.StageClock, stages *tracing.StageSpans) {
+// positions below are relative to lo. Each of its three stages is one lap
+// of clock, whatever the number of rows.
+func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *tracing.Clock) {
 	s.ws.Reset()
 	sc := &s.sc
 	t := &s.trunks[s.heads[h0].trunk]
@@ -301,8 +298,7 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 			s.heads[sc.headOf[order[p]]].m.Norm.ApplyInto(row.Features, row.Layout, g.x.Row(i))
 		}
 	}
-	clock.Mark(mStageNormalize)
-	stages.Mark("core.stage.normalize")
+	clock.Mark(tracing.NormalizeStage)
 
 	// Up the trunk: LandPooling per width group, the pooled rows scattered
 	// to their positions, then one matrix through the rest.
@@ -376,10 +372,16 @@ func (s *Session) pass(h0, h1, lo, hi int, rows []Row, out []*Diagnosis, clock *
 		}
 	}
 
-	// What leaves the pass is copied out of the workspace by postprocess.
+	clock.Mark(tracing.InputGradientStage)
+
+	// What leaves the pass is copied out of the workspace: every row's
+	// forest scores, then its attention and the ensemble of the two.
 	for p, r := range order {
 		row := &rows[r]
-		out[r] = s.heads[sc.headOf[r]].m.postprocess(sc.grads[p], sc.probs[p], row.Features, row.Layout, sc, clock, stages)
-		stages = nil
+		out[r] = s.heads[sc.headOf[r]].m.newDiagnosis(sc.probs[p], row.Features, row.Layout, sc)
+	}
+	clock.Mark(tracing.ForestStage)
+	for p, r := range order {
+		s.heads[sc.headOf[r]].m.attend(out[r], sc.grads[p])
 	}
 }

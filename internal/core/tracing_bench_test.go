@@ -12,8 +12,9 @@ import (
 // Table-I-sized model. "disabled" is the production-off baseline — every
 // StartSpan reduces to one atomic load plus a branch, budgeted at <2%
 // over the untraced PR 3 pipeline. "sampled" runs with full recording: a
-// root span, four retroactive stage children and trace finalization into
-// the ring per call, the worst case a traced request pays.
+// request's root span, the core.session_diagnose child with its three
+// retroactive stage children and trace finalization into the ring per
+// call, the worst case a traced request pays.
 func BenchmarkDiagnoseTracing(b *testing.B) {
 	m := syntheticModel(24, []int{512, 128})
 	x := goldenInput()
@@ -30,14 +31,16 @@ func BenchmarkDiagnoseTracing(b *testing.B) {
 	b.Run("sampled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.DiagnoseContext(context.Background(), x, full)
+			ctx, root := tracing.StartSpan(context.Background(), "bench.request")
+			m.DiagnoseContext(ctx, x, full)
+			root.End()
 		}
 	})
 }
 
-// TestDiagnoseContextRecordsTrace pins the core span topology: one traced
-// call yields a retrievable trace whose core.diagnose span carries the
-// four pipeline stage children.
+// TestDiagnoseContextRecordsTrace pins the core span topology: one call
+// inside a traced request yields a retrievable trace with a
+// core.session_diagnose span and its three stage children.
 func TestDiagnoseContextRecordsTrace(t *testing.T) {
 	m := syntheticModel(6, []int{24, 12})
 	_, span := tracing.StartSpan(context.Background(), "test.root")
@@ -53,15 +56,9 @@ func TestDiagnoseContextRecordsTrace(t *testing.T) {
 	for _, sp := range rec.Spans {
 		stages[sp.Name] = true
 	}
-	for _, want := range []string{
-		"core.diagnose",
-		"core.stage.normalize",
-		"core.stage.forward_gradient",
-		"core.stage.weighting",
-		"core.stage.ensemble",
-	} {
-		if !stages[want] {
-			t.Errorf("trace lacks span %q (have %v)", want, stages)
+	for _, st := range coreStages {
+		if !stages[st.Name()] {
+			t.Errorf("trace lacks span %q (have %v)", st.Name(), stages)
 		}
 	}
 }

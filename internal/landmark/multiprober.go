@@ -17,7 +17,7 @@ import (
 var (
 	mRounds         = telemetry.Default().Counter("probe.rounds")
 	mRoundsDegraded = telemetry.Default().Counter("probe.rounds_degraded")
-	mRoundMs        = telemetry.Default().Histogram("probe.round_ms", nil)
+	stRound         = tracing.NewStage(telemetry.Default(), "probe.round")
 	mLandmarkMs     = telemetry.Default().Histogram("probe.landmark_ms", nil)
 	mProbeSuccesses = telemetry.Default().Counter("probe.landmark.successes")
 	mProbeFailures  = telemetry.Default().Counter("probe.landmark.failures")
@@ -164,10 +164,10 @@ func (mp *MultiProber) state(url string) *landmarkState {
 func (mp *MultiProber) ProbeAll(ctx context.Context, urls []string) ([]ProbeResult, bool) {
 	ctx, cancel := context.WithTimeout(ctx, mp.cfg.RoundTimeout)
 	defer cancel()
-	ctx, span := tracing.StartSpan(ctx, "probe.round")
+	ctx, clock := stRound.Root(ctx)
+	span := clock.Span()
 	span.SetAttr("landmarks", len(urls))
 	mRounds.Inc()
-	roundStart := time.Now()
 
 	results := make([]ProbeResult, len(urls))
 	sem := make(chan struct{}, mp.cfg.MaxConcurrent)
@@ -190,12 +190,11 @@ func (mp *MultiProber) ProbeAll(ctx context.Context, urls []string) ([]ProbeResu
 			break
 		}
 	}
-	telemetry.ObserveSince(mRoundMs, roundStart)
 	if partial {
 		mRoundsDegraded.Inc()
 	}
 	span.SetAttr("partial", partial)
-	span.End()
+	clock.End()
 	return results, partial
 }
 

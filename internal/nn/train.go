@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"diagnet/internal/mat"
 	"diagnet/internal/telemetry"
@@ -116,7 +117,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 	t.Net.SetTraining(true)
 	defer t.Net.SetTraining(false)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		epochClock := telemetry.StartStages()
+		epochStart := time.Now()
 		var refs []batchRef
 		for gi, order := range orders {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -155,7 +156,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 		mEpochs.Inc()
 		mBatches.Add(int64(batches))
 		mLoss.Set(epochLoss)
-		epochClock.Done(mEpochMs)
+		mEpochMs.Observe(telemetry.Millis(time.Since(epochStart)))
 
 		valLoss := math.NaN()
 		if valX != nil && valX.Rows > 0 {

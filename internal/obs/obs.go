@@ -80,10 +80,11 @@ type RouteNames struct {
 	Latency  string // histogram, milliseconds
 }
 
-// RouteMetrics names the metrics of route <prefix>.<route>.
+// RouteMetrics names the metrics of route <prefix>.<route>, the stage its
+// latency and span are recorded under.
 func RouteMetrics(prefix, route string) RouteNames {
 	name := prefix + "." + route
-	return RouteNames{name + ".requests", name + ".errors", name + ".latency_ms"}
+	return RouteNames{name + ".requests", name + ".errors", tracing.LatencyName(name)}
 }
 
 // DiagnoseRoute is the replicas' POST /v1/diagnose — the route the fleet's
@@ -91,29 +92,27 @@ func RouteMetrics(prefix, route string) RouteNames {
 var DiagnoseRoute = RouteMetrics("http", "diagnose")
 
 // Instrument is the one per-route HTTP front of every daemon: it counts
-// the route's requests and errors (status ≥ 400 or panic) and times its
-// latency under the RouteMetrics names, tracks the <prefix>.inflight gauge
-// — all in the GIVEN registry, so several replicas in one process (soak,
-// tests, the observability example) each keep their own — and opens the
-// route's trace span "<prefix>.<route>": an incoming W3C traceparent
-// continues the caller's trace, otherwise the route starts a fresh local
-// root. The response echoes the trace ID in X-Trace-Id so a client can
-// fetch its own trace from /v1/traces/{id}, and the latency histogram
-// captures the trace ID as its tail exemplar. A panic still propagates to
-// the server's recoverer; the deferred block keeps gauge, counters and
-// span consistent on that path too.
+// the route's requests and errors (status ≥ 400 or panic) under the
+// RouteMetrics names, tracks the <prefix>.inflight gauge, and times the
+// route as the stage "<prefix>.<route>" — all in the GIVEN registry, so
+// several replicas in one process (soak, tests, the observability example)
+// each keep their own. The stage's span is the request's: an incoming W3C
+// traceparent continues the caller's trace, otherwise the route starts a
+// fresh local root. The response echoes the trace ID in X-Trace-Id so a
+// client can fetch its own trace from /v1/traces/{id}, and the latency
+// histogram captures the trace ID as its tail exemplar. A panic still
+// propagates to the server's recoverer; the deferred block keeps gauge,
+// counters and span consistent on that path too.
 func Instrument(reg *telemetry.Registry, prefix, route string, next http.HandlerFunc) http.HandlerFunc {
-	names, spanName := RouteMetrics(prefix, route), prefix+"."+route
+	names, stage := RouteMetrics(prefix, route), tracing.NewStage(reg, prefix+"."+route)
 	requests := reg.Counter(names.Requests)
 	failed := reg.Counter(names.Errors)
-	latency := reg.Histogram(names.Latency, nil)
 	inflight := reg.Gauge(prefix + ".inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		inflight.Add(1)
-		clock := telemetry.StartStages()
-		ctx := tracing.Extract(r.Context(), r.Header)
-		ctx, span := tracing.StartSpan(ctx, spanName)
+		ctx, clock := stage.Root(tracing.Extract(r.Context(), r.Header))
+		span := clock.Span()
 		span.SetAttr("http.method", r.Method)
 		span.SetAttr("http.path", r.URL.Path)
 		if id := span.TraceID(); id != "" {
@@ -123,7 +122,6 @@ func Instrument(reg *telemetry.Registry, prefix, route string, next http.Handler
 		finished := false
 		defer func() {
 			inflight.Add(-1)
-			clock.DoneExemplar(latency, span.TraceID())
 			if !finished || rec.status >= 400 {
 				failed.Inc()
 			}
@@ -134,7 +132,7 @@ func Instrument(reg *telemetry.Registry, prefix, route string, next http.Handler
 			case rec.status >= 500:
 				span.SetError(fmt.Errorf("http %d", rec.status))
 			}
-			span.End()
+			clock.End()
 		}()
 		next(rec, r.WithContext(ctx))
 		finished = true

@@ -16,7 +16,7 @@ import (
 type item struct {
 	ctx   context.Context
 	req   *Request
-	qspan *tracing.Span // "serving.queue_wait": opened at admission, closed when a batch picks the item up (or on shed)
+	clock tracing.Clock // the submission's serving.submit run, ended by the submitter
 	done  chan outcome  // buffered(1): workers never block on abandoned waiters
 }
 
@@ -127,8 +127,6 @@ func (e *Engine) shedDead(it *item, err error) {
 		e.shedExpired.Add(1)
 		mShedExpired.Inc()
 	}
-	it.qspan.SetError(err)
-	it.qspan.End()
 	it.done <- outcome{err: err}
 }
 
@@ -170,34 +168,39 @@ func (e *Engine) SubmitAll(ctx context.Context, reqs []*Request) (results []*Res
 		if errs[i] == nil {
 			results[i], errs[i] = await(ctx, it)
 		}
+		it.finish(errs[i])
 	}
 	return results, errs
 }
 
 // submit is SubmitAll for one request: enqueue, then await.
-func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (*Result, error) {
+func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (res *Result, err error) {
 	it := newItem(ctx, req)
-	if err := e.enqueue(ctx, it, wait); err != nil {
-		return nil, err
+	if err = e.enqueue(ctx, it, wait); err == nil {
+		res, err = await(ctx, it)
 	}
-	return await(ctx, it)
+	it.finish(err)
+	return res, err
 }
 
-// newItem opens a submission. Its queue-wait span covers admission through
-// batch pickup; the span's End moves to whichever path settles the item
-// (nextBatch/serveBatch on the worker, or enqueue's shed paths).
+// newItem opens a submission as a run of the serving.submit stage, which
+// lasts from admission to answer: the micro-batch that serves the item is
+// a child span of it, or of the batch's first item (serveBatch).
 func newItem(ctx context.Context, req *Request) *item {
-	qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
-	return &item{ctx: qctx, req: req, qspan: qspan, done: make(chan outcome, 1)}
+	clock := tracing.SubmitStage.Start(ctx)
+	return &item{ctx: tracing.ContextWithSpan(ctx, clock.Span()), req: req, clock: clock, done: make(chan outcome, 1)}
+}
+
+// finish ends the submission's run, its span marked failed by err.
+func (it *item) finish(err error) {
+	it.clock.Span().SetError(err)
+	it.clock.End()
 }
 
 // enqueue admits one item into the submission queue — blocking for space
-// when wait is set, shedding with ErrQueueFull otherwise — and closes the
-// item's span if it is turned away.
+// when wait is set, shedding with ErrQueueFull otherwise.
 func (e *Engine) enqueue(ctx context.Context, it *item, wait bool) error {
 	if err := e.send(ctx, it, wait); err != nil {
-		it.qspan.SetError(err)
-		it.qspan.End()
 		return err
 	}
 	e.depth.Add(1)
@@ -338,12 +341,12 @@ func (e *Engine) worker(id int) {
 // worker.
 //
 // Trace topology: the "serving.batch" span is a child of the first live
-// member's queue-wait span (so a lone request gets the full route →
-// queue_wait → batch → core.diagnose nesting), and cross-links tie the
-// fusion together — the batch span links to every member's queue-wait
-// span, and every other member's queue-wait span links back to the batch
-// span that served it, so a member's trace still reaches the shared
-// inference work even though that work was recorded under the lead's trace.
+// member's serving.submit span (so a lone request gets the full route →
+// submit → batch → core.session_diagnose nesting), and cross-links tie the
+// fusion together — the batch span links to every member's submit span,
+// and every other member's submit span links back to the batch span that
+// served it, so a member's trace still reaches the shared inference work
+// even though that work was recorded under the lead's trace.
 func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 	live := batch[:0]
 	for _, it := range batch {
@@ -354,8 +357,6 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 			continue
 		}
 		if snap == nil {
-			it.qspan.SetError(ErrNoModel)
-			it.qspan.End()
 			it.done <- outcome{err: ErrNoModel}
 			continue
 		}
@@ -373,11 +374,10 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 	bref := bspan.Context()
 	rows := make([]core.Row, len(live))
 	for k, it := range live {
-		bspan.Link(it.qspan.Context())
+		bspan.Link(it.clock.Span().Context())
 		if it != lead {
-			it.qspan.Link(bref)
+			it.clock.Span().Link(bref)
 		}
-		it.qspan.End() // queue wait is over: the batch has picked the item up
 		rows[k] = core.Row{Service: it.req.ServiceID, Layout: it.req.Layout, Features: it.req.Features}
 	}
 	defer func() {

@@ -11,9 +11,10 @@
 // GET /metrics (OpenMetrics text), diagnet-agent via its -metrics listener.
 //
 // The hot-path cost is one atomic add per counter event and one binary
-// search plus two atomic adds per histogram observation; stage timing adds
-// one time.Now per stage boundary and can be switched off entirely with
-// SetEnabled(false) (see the overhead benchmark in internal/core).
+// search plus two atomic adds per histogram observation; stage timing
+// (tracing.Clock) adds one time.Now per stage boundary and can be switched
+// off entirely with SetEnabled(false) (see the overhead benchmark in
+// internal/core).
 package telemetry
 
 import (
@@ -22,7 +23,26 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// enabled gates stage timing globally (tracing.Clock reads it). Counters
+// and direct histogram observations are cheap enough to stay always-on;
+// stage clocks are the only instrumentation that calls into the OS clock,
+// so they carry the switch.
+var enabled atomic.Bool
+
+func init() { enabled.Store(true) }
+
+// SetEnabled switches stage timing on or off process-wide.
+func SetEnabled(on bool) { enabled.Store(on) }
+
+// On reports whether stage timing is enabled.
+func On() bool { return enabled.Load() }
+
+// Millis converts a duration to fractional milliseconds, the unit every
+// latency histogram in the registry uses.
+func Millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // Counter is a monotonically increasing event count. Safe for concurrent
 // use; the zero value is ready.
@@ -204,7 +224,7 @@ func (h *Histogram) Point(name string) HistogramPoint {
 }
 
 // Registry holds named metrics. Names are dotted lowercase paths
-// ("core.diagnose.stage.normalize_ms"); getters create on first use and
+// ("core.session_diagnose.latency_ms"); getters create on first use and
 // return the same instance afterwards, so instrumentation sites can
 // resolve their metrics once at init and pay only atomic ops per event.
 type Registry struct {
@@ -212,6 +232,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	runtime  bool // Export appends the process's runtime readings (runtime.go)
 }
 
 // New returns an empty registry.
@@ -223,8 +244,13 @@ func New() *Registry {
 	}
 }
 
-// std is the process-wide registry every pipeline layer records into.
-var std = New()
+// std is the process-wide registry every pipeline layer records into, and
+// the one that exports the process's runtime readings.
+var std = func() *Registry {
+	r := New()
+	r.runtime = true
+	return r
+}()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return std }
@@ -454,6 +480,9 @@ func (r *Registry) Export() Export {
 	}
 	for name, h := range r.hists {
 		e.Histograms = append(e.Histograms, h.Point(name))
+	}
+	if r.runtime {
+		readRuntime(&e)
 	}
 	e.Sort()
 	return e

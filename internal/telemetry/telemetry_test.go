@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -169,45 +170,6 @@ func TestConcurrentObservations(t *testing.T) {
 	}
 }
 
-func TestStageClockDisabled(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	if StartStages() != nil {
-		t.Fatal("disabled clock should be nil")
-	}
-	h := NewHistogram(nil)
-	var c *StageClock
-	c.Mark(h) // nil receiver must be a no-op
-	c.Done(h)
-	ObserveSince(h, time.Now())
-	if h.Count() != 0 {
-		t.Fatal("disabled timing must not observe")
-	}
-}
-
-func TestStageClockMarksAndTotal(t *testing.T) {
-	r := New()
-	a := r.Histogram("stage.a", nil)
-	b := r.Histogram("stage.b", nil)
-	total := r.Histogram("total", nil)
-	c := StartStages()
-	time.Sleep(time.Millisecond)
-	c.Mark(a)
-	time.Sleep(time.Millisecond)
-	c.Mark(b)
-	c.Done(total)
-	if a.Count() != 1 || b.Count() != 1 || total.Count() != 1 {
-		t.Fatal("missing observations")
-	}
-	sa, sb, st := a.Sum(), b.Sum(), total.Sum()
-	if st < sa || st < sb {
-		t.Fatalf("total %v should cover each stage (%v, %v)", st, sa, sb)
-	}
-	if sa <= 0 || sb <= 0 {
-		t.Fatalf("stage laps must be positive: %v %v", sa, sb)
-	}
-}
-
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter
 	b.ReportAllocs()
@@ -221,17 +183,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))
-	}
-}
-
-func BenchmarkStageClock(b *testing.B) {
-	h := NewHistogram(nil)
-	total := NewHistogram(nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := StartStages()
-		c.Mark(h)
-		c.Done(total)
 	}
 }
 
@@ -284,21 +235,6 @@ func TestHistogramExemplar(t *testing.T) {
 	h2.ObserveExemplar(1, "")
 	if p2 := h2.Point(""); p2.Count() != 1 || p2.Exemplar != nil {
 		t.Fatalf("empty-trace observation mishandled: %+v", p2)
-	}
-}
-
-// TestDoneExemplar checks the StageClock bridge.
-func TestDoneExemplar(t *testing.T) {
-	h := NewHistogram(nil)
-	c := StartStages()
-	c.DoneExemplar(h, "trace-x")
-	if p := h.Point(""); p.Count() != 1 || p.Exemplar == nil || p.Exemplar.TraceID != "trace-x" {
-		t.Fatalf("exemplar not recorded through the clock: %+v", p)
-	}
-	var nilClock *StageClock
-	nilClock.DoneExemplar(h, "y") // must no-op
-	if h.Count() != 1 {
-		t.Fatal("nil clock observed")
 	}
 }
 
@@ -480,5 +416,54 @@ func TestHistogramPointQuantile(t *testing.T) {
 	}
 	if p.Count() != h.Count() || p.Sum != h.Sum() || p.Sum != 1.0210396e+06 {
 		t.Fatalf("count/sum mismatch: point %d/%v live %d/%v", p.Count(), p.Sum, h.Count(), h.Sum())
+	}
+}
+
+// TestDefaultExportsRuntime: the default registry's Export carries the Go
+// runtime's live heap, goroutine count, GC pauses and scheduling latencies;
+// a registry of one's own carries only what was recorded into it.
+func TestDefaultExportsRuntime(t *testing.T) {
+	runtime.GC() // at least one GC pause
+	ex := Default().Export()
+	for _, name := range []string{"runtime.heap.live_mb", "runtime.goroutines"} {
+		if v, ok := ex.Gauge(name); !ok || v <= 0 {
+			t.Errorf("gauge %s = %v (present %v), want > 0", name, v, ok)
+		}
+	}
+	if h, ok := ex.Histogram("runtime.gc.pause_ms"); !ok || h.Count() == 0 || h.Sum <= 0 {
+		t.Errorf("runtime.gc.pause_ms after a GC: %+v", h)
+	}
+	if _, ok := ex.Histogram("runtime.sched.latency_ms"); !ok {
+		t.Error("no runtime.sched.latency_ms")
+	}
+	if own := New().Export(); len(own.Gauges)+len(own.Histograms) != 0 {
+		t.Errorf("a fresh registry exports runtime readings: %+v", own)
+	}
+}
+
+// TestSecondsToMillis: a runtime histogram lands bucket by bucket in the
+// LatencyBuckets bucket of its upper bound, open-ended buckets included.
+func TestSecondsToMillis(t *testing.T) {
+	h := &metrics.Float64Histogram{
+		Counts:  []uint64{1, 2, 0, 3, 4},
+		Buckets: []float64{math.Inf(-1), 0, 0.0004, 0.0007, 0.002, math.Inf(1)},
+	}
+	p := secondsToMillis("x", h)
+	// ≤ 0 ms lands in the first bucket, (0, 0.4] ms under the 0.5 ms bound,
+	// (0.7, 2] ms under 2.5 ms, and (2 ms, +Inf) overflows.
+	for i, b := range p.Bounds {
+		want := int64(1)
+		switch {
+		case b >= 2.5:
+			want = 6
+		case b >= 0.5:
+			want = 3
+		}
+		if p.Cumulative[i] != want {
+			t.Errorf("cumulative at %v ms = %d, want %d", b, p.Cumulative[i], want)
+		}
+	}
+	if sum := 2*0.2 + 3*1.35 + 4*2.0; p.Count() != 10 || math.Abs(p.Sum-sum) > 1e-9 {
+		t.Errorf("count %d sum %v, want 10 and %v", p.Count(), p.Sum, sum)
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
+
+	"diagnet/internal/telemetry"
 )
 
 // TestConcurrentSpanRecording hammers one tracer from many goroutines —
@@ -18,6 +19,7 @@ func TestConcurrentSpanRecording(t *testing.T) {
 	tr := newTestTracer(Config{Capacity: 32, SlowCapacity: 8, MaxSpans: 64})
 
 	rootCtx, root := tr.StartSpan(context.Background(), "shared-root")
+	retro := NewStage(telemetry.New(), "retro")
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
@@ -37,7 +39,9 @@ func TestConcurrentSpanRecording(t *testing.T) {
 
 				// independent root traces, racing into the rings
 				_, r := tr.StartSpan(context.Background(), "solo")
-				r.Child("retro", time.Now().Add(-time.Millisecond), time.Now())
+				rc := retro.Start(ContextWithSpan(context.Background(), r))
+				rc.Mark(retro) // a retroactive lap span
+				rc.End()
 				r.End()
 
 				// concurrent reads of both rings

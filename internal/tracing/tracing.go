@@ -16,10 +16,11 @@
 // *sessions* (measurement data); internal/tracing records request
 // *executions* (causal timing).
 //
-// The hot path is built around nil no-op receivers, mirroring
-// telemetry.StageClock: when tracing is disabled StartSpan returns a nil
-// *Span and every method on it is a cheap no-op, so a disabled
-// instrumentation site costs one atomic load and a branch.
+// The hot path is built around nil no-op receivers: when tracing is
+// disabled StartSpan returns a nil *Span and every method on it is a cheap
+// no-op, so a disabled instrumentation site costs one atomic load and a
+// branch. A timed boundary of the request path is a Stage (stage.go): one
+// name for its span and its latency histogram, timed by one Clock.
 package tracing
 
 import (
@@ -267,14 +268,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	}
 	now := time.Now()
 	if parent := FromContext(ctx); parent != nil {
-		s := &Span{buf: parent.buf, start: now}
-		s.data = SpanData{
-			TraceID:  parent.data.TraceID,
-			SpanID:   newSpanID(),
-			ParentID: parent.data.SpanID,
-			Name:     name,
-			Start:    now,
-		}
+		s := parent.child(name, now)
 		return context.WithValue(ctx, spanKey{}, s), s
 	}
 
@@ -309,12 +303,45 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
+// child opens a span named name under s, starting at now.
+func (s *Span) child(name string, now time.Time) *Span {
+	c := &Span{buf: s.buf, start: now}
+	c.data = SpanData{
+		TraceID:  s.data.TraceID,
+		SpanID:   newSpanID(),
+		ParentID: s.data.SpanID,
+		Name:     name,
+		Start:    now,
+	}
+	return c
+}
+
 // TraceID returns the span's hex trace ID ("" on a nil span).
 func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
 	return s.data.TraceID
+}
+
+// sampled reports whether the span's trace passed head sampling: only then
+// does a Clock record its laps as child spans.
+func (s *Span) sampled() bool { return s != nil && s.buf.sampled }
+
+// kept reports whether the recorder will keep the span's trace, as far as
+// a span that lasted d can tell: it was sampled, the span failed, or d
+// alone makes the trace slow. (A failure elsewhere in the trace keeps it
+// too.)
+func (s *Span) kept(d time.Duration) bool {
+	if s == nil {
+		return false
+	}
+	if s.buf.sampled || d > s.buf.tracer.cfg.Load().SlowThreshold {
+		return true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.data.Error != ""
 }
 
 // Context returns the span's identity for propagation and linking.
@@ -371,23 +398,6 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// Child records an already-completed child span from explicit start/end
-// stamps — how the core pipeline turns its StageClock laps into stage
-// spans without re-plumbing contexts through every stage.
-func (s *Span) Child(name string, start, end time.Time) {
-	if s == nil {
-		return
-	}
-	s.buf.add(SpanData{
-		TraceID:    s.data.TraceID,
-		SpanID:     newSpanID(),
-		ParentID:   s.data.SpanID,
-		Name:       name,
-		Start:      start,
-		DurationMs: float64(end.Sub(start).Nanoseconds()) / 1e6,
-	})
-}
-
 // End completes the span. Ending the local root finalizes the trace into
 // the recorder; spans ending after that are counted as late and dropped.
 // End is idempotent.
@@ -400,32 +410,6 @@ func (s *Span) End() {
 	data := s.data
 	s.mu.Unlock()
 	s.buf.finish(s, data)
-}
-
-// StageSpans mirrors telemetry.StageClock for spans: each Mark records
-// the lap since the previous mark as a completed child span of the parent
-// span. A nil receiver (nil parent span) no-ops.
-type StageSpans struct {
-	sp   *Span
-	last time.Time
-}
-
-// Stages opens a stage-span recorder on s, or nil when s is nil.
-func (s *Span) Stages() *StageSpans {
-	if s == nil {
-		return nil
-	}
-	return &StageSpans{sp: s, last: time.Now()}
-}
-
-// Mark records the lap since the previous mark as a child span named name.
-func (st *StageSpans) Mark(name string) {
-	if st == nil {
-		return
-	}
-	now := time.Now()
-	st.sp.Child(name, st.last, now)
-	st.last = now
 }
 
 // traceBuf accumulates the completed spans of one local trace. The local

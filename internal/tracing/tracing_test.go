@@ -59,9 +59,7 @@ func TestNilSpanNoops(t *testing.T) {
 	s.AddEvent("e")
 	s.SetError(errors.New("x"))
 	s.Link(SpanContext{TraceID: "t", SpanID: "s"})
-	s.Child("c", time.Now(), time.Now())
 	s.End()
-	s.Stages().Mark("stage")
 	if s.TraceID() != "" {
 		t.Fatal("nil span has a trace ID")
 	}
@@ -211,24 +209,6 @@ func TestRemoteParentContinuesTrace(t *testing.T) {
 	}
 	if rec.Spans[0].ParentID != sc.SpanID {
 		t.Fatalf("remote parent lost: %q", rec.Spans[0].ParentID)
-	}
-}
-
-func TestStageSpans(t *testing.T) {
-	tr := newTestTracer(Config{})
-	_, s := tr.StartSpan(context.Background(), "op")
-	st := s.Stages()
-	st.Mark("phase1")
-	st.Mark("phase2")
-	s.End()
-	rec, _ := tr.Trace(s.TraceID())
-	var names []string
-	for _, sp := range rec.Spans {
-		names = append(names, sp.Name)
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "phase1") || !strings.Contains(joined, "phase2") {
-		t.Fatalf("stage spans missing: %v", names)
 	}
 }
 
