@@ -7,7 +7,7 @@
 //	diagnetd -model model.gob [-specialized 'model.svc0.gob,model.svc1.gob'] [-addr :8421]
 //	         [-model-dir models/ [-serve-version v2]]
 //	         [-state-dir state/ [-fsync always|batch|never]]
-//	         [-continual [-retrain-interval 1h] [-shadow-fraction 0.05] [-promote-min-gain 0]]
+//	         [-continual [-retrain-interval 1h] [-promote-min-gain 0]]
 //	         [-batch-max 32] [-queue-depth 256] [-workers 0]
 //	         [-pprof 127.0.0.1:6060] [-log-format text|json]
 //	         [-trace=true] [-trace-sample 1.0] [-trace-slow 250ms]
@@ -29,8 +29,9 @@
 // the journal durability; SIGHUP checkpoints and rotates it (§13).
 // -continual closes the learning loop — served diagnoses are buffered,
 // drift, -retrain-interval or POST /v1/continual/retrain retrains a
-// candidate that shadows -shadow-fraction of traffic and is promoted
-// through a gate (-promote-min-gain) under an auto-rollback watchdog —
+// candidate that is compared with the incumbent on replayed served
+// requests and promoted through a gate (-promote-min-gain) under an
+// auto-rollback watchdog —
 // with its state under <state-dir>/continual (§15). Every /v1 request
 // gets a trace, continued from an incoming traceparent and echoed in
 // X-Trace-Id; -trace-sample head-samples while slow (> -trace-slow) and
@@ -93,7 +94,6 @@ func run(ctx context.Context, args []string) error {
 	traceSlow := fs.Duration("trace-slow", 0, "latency above which a trace is always kept (0 = default 250ms)")
 	fs.BoolVar(&opt.Continual, "continual", false, "close the learning loop: buffer live samples, retrain on drift, shadow-evaluate and gate-promote candidates")
 	fs.DurationVar(&opt.Loop.RetrainInterval, "retrain-interval", 0, "also retrain on this timer (0 = drift and manual triggers only)")
-	fs.Float64Var(&opt.Loop.ShadowFraction, "shadow-fraction", 0.05, "fraction of live traffic teed through a shadowing candidate")
 	fs.Float64Var(&opt.Loop.Gate.MinGain, "promote-min-gain", 0, "required labeled-holdout accuracy gain (candidate − incumbent) before promotion; negative permits regressions")
 	fs.Parse(args) // exits: 0 on -h, 2 on a bad command line
 

@@ -1,7 +1,7 @@
 // Continual: the closed learning loop in one process — live diagnoses
 // feed a journal-backed sample buffer, an operator trigger retrains a
-// candidate warm-started from the serving model, the candidate shadows
-// live traffic with zero client latency, a gate weighs labeled-holdout
+// candidate warm-started from the serving model, the controller replays
+// live requests through it and the incumbent, a gate weighs labeled-holdout
 // accuracy plus shadow agreement, and the promotion is hot-swapped in
 // under a regression watchdog. Production runs the same loop inside
 // diagnetd (-continual); here every phase is printed as it happens.
@@ -73,11 +73,10 @@ func run(out io.Writer) error {
 		Loop: continual.Config{
 			// A permissive gate keeps the walkthrough fast; production keeps
 			// the defaults (64 shadow samples, non-negative holdout gain).
-			Gate:           continual.GateConfig{MinShadowSamples: shadowMin, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
-			ShadowFraction: 1,
-			CheckInterval:  10 * time.Millisecond,
-			MinSamples:     1,
-			WatchWindow:    300 * time.Millisecond,
+			Gate:          continual.GateConfig{MinShadowSamples: shadowMin, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+			CheckInterval: 10 * time.Millisecond,
+			MinSamples:    1,
+			WatchWindow:   300 * time.Millisecond,
 			// The watchdog compares live behavior against a small shadow-phase
 			// baseline; with few reference vectors PSI carries sampling noise
 			// ~ classes·(1/n_ref + 1/n_live), so the walkthrough leaves margin.
@@ -108,9 +107,10 @@ func run(out io.Writer) error {
 	fmt.Fprintf(out, "buffered %d live samples (%d labeled) across %d strata\n",
 		buf.StoreSamples, buf.StoreLabeled, buf.Strata)
 
-	// 4. Keep live traffic flowing while the cycle runs — the shadow tee
-	// needs requests to copy through the candidate, and the server taps
-	// every served diagnosis into the buffer and the watchdog.
+	// 4. Keep live traffic flowing while the cycle runs — the server taps
+	// every served diagnosis into the buffer and the watchdog, and while
+	// the candidate shadows, the controller replays those requests
+	// through it and the incumbent.
 	stop := make(chan struct{})
 	var pump sync.WaitGroup
 	pump.Add(1)

@@ -1,6 +1,7 @@
 // Continual-learning surface: the analysis server taps every served
-// diagnosis into the continual controller (pseudo-labeled sample ingest +
-// regression-watchdog feed) and exposes the loop's control plane:
+// diagnosis into the continual controller (pseudo-labeled sample ingest,
+// regression-watchdog feed, and the requests a shadowing candidate is
+// replayed on) and exposes the loop's control plane:
 //
 //	GET  /v1/continual          → continual.Status (state machine, last cycle)
 //	POST /v1/continual/retrain  → trigger a retrain cycle now
@@ -18,12 +19,13 @@ import (
 	"diagnet/internal/continual"
 	"diagnet/internal/core"
 	"diagnet/internal/obs"
+	"diagnet/internal/probe"
 )
 
 // attachContinual wires a continual-learning controller into the server:
 // the /v1/continual routes come alive, and every successful diagnosis is
 // tapped into the controller as a pseudo-labeled training sample plus a
-// watchdog observation. Call before serving traffic.
+// served request (feedContinual). Call before serving traffic.
 func (s *Server) attachContinual(ctrl *continual.Controller) {
 	s.loop.Store(ctrl)
 }
@@ -47,13 +49,16 @@ func (s *Server) ResetDrift() {
 }
 
 // feedContinual taps one served diagnosis into the continual plane. The
-// coarse distribution feeds the post-promotion regression watchdog; the
-// raw request becomes a pseudo-labeled sample in the live training buffer
-// (Family = the served prediction, Cause unknown — ground truth arrives
-// separately via POST /v1/continual/samples). Ingest failures are logged,
-// never surfaced: the client's diagnosis already succeeded.
-func (s *Server) feedContinual(ctrl *continual.Controller, req *DiagnoseRequest, diag *core.Diagnosis) {
-	ctrl.ObserveServing(diag.Coarse)
+// request and its coarse distribution go to ObserveServing: the
+// distribution feeds the post-promotion regression watchdog, and while a
+// candidate shadows, the request is what the controller replays through
+// it and the incumbent. The raw request also becomes a pseudo-labeled
+// sample in the live training buffer (Family = the served prediction,
+// Cause unknown — ground truth arrives separately via POST
+// /v1/continual/samples). Ingest failures are logged, never surfaced: the
+// client's diagnosis already succeeded.
+func (s *Server) feedContinual(ctrl *continual.Controller, req *DiagnoseRequest, layout probe.Layout, diag *core.Diagnosis) {
+	ctrl.ObserveServing(core.Row{Service: req.ServiceID, Layout: layout, Features: req.Features}, diag.Coarse)
 	err := ctrl.Ingest(continual.Sample{
 		Service:   req.ServiceID,
 		Landmarks: req.Landmarks,

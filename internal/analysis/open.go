@@ -196,8 +196,8 @@ func (s *Server) Close() error {
 	s.ready.Store(false) // orchestrators stop routing before the drain
 	var errs []error
 	// Before the drain: an in-flight retrain is canceled (its epoch
-	// checkpoint resumes it next boot) and no shadow tee can start
-	// against a draining engine.
+	// checkpoint resumes it next boot), and so is a shadow phase, whose
+	// candidate is only ever held by the cycle.
 	if ctrl := s.loop.Load(); ctrl != nil {
 		errs = append(errs, ctrl.Close())
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"diagnet/internal/continual"
 	"diagnet/internal/core"
@@ -195,6 +196,62 @@ func TestOpenContinualTapsServing(t *testing.T) {
 	var st continual.Status
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil || st.StoreSeen != 3 {
 		t.Fatalf("GET /v1/continual: status %d, store_seen %d; want 200, 3", resp.StatusCode, st.StoreSeen)
+	}
+}
+
+// TestOpenVetsCandidateOnServedTraffic: on a replica booted by Open, the
+// requests its handlers answer are what a shadowing candidate is vetted
+// on. A cycle is triggered over HTTP, then diagnoses are POSTed until the
+// candidate is promoted; its shadow evidence is those requests, replayed
+// through it and the incumbent.
+func TestOpenVetsCandidateOnServedTraffic(t *testing.T) {
+	m, _ := fixture(t)
+	opt := openOptions(t, t.TempDir())
+	opt.Continual = true
+	opt.Loop = continual.Config{
+		Gate: continual.GateConfig{MinShadowSamples: 4, MaxPSI: 100, MaxLatencyRatio: 100},
+		TrainFunc: func(context.Context) (*continual.TrainOutcome, error) {
+			return &continual.TrainOutcome{Bundle: core.NewBundle(m), Epochs: 1}, nil
+		},
+		CheckInterval: 5 * time.Millisecond,
+	}
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+
+	resp, err := http.Post(ts.URL+"/v1/continual/retrain", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("retrain trigger: status %d, want 202", resp.StatusCode)
+	}
+	body, err := json.Marshal(sampleRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := s.Continual()
+	for deadline := time.Now().Add(20 * time.Second); ctrl.State() != continual.StatePromoting; {
+		if time.Now().After(deadline) {
+			t.Fatalf("candidate never promoted: %+v", ctrl.Status())
+		}
+		postOK(t, ts.URL+"/v1/diagnose", body)
+	}
+	// The candidate is the incumbent's model: it agrees on every request.
+	if sh := ctrl.Status().LastShadow; sh == nil || sh.Samples < 4 || sh.AgreeRate != 1 {
+		t.Fatalf("shadow evidence %+v, want ≥ 4 served requests, all agreeing", sh)
+	}
+	if got := s.Engine().Registry().Active(); got != "retrain-000001" {
+		t.Fatalf("active version %q after promotion", got)
 	}
 }
 

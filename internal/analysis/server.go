@@ -415,7 +415,7 @@ func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving
 	s.drift.Observe(diag.Coarse)
 	s.mu.Unlock()
 	if ctrl := s.loop.Load(); ctrl != nil {
-		s.feedContinual(ctrl, req, diag)
+		s.feedContinual(ctrl, req, layout, diag)
 	}
 
 	topK := req.TopK

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"diagnet/internal/core"
-	"diagnet/internal/dataset"
 	"diagnet/internal/drift"
 	"diagnet/internal/durable"
 	"diagnet/internal/probe"
@@ -28,7 +28,8 @@ const (
 	StateCollecting State = "collecting"
 	// StateTraining: a background retrain is running.
 	StateTraining State = "training"
-	// StateShadowing: the candidate sees teed live traffic.
+	// StateShadowing: served requests are replayed through the incumbent
+	// and the candidate.
 	StateShadowing State = "shadowing"
 	// StatePromoting: the candidate was hot-swapped in and is under the
 	// post-promotion regression watchdog.
@@ -59,8 +60,8 @@ const keepTransitions = 32
 
 // Config wires a Controller to the serving plane.
 type Config struct {
-	// Engine is the serving engine whose registry receives candidates and
-	// whose shadow tee feeds the evaluator.
+	// Engine is the serving engine whose registry holds the incumbent and
+	// receives promoted candidates.
 	Engine *serving.Engine
 	// Store buffers live samples.
 	Store *SampleStore
@@ -68,12 +69,9 @@ type Config struct {
 	Trainer *Trainer
 	// Gate holds the promotion criteria.
 	Gate GateConfig
-	// ShadowFraction of live traffic is teed through the candidate while
-	// shadowing (default 0.05).
-	ShadowFraction float64
 	// ShadowTimeout bounds the shadowing phase; a candidate that has not
-	// gathered MinShadowSamples by then faces the gate with what it has
-	// (default 2m).
+	// been compared on MinShadowSamples served requests by then faces the
+	// gate with what it has (default 2m).
 	ShadowTimeout time.Duration
 	// RetrainInterval triggers a cycle on a timer (0 disables; drift and
 	// manual triggers still work).
@@ -122,9 +120,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ShadowFraction <= 0 {
-		c.ShadowFraction = 0.05
-	}
 	if c.ShadowTimeout <= 0 {
 		c.ShadowTimeout = 2 * time.Minute
 	}
@@ -185,6 +180,15 @@ type Status struct {
 	Transitions  []Transition   `json:"transitions,omitempty"`
 }
 
+// replayQueue bounds the served requests waiting while the shadow phase
+// is busy with a pass: a few passes' worth (replayBatch rows each), since
+// the phase drains it continuously, needs only MinShadowSamples requests
+// in all, and a request that finds it full is simply not replayed.
+const (
+	replayQueue = 256
+	replayBatch = 32
+)
+
 // Controller runs the closed loop: trigger → train → shadow → gate →
 // promote/rollback. One goroutine owns the cycle; triggers are
 // level-checked on a ticker so concurrent cycles are impossible by
@@ -209,12 +213,15 @@ type Controller struct {
 	wdMu     sync.Mutex
 	watchdog *drift.Detector
 
+	// replay is the queue the serving tap hands served requests to while a
+	// candidate shadows, and nil otherwise: each shadow phase drains a
+	// queue of its own, so one never sees another's requests.
+	replay atomic.Pointer[chan core.Row]
+
 	trigger chan string
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	started bool
-	stopped bool // Close ran: the journal is gone, Start must stay a no-op
+	ctx     context.Context // the loop's, canceled by stop
+	stop    func()          // cancels the loop and awaits it; nil until Start
+	stopped bool            // Close ran: the journal is gone, Start must stay a no-op
 }
 
 // NewController builds a Controller, replaying the transition journal in
@@ -272,26 +279,28 @@ func NewController(cfg Config) (*Controller, error) {
 func (c *Controller) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.started || c.stopped {
+	if c.stop != nil || c.stopped {
 		return
 	}
-	c.started = true
-	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.wg.Add(1)
-	go c.run()
+	ctx, cancel := context.WithCancel(context.Background())
+	c.ctx = ctx
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.run()
+	}()
+	c.stop = sync.OnceFunc(func() { cancel(); <-done })
 }
 
 // Close stops the loop (canceling any in-flight retrain) and releases the
 // journal. Idempotent, and permanent: Start after Close stays stopped.
 func (c *Controller) Close() error {
 	c.mu.Lock()
-	started := c.started
-	c.started = false
+	stop := c.stop
 	c.stopped = true
 	c.mu.Unlock()
-	if started {
-		c.cancel()
-		c.wg.Wait()
+	if stop != nil {
+		stop()
 	}
 	if c.jn != nil {
 		return c.jn.Close()
@@ -304,9 +313,19 @@ func (c *Controller) Ingest(smp Sample) error {
 	return c.cfg.Store.Ingest(smp)
 }
 
-// ObserveServing feeds one served coarse distribution to the
-// post-promotion regression watchdog (no-op outside a watch window).
-func (c *Controller) ObserveServing(coarse []float64) {
+// ObserveServing is the serving path's tap: one served request and the
+// coarse distribution it was answered with. The distribution feeds the
+// post-promotion regression watchdog (a no-op outside a watch window);
+// while a candidate shadows, the request is handed to the cycle, which
+// replays it through the incumbent and the candidate. The hand-off never
+// blocks: a request that finds the replay queue full is not replayed.
+func (c *Controller) ObserveServing(row core.Row, coarse []float64) {
+	if q := c.replay.Load(); q != nil {
+		select {
+		case *q <- row:
+		default:
+		}
+	}
 	c.wdMu.Lock()
 	defer c.wdMu.Unlock()
 	if c.watchdog != nil {
@@ -319,7 +338,7 @@ func (c *Controller) ObserveServing(coarse []float64) {
 func (c *Controller) TriggerRetrain(reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.started {
+	if c.stop == nil || c.stopped {
 		return errors.New("continual: controller not running")
 	}
 	switch c.state {
@@ -396,7 +415,6 @@ func (c *Controller) transition(to State, reason string) {
 
 // run is the control loop: one goroutine owns every cycle.
 func (c *Controller) run() {
-	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.CheckInterval)
 	defer ticker.Stop()
 	for {
@@ -496,54 +514,54 @@ func (c *Controller) runCycle(reason string) {
 	}
 	c.mu.Unlock()
 
-	// Install as shadow and tee live traffic through it.
+	// Shadow: replay the requests the serving tap hands over through the
+	// incumbent and the candidate.
 	reg := c.cfg.Engine.Registry()
-	if err := reg.Add(version, out.Bundle); err != nil {
-		c.fail(span, "register candidate: "+err.Error())
+	incumbent, incVersion, err := reg.ActiveBundle()
+	if err != nil {
+		c.fail(span, "shadow: "+err.Error())
 		return
 	}
-	if err := reg.InstallShadow(version); err != nil {
-		c.fail(span, "install shadow: "+err.Error())
-		return
-	}
-	eval := NewShadowEvaluator(c.cfg.Classes, c.cfg.Seed+int64(c.cycle))
-	c.cfg.Engine.SetShadowObserver(eval.Observe)
-	c.cfg.Engine.SetShadowTee(c.cfg.ShadowFraction)
-	c.transition(StateShadowing, fmt.Sprintf("candidate %s shadowing %.0f%% of traffic", version, 100*c.cfg.ShadowFraction))
-
+	queue := make(chan core.Row, replayQueue)
+	c.replay.Store(&queue)
+	c.transition(StateShadowing, fmt.Sprintf("candidate %s replaying served traffic against %s", version, incVersion))
 	sctx, sspan := tracing.StartSpan(ctx, "continual.shadow")
-	_ = sctx
-	c.awaitShadow(eval)
-	c.cfg.Engine.SetShadowTee(0)
-	c.cfg.Engine.SetShadowObserver(nil)
+	eval, err := c.shadow(sctx, queue, incumbent, out.Bundle)
+	c.replay.Store(nil)
 	summary := eval.Summary()
 	sspan.SetAttr("samples", summary.Samples)
+	sspan.SetError(err)
 	sspan.End()
 	c.mu.Lock()
-	s := summary
-	c.lastShadow = &s
+	c.lastShadow = &summary
 	c.mu.Unlock()
+	if err != nil {
+		c.fail(span, "shadow: "+err.Error())
+		return
+	}
 
 	// Gate.
 	decision := c.gate.Decide(out, summary)
 	c.mu.Lock()
-	d := decision
-	c.lastDecision = &d
+	c.lastDecision = &decision
 	c.mu.Unlock()
 	if !decision.Promote {
-		reg.DropShadow()
 		mRejections.Inc()
 		c.transition(StateCollecting, "rejected: "+decision.Reason)
 		return
 	}
 
-	// Promote, arm the watchdog.
+	// Register and promote, arm the watchdog. Only a candidate the gate
+	// passed enters the registry: a rejected one is dropped with its cycle.
 	_, pspan := tracing.StartSpan(ctx, "continual.promote")
 	wd := c.buildWatchdog(eval)
-	if err := reg.Promote(version); err != nil {
+	err = reg.Add(version, out.Bundle)
+	if err == nil {
+		err = reg.Promote(version)
+	}
+	if err != nil {
 		pspan.SetError(err)
 		pspan.End()
-		reg.DropShadow()
 		c.fail(span, "promote failed: "+err.Error())
 		return
 	}
@@ -571,34 +589,64 @@ func (c *Controller) fail(span *tracing.Span, msg string) {
 	c.transition(StateCollecting, msg)
 }
 
-// awaitShadow waits for enough teed traffic, the shadow timeout, or
-// shutdown.
-func (c *Controller) awaitShadow(eval *ShadowEvaluator) {
-	deadline := c.cfg.Now().Add(c.cfg.ShadowTimeout)
-	poll := c.cfg.CheckInterval
-	if poll > 20*time.Millisecond {
-		poll = 20 * time.Millisecond
-	}
-	// Reused timer: time.After per iteration would pile up uncollected
-	// timers at this poll rate (50 per second per shadowing cycle).
-	var timer *time.Timer
+// shadow replays the requests the serving tap hands over through the
+// incumbent and the candidate until the gate has MinShadowSamples
+// comparisons, the shadow timeout passes, or ctx ends. Each
+// pass takes whatever the tap has queued, up to replayBatch, and runs it
+// through one session of each model back to back on this goroutine: both
+// models see the same rows in the same batch on the same core, so their
+// latency ratio compares the models and not the load they ran under. A
+// model that panics on a replayed request fails the phase, not the
+// process.
+func (c *Controller) shadow(ctx context.Context, queue <-chan core.Row, incumbent, candidate *core.Bundle) (eval *shadowEvaluator, err error) {
+	eval = newShadowEvaluator(c.cfg.Classes, c.cfg.Seed+int64(c.cycle))
 	defer func() {
-		if timer != nil {
-			timer.Stop()
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("a model panicked on a replayed request: %v", rec)
 		}
 	}()
+	inc, cand := incumbent.NewSession(), candidate.NewSession()
+	poll := time.NewTicker(min(c.cfg.CheckInterval, 20*time.Millisecond))
+	defer poll.Stop()
+	deadline := c.cfg.Now().Add(c.cfg.ShadowTimeout)
+	rows := make([]core.Row, 0, replayBatch)
 	for eval.Samples() < c.gate.MinShadowSamples && c.cfg.Now().Before(deadline) {
-		if timer == nil {
-			timer = time.NewTimer(poll)
-		} else {
-			timer.Reset(poll)
-		}
 		select {
-		case <-c.ctx.Done():
-			return
-		case <-timer.C:
+		case <-ctx.Done():
+			return eval, nil
+		case <-poll.C:
+			continue
+		case row := <-queue:
+			rows = append(rows[:0], row)
+		}
+	fill:
+		for len(rows) < replayBatch {
+			select {
+			case row := <-queue:
+				rows = append(rows, row)
+			default:
+				break fill
+			}
+		}
+		incDiags, incDur := timedPass(ctx, inc, rows)
+		candDiags, candDur := timedPass(ctx, cand, rows)
+		n := time.Duration(len(rows))
+		for k := range rows {
+			eval.Observe(observation{
+				Incumbent: incDiags[k].Coarse, Candidate: candDiags[k].Coarse,
+				IncumbentLatency: incDur / n, CandidateLatency: candDur / n,
+			})
 		}
 	}
+	return eval, nil
+}
+
+// timedPass diagnoses rows in one session call and times it; under a
+// sampled cycle trace the pass is a child span of continual.shadow.
+func timedPass(ctx context.Context, s *core.Session, rows []core.Row) ([]*core.Diagnosis, time.Duration) {
+	start := time.Now()
+	diags := s.DiagnoseRows(ctx, rows)
+	return diags, time.Since(start)
 }
 
 // train runs the configured retrain path.
@@ -628,7 +676,7 @@ func (c *Controller) train(ctx context.Context) (*TrainOutcome, error) {
 // from a serving-path difference or from traffic shifting right after
 // the swap. Returns nil when the shadow phase produced too little
 // baseline to judge regressions.
-func (c *Controller) buildWatchdog(eval *ShadowEvaluator) *drift.Detector {
+func (c *Controller) buildWatchdog(eval *shadowEvaluator) *drift.Detector {
 	baseline := eval.Baseline()
 	if len(baseline) < 8 {
 		return nil
@@ -684,18 +732,3 @@ func (c *Controller) checkWatchdog() {
 		c.transition(StateCollecting, "watch window passed clean")
 	}
 }
-
-// ExportDataset lifts the store onto the active model's layout — the
-// offline-export hook (dataset streaming) for operators pulling live
-// buffers out of a running daemon.
-func (c *Controller) ExportDataset() (*dataset.Dataset, error) {
-	bundle, _, err := c.cfg.Engine.Registry().ActiveBundle()
-	if err != nil {
-		return nil, err
-	}
-	train, holdout := c.cfg.Store.Export(bundle.General.FullLayout, 0, c.cfg.Seed)
-	return train.Concat(holdout), nil
-}
-
-// Bundle re-exports core.Bundle for TrainFunc implementors.
-type Bundle = core.Bundle

@@ -3,18 +3,24 @@ package continual
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"time"
 
 	"diagnet/internal/drift"
-	"diagnet/internal/serving"
 )
 
-// ShadowEvaluator accumulates the incumbent-vs-candidate comparison from
-// the serving engine's shadow tee. One evaluator lives per candidate; its
-// Observe method is installed as the engine's shadow observer for the
-// duration of the shadowing phase. Safe for concurrent use.
-type ShadowEvaluator struct {
-	mu         sync.Mutex
+// observation is one replayed request's incumbent-vs-candidate comparison:
+// both models' coarse distributions, and each model's share of the pass it
+// ran the request in (pass time / rows), which is what the gate's latency
+// criterion compares.
+type observation struct {
+	Incumbent, Candidate               []float64
+	IncumbentLatency, CandidateLatency time.Duration
+}
+
+// shadowEvaluator accumulates the incumbent-vs-candidate comparison of one
+// candidate's shadow phase. It belongs to the controller's loop goroutine,
+// which both replays the requests and reads the verdict.
+type shadowEvaluator struct {
 	classes    int
 	n          int64
 	agree      int64
@@ -24,7 +30,7 @@ type ShadowEvaluator struct {
 	candLatNs  float64
 	// refSample reservoir-samples the CANDIDATE's coarse distributions:
 	// the post-promotion watchdog compares live production behavior
-	// against how the candidate behaved while being vetted on shadow
+	// against how the candidate behaved while being vetted on replayed
 	// traffic. (Comparing against the incumbent instead would read every
 	// legitimate adaptation — the whole point of retraining — as a
 	// regression.)
@@ -36,9 +42,9 @@ type ShadowEvaluator struct {
 // refSampleCap bounds the watchdog baseline reservoir.
 const refSampleCap = 512
 
-// NewShadowEvaluator builds an evaluator for `classes` coarse families.
-func NewShadowEvaluator(classes int, seed int64) *ShadowEvaluator {
-	return &ShadowEvaluator{
+// newShadowEvaluator builds an evaluator for `classes` coarse families.
+func newShadowEvaluator(classes int, seed int64) *shadowEvaluator {
+	return &shadowEvaluator{
 		classes:    classes,
 		incCounts:  make([]float64, classes),
 		candCounts: make([]float64, classes),
@@ -46,45 +52,39 @@ func NewShadowEvaluator(classes int, seed int64) *ShadowEvaluator {
 	}
 }
 
-// Observe folds one shadow observation into the running comparison.
-func (e *ShadowEvaluator) Observe(o serving.ShadowObservation) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// Observe folds one observation into the running comparison.
+func (e *shadowEvaluator) Observe(o observation) {
 	e.n++
-	if o.Agree {
+	ik, ck := argmax(o.Incumbent), argmax(o.Candidate)
+	if ik == ck {
 		e.agree++
 	}
-	if k := argmax(o.Incumbent); k < e.classes {
-		e.incCounts[k]++
+	if ik < e.classes {
+		e.incCounts[ik]++
 	}
-	if k := argmax(o.Shadow); k < e.classes {
-		e.candCounts[k]++
+	if ck < e.classes {
+		e.candCounts[ck]++
 	}
 	e.incLatNs += float64(o.IncumbentLatency.Nanoseconds())
-	e.candLatNs += float64(o.ShadowLatency.Nanoseconds())
+	e.candLatNs += float64(o.CandidateLatency.Nanoseconds())
 
 	e.refSeen++
-	cand := append([]float64(nil), o.Shadow...)
+	cand := append([]float64(nil), o.Candidate...)
 	if len(e.refSample) < refSampleCap {
 		e.refSample = append(e.refSample, cand)
 	} else if j := e.rng.Intn(e.refSeen); j < refSampleCap {
 		e.refSample[j] = cand
 	}
-	mShadowSeen.Set(float64(e.n))
 }
 
 // Samples returns how many observations arrived so far.
-func (e *ShadowEvaluator) Samples() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
+func (e *shadowEvaluator) Samples() int64 { return e.n }
 
 // ShadowSummary is the evaluator's verdict inputs for the gate.
 type ShadowSummary struct {
 	Samples int64 `json:"samples"`
-	// AgreeRate is the fraction of teed requests where both models picked
-	// the same coarse family.
+	// AgreeRate is the fraction of replayed requests where both models
+	// picked the same coarse family.
 	AgreeRate float64 `json:"agree_rate"`
 	// PSI measures how far the candidate's predicted-class distribution
 	// strays from the incumbent's over the same traffic.
@@ -95,9 +95,7 @@ type ShadowSummary struct {
 }
 
 // Summary snapshots the running comparison.
-func (e *ShadowEvaluator) Summary() ShadowSummary {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *shadowEvaluator) Summary() ShadowSummary {
 	s := ShadowSummary{Samples: e.n}
 	if e.n > 0 {
 		s.AgreeRate = float64(e.agree) / float64(e.n)
@@ -113,19 +111,13 @@ func (e *ShadowEvaluator) Summary() ShadowSummary {
 // distributions — the watchdog's pre-promotion reference: after the
 // promotion, live production behavior must keep matching what the gate
 // vetted.
-func (e *ShadowEvaluator) Baseline() [][]float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([][]float64, len(e.refSample))
-	copy(out, e.refSample)
-	return out
-}
+func (e *shadowEvaluator) Baseline() [][]float64 { return e.refSample }
 
 // GateConfig sets the promotion criteria. Zero values take the defaults;
 // set a criterion negative to effectively disable it (MinGain) or very
 // large (MaxPSI, MaxLatencyRatio).
 type GateConfig struct {
-	// MinShadowSamples is the least teed traffic before any verdict
+	// MinShadowSamples is the least replayed traffic before any verdict
 	// (default 64).
 	MinShadowSamples int64
 	// MinGain is the required labeled-holdout accuracy improvement,

@@ -3,25 +3,23 @@ package continual
 import (
 	"testing"
 	"time"
-
-	"diagnet/internal/serving"
 )
 
-// obs builds a shadow observation whose incumbent picks class ic and
-// candidate picks class cc.
-func obs(ic, cc int, incLat, candLat time.Duration) serving.ShadowObservation {
+// obs builds an observation whose incumbent picks class ic and candidate
+// picks class cc.
+func obs(ic, cc int, incLat, candLat time.Duration) observation {
 	inc := make([]float64, 4)
 	cand := make([]float64, 4)
 	inc[ic] = 0.9
 	cand[cc] = 0.9
-	return serving.ShadowObservation{
-		Incumbent: inc, Shadow: cand, Agree: ic == cc,
-		IncumbentLatency: incLat, ShadowLatency: candLat,
+	return observation{
+		Incumbent: inc, Candidate: cand,
+		IncumbentLatency: incLat, CandidateLatency: candLat,
 	}
 }
 
 func TestEvaluatorSummary(t *testing.T) {
-	e := NewShadowEvaluator(4, 1)
+	e := newShadowEvaluator(4, 1)
 	for i := 0; i < 80; i++ {
 		e.Observe(obs(i%4, i%4, time.Millisecond, 2*time.Millisecond))
 	}
@@ -41,7 +39,7 @@ func TestEvaluatorSummary(t *testing.T) {
 }
 
 func TestEvaluatorDisagreementShowsInPSI(t *testing.T) {
-	e := NewShadowEvaluator(4, 1)
+	e := newShadowEvaluator(4, 1)
 	for i := 0; i < 100; i++ {
 		e.Observe(obs(0, 3, time.Millisecond, time.Millisecond)) // candidate always flips the class
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,10 +52,11 @@ func nominalOnly(d *dataset.Dataset) *dataset.Dataset {
 // pump drives live traffic through the engine until the returned stop
 // function runs, drawing uniform random samples (per-worker seeded RNG)
 // from whatever dataset src currently holds — swapping src mid-test
-// simulates a traffic shift. Every response is reported to onResult. Any
-// serving error fails the test — the continual plane must never cost a
-// client request.
-func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset], onResult func(*serving.Result)) (stop func()) {
+// simulates a traffic shift. Every answered request is tapped into ctrl
+// the way the analysis server's handlers tap it, and its coarse
+// distribution is also reported to onCoarse when set. Any serving error
+// fails the test — the continual plane must never cost a client request.
+func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset], ctrl *Controller, onCoarse func([]float64)) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -67,19 +69,17 @@ func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset],
 			for ctx.Err() == nil {
 				d := src.Load()
 				s := &d.Samples[rng.Intn(d.Len())]
-				res, err := e.SubmitWait(ctx, &serving.Request{
-					ServiceID: s.Service,
-					Layout:    d.Layout,
-					Features:  s.Features,
-				})
+				row := core.Row{Service: s.Service, Layout: d.Layout, Features: s.Features}
+				res, err := e.SubmitWait(ctx, &serving.Request{ServiceID: row.Service, Layout: row.Layout, Features: row.Features})
 				if err != nil {
 					if ctx.Err() == nil && !failed.Swap(true) {
 						t.Errorf("live request failed: %v", err)
 					}
 					return
 				}
-				if onResult != nil {
-					onResult(res)
+				ctrl.ObserveServing(row, res.Diagnosis.Coarse)
+				if onCoarse != nil {
+					onCoarse(res.Diagnosis.Coarse)
 				}
 			}
 		}(w)
@@ -134,7 +134,7 @@ func (g *guardedDetector) Reset(n int) {
 
 // TestLoopDriftToPromotion is the closed-loop e2e: live traffic shifts,
 // the drift detector fires, a retrain runs on buffered live samples, the
-// candidate shadows live traffic, the gate promotes it, the registry
+// candidate is replayed on served requests, the gate promotes it, the registry
 // hot-swaps, and the drift reference re-arms — all while client requests
 // keep succeeding.
 func TestLoopDriftToPromotion(t *testing.T) {
@@ -168,15 +168,14 @@ func TestLoopDriftToPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl, err := NewController(Config{
-		Engine:         e,
-		Store:          store,
-		Trainer:        tr,
-		Gate:           GateConfig{MinShadowSamples: 128, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
-		ShadowFraction: 1,
-		ShadowTimeout:  20 * time.Second,
-		CheckInterval:  5 * time.Millisecond,
-		MinSamples:     16,
-		DriftStatus:    gd.Status,
+		Engine:        e,
+		Store:         store,
+		Trainer:       tr,
+		Gate:          GateConfig{MinShadowSamples: 128, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+		ShadowTimeout: 20 * time.Second,
+		CheckInterval: 5 * time.Millisecond,
+		MinSamples:    16,
+		DriftStatus:   gd.Status,
 		ResetDrift: func() {
 			resets.Add(1)
 			gd.Reset(0)
@@ -193,10 +192,7 @@ func TestLoopDriftToPromotion(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(deg)
-	stop := pump(t, e, &src, func(res *serving.Result) {
-		gd.Observe(res.Diagnosis.Coarse)
-		ctrl.ObserveServing(res.Diagnosis.Coarse)
-	})
+	stop := pump(t, e, &src, ctrl, gd.Observe)
 	defer stop()
 
 	ctrl.Start()
@@ -204,9 +200,6 @@ func TestLoopDriftToPromotion(t *testing.T) {
 
 	if got := e.Registry().Active(); got != "retrain-000001" {
 		t.Fatalf("active version %q after promotion", got)
-	}
-	if e.Registry().ShadowVersion() != "" {
-		t.Fatal("shadow candidate still installed after promotion")
 	}
 	if resets.Load() == 0 {
 		t.Fatal("drift reference was not reset after promotion")
@@ -230,19 +223,27 @@ func TestLoopDriftToPromotion(t *testing.T) {
 	}
 }
 
-// scrambledModel clones the fixture model and negates every weight: still
-// finite (it passes the registry warm-up) but diagnostically useless.
-func scrambledModel(t *testing.T) *core.Model {
+// cloneModel is a behavior-identical copy of the fixture model that shares
+// nothing with it.
+func cloneModel(t *testing.T) *core.Model {
 	t.Helper()
 	m, _ := fixture(t)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := core.Load(&buf)
+	clone, err := core.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return clone
+}
+
+// scrambledModel clones the fixture model and negates every weight: still
+// finite (it passes the registry warm-up) but diagnostically useless.
+func scrambledModel(t *testing.T) *core.Model {
+	t.Helper()
+	m2 := cloneModel(t)
 	for _, p := range m2.Net.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] = -p.Value.Data[i]
@@ -252,8 +253,9 @@ func scrambledModel(t *testing.T) *core.Model {
 }
 
 // TestLoopGateRejectsRegression: a candidate that loses accuracy on the
-// labeled holdout is rejected at the gate — the incumbent keeps serving
-// and the shadow slot is cleared.
+// labeled holdout is rejected at the gate after it was compared on served
+// requests — the incumbent keeps serving and the candidate never enters
+// the registry.
 func TestLoopGateRejectsRegression(t *testing.T) {
 	e := loopEngine(t)
 	_, d := fixture(t)
@@ -274,11 +276,10 @@ func TestLoopGateRejectsRegression(t *testing.T) {
 				HoldoutCandidate: 0.10,
 			}, nil
 		},
-		ShadowFraction: 1,
-		ShadowTimeout:  10 * time.Second,
-		CheckInterval:  5 * time.Millisecond,
-		MinSamples:     16,
-		Seed:           7,
+		ShadowTimeout: 10 * time.Second,
+		CheckInterval: 5 * time.Millisecond,
+		MinSamples:    16,
+		Seed:          7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +288,7 @@ func TestLoopGateRejectsRegression(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, nil)
+	stop := pump(t, e, &src, ctrl, nil)
 	defer stop()
 
 	ctrl.Start()
@@ -297,14 +298,24 @@ func TestLoopGateRejectsRegression(t *testing.T) {
 	waitState(t, ctrl, StateCollecting, 30*time.Second)
 
 	st := ctrl.Status()
-	if st.LastDecision == nil || st.LastDecision.Promote {
-		t.Fatalf("regressed candidate was promoted: %+v", st.LastDecision)
+	if st.LastDecision == nil || st.LastDecision.Promote || !strings.Contains(st.LastDecision.Reason, "holdout") {
+		t.Fatalf("regressed candidate was not rejected on its holdout: %+v", st.LastDecision)
 	}
+	if st.LastShadow == nil || st.LastShadow.Samples < 8 {
+		t.Fatalf("candidate was judged on %+v, want at least 8 replayed requests", st.LastShadow)
+	}
+	assertOnlyBoot(t, e)
+}
+
+// assertOnlyBoot fails unless "boot" is the one version the registry
+// holds and serves.
+func assertOnlyBoot(t *testing.T, e *serving.Engine) {
+	t.Helper()
 	if got := e.Registry().Active(); got != "boot" {
 		t.Fatalf("active version %q, want boot", got)
 	}
-	if e.Registry().ShadowVersion() != "" {
-		t.Fatal("rejected candidate still installed as shadow")
+	if vs := e.Registry().Versions(); len(vs) != 1 {
+		t.Fatalf("registry holds %+v; a candidate that was not promoted must not be registered", vs)
 	}
 }
 
@@ -315,20 +326,13 @@ func TestLoopGateRejectsRegression(t *testing.T) {
 // restores the previous version.
 func TestLoopWatchdogRollsBack(t *testing.T) {
 	e := loopEngine(t)
-	m, d := fixture(t)
+	_, d := fixture(t)
 	store := storeFromDataset(t, d, true, 32)
 	defer store.Close()
 
 	// The candidate is behavior-identical to the incumbent (a clean
 	// clone): promotion is trivially safe at vetting time.
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	clone, err := core.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := cloneModel(t)
 	ctrl, err := NewController(Config{
 		Engine: e,
 		Store:  store,
@@ -336,7 +340,6 @@ func TestLoopWatchdogRollsBack(t *testing.T) {
 		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) {
 			return &TrainOutcome{Bundle: core.NewBundle(clone), Epochs: 1}, nil
 		},
-		ShadowFraction:  1,
 		ShadowTimeout:   10 * time.Second,
 		CheckInterval:   5 * time.Millisecond,
 		MinSamples:      16,
@@ -351,9 +354,7 @@ func TestLoopWatchdogRollsBack(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, func(res *serving.Result) {
-		ctrl.ObserveServing(res.Diagnosis.Coarse)
-	})
+	stop := pump(t, e, &src, ctrl, nil)
 	defer stop()
 
 	ctrl.Start()
@@ -397,16 +398,19 @@ func TestLoopConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl, err := NewController(Config{
-		Engine:         e,
-		Store:          store,
-		Trainer:        tr,
-		Gate:           GateConfig{MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
-		ShadowFraction: 1,
-		ShadowTimeout:  10 * time.Second,
-		CheckInterval:  5 * time.Millisecond,
-		MinSamples:     16,
-		WatchWindow:    50 * time.Millisecond,
-		Seed:           7,
+		Engine:        e,
+		Store:         store,
+		Trainer:       tr,
+		Gate:          GateConfig{MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+		ShadowTimeout: 10 * time.Second,
+		CheckInterval: 5 * time.Millisecond,
+		MinSamples:    16,
+		WatchWindow:   50 * time.Millisecond,
+		// An 8-request baseline cannot judge a regression at the default
+		// threshold (its PSI noise is ≈ classes·(1/8 + 1/64)); rolling back
+		// is TestLoopWatchdogRollsBack's subject, not this one's.
+		WatchPSI: 100,
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +419,7 @@ func TestLoopConcurrentIngest(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, nil)
+	stop := pump(t, e, &src, ctrl, nil)
 	defer stop()
 
 	ingestCtx, ingestCancel := context.WithCancel(context.Background())
@@ -510,4 +514,127 @@ func TestControllerTrainFailureAndJournal(t *testing.T) {
 	if len(st2.Transitions) == 0 {
 		t.Fatal("transition history lost across restart")
 	}
+}
+
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, c *Controller, what string, timeout time.Duration, cond func(Status) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(2 * time.Millisecond) {
+		st := c.Status()
+		if cond(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %s: %+v", what, st)
+		}
+	}
+}
+
+// TestShadowReplaysTappedRequests: a candidate is vetted on exactly what
+// the serving tap hands the controller while it shadows. Every request
+// tapped in the phase is replayed through the incumbent and the candidate,
+// and none tapped before it is. No engine traffic runs — the test is the
+// tap.
+func TestShadowReplaysTappedRequests(t *testing.T) {
+	e := loopEngine(t)
+	m, d := fixture(t)
+	store := storeFromDataset(t, d, true, 32)
+	defer store.Close()
+	clone := cloneModel(t)
+
+	const n = 24
+	ctrl, err := NewController(Config{
+		Engine: e,
+		Store:  store,
+		Gate:   GateConfig{MinShadowSamples: n, MaxPSI: 100, MaxLatencyRatio: 100},
+		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) {
+			return &TrainOutcome{Bundle: core.NewBundle(clone), Epochs: 1}, nil
+		},
+		ShadowTimeout: time.Minute,
+		CheckInterval: 5 * time.Millisecond,
+		MinSamples:    16,
+		Seed:          7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	tap := func(i int) {
+		s := &d.Samples[i%d.Len()]
+		ctrl.ObserveServing(core.Row{Service: s.Service, Layout: d.Layout, Features: s.Features}, m.CoarsePredict(s.Features, d.Layout))
+	}
+
+	for i := 0; i < replayQueue; i++ {
+		tap(i)
+	}
+	ctrl.Start()
+	if err := ctrl.TriggerRetrain("test"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ctrl, StateShadowing, 10*time.Second)
+	for i := 0; i < n; i++ {
+		tap(i)
+	}
+	waitState(t, ctrl, StatePromoting, 30*time.Second)
+
+	sh := ctrl.Status().LastShadow
+	if sh == nil || sh.Samples != n {
+		t.Fatalf("shadow summary %+v, want the %d requests tapped while shadowing", sh, n)
+	}
+	// A clone on identical rows: full agreement, no shift, both passes timed.
+	if sh.AgreeRate != 1 || sh.PSI > 1e-9 || sh.LatencyRatio <= 0 {
+		t.Fatalf("clone compared as %+v", sh)
+	}
+	if got := e.Registry().Active(); got != "retrain-000001" {
+		t.Fatalf("active version %q after promotion", got)
+	}
+}
+
+// TestLoopPanickingCandidateFailsCycle: a candidate that panics on the
+// requests it is replayed on fails its cycle at once, not at the shadow
+// timeout. The controller survives to run the next cycle, the incumbent
+// keeps serving, and the candidate never enters the registry.
+func TestLoopPanickingCandidateFailsCycle(t *testing.T) {
+	e := loopEngine(t)
+	_, d := fixture(t)
+	store := storeFromDataset(t, d, true, 32)
+	defer store.Close()
+	broken := cloneModel(t)
+	broken.Norm = nil // every pass through it dereferences the normalizer
+
+	ctrl, err := NewController(Config{
+		Engine: e,
+		Store:  store,
+		Gate:   GateConfig{MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) {
+			return &TrainOutcome{Bundle: core.NewBundle(broken), Epochs: 1}, nil
+		},
+		ShadowTimeout: time.Minute,
+		CheckInterval: 5 * time.Millisecond,
+		MinSamples:    16,
+		Seed:          7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	var src atomic.Pointer[dataset.Dataset]
+	src.Store(d.Degraded())
+	stop := pump(t, e, &src, ctrl, nil)
+	defer stop()
+
+	ctrl.Start()
+	for cycle := 1; cycle <= 2; cycle++ {
+		waitFor(t, ctrl, "an idle loop", 10*time.Second, func(st Status) bool {
+			return st.State == StateCollecting || st.State == StateIdle
+		})
+		if err := ctrl.TriggerRetrain("test"); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, ctrl, "the cycle fail on the panic", 10*time.Second, func(st Status) bool {
+			return st.Cycle == cycle && st.State == StateCollecting && strings.Contains(st.LastError, "panicked")
+		})
+	}
+	assertOnlyBoot(t, e)
 }

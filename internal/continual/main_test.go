@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain fails the package if any test leaves a goroutine behind —
-// controllers, trainers and shadow evaluators must all stop cleanly.
+// controllers and trainers must all stop cleanly.
 func TestMain(m *testing.M) {
 	leakcheck.VerifyTestMain(m)
 }

@@ -18,5 +18,4 @@ var (
 	mTrainResumes = telemetry.Default().Counter("continual.trainer.resumes")
 	mTrainEpochs  = telemetry.Default().Counter("continual.trainer.epochs")
 	mState        = telemetry.Default().Gauge("continual.state")
-	mShadowSeen   = telemetry.Default().Gauge("continual.shadow.samples")
 )

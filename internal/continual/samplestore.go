@@ -1,7 +1,7 @@
 // Package continual closes the learning loop: live samples observed by
 // the serving plane are buffered (SampleStore), periodically retrained on
-// (Trainer), evaluated against the incumbent on teed shadow traffic
-// (ShadowEvaluator + PromotionGate), and hot-promoted with a regression
+// (Trainer), compared with the incumbent on replayed served requests and
+// judged by a gate (GateConfig), and hot-promoted with a regression
 // watchdog (Controller). See DESIGN.md §15.
 package continual
 

@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -102,111 +101,6 @@ func runConcurrent(b *testing.B, c int, fn func()) {
 	sort.Float64s(all)
 	if len(all) > 0 {
 		b.ReportMetric(all[len(all)*99/100], "p99_ms")
-	}
-}
-
-// shadowThink is the per-client pause between shadow-tee benchmark
-// requests. The closed loop must stay below CPU saturation: at saturation
-// p99 measures inverse throughput, where any background work (including a
-// tee that is correctly off the request path) inflates every percentile
-// by its CPU share rather than by the latency it actually adds to a
-// request. Paced load is what the 1.10× p99 budget is defined against —
-// the same reasoning as the router benchmark's think time.
-const shadowThink = 25 * time.Millisecond
-
-// runPaced distributes b.N requests over c client goroutines with
-// jittered think time between requests and reports p50/p99 per-request
-// latency. ns/op includes think time — compare the percentiles, not
-// ns/op.
-func runPaced(b *testing.B, c int, fn func()) {
-	b.Helper()
-	if b.N < c {
-		c = b.N
-	}
-	lat := make([][]float64, c)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	for g := 0; g < c; g++ {
-		n := b.N / c
-		if g == 0 {
-			n += b.N % c
-		}
-		wg.Add(1)
-		go func(g, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g) + 1))
-			ls := make([]float64, 0, n)
-			for i := 0; i < n; i++ {
-				// Jitter desynchronizes the clients so the offered load is
-				// a stream, not lockstep waves.
-				time.Sleep(time.Duration((0.5 + rng.Float64()) * float64(shadowThink)))
-				start := time.Now()
-				fn()
-				ls = append(ls, float64(time.Since(start).Nanoseconds())/1e6)
-			}
-			lat[g] = ls
-		}(g, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	var all []float64
-	for _, ls := range lat {
-		all = append(all, ls...)
-	}
-	sort.Float64s(all)
-	if len(all) > 0 {
-		b.ReportMetric(all[len(all)/2], "p50_ms")
-		b.ReportMetric(all[len(all)*99/100], "p99_ms")
-	}
-}
-
-// BenchmarkShadowTee measures what the shadow tee costs the serving path
-// at the continual plane's operating point: 16 paced clients. The same
-// engine and model serve every variant; "on" installs a shadow candidate
-// and tees the default 5% of traffic through it, "full" tees everything
-// (informational worst case — the candidate's inference competes for the
-// same cores). The tee copies a batch only after the clients' replies are
-// written and hands it to a dedicated executor over a non-blocking
-// channel, so the candidate never sits on the request path; what remains
-// is CPU contention, which is what this measures. CI gates p99(on) ≤
-// 1.10 × p99(off) at c16 (results/BENCH_continual.json).
-func BenchmarkShadowTee(b *testing.B) {
-	m, _ := benchFixture(b)
-	req := benchRequest(b)
-	variants := []struct {
-		name string
-		frac float64
-	}{{"off", 0}, {"on", 0.05}, {"full", 1}}
-	for _, v := range variants {
-		b.Run(fmt.Sprintf("tee-%s/c16", v.name), func(b *testing.B) {
-			e := New(Config{BatchMax: 64, QueueDepth: 1024, Workers: 1})
-			if err := e.Registry().AddModel("bench", m); err != nil {
-				b.Fatal(err)
-			}
-			if err := e.Registry().Promote("bench"); err != nil {
-				b.Fatal(err)
-			}
-			if v.frac > 0 {
-				if err := e.Registry().AddModel("cand", m); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.Registry().InstallShadow("cand"); err != nil {
-					b.Fatal(err)
-				}
-				e.SetShadowTee(v.frac)
-			}
-			b.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
-				defer cancel()
-				e.Close(ctx)
-			})
-			ctx := context.Background()
-			runPaced(b, 16, func() {
-				if _, err := e.SubmitWait(ctx, req); err != nil {
-					b.Error(err)
-				}
-			})
-		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"diagnet/internal/core"
 	"diagnet/internal/tracing"
@@ -46,18 +45,6 @@ type Engine struct {
 	shedFull     atomic.Int64
 	shedExpired  atomic.Int64
 	shedCanceled atomic.Int64
-
-	// Shadow tee (shadow.go): sampled replay of served requests through a
-	// candidate version, strictly off the serving path.
-	teeFracBits   atomic.Uint64
-	teeSeen       atomic.Int64
-	teeSent       atomic.Int64
-	shadowTeed    atomic.Int64
-	shadowDropped atomic.Int64
-	observer      atomic.Pointer[func(ShadowObservation)]
-	shadowCh      chan *shadowJob
-	shadowWG      sync.WaitGroup
-	shadowOnce    sync.Once
 }
 
 // New starts an engine: cfg.Workers workers spin up immediately, but
@@ -75,21 +62,18 @@ func New(cfg Config) *Engine {
 func alloc(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:      cfg,
-		reg:      NewRegistry(cfg.Workers),
-		queue:    make(chan *item, cfg.QueueDepth),
-		shadowCh: make(chan *shadowJob, cfg.QueueDepth),
+		cfg:   cfg,
+		reg:   NewRegistry(cfg.Workers),
+		queue: make(chan *item, cfg.QueueDepth),
 	}
 }
 
-// start launches the workers and the shadow executor.
+// start launches the workers.
 func (e *Engine) start() {
 	for w := 0; w < e.cfg.Workers; w++ {
 		e.workerWG.Add(1)
 		go e.worker(w)
 	}
-	e.shadowWG.Add(1)
-	go e.shadowWorker()
 }
 
 // Registry returns the engine's model registry.
@@ -100,15 +84,12 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns the admission counters.
 func (e *Engine) Stats() Stats {
-	teed, dropped := e.shadowStats()
 	return Stats{
-		Served:        e.served.Load(),
-		ShedFull:      e.shedFull.Load(),
-		ShedExpired:   e.shedExpired.Load(),
-		ShedCanceled:  e.shedCanceled.Load(),
-		QueueDepth:    int(e.depth.Load()),
-		ShadowTeed:    teed,
-		ShadowDropped: dropped,
+		Served:       e.served.Load(),
+		ShedFull:     e.shedFull.Load(),
+		ShedExpired:  e.shedExpired.Load(),
+		ShedCanceled: e.shedCanceled.Load(),
+		QueueDepth:   int(e.depth.Load()),
 	}
 }
 
@@ -267,10 +248,6 @@ func (e *Engine) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		e.workerWG.Wait()
-		// Workers are the only shadow producers; with them gone the tee
-		// queue can close and the executor drains what is left.
-		e.shadowOnce.Do(func() { close(e.shadowCh) })
-		e.shadowWG.Wait()
 		close(done)
 	}()
 	select {
@@ -394,9 +371,7 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 			}
 		}
 	}()
-	inferStart := time.Now()
 	diags := sess.DiagnoseRows(bctx, rows)
-	inferDur := time.Since(inferStart)
 	bspan.End()
 	for _, n := range sess.Passes() {
 		mPassRows.Observe(float64(n))
@@ -411,7 +386,4 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 			Version:      snap.version,
 		}}
 	}
-	// Shadow tee, strictly after every member has its answer: a sampled
-	// copy of the batch replays through the candidate off-path.
-	e.maybeTee(rows, diags, snap.version, inferDur)
 }

@@ -5,9 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"diagnet/internal/core"
 )
@@ -57,7 +55,7 @@ func assertBorrowed(t *testing.T, snap *snapshot, b *core.Bundle, workers int) {
 
 // A promoted bundle's weights are never written: not by serving on every
 // worker, by SetSpecialized, by Specialize or Retrain from the served
-// model, nor by teeing through a shadow version — and every worker's
+// model, nor by promoting and serving a retrain — and every worker's
 // sessions borrow the bundle's parameter matrices instead of copying them.
 func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	m, test := fixture(t)
@@ -107,23 +105,6 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	}
 	serve()
 
-	if err := reg.AddModel("cand", retrained.Model); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.InstallShadow("cand"); err != nil {
-		t.Fatal(err)
-	}
-	candidate := valueBits(retrained.Model)
-	var teed atomic.Int64
-	e.SetShadowObserver(func(ShadowObservation) { teed.Add(1) })
-	e.SetShadowTee(1)
-	serve()
-	for deadline := time.Now().Add(5 * time.Second); teed.Load() == 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no request was teed through the shadow version")
-		}
-	}
-
 	active, _, err := reg.ActiveBundle()
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +113,17 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 		t.Fatal("active bundle does not hold the promoted models")
 	}
 	assertBorrowed(t, reg.current(), active, 3)
-	assertBorrowed(t, reg.shadow(), core.NewBundle(retrained.Model), 1)
+
+	// The retrain is promoted the way the continual plane promotes one.
+	if err := reg.AddModel("cand", retrained.Model); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote("cand"); err != nil {
+		t.Fatal(err)
+	}
+	candidate := valueBits(retrained.Model)
+	serve()
+	assertBorrowed(t, reg.current(), core.NewBundle(retrained.Model), 3)
 	if !slices.Equal(general, valueBits(m)) {
 		t.Fatal("the promoted general model's weights were written")
 	}
@@ -140,7 +131,7 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 		t.Fatal("the installed specialized model's weights were written")
 	}
 	if !slices.Equal(candidate, valueBits(retrained.Model)) {
-		t.Fatal("the shadow candidate's weights were written")
+		t.Fatal("the promoted candidate's weights were written")
 	}
 }
 

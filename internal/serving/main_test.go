@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain fails the package if any test leaves a goroutine behind —
-// engine workers and shadow tees must all drain on Close.
+// engine workers must all drain on Close.
 func TestMain(m *testing.M) {
 	leakcheck.VerifyTestMain(m)
 }

@@ -23,14 +23,4 @@ var (
 	// from the journal at boot, and successful active-version recoveries.
 	mStateReplayed  = telemetry.Default().Counter("serving.state.records_replayed")
 	mStateRecovered = telemetry.Default().Counter("serving.state.recovered")
-
-	// Shadow evaluation (DESIGN.md §15): candidate installs, samples teed
-	// through the candidate, samples dropped because the tee queue was
-	// full (the tee never blocks the serving path), shadow-model panics,
-	// and the candidate's fused-pass latency.
-	mShadowInstalls = telemetry.Default().Counter("serving.shadow.installs")
-	mShadowTeed     = telemetry.Default().Counter("serving.shadow.teed")
-	mShadowDropped  = telemetry.Default().Counter("serving.shadow.dropped")
-	mShadowPanics   = telemetry.Default().Counter("serving.shadow.panics")
-	mShadowInferMs  = telemetry.Default().Histogram("serving.shadow.infer_ms", nil)
 )

@@ -32,13 +32,6 @@ type Registry struct {
 	persist  *Persistence
 
 	cur atomic.Pointer[snapshot]
-	// shadowCur is the candidate version under shadow evaluation (nil =
-	// none). A shadow never serves client traffic: the engine tees a
-	// sampled copy of already-answered requests through it so a gate can
-	// compare it against the incumbent before promotion. Shadows are
-	// deliberately not persisted — a restart drops the candidate and the
-	// continual plane re-derives it from journaled samples.
-	shadowCur atomic.Pointer[snapshot]
 }
 
 // snapshot is one immutable, fully warmed serving configuration: one bundle
@@ -63,47 +56,6 @@ func NewRegistry(workers int) *Registry {
 
 // current returns the active snapshot (nil before the first promotion).
 func (r *Registry) current() *snapshot { return r.cur.Load() }
-
-// shadow returns the shadow snapshot (nil when no candidate is installed).
-func (r *Registry) shadow() *snapshot { return r.shadowCur.Load() }
-
-// InstallShadow builds a single-session snapshot of a registered version
-// and installs it as the shadow candidate, replacing any previous one.
-// The same warm-up as a promotion applies: a candidate that cannot
-// produce a finite distribution is rejected here, before any teed
-// traffic reaches it. Installing the active version is rejected —
-// shadowing a model against itself can only ever say "promote".
-func (r *Registry) InstallShadow(version string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.versions[version]
-	if !ok {
-		return fmt.Errorf("serving: unknown version %q", version)
-	}
-	if cur := r.cur.Load(); cur != nil && cur.version == version {
-		return fmt.Errorf("serving: version %q is already active", version)
-	}
-	snap, err := r.buildSnapshotN(version, b, 1)
-	if err != nil {
-		return err
-	}
-	r.shadowCur.Store(snap)
-	mShadowInstalls.Inc()
-	return nil
-}
-
-// DropShadow removes the shadow candidate (no-op when none is installed).
-func (r *Registry) DropShadow() {
-	r.shadowCur.Store(nil)
-}
-
-// ShadowVersion names the installed shadow candidate ("" when none).
-func (r *Registry) ShadowVersion() string {
-	if snap := r.shadowCur.Load(); snap != nil {
-		return snap.version
-	}
-	return ""
-}
 
 // Add registers a version without serving it. Version names are
 // caller-chosen identifiers ("boot", "v2", "retrain-2026-08-06"); adding
@@ -168,10 +120,6 @@ func (r *Registry) promoteLocked(version string, record bool) error {
 		}
 	}
 	r.cur.Store(snap)
-	// A candidate that just graduated must stop shadowing itself.
-	if sh := r.shadowCur.Load(); sh != nil && sh.version == version {
-		r.shadowCur.Store(nil)
-	}
 	if n := len(r.history); n == 0 || r.history[n-1] != version {
 		r.history = append(r.history, version)
 	}
@@ -283,19 +231,12 @@ func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	return nil
 }
 
-// buildSnapshot builds and warms per-worker sessions. Called with r.mu
-// held.
+// buildSnapshot builds one session per worker, called with r.mu held.
+// Every session is warmed up with one real inference per model: that sizes
+// its layer caches and scratch, and proves each model still produces a
+// finite coarse distribution before promotion exposes it to traffic.
 func (r *Registry) buildSnapshot(version string, b *core.Bundle) (*snapshot, error) {
-	return r.buildSnapshotN(version, b, r.workers)
-}
-
-// buildSnapshotN is buildSnapshot with an explicit session count (shadow
-// snapshots carry one — the tee executor is a single goroutine). Every
-// session is warmed up with one real inference per model: that sizes its
-// layer caches and scratch, and proves each model still produces a finite
-// coarse distribution before promotion exposes it to traffic.
-func (r *Registry) buildSnapshotN(version string, b *core.Bundle, workers int) (*snapshot, error) {
-	snap := &snapshot{version: version, sessions: make([]*core.Session, workers)}
+	snap := &snapshot{version: version, sessions: make([]*core.Session, r.workers)}
 	layout := b.General.TrainLayout
 	rows := []core.Row{{Service: -1, Layout: layout, Features: make([]float64, layout.NumFeatures())}}
 	for id := range b.Specialized {

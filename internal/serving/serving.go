@@ -129,10 +129,6 @@ type Stats struct {
 	// overload.
 	ShedCanceled int64 `json:"shed_canceled"`
 	QueueDepth   int   `json:"queue_depth"`
-	// ShadowTeed / ShadowDropped count samples copied through the shadow
-	// candidate and samples discarded because the tee queue was full.
-	ShadowTeed    int64 `json:"shadow_teed,omitempty"`
-	ShadowDropped int64 `json:"shadow_dropped,omitempty"`
 }
 
 // ctxErr maps a context error, defaulting to ctx.Err().

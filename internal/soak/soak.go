@@ -229,8 +229,8 @@ func Run(cfg Config) (*Summary, error) {
 }
 
 // trainFixture trains the tiny shared model (same shape as the e2e test
-// fixtures — small enough for CI under -race, rich enough for affinity
-// and shadow evaluation to mean something).
+// fixtures — small enough for CI under -race, rich enough for shadow
+// evaluation to mean something).
 func trainFixture() (*core.Model, *dataset.Dataset) {
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
 	d := dataset.Generate(dataset.GenConfig{
@@ -266,7 +266,6 @@ func replicaOptions(model *core.Model, stateDir string, continualHost bool, seed
 			Gate: continual.GateConfig{
 				MinShadowSamples: 8, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100,
 			},
-			ShadowFraction:  1,
 			ShadowTimeout:   2 * time.Second,
 			CheckInterval:   20 * time.Millisecond,
 			MinSamples:      16,
