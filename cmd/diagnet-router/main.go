@@ -1,16 +1,16 @@
 // Command diagnet-router fronts a fleet of diagnetd replicas with
-// health- and load-aware placement, tail-latency hedging, scatter-gather
-// batches and honored backpressure (DESIGN.md §14).
+// health- and load-aware placement, failover, scatter-gather batches and
+// honored backpressure (DESIGN.md §14).
 //
 // Usage:
 //
 //	diagnet-router -replicas 'http://10.0.0.1:8421,http://10.0.0.2:8421,http://10.0.0.3:8421'
-//	               [-addr :8420] [-hedge-after 0]
-//	               [-health-interval 500ms] [-attempt-timeout 30s]
+//	               [-addr :8420] [-health-interval 500ms] [-attempt-timeout 30s]
 //	               [-federate-interval 15s] [-slo-target 0.999] [-slo-latency-ms 250]
 //	               [-log-format text|json] [-trace=true]
 //
-// API: POST /v1/diagnose (least-loaded ready replica, hedged) and
+// API: POST /v1/diagnose (least-loaded ready replica, failed over one
+// replica at a time) and
 // /v1/diagnose-batch (scatter-gathered across ready replicas) and GET
 // /v1/model are proxied to the replicas; the router's own are /v1/metrics
 // and /metrics, /v1/replicas (per-replica health/breaker/load),
@@ -18,10 +18,9 @@
 // unless -slo-target), /healthz and /readyz (503 until a replica is
 // ready). The router keeps nothing on disk.
 //
-// -hedge-after 0 (the default) derives the hedging delay from the
-// observed attempt-latency p90; a fixed duration pins it; a negative
-// value disables hedging. -federate-interval, -slo-target and
-// -slo-latency-ms configure the fleet observability plane (DESIGN.md §16,
+// -attempt-timeout bounds one replica attempt: a replica that stalls but
+// keeps its connection holds a request that long before it fails over.
+// -federate-interval, -slo-target and -slo-latency-ms configure the fleet observability plane (DESIGN.md §16,
 // README "Fleet observability").
 package main
 
@@ -42,7 +41,6 @@ func main() {
 	var cfg cluster.Config
 	addr := flag.String("addr", ":8420", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
-	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "hedging delay: 0 = adaptive (attempt-latency p90), <0 = hedging off")
 	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "replica /readyz sweep period")
 	flag.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", 30*time.Second, "per-replica attempt timeout")
 	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
@@ -68,7 +66,6 @@ func main() {
 
 	rt := cluster.NewRouter(urls, cfg)
 	slog.Info("router pool built", "replicas", len(urls),
-		"hedge_after", cfg.HedgeAfter,
 		"federate_interval", cfg.Obs.FederateInterval, "slo_target", cfg.Obs.SLOTarget)
 
 	slog.Info("router listening", "addr", *addr)

@@ -258,15 +258,14 @@ func NewAnalysisServerFromEngine(e *ServingEngine) *AnalysisServer {
 
 // Replicated serving tier (DESIGN.md §14): cmd/diagnet-router fans
 // traffic across diagnetd replicas with health- and load-aware
-// placement, tail-latency hedging, scatter-gather batches and honored
-// backpressure.
+// placement, failover, scatter-gather batches and honored backpressure.
 type (
 	// ClusterRouter routes client traffic across a replica pool; it is an
 	// http.Handler serving the same /v1 API as one replica.
 	ClusterRouter = cluster.Router
-	// ClusterConfig tunes routing, hedging, health sweeps and breakers.
+	// ClusterConfig tunes routing, health sweeps and breakers.
 	ClusterConfig = cluster.Config
-	// ClusterStats is the router's hedging/failover/backpressure counters.
+	// ClusterStats is the router's failover/backpressure counters.
 	ClusterStats = cluster.Stats
 	// ClusterReplicaStatus is one replica's health/load snapshot.
 	ClusterReplicaStatus = cluster.ReplicaStatus

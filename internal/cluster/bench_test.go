@@ -189,8 +189,7 @@ func post(client *http.Client, url string, body []byte) error {
 //	             CPU-starved host consolidation maximizes micro-batch
 //	             density, so this bounds what any 3-way spread (routed or
 //	             not) can reach
-//	routed       the 3-replica fleet through diagnet-router, hedging off
-//	routed-hedge same, with adaptive hedging
+//	routed       the 3-replica fleet through diagnet-router
 //
 // Results land in results/BENCH_router.json via cmd/bench2json.
 func BenchmarkRouter(b *testing.B) {
@@ -224,18 +223,14 @@ func BenchmarkRouter(b *testing.B) {
 		}
 	})
 
-	bench := func(name string, cfg Config) {
-		b.Run(name, func(b *testing.B) {
-			rt := newTestRouter(b, urls, cfg)
-			ts := httptest.NewServer(rt)
-			defer ts.Close()
-			for _, c := range benchConcurrency {
-				b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-					runClients(b, c, func() error { return post(client, ts.URL, body) })
-				})
-			}
-		})
-	}
-	bench("routed", Config{HedgeAfter: -1})
-	bench("routed-hedge", Config{}) // adaptive hedging (attempt-latency p90)
+	b.Run("routed", func(b *testing.B) {
+		rt := newTestRouter(b, urls, Config{})
+		ts := httptest.NewServer(rt)
+		defer ts.Close()
+		for _, c := range benchConcurrency {
+			b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
+				runClients(b, c, func() error { return post(client, ts.URL, body) })
+			})
+		}
+	})
 }

@@ -5,7 +5,7 @@
 // needs (§II "heavy traffic from millions of users"; NetRCA-style
 // replicated localization).
 //
-// The routing policy has four pillars (DESIGN.md §14):
+// The routing policy has three pillars (DESIGN.md §14):
 //
 //   - Placement from health and load alone. Every replica is actively
 //     probed on its /readyz endpoint; a replica that is recovering,
@@ -17,14 +17,10 @@
 //     holds all heads over one trunk in one bundle session, warmed before
 //     the bundle is promoted (DESIGN.md §8, §11), so no replica answers a
 //     service warmer than another and the router reads no request body to
-//     place it.
-//
-//   - Tail-latency hedging. If the chosen replica has not answered after a
-//     p9x-derived delay, the router issues a duplicate to the next
-//     candidate; the first answer wins and the loser is canceled. The
-//     serving engine sheds the canceled duplicate before it consumes a
-//     batch slot (serving.Stats.ShedCanceled), so hedges trade a little
-//     admission work for a lot of tail latency.
+//     place it. A request is tried on one replica at a time, in that
+//     order: a transport error or a 5xx fails over to the next, the first
+//     definitive answer is the client's, and a client that goes away ends
+//     the request where it is.
 //
 //   - Scatter-gather batches. A large /v1/diagnose-batch is split on
 //     element boundaries into contiguous chunks across the ready replicas,
@@ -36,7 +32,7 @@
 //     the replica for its own stated recovery window, and only when every
 //     replica is loaded does the 429 (with the advice) reach the client.
 //
-// Every hop is traced (router route → replica attempt → hedge) with W3C
+// Every hop is traced (router route → replica attempt) with W3C
 // traceparent propagation into the replicas, and counted in
 // internal/telemetry; the router serves /healthz, /readyz, /v1/metrics
 // (JSON) and /metrics (text) like the other daemons.
@@ -57,11 +53,9 @@ const maxBatch = 1024
 
 // What no deployment has had a reason to tune: constants, not knobs.
 const (
-	hedgeDefault   = 25 * time.Millisecond // adaptive hedge delay until the attempt histogram holds 20 samples
-	hedgeMin       = time.Millisecond      // its floor afterwards: a fast tail must not hedge every request
-	healthTimeout  = time.Second           // one readiness probe
-	loadedFallback = time.Second           // park of a 429-ing replica that sent no Retry-After
-	batchChunk     = 8                     // smallest scatter chunk: at most ceil(len/batchChunk) chunks a batch
+	healthTimeout  = time.Second // one readiness probe
+	loadedFallback = time.Second // park of a 429-ing replica that sent no Retry-After
+	batchChunk     = 8           // smallest scatter chunk: at most ceil(len/batchChunk) chunks a batch
 )
 
 // errNoReplicas reports that no replica could take the request: none are
@@ -70,12 +64,6 @@ var errNoReplicas = errors.New("cluster: no replica available")
 
 // Config tunes a Router. The zero value selects the documented defaults.
 type Config struct {
-	// HedgeAfter is the hedging delay: how long the first attempt may run
-	// before a duplicate is issued to the next replica. Zero derives the
-	// delay from the observed attempt-latency tail (p90 once enough
-	// samples exist, 25ms before that, never under 1ms); a negative value
-	// disables hedging.
-	HedgeAfter time.Duration
 	// HealthInterval is the /readyz sweep period (default 500ms).
 	HealthInterval time.Duration
 	// AttemptTimeout bounds one proxied attempt (default 30s).
@@ -134,16 +122,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time view of the router's hedging and failover
+// Stats is a point-in-time view of the router's failover and backpressure
 // counters (the full picture, per-route latencies included, is in the
 // telemetry registry served by /v1/metrics).
 type Stats struct {
-	// Hedges counts hedge duplicates actually issued.
+	// Hedges is written by nothing and stays 0: the router sends no
+	// duplicate requests. Declared only for the benchmark, which reads it
+	// (bench/measure.go).
 	Hedges int64 `json:"hedges"`
-	// HedgeWins counts requests the hedge duplicate answered first.
+	// HedgeWins is written by nothing and stays 0; declared only for the
+	// benchmark, which reads it.
 	HedgeWins int64 `json:"hedge_wins"`
-	// LosersCanceled counts in-flight attempts canceled because another
-	// attempt won (hedge losers and overtaken failovers).
+	// LosersCanceled is written by nothing and stays 0: a request has at
+	// most one attempt in flight, so none is canceled for another.
+	// Declared only for the benchmark, which reads it.
 	LosersCanceled int64 `json:"losers_canceled"`
 	// Failovers counts attempts relaunched on another replica after a
 	// transient failure.

@@ -38,8 +38,8 @@ func TestClusterE2E(t *testing.T) {
 		HealthInterval:  20 * time.Millisecond,
 		AttemptTimeout:  10 * time.Second,
 		BreakerCooldown: 200 * time.Millisecond,
-		// Adaptive hedging on: the kill adds transport-error latency noise
-		// and the hedges must stay harmless, not rescue correctness.
+		// One attempt at a time: the kill's transport errors must be
+		// absorbed by failover alone.
 	})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()

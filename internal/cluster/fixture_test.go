@@ -168,7 +168,7 @@ func (r *realReplica) restart() {
 
 // ---------------------------------------------------------------------------
 // Fake replica: a scriptable stand-in for unit tests (backpressure,
-// hedging, scatter-gather) where a real model would only add noise.
+// failover, scatter-gather) where a real model would only add noise.
 
 type fakeReplica struct {
 	srv   *httptest.Server

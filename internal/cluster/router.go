@@ -21,23 +21,15 @@ import (
 )
 
 // Router fans client traffic across a pool of diagnetd replicas with
-// health-aware selection, tail-latency hedging, scatter-gather batches
-// and honored backpressure. See the package comment for the policy.
+// health-aware selection, failover, scatter-gather batches and honored
+// backpressure. See the package comment for the policy.
 type Router struct {
 	cfg    Config
 	pool   *Pool
 	client *http.Client
 
-	// latHist is the router-local attempt-latency histogram the adaptive
-	// hedge delay reads its p90 from (private so concurrent routers in
-	// one process — tests — do not pollute each other's tails).
-	latHist *telemetry.Histogram
-
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
-	losersCanceled atomic.Int64
-	failovers      atomic.Int64
-	backpressure   atomic.Int64
+	failovers    atomic.Int64
+	backpressure atomic.Int64
 
 	// obs is the fleet observability plane (federation, SLO engine); nil
 	// unless Config.Obs enables it.
@@ -54,15 +46,14 @@ func NewRouter(urls []string, cfg Config) *Router {
 		cfg:  cfg,
 		pool: NewPool(urls, cfg),
 		client: &http.Client{
-			// Per-attempt deadlines come from the attempt context; the
-			// client itself must not cut hedged winners short.
+			// Per-attempt deadlines come from the attempt context
+			// (AttemptTimeout); the client itself sets none.
 			Transport: cfg.Transport,
 		},
-		latHist: telemetry.NewHistogram(nil),
 	}
 	rt.obs = newRouterObs(rt.pool, cfg.Obs)
 	// Every replica attempt a route makes becomes a child of its route
-	// span, so one trace shows route → attempt → hedge across the hop.
+	// span, so one trace shows route → attempt → replica across the hop.
 	route := func(name string, h http.HandlerFunc) http.HandlerFunc {
 		return obs.Instrument(telemetry.Default(), "router", name, h)
 	}
@@ -108,14 +99,11 @@ func (rt *Router) Close() {
 // Pool exposes the replica pool (status, tests).
 func (rt *Router) Pool() *Pool { return rt.pool }
 
-// Stats returns the hedging/failover counters.
+// Stats returns the failover and backpressure counters.
 func (rt *Router) Stats() Stats {
 	return Stats{
-		Hedges:         rt.hedges.Load(),
-		HedgeWins:      rt.hedgeWins.Load(),
-		LosersCanceled: rt.losersCanceled.Load(),
-		Failovers:      rt.failovers.Load(),
-		Backpressure:   rt.backpressure.Load(),
+		Failovers:    rt.failovers.Load(),
+		Backpressure: rt.backpressure.Load(),
 	}
 }
 
@@ -124,25 +112,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.handler.ServeHTTP(w, r)
 }
 
-// hedgeDelay returns the current hedging delay, or a negative duration
-// when hedging is disabled. With HedgeAfter unset the delay tracks the
-// observed attempt-latency p90 (floored at hedgeMin): hedge only the
-// requests already slower than nine in ten, so the duplicate-work rate
-// stays around 10% while the p99 collapses toward the p90.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeAfter != 0 {
-		return rt.cfg.HedgeAfter
-	}
-	if rt.latHist.Count() < 20 {
-		return hedgeDefault
-	}
-	return max(hedgeMin, time.Duration(rt.latHist.Quantile(0.90)*float64(time.Millisecond)))
-}
-
 // attemptOutcome is one replica attempt's result.
 type attemptOutcome struct {
 	rep    *Replica
-	hedged bool
 	status int
 	header http.Header
 	body   []byte
@@ -173,152 +145,98 @@ func writeUpstream(w http.ResponseWriter, out attemptOutcome) {
 	w.Write(out.body)
 }
 
-// route sends one request to the pool: primary attempt on the best-ranked
-// replica, an optional hedge to the next after hedgeDelay, failover on
-// transient failures, honored backpressure on 429. Each candidate is
-// tried at most once; the first definitive answer wins and every other
-// in-flight attempt is canceled.
-func (rt *Router) route(ctx context.Context, method, path string, body []byte, hedge bool) attemptOutcome {
-	cands := rt.pool.Ranked()
-	actx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	ch := make(chan attemptOutcome, len(cands)) // buffered: a loser finishing late never blocks
-
-	next, inflight := 0, 0
-	launch := func(hedged bool) bool {
-		for next < len(cands) {
-			rep := cands[next]
-			next++
-			// The breaker gate sits here, not in Ranked: Allow may hand us
-			// the single half-open trial slot, which obliges this attempt
-			// to report an outcome — attempt() always does.
-			if _, ok := rep.breaker.Allow(); !ok {
-				continue
-			}
-			if hedged {
-				rt.hedges.Add(1)
-				mHedges.Inc()
-			}
-			inflight++
-			// Count the attempt as outstanding before the goroutine is
-			// scheduled, so a concurrently-ranked request (e.g. a sibling
-			// scatter chunk) sees this replica as busy and spreads out.
-			rep.outstanding.Add(1)
-			go rt.attempt(actx, rep, method, path, body, hedged, ch)
-			return true
+// route sends one request to the pool, one attempt at a time on the
+// caller's goroutine: the candidates in Ranked order, each tried at most
+// once. The first definitive answer is returned; a 429 parks its replica
+// and moves on; a transport error or a 5xx fails over to the next. A
+// request whose client went away stops where it is — neither failed over
+// nor blamed on the replica.
+func (rt *Router) route(ctx context.Context, method, path string, body []byte) attemptOutcome {
+	var failed, loaded attemptOutcome // the last transient failure and the last 429
+	failover := false                 // the previous attempt failed transiently
+	for _, rep := range rt.pool.Ranked() {
+		// The breaker gate sits here, not in Ranked: Allow may hand us the
+		// single half-open trial slot, which obliges this attempt to settle
+		// it — attempt() always does.
+		if _, ok := rep.breaker.Allow(); !ok {
+			continue
 		}
-		return false
-	}
-	if !launch(false) {
-		return attemptOutcome{err: errNoReplicas}
-	}
-
-	var hedgeC <-chan time.Time
-	if hedge {
-		if d := rt.hedgeDelay(); d >= 0 && len(cands) > 1 {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			hedgeC = t.C
+		if failover {
+			rt.failovers.Add(1)
+			mFailovers.Inc()
 		}
-	}
-
-	var loaded429 attemptOutcome
-	saw429 := false
-	for {
-		select {
-		case out := <-ch:
-			inflight--
-			switch {
-			case out.definitive():
-				// Cancel the losers.
-				if out.hedged {
-					rt.hedgeWins.Add(1)
-					mHedgeWins.Inc()
-				}
-				if inflight > 0 {
-					rt.losersCanceled.Add(int64(inflight))
-					mLosersCanceled.Add(int64(inflight))
-				}
-				return out
-			case out.err == nil && out.status == http.StatusTooManyRequests:
-				// Backpressure: park the replica for its advertised window
-				// and try the next candidate — never the same one again.
-				ra := analysis.ParseRetryAfter(out.header)
-				if ra <= 0 {
-					ra = loadedFallback
-				}
-				out.rep.markLoaded(rt.cfg.Now(), ra)
-				rt.backpressure.Add(1)
-				mBackpressure.Inc()
-				loaded429, saw429 = out, true
-				if !launch(false) && inflight == 0 {
-					return out // every candidate is loaded: honor the 429
-				}
-			default:
-				// Transient: transport error or 5xx. Fail over to the next
-				// candidate; the attempt already fed the breaker.
-				if launch(false) {
-					rt.failovers.Add(1)
-					mFailovers.Inc()
-				} else if inflight == 0 {
-					if saw429 {
-						return loaded429 // a "come back later" beats a hard failure
-					}
-					return out
-				}
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			launch(true)
-		case <-ctx.Done():
+		out := rt.attempt(ctx, rep, method, path, body)
+		switch {
+		case out.definitive():
+			return out
+		case ctx.Err() != nil:
 			return attemptOutcome{err: ctx.Err()}
+		case out.err == nil && out.status == http.StatusTooManyRequests:
+			// Backpressure: park the replica for its advertised window and
+			// try the next candidate — never the same one again.
+			ra := analysis.ParseRetryAfter(out.header)
+			if ra <= 0 {
+				ra = loadedFallback
+			}
+			rep.markLoaded(rt.cfg.Now(), ra)
+			rt.backpressure.Add(1)
+			mBackpressure.Inc()
+			loaded, failover = out, false
+		default:
+			// Transient: the attempt already fed the breaker.
+			failed, failover = out, true
 		}
 	}
+	switch {
+	case loaded.rep != nil:
+		return loaded // a "come back later" beats a hard failure
+	case failed.rep != nil:
+		return failed
+	}
+	return attemptOutcome{err: errNoReplicas}
 }
 
-// attempt runs one proxied request against one replica, feeding the
-// breaker and — for a definitive answer only — the latency EWMA and the
-// attempt histogram, and tracing the hop as a "cluster.attempt" child span
-// with the traceparent injected so the replica's route span joins the same
-// trace. A replica that fails or sheds instantly must not look like the
-// fastest one to the placement tiebreak, nor drag the hedge delay's p90
-// down during an incident.
-func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string, body []byte, hedged bool, ch chan<- attemptOutcome) {
-	defer rep.outstanding.Add(-1) // matches the Add(1) at the launch site
+// attempt runs one proxied request against one replica as a run of the
+// router.attempt stage, the traceparent injected so the replica's route
+// span joins the same trace. It gives the breaker a verdict — none when the
+// client went away, which says nothing about the replica's health — and,
+// for a definitive answer only, feeds the replica's latency EWMA: a replica
+// that fails or sheds instantly must not look like the fastest one to the
+// placement tiebreak.
+func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string, body []byte) attemptOutcome {
+	// Outstanding from before the round trip, so a concurrently ranked
+	// request (a sibling scatter chunk) sees this replica as busy.
+	rep.outstanding.Add(1)
+	defer rep.outstanding.Add(-1)
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
-	actx, span := tracing.StartSpan(actx, "cluster.attempt")
+	clock := stAttempt.Start(actx)
+	defer clock.End()
+	span := clock.Span()
 	span.SetAttr("replica", rep.name)
-	span.SetAttr("hedge", hedged)
-	defer span.End()
 
 	start := time.Now()
-	out := rt.exchange(actx, rep, method, path, body)
-	out.hedged = hedged
-	// A canceled hedge loser says nothing about the replica's health; only
-	// real failures may open the breaker.
-	failed := out.err != nil && !errors.Is(out.err, context.Canceled)
-	if out.err != nil {
+	out := rt.exchange(tracing.ContextWithSpan(actx, span), rep, method, path, body)
+	switch {
+	case out.err != nil:
 		span.SetError(out.err)
-	} else {
+		if ctx.Err() != nil {
+			rep.breaker.Release()
+		} else {
+			rep.breaker.Failure()
+		}
+	case out.status >= 500:
 		span.SetAttr("http.status", out.status)
-		if out.status >= 500 {
-			failed = true
-			span.SetError(fmt.Errorf("replica %s: http %d", rep.name, out.status))
+		span.SetError(fmt.Errorf("replica %s: http %d", rep.name, out.status))
+		rep.breaker.Failure()
+	default:
+		span.SetAttr("http.status", out.status)
+		rep.breaker.Success()
+		if out.definitive() {
+			rep.lat.Observe(telemetry.Millis(time.Since(start)))
 		}
 	}
-	if out.definitive() {
-		lat := telemetry.Millis(time.Since(start))
-		rep.lat.Observe(lat)
-		rt.latHist.Observe(lat)
-		mAttemptLatency.ObserveExemplar(lat, span.TraceID())
-	}
-	if failed {
-		rep.breaker.Failure()
-	} else {
-		rep.breaker.Success()
-	}
-	ch <- out // always: the launch may hold the breaker's half-open trial slot
+	return out
 }
 
 // exchange is the HTTP round trip of one attempt.
@@ -355,7 +273,7 @@ func (rt *Router) exchange(ctx context.Context, rep *Replica, method, path strin
 // When the peer declared a length the buffer is allocated once at that
 // size — io.ReadAll's doubling growth costs several copies on a typical
 // multi-kilobyte diagnose body, and the proxy path holds every body in
-// memory (hedging needs a replayable request).
+// memory (failover needs a replayable request).
 func readBounded(r io.Reader, declared int64) ([]byte, error) {
 	if declared > 0 && declared <= maxBody {
 		body := make([]byte, declared)
@@ -385,11 +303,11 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeUpstream(w, rt.route(r.Context(), http.MethodPost, "/v1/diagnose", body, true))
+	writeUpstream(w, rt.route(r.Context(), http.MethodPost, "/v1/diagnose", body))
 }
 
 func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
-	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil, false))
+	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil))
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
@@ -419,8 +337,8 @@ func encodeRaw(w io.Writer, v any) error {
 
 // handleBatch scatter-gathers a batch: the request list is split into
 // contiguous chunks (one per ready replica, no smaller than batchChunk),
-// the chunks run in parallel through the same failover machinery as
-// single requests, and the per-chunk responses are merged back in request
+// the chunks run in parallel, each through the same failover loop as a
+// single request, and the per-chunk responses are merged back in request
 // order. One failed chunk fails the whole batch with that chunk's status
 // — partial batches would silently drop incidents from bulk post-mortems.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -483,7 +401,7 @@ func (rt *Router) routeChunk(ctx context.Context, elems, responses []json.RawMes
 	if err := encodeRaw(&payload, batchRequest{elems}); err != nil {
 		return &attemptOutcome{err: err}
 	}
-	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload.Bytes(), false)
+	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload.Bytes())
 	if out.err != nil || out.status != http.StatusOK {
 		return &out
 	}

@@ -1,16 +1,239 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"diagnet/internal/analysis"
+	"diagnet/internal/landmark"
+	"diagnet/internal/resilience"
 )
+
+// TestOneAttemptAtATime: a request is on one replica at a time. A slow
+// replica is waited for, not raced — the other replica sees nothing — and
+// a client that goes away mid-attempt ends the request there: no failover,
+// and the replica sees its request canceled.
+func TestOneAttemptAtATime(t *testing.T) {
+	t.Parallel()
+	t.Run("slow primary", func(t *testing.T) {
+		t.Parallel()
+		script := &firstAttempted{
+			primary: landmark.NewFlakyHandler(okDiagnose("slow"), landmark.FlakyConfig{LatencyRate: 1, Latency: 150 * time.Millisecond, Seed: 1}),
+			other:   okDiagnose("fast"),
+		}
+		a, b := script.replica(t), script.replica(t)
+		rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
+		ts := httptest.NewServer(rt)
+		defer ts.Close()
+
+		start := time.Now()
+		status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", diagnoseFake(t))
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, out)
+		}
+		if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
+			t.Errorf("answer in %v — something dodged the primary's injected 150ms", elapsed)
+		}
+		var resp analysis.DiagnoseResponse
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ModelVersion != "slow" {
+			t.Errorf("answer came from %q, want the slow primary", resp.ModelVersion)
+		}
+		second := a
+		if script.first.Load() == a {
+			second = b
+		}
+		if got := second.hits.Load(); got != 0 {
+			t.Errorf("second replica got %d attempts while the primary was still answering", got)
+		}
+		if s := rt.Stats(); s != (Stats{}) {
+			t.Errorf("Stats %+v, want all zero", s)
+		}
+	})
+	t.Run("client canceled", func(t *testing.T) {
+		t.Parallel()
+		started, canceled := make(chan struct{}), make(chan struct{})
+		script := &firstAttempted{
+			primary: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) // a server notices a hang-up only once the body is read
+				close(started)
+				<-r.Context().Done()
+				close(canceled)
+			}),
+			other: okDiagnose("other"),
+		}
+		a, b := script.replica(t), script.replica(t)
+		rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
+		ts, routed := serveRouter(t, rt)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-started
+			cancel()
+		}()
+		if err := send(ctx, ts, diagnoseFake(t)); err == nil {
+			t.Fatal("a canceled request got an answer")
+		}
+		waitFor(t, canceled, "the replica never saw its request canceled")
+		waitFor(t, routed, "the router never finished the canceled request")
+		second := a
+		if script.first.Load() == a {
+			second = b
+		}
+		if got := second.hits.Load(); got != 0 {
+			t.Errorf("second replica got %d attempts for a request whose client went away", got)
+		}
+		if s := rt.Stats(); s.Failovers != 0 {
+			t.Errorf("Failovers = %d after a client cancel, want 0", s.Failovers)
+		}
+	})
+}
+
+// TestCanceledTrialGivesBreakerNoVerdict: a client that goes away during a
+// replica's half-open trial says nothing about the replica's health, so
+// the trial must not close its breaker or reset its failure streak.
+func TestCanceledTrialGivesBreakerNoVerdict(t *testing.T) {
+	t.Parallel()
+	var hits atomic.Int64
+	started := make(chan struct{})
+	rep := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			http.Error(w, "boom", http.StatusInternalServerError) // opens the breaker
+			return
+		}
+		io.Copy(io.Discard, r.Body) // a server notices a hang-up only once the body is read
+		close(started)
+		<-r.Context().Done() // the trial hangs until its client goes away
+	}))
+	var clock atomic.Int64 // fake time, unix nanos
+	clock.Store(time.Unix(1700000000, 0).UnixNano())
+	rt := newTestRouter(t, []string{rep.url()}, Config{
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Minute,
+		Now:              func() time.Time { return time.Unix(0, clock.Load()) },
+	})
+	ts, routed := serveRouter(t, rt)
+
+	if err := send(context.Background(), ts, diagnoseFake(t)); err != nil {
+		t.Fatal(err)
+	}
+	<-routed
+	breaker := rt.Pool().Replicas()[0].breaker
+	if st := breaker.State(); st != resilience.Open {
+		t.Fatalf("breaker %v after the failure, want open", st)
+	}
+	clock.Add(int64(2 * time.Minute)) // past the cooldown: the next request is the trial
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	if err := send(ctx, ts, diagnoseFake(t)); err == nil {
+		t.Fatal("a canceled request got an answer")
+	}
+	waitFor(t, routed, "the router never finished the canceled trial")
+	for deadline := time.Now().Add(5 * time.Second); rt.Pool().Replicas()[0].Outstanding() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled trial never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := breaker.State(); st == resilience.Closed {
+		t.Errorf("a canceled half-open trial closed the breaker")
+	}
+	if n := breaker.ConsecutiveFailures(); n != 1 {
+		t.Errorf("failure streak %d after a canceled trial, want 1", n)
+	}
+}
+
+// serveRouter serves rt on a test server whose channel receives one value
+// each time the router finishes a request, answered or not.
+func serveRouter(t testing.TB, rt *Router) (*httptest.Server, <-chan struct{}) {
+	t.Helper()
+	routed := make(chan struct{}, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.ServeHTTP(w, r)
+		routed <- struct{}{}
+	}))
+	t.Cleanup(ts.Close)
+	return ts, routed
+}
+
+// send posts one diagnose through the router on ctx; the error is the
+// client's (a canceled ctx, say), not the status.
+func send(ctx context.Context, ts *httptest.Server, body []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/diagnose", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		return err
+	}
+	return resp.Body.Close()
+}
+
+// waitFor fails the test unless ch yields within five seconds.
+func waitFor(t testing.TB, ch <-chan struct{}, msg string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
+	}
+}
+
+// TestFailedAttemptsDoNotFeedLatency: a replica that fails or sheds in
+// microseconds must not look like the fastest one to the placement
+// tiebreak. Only answers route treats as definitive feed the replica's
+// latency EWMA.
+func TestFailedAttemptsDoNotFeedLatency(t *testing.T) {
+	t.Parallel()
+	for name, status := range map[string]int{"5xx": http.StatusInternalServerError, "429": http.StatusTooManyRequests} {
+		t.Run(name, func(t *testing.T) {
+			bad := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "no", status)
+			}))
+			// Slower than any loopback probe, so once it has served a request
+			// the tiebreak ranks the instantly-failing replica first.
+			good := newFakeReplica(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				time.Sleep(5 * time.Millisecond)
+				okDiagnose("good")(w, r)
+			}))
+			rt := newTestRouter(t, []string{bad.url(), good.url()}, Config{
+				HealthInterval:   time.Hour, // the boot sweep seeds both EWMAs; nothing else may move them
+				BreakerThreshold: 1000,      // keep the failing replica in rotation
+			})
+			ts := httptest.NewServer(rt)
+			defer ts.Close()
+			badRep := rt.Pool().Replicas()[0]
+			seeded := badRep.latencyMs()
+
+			for i := 0; i < 15; i++ {
+				if status, out := postJSON(t, ts.Client(), ts.URL+"/v1/diagnose", diagnoseFake(t)); status != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, status, out)
+				}
+			}
+			if bad.hits.Load() == 0 {
+				t.Fatal("the failing replica was never tried")
+			}
+			if got := badRep.latencyMs(); got != seeded {
+				t.Errorf("failing replica's latency EWMA moved %v → %v on %d failed attempts", seeded, got, bad.hits.Load())
+			}
+		})
+	}
+}
 
 // TestBackpressureHonored: a 429ing replica is parked for its advertised
 // Retry-After — the request fails over once, and subsequent requests skip
@@ -26,7 +249,7 @@ func TestBackpressureHonored(t *testing.T) {
 		other: okDiagnose("ok"),
 	}
 	a, b := script.replica(t), script.replica(t)
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 	body := diagnoseFake(t)
@@ -72,7 +295,7 @@ func TestAllLoadedPropagates429(t *testing.T) {
 	}
 	a := newFakeReplica(t, http.HandlerFunc(shed))
 	b := newFakeReplica(t, http.HandlerFunc(shed))
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -108,7 +331,7 @@ func TestFailoverOn5xx(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		okDiagnose("good")(w, r)
 	}))
-	rt := newTestRouter(t, []string{bad.url(), good.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{bad.url(), good.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -145,7 +368,7 @@ func TestScatterGatherMergesInOrder(t *testing.T) {
 	t.Parallel()
 	a := newFakeReplica(t, echoBatch("a"))
 	b := newFakeReplica(t, echoBatch("b"))
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -219,7 +442,7 @@ func TestBatchChunkFailureFailsWhole(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := newFakeReplica(t, tc.handle)
 			b := newFakeReplica(t, tc.handle)
-			rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+			rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 			ts := httptest.NewServer(rt)
 			defer ts.Close()
 
@@ -239,7 +462,7 @@ func TestBatchChunkFailureFailsWhole(t *testing.T) {
 func TestReadyzTracksPool(t *testing.T) {
 	t.Parallel()
 	a := newFakeReplica(t, okDiagnose("a"))
-	rt := newTestRouter(t, []string{a.url()}, Config{HedgeAfter: -1, HealthInterval: 10 * time.Millisecond})
+	rt := newTestRouter(t, []string{a.url()}, Config{HealthInterval: 10 * time.Millisecond})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -276,7 +499,7 @@ func TestReplicasEndpoint(t *testing.T) {
 	t.Parallel()
 	a := newFakeReplica(t, okDiagnose("a"))
 	b := newFakeReplica(t, okDiagnose("b"))
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 

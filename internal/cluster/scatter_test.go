@@ -90,7 +90,7 @@ func TestScatterForwardsElementsVerbatim(t *testing.T) {
 		return json.RawMessage(answer(i)), ""
 	}}
 	a, b := newFakeReplica(t, rec), newFakeReplica(t, rec)
-	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{HedgeAfter: -1})
+	rt := newTestRouter(t, []string{a.url(), b.url()}, Config{})
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
 
@@ -180,7 +180,7 @@ func FuzzRouteBatch(f *testing.F) {
 
 	rec := &chunkRecorder{reply: func(elem json.RawMessage) (json.RawMessage, string) { return elem, "" }}
 	a, b := newFakeReplica(f, rec), newFakeReplica(f, rec)
-	rt := newTestRouter(f, []string{a.url(), b.url()}, Config{HedgeAfter: -1, HealthInterval: time.Hour})
+	rt := newTestRouter(f, []string{a.url(), b.url()}, Config{HealthInterval: time.Hour})
 
 	f.Fuzz(func(t *testing.T, body string) {
 		var want batchRequest

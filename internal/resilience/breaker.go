@@ -97,7 +97,7 @@ func (b *Breaker) transition(to BreakerState) func() {
 
 // Allow reports whether a request may proceed and under which state.
 // When it returns (HalfOpen, true) the caller holds the single trial slot
-// and MUST report the outcome via Success or Failure (other callers are
+// and MUST settle it via Success, Failure or Release (other callers are
 // refused meanwhile).
 func (b *Breaker) Allow() (BreakerState, bool) {
 	b.mu.Lock()
@@ -161,6 +161,18 @@ func (b *Breaker) Failure() {
 	if notify != nil {
 		notify()
 	}
+}
+
+// Release settles a request that ended without a verdict — its caller
+// canceled it, which says nothing about the target's health: a held
+// half-open trial slot is freed for the next Allow, and the state and the
+// failure streak stay as they are. In Closed it does nothing.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	if b.state == HalfOpen {
+		b.trialActive = false
+	}
+	b.mu.Unlock()
 }
 
 // State returns the current position without consuming a trial slot.

@@ -110,6 +110,39 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
+// TestBreakerReleaseGivesNoVerdict: a trial whose caller canceled it
+// frees the half-open slot for the next caller without closing the
+// breaker or resetting its failure streak, and Release in Closed leaves
+// the streak as it was.
+func TestBreakerReleaseGivesNoVerdict(t *testing.T) {
+	b, clk := newTestBreaker(1, time.Minute)
+	b.Failure()
+	clk.Advance(61 * time.Second)
+	if st, ok := b.Allow(); !ok || st != HalfOpen {
+		t.Fatalf("want half-open trial, got %v/%v", st, ok)
+	}
+	b.Release()
+	if st := b.State(); st != HalfOpen {
+		t.Fatalf("state %v after a released trial, want half-open", st)
+	}
+	if n := b.ConsecutiveFailures(); n != 1 {
+		t.Fatalf("streak %d after a released trial, want 1", n)
+	}
+	if st, ok := b.Allow(); !ok || st != HalfOpen {
+		t.Fatalf("released slot not handed to the next caller: %v/%v", st, ok)
+	}
+	if _, ok := b.Allow(); ok {
+		t.Fatal("a second trial admitted while the new one is in flight")
+	}
+
+	c, _ := newTestBreaker(3, time.Minute)
+	c.Failure()
+	c.Release()
+	if st, n := c.State(), c.ConsecutiveFailures(); st != Closed || n != 1 {
+		t.Fatalf("Release in Closed moved the breaker: state %v, streak %d", st, n)
+	}
+}
+
 func TestBreakerStateReporting(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Minute)
 	if b.State() != Closed {

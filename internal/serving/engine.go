@@ -95,11 +95,11 @@ func (e *Engine) Stats() Stats {
 
 // shedDead settles an item whose context died while queued: the caller is
 // gone, so the item must not consume a batch slot or reach a model.
-// Cancellations and expired deadlines are counted apart — a hedging router
-// cancels its losing duplicate on every hedge, so canceled drops are the
-// normal currency of tail-latency hedging while expired ones signal real
-// overload. Workers call this while forming batches, which is what keeps a
-// canceled hedge loser from displacing a live request out of a micro-batch.
+// Cancellations and expired deadlines are counted apart — a cancellation
+// is a caller that went away (a client that disconnected, a router whose
+// attempt ended), while an expired deadline signals real overload. Workers
+// call this while forming batches, which is what keeps a request nobody
+// waits for from displacing a live one out of a micro-batch.
 func (e *Engine) shedDead(it *item, err error) {
 	if errors.Is(err, context.Canceled) {
 		e.shedCanceled.Add(1)
@@ -262,8 +262,8 @@ func (e *Engine) Close(ctx context.Context) error {
 // for one live item, then takes whatever else is queued right now, up to
 // BatchMax, and never waits for more. Batches therefore grow with real
 // queueing — a lone request on an idle engine is a batch of one, served at
-// once — and no timer decides anything. Abandoned items (canceled hedge
-// losers, expired deadlines) are settled on the spot: a dead item must not
+// once — and no timer decides anything. Abandoned items (callers that went
+// away, expired deadlines) are settled on the spot: a dead item must not
 // seed a batch or occupy a slot. An empty batch means the queue is closed
 // and drained.
 func (e *Engine) nextBatch() []*item {

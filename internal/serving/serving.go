@@ -123,10 +123,10 @@ type Stats struct {
 	// ShedExpired counts requests whose deadline ran out while queued —
 	// an overload symptom.
 	ShedExpired int64 `json:"shed_expired"`
-	// ShedCanceled counts requests whose caller canceled while queued —
-	// the normal fate of a hedged duplicate whose twin answered first.
-	// Counted apart from ShedExpired so hedging does not masquerade as
-	// overload.
+	// ShedCanceled counts requests whose caller went away while queued —
+	// a client that disconnected, or a router that gave up on the attempt.
+	// Counted apart from ShedExpired so an impatient caller does not
+	// masquerade as overload.
 	ShedCanceled int64 `json:"shed_canceled"`
 	QueueDepth   int   `json:"queue_depth"`
 }

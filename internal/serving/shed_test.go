@@ -91,12 +91,13 @@ func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
 	}
 }
 
-// TestCanceledHedgeLoserFreesBatchSlot pins the hedging contract on the
-// engine (DESIGN.md §14): a request canceled while queued — the losing
-// duplicate of a tail-latency hedge — is settled by the worker during
-// batch formation, counted under ShedCanceled (not ShedExpired, not
-// Served), and its BatchMax slot goes to a live request instead.
-func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
+// TestCanceledRequestFreesBatchSlot pins the engine's side of a caller
+// that went away (DESIGN.md §14): a request canceled while queued — its
+// client disconnected, or the router in front of it gave up — is settled
+// by the worker during batch formation, counted under ShedCanceled (not
+// ShedExpired, not Served), and its BatchMax slot goes to a live request
+// instead.
+func TestCanceledRequestFreesBatchSlot(t *testing.T) {
 	e := allocEngine(t, Config{BatchMax: 2, Workers: 1})
 	req := sampleRequest(t)
 	before := e.Stats()
@@ -104,16 +105,16 @@ func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Queue order: the dead hedge loser first, so it would both seed the
+	// Queue order: the dead request first, so it would both seed the
 	// batch and take one of its two slots if the worker did not settle it —
 	// and the two live requests would then be cut into two batches.
-	loser := queueItem(e, canceled, req)
+	dead := queueItem(e, canceled, req)
 	liveA := queueItem(e, context.Background(), req)
 	liveB := queueItem(e, context.Background(), req)
 	e.start()
 
-	if out := <-loser.done; !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("loser outcome = %v, want context.Canceled", out.err)
+	if out := <-dead.done; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("canceled request's outcome = %v, want context.Canceled", out.err)
 	}
 	for _, it := range []*item{liveA, liveB} {
 		if out := <-it.done; out.err != nil || out.res == nil {
@@ -121,14 +122,14 @@ func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
 		}
 	}
 	if n, sum := mBatchSize.Count()-batches, mBatchSize.Sum()-rows; n != 1 || sum != 2 {
-		t.Fatalf("the two live requests were cut into %d batches of %v in total, want one batch of 2: the canceled loser consumed a slot", n, sum)
+		t.Fatalf("the two live requests were cut into %d batches of %v in total, want one batch of 2: the canceled request consumed a slot", n, sum)
 	}
 	after := e.Stats()
 	if d := after.ShedCanceled - before.ShedCanceled; d != 1 {
 		t.Fatalf("ShedCanceled delta %d, want 1", d)
 	}
 	if after.ShedExpired != before.ShedExpired {
-		t.Fatalf("canceled loser leaked into ShedExpired (delta %d)",
+		t.Fatalf("canceled request leaked into ShedExpired (delta %d)",
 			after.ShedExpired-before.ShedExpired)
 	}
 	if d := after.Served - before.Served; d != 2 {

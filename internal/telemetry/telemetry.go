@@ -187,26 +187,13 @@ func (h *Histogram) Sum() float64 {
 // federation merge consume this form — cumulative counts over shared
 // fixed bounds merge exactly by element-wise addition.
 func (h *Histogram) Cumulative() []int64 {
-	return h.cumulative(make([]int64, 0, len(h.counts)))
-}
-
-// cumulative appends the cumulative bucket counts to dst.
-func (h *Histogram) cumulative(dst []int64) []int64 {
+	out := make([]int64, len(h.counts))
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
-		dst = append(dst, cum)
+		out[i] = cum
 	}
-	return dst
-}
-
-// Quantile is HistogramPoint.Quantile over the live buckets, for a caller
-// that reads one quantile on a hot path (the router's hedge delay): the
-// usual layouts fit the stack buffer, so it allocates nothing.
-func (h *Histogram) Quantile(q float64) float64 {
-	var buf [32]int64
-	p := HistogramPoint{Bounds: h.bounds, Cumulative: h.cumulative(buf[:0])}
-	return p.Quantile(q)
+	return out
 }
 
 // Point captures the histogram's full state under the given name — what

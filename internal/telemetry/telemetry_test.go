@@ -72,7 +72,7 @@ func TestHistogramOverflowSaturates(t *testing.T) {
 		h.Observe(1000)
 	}
 	p := h.Point("")
-	if p.Quantile(0.5) != 2 || p.Quantile(0.99) != 2 || h.Quantile(0.99) != 2 {
+	if p.Quantile(0.5) != 2 || p.Quantile(0.99) != 2 {
 		t.Fatalf("overflow quantiles should saturate at the last bound: %+v", p)
 	}
 }
@@ -188,8 +188,8 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 // TestEmptyHistogramSentinel pins the zero-observation contract: the sum
 // and every quantile of an empty histogram are the documented sentinel 0
-// — not an interpolated value, not NaN — on the exported point, on the
-// live histogram and on a point with no buckets at all.
+// — not an interpolated value, not NaN — on the exported point and on a
+// point with no buckets at all.
 func TestEmptyHistogramSentinel(t *testing.T) {
 	h := NewHistogram(nil)
 	p := h.Point("empty")
@@ -199,7 +199,7 @@ func TestEmptyHistogramSentinel(t *testing.T) {
 	var bare HistogramPoint
 	for name, v := range map[string]float64{
 		"sum": p.Sum, "p50": p.Quantile(0.5), "p90": p.Quantile(0.9), "p99": p.Quantile(0.99),
-		"live p90": h.Quantile(0.9), "bare p99": bare.Quantile(0.99),
+		"bare p99": bare.Quantile(0.99),
 	} {
 		if v != 0 {
 			t.Errorf("%s = %v on an empty histogram (want sentinel 0)", name, v)
@@ -386,8 +386,7 @@ func TestExportJSONTotal(t *testing.T) {
 
 // TestHistogramPointQuantile pins the one quantile routine on values
 // recorded from the Snapshot percentiles it replaced (the 999999 lands in
-// the overflow bucket, so the upper quantiles saturate at the last bound),
-// and that the live histogram's Quantile is the same routine.
+// the overflow bucket, so the upper quantiles saturate at the last bound).
 func TestHistogramPointQuantile(t *testing.T) {
 	r := New()
 	h := r.Histogram("q.lat", nil)
@@ -407,12 +406,6 @@ func TestHistogramPointQuantile(t *testing.T) {
 		if got := p.Quantile(q.q); got != q.want {
 			t.Fatalf("Quantile(%v) = %v, want %v", q.q, got, q.want)
 		}
-		if got := h.Quantile(q.q); got != q.want {
-			t.Fatalf("live Quantile(%v) = %v, want %v", q.q, got, q.want)
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { h.Quantile(0.9) }); n != 0 {
-		t.Errorf("live Quantile allocates %v times per call, want 0 (the router calls it per request)", n)
 	}
 	if p.Count() != h.Count() || p.Sum != h.Sum() || p.Sum != 1.0210396e+06 {
 		t.Fatalf("count/sum mismatch: point %d/%v live %d/%v", p.Count(), p.Sum, h.Count(), h.Sum())
