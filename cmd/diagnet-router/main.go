@@ -13,7 +13,7 @@
 // replica at a time) and
 // /v1/diagnose-batch (scatter-gathered across ready replicas) and GET
 // /v1/model are proxied to the replicas; the router's own are /v1/metrics
-// and /metrics, /v1/replicas (per-replica health/breaker/load),
+// (JSON), /v1/replicas (per-replica health/breaker/load),
 // /v1/fleet/metrics (the exactly-merged federated view), /v1/slo (404
 // unless -slo-target), /healthz and /readyz (503 until a replica is
 // ready). The router keeps nothing on disk.
@@ -43,7 +43,7 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
 	flag.DurationVar(&cfg.HealthInterval, "health-interval", 500*time.Millisecond, "replica /readyz sweep period")
 	flag.DurationVar(&cfg.AttemptTimeout, "attempt-timeout", 30*time.Second, "per-replica attempt timeout")
-	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /metrics scrape period for the federated fleet view (0 = federation off)")
+	flag.DurationVar(&cfg.Obs.FederateInterval, "federate-interval", 15*time.Second, "replica /v1/metrics scrape period for the federated fleet view (0 = federation off)")
 	flag.Float64Var(&cfg.Obs.SLOTarget, "slo-target", 0, "SLO goal over federated /v1/diagnose metrics, e.g. 0.999 (0 = SLO engine off)")
 	flag.Float64Var(&cfg.Obs.SLOLatencyMs, "slo-latency-ms", 0, "latency objective threshold in ms; use a latency-bucket bound for an exact split (0 = availability objective only)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")

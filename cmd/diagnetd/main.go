@@ -14,7 +14,7 @@
 //
 // API: the routes of analysis.Server.Handler — POST /v1/diagnose{,-batch},
 // the /v1/models rollout admin, /v1/continual (404 unless -continual),
-// /v1/metrics and /metrics, /v1/traces, /healthz and /readyz (503 until
+// /v1/metrics (JSON), /v1/traces, /healthz and /readyz (503 until
 // the boot below completes, and again while draining).
 //
 // The boot and teardown order is analysis.Open / Server.Close (DESIGN.md

@@ -1,6 +1,6 @@
 // Observability: the fleet observability plane end to end — two replicas
 // with their own metric registries behind a router that federates their
-// expositions into one exactly-merged fleet view, an SLO burn-rate alert
+// /v1/metrics exports into one exactly-merged fleet view, an SLO burn-rate alert
 // driven by injected faults, and the recovery that clears the alert.
 //
 //	go run ./examples/observability
@@ -50,8 +50,8 @@ func main() {
 
 // replica is one in-process stand-in for a diagnetd: its own registry
 // (two real diagnetd processes do not share memory), an instrumented
-// diagnose route behind a fault injector, and an exposition endpoint for
-// the router's federator to scrape.
+// diagnose route behind a fault injector, and the /v1/metrics endpoint
+// the router's federator scrapes.
 type replica struct {
 	srv   *httptest.Server
 	flaky *diagnet.FlakyHandler
@@ -79,7 +79,6 @@ func startReplica(model *diagnet.Model, layout diagnet.Layout) *replica {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.Handle("GET /v1/metrics", obs.MetricsHandler(reg)) // what the router federates
-	mux.Handle("GET /metrics", obs.ExpositionHandler(reg))
 	mux.Handle("/v1/diagnose", obs.Instrument(reg, "http", "diagnose", flaky.ServeHTTP))
 	return &replica{srv: httptest.NewServer(mux), flaky: flaky}
 }

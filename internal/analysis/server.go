@@ -220,7 +220,6 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 //	POST /v1/continual/retrain → trigger a retrain cycle
 //	POST /v1/continual/samples → ingest labeled feedback samples
 //	GET  /v1/metrics        → telemetry.Export as JSON (what the router federates)
-//	GET  /metrics           → the same Export as OpenMetrics text
 //	GET  /v1/traces         → kept-trace summaries (newest first)
 //	GET  /v1/traces/{id}    → one trace as a span tree
 //	GET  /healthz           → 204 (liveness)
@@ -249,10 +248,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", instrument("metrics", obs.MetricsHandler(telemetry.Default())))
 	mux.HandleFunc("GET /v1/traces", instrument("traces", handleTraces))
 	mux.HandleFunc("GET /v1/traces/", instrument("trace", handleTraceByID))
-	// The scrape-standard exposition endpoint. Uninstrumented like the
-	// probes — a scraper hits it every interval; it counts its own scrapes
-	// instead (obs.scrapes).
-	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})

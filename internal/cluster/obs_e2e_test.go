@@ -37,7 +37,6 @@ func startObsReplica(t testing.TB, version string) *obsReplica {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.Handle("GET /v1/metrics", obs.MetricsHandler(rep.reg))
-	mux.Handle("GET /metrics", obs.ExpositionHandler(rep.reg))
 	mux.Handle("/v1/diagnose", obs.Instrument(rep.reg, "http", "diagnose",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if rep.fail.Load() {
@@ -53,19 +52,38 @@ func startObsReplica(t testing.TB, version string) *obsReplica {
 
 func (o *obsReplica) url() string { return o.srv.URL }
 
-// scrapeExport fetches one /metrics endpoint and runs the text writer's
-// lint over it; the result carries Prometheus family names.
-func scrapeExport(t testing.TB, url string) telemetry.Export {
+// openMetricsAccept asks for the media type a Prometheus scraper asks
+// for, in mixed case (media types compare case-insensitively). No path
+// negotiates on it.
+const openMetricsAccept = "application/OpenMetrics-text; version=1.0.0; charset=utf-8"
+
+// get fetches url with the given Accept header (none when empty) and
+// returns the response's content type and body.
+func get(t testing.TB, url, accept string) (contentType, body string) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("scrape %s: %v", url, err)
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
-	body := readAllString(t, resp)
-	resp.Body.Close()
-	ex, err := obs.ParseExposition([]byte(body))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("scrape %s fails strict parse: %v", url, err)
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	return resp.Header.Get("Content-Type"), readAllString(t, resp)
+}
+
+// scrapeExport fetches one /v1/metrics endpoint with the given Accept
+// header and decodes it as the federator does, through obs.DecodeExport.
+func scrapeExport(t testing.TB, base, accept string) telemetry.Export {
+	t.Helper()
+	ct, body := get(t, base+"/v1/metrics", accept)
+	if !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("%s/v1/metrics: content type %q, want JSON", base, ct)
+	}
+	ex, err := obs.DecodeExport([]byte(body))
+	if err != nil {
+		t.Fatalf("%s/v1/metrics: not a JSON Export: %v", base, err)
 	}
 	return ex
 }
@@ -207,22 +225,6 @@ func TestFederationExactMerge(t *testing.T) {
 			}
 		}
 	}
-
-	// The fleet view has one path, so it negotiates: Accept the text
-	// rendering, and that text must itself pass the writer's lint.
-	req, _ := http.NewRequest(http.MethodGet, gw.URL+"/v1/fleet/metrics", nil)
-	req.Header.Set("Accept", obs.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != obs.ContentType {
-		t.Fatalf("fleet exposition content type: %q", got)
-	}
-	if _, err := obs.ParseExposition([]byte(readAllString(t, resp))); err != nil {
-		t.Fatalf("fleet exposition fails strict parse: %v", err)
-	}
 }
 
 // sloStatus mirrors the /v1/slo JSON for decoding.
@@ -327,40 +329,10 @@ func TestSLOBurnAlert(t *testing.T) {
 	}
 }
 
-// TestLiveExpositionLint runs the strict parser against the /metrics
-// output of a real diagnetd replica stack and of the router — the
-// satellite lint requirement: live exposition must satisfy every
-// promlint-style rule the parser enforces.
-func TestLiveExpositionLint(t *testing.T) {
-	rep := startRealReplica(t)
-	rt := newTestRouter(t, []string{rep.url()}, Config{})
-	gw := httptest.NewServer(rt)
-	defer gw.Close()
-
-	// Traffic through the router populates both registries' route metrics.
-	client := &http.Client{Timeout: 5 * time.Second}
-	body := diagnoseBody(t)
-	for i := 0; i < 5; i++ {
-		status, out := postJSON(t, client, gw.URL+"/v1/diagnose", body)
-		if status != http.StatusOK {
-			t.Fatalf("diagnose %d: %d %s", i, status, out)
-		}
-	}
-
-	for _, url := range []string{rep.url() + "/metrics", gw.URL + "/metrics"} {
-		ex := scrapeExport(t, url) // scrapeExport fails the test on a lint error
-		if len(ex.Counters)+len(ex.Histograms) == 0 {
-			t.Errorf("%s: exposition is empty", url)
-		}
-	}
-}
-
 // TestMetricsContentNegotiation pins "one path, one format" on a real
-// replica and on the router: whatever the Accept header says, /v1/metrics
-// is the registry's Export as JSON and /metrics the same Export as
-// OpenMetrics text. Only the router's /v1/fleet/metrics, which has no text
-// twin, still negotiates — each case is named for what its header does
-// there.
+// replica and on the router: whatever the Accept header says — a
+// Prometheus scraper's included — /v1/metrics is the registry's Export as
+// JSON and the router's /v1/fleet/metrics the JSON fleet view.
 func TestMetricsContentNegotiation(t *testing.T) {
 	rep := startRealReplica(t)
 	rt := newTestRouter(t, []string{rep.url()}, Config{
@@ -375,61 +347,22 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	cases := []struct {
-		name      string
-		accept    string
-		fleetText bool
-	}{
-		{"no accept header keeps JSON", "", false},
-		{"wildcard keeps JSON", "*/*", false},
-		{"json keeps JSON", "application/json", false},
-		{"openmetrics negotiates exposition", obs.ContentType, true},
-		{"text/plain negotiates exposition", "text/plain; version=0.0.4", true},
+	cases := []struct{ name, accept string }{
+		{"no accept header keeps JSON", ""},
+		{"wildcard keeps JSON", "*/*"},
+		{"json keeps JSON", "application/json"},
+		{"OpenMetrics keeps JSON", openMetricsAccept},
+		{"text/plain keeps JSON", "text/plain; version=0.0.4"},
 	}
-	get := func(t *testing.T, url, accept string) (contentType, body string) {
-		req, _ := http.NewRequest(http.MethodGet, url, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.Header.Get("Content-Type"), readAllString(t, resp)
-	}
-	wantText := func(t *testing.T, path, ct, body string) {
-		if ct != obs.ContentType {
-			t.Errorf("%s: content type %q, want exposition", path, ct)
-		}
-		if _, err := obs.ParseExposition([]byte(body)); err != nil {
-			t.Errorf("%s: exposition fails strict parse: %v", path, err)
-		}
-	}
-
 	for _, base := range []string{rep.url(), gw.URL} {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				ct, body := get(t, base+"/v1/metrics", tc.accept)
-				if !strings.HasPrefix(ct, "application/json") {
-					t.Errorf("/v1/metrics: content type %q, want JSON", ct)
-				}
-				ex, err := obs.DecodeExport([]byte(body))
-				if err != nil {
-					t.Errorf("/v1/metrics: not a JSON Export: %v", err)
-				}
+				ex := scrapeExport(t, base, tc.accept)
 				if len(ex.Counters)+len(ex.Histograms) == 0 {
 					t.Error("/v1/metrics: Export is empty")
 				}
 
-				ct, body = get(t, base+"/metrics", tc.accept)
-				wantText(t, "/metrics", ct, body)
-
-				ct, body = get(t, gw.URL+"/v1/fleet/metrics", tc.accept)
-				if tc.fleetText {
-					wantText(t, "/v1/fleet/metrics", ct, body)
-					return
-				}
+				ct, body := get(t, gw.URL+"/v1/fleet/metrics", tc.accept)
 				var view obs.FleetView
 				if !strings.HasPrefix(ct, "application/json") {
 					t.Errorf("/v1/fleet/metrics: content type %q, want JSON", ct)
@@ -444,9 +377,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 // TestObsEndpointsDisabled pins the 404 contract of every plane that is
 // off, on routers configured with none, some and all of the fleet plane and
-// on a journal-backed replica. The profile-capture routes are gone on all
-// of them: the mux itself answers 404, and a replica ignores a profiles/
-// ring an older incarnation left in its state dir.
+// on a journal-backed replica. The OpenMetrics text endpoint and the
+// profile-capture routes are gone on all of them: the mux itself answers
+// 404, and a replica ignores a profiles/ ring an older incarnation left in
+// its state dir.
 func TestObsEndpointsDisabled(t *testing.T) {
 	router := func(obsCfg ObsConfig) func(t *testing.T) string {
 		return func(t *testing.T) string {
@@ -498,7 +432,7 @@ func TestObsEndpointsDisabled(t *testing.T) {
 				}
 			}
 			profiles := "/v1/" + "profiles"
-			for _, path := range []string{profiles, profiles + "/x/cpu.pprof"} {
+			for _, path := range []string{"/metrics", profiles, profiles + "/x/cpu.pprof"} {
 				resp, err := http.Get(base + path)
 				if err != nil {
 					t.Fatal(err)

@@ -63,7 +63,6 @@ func NewRouter(urls []string, cfg Config) *Router {
 	mux.HandleFunc("GET /v1/model", route("model", rt.handleModel))
 	mux.HandleFunc("GET /v1/metrics", route("metrics", obs.MetricsHandler(telemetry.Default())))
 	mux.HandleFunc("/v1/replicas", route("replicas", rt.handleReplicas))
-	mux.Handle("GET /metrics", obs.ExpositionHandler(telemetry.Default()))
 	mux.HandleFunc("GET /v1/fleet/metrics", rt.handleFleetMetrics)
 	mux.HandleFunc("GET /v1/slo", rt.handleSLO)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -100,10 +100,6 @@ type Event struct {
 	Tick      int64
 	Features  []float64
 	Anomalies []int // indices flagged by the baseline pre-filter
-	// Seq is the event's journal sequence number when the agent runs
-	// with an EventLog (0 otherwise). Consumers pass it to EventLog.Ack
-	// once the event is safely handed off.
-	Seq uint64
 }
 
 // Config tunes the agent.
@@ -114,11 +110,6 @@ type Config struct {
 	Warmup int
 	// ZThreshold for the anomaly pre-filter (default 3).
 	ZThreshold float64
-	// Log, when set, journals degradation events before they are emitted
-	// (crash-safe buffering): Run replays the unacknowledged backlog at
-	// startup and journals every new event before sending it. Consumers
-	// acknowledge with Log.Ack(ev.Seq).
-	Log *EventLog
 }
 
 func (c Config) withDefaults() Config {
@@ -182,27 +173,9 @@ func (a *Agent) Step(tick int64) (Event, bool) {
 
 // Run probes every interval until the context ends, sending events to out.
 // It never blocks on a slow consumer: events are dropped (and counted, see
-// Stats) if out is full — though a journaled drop (cfg.Log) is still
-// replayable after a restart, so nothing acknowledged to the journal is
-// truly lost.
-//
-// With cfg.Log set, Run first replays the journal's unacknowledged
-// backlog into out (crash recovery), then journals each new event before
-// emitting it.
+// Stats) if out is full. Events are held in memory only: a crash loses
+// the ones not yet delivered.
 func (a *Agent) Run(ctx context.Context, interval time.Duration, startTick int64, out chan<- Event) {
-	if a.cfg.Log != nil {
-		recovered, err := a.cfg.Log.Recovered()
-		if err != nil {
-			log.Printf("collector: event journal replay: %v", err)
-		}
-		for _, ev := range recovered {
-			select {
-			case out <- ev:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	tick := startTick
@@ -212,11 +185,6 @@ func (a *Agent) Run(ctx context.Context, interval time.Duration, startTick int64
 			return
 		case <-ticker.C:
 			if ev, degraded := a.Step(tick); degraded {
-				if a.cfg.Log != nil {
-					if err := a.cfg.Log.Append(&ev); err != nil {
-						log.Printf("collector: event journal append: %v", err)
-					}
-				}
 				select {
 				case out <- ev:
 				default:

@@ -347,9 +347,7 @@ func (d *Dataset) SampleN(n int, seed int64) *Dataset {
 	return out
 }
 
-// Append adds one sample in place. Together with the streaming writer
-// (stream.go) it lets a live sample buffer emit training sets
-// incrementally instead of materializing intermediate copies.
+// Append adds one sample in place.
 func (d *Dataset) Append(s Sample) {
 	d.Samples = append(d.Samples, s)
 }

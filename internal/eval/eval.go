@@ -180,27 +180,6 @@ func (c *Confusion) F1(class int) float64 {
 	return 2 * p * r / (p + r)
 }
 
-// MacroF1 averages F1 over the classes that actually occur.
-func (c *Confusion) MacroF1() float64 {
-	var sum float64
-	var n int
-	for class := 0; class < c.Classes; class++ {
-		actual := 0
-		for j := 0; j < c.Classes; j++ {
-			actual += c.Counts[class][j]
-		}
-		if actual == 0 {
-			continue
-		}
-		sum += c.F1(class)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Support returns how many samples of the class occurred.
 func (c *Confusion) Support(class int) int {
 	n := 0

@@ -100,19 +100,6 @@ func TestConfusionAccuracyAndF1(t *testing.T) {
 	}
 }
 
-func TestMacroF1SkipsAbsentClasses(t *testing.T) {
-	c := NewConfusion(4)
-	c.Add(0, 0)
-	c.Add(1, 1)
-	// classes 2, 3 never occur.
-	if got := c.MacroF1(); got != 1 {
-		t.Fatalf("MacroF1 = %v", got)
-	}
-	if NewConfusion(2).MacroF1() != 0 {
-		t.Fatal("empty MacroF1")
-	}
-}
-
 func TestAccuracyStdErr(t *testing.T) {
 	c := NewConfusion(2)
 	for i := 0; i < 50; i++ {

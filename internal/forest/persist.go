@@ -64,25 +64,7 @@ func (ft flatTree) unflatten() (*Tree, error) {
 type forestWire struct {
 	Trees   []flatTree
 	Classes int
-	Causes  int // only used by Extensible
-}
-
-// Save writes the forest with gob.
-func (f *Forest) Save(w io.Writer) error {
-	wire := forestWire{Classes: f.classes}
-	for _, t := range f.trees {
-		wire.Trees = append(wire.Trees, t.flatten())
-	}
-	return gob.NewEncoder(w).Encode(wire)
-}
-
-// LoadForest reads a forest written by Save.
-func LoadForest(r io.Reader) (*Forest, error) {
-	var wire forestWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("forest: load: %w", err)
-	}
-	return wire.toForest()
+	Causes  int
 }
 
 func (wire forestWire) toForest() (*Forest, error) {

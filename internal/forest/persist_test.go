@@ -6,33 +6,6 @@ import (
 	"testing"
 )
 
-func TestForestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x, labels := gaussianBlobs(rng, 200)
-	f := Fit(x, labels, 2, Config{Trees: 8, Tree: TreeConfig{MaxDepth: 6}, Seed: 3})
-
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadForest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Trees() != f.Trees() || loaded.Classes() != f.Classes() {
-		t.Fatal("metadata lost")
-	}
-	for i := 0; i < 50; i++ {
-		probe := []float64{rng.NormFloat64() * 4, rng.NormFloat64()}
-		a, b := f.PredictProba(probe), loaded.PredictProba(probe)
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatal("loaded forest predicts differently")
-			}
-		}
-	}
-}
-
 func TestExtensibleSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, labels := gaussianBlobs(rng, 150)
@@ -59,9 +32,6 @@ func TestExtensibleSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadForestGarbage(t *testing.T) {
-	if _, err := LoadForest(bytes.NewBufferString("nope")); err == nil {
-		t.Fatal("want error")
-	}
 	if _, err := LoadExtensible(bytes.NewBufferString("nope")); err == nil {
 		t.Fatal("want error")
 	}

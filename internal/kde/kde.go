@@ -72,16 +72,6 @@ func (k *KDE) Density(x float64) float64 {
 	return s * invSqrt2Pi * inv / float64(len(k.points))
 }
 
-// LogDensity returns log(Density(x)), floored to avoid −Inf so Naive Bayes
-// log-likelihood sums stay finite.
-func (k *KDE) LogDensity(x float64) float64 {
-	d := k.Density(x)
-	if d < 1e-300 {
-		return math.Log(1e-300)
-	}
-	return math.Log(d)
-}
-
 // Merge returns the union KDE of all inputs: the concatenation of their
 // support points with a freshly selected Silverman bandwidth. This is the
 // paper's KDE-merge used to build generic likelihoods for features and

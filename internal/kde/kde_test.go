@@ -50,14 +50,6 @@ func TestNewEmptyPanics(t *testing.T) {
 	New(nil, 0)
 }
 
-func TestLogDensityFinite(t *testing.T) {
-	k := New([]float64{0}, 0.001)
-	ld := k.LogDensity(1e9)
-	if math.IsInf(ld, 0) || math.IsNaN(ld) {
-		t.Fatalf("LogDensity = %v", ld)
-	}
-}
-
 func TestMergeFlattens(t *testing.T) {
 	a := New([]float64{-5, -5.1, -4.9}, 0)
 	b := New([]float64{5, 5.1, 4.9}, 0)

@@ -8,9 +8,13 @@ import (
 	"diagnet/internal/mat"
 )
 
+// newAdam returns Adam with the customary defaults (lr 0.001, β₁ 0.9,
+// β₂ 0.999, ε 1e-8).
+func newAdam() *Adam { return &Adam{LR: 0.001, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8} }
+
 func TestAdamMatchesManualFirstSteps(t *testing.T) {
 	p := newParam("w", 1, 1)
-	o := NewAdam()
+	o := newAdam()
 	var m, v float64
 	w := 0.0
 	for step := 1; step <= 5; step++ {
@@ -32,7 +36,7 @@ func TestAdamSkipsFrozen(t *testing.T) {
 	p := newParam("w", 1, 1)
 	p.Frozen = true
 	p.grad().Data[0] = 10
-	o := NewAdam()
+	o := newAdam()
 	o.Step([]*Param{p})
 	if p.Value.Data[0] != 0 {
 		t.Fatal("frozen param moved")
@@ -42,7 +46,7 @@ func TestAdamSkipsFrozen(t *testing.T) {
 func TestAdamReset(t *testing.T) {
 	p := newParam("w", 1, 1)
 	p.grad().Data[0] = 1
-	o := NewAdam()
+	o := newAdam()
 	o.Step([]*Param{p})
 	o.Reset()
 	if o.step != 0 || o.m != nil || o.v != nil {
@@ -53,7 +57,7 @@ func TestAdamReset(t *testing.T) {
 func TestAdamClipNorm(t *testing.T) {
 	p := newParam("w", 1, 2)
 	p.grad().Data[0], p.grad().Data[1] = 30, 40
-	o := NewAdam()
+	o := newAdam()
 	o.ClipNorm = 5
 	o.Step([]*Param{p})
 	// After clipping the gradient is (3, 4); first Adam step ≈ -lr·sign.

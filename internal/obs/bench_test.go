@@ -69,7 +69,7 @@ func runPaced(b *testing.B, c int, fn func()) {
 
 // benchRegistry builds a registry with a production-like metric
 // population — the scrape cost scales with family count and histogram
-// width, so an empty registry would flatter the exposition path.
+// width, so an empty registry would flatter the scrape path.
 func benchRegistry() *telemetry.Registry {
 	reg := telemetry.New()
 	for i := 0; i < 40; i++ {
@@ -87,15 +87,14 @@ func benchRegistry() *telemetry.Registry {
 	return reg
 }
 
-// BenchmarkExposition prices what a live scraper costs the request path:
-// the same instrumented handler serves 16 paced clients, and the
-// scrape-on variant adds a background scraper hitting GET /metrics every
-// 10ms. The exposition writer holds no registry-wide lock — counters are
-// read atomically point by point — so the only interference is the CPU
-// and allocation cost of rendering the text, which is what the CI gate
-// bounds: p99(scrape-on) ≤ 1.10 × p99(scrape-off) at c16
-// (results/BENCH_obs.json).
-func BenchmarkExposition(b *testing.B) {
+// BenchmarkScrape prices what a live scraper costs the request path: the
+// same instrumented handler serves 16 paced clients, and the scrape-on
+// variant adds a background scraper hitting GET /v1/metrics every 10ms.
+// Export holds no registry-wide lock — counters are read atomically point
+// by point — so the only interference is the CPU and allocation cost of
+// rendering the JSON, which is what the CI gate bounds: p99(scrape-on) ≤
+// 1.10 × p99(scrape-off) at c16.
+func BenchmarkScrape(b *testing.B) {
 	for _, scraping := range []bool{false, true} {
 		name := "scrape-off"
 		if scraping {
@@ -112,7 +111,7 @@ func BenchmarkExposition(b *testing.B) {
 					work.Observe(1.5)
 					fmt.Fprint(w, `{"ok":true}`)
 				})))
-			mux.Handle("/metrics", ExpositionHandler(reg))
+			mux.Handle("GET /v1/metrics", MetricsHandler(reg))
 			srv := httptest.NewServer(mux)
 			defer srv.Close()
 			client := srv.Client()
@@ -130,7 +129,7 @@ func BenchmarkExposition(b *testing.B) {
 						case <-stop:
 							return
 						case <-t.C:
-							resp, err := client.Get(srv.URL + "/metrics")
+							resp, err := client.Get(srv.URL + "/v1/metrics")
 							if err == nil {
 								io.Copy(io.Discard, resp.Body)
 								resp.Body.Close()
@@ -155,21 +154,6 @@ func BenchmarkExposition(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteExposition prices one render of a production-size
-// registry to the OpenMetrics text format — the per-scrape cost a
-// daemon pays when a Prometheus-style scraper reads GET /metrics.
-func BenchmarkWriteExposition(b *testing.B) {
-	reg := benchRegistry()
-	ex := reg.Export()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writeExposition(io.Discard, &ex); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecodeExport prices the validated decode of one replica's
 // /v1/metrics payload — the federator pays this per replica per sweep.
 func BenchmarkDecodeExport(b *testing.B) {
@@ -185,35 +169,4 @@ func BenchmarkDecodeExport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkParseExposition prices the text writer's lint over one
-// production-size exposition (tests and the fuzzer run it; nothing in
-// production does).
-func BenchmarkParseExposition(b *testing.B) {
-	reg := benchRegistry()
-	ex := reg.Export()
-	var buf []byte
-	{
-		w := &sliceWriter{}
-		if err := writeExposition(w, &ex); err != nil {
-			b.Fatal(err)
-		}
-		buf = w.b
-	}
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseExposition(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -215,28 +214,13 @@ func (f *Federator) View() (FleetView, bool) {
 	return f.view, f.ok
 }
 
-// wantsExposition reports whether the request's Accept header asks for the
-// OpenMetrics text rendering. Only the fleet view negotiates: unlike a
-// daemon's own registry (/v1/metrics JSON, /metrics text) it has one path.
-func wantsExposition(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "openmetrics") ||
-		strings.Contains(accept, "text/plain")
-}
-
 // ServeView writes the fleet view (GET /v1/fleet/metrics) as JSON — the
-// merged Export plus the per-replica breakdown — or, when the Accept
-// header asks, the merged Export as OpenMetrics text; 503 before the
-// first sweep.
+// merged Export plus the per-replica breakdown — whatever the request's
+// Accept header says; 503 before the first sweep.
 func (f *Federator) ServeView(w http.ResponseWriter, r *http.Request) {
 	view, ok := f.View()
 	if !ok {
 		http.Error(w, "federation has not completed a sweep yet", http.StatusServiceUnavailable)
-		return
-	}
-	if wantsExposition(r) {
-		w.Header().Set("Content-Type", ContentType)
-		_ = writeExposition(w, &view.Fleet)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -1,15 +1,13 @@
 // Package obs is DiagNet's fleet observability plane (DESIGN.md §16),
 // layered on the internal/telemetry registry. There is one metric model,
-// telemetry.Export, under one name space, the dotted registry names; this
-// package renders it, moves it between processes and consumes it:
+// telemetry.Export, under one name space, the dotted registry names, and
+// one wire format, JSON; this package serves it, moves it between
+// processes and consumes it:
 //
-//   - Two renderings. Every daemon serves its registry's Export as JSON at
-//     GET /v1/metrics (MetricsHandler) and as OpenMetrics text at
-//     GET /metrics (ExpositionHandler) — counters (_total), gauges, and
-//     fixed-bucket histograms with cumulative _bucket series, _sum/_count
-//     and the tail exemplars annotated on their bucket line. The text
-//     writer is the one place a dotted name becomes a Prometheus family
-//     name (PromName); ParseExposition is that writer's lint.
+//   - One rendering. Every daemon serves its registry's Export as JSON at
+//     GET /v1/metrics (MetricsHandler): counters, gauges (NaN and ±Inf
+//     included), and fixed-bucket histograms with their full cumulative
+//     bucket state, sum and tail exemplar.
 //
 //   - Metric federation. The router fetches each replica's /v1/metrics on
 //     a timer, validates the decoded Export (DecodeExport), and merges the
@@ -48,27 +46,13 @@ import (
 )
 
 // MetricsHandler serves GET /v1/metrics: the registry's Export as one
-// JSON document, whatever the request's Accept header says — the text
-// rendering of the same Export has its own path. Like every handler in
-// this package it leaves the method check to the mux: mount it under a
-// "GET " pattern.
+// JSON document, whatever the request's Accept header says. Like every
+// handler in this package it leaves the method check to the mux: mount it
+// under a "GET " pattern.
 func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, reg.Export())
 	}
-}
-
-// ExpositionHandler serves GET /metrics: the registry's Export as
-// OpenMetrics text, counting scrapes (into the same registry) so the
-// observability plane observes itself.
-func ExpositionHandler(reg *telemetry.Registry) http.Handler {
-	scrapes := reg.Counter("obs.scrapes")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		scrapes.Inc()
-		w.Header().Set("Content-Type", ContentType)
-		ex := reg.Export()
-		_ = writeExposition(w, &ex)
-	})
 }
 
 // RouteNames are the registry names Instrument records one HTTP route

@@ -9,142 +9,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"diagnet/internal/telemetry"
 )
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"http.diagnose.latency_ms": "http_diagnose_latency_ms",
-		"slo.alerts.fired":         "slo_alerts_fired",
-		"9lives":                   "_9lives",
-		"already_fine:ok":          "already_fine:ok",
-		"":                         "_",
-	}
-	for in, want := range cases {
-		if got := PromName(in); got != want {
-			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
-		}
-		if got := PromName(PromName(in)); got != want {
-			t.Errorf("PromName not idempotent on %q: %q", in, got)
-		}
-	}
-}
-
-// TestExpositionRoundTrip pins the wire format end to end: a populated
-// registry exposes, the strict parser decodes, and every value survives
-// exactly.
-func TestExpositionRoundTrip(t *testing.T) {
-	reg := telemetry.New()
-	reg.Counter("http.diagnose.requests").Add(42)
-	reg.Counter("http.diagnose.errors").Add(3)
-	reg.Gauge("http.inflight").Set(2.5)
-	h := reg.Histogram("http.diagnose.latency_ms", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
-	h.ObserveExemplar(7, "deadbeef")
-
-	var buf bytes.Buffer
-	ex := reg.Export()
-	if err := writeExposition(&buf, &ex); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	text := buf.String()
-	if !strings.HasSuffix(text, "# EOF\n") {
-		t.Fatalf("missing terminal # EOF:\n%s", text)
-	}
-	if !strings.Contains(text, `# {trace_id="deadbeef"} 7`) {
-		t.Errorf("exemplar annotation missing:\n%s", text)
-	}
-
-	got, err := ParseExposition(buf.Bytes())
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, text)
-	}
-	if v, ok := got.Counter("http_diagnose_requests"); !ok || v != 42 {
-		t.Errorf("requests counter: got %d, %v", v, ok)
-	}
-	if v, ok := got.Counter("http_diagnose_errors"); !ok || v != 3 {
-		t.Errorf("errors counter: got %d, %v", v, ok)
-	}
-	if v, ok := got.Gauge("http_inflight"); !ok || v != 2.5 {
-		t.Errorf("inflight gauge: got %v, %v", v, ok)
-	}
-	hp, ok := got.Histogram("http_diagnose_latency_ms")
-	if !ok {
-		t.Fatalf("latency histogram missing")
-	}
-	if hp.Count() != 5 {
-		t.Errorf("count: got %d, want 5", hp.Count())
-	}
-	if want := 0.5 + 5 + 50 + 500 + 7; hp.Sum != want {
-		t.Errorf("sum: got %v, want %v", hp.Sum, want)
-	}
-	wantCum := []int64{1, 3, 4, 5}
-	for i, c := range hp.Cumulative {
-		if c != wantCum[i] {
-			t.Errorf("cumulative[%d]: got %d, want %d", i, c, wantCum[i])
-		}
-	}
-	if hp.Exemplar == nil || hp.Exemplar.TraceID != "deadbeef" || hp.Exemplar.Value != 7 {
-		t.Errorf("exemplar: got %+v", hp.Exemplar)
-	}
-
-	// Re-exposing the parsed export must be byte-identical modulo the
-	// already-prom names: the writer is stable on its own output.
-	var buf2, buf3 bytes.Buffer
-	if err := writeExposition(&buf2, &got); err != nil {
-		t.Fatalf("re-write: %v", err)
-	}
-	got2, err := ParseExposition(buf2.Bytes())
-	if err != nil {
-		t.Fatalf("re-parse: %v", err)
-	}
-	if err := writeExposition(&buf3, &got2); err != nil {
-		t.Fatalf("re-re-write: %v", err)
-	}
-	if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
-		t.Errorf("exposition not stable across parse/write cycles:\n%s\nvs\n%s", buf2.String(), buf3.String())
-	}
-}
-
-// TestParserLint pins the strict rules: each malformed document must be
-// rejected.
-func TestParserLint(t *testing.T) {
-	cases := map[string]string{
-		"missing EOF":                 "# HELP a A.\n# TYPE a counter\na_total 1\n",
-		"content after EOF":           "# HELP a A.\n# TYPE a counter\na_total 1\n# EOF\nx_total 2\n",
-		"bad family name":             "# HELP 1bad A.\n# TYPE 1bad counter\n1bad_total 1\n# EOF\n",
-		"type before help":            "# TYPE a counter\na_total 1\n# EOF\n",
-		"sample before type":          "# HELP a A.\na_total 1\n# TYPE a counter\n# EOF\n",
-		"unknown type":                "# HELP a A.\n# TYPE a summary\na 1\n# EOF\n",
-		"duplicate family":            "# HELP a A.\n# TYPE a counter\na_total 1\n# HELP a A.\n# TYPE a counter\na_total 2\n# EOF\n",
-		"counter without _total":      "# HELP a A.\n# TYPE a counter\na 1\n# EOF\n",
-		"counter negative":            "# HELP a A.\n# TYPE a counter\na_total -1\n# EOF\n",
-		"counter float":               "# HELP a A.\n# TYPE a counter\na_total 1.5\n# EOF\n",
-		"family without samples":      "# HELP a A.\n# TYPE a counter\n# HELP b B.\n# TYPE b counter\nb_total 1\n# EOF\n",
-		"histogram without +Inf":      "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n# EOF\n",
-		"histogram non-monotone":      "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n# EOF\n",
-		"histogram descending bounds": "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n# EOF\n",
-		"histogram count mismatch":    "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n# EOF\n",
-		"histogram missing sum":       "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n# EOF\n",
-		"histogram bucket after inf":  "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 2\n# EOF\n",
-		"gauge with exemplar":         "# HELP g G.\n# TYPE g gauge\ng 1 # {trace_id=\"ab\"} 1\n# EOF\n",
-		"blank interior line":         "# HELP a A.\n\n# TYPE a counter\na_total 1\n# EOF\n",
-	}
-	for name, doc := range cases {
-		if _, err := ParseExposition([]byte(doc)); err == nil {
-			t.Errorf("%s: parser accepted malformed document:\n%s", name, doc)
-		}
-	}
-}
 
 // TestMergeExact pins federation arithmetic: fleet totals are the exact
 // sums of per-replica values.
@@ -354,19 +225,23 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
-// TestExpositionHandlerAndNegotiation pins "one path, one format" at the
-// handlers: ExpositionHandler serves lint-clean text and MetricsHandler a
-// JSON Export of the same registry, whatever the Accept header asks for.
-func TestExpositionHandlerAndNegotiation(t *testing.T) {
+// openMetricsAccept asks for the media type a Prometheus scraper asks
+// for, in mixed case (media types compare case-insensitively). No path
+// negotiates on it.
+const openMetricsAccept = "application/OpenMetrics-text; version=1.0.0; charset=utf-8"
+
+// TestMetricsHandlerIgnoresAccept pins "one path, one format" at the
+// handler: MetricsHandler serves the registry's Export as JSON whatever
+// the Accept header asks for.
+func TestMetricsHandlerIgnoresAccept(t *testing.T) {
 	reg := telemetry.New()
 	reg.Counter("a.b").Add(1)
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", ExpositionHandler(reg))
 	mux.Handle("GET /v1/metrics", MetricsHandler(reg))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	get := func(path, accept string) (string, []byte) {
-		req, _ := http.NewRequest(http.MethodGet, srv.URL+path, nil)
+	for _, accept := range []string{"", "*/*", "application/json", openMetricsAccept, "text/plain; version=0.0.4"} {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/metrics", nil)
 		if accept != "" {
 			req.Header.Set("Accept", accept)
 		}
@@ -374,40 +249,27 @@ func TestExpositionHandlerAndNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Header.Get("Content-Type"), body
-	}
-	for _, accept := range []string{"", "*/*", "application/json", ContentType, "text/plain; version=0.0.4"} {
-		ct, body := get("/metrics", accept)
-		if ct != ContentType {
-			t.Errorf("/metrics, Accept %q: content type %q", accept, ct)
-		}
-		text, err := ParseExposition(body)
-		if err != nil {
-			t.Errorf("/metrics, Accept %q: self-scrape fails lint: %v\n%s", accept, err, body)
-		}
-		if v, _ := text.Counter("a_b"); v != 1 {
-			t.Errorf("/metrics, Accept %q: a_b = %d, want 1", accept, v)
-		}
-		ct, body = get("/v1/metrics", accept)
-		if ct != "application/json" {
-			t.Errorf("/v1/metrics, Accept %q: content type %q", accept, ct)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Accept %q: content type %q", accept, ct)
 		}
 		ex, err := DecodeExport(body)
 		if err != nil {
-			t.Errorf("/v1/metrics, Accept %q: %v\n%s", accept, err, body)
+			t.Errorf("Accept %q: %v\n%s", accept, err, body)
 		}
 		if v, _ := ex.Counter("a.b"); v != 1 {
-			t.Errorf("/v1/metrics, Accept %q: a.b = %d, want 1", accept, v)
+			t.Errorf("Accept %q: a.b = %d, want 1", accept, v)
 		}
 	}
 }
 
-// goldenRegistry is the fixed state behind testdata/exposition.golden.
+// goldenRegistry holds one of every shape the wire format must carry:
+// non-finite and negative gauges, a name that is not a valid identifier,
+// exemplars on a latency and a size histogram, and an empty histogram.
 func goldenRegistry() *telemetry.Registry {
 	reg := telemetry.New()
 	reg.Counter("http.diagnose.requests").Add(42)
@@ -416,6 +278,7 @@ func goldenRegistry() *telemetry.Registry {
 	reg.Gauge("http.inflight").Set(2.5)
 	reg.Gauge("nn.train.loss").Set(math.NaN())
 	reg.Gauge("nn.train.val_loss").Set(math.Inf(1))
+	reg.Gauge("nn.train.grad_norm").Set(math.Inf(-1))
 	reg.Gauge("drift.score").Set(-0.125)
 	h := reg.Histogram("http.diagnose.latency_ms", []float64{1, 10, 100})
 	h.Observe(0.5)
@@ -428,23 +291,49 @@ func goldenRegistry() *telemetry.Registry {
 	return reg
 }
 
-// TestExpositionGolden pins GET /metrics byte for byte: the golden file is
-// what the commit before the Snapshot model was deleted wrote for this
-// registry — sanitized names, non-finite gauges, exemplar lines, an empty
-// histogram and all. A scraper must not see this refactor.
-func TestExpositionGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "exposition.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMetricsRoundTrip pins the wire format end to end: goldenRegistry's
+// Export goes out through MetricsHandler, comes back through DecodeExport
+// and is the same Export — every counter, gauge (NaN and ±Inf included),
+// bucket, sum and exemplar, the empty histogram too.
+func TestMetricsRoundTrip(t *testing.T) {
+	reg := goldenRegistry()
 	rec := httptest.NewRecorder()
-	ExpositionHandler(goldenRegistry()).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	// The handler counts its own scrape into the registry it renders; the
-	// golden registry had no such family.
-	got := strings.Replace(rec.Body.String(),
-		"# HELP obs_scrapes DiagNet counter obs.scrapes.\n# TYPE obs_scrapes counter\nobs_scrapes_total 1\n", "", 1)
-	if got != string(want) {
-		t.Errorf("exposition drifted from the golden file:\n%s\nwant:\n%s", got, want)
+	MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	got, err := DecodeExport(rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("decode: %v\n%s", err, rec.Body.String())
+	}
+	want := reg.Export()
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("counters: got %+v, want %+v", got.Counters, want.Counters)
+	}
+	if !reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("histograms: got %+v, want %+v", got.Histograms, want.Histograms)
+	}
+	if len(got.Gauges) != len(want.Gauges) {
+		t.Fatalf("gauges: got %+v, want %+v", got.Gauges, want.Gauges)
+	}
+	for i, g := range got.Gauges {
+		w := want.Gauges[i]
+		if g.Name != w.Name || (g.Value != w.Value && !(math.IsNaN(g.Value) && math.IsNaN(w.Value))) {
+			t.Errorf("gauge %d: got %s=%v, want %s=%v", i, g.Name, g.Value, w.Name, w.Value)
+		}
+	}
+	// The shapes the golden registry exists for must actually be there.
+	if v, _ := got.Gauge("nn.train.loss"); !math.IsNaN(v) {
+		t.Errorf("NaN gauge came back as %v", v)
+	}
+	if v, _ := got.Gauge("nn.train.val_loss"); !math.IsInf(v, 1) {
+		t.Errorf("+Inf gauge came back as %v", v)
+	}
+	if v, _ := got.Gauge("nn.train.grad_norm"); !math.IsInf(v, -1) {
+		t.Errorf("-Inf gauge came back as %v", v)
+	}
+	if h, _ := got.Histogram("http.diagnose.latency_ms"); h.Exemplar == nil || h.Exemplar.TraceID != "deadbeef" || h.Exemplar.Value != 7 {
+		t.Errorf("latency exemplar: got %+v", h.Exemplar)
+	}
+	if h, ok := got.Histogram("empty.hist"); !ok || h.Count() != 0 || len(h.Cumulative) != 2 || h.Exemplar != nil {
+		t.Errorf("empty histogram: got %+v (present=%v)", h, ok)
 	}
 }
 
@@ -478,7 +367,7 @@ func TestDecodeExport(t *testing.T) {
 		{"second document", `{"counters":[]}{"counters":[]}`, false},
 		{"truncated", `{"counters":[{"name":"a","val`, false},
 		{"the deleted map-shaped document", `{"counters":{"a":1},"gauges":{},"histograms":{}}`, false},
-		{"openmetrics text", "# HELP a A.\n# TYPE a counter\na_total 1\n# EOF\n", false},
+		{"exposition text", "# HELP a A.\n# TYPE a counter\na_total 1\n# EOF\n", false},
 		{"empty body", ``, false},
 	}
 	for _, tc := range cases {

@@ -59,7 +59,6 @@ func (r *replica) boot(ln net.Listener) error {
 	mux.Handle("/v1/diagnose", obs.Instrument(r.reg, "http", "diagnose", inner.ServeHTTP))
 	mux.Handle("/v1/diagnose-batch", obs.Instrument(r.reg, "http", "diagnose_batch", inner.ServeHTTP))
 	mux.Handle("GET /v1/metrics", obs.MetricsHandler(r.reg))
-	mux.Handle("GET /metrics", obs.ExpositionHandler(r.reg))
 	mux.Handle("/", inner)
 
 	r.srv, r.httpSrv = srv, &http.Server{Handler: mux}

@@ -103,13 +103,6 @@ func (l *LockedRand) Shuffle(n int, swap func(i, j int)) {
 	l.r.Shuffle(n, swap)
 }
 
-// TruncNorm draws from a normal distribution with the given mean and
-// standard deviation, truncated to [lo, hi] by clamping. Clamping (rather
-// than rejection) keeps the draw count deterministic per call.
-func TruncNorm(rng *rand.Rand, mean, std, lo, hi float64) float64 {
-	return Clamp(mean+std*rng.NormFloat64(), lo, hi)
-}
-
 // LogNorm draws a log-normal variate exp(N(mu, sigma)).
 func LogNorm(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())

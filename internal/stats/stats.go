@@ -97,33 +97,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summary holds the five-number-style summary used in experiment reports.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, P25, P50, P75 float64
-	Max                float64
-}
-
-// Summarize computes a Summary of xs. An empty slice yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  sorted[0],
-		P25:  PercentileSorted(sorted, 25),
-		P50:  PercentileSorted(sorted, 50),
-		P75:  PercentileSorted(sorted, 75),
-		Max:  sorted[len(sorted)-1],
-	}
-}
-
 // Online accumulates mean and variance incrementally using Welford's
 // algorithm. The zero value is ready to use.
 type Online struct {

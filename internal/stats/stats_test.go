@@ -80,16 +80,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.P50 != 3 || s.Mean != 3 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if (Summary{}) != Summarize(nil) {
-		t.Fatal("empty Summarize should be zero value")
-	}
-}
-
 func TestOnlineMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 1000)
@@ -161,16 +151,6 @@ func TestNewRandReproducible(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("NewRand not reproducible")
-		}
-	}
-}
-
-func TestTruncNormWithinBounds(t *testing.T) {
-	rng := NewRand(9, 0)
-	for i := 0; i < 1000; i++ {
-		v := TruncNorm(rng, 0, 10, -1, 1)
-		if v < -1 || v > 1 {
-			t.Fatalf("TruncNorm out of bounds: %v", v)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // Diagnose call spends in the forward pass vs. the input-gradient
 // attention pass, how often probe rounds degrade, how many events the
 // collector drops. Every layer of the pipeline records into the default
-// registry; diagnetd renders its Export as GET /v1/metrics (JSON) and
-// GET /metrics (OpenMetrics text), diagnet-agent via its -metrics listener.
+// registry; diagnetd and the router serve its Export as JSON at
+// GET /v1/metrics, diagnet-agent via its -metrics listener.
 //
 // The hot-path cost is one atomic add per counter event and one binary
 // search plus two atomic adds per histogram observation; stage timing
@@ -322,8 +322,8 @@ type HistogramPoint struct {
 // MarshalJSON and UnmarshalJSON keep a gauge's JSON form total:
 // encoding/json refuses NaN and ±Inf — and one diverged training epoch
 // sets nn.train.loss to NaN — so those three values cross the wire as the
-// strings "NaN", "+Inf", "-Inf", the text form's spellings, and decode
-// back to the same value. Value stays a plain float64 for the code that
+// strings "NaN", "+Inf", "-Inf" (strconv.FormatFloat's spellings) and
+// decode back to the same value. Value stays a plain float64 for the code that
 // does arithmetic on it.
 func (g GaugePoint) MarshalJSON() ([]byte, error) {
 	var v any = g.Value
@@ -410,8 +410,8 @@ func (p *HistogramPoint) Quantile(q float64) float64 {
 // Export is the one point-in-time view of a registry: every slice is
 // sorted by metric name and histograms carry their full bucket state.
 // Everything downstream consumes this form under these dotted names — the
-// JSON and OpenMetrics renderings, the fleet federation merge, the SLO
-// engine (internal/obs).
+// JSON rendering, the fleet federation merge, the SLO engine
+// (internal/obs).
 type Export struct {
 	Counters   []CounterPoint   `json:"counters"`
 	Gauges     []GaugePoint     `json:"gauges"`
@@ -450,7 +450,7 @@ func (e *Export) Histogram(name string) (*HistogramPoint, bool) {
 
 // Export captures every metric with full histogram bucket state, sorted
 // by name (deterministic across calls and processes — no snapshot-diff
-// churn, and a stable exposition ordering for scrapers).
+// churn, and a stable JSON ordering for scrapers).
 func (r *Registry) Export() Export {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -284,8 +284,8 @@ func TestHistogramCumulative(t *testing.T) {
 }
 
 // TestRegistryExportDeterministic pins the Export ordering contract:
-// sorted by metric name, stable across calls — the exposition and the
-// fleet merge both key on it, and snapshot-diff tests stop churning.
+// sorted by metric name, stable across calls — the JSON rendering and
+// the fleet merge both key on it, and snapshot-diff tests stop churning.
 func TestRegistryExportDeterministic(t *testing.T) {
 	r := New()
 	for _, n := range []string{"zz.last", "aa.first", "mm.middle"} {
@@ -324,8 +324,8 @@ func TestRegistryExportDeterministic(t *testing.T) {
 
 // TestSnapshotDeterministic pins the JSON wire form of an Export byte for
 // byte — what GET /v1/metrics serves and the federator decodes: sorted by
-// name, dotted names, full bucket state, and non-finite floats spelled as
-// the text form spells them.
+// name, dotted names, full bucket state, and non-finite floats spelled
+// "NaN", "+Inf" and "-Inf".
 func TestSnapshotDeterministic(t *testing.T) {
 	r := New()
 	r.Counter("b.two").Add(2)

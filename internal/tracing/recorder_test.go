@@ -29,7 +29,6 @@ func TestConcurrentSpanRecording(t *testing.T) {
 				// children of the shared root, racing into one traceBuf
 				cctx, c := tr.StartSpan(rootCtx, fmt.Sprintf("child-%d", g))
 				c.SetAttr("iter", i)
-				c.AddEvent("tick")
 				_, gc := tr.StartSpan(cctx, "leaf")
 				gc.End()
 				if i%5 == 0 {

@@ -219,12 +219,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// SpanEvent is a timestamped annotation inside a span.
-type SpanEvent struct {
-	OffsetMs float64 `json:"offset_ms"` // since span start
-	Name     string  `json:"name"`
-}
-
 // SpanData is the immutable record of one completed span.
 type SpanData struct {
 	TraceID    string         `json:"trace_id"`
@@ -234,7 +228,6 @@ type SpanData struct {
 	Start      time.Time      `json:"start"`
 	DurationMs float64        `json:"duration_ms"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
-	Events     []SpanEvent    `json:"events,omitempty"`
 	Links      []SpanContext  `json:"links,omitempty"`
 	Error      string         `json:"error,omitempty"`
 }
@@ -362,17 +355,6 @@ func (s *Span) SetAttr(key string, value any) {
 		s.data.Attrs = map[string]any{}
 	}
 	s.data.Attrs[key] = value
-	s.mu.Unlock()
-}
-
-// AddEvent records a timestamped annotation.
-func (s *Span) AddEvent(name string) {
-	if s == nil {
-		return
-	}
-	off := float64(time.Since(s.start).Nanoseconds()) / 1e6
-	s.mu.Lock()
-	s.data.Events = append(s.data.Events, SpanEvent{OffsetMs: off, Name: name})
 	s.mu.Unlock()
 }
 

@@ -22,7 +22,6 @@ func TestSpanNesting(t *testing.T) {
 	ctx2, child := tr.StartSpan(ctx, "child")
 	_, grand := tr.StartSpan(ctx2, "grandchild")
 	grand.SetAttr("k", 42)
-	grand.AddEvent("went-deep")
 	grand.End()
 	child.End()
 	root.End()
@@ -48,15 +47,11 @@ func TestSpanNesting(t *testing.T) {
 	if gc[0].Attrs["k"] != 42 {
 		t.Fatalf("attr lost: %v", gc[0].Attrs)
 	}
-	if len(gc[0].Events) != 1 || gc[0].Events[0].Name != "went-deep" {
-		t.Fatalf("event lost: %v", gc[0].Events)
-	}
 }
 
 func TestNilSpanNoops(t *testing.T) {
 	var s *Span
 	s.SetAttr("k", 1)
-	s.AddEvent("e")
 	s.SetError(errors.New("x"))
 	s.Link(SpanContext{TraceID: "t", SpanID: "s"})
 	s.End()
