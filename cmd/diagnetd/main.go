@@ -32,7 +32,8 @@
 // candidate that is compared with the incumbent on replayed served
 // requests and promoted through a gate (-promote-min-gain) under an
 // auto-rollback watchdog —
-// with its state under <state-dir>/continual (§15). Every /v1 request
+// with its state under <state-dir>/continual, journaled under the same
+// -fsync policy (§15). Every /v1 request
 // gets a trace, continued from an incoming traceparent and echoed in
 // X-Trace-Id; -trace-sample head-samples while slow (> -trace-slow) and
 // error traces are always kept, and logs carry trace_id/span_id (§12).
@@ -109,7 +110,6 @@ func run(ctx context.Context, args []string) error {
 	if opt.Fsync, err = durable.ParseFsyncPolicy(*fsyncMode); err != nil {
 		return fmt.Errorf("bad -fsync: %w", err)
 	}
-	opt.Store.Fsync, opt.Loop.Fsync = opt.Fsync, opt.Fsync
 	opt.Trainer.Logf = func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) }
 	for _, path := range strings.Split(*specialized, ",") {
 		if path = strings.TrimSpace(path); path != "" {

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"context"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -197,38 +197,19 @@ func TestModelInfoAndHealth(t *testing.T) {
 	}
 }
 
+// TestDriftEndpoint: the drift verdict belongs to the continual
+// controller and is published as the drift.* metrics; the server has no
+// drift route, so GET /v1/drift is the mux's own 404.
 func TestDriftEndpoint(t *testing.T) {
-	srv, ts := newService(t)
-	req := sampleRequest(t)
-	// Build a reference, freeze, then add live observations.
-	for i := 0; i < 30; i++ {
-		if _, err := srv.Diagnose(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.enableDrift()
-	status := srv.DriftStatus()
-	if status.Drifted {
-		t.Fatalf("no live data yet: %+v", status)
-	}
-	if status.SamplesRef != 30 {
-		t.Fatalf("reference samples %d", status.SamplesRef)
-	}
-	// The HTTP endpoint serves the same JSON.
+	_, ts := newService(t)
 	resp, err := http.Get(ts.URL + "/v1/drift")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var got struct {
-		SamplesRef int  `json:"SamplesRef"`
-		Drifted    bool `json:"Drifted"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.SamplesRef != 30 || got.Drifted {
-		t.Fatalf("endpoint returned %+v", got)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || string(body) != "404 page not found\n" {
+		t.Fatalf("GET /v1/drift = %d %q, want the mux's 404", resp.StatusCode, body)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Continual-learning surface: the analysis server taps every served
 // diagnosis into the continual controller (pseudo-labeled sample ingest,
-// regression-watchdog feed, and the requests a shadowing candidate is
-// replayed on) and exposes the loop's control plane:
+// the drift trigger and regression-watchdog feed, and the requests a
+// shadowing candidate is replayed on) and exposes the loop's control
+// plane:
 //
 //	GET  /v1/continual          → continual.Status (state machine, last cycle)
 //	POST /v1/continual/retrain  → trigger a retrain cycle now
@@ -36,27 +37,15 @@ func (s *Server) Continual() *continual.Controller {
 	return s.loop.Load()
 }
 
-// ResetDrift re-arms the request-path drift detector: the live window and
-// the frozen reference are discarded, and a new reference auto-freezes
-// once a full window of post-reset diagnoses has been observed. The
-// continual controller calls this right after a promotion — the old
-// baseline describes the old model's prediction distribution and would
-// read the candidate's legitimate improvements as drift.
-func (s *Server) ResetDrift() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drift.Reset(0)
-}
-
 // feedContinual taps one served diagnosis into the continual plane. The
 // request and its coarse distribution go to ObserveServing: the
-// distribution feeds the post-promotion regression watchdog, and while a
-// candidate shadows, the request is what the controller replays through
-// it and the incumbent. The raw request also becomes a pseudo-labeled
-// sample in the live training buffer (Family = the served prediction,
-// Cause unknown — ground truth arrives separately via POST
-// /v1/continual/samples). Ingest failures are logged, never surfaced: the
-// client's diagnosis already succeeded.
+// distribution feeds the drift trigger and the post-promotion regression
+// watchdog, and while a candidate shadows, the request is what the
+// controller replays through it and the incumbent. The raw request also
+// becomes a pseudo-labeled sample in the live training buffer (Family =
+// the served prediction, Cause unknown — ground truth arrives separately
+// via POST /v1/continual/samples). Ingest failures are logged, never
+// surfaced: the client's diagnosis already succeeded.
 func (s *Server) feedContinual(ctrl *continual.Controller, req *DiagnoseRequest, layout probe.Layout, diag *core.Diagnosis) {
 	ctrl.ObserveServing(core.Row{Service: req.ServiceID, Layout: layout, Features: req.Features}, diag.Coarse)
 	err := ctrl.Ingest(continual.Sample{

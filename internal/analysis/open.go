@@ -35,15 +35,15 @@ type Options struct {
 
 	// StateDir makes the model lifecycle crash-safe (DESIGN.md §13) and
 	// hosts continual/{samples,ckpt,state}. Empty keeps everything in
-	// memory. Fsync is its journal's durability.
+	// memory. Fsync is the durability of every journal under it.
 	StateDir string
 	Fsync    durable.FsyncPolicy
 
 	Serving serving.Config
 
 	// Continual closes the learning loop (DESIGN.md §15). Open sets
-	// Store.Dir, Trainer.{CheckpointDir,Load} and Loop.{Engine,Store,
-	// Trainer,DriftStatus,ResetDrift,StateDir}; the rest is the caller's.
+	// Store.{Dir,Fsync}, Trainer.{CheckpointDir,Load} and Loop.{Engine,
+	// Store,Trainer,StateDir,Fsync}; the rest is the caller's.
 	Continual bool
 	Store     continual.StoreConfig
 	Trainer   continual.TrainerConfig
@@ -153,9 +153,9 @@ func (s *Server) openContinual(opt Options) error {
 	store, trainer, loop := opt.Store, opt.Trainer, opt.Loop
 	if opt.StateDir != "" {
 		base := filepath.Join(opt.StateDir, "continual")
-		store.Dir = filepath.Join(base, "samples")
+		store.Dir, store.Fsync = filepath.Join(base, "samples"), opt.Fsync
 		trainer.CheckpointDir = filepath.Join(base, "ckpt")
-		loop.StateDir = filepath.Join(base, "state")
+		loop.StateDir, loop.Fsync = filepath.Join(base, "state"), opt.Fsync
 	}
 	var err error
 	if s.store, err = continual.OpenStore(store); err != nil {
@@ -176,14 +176,10 @@ func (s *Server) openContinual(opt Options) error {
 		return err
 	}
 	loop.Engine, loop.Store = s.engine, s.store
-	loop.DriftStatus, loop.ResetDrift = s.DriftStatus, s.ResetDrift
 	ctrl, err := continual.NewController(loop)
 	if err != nil {
 		return err
 	}
-	// Freeze the drift reference once a full window of boot-model
-	// diagnoses accumulates; its Drifted signal is the loop's trigger.
-	s.ResetDrift()
 	ctrl.Start()
 	s.attachContinual(ctrl)
 	return nil

@@ -21,12 +21,10 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"diagnet/internal/continual"
 	"diagnet/internal/core"
-	"diagnet/internal/drift"
 	"diagnet/internal/obs"
 	"diagnet/internal/probe"
 	"diagnet/internal/serving"
@@ -124,11 +122,6 @@ type ModelInfo struct {
 // Server is the analysis service. Requests flow through the serving
 // engine's bounded queue, micro-batcher and worker pool; models live in
 // the engine's versioned registry and are hot-swapped atomically.
-//
-// The server feeds every coarse prediction into a drift detector
-// (§II-A: networks and services evolve); once enableDrift has frozen a
-// reference window, /v1/drift reports whether the live prediction
-// distribution still matches it.
 type Server struct {
 	engine *serving.Engine
 
@@ -141,11 +134,8 @@ type Server struct {
 	// once Close starts draining (/healthz stays 204 throughout).
 	ready atomic.Bool
 
-	mu    sync.Mutex // guards drift
-	drift *drift.Detector
-
 	// loop, when set via attachContinual, receives every served diagnosis
-	// (pseudo-labeled sample + watchdog observation) and backs the
+	// (pseudo-labeled sample + drift observation) and backs the
 	// /v1/continual control surface.
 	loop atomic.Pointer[continual.Controller]
 
@@ -171,10 +161,7 @@ func NewServer(general *core.Model) *Server {
 // SetReady(true) once its boot is done — until then GET /readyz answers
 // 503 so load balancers hold traffic back.
 func NewServerFromEngine(e *serving.Engine) *Server {
-	return &Server{
-		engine: e,
-		drift:  drift.NewDetector(int(probe.NumFamilies), drift.Config{}),
-	}
+	return &Server{engine: e}
 }
 
 // SetReady flips the /readyz gate (Open sets it last; Close clears it
@@ -186,21 +173,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Engine exposes the serving engine (registry access, stats).
 func (s *Server) Engine() *serving.Engine { return s.engine }
-
-// enableDrift freezes the drift reference: diagnoses so far form the
-// baseline, later ones fill the live window.
-func (s *Server) enableDrift() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drift.Freeze()
-}
-
-// DriftStatus returns the detector's verdict.
-func (s *Server) DriftStatus() drift.Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drift.Status()
-}
 
 // SetSpecialized registers a per-service model in the active version via
 // the registry's copy-on-write snapshot swap — safe under concurrent
@@ -239,9 +211,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/model", instrument("model", s.handleModel))
 	mux.HandleFunc("GET /v1/models", instrument("models", s.handleModelsList))
 	mux.HandleFunc("POST /v1/models", instrument("models", s.handleModelAction))
-	mux.HandleFunc("/v1/drift", instrument("drift", func(w http.ResponseWriter, r *http.Request) {
-		obs.WriteJSON(w, s.DriftStatus())
-	}))
 	mux.HandleFunc("GET /v1/continual", instrument("continual", s.handleContinual))
 	mux.HandleFunc("POST /v1/continual/retrain", instrument("continual_retrain", s.handleContinualRetrain))
 	mux.HandleFunc("POST /v1/continual/samples", instrument("continual_samples", s.handleContinualSamples))
@@ -401,14 +370,10 @@ func (s *Server) validate(req *DiagnoseRequest) (*serving.Request, error) {
 	return &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}, nil
 }
 
-// respond feeds a served diagnosis to the drift detector and the continual
-// plane and shapes the client's reply.
+// respond feeds a served diagnosis to the continual plane, when there is
+// one, and shapes the client's reply.
 func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving.Result) *DiagnoseResponse {
 	diag := res.Diagnosis
-
-	s.mu.Lock()
-	s.drift.Observe(diag.Coarse)
-	s.mu.Unlock()
 	if ctrl := s.loop.Load(); ctrl != nil {
 		s.feedContinual(ctrl, req, layout, diag)
 	}

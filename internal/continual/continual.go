@@ -86,11 +86,6 @@ type Config struct {
 	HoldoutFrac float64
 	// Classes is the coarse-family count (default probe.NumFamilies).
 	Classes int
-	// DriftStatus, when set, lets drift signals trigger cycles.
-	DriftStatus func() drift.Status
-	// ResetDrift, when set, re-arms the drift baseline after a promotion
-	// (the old reference describes the old model).
-	ResetDrift func()
 	// WatchWindow is how long the regression watchdog runs after a
 	// promotion (default 2m).
 	WatchWindow time.Duration
@@ -106,7 +101,8 @@ type Config struct {
 	// internal/durable; the cycle counter survives restarts so candidate
 	// version names never collide.
 	StateDir string
-	// Fsync selects the transition journal's durability (default batch).
+	// Fsync selects the transition journal's durability (zero is
+	// FsyncAlways).
 	Fsync durable.FsyncPolicy
 	// Seed drives export splits and the evaluator reservoir (default 1).
 	Seed int64
@@ -210,8 +206,18 @@ type Controller struct {
 	watchUntil   time.Time
 	transitions  []Transition
 
-	wdMu     sync.Mutex
-	watchdog *drift.Detector
+	// detMu guards both drift detectors, which the serving tap feeds from
+	// request goroutines. driftTrigger is the retrain trigger: it watches
+	// every served diagnosis, freezes its reference on its first full
+	// window and re-baselines after each promotion. watchdog is the
+	// post-promotion regression check, nil outside a watch window.
+	detMu        sync.Mutex
+	driftTrigger *drift.Detector
+	watchdog     *drift.Detector
+	// wasDrifted is the trigger's verdict at the previous tick, so
+	// drift.signals counts each stable→drifted edge once. Loop goroutine
+	// only.
+	wasDrifted bool
 
 	// replay is the queue the serving tap hands served requests to while a
 	// candidate shadows, and nil otherwise: each shadow phase drains a
@@ -239,11 +245,13 @@ func NewController(cfg Config) (*Controller, error) {
 		return nil, errors.New("continual: controller needs a trainer")
 	}
 	c := &Controller{
-		cfg:     cfg,
-		gate:    cfg.Gate.withDefaults(),
-		state:   StateIdle,
-		trigger: make(chan string, 1),
+		cfg:          cfg,
+		gate:         cfg.Gate.withDefaults(),
+		state:        StateIdle,
+		driftTrigger: drift.NewDetector(cfg.Classes, drift.Config{}),
+		trigger:      make(chan string, 1),
 	}
+	c.driftTrigger.Reset() // the first full window of served traffic is the reference
 	c.lastCycleEnd = cfg.Now()
 	if cfg.StateDir != "" {
 		jn, err := durable.Open(cfg.StateDir, durable.Options{Fsync: cfg.Fsync})
@@ -315,10 +323,11 @@ func (c *Controller) Ingest(smp Sample) error {
 
 // ObserveServing is the serving path's tap: one served request and the
 // coarse distribution it was answered with. The distribution feeds the
-// post-promotion regression watchdog (a no-op outside a watch window);
-// while a candidate shadows, the request is handed to the cycle, which
-// replays it through the incumbent and the candidate. The hand-off never
-// blocks: a request that finds the replay queue full is not replayed.
+// drift trigger and, inside a watch window, the post-promotion
+// regression watchdog; while a candidate shadows, the request is handed
+// to the cycle, which replays it through the incumbent and the candidate.
+// The hand-off never blocks: a request that finds the replay queue full
+// is not replayed.
 func (c *Controller) ObserveServing(row core.Row, coarse []float64) {
 	if q := c.replay.Load(); q != nil {
 		select {
@@ -326,8 +335,9 @@ func (c *Controller) ObserveServing(row core.Row, coarse []float64) {
 		default:
 		}
 	}
-	c.wdMu.Lock()
-	defer c.wdMu.Unlock()
+	c.detMu.Lock()
+	defer c.detMu.Unlock()
+	c.driftTrigger.Observe(coarse)
 	if c.watchdog != nil {
 		c.watchdog.Observe(coarse)
 	}
@@ -429,8 +439,10 @@ func (c *Controller) run() {
 	}
 }
 
-// tick checks triggers and the regression watchdog.
+// tick publishes the drift trigger's verdict, then checks triggers and
+// the regression watchdog.
 func (c *Controller) tick() {
+	verdict := c.driftVerdict()
 	c.mu.Lock()
 	state := c.state
 	c.mu.Unlock()
@@ -441,7 +453,7 @@ func (c *Controller) tick() {
 			c.transition(StateCollecting, "buffering live samples")
 		}
 	case StateCollecting, StateRolledBack:
-		if reason, ok := c.shouldRetrain(); ok {
+		if reason, ok := c.shouldRetrain(verdict); ok {
 			c.runCycle(reason)
 		}
 	case StatePromoting:
@@ -449,15 +461,36 @@ func (c *Controller) tick() {
 	}
 }
 
+// driftVerdict reads the drift trigger and publishes its verdict: the
+// drift.* gauges describe this detector and no other, and drift.signals
+// counts its stable→drifted edges.
+func (c *Controller) driftVerdict() drift.Status {
+	c.detMu.Lock()
+	st := c.driftTrigger.Status()
+	c.detMu.Unlock()
+	mDriftPSI.Set(st.PSI)
+	mDriftConfDelta.Set(st.ConfidenceDelta)
+	mDriftSamplesLive.Set(float64(st.SamplesLive))
+	mDriftSamplesRef.Set(float64(st.SamplesRef))
+	if st.Drifted {
+		mDrifted.Set(1)
+	} else {
+		mDrifted.Set(0)
+	}
+	if st.Drifted && !c.wasDrifted {
+		mDriftSignals.Inc()
+	}
+	c.wasDrifted = st.Drifted
+	return st
+}
+
 // shouldRetrain evaluates the drift and timer triggers.
-func (c *Controller) shouldRetrain() (string, bool) {
+func (c *Controller) shouldRetrain(verdict drift.Status) (string, bool) {
 	if c.cfg.Store.Len() < c.cfg.MinSamples {
 		return "", false
 	}
-	if c.cfg.DriftStatus != nil {
-		if st := c.cfg.DriftStatus(); st.Drifted {
-			return "drift: " + st.Reason, true
-		}
+	if verdict.Drifted {
+		return "drift: " + verdict.Reason, true
 	}
 	if c.cfg.RetrainInterval > 0 {
 		c.mu.Lock()
@@ -567,12 +600,10 @@ func (c *Controller) runCycle(reason string) {
 	}
 	pspan.End()
 	mPromotions.Inc()
-	if c.cfg.ResetDrift != nil {
-		c.cfg.ResetDrift()
-	}
-	c.wdMu.Lock()
+	c.detMu.Lock()
+	c.driftTrigger.Reset() // the old reference describes the old model
 	c.watchdog = wd
-	c.wdMu.Unlock()
+	c.detMu.Unlock()
 	c.mu.Lock()
 	c.watchUntil = c.cfg.Now().Add(c.cfg.WatchWindow)
 	c.mu.Unlock()
@@ -684,7 +715,6 @@ func (c *Controller) buildWatchdog(eval *shadowEvaluator) *drift.Detector {
 	det := drift.NewDetector(c.cfg.Classes, drift.Config{
 		WindowSize:   c.cfg.WatchWindowSize,
 		PSIThreshold: c.cfg.WatchPSI,
-		Now:          c.cfg.Now,
 	})
 	for _, v := range baseline {
 		det.Observe(v)
@@ -695,13 +725,13 @@ func (c *Controller) buildWatchdog(eval *shadowEvaluator) *drift.Detector {
 
 // checkWatchdog polls the regression watchdog during the watch window.
 func (c *Controller) checkWatchdog() {
-	c.wdMu.Lock()
+	c.detMu.Lock()
 	wd := c.watchdog
 	var st drift.Status
 	if wd != nil {
 		st = wd.Status()
 	}
-	c.wdMu.Unlock()
+	c.detMu.Unlock()
 
 	c.mu.Lock()
 	expired := c.cfg.Now().After(c.watchUntil)
@@ -709,9 +739,9 @@ func (c *Controller) checkWatchdog() {
 
 	if wd != nil && st.Drifted {
 		restored, err := c.cfg.Engine.Registry().Rollback()
-		c.wdMu.Lock()
+		c.detMu.Lock()
 		c.watchdog = nil
-		c.wdMu.Unlock()
+		c.detMu.Unlock()
 		mRollbacks.Inc()
 		if err != nil {
 			c.mu.Lock()
@@ -726,9 +756,9 @@ func (c *Controller) checkWatchdog() {
 		return
 	}
 	if expired {
-		c.wdMu.Lock()
+		c.detMu.Lock()
 		c.watchdog = nil
-		c.wdMu.Unlock()
+		c.detMu.Unlock()
 		c.transition(StateCollecting, "watch window passed clean")
 	}
 }

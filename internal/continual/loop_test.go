@@ -53,10 +53,9 @@ func nominalOnly(d *dataset.Dataset) *dataset.Dataset {
 // function runs, drawing uniform random samples (per-worker seeded RNG)
 // from whatever dataset src currently holds — swapping src mid-test
 // simulates a traffic shift. Every answered request is tapped into ctrl
-// the way the analysis server's handlers tap it, and its coarse
-// distribution is also reported to onCoarse when set. Any serving error
-// fails the test — the continual plane must never cost a client request.
-func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset], ctrl *Controller, onCoarse func([]float64)) (stop func()) {
+// the way the analysis server's handlers tap it. Any serving error fails
+// the test — the continual plane must never cost a client request.
+func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset], ctrl *Controller) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -78,9 +77,6 @@ func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset],
 					return
 				}
 				ctrl.ObserveServing(row, res.Diagnosis.Coarse)
-				if onCoarse != nil {
-					onCoarse(res.Diagnosis.Coarse)
-				}
 			}
 		}(w)
 	}
@@ -107,79 +103,43 @@ func waitState(t *testing.T, c *Controller, want State, timeout time.Duration) {
 	}
 }
 
-// guardedDetector makes a drift.Detector safe for the test's concurrent
-// observe/status callers (mirrors analysis.Server's locking).
-type guardedDetector struct {
-	mu  sync.Mutex
-	det *drift.Detector
+// triggerWindow is the drift trigger's window: drift.Config's default.
+const triggerWindow = 200
+
+// triggerStatus reads the controller's drift trigger.
+func triggerStatus(c *Controller) drift.Status {
+	c.detMu.Lock()
+	defer c.detMu.Unlock()
+	return c.driftTrigger.Status()
 }
 
-func (g *guardedDetector) Observe(coarse []float64) {
-	g.mu.Lock()
-	g.det.Observe(coarse)
-	g.mu.Unlock()
-}
-
-func (g *guardedDetector) Status() drift.Status {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.det.Status()
-}
-
-func (g *guardedDetector) Reset(n int) {
-	g.mu.Lock()
-	g.det.Reset(n)
-	g.mu.Unlock()
-}
-
-// TestLoopDriftToPromotion is the closed-loop e2e: live traffic shifts,
-// the drift detector fires, a retrain runs on buffered live samples, the
-// candidate is replayed on served requests, the gate promotes it, the registry
-// hot-swaps, and the drift reference re-arms — all while client requests
-// keep succeeding.
+// TestLoopDriftToPromotion is the closed-loop e2e, driven through the
+// controller's own drift trigger: a window of nominal served traffic
+// freezes the trigger's reference, the traffic shifts to faults and the
+// trigger fires, a retrain runs on buffered live samples, the candidate
+// is replayed on served requests, the gate promotes it and the registry
+// hot-swaps — all while client requests keep succeeding. The promotion
+// re-baselines the trigger on the new model: the same shifted traffic,
+// still flowing after the watch window passes clean, starts no second
+// cycle.
 func TestLoopDriftToPromotion(t *testing.T) {
-	m, d := fixture(t)
+	_, d := fixture(t)
 	e := loopEngine(t)
 	store := storeFromDataset(t, d, true, 32)
 	defer store.Close()
 
-	// Real drift detector: baseline on nominal-traffic predictions, then
-	// a live window full of fault-traffic predictions — the distribution
-	// shift that must trigger the loop. Window 128 keeps small-sample PSI
-	// noise well under the threshold once re-armed.
-	const win = 128
-	gd := &guardedDetector{det: drift.NewDetector(int(probe.NumFamilies), drift.Config{WindowSize: win})}
-	nom := nominalOnly(d)
-	for i := 0; i < win; i++ {
-		gd.Observe(m.CoarsePredict(nom.Samples[i%nom.Len()].Features, d.Layout))
-	}
-	gd.det.Freeze()
-	deg := d.Degraded()
-	for i := 0; i < win; i++ {
-		gd.Observe(m.CoarsePredict(deg.Samples[i%deg.Len()].Features, d.Layout))
-	}
-	if !gd.Status().Drifted {
-		t.Fatal("fixture shift did not trip the detector")
-	}
-
-	var resets atomic.Int64
 	tr, err := NewTrainer(TrainerConfig{Epochs: 1, Seed: 3, SpecializeMin: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl, err := NewController(Config{
-		Engine:        e,
-		Store:         store,
-		Trainer:       tr,
-		Gate:          GateConfig{MinShadowSamples: 128, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
-		ShadowTimeout: 20 * time.Second,
-		CheckInterval: 5 * time.Millisecond,
-		MinSamples:    16,
-		DriftStatus:   gd.Status,
-		ResetDrift: func() {
-			resets.Add(1)
-			gd.Reset(0)
-		},
+		Engine:          e,
+		Store:           store,
+		Trainer:         tr,
+		Gate:            GateConfig{MinShadowSamples: 128, MinGain: -1, MaxPSI: 100, MaxLatencyRatio: 100},
+		ShadowTimeout:   20 * time.Second,
+		CheckInterval:   5 * time.Millisecond,
+		MinSamples:      16,
 		WatchWindow:     150 * time.Millisecond,
 		WatchWindowSize: 128,
 		WatchPSI:        0.5,
@@ -191,20 +151,31 @@ func TestLoopDriftToPromotion(t *testing.T) {
 	defer ctrl.Close()
 
 	var src atomic.Pointer[dataset.Dataset]
-	src.Store(deg)
-	stop := pump(t, e, &src, ctrl, gd.Observe)
+	src.Store(nominalOnly(d))
+	stop := pump(t, e, &src, ctrl)
 	defer stop()
-
 	ctrl.Start()
+
+	waitFor(t, ctrl, "the trigger's reference freeze on nominal traffic", 30*time.Second, func(Status) bool {
+		return triggerStatus(ctrl).SamplesLive > 0
+	})
+	if st := ctrl.Status(); st.Cycle != 0 {
+		t.Fatalf("nominal traffic started a cycle: %+v", st.Transitions)
+	}
+	src.Store(d.Degraded())
 	waitState(t, ctrl, StatePromoting, 60*time.Second)
 
 	if got := e.Registry().Active(); got != "retrain-000001" {
 		t.Fatalf("active version %q after promotion", got)
 	}
-	if resets.Load() == 0 {
-		t.Fatal("drift reference was not reset after promotion")
-	}
 	st := ctrl.Status()
+	var byDrift bool
+	for _, tr := range st.Transitions {
+		byDrift = byDrift || tr.To == StateTraining && strings.HasPrefix(tr.Reason, "drift: ")
+	}
+	if !byDrift {
+		t.Fatalf("the cycle was not started by the drift trigger: %+v", st.Transitions)
+	}
 	if st.LastDecision == nil || !st.LastDecision.Promote {
 		t.Fatalf("decision %+v", st.LastDecision)
 	}
@@ -215,12 +186,120 @@ func TestLoopDriftToPromotion(t *testing.T) {
 		t.Fatalf("train summary %+v", st.LastTrain)
 	}
 
-	// Stable traffic through the watch window: the watchdog stays quiet
-	// and the loop returns to collecting.
+	// The watch window passes clean and the loop returns to collecting.
 	waitState(t, ctrl, StateCollecting, 10*time.Second)
 	if got := e.Registry().Active(); got != "retrain-000001" {
 		t.Fatalf("clean watch window still rolled back to %q", got)
 	}
+	// Traffic is still fault-heavy. Re-baselined on the promoted model, the
+	// trigger fills a reference and a live window from it and stays quiet;
+	// kept on the boot model's nominal reference, it reads drift and starts
+	// a second cycle. The drift.* gauges are what this controller's last
+	// tick saw: its ticks in the watch window overwrote any older value.
+	waitFor(t, ctrl, "a tick on a full post-promotion live window", 30*time.Second, func(Status) bool {
+		return mDriftSamplesLive.Value() == triggerWindow
+	})
+	if st := ctrl.Status(); mDrifted.Value() != 0 || st.Cycle != 1 {
+		t.Fatalf("the trigger reads drift on traffic the promoted model was baselined on: drift.psi %.3f, cycle %d, state %q",
+			mDriftPSI.Value(), st.Cycle, st.State)
+	}
+}
+
+// peaked is a coarse distribution with confidence 0.9 on class k.
+func peaked(k int) []float64 {
+	out := make([]float64, probe.NumFamilies)
+	for i := range out {
+		out[i] = 0.1 / float64(len(out)-1)
+	}
+	out[k] = 0.9
+	return out
+}
+
+// TestDriftMetricsDescribeTheTrigger: the drift.* metrics are the retrain
+// trigger's verdict and no other detector's. While the post-promotion
+// watchdog holds a drifted verdict and the trigger is stable, a tick
+// leaves drift.drifted at 0 and drift.signals where it was; the
+// trigger's own stable→drifted edges count once per episode, and a new
+// episode after recovery counts again.
+func TestDriftMetricsDescribeTheTrigger(t *testing.T) {
+	e := loopEngine(t)
+	// A second version, so the watchdog's rollback has one to restore.
+	if err := e.Registry().AddModel("next", cloneModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Registry().Promote("next"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(StoreConfig{}) // empty: no tick can start a cycle
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctrl, err := NewController(Config{
+		Engine: e,
+		Store:  store,
+		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) {
+			t.Error("a tick started a cycle")
+			return nil, context.Canceled
+		},
+		WatchWindow: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	serve := func(class int) {
+		for i := 0; i < triggerWindow; i++ {
+			ctrl.ObserveServing(core.Row{}, peaked(class))
+		}
+	}
+	signals := mDriftSignals.Value()
+	checkTick := func(wantDrifted float64, wantSignals int64) {
+		t.Helper()
+		ctrl.tick()
+		if got := mDrifted.Value(); got != wantDrifted {
+			t.Fatalf("drift.drifted = %v, want %v", got, wantDrifted)
+		}
+		if got := mDriftSignals.Value() - signals; got != wantSignals {
+			t.Fatalf("drift.signals grew by %d, want %d", got, wantSignals)
+		}
+	}
+
+	serve(0) // the trigger's reference
+	serve(0) // a stable live window
+
+	// A watchdog whose live window left its baseline.
+	wd := drift.NewDetector(int(probe.NumFamilies), drift.Config{WindowSize: 16})
+	for i := 0; i < 16; i++ {
+		wd.Observe(peaked(0))
+	}
+	wd.Freeze()
+	for i := 0; i < 16; i++ {
+		wd.Observe(peaked(4))
+	}
+	if !wd.Status().Drifted {
+		t.Fatal("watchdog fixture is not drifted")
+	}
+	ctrl.detMu.Lock()
+	ctrl.watchdog = wd
+	ctrl.detMu.Unlock()
+	ctrl.mu.Lock()
+	ctrl.watchUntil = time.Now().Add(time.Minute)
+	ctrl.mu.Unlock()
+	ctrl.transition(StatePromoting, "test")
+
+	checkTick(0, 0)
+	if got := ctrl.State(); got != StateRolledBack {
+		t.Fatalf("state %q: the watchdog's verdict was not acted on", got)
+	}
+
+	serve(4)
+	checkTick(1, 1)
+	checkTick(1, 1) // one episode counts once
+	serve(0)
+	checkTick(0, 1)
+	serve(4)
+	checkTick(1, 2)
 }
 
 // cloneModel is a behavior-identical copy of the fixture model that shares
@@ -288,7 +367,7 @@ func TestLoopGateRejectsRegression(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, ctrl, nil)
+	stop := pump(t, e, &src, ctrl)
 	defer stop()
 
 	ctrl.Start()
@@ -354,7 +433,7 @@ func TestLoopWatchdogRollsBack(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, ctrl, nil)
+	stop := pump(t, e, &src, ctrl)
 	defer stop()
 
 	ctrl.Start()
@@ -419,7 +498,7 @@ func TestLoopConcurrentIngest(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, ctrl, nil)
+	stop := pump(t, e, &src, ctrl)
 	defer stop()
 
 	ingestCtx, ingestCancel := context.WithCancel(context.Background())
@@ -621,7 +700,7 @@ func TestLoopPanickingCandidateFailsCycle(t *testing.T) {
 
 	var src atomic.Pointer[dataset.Dataset]
 	src.Store(d.Degraded())
-	stop := pump(t, e, &src, ctrl, nil)
+	stop := pump(t, e, &src, ctrl)
 	defer stop()
 
 	ctrl.Start()

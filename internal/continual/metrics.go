@@ -19,3 +19,15 @@ var (
 	mTrainEpochs  = telemetry.Default().Counter("continual.trainer.epochs")
 	mState        = telemetry.Default().Gauge("continual.state")
 )
+
+// The drift trigger's verdict, written every tick: the gauges mirror its
+// latest Status and drift.signals counts its stable→drifted edges. The
+// post-promotion watchdog publishes nothing here.
+var (
+	mDriftPSI         = telemetry.Default().Gauge("drift.psi")
+	mDriftConfDelta   = telemetry.Default().Gauge("drift.confidence_delta")
+	mDriftSamplesLive = telemetry.Default().Gauge("drift.samples_live")
+	mDriftSamplesRef  = telemetry.Default().Gauge("drift.samples_ref")
+	mDrifted          = telemetry.Default().Gauge("drift.drifted")
+	mDriftSignals     = telemetry.Default().Counter("drift.signals")
+)

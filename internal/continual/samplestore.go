@@ -63,7 +63,7 @@ type StoreConfig struct {
 	// re-samples the journaled stream with the same seed, so recovery is
 	// deterministic for a given journal.
 	Seed int64
-	// Fsync selects the journal's durability policy (default FsyncBatch).
+	// Fsync selects the journal's durability policy (zero is FsyncAlways).
 	Fsync durable.FsyncPolicy
 	// CompactEvery triggers journal compaction after this many ingests
 	// (default 8× PerStratum; 0 uses the default, negative disables).

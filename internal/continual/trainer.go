@@ -15,6 +15,13 @@ import (
 	"diagnet/internal/durable"
 )
 
+// A trainer pauses between epochs while serving pressure is above
+// pauseAbove, re-checking it every pausePoll.
+const (
+	pauseAbove = 0.8
+	pausePoll  = 50 * time.Millisecond
+)
+
 // TrainerConfig configures the background retraining worker.
 type TrainerConfig struct {
 	// Epochs is the retraining epoch budget (default 4).
@@ -28,15 +35,10 @@ type TrainerConfig struct {
 	// disables specialization).
 	SpecializeMin int
 	// Load reports serving pressure in [0, 1] (queue depth / capacity).
-	// The trainer pauses between epochs while Load() > PauseAbove, so a
+	// The trainer pauses between epochs while Load() > pauseAbove, so a
 	// retrain never competes with an overloaded serving plane. Nil never
 	// pauses.
 	Load func() float64
-	// PauseAbove is the pressure threshold (default 0.8).
-	PauseAbove float64
-	// PausePoll is how often a paused trainer re-checks Load (default
-	// 50ms).
-	PausePoll time.Duration
 	// CheckpointDir, when set, persists an epoch checkpoint through
 	// internal/durable after every epoch: a killed retrain resumes from
 	// its last finished epoch instead of epoch zero.
@@ -54,12 +56,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	if c.SpecializeMin == 0 {
 		c.SpecializeMin = 32
-	}
-	if c.PauseAbove <= 0 {
-		c.PauseAbove = 0.8
-	}
-	if c.PausePoll <= 0 {
-		c.PausePoll = 50 * time.Millisecond
 	}
 	return c
 }
@@ -141,16 +137,16 @@ func (t *Trainer) waitForCapacity(ctx context.Context) error {
 			timer.Stop()
 		}
 	}()
-	for t.cfg.Load() > t.cfg.PauseAbove {
+	for t.cfg.Load() > pauseAbove {
 		if !paused {
 			paused = true
 			mTrainPauses.Inc()
-			t.logf("continual: trainer paused (serving load %.2f > %.2f)", t.cfg.Load(), t.cfg.PauseAbove)
+			t.logf("continual: trainer paused (serving load %.2f > %.2f)", t.cfg.Load(), pauseAbove)
 		}
 		if timer == nil {
-			timer = time.NewTimer(t.cfg.PausePoll)
+			timer = time.NewTimer(pausePoll)
 		} else {
-			timer.Reset(t.cfg.PausePoll)
+			timer.Reset(pausePoll)
 		}
 		select {
 		case <-ctx.Done():

@@ -140,7 +140,6 @@ func TestTrainerPausesUnderLoad(t *testing.T) {
 	load.Store(1)
 	tr, err := NewTrainer(TrainerConfig{
 		Epochs: 1, Seed: 3, SpecializeMin: -1,
-		PausePoll: time.Millisecond,
 		Load: func() float64 {
 			if load.Load() == 1 {
 				return 1

@@ -4,14 +4,16 @@
 // fitting. The detector compares the model's live coarse-prediction
 // distribution and confidence against a reference window captured at
 // deployment time, using the population stability index (PSI) and a
-// confidence drop, and raises a retraining signal when either exceeds its
-// threshold.
+// confidence drop, and reports drift when either exceeds its threshold.
+//
+// The package only computes verdicts. The continual controller owns the
+// detectors that act on them: its retrain trigger, whose verdict it
+// publishes as the drift.* metrics, and its post-promotion watchdog.
 package drift
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"diagnet/internal/stats"
 )
@@ -27,9 +29,6 @@ type Config struct {
 	// ConfidenceDrop raises the signal when the mean top-1 probability
 	// falls this far below the reference mean (default 0.15).
 	ConfidenceDrop float64
-	// Now supplies the clock for signal timestamps (default time.Now);
-	// injectable for deterministic tests.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -42,15 +41,13 @@ func (c Config) withDefaults() Config {
 	if c.ConfidenceDrop <= 0 {
 		c.ConfidenceDrop = 0.15
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
-// Detector accumulates coarse predictions. Feed it with Observe; Snapshot
-// the reference right after deployment; Status reports drift. Not safe for
-// concurrent use.
+// Detector accumulates coarse predictions. Feed it with Observe; Freeze
+// the reference right after deployment, or Reset it to freeze itself on
+// its first full window; Status reports drift. Not safe for concurrent
+// use.
 type Detector struct {
 	cfg     Config
 	classes int
@@ -69,12 +66,6 @@ type Detector struct {
 	// that many reference observations have accumulated (Reset arms it for
 	// unattended re-baselining after a model promotion).
 	autoFreeze int
-	// Signal bookkeeping: a "signal" is a Status() call whose verdict
-	// flips from stable to drifted. wasDrifted dedups repeated drifted
-	// verdicts so one episode counts once.
-	wasDrifted bool
-	signals    int64
-	lastSignal time.Time
 }
 
 // NewDetector creates a detector over `classes` coarse classes.
@@ -134,21 +125,13 @@ func (d *Detector) Freeze() {
 
 // Reset discards both the reference and the live window so the detector
 // can re-baseline against a new model's prediction distribution (the
-// continual-learning plane calls this right after a promotion: the old
+// continual controller calls this right after a promotion: the old
 // reference describes the old model and would read the legitimate change
-// of decision function as drift). When autoFreezeAfter > 0 the new
-// reference freezes itself once that many observations have accumulated;
-// 0 re-arms the previous window size, and a caller that wants a manual
-// Freeze can pass a negative value.
-func (d *Detector) Reset(autoFreezeAfter int) {
-	if autoFreezeAfter == 0 {
-		autoFreezeAfter = d.cfg.WindowSize
-	}
-	if autoFreezeAfter < 0 {
-		autoFreezeAfter = 0
-	}
+// of decision function as drift). The new reference freezes itself once a
+// full window of observations has accumulated.
+func (d *Detector) Reset() {
 	d.refSet = false
-	d.autoFreeze = autoFreezeAfter
+	d.autoFreeze = d.cfg.WindowSize
 	d.refConf = stats.Online{}
 	for i := range d.refCounts {
 		d.refCounts[i] = 0
@@ -158,11 +141,7 @@ func (d *Detector) Reset(autoFreezeAfter int) {
 	}
 	d.pos = 0
 	d.filled = false
-	d.wasDrifted = false
 }
-
-// WindowSize returns the configured live-window size.
-func (d *Detector) WindowSize() int { return d.cfg.WindowSize }
 
 // liveN returns the live-window sample count.
 func (d *Detector) liveN() int {
@@ -174,43 +153,23 @@ func (d *Detector) liveN() int {
 
 // Status is the detector's verdict.
 type Status struct {
-	PSI            float64
-	RefConfidence  float64
-	LiveConfidence float64
-	// ConfidenceDelta is RefConfidence − LiveConfidence (positive when the
-	// model has become less sure than it was at baseline).
+	PSI float64
+	// ConfidenceDelta is the reference mean top-1 probability minus the
+	// live one (positive when the model has become less sure than it was
+	// at baseline).
 	ConfidenceDelta float64
-	SamplesRef      int
-	SamplesLive     int
-	// WindowSize is the configured live-window size; WindowFilled reports
-	// whether the live ring has wrapped at least once.
-	WindowSize   int
-	WindowFilled bool
-	// Frozen reports whether a reference baseline has been captured.
-	Frozen  bool
-	Drifted bool
-	Reason  string
-	// Signals counts stable→drifted transitions since creation (or the
-	// last Reset); LastSignal is the wall-clock time of the latest one
-	// (zero if none).
-	Signals    int64     `json:",omitempty"`
-	LastSignal time.Time `json:",omitempty"`
+	// SamplesRef counts the reference observations; SamplesLive the live
+	// window's, which stays 0 until the reference freezes.
+	SamplesRef  int
+	SamplesLive int
+	Drifted     bool
+	Reason      string
 }
 
 // Status computes the current drift verdict. It needs a frozen reference
 // and at least a half-full live window.
 func (d *Detector) Status() Status {
-	s := Status{
-		RefConfidence: d.refConf.Mean(),
-		SamplesRef:    d.refConf.N(),
-		SamplesLive:   d.liveN(),
-		WindowSize:    d.cfg.WindowSize,
-		WindowFilled:  d.filled,
-		Frozen:        d.refSet,
-		Signals:       d.signals,
-		LastSignal:    d.lastSignal,
-	}
-	defer s.publish()
+	s := Status{SamplesRef: d.refConf.N(), SamplesLive: d.liveN()}
 	if !d.refSet || s.SamplesLive < d.cfg.WindowSize/2 {
 		s.Reason = "insufficient data"
 		return s
@@ -219,8 +178,8 @@ func (d *Detector) Status() Status {
 	for i := 0; i < s.SamplesLive; i++ {
 		liveConfSum += d.liveConf[i]
 	}
-	s.LiveConfidence = liveConfSum / float64(s.SamplesLive)
-	s.ConfidenceDelta = s.RefConfidence - s.LiveConfidence
+	refConf, liveConf := d.refConf.Mean(), liveConfSum/float64(s.SamplesLive)
+	s.ConfidenceDelta = refConf - liveConf
 	s.PSI = psi(d.refCounts, d.liveCounts[:])
 
 	switch {
@@ -229,33 +188,11 @@ func (d *Detector) Status() Status {
 		s.Reason = fmt.Sprintf("prediction distribution shifted (PSI %.3f > %.3f)", s.PSI, d.cfg.PSIThreshold)
 	case s.ConfidenceDelta > d.cfg.ConfidenceDrop:
 		s.Drifted = true
-		s.Reason = fmt.Sprintf("confidence dropped %.2f → %.2f", s.RefConfidence, s.LiveConfidence)
+		s.Reason = fmt.Sprintf("confidence dropped %.2f → %.2f", refConf, liveConf)
 	default:
 		s.Reason = "stable"
 	}
-	if s.Drifted && !d.wasDrifted {
-		d.signals++
-		d.lastSignal = d.cfg.Now()
-		s.Signals = d.signals
-		s.LastSignal = d.lastSignal
-		mSignals.Inc()
-	}
-	d.wasDrifted = s.Drifted
 	return s
-}
-
-// publish mirrors the verdict into the drift.* telemetry gauges so the
-// detector is visible on /v1/metrics, not only on /v1/drift.
-func (s *Status) publish() {
-	mPSI.Set(s.PSI)
-	mConfDelta.Set(s.ConfidenceDelta)
-	mSamplesLive.Set(float64(s.SamplesLive))
-	mSamplesRef.Set(float64(s.SamplesRef))
-	if s.Drifted {
-		mDrifted.Set(1)
-	} else {
-		mDrifted.Set(0)
-	}
 }
 
 // PSI computes the population stability index between two count vectors,

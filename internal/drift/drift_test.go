@@ -3,7 +3,6 @@ package drift
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // dist returns a one-hot-ish coarse distribution peaked at class k with
@@ -69,8 +68,9 @@ func TestConfidenceDropDetected(t *testing.T) {
 	if !s.Drifted {
 		t.Fatalf("confidence collapse not detected: %+v", s)
 	}
-	if s.LiveConfidence > 0.5 || s.RefConfidence < 0.9 {
-		t.Fatalf("confidences wrong: %+v", s)
+	// Reference ≈ 0.95, live 0.4.
+	if s.ConfidenceDelta < 0.5 || s.ConfidenceDelta > 0.6 {
+		t.Fatalf("confidence delta wrong: %+v", s)
 	}
 }
 
@@ -141,17 +141,19 @@ func TestResetAutoFreeze(t *testing.T) {
 	}
 
 	// Promotion: the new model legitimately predicts class 4.
-	d.Reset(0) // 0 re-arms the window size (100)
-	if s := d.Status(); s.Drifted || s.Frozen {
-		t.Fatalf("reset detector still drifted/frozen: %+v", s)
+	d.Reset()
+	if s := d.Status(); s.Drifted || s.SamplesRef != 0 || s.SamplesLive != 0 {
+		t.Fatalf("reset detector kept drift or samples: %+v", s)
 	}
 	for i := 0; i < 100; i++ {
 		d.Observe(dist(7, 4, 0.9)) // becomes the new reference
 	}
-	if s := d.Status(); !s.Frozen {
+	// Frozen after one window: the next observation is live.
+	d.Observe(dist(7, 4, 0.9))
+	if s := d.Status(); s.SamplesRef != 100 || s.SamplesLive != 1 {
 		t.Fatalf("auto-freeze did not fire after 100 observations: %+v", s)
 	}
-	for i := 0; i < 150; i++ {
+	for i := 0; i < 149; i++ {
 		d.Observe(dist(7, 4, 0.9))
 	}
 	if s := d.Status(); s.Drifted {
@@ -162,48 +164,5 @@ func TestResetAutoFreeze(t *testing.T) {
 	}
 	if s := d.Status(); !s.Drifted {
 		t.Fatalf("drift against the new baseline not detected: %+v", s)
-	}
-}
-
-// TestSignalAccounting pins the stable→drifted edge counting and the
-// signal timestamp: repeated drifted verdicts within one episode count
-// once, and a new episode after recovery counts again.
-func TestSignalAccounting(t *testing.T) {
-	now := int64(0)
-	clock := func() time.Time { return time.Unix(now, 0) }
-	d := NewDetector(7, Config{WindowSize: 100, Now: clock})
-	for i := 0; i < 200; i++ {
-		d.Observe(dist(7, 0, 0.9))
-	}
-	d.Freeze()
-	if s := d.Status(); s.Signals != 0 || !s.LastSignal.IsZero() {
-		t.Fatalf("signals before any drift: %+v", s)
-	}
-	now = 42
-	for i := 0; i < 100; i++ {
-		d.Observe(dist(7, 4, 0.9))
-	}
-	s := d.Status()
-	if s.Signals != 1 || !s.LastSignal.Equal(time.Unix(42, 0)) {
-		t.Fatalf("first signal not recorded: %+v", s)
-	}
-	now = 43
-	if s = d.Status(); s.Signals != 1 {
-		t.Fatalf("repeated drifted verdict double-counted: %+v", s)
-	}
-	// Recovery: live window refills with the reference class.
-	for i := 0; i < 100; i++ {
-		d.Observe(dist(7, 0, 0.9))
-	}
-	if s = d.Status(); s.Drifted || s.Signals != 1 {
-		t.Fatalf("recovery not observed: %+v", s)
-	}
-	now = 99
-	for i := 0; i < 100; i++ {
-		d.Observe(dist(7, 4, 0.9))
-	}
-	s = d.Status()
-	if s.Signals != 2 || !s.LastSignal.Equal(time.Unix(99, 0)) {
-		t.Fatalf("second episode not counted: %+v", s)
 	}
 }

@@ -11,12 +11,10 @@ import (
 	"strings"
 )
 
-// Atomic checkpoints: a full-state snapshot published with the classic
-// write-temp → fsync → rename dance, so a reader either sees the previous
-// generation or the new one — never a half-written file. Generations are
-// monotonic; a MANIFEST names the current generation, and loading falls
-// back to scanning *.ckpt files when the manifest itself was lost to a
-// crash (rename published the checkpoint but the manifest write died).
+// Atomic checkpoints: a full-state snapshot published through WriteFile,
+// so a reader either sees the previous generation or the new one — never
+// a half-written file. Generations are monotonic, and loading scans the
+// *.ckpt files for the newest one that verifies.
 
 // Checkpoint file layout:
 //
@@ -86,10 +84,9 @@ func (c *Checkpointer) generations() ([]uint64, error) {
 	return out, nil
 }
 
-// Write publishes payload as the next generation: temp file → fsync →
-// rename → dir fsync → manifest, then prunes older generations. The
-// checkpoint is the unit of atomicity; a crash anywhere leaves either
-// the old or the new generation loadable.
+// Write publishes payload as the next generation through WriteFile, then
+// prunes older generations. The checkpoint is the unit of atomicity; a
+// crash anywhere leaves either the old or the new generation loadable.
 func (c *Checkpointer) Write(payload []byte) (uint64, error) {
 	gen := c.gen + 1
 	buf := make([]byte, 0, len(ckptMagic)+16+len(payload))
@@ -99,34 +96,11 @@ func (c *Checkpointer) Write(payload []byte) (uint64, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
 
-	final := filepath.Join(c.dir, c.ckptName(gen))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := WriteFile(filepath.Join(c.dir, c.ckptName(gen)), buf); err != nil {
 		return 0, err
 	}
-	crash(CrashPreRename, c.dir) // temp durable, not yet published
-	if err := os.Rename(tmp, final); err != nil {
-		return 0, fmt.Errorf("durable: publish checkpoint: %w", err)
-	}
-	if err := syncDir(c.dir); err != nil {
-		return 0, err
-	}
-	crash(CrashPostRename, c.dir) // published; manifest and pruning still pending
 	c.gen = gen
 	mCheckpoints.Inc()
-	// The manifest is a convenience pointer, not the source of truth —
-	// Load falls back to scanning, so a crash between rename and manifest
-	// loses nothing.
-	manifest := fmt.Sprintf("gen %d\nfile %s\n", gen, c.ckptName(gen))
-	if err := writeFileSync(filepath.Join(c.dir, c.name+".MANIFEST.tmp"), []byte(manifest)); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(filepath.Join(c.dir, c.name+".MANIFEST.tmp"), filepath.Join(c.dir, c.name+".MANIFEST")); err != nil {
-		return 0, fmt.Errorf("durable: publish manifest: %w", err)
-	}
-	if err := syncDir(c.dir); err != nil {
-		return 0, err
-	}
 	// Keep the previous generation as a fallback; prune everything older.
 	gens, err := c.generations()
 	if err != nil {
@@ -178,19 +152,35 @@ func (c *Checkpointer) read(gen uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// writeFileSync writes data to path and fsyncs the file before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// WriteFile publishes data at path: it writes path+".tmp", fsyncs it,
+// renames it over path and fsyncs the directory. A crash before the
+// rename leaves the previous file, one after it the new one, and once
+// WriteFile returns the new file survives a power loss. CrashPreRename
+// and CrashPostRename fire here, scoped to path's directory.
+func WriteFile(path string, data []byte) error {
+	dir, tmp := filepath.Dir(path), path+".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: write %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("durable: write %s: %w", filepath.Base(tmp), err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("durable: write %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("durable: write %s: %w", filepath.Base(tmp), err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("durable: sync %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("durable: sync %s: %w", filepath.Base(tmp), err)
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("durable: write %s: %w", filepath.Base(tmp), err)
+	}
+	crash(CrashPreRename, dir) // temp durable, not yet published
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("durable: publish %s: %w", filepath.Base(path), err)
+	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	crash(CrashPostRename, dir) // published; the caller's next step pending
+	return nil
 }

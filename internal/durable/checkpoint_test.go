@@ -29,6 +29,18 @@ func TestCheckpointRoundTripAndGenerations(t *testing.T) {
 		}
 		lastGen = gen
 	}
+	// On disk: the newest generation and its fallback, nothing else.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || filepath.Ext(names[0]) != ".ckpt" || filepath.Ext(names[1]) != ".ckpt" {
+		t.Fatalf("checkpoint dir holds %v, want two .ckpt generations", names)
+	}
 	// A fresh checkpointer must continue the sequence, not restart it.
 	c2, err := OpenCheckpointer(dir, "registry")
 	if err != nil {

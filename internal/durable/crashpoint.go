@@ -29,11 +29,12 @@ const (
 	// CrashPostSync dies right after fsync: the record was (or was about
 	// to be) acknowledged and must survive recovery.
 	CrashPostSync CrashPoint = "post-sync"
-	// CrashPreRename dies after the checkpoint temp file is written and
-	// fsynced but before the atomic rename publishes it.
+	// CrashPreRename dies in WriteFile after the temp file is written
+	// and fsynced but before the atomic rename publishes it.
 	CrashPreRename CrashPoint = "pre-rename"
-	// CrashPostRename dies after the rename but before the manifest
-	// update and old-generation cleanup.
+	// CrashPostRename dies in WriteFile after the rename and directory
+	// fsync, before the caller's next step (a checkpoint's pruning of old
+	// generations).
 	CrashPostRename CrashPoint = "post-rename"
 )
 

@@ -188,9 +188,10 @@ func (p *Persistence) recordRollback(to string) error {
 	return p.append(&stateRecord{Op: "rollback", Version: to})
 }
 
-// recordSpecialize saves the model's gob bytes atomically into the state
-// dir, then journals the installation. Saving first means a journaled
-// specialization always has its weights on disk.
+// recordSpecialize saves the model's gob bytes into the state dir with
+// durable.WriteFile, then journals the installation. The file and its
+// directory entry are on disk before the record is, so a journaled
+// specialization always has its weights.
 func (p *Persistence) recordSpecialize(version string, serviceID int, m *core.Model) error {
 	// Version names are caller-chosen; hex-encode for a safe file name.
 	file := fmt.Sprintf("spec-%s-%d.gob", hex.EncodeToString([]byte(version)), serviceID)
@@ -198,7 +199,7 @@ func (p *Persistence) recordSpecialize(version string, serviceID int, m *core.Mo
 	if err := m.Save(&buf); err != nil {
 		return err
 	}
-	if err := atomicWrite(filepath.Join(p.dir, file), buf.Bytes()); err != nil {
+	if err := durable.WriteFile(filepath.Join(p.dir, file), buf.Bytes()); err != nil {
 		return err
 	}
 	return p.append(&stateRecord{Op: "specialize", Version: version, Service: serviceID, File: file})
@@ -248,25 +249,4 @@ func loadSpecModel(path string) (*core.Model, error) {
 		return nil, err
 	}
 	return core.Load(bytes.NewReader(data))
-}
-
-// atomicWrite publishes data at path via write-temp → fsync → rename.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

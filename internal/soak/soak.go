@@ -260,7 +260,7 @@ func replicaOptions(model *core.Model, stateDir string, continualHost bool, seed
 		Fsync:     durable.FsyncBatch,
 		Serving:   serving.Config{BatchMax: 8, QueueDepth: 256},
 		Continual: continualHost,
-		Store:     continual.StoreConfig{PerStratum: 32, Seed: seed, Fsync: durable.FsyncBatch},
+		Store:     continual.StoreConfig{PerStratum: 32, Seed: seed},
 		Trainer:   continual.TrainerConfig{Epochs: 1, Seed: seed, SpecializeMin: -1},
 		Loop: continual.Config{
 			Gate: continual.GateConfig{
@@ -272,7 +272,6 @@ func replicaOptions(model *core.Model, stateDir string, continualHost bool, seed
 			WatchWindow:     500 * time.Millisecond,
 			WatchWindowSize: 64,
 			WatchPSI:        100,
-			Fsync:           durable.FsyncBatch,
 			Seed:            seed,
 		},
 	}
