@@ -5,9 +5,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
+	"reflect"
+	"slices"
 	"sort"
 
 	"diagnet/internal/dataset"
+	"diagnet/internal/forest"
+	"diagnet/internal/mat"
+	"diagnet/internal/nn"
+	"diagnet/internal/probe"
 )
 
 // Bundle packages a general model together with its per-service
@@ -46,46 +53,194 @@ func (b *Bundle) ModelFor(serviceID int) *Model {
 	return b.General
 }
 
-// bundleWire is the gob format of a bundle.
+// bundleWire is the gob format of a bundle. It decodes both versions,
+// because gob leaves a field the stream does not carry at its zero value.
+//
+// Version 1 is General, the general model's Save bytes, and per service in
+// ServiceIDs the Save bytes of its complete model in Specialized: a trunk
+// and a forest per model, which LoadBundle folds back into one of each.
+//
+// Version 2, what Save writes, is Base, the general model inline, and one
+// entry per specialized service in ascending order of service. Nothing in
+// it is a map or a nested gob stream, so its bytes are a function of the
+// bundle.
 type bundleWire struct {
 	General     []byte
 	ServiceIDs  []int
 	Specialized [][]byte
+
+	Base     modelForm
+	Services []serviceForm
 }
 
-// Save writes the bundle to w.
-func (b *Bundle) Save(w io.Writer) error {
-	var wire bundleWire
-	var buf bytes.Buffer
-	if err := b.General.Save(&buf); err != nil {
-		return fmt.Errorf("core: bundle general: %w", err)
-	}
-	wire.General = append([]byte(nil), buf.Bytes()...)
+// modelForm is a complete model, inline.
+type modelForm struct {
+	Cfg            Config
+	TrainLandmarks []int
+	FullLandmarks  []int
+	Known          []int
+	Norm           probe.Normalizer
+	Net            nn.Wire
+	Aux            forest.Wire
+	ServiceID      int
+}
 
+// serviceForm is one specialized model of a version-2 bundle: a head over
+// the general model's trunk (headOnly) as the values and freeze flags of
+// its head's parameters, any other model complete, in Model.
+type serviceForm struct {
+	ID     int
+	Head   [][]float64
+	Frozen []bool
+	Model  *modelForm
+}
+
+// Save writes the bundle to w, as version 2. Saving a bundle twice, or
+// saving what LoadBundle made of its bytes, gives the same bytes.
+func (b *Bundle) Save(w io.Writer) error {
+	g := b.General
+	wire := bundleWire{Base: formOf(g)}
 	ids := make([]int, 0, len(b.Specialized))
 	for id := range b.Specialized {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	k := len(trunkParams(g.Net))
 	for _, id := range ids {
-		buf.Reset()
-		if err := b.Specialized[id].Save(&buf); err != nil {
-			return fmt.Errorf("core: bundle service %d: %w", id, err)
+		m := b.Specialized[id]
+		e := serviceForm{ID: id}
+		if headOnly(g, m, id) {
+			for _, p := range m.Net.Params()[k:] {
+				e.Head = append(e.Head, p.Value.Data)
+				e.Frozen = append(e.Frozen, p.Frozen)
+			}
+		} else {
+			f := formOf(m)
+			e.Model = &f
 		}
-		wire.ServiceIDs = append(wire.ServiceIDs, id)
-		wire.Specialized = append(wire.Specialized, append([]byte(nil), buf.Bytes()...))
+		wire.Services = append(wire.Services, e)
 	}
-	return gob.NewEncoder(w).Encode(wire)
+	return gob.NewEncoder(w).Encode(&wire)
 }
 
-// LoadBundle reads a bundle written by Save. Every specialized model
-// enters through Attach, and a forest whose bytes equal the general
-// model's is not even decoded, so a bundle written with thirteen copies of
-// the trunk and the forest is loaded with one of each.
+// formOf returns m's inline form.
+func formOf(m *Model) modelForm {
+	return modelForm{
+		Cfg:            m.Cfg,
+		TrainLandmarks: m.TrainLayout.Landmarks,
+		FullLandmarks:  m.FullLayout.Landmarks,
+		Known:          sortedKnown(m.Known),
+		Norm:           *m.Norm,
+		Net:            m.Net.Wire(),
+		Aux:            m.Aux.Wire(),
+		ServiceID:      m.ServiceID,
+	}
+}
+
+// model builds the model f is the form of.
+func (f *modelForm) model() (*Model, error) {
+	net, err := f.Net.Network()
+	if err != nil {
+		return nil, err
+	}
+	aux, err := f.Aux.Extensible()
+	if err != nil {
+		return nil, err
+	}
+	return assemble(f.Cfg, f.TrainLandmarks, f.FullLandmarks, f.Known, f.Norm, net, aux, f.ServiceID)
+}
+
+// headOnly reports whether the bundle's model m for service id is a head
+// over the general model g's trunk, which is all a version-2 bundle needs
+// to store of it: m's trunk is g's (sameTrunk) and frozen, its layers are
+// g's layers, and its forest and normalizer are g's (Attach makes them so)
+// as are its configuration, layouts and known regions.
+func headOnly(g, m *Model, id int) bool {
+	if m.ServiceID != id || m.Aux != g.Aux || m.Norm != g.Norm || len(m.Net.Layers) != len(g.Net.Layers) ||
+		!reflect.DeepEqual(m.Cfg, g.Cfg) || !maps.Equal(m.Known, g.Known) ||
+		!slices.Equal(m.TrainLayout.Landmarks, g.TrainLayout.Landmarks) ||
+		!slices.Equal(m.FullLayout.Landmarks, g.FullLayout.Landmarks) {
+		return false
+	}
+	for i, l := range m.Net.Layers {
+		if !reflect.DeepEqual(l.Spec(), g.Net.Layers[i].Spec()) {
+			return false
+		}
+	}
+	trunk := trunkParams(m.Net)
+	for _, p := range trunk {
+		if !p.Frozen {
+			return false
+		}
+	}
+	return sameTrunk(trunk, trunkParams(g.Net))
+}
+
+// overTrunk returns a network with g's layers whose trunk parameters alias
+// g's matrices, frozen, and whose head parameters are fresh matrices
+// holding a copy of head's values, with frozen's flags.
+func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, error) {
+	net := g.View()
+	ps := net.Params()
+	k := len(trunkParams(net))
+	if len(head) != len(ps)-k || len(frozen) != len(head) {
+		return nil, fmt.Errorf("core: load: %d head params and %d freeze flags for a head of %d", len(head), len(frozen), len(ps)-k)
+	}
+	for _, p := range ps[:k] {
+		p.Frozen = true
+	}
+	for i, p := range ps[k:] {
+		v := head[i]
+		if len(v) != len(p.Value.Data) {
+			return nil, fmt.Errorf("core: load: head param %d has %d values, want %d", i, len(v), len(p.Value.Data))
+		}
+		p.Value = mat.FromSlice(p.Value.Rows, p.Value.Cols, slices.Clone(v))
+		p.Frozen = frozen[i]
+	}
+	return net, nil
+}
+
+// LoadBundle reads a bundle written by Save, of either version, and every
+// specialized model enters it through Attach. A version-2 head is built
+// directly over the general model's trunk (overTrunk): no second trunk or
+// forest is decoded. A version-1 bundle carries a complete model per
+// service; a forest whose bytes equal the general model's is not even
+// decoded, and Attach folds each bit-equal trunk onto the general's, so
+// it too is loaded with one trunk and one forest.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
+	}
+	if wire.General != nil {
+		return loadV1(&wire)
+	}
+	general, err := wire.Base.model()
+	if err != nil {
+		return nil, fmt.Errorf("core: load bundle general: %w", err)
+	}
+	b := NewBundle(general)
+	for _, e := range wire.Services {
+		var m *Model
+		if e.Model != nil {
+			m, err = e.Model.model()
+		} else {
+			var net *nn.Network
+			net, err = overTrunk(general.Net, e.Head, e.Frozen)
+			m = general.derive(net, e.ID)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: load bundle service %d: %w", e.ID, err)
+		}
+		b.Attach(e.ID, m)
+	}
+	return b, nil
+}
+
+// loadV1 reads a version-1 bundle.
+func loadV1(wire *bundleWire) (*Bundle, error) {
+	if len(wire.Specialized) != len(wire.ServiceIDs) {
+		return nil, fmt.Errorf("core: load bundle: %d models for %d services", len(wire.Specialized), len(wire.ServiceIDs))
 	}
 	gw, general, err := load(bytes.NewReader(wire.General), nil, nil)
 	if err != nil {

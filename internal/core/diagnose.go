@@ -72,8 +72,8 @@ func (d *Diagnosis) Top(k int) []int {
 // Diagnose runs the full DiagNet pipeline on a raw measurement vector
 // collected under `layout` (which may contain landmarks the model never
 // saw during training — the whole point of root-cause extensibility). It
-// is a one-row Session.DiagnoseBatch on a pooled session, safe for
-// concurrent use.
+// is a one-row Session.DiagnoseBatch on one of the model's idle sessions
+// (acquire), safe for concurrent use.
 func (m *Model) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 	return m.DiagnoseContext(context.Background(), features, layout)
 }
@@ -82,7 +82,7 @@ func (m *Model) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
 // Session.DiagnoseRows for what it records on an active trace.
 func (m *Model) DiagnoseContext(ctx context.Context, features []float64, layout probe.Layout) *Diagnosis {
 	s := m.acquire()
-	defer m.sessions.Put(s)
+	defer m.release(s)
 	return s.diagnoseBatch(ctx, [][]float64{features}, layout)[0]
 }
 
@@ -260,10 +260,11 @@ func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, 
 
 // CoarsePredict returns only the coarse family distribution for a raw
 // sample (step ④), without running attention or the ensemble. Like
-// Diagnose it runs on a pooled session and is safe for concurrent use.
+// Diagnose it runs on one of the model's idle sessions and is safe for
+// concurrent use.
 func (m *Model) CoarsePredict(features []float64, layout probe.Layout) []float64 {
 	s := m.acquire()
-	defer m.sessions.Put(s)
+	defer m.release(s)
 	s.ws.Reset()
 	x := s.ws.Matrix(1, layout.NumFeatures())
 	m.Norm.ApplyInto(features, layout, x.Row(0))

@@ -40,9 +40,11 @@ type Model struct {
 	// ServiceID is -1 for the general model, or the specialized service.
 	ServiceID int
 
-	// sessions pools the Sessions behind Diagnose, CoarsePredict and
-	// DiagnoseBatch: each holds layer caches and scratch, never weights.
-	sessions sync.Pool
+	// idle holds the one-row Sessions behind Diagnose and CoarsePredict
+	// between calls (acquire, release): each holds layer caches and
+	// scratch, never weights.
+	idleMu sync.Mutex
+	idle   []*Session
 }
 
 // TrainResult bundles a trained model with its learning history.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -26,7 +27,7 @@ var mDiagnoses = telemetry.Default().Counter("core.diagnose.calls")
 // session of them, so a session costs its caches and the memory of its
 // largest pass, not a copy of anything. A Session itself must not be used
 // concurrently; the serving engine keeps one per worker, and Model's own
-// methods take one from a per-model pool.
+// methods take one from the model's idle list.
 type Session struct {
 	// heads holds one entry per model, the models of one trunk next to each
 	// other; heads[0] is the session's first model (a bundle's general).
@@ -131,13 +132,34 @@ func newSession(models []*Model, services []int) *Session {
 	return s
 }
 
-// acquire takes a session from the model's pool, building one when the
-// pool is empty. Callers return it with m.sessions.Put.
+// maxIdle is how many idle sessions a model keeps: one per P, as many as
+// can run at once.
+var maxIdle = runtime.GOMAXPROCS(0)
+
+// acquire takes an idle session of the model, building one when there is
+// none. Callers hand it back with release. Unlike a sync.Pool, the idle
+// list survives a garbage collection, so a model called now and then does
+// not rebuild its session and regrow its workspace after every cycle.
 func (m *Model) acquire() *Session {
-	if s, ok := m.sessions.Get().(*Session); ok {
+	m.idleMu.Lock()
+	if n := len(m.idle); n > 0 {
+		s := m.idle[n-1]
+		m.idle = m.idle[:n-1]
+		m.idleMu.Unlock()
 		return s
 	}
+	m.idleMu.Unlock()
 	return m.NewSession()
+}
+
+// release hands a session taken with acquire back to the model, which
+// drops it when it already keeps maxIdle.
+func (m *Model) release(s *Session) {
+	m.idleMu.Lock()
+	defer m.idleMu.Unlock()
+	if len(m.idle) < maxIdle {
+		m.idle = append(m.idle, s)
+	}
 }
 
 // Model returns the session's first model: the one a model session was

@@ -102,12 +102,6 @@ func TestDiagnosePathsBitIdentical(t *testing.T) {
 				t.Fatalf("layout %d: Session.DiagnoseBatch of %d rows differs from Model.Diagnose", li, group)
 			}
 		}
-		old := runtime.GOMAXPROCS(4)
-		got := m.DiagnoseBatch(rows[li], layout, 4)
-		runtime.GOMAXPROCS(old)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("layout %d: Model.DiagnoseBatch(…, 4) differs from Model.Diagnose", li)
-		}
 	}
 
 	b := trainedBundle(t)
@@ -178,6 +172,24 @@ func TestPassAllocations(t *testing.T) {
 	check("a pass over three widths and four heads", len(mixed), func() { sess.DiagnoseRows(context.Background(), mixed) })
 }
 
+// Model.Diagnose keeps its idle session across a garbage collection: the
+// first call after two collections allocates what a warm call does, not a
+// new session and a regrown workspace (a sync.Pool, which every collection
+// empties, made the allocation rate of a bundle's models follow the GC
+// rate).
+func TestModelSessionSurvivesGC(t *testing.T) {
+	m := syntheticModel(6, []int{24, 12})
+	x, full := goldenInput(), probe.FullLayout()
+	call := func() { m.Diagnose(x, full) }
+	call()
+	warm := bytesPerRun(10, call)
+	runtime.GC()
+	runtime.GC()
+	if after := bytesPerRun(1, call); after > 1.5*warm {
+		t.Fatalf("the first call after a GC allocates %.0f B, a warm call %.0f B", after, warm)
+	}
+}
+
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap allocation
 // of one call of f.
 func bytesPerRun(runs int, f func()) float64 {
@@ -210,7 +222,7 @@ func cloneDiagnoses(ds []*Diagnosis) []*Diagnosis {
 // compared with a deep copy of themselves after passes N+1…N+3 of other
 // sizes and other service/layout mixes have overwritten the workspace — on
 // a bundle session, a model session, and Model.Diagnose / CoarsePredict
-// through the session pool. A Coarse that were still a row of the softmax
+// through the model's idle session. A Coarse that were still a row of the softmax
 // matrix fails here.
 func TestDiagnosisOutlivesThePass(t *testing.T) {
 	b := trainedBundle(t)
@@ -252,13 +264,13 @@ func TestDiagnosisOutlivesThePass(t *testing.T) {
 		func() { ms.DiagnoseRows(ctx, across) })
 
 	m := b.General
-	m.DiagnoseBatch(rows[0], layouts[0], 1)
+	m.Diagnose(rows[0][1], layouts[0])
 	coarse := m.CoarsePredict(rows[0][0], layouts[0])
 	wantCoarse := slices.Clone(coarse)
 	outlives("Model.Diagnose", []*Diagnosis{m.Diagnose(rows[0][0], layouts[0])},
 		func() { m.Diagnose(rows[2][3], layouts[2]) },
 		func() { m.CoarsePredict(rows[1][4], layouts[1]) },
-		func() { m.DiagnoseBatch(rows[1], layouts[1], 1) })
+		func() { m.Diagnose(rows[1][5], layouts[1]) })
 	if !slices.Equal(wantCoarse, coarse) {
 		t.Error("Model.CoarsePredict: the distribution changed when the model ran its next passes")
 	}
@@ -270,9 +282,10 @@ func TestDiagnosisOutlivesThePass(t *testing.T) {
 func TestTopIsRankedCutShort(t *testing.T) {
 	m := trainedModel(t)
 	layouts, rows := pathCorpus(t, m)
+	sess := m.NewSession()
 	var ds []*Diagnosis
 	for li, layout := range layouts {
-		ds = append(ds, m.DiagnoseBatch(rows[li], layout, 1)...)
+		ds = append(ds, sess.DiagnoseBatch(rows[li], layout)...)
 	}
 	w := layouts[0].NumFeatures()
 	uniform := make([]float64, w)
@@ -378,7 +391,6 @@ func TestInferenceLeavesModelParamsUntouched(t *testing.T) {
 		sess.DiagnoseBatch(rows[li], layout)
 		m.Diagnose(rows[li][0], layout)
 		m.CoarsePredict(rows[li][0], layout)
-		m.DiagnoseBatch(rows[li], layout, 2)
 	}
 	if !slices.Equal(before, paramBits(m.Net)) {
 		t.Fatal("inference wrote a parameter of the model")

@@ -51,8 +51,8 @@ func assertResident(t *testing.T, when string, b *Bundle, trunks, forests int) {
 // A bundle holds the frozen extractor and the forest once (the serving
 // package's twin of this test covers SetSpecialized and journal recovery):
 // after SpecializeAll, after Save → LoadBundle of those bytes — which carry
-// a full copy of both per model — and after a model trained elsewhere with
-// the same trunk is attached. A specialized model whose trunk differs from
+// both once, plus each service's head — and after a model trained
+// elsewhere with the same trunk is attached. A specialized model whose trunk differs from
 // the general's in a single bit keeps it private, is passed in its own
 // trunk group, and answers exactly what it answers standing alone.
 func TestBundleHoldsOneTrunkOneForest(t *testing.T) {
@@ -65,6 +65,19 @@ func TestBundleHoldsOneTrunkOneForest(t *testing.T) {
 	var blob bytes.Buffer
 	if err := b.Save(&blob); err != nil {
 		t.Fatal(err)
+	}
+	var general bytes.Buffer
+	if err := b.General.Save(&general); err != nil {
+		t.Fatal(err)
+	}
+	heads := 0 // at most nine bytes per float64 in gob
+	for _, m := range b.Specialized {
+		for _, p := range m.Net.Params()[4:] {
+			heads += 9 * len(p.Value.Data)
+		}
+	}
+	if limit := general.Len() + heads + 4096; blob.Len() > limit {
+		t.Fatalf("the bundle takes %d B, want at most %d: the general model (%d B) and %d B of heads", blob.Len(), limit, general.Len(), heads)
 	}
 	loaded, err := LoadBundle(bytes.NewReader(blob.Bytes()))
 	if err != nil {
@@ -232,14 +245,38 @@ func TestAttentionOfSharedTrunkPassMatchesFiniteDifferences(t *testing.T) {
 	}
 }
 
-// Saving a model twice gives the same bytes wherever Save decides the
-// order: Known is sorted, and the forest, the normalizer and the layouts
-// encode deterministically — in particular Aux, which LoadBundle compares
-// byte for byte to load a bundle's forest once. (The network's bytes are
-// not compared as bytes: gob walks nn.LayerSpec's Ints map in map order,
-// which only a change of the pinned nn.snapshot format could fix, so they
-// are compared decoded.)
+// Saving a bundle twice gives the same bytes, and so does saving what
+// LoadBundle made of them — for heads over the general trunk and for a
+// complete private model (the diverged service of the version-1 fixture):
+// nothing in the version-2 form is a map or a nested stream. A model's own
+// Save is stable wherever it decides the order: Known is sorted, and the
+// forest, the normalizer and the layouts encode deterministically. (Its
+// network bytes are compared decoded: gob walks nn.LayerSpec's Ints map in
+// map order, and the pinned nn.snapshot format keeps that map.)
 func TestSaveTwiceSameBytes(t *testing.T) {
+	for name, b := range map[string]*Bundle{"trained": trainedBundle(t), "fixture": v1FixtureBundle()} {
+		save := func(b *Bundle) []byte {
+			var buf bytes.Buffer
+			if err := b.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		first := save(b)
+		for i := 0; i < 20; i++ {
+			if !bytes.Equal(first, save(b)) {
+				t.Fatalf("%s bundle: save %d differs from the first", name, i)
+			}
+		}
+		loaded, err := LoadBundle(bytes.NewReader(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, save(loaded)) {
+			t.Fatalf("%s bundle: saving the loaded bundle gives other bytes", name)
+		}
+	}
+
 	m := trainedBundle(t).General
 	decode := func() (modelWire, []byte) {
 		var buf bytes.Buffer

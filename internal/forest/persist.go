@@ -50,8 +50,13 @@ func (ft flatTree) unflatten() (*Tree, error) {
 	nodes := make([]node, len(ft.Nodes))
 	for i, fn := range ft.Nodes {
 		nodes[i] = node{Feature: fn.Feature, Threshold: fn.Threshold, Dist: fn.Dist}
+		if fn.Left < 0 && len(fn.Dist) != ft.Classes {
+			return nil, fmt.Errorf("forest: leaf of %d classes in a tree of %d", len(fn.Dist), ft.Classes)
+		}
 		if fn.Left >= 0 {
-			if fn.Left >= len(nodes) || fn.Right < 0 || fn.Right >= len(nodes) {
+			// flatten numbers nodes in preorder, so a child comes after
+			// its parent; anything else could be a cycle.
+			if fn.Left <= i || fn.Left >= len(nodes) || fn.Right <= i || fn.Right >= len(nodes) || fn.Feature < 0 {
 				return nil, fmt.Errorf("forest: corrupt tree indices")
 			}
 			nodes[i].Left = &nodes[fn.Left]
@@ -60,6 +65,11 @@ func (ft flatTree) unflatten() (*Tree, error) {
 	}
 	return &Tree{root: &nodes[0], classes: ft.Classes}, nil
 }
+
+// Wire is the gob form of an Extensible, for formats that embed it inline
+// (core's bundle). It is an alias so that Save's stream keeps naming its
+// type forestWire.
+type Wire = forestWire
 
 type forestWire struct {
 	Trees   []flatTree
@@ -70,6 +80,9 @@ type forestWire struct {
 func (wire forestWire) toForest() (*Forest, error) {
 	f := &Forest{classes: wire.Classes}
 	for _, ft := range wire.Trees {
+		if ft.Classes != wire.Classes {
+			return nil, fmt.Errorf("forest: tree of %d classes in a forest of %d", ft.Classes, wire.Classes)
+		}
 		t, err := ft.unflatten()
 		if err != nil {
 			return nil, err
@@ -84,11 +97,7 @@ func (wire forestWire) toForest() (*Forest, error) {
 
 // Save writes the extensible wrapper with gob.
 func (e *Extensible) Save(w io.Writer) error {
-	wire := forestWire{Classes: e.forest.classes, Causes: e.causes}
-	for _, t := range e.forest.trees {
-		wire.Trees = append(wire.Trees, t.flatten())
-	}
-	return gob.NewEncoder(w).Encode(wire)
+	return gob.NewEncoder(w).Encode(e.Wire())
 }
 
 // LoadExtensible reads an extensible wrapper written by Save.
@@ -96,6 +105,23 @@ func LoadExtensible(r io.Reader) (*Extensible, error) {
 	var wire forestWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("forest: load extensible: %w", err)
+	}
+	return wire.Extensible()
+}
+
+// Wire returns e's gob form.
+func (e *Extensible) Wire() Wire {
+	wire := forestWire{Classes: e.forest.classes, Causes: e.causes}
+	for _, t := range e.forest.trees {
+		wire.Trees = append(wire.Trees, t.flatten())
+	}
+	return wire
+}
+
+// Extensible rebuilds the wrapper wire is the form of.
+func (wire forestWire) Extensible() (*Extensible, error) {
+	if wire.Causes < 1 || wire.Classes != wire.Causes+1 {
+		return nil, fmt.Errorf("forest: %d classes for %d causes", wire.Classes, wire.Causes)
 	}
 	f, err := wire.toForest()
 	if err != nil {

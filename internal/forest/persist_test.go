@@ -64,4 +64,37 @@ func TestUnflattenRejectsCorruptIndices(t *testing.T) {
 	if _, err := (flatTree{}).unflatten(); err == nil {
 		t.Fatal("want error for empty tree")
 	}
+	leaf := flatNode{Left: -1, Right: -1, Dist: []float64{0.5, 0.5}}
+	for name, ft := range map[string]flatTree{
+		"a child before its parent (a cycle)": {Nodes: []flatNode{leaf, {Left: 0, Right: 2}, leaf}, Classes: 2},
+		"a child that is its parent":          {Nodes: []flatNode{{Left: 0, Right: 1}, leaf}, Classes: 2},
+		"a negative split feature":            {Nodes: []flatNode{{Feature: -1, Left: 1, Right: 2}, leaf, leaf}, Classes: 2},
+		"a leaf of another class count":       {Nodes: []flatNode{{Left: 1, Right: 2}, leaf, {Left: -1, Right: -1, Dist: []float64{1}}}, Classes: 2},
+	} {
+		if _, err := ft.unflatten(); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+}
+
+// A forest wire whose counts disagree is an error, not a wrapper that
+// panics when it scores.
+func TestExtensibleRejectsInconsistentCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	x, labels := gaussianBlobs(rng, 150)
+	e := FitExtensible(x, labels, 2, Config{Trees: 3, Tree: TreeConfig{MaxDepth: 3}, Seed: 4})
+	if _, err := e.Wire().Extensible(); err != nil {
+		t.Fatal(err)
+	}
+	for name, spoil := range map[string]func(w *Wire){
+		"classes not causes + 1":    func(w *Wire) { w.Causes++ },
+		"a tree of another classes": func(w *Wire) { w.Trees[1].Classes++ },
+		"no cause":                  func(w *Wire) { w.Causes, w.Classes = 0, 1 },
+	} {
+		w := e.Wire()
+		spoil(&w)
+		if _, err := w.Extensible(); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
 }

@@ -232,9 +232,19 @@ func DefaultPoolOps() []PoolOp {
 	return ops
 }
 
-// PoolOpsByName rebuilds a pooling-op list from its names (for
-// deserialization). Unknown names cause a panic.
+// PoolOpsByName rebuilds a pooling-op list from its names (a Config's).
+// Unknown names cause a panic.
 func PoolOpsByName(names []string) []PoolOp {
+	ops, err := poolOpsByName(names)
+	if err != nil {
+		panic("nn: " + err.Error())
+	}
+	return ops
+}
+
+// poolOpsByName is PoolOpsByName reporting an unknown name, or a
+// percentile outside [0, 100], as an error.
+func poolOpsByName(names []string) ([]PoolOp, error) {
 	ops := make([]PoolOp, len(names))
 	for i, n := range names {
 		switch n {
@@ -248,13 +258,13 @@ func PoolOpsByName(names []string) []PoolOp {
 			ops[i] = VarPool{}
 		default:
 			var p float64
-			if _, err := fmt.Sscanf(n, "p%f", &p); err != nil {
-				panic("nn: unknown pool op " + n)
+			if _, err := fmt.Sscanf(n, "p%f", &p); err != nil || !(p >= 0 && p <= 100) {
+				return nil, fmt.Errorf("unknown pool op %s", n)
 			}
 			ops[i] = PercentilePool{P: p}
 		}
 	}
-	return ops
+	return ops, nil
 }
 
 // LandPool is the paper's non-overlapping convolution with global pooling

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"diagnet/internal/mat"
 )
@@ -166,56 +168,176 @@ func (n *Network) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&s)
 }
 
-// Load reads a network previously written by Save.
+// Load reads a network previously written by Save. A stream that decodes
+// but does not describe a network (build has the checks) is an error.
 func Load(r io.Reader) (*Network, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	rng := rand.New(rand.NewSource(0)) // weights are overwritten below
-	var layers []Layer
-	for _, spec := range s.Specs {
-		l, err := buildLayer(spec, rng)
+	return build(s.Specs, s.Values, s.Frozen)
+}
+
+// Wire is a network in a form whose gob encoding is a function of the
+// network alone, for formats that embed a network inline (core's bundle):
+// Save's snapshot with each LayerSpec's Ints map written as its keys,
+// sorted, and their values — gob walks a map in random order, so Save's
+// bytes are not stable. The Values of a Wire built by Network.Wire alias
+// the network's matrices.
+type Wire struct {
+	Specs  []SpecWire
+	Values [][]float64
+	Frozen []bool
+}
+
+// SpecWire is a LayerSpec with a sorted key order.
+type SpecWire struct {
+	Kind    string
+	Keys    []string
+	Ints    []int
+	Strings []string
+}
+
+// Wire returns the network's Wire form.
+func (n *Network) Wire() Wire {
+	var w Wire
+	for _, l := range n.Layers {
+		spec := l.Spec()
+		sw := SpecWire{Kind: spec.Kind, Strings: spec.Strings}
+		for k := range spec.Ints {
+			sw.Keys = append(sw.Keys, k)
+		}
+		sort.Strings(sw.Keys)
+		for _, k := range sw.Keys {
+			sw.Ints = append(sw.Ints, spec.Ints[k])
+		}
+		w.Specs = append(w.Specs, sw)
+	}
+	for _, p := range n.Params() {
+		w.Values = append(w.Values, p.Value.Data)
+		w.Frozen = append(w.Frozen, p.Frozen)
+	}
+	return w
+}
+
+// Network builds the network w describes, as Load does.
+func (w Wire) Network() (*Network, error) {
+	specs := make([]LayerSpec, len(w.Specs))
+	for i, sw := range w.Specs {
+		if len(sw.Keys) != len(sw.Ints) {
+			return nil, fmt.Errorf("nn: load: layer %d has %d keys for %d values", i, len(sw.Keys), len(sw.Ints))
+		}
+		ints := make(map[string]int, len(sw.Keys))
+		for j, k := range sw.Keys {
+			ints[k] = sw.Ints[j]
+		}
+		specs[i] = LayerSpec{Kind: sw.Kind, Ints: ints, Strings: sw.Strings}
+	}
+	return build(specs, w.Values, w.Frozen)
+}
+
+// build assembles a saved network. Every parameter is a fresh matrix
+// holding a copy of its saved values — nothing is initialized at random
+// first — and a saved network that is not one is an error, never a panic:
+// an unknown layer or pooling op, a dimension below one, a dropout rate
+// outside [0, 1), a parameter whose length is not its layer's dimensions,
+// a Dense whose input is not the width below it, or a count of values or
+// freeze flags that is not the architecture's.
+func build(specs []LayerSpec, values [][]float64, frozen []bool) (*Network, error) {
+	if len(frozen) != len(values) {
+		return nil, fmt.Errorf("nn: load: %d freeze flags for %d params", len(frozen), len(values))
+	}
+	layers := make([]Layer, 0, len(specs))
+	width := -1 // the output width of the layers so far; -1 while any width fits
+	rest := values
+	for i, spec := range specs {
+		l, err := buildLayer(spec, rest)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("nn: load: layer %d: %w", i, err)
+		}
+		rest = rest[len(l.Params()):]
+		switch l := l.(type) {
+		case *Dense:
+			if width >= 0 && l.In != width {
+				return nil, fmt.Errorf("nn: load: layer %d: dense input %d after width %d", i, l.In, width)
+			}
+			width = l.Out
+		case *LandPool:
+			width = l.OutWidth()
 		}
 		layers = append(layers, l)
 	}
-	net := NewNetwork(layers...)
-	ps := net.Params()
-	if len(ps) != len(s.Values) {
-		return nil, fmt.Errorf("nn: load: %d params in file, %d in architecture", len(s.Values), len(ps))
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("nn: load: %d params in file, %d in architecture", len(values), len(values)-len(rest))
 	}
-	for i, p := range ps {
-		if len(s.Values[i]) != len(p.Value.Data) {
-			return nil, fmt.Errorf("nn: load: param %d has %d values, want %d", i, len(s.Values[i]), len(p.Value.Data))
-		}
-		copy(p.Value.Data, s.Values[i])
-		p.Frozen = s.Frozen[i]
+	net := NewNetwork(layers...)
+	for i, p := range net.Params() {
+		p.Frozen = frozen[i]
 	}
 	return net, nil
 }
 
-func buildLayer(spec LayerSpec, rng *rand.Rand) (Layer, error) {
+// buildLayer builds the layer spec describes around the leading entries of
+// values, one per parameter.
+func buildLayer(spec LayerSpec, values [][]float64) (Layer, error) {
 	switch spec.Kind {
 	case "dense":
-		return NewDense(spec.Ints["in"], spec.Ints["out"], rng), nil
+		in, out := spec.Ints["in"], spec.Ints["out"]
+		w, err := loadParam(fmt.Sprintf("dense_%dx%d_w", in, out), in, out, values, 0)
+		if err != nil {
+			return nil, err
+		}
+		b, err := loadParam(fmt.Sprintf("dense_%dx%d_b", in, out), 1, out, values, 1)
+		if err != nil {
+			return nil, err
+		}
+		return &Dense{In: in, Out: out, W: w, B: b}, nil
 	case "relu":
 		return NewReLU(), nil
 	case "landpool":
-		ops := PoolOpsByName(spec.Strings)
-		return NewLandPool(spec.Ints["k"], spec.Ints["f"], spec.Ints["local"], ops, rng), nil
+		ops, err := poolOpsByName(spec.Strings)
+		if err != nil {
+			return nil, err
+		}
+		k, f, local := spec.Ints["k"], spec.Ints["f"], spec.Ints["local"]
+		if local < 0 {
+			return nil, fmt.Errorf("landpool: %d local features", local)
+		}
+		kernel, err := loadParam("landpool_kernel", f, k, values, 0)
+		if err != nil {
+			return nil, err
+		}
+		bias, err := loadParam("landpool_bias", 1, f, values, 1)
+		if err != nil {
+			return nil, err
+		}
+		return &LandPool{K: k, F: f, NumLocal: local, Ops: ops, Kernel: kernel, Bias: bias}, nil
 	case "dropout":
 		var rate float64
 		if len(spec.Strings) == 1 {
 			if _, err := fmt.Sscanf(spec.Strings[0], "%g", &rate); err != nil {
-				return nil, fmt.Errorf("nn: bad dropout rate %q", spec.Strings[0])
+				return nil, fmt.Errorf("bad dropout rate %q", spec.Strings[0])
 			}
 		}
-		return NewDropout(rate, rng), nil
+		if !(rate >= 0 && rate < 1) {
+			return nil, fmt.Errorf("dropout rate %v out of [0,1)", rate)
+		}
+		return NewDropout(rate, rand.New(rand.NewSource(0))), nil
 	default:
-		return nil, fmt.Errorf("nn: unknown layer kind %q", spec.Kind)
+		return nil, fmt.Errorf("unknown layer kind %q", spec.Kind)
 	}
+}
+
+// loadParam returns a rows×cols parameter holding a copy of values[i].
+func loadParam(name string, rows, cols int, values [][]float64, i int) (*Param, error) {
+	if i >= len(values) {
+		return nil, fmt.Errorf("%s: missing from the file", name)
+	}
+	v := values[i]
+	if rows < 1 || cols < 1 || len(v)%cols != 0 || len(v)/cols != rows {
+		return nil, fmt.Errorf("%s: %d values for %d×%d", name, len(v), rows, cols)
+	}
+	return &Param{Name: name, Value: mat.FromSlice(rows, cols, slices.Clone(v))}, nil
 }
 
 // View returns an inference view of the network: fresh layers with their

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,6 +201,93 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// A stream that decodes as a snapshot but does not describe a network is
+// an error, not a panic: a malformed model file must not crash the process
+// that loads it.
+func TestLoadRejectsMalformedSnapshots(t *testing.T) {
+	valid := func() snapshot {
+		rng := rand.New(rand.NewSource(3))
+		lp := NewLandPool(5, 4, 2, DefaultPoolOps()[:3], rng)
+		net := NewNetwork(lp, NewDense(lp.OutWidth(), 6, rng), NewReLU(), NewDropout(0.1, rng), NewDense(6, 3, rng))
+		var s snapshot
+		for _, l := range net.Layers {
+			s.Specs = append(s.Specs, l.Spec())
+		}
+		for _, p := range net.Params() {
+			s.Values = append(s.Values, p.Value.Data)
+			s.Frozen = append(s.Frozen, p.Frozen)
+		}
+		return s
+	}
+	for name, spoil := range map[string]func(s *snapshot){
+		"short freeze list":       func(s *snapshot) { s.Frozen = s.Frozen[:0] },
+		"negative dimension":      func(s *snapshot) { s.Specs[4].Ints["out"] = -3 },
+		"zero filters":            func(s *snapshot) { s.Specs[0].Ints["f"] = 0 },
+		"negative local features": func(s *snapshot) { s.Specs[0].Ints["local"] = -1 },
+		"unknown layer":           func(s *snapshot) { s.Specs[2].Kind = "conv" },
+		"unknown pool op":         func(s *snapshot) { s.Specs[0].Strings[1] = "median" },
+		"percentile above 100":    func(s *snapshot) { s.Specs[0].Strings[1] = "p150" },
+		"dropout rate of one":     func(s *snapshot) { s.Specs[3].Strings = []string{"1"} },
+		"dense after wrong width": func(s *snapshot) { s.Specs[4].Ints["in"] = 5 },
+		"short weight":            func(s *snapshot) { s.Values[2] = s.Values[2][:7] },
+		"missing params":          func(s *snapshot) { s.Values, s.Frozen = s.Values[:5], s.Frozen[:5] },
+		"extra params":            func(s *snapshot) { s.Values, s.Frozen = append(s.Values, []float64{1}), append(s.Frozen, false) },
+	} {
+		s := valid()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("the valid snapshot does not load: %v", err)
+		}
+		spoil(&s)
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: loaded without an error", name)
+		}
+	}
+}
+
+// A network's Wire form rebuilds it with its freeze flags into matrices of
+// its own, and encodes to the same bytes every time (Save does not: gob
+// walks LayerSpec.Ints in map order).
+func TestWireRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lp := NewLandPool(5, 8, 5, DefaultPoolOps(), rng)
+	net := NewNetwork(lp, NewDense(lp.OutWidth(), 16, rng), NewReLU(), NewDense(16, 7, rng))
+	lp.Kernel.Frozen = true
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(net.Wire()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode()
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(first, encode()) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+	loaded, err := net.Wire().Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := randBatch(rng, 3, 7*5+5, 7)
+	if !mat.Equal(net.Forward(x), loaded.Forward(x), 0) {
+		t.Fatal("the rebuilt network produces different outputs")
+	}
+	for i, p := range loaded.Params() {
+		if src := net.Params()[i]; p.Frozen != src.Frozen || &p.Value.Data[0] == &src.Value.Data[0] {
+			t.Fatalf("param %d: want the source's freeze flag on a copy of its values", i)
+		}
 	}
 }
 
