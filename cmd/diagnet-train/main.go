@@ -1,10 +1,11 @@
-// Command diagnet-train trains a general DiagNet model (and optionally
-// per-service specialized models) on a dataset produced by
-// diagnet-datagen, then writes the model(s) to disk.
+// Command diagnet-train trains a general DiagNet model on a dataset
+// produced by diagnet-datagen and writes it to disk; with -bundle it also
+// specializes a head per service (§IV-F) and writes general model and
+// heads as one bundle file, which diagnetd -model or -model-dir serves.
 //
 // Usage:
 //
-//	diagnet-train -data data.gob -out model.gob [-specialize] [-epochs 25]
+//	diagnet-train -data data.gob -out model.gob [-bundle bundle.gob] [-epochs 25]
 package main
 
 import (
@@ -12,8 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"diagnet"
 )
@@ -21,7 +20,6 @@ import (
 func main() {
 	dataPath := flag.String("data", "dataset.gob", "dataset file from diagnet-datagen")
 	out := flag.String("out", "model.gob", "output model file (general model)")
-	specialize := flag.Bool("specialize", false, "also train per-service specialized models next to -out")
 	bundle := flag.String("bundle", "", "write general + specialized models as one bundle file")
 	epochs := flag.Int("epochs", 0, "override training epochs (0 = Table I default)")
 	seed := flag.Int64("seed", 1, "training seed")
@@ -52,21 +50,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-
-	if *specialize {
-		base := strings.TrimSuffix(*out, filepath.Ext(*out))
-		for _, svc := range diagnet.Catalog() {
-			if train.FilterService(svc.ID).Len() == 0 {
-				continue
-			}
-			spec := res.Model.Specialize(train, svc.ID)
-			path := fmt.Sprintf("%s.svc%d.gob", base, svc.ID)
-			if err := writeModel(spec.Model, path); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s, %d epochs)\n", path, svc.Name(), spec.History.Epochs())
-		}
-	}
 
 	if *bundle != "" {
 		b := diagnet.NewBundle(res.Model)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	diagnetd -model model.gob [-specialized 'model.svc0.gob,model.svc1.gob'] [-addr :8421]
+//	diagnetd -model model.gob [-addr :8421]
 //	         [-model-dir models/ [-serve-version v2]]
 //	         [-state-dir state/ [-fsync always|batch|never]]
 //	         [-continual [-retrain-interval 1h] [-promote-min-gain 0]]
@@ -23,8 +23,9 @@
 // named after its file and the lexically last (or -serve-version) boots,
 // so date-stamped names serve the newest; POST /v1/models loads, promotes
 // (warm-up, then an atomic swap under live traffic) and rolls back at
-// runtime (§11). With -state-dir every promotion, rollback and
-// specialization is journaled before it is acknowledged and a restart
+// runtime (§11). A version's per-service specialized heads are the ones
+// its bundle carries. With -state-dir every promotion and rollback is
+// journaled before it is acknowledged and a restart
 // recovers the exact serving version before /readyz opens; -fsync picks
 // the journal durability; SIGHUP checkpoints and rotates it (§13).
 // -continual closes the learning loop — served diagnoses are buffered,
@@ -55,7 +56,6 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served by -pprof only
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"diagnet/internal/analysis"
@@ -79,8 +79,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var opt analysis.Options
 	addr := fs.String("addr", ":8421", "listen address")
-	fs.StringVar(&opt.ModelPath, "model", "model.gob", "general model file")
-	specialized := fs.String("specialized", "", "comma-separated specialized model files")
+	fs.StringVar(&opt.ModelPath, "model", "model.gob", "model or bundle file")
 	fs.StringVar(&opt.ModelDir, "model-dir", "", "directory of *.gob model versions; overrides -model and enables POST /v1/models load")
 	fs.StringVar(&opt.ServeVersion, "serve-version", "", "version to promote at boot (default: lexically last in -model-dir)")
 	fs.StringVar(&opt.StateDir, "state-dir", "", "durable state directory: journal + checkpoints of the model lifecycle (empty = in-memory only)")
@@ -111,11 +110,6 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("bad -fsync: %w", err)
 	}
 	opt.Trainer.Logf = func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) }
-	for _, path := range strings.Split(*specialized, ",") {
-		if path = strings.TrimSpace(path); path != "" {
-			opt.Specialized = append(opt.Specialized, path)
-		}
-	}
 	srv, err := analysis.Open(opt)
 	if err != nil {
 		return err

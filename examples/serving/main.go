@@ -78,10 +78,13 @@ func run(out io.Writer) error {
 	}
 	fmt.Fprintf(out, "serving version %q\n", reg.Active())
 
-	// 3. Hammer the engine from concurrent clients while version v2 (same
-	// weights plus a specialized model for the probed service) is promoted
-	// mid-stream. Every result names the exact version that produced it.
-	if err := reg.AddModel("v2", model); err != nil {
+	// 3. Hammer the engine from concurrent clients while version v2 (the
+	// v1 network plus a head specialized to the probed service, in one
+	// bundle) is promoted mid-stream. Every result names the exact version
+	// that produced it.
+	v2 := diagnet.NewBundle(model)
+	v2.SpecializeAll(train, []int{sample.Service})
+	if err := reg.Add("v2", v2); err != nil {
 		return err
 	}
 	var (
@@ -112,9 +115,6 @@ func run(out io.Writer) error {
 	}
 	time.Sleep(2 * time.Millisecond) // let some v1 traffic through first
 	if err := reg.Promote("v2"); err != nil {
-		return err
-	}
-	if err := reg.SetSpecialized(sample.Service, model); err != nil {
 		return err
 	}
 	wg.Wait()

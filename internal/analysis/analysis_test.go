@@ -64,6 +64,23 @@ func newService(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// promoteHead registers and promotes a version whose bundle carries the
+// fixture model as service svc's head: the same weights, so only routing
+// tells the head from the general model.
+func promoteHead(t *testing.T, srv *Server, svc int) {
+	t.Helper()
+	m, _ := fixture(t)
+	b := core.NewBundle(m)
+	b.Attach(svc, m)
+	reg := srv.Engine().Registry()
+	if err := reg.Add("with-head", b); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote("with-head"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func sampleRequest(t *testing.T) *DiagnoseRequest {
 	t.Helper()
 	_, test := fixture(t)
@@ -107,9 +124,8 @@ func TestDiagnoseOverHTTP(t *testing.T) {
 
 func TestDiagnoseUsesSpecializedModel(t *testing.T) {
 	srv, ts := newService(t)
-	m, _ := fixture(t)
 	req := sampleRequest(t)
-	srv.SetSpecialized(req.ServiceID, m) // same weights, but routing must switch
+	promoteHead(t, srv, req.ServiceID)
 	client := NewClient(ts.URL)
 	resp, err := client.Diagnose(context.Background(), req)
 	if err != nil {
@@ -171,8 +187,7 @@ func TestDiagnoseValidation(t *testing.T) {
 
 func TestModelInfoAndHealth(t *testing.T) {
 	srv, ts := newService(t)
-	m, _ := fixture(t)
-	srv.SetSpecialized(3, m)
+	promoteHead(t, srv, 3)
 	client := NewClient(ts.URL)
 	info, err := client.Model(context.Background())
 	if err != nil {

@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
 
 	"diagnet/internal/continual"
@@ -30,8 +28,6 @@ type Options struct {
 	ServeVersion string
 	Bundle       *core.Bundle
 	ModelPath    string
-	// Specialized lists per-service model files installed at boot.
-	Specialized []string
 
 	// StateDir makes the model lifecycle crash-safe (DESIGN.md §13) and
 	// hosts continual/{samples,ckpt,state}. Empty keeps everything in
@@ -117,19 +113,6 @@ func Open(opt Options) (_ *Server, err error) {
 			slog.Warn("boot checkpoint failed", "err", err)
 		}
 	}
-	for _, path := range opt.Specialized {
-		m, err := loadModel(path)
-		if err == nil && m.ServiceID < 0 {
-			err = errors.New("not a specialized model")
-		}
-		if err == nil {
-			err = s.SetSpecialized(m.ServiceID, m)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("analysis: specialized model %s: %w", path, err)
-		}
-	}
-
 	if opt.Continual {
 		if err := s.openContinual(opt); err != nil {
 			return nil, err
@@ -227,12 +210,4 @@ func (s *Server) Checkpoint() (uint64, error) {
 	slog.InfoContext(ctx, "checkpoint written",
 		"generation", gen, "active", active, "history_depth", len(history))
 	return gen, nil
-}
-
-func loadModel(path string) (*core.Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.Load(bytes.NewReader(data))
 }

@@ -120,9 +120,6 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"missing specialized model": func(t *testing.T, opt *Options) {
-			opt.Specialized = []string{filepath.Join(t.TempDir(), "missing.gob")}
-		},
 		"corrupt sample journal": func(t *testing.T, opt *Options) {
 			opt.Continual = true
 			corruptSamples(t, opt.StateDir)

@@ -174,13 +174,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // Engine exposes the serving engine (registry access, stats).
 func (s *Server) Engine() *serving.Engine { return s.engine }
 
-// SetSpecialized registers a per-service model in the active version via
-// the registry's copy-on-write snapshot swap — safe under concurrent
-// Diagnose traffic.
-func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
-	return s.engine.Registry().SetSpecialized(serviceID, m)
-}
-
 // Handler returns the service's HTTP handler:
 //
 //	POST /v1/diagnose       → DiagnoseResponse

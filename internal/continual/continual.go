@@ -258,6 +258,7 @@ func NewController(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("continual: open state journal: %w", err)
 		}
+		replayed := 0
 		err = jn.Replay(func(payload []byte) error {
 			var tr Transition
 			if err := json.Unmarshal(payload, &tr); err != nil {
@@ -270,8 +271,12 @@ func NewController(cfg Config) (*Controller, error) {
 			if len(c.transitions) > keepTransitions {
 				c.transitions = c.transitions[1:]
 			}
+			replayed++
 			return nil
 		})
+		if err == nil && replayed > keepTransitions {
+			err = compactTransitions(jn, c.transitions)
+		}
 		if err != nil {
 			jn.Close()
 			return nil, err
@@ -280,6 +285,27 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	mState.Set(stateCode[StateIdle])
 	return c, nil
+}
+
+// compactTransitions rewrites the journal as the kept tail alone: a
+// restart restores nothing else, and the tail's last record carries the
+// highest cycle. The tail is appended to a fresh segment before the older
+// ones are dropped, so a crash in between replays it twice, not never.
+func compactTransitions(jn *durable.Journal, tail []Transition) error {
+	seg, err := jn.Rotate()
+	if err != nil {
+		return err
+	}
+	for _, tr := range tail {
+		payload, err := json.Marshal(tr)
+		if err != nil {
+			return err
+		}
+		if err := jn.Append(payload); err != nil {
+			return err
+		}
+	}
+	return jn.DropBefore(seg)
 }
 
 // Start launches the control loop. Idempotent; a no-op after Close (the

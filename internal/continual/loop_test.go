@@ -3,6 +3,7 @@ package continual
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"diagnet/internal/core"
 	"diagnet/internal/dataset"
 	"diagnet/internal/drift"
+	"diagnet/internal/durable"
 	"diagnet/internal/probe"
 	"diagnet/internal/serving"
 )
@@ -592,6 +594,69 @@ func TestControllerTrainFailureAndJournal(t *testing.T) {
 	}
 	if len(st2.Transitions) == 0 {
 		t.Fatal("transition history lost across restart")
+	}
+}
+
+// TestControllerCompactsTransitionJournal: a restart keeps only the last
+// keepTransitions records and the cycle counter, so the journal it leaves
+// behind holds no more than that however long the loop ran before.
+func TestControllerCompactsTransitionJournal(t *testing.T) {
+	e := loopEngine(t)
+	_, d := fixture(t)
+	store := storeFromDataset(t, d, true, 32)
+	defer store.Close()
+	dir := t.TempDir()
+	jn, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 1; cycle <= 100; cycle++ {
+		payload, err := json.Marshal(Transition{From: StateTraining, To: StateCollecting, Cycle: cycle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctrl, err := NewController(Config{
+		Engine:    e,
+		Store:     store,
+		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) { return nil, context.Canceled },
+		StateDir:  dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ctrl.Status(); st.Cycle != 100 || len(st.Transitions) != keepTransitions {
+		t.Fatalf("restored cycle %d and %d transitions, want 100 and %d", st.Cycle, len(st.Transitions), keepTransitions)
+	}
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn, err = durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	records, last := 0, 0
+	if err := jn.Replay(func(payload []byte) error {
+		var tr Transition
+		if err := json.Unmarshal(payload, &tr); err != nil {
+			return err
+		}
+		records, last = records+1, tr.Cycle
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if records > keepTransitions || last != 100 {
+		t.Fatalf("journal holds %d records ending at cycle %d after a restart, want at most %d ending at 100", records, last, keepTransitions)
 	}
 }
 

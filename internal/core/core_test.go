@@ -288,6 +288,38 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
+// A forest that splits on a feature beyond the full layout is refused at
+// load, by Load and by LoadBundle alike, instead of indexing past the
+// zero-filled input on the first diagnosis.
+func TestLoadRejectsForestSplitBeyondFullLayout(t *testing.T) {
+	m := syntheticModel(6, []int{24, 12})
+	wire := m.Aux.Wire()
+	root := &wire.Trees[0].Nodes[0]
+	if root.Left < 0 {
+		t.Fatal("the fixture forest's first tree is a single leaf")
+	}
+	root.Feature = m.FullLayout.NumFeatures()
+	var err error
+	if m.Aux, err = wire.Extensible(); err != nil {
+		t.Fatal(err)
+	}
+
+	var blob bytes.Buffer
+	if err := m.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&blob); err == nil {
+		t.Fatal("Load accepted a forest that splits beyond the full layout")
+	}
+	blob.Reset()
+	if err := NewBundle(m).Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBundle(&blob); err == nil {
+		t.Fatal("LoadBundle accepted a forest that splits beyond the full layout")
+	}
+}
+
 func TestScoreWeightingAlgorithm1(t *testing.T) {
 	layout := probe.NewLayout([]int{netsim.AMST})
 	// features: rtt, jitter, loss, down, up, gw-rtt, gw-jit, cpu, mem, io

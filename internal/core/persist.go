@@ -95,7 +95,7 @@ func load(r io.Reader, likeWire *modelWire, like *Model) (*modelWire, *Model, er
 // the probe's metrics and local features and ends with a Dense layer over
 // the fault families (which puts a Dense above the LandPool, so trunkLayers
 // has a trunk to find), and the forest scores every feature of the full
-// layout.
+// layout and splits on none beyond it.
 func assemble(cfg Config, train, full, known []int, norm probe.Normalizer, net *nn.Network, aux *forest.Extensible, serviceID int) (*Model, error) {
 	if len(net.Layers) == 0 {
 		return nil, fmt.Errorf("core: load: empty network")
@@ -118,6 +118,9 @@ func assemble(cfg Config, train, full, known []int, norm probe.Normalizer, net *
 	}
 	if aux.Causes() != m.FullLayout.NumFeatures() {
 		return nil, fmt.Errorf("core: load: the forest scores %d causes for %d full-layout features", aux.Causes(), m.FullLayout.NumFeatures())
+	}
+	if w := aux.Forest().Width(); w > m.FullLayout.NumFeatures() {
+		return nil, fmt.Errorf("core: load: the forest splits on feature %d of %d full-layout features", w-1, m.FullLayout.NumFeatures())
 	}
 	for _, r := range known {
 		m.Known[r] = true

@@ -110,10 +110,9 @@ func foldTrunk(net *nn.Network, onto []*nn.Param) *nn.Network {
 }
 
 // Attach installs m as the bundle's model for a service and returns the
-// model the bundle now holds. It is the one way a specialized model enters
-// a bundle — a decoded file (LoadBundle), a run-time installation
-// (serving.Registry.SetSpecialized) or journal recovery — and it makes the
-// bundle hold the general model's trunk, forest and normalizer once: a
+// model the bundle now holds. It is how a decoded file (LoadBundle) or a
+// model trained elsewhere enters a bundle, and it makes the bundle hold
+// the general model's trunk, forest and normalizer once: a
 // trunk that is bit-equal to the general's is aliased onto it, an equal
 // forest or normalizer is replaced by the general's. Whatever differs
 // stays private, so a foreign or diverged model is served as it is (in its

@@ -49,7 +49,7 @@ func assertResident(t *testing.T, when string, b *Bundle, trunks, forests int) {
 }
 
 // A bundle holds the frozen extractor and the forest once (the serving
-// package's twin of this test covers SetSpecialized and journal recovery):
+// package's twin of this test covers registration and journal recovery):
 // after SpecializeAll, after Save → LoadBundle of those bytes — which carry
 // both once, plus each service's head — and after a model trained
 // elsewhere with the same trunk is attached. A specialized model whose trunk differs from

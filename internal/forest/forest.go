@@ -86,6 +86,24 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	return dist
 }
 
+// Width returns the shortest input the forest can score: one past the
+// largest feature any of its splits reads.
+func (f *Forest) Width() int {
+	w := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.isLeaf() {
+			w = max(w, n.Feature+1)
+			walk(n.Left)
+			walk(n.Right)
+		}
+	}
+	for _, t := range f.trees {
+		walk(t.root)
+	}
+	return w
+}
+
 // Predict returns the arg-max class for x.
 func (f *Forest) Predict(x []float64) int {
 	dist := f.PredictProba(x)

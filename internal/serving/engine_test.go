@@ -141,9 +141,7 @@ func TestPassRowsRecordsWhatAPassFused(t *testing.T) {
 	m, test := fixture(t)
 	e := allocEngine(t, Config{BatchMax: 6, Workers: 1})
 	req := sampleRequest(t)
-	if err := e.Registry().SetSpecialized(req.ServiceID, m.Specialize(test, req.ServiceID).Model); err != nil {
-		t.Fatal(err)
-	}
+	promoteHead(t, e.Registry(), "spec", req.ServiceID, m.Specialize(test, req.ServiceID).Model)
 	sub := probe.NewLayout(test.Layout.Landmarks[:3])
 	narrow := &Request{ServiceID: req.ServiceID, Layout: sub, Features: test.Layout.Project(req.Features, sub)}
 	other := &Request{ServiceID: req.ServiceID + 1000, Layout: sub, Features: narrow.Features}

@@ -58,6 +58,21 @@ func sampleRequest(t testing.TB) *Request {
 	}
 }
 
+// promoteHead registers version as the fixture's general model with head
+// as service svc's specialized model in one bundle, and promotes it.
+func promoteHead(t testing.TB, reg *Registry, version string, svc int, head *core.Model) {
+	t.Helper()
+	m, _ := fixture(t)
+	b := core.NewBundle(m)
+	b.Attach(svc, head)
+	if err := reg.Add(version, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote(version); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // newEngine starts an engine with the fixture model promoted as version
 // "boot" and registers a drain on test cleanup.
 func newEngine(t testing.TB, cfg Config) *Engine {

@@ -54,8 +54,9 @@ func assertBorrowed(t *testing.T, snap *snapshot, b *core.Bundle, workers int) {
 }
 
 // A promoted bundle's weights are never written: not by serving on every
-// worker, by SetSpecialized, by Specialize or Retrain from the served
-// model, nor by promoting and serving a retrain — and every worker's
+// worker, by promoting a version that carries a specialized head, by
+// Specialize or Retrain from the served model, nor by promoting and
+// serving a retrain — and every worker's
 // sessions borrow the bundle's parameter matrices instead of copying them.
 func TestServingNeverWritesPromotedWeights(t *testing.T) {
 	m, test := fixture(t)
@@ -95,9 +96,7 @@ func TestServingNeverWritesPromotedWeights(t *testing.T) {
 
 	// Both training entry points start from the served model.
 	spec := m.Specialize(test, svc).Model
-	if err := reg.SetSpecialized(svc, spec); err != nil {
-		t.Fatal(err)
-	}
+	promoteHead(t, reg, "spec", svc, spec)
 	specialized := valueBits(spec)
 	retrained, err := m.Retrain(test, core.RetrainOptions{Epochs: 1, Seed: 3})
 	if err != nil {

@@ -1,32 +1,25 @@
 package serving
 
 import (
-	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"sync"
 
-	"diagnet/internal/core"
 	"diagnet/internal/durable"
 )
 
 // Persistence makes the registry's version lifecycle crash-safe
-// (DESIGN.md §13): every promotion, rollback and specialization is
-// journaled (write-ahead, CRC-checked) before it is acknowledged, and a
-// restarted diagnetd replays checkpoint + journal to recover the exact
-// serving version, promotion history and specialized-model set without
-// operator intervention.
+// (DESIGN.md §13): every promotion and rollback is journaled
+// (write-ahead, CRC-checked) before it is acknowledged, and a restarted
+// diagnetd replays checkpoint + journal to recover the exact serving
+// version and promotion history without operator intervention.
 //
-// Model *weights* are not journaled — versions are re-registered from
-// their files (-model-dir) on boot. The exceptions are specialized
-// models installed at runtime, whose gob bytes are saved into the state
-// directory so a restart can reinstall them.
+// Model weights are not journaled: versions are re-registered from their
+// files (-model-dir) on boot, and a version's bundle already carries its
+// per-service heads.
 type Persistence struct {
-	dir  string
 	j    *durable.Journal
 	ckpt *durable.Checkpointer
 
@@ -37,24 +30,14 @@ type Persistence struct {
 // registryState is the checkpoint payload: everything needed to restore
 // the lifecycle given the versions' model files.
 type registryState struct {
-	Active      string      `json:"active"`
-	History     []string    `json:"history"`
-	Specialized []specEntry `json:"specialized,omitempty"`
-}
-
-// specEntry maps one (version, service) to its saved model file.
-type specEntry struct {
-	Version string `json:"version"`
-	Service int    `json:"service"`
-	File    string `json:"file"`
+	Active  string   `json:"active"`
+	History []string `json:"history"`
 }
 
 // stateRecord is one journaled lifecycle operation.
 type stateRecord struct {
-	Op      string `json:"op"` // promote | rollback | specialize
+	Op      string `json:"op"` // promote | rollback
 	Version string `json:"version,omitempty"`
-	Service int    `json:"service,omitempty"`
-	File    string `json:"file,omitempty"`
 }
 
 // OpenPersistence opens (creating if needed) the registry state plane
@@ -69,13 +52,12 @@ func OpenPersistence(dir string, policy durable.FsyncPolicy) (*Persistence, erro
 		j.Close()
 		return nil, err
 	}
-	return &Persistence{dir: dir, j: j, ckpt: ckpt}, nil
+	return &Persistence{j: j, ckpt: ckpt}, nil
 }
 
 // Recover loads the checkpoint, folds the journal on top, and applies
-// the result to the registry: specialized models are reinstalled from
-// their saved files, the promotion history is restored, and the last
-// acknowledged active version is re-promoted (warm-up included). It
+// the result to the registry: the promotion history is restored and the
+// last acknowledged active version is re-promoted (warm-up included). It
 // returns the recovered active version ("" when there is no state yet).
 //
 // Call after the registry's versions are registered (e.g. LoadDir) and
@@ -110,21 +92,6 @@ func (p *Persistence) Recover(r *Registry) (string, error) {
 	if err != nil {
 		return "", err
 	}
-
-	// Reinstall specialized models first so the active version's warm-up
-	// snapshot includes them.
-	for _, se := range state.Specialized {
-		m, err := loadSpecModel(filepath.Join(p.dir, se.File))
-		if err != nil {
-			slog.Warn("serving: recovered specialized model unreadable; skipping",
-				"version", se.Version, "service", se.Service, "err", err)
-			continue
-		}
-		if err := r.restoreSpecialized(se.Version, se.Service, m); err != nil {
-			slog.Warn("serving: specialized model for unregistered version; skipping",
-				"version", se.Version, "service", se.Service, "err", err)
-		}
-	}
 	if state.Active == "" {
 		return "", nil
 	}
@@ -151,16 +118,6 @@ func (p *Persistence) applyLocked(sr *stateRecord) {
 			p.state.History = append(p.state.History, prev)
 			p.state.Active = prev
 		}
-	case "specialize":
-		for i := range p.state.Specialized {
-			if p.state.Specialized[i].Version == sr.Version && p.state.Specialized[i].Service == sr.Service {
-				p.state.Specialized[i].File = sr.File
-				return
-			}
-		}
-		p.state.Specialized = append(p.state.Specialized, specEntry{
-			Version: sr.Version, Service: sr.Service, File: sr.File,
-		})
 	}
 }
 
@@ -186,23 +143,6 @@ func (p *Persistence) recordPromote(version string) error {
 
 func (p *Persistence) recordRollback(to string) error {
 	return p.append(&stateRecord{Op: "rollback", Version: to})
-}
-
-// recordSpecialize saves the model's gob bytes into the state dir with
-// durable.WriteFile, then journals the installation. The file and its
-// directory entry are on disk before the record is, so a journaled
-// specialization always has its weights.
-func (p *Persistence) recordSpecialize(version string, serviceID int, m *core.Model) error {
-	// Version names are caller-chosen; hex-encode for a safe file name.
-	file := fmt.Sprintf("spec-%s-%d.gob", hex.EncodeToString([]byte(version)), serviceID)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return err
-	}
-	if err := durable.WriteFile(filepath.Join(p.dir, file), buf.Bytes()); err != nil {
-		return err
-	}
-	return p.append(&stateRecord{Op: "specialize", Version: version, Service: serviceID, File: file})
 }
 
 // Checkpoint publishes the state mirror as a new checkpoint generation
@@ -241,12 +181,3 @@ func (p *Persistence) State() (active string, history []string) {
 
 // Close syncs and closes the journal.
 func (p *Persistence) Close() error { return p.j.Close() }
-
-// loadSpecModel reads one saved specialized model.
-func loadSpecModel(path string) (*core.Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.Load(bytes.NewReader(data))
-}

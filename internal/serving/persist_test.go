@@ -1,6 +1,9 @@
 package serving
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -199,53 +202,47 @@ func TestRegistryCheckpointCrashPreRenameRecovers(t *testing.T) {
 	}
 }
 
-func TestRegistrySpecializedModelRecovered(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := fixture(t)
-	reg, _, _ := openPersistent(t, dir, "v1")
-	if err := reg.Promote("v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SetSpecialized(3, m); err != nil {
-		t.Fatal(err)
-	}
-	reg2, _, active := openPersistent(t, dir, "v1")
-	if active != "v1" {
-		t.Fatalf("recovered %q", active)
-	}
-	var specialized []int
-	for _, v := range reg2.Versions() {
-		if v.Name == "v1" {
-			specialized = v.Specialized
-		}
-	}
-	if !reflect.DeepEqual(specialized, []int{3}) {
-		t.Fatalf("specialized models not recovered: %v", specialized)
-	}
-	// The recovered snapshot actually serves the specialized session.
-	snap := reg2.current()
-	if snap == nil {
-		t.Fatal("no snapshot after recovery")
-	}
-	if _, svc := snap.sessions[0].ModelFor(3); svc != 3 {
-		t.Fatalf("service 3 not served by specialized session (got %d)", svc)
-	}
-}
-
 // TestBundleHoldsOneTrunkOneForestAcrossRecovery is the serving half of
-// core's TestBundleHoldsOneTrunkOneForest: a specialized model installed at
-// run time, and the same model recovered from the journal by a restarted
-// process (where it is decoded on its own, with a private copy of
-// everything), both enter the active bundle through core.Bundle.Attach —
-// the bundle holds one trunk and one forest either way, and the recovered
-// head answers like the installed one.
+// core's TestBundleHoldsOneTrunkOneForest: a version registered from a
+// bundle file, whose heads are decoded and folded onto the general model
+// through core.Bundle.Attach, holds one trunk and one forest once
+// promoted, and a restarted process that registers the same file and
+// recovers the promotion from the journal serves a head that answers
+// exactly like the one specialized in memory.
 func TestBundleHoldsOneTrunkOneForestAcrossRecovery(t *testing.T) {
 	dir := t.TempDir()
 	m, test := fixture(t)
 	deg := test.Degraded()
 	svc := deg.Samples[0].Service
-	spec := m.Specialize(test, svc).Model
+	b := core.NewBundle(m)
+	b.SpecializeAll(test, []int{svc})
+	spec := b.Specialized[svc]
+	var blob bytes.Buffer
+	if err := b.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.gob")
+	if err := os.WriteFile(path, blob.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
+	boot := func() *Registry {
+		t.Helper()
+		reg := NewRegistry(1)
+		if err := reg.LoadFile("v1", path); err != nil {
+			t.Fatal(err)
+		}
+		p, err := OpenPersistence(dir, durable.FsyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		reg.AttachPersistence(p)
+		if _, err := p.Recover(reg); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
 	holdsOne := func(when string, reg *Registry) *core.Model {
 		t.Helper()
 		b, _, err := reg.ActiveBundle()
@@ -267,24 +264,87 @@ func TestBundleHoldsOneTrunkOneForestAcrossRecovery(t *testing.T) {
 		return held
 	}
 
-	reg, _, _ := openPersistent(t, dir, "v1")
+	reg := boot()
 	if err := reg.Promote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.SetSpecialized(svc, spec); err != nil {
-		t.Fatal(err)
-	}
-	if held := holdsOne("after SetSpecialized", reg); held != spec {
-		t.Fatal("a model specialized from the served general has nothing to fold and must be held as it is")
-	}
+	holdsOne("after promotion", reg)
 
-	reg2, _, _ := openPersistent(t, dir, "v1")
+	reg2 := boot()
+	if reg2.Active() != "v1" {
+		t.Fatalf("recovered %q, want v1", reg2.Active())
+	}
 	recovered := holdsOne("after journal recovery", reg2)
 	for i := 0; i < 8; i++ {
 		s := &deg.Samples[i]
 		if !reflect.DeepEqual(spec.Diagnose(s.Features, test.Layout), recovered.Diagnose(s.Features, test.Layout)) {
 			t.Fatalf("sample %d: the recovered specialized model diagnoses differently", i)
 		}
+	}
+}
+
+// TestRegistryRecoversStateWithSpecializeRecords: a state dir written when
+// specialized models could still be installed into a registered version —
+// its journal carries a "specialize" record, its checkpoint a
+// "specialized" list, both naming a spec-*.gob model copy in the dir —
+// boots to the same active version and history. The old records are
+// ignored and the copy, present or not, is never read: every version
+// serves exactly the bundle it was registered with.
+func TestRegistryRecoversStateWithSpecializeRecords(t *testing.T) {
+	m, _ := fixture(t)
+	const file = "spec-7631-3.gob" // version "v1" hex-encoded, service 3
+	for name, withFile := range map[string]bool{"copy on disk": true, "copy missing": false} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt, err := durable.OpenCheckpointer(dir, "registry")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ckpt.Write([]byte(`{"active":"v1","history":["v1"],"specialized":[{"version":"v1","service":3,"file":"` + file + `"}]}`)); err != nil {
+				t.Fatal(err)
+			}
+			j, err := durable.Open(filepath.Join(dir, "journal"), durable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []string{
+				`{"op":"promote","version":"v1"}`,
+				`{"op":"specialize","version":"v1","service":3,"file":"` + file + `"}`,
+				`{"op":"promote","version":"v2"}`,
+			} {
+				if err := j.Append([]byte(rec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if withFile {
+				var buf bytes.Buffer
+				if err := m.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			reg, _, active := openPersistent(t, dir, "v1", "v2")
+			if active != "v2" || reg.Active() != "v2" {
+				t.Fatalf("recovered active = %q / %q, want v2", active, reg.Active())
+			}
+			if h := reg.History(); !reflect.DeepEqual(h, []string{"v1", "v2"}) {
+				t.Fatalf("recovered history = %v, want [v1 v2]", h)
+			}
+			for _, v := range reg.Versions() {
+				if len(v.Specialized) != 0 {
+					t.Fatalf("version %q serves specialized models %v it was not registered with", v.Name, v.Specialized)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, file)); withFile && err != nil {
+				t.Fatalf("the old model copy is gone: %v", err)
+			}
+		})
 	}
 }
 

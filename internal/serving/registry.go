@@ -16,12 +16,12 @@ import (
 )
 
 // Registry holds named model versions and the atomically swappable serving
-// snapshot. Admin operations (Add, Promote, Rollback, SetSpecialized) are
-// serialized by a mutex; the serving hot path only ever does one atomic
-// pointer load per micro-batch, so diagnoses never wait on a swap and a
-// swap never observes a half-updated model set — the race the old
-// analysis.Server.SetSpecialized had by mutating its specialized-model map
-// under a lock the Diagnose path also had to take.
+// snapshot. Admin operations (Add, Promote, Rollback) are serialized by a
+// mutex; the serving hot path only ever does one atomic pointer load per
+// micro-batch, so diagnoses never wait on a swap and a swap never observes
+// a half-updated model set. A registered version is the bundle it was
+// added with: nothing installs models into it afterwards, so per-service
+// heads ship inside the bundle (core.Bundle, diagnet-train -bundle).
 type Registry struct {
 	workers int
 
@@ -136,8 +136,8 @@ func (r *Registry) History() []string {
 }
 
 // AttachPersistence wires a state log into the registry: every
-// subsequent promotion, rollback and specialization is journaled before
-// it is acknowledged. Attach before Recover so a restarted process
+// subsequent promotion and rollback is journaled before it is
+// acknowledged. Attach before Recover so a restarted process
 // replays into the same log it then appends to.
 func (r *Registry) AttachPersistence(p *Persistence) {
 	r.mu.Lock()
@@ -157,19 +157,6 @@ func (r *Registry) restoreState(history []string, active string) error {
 		r.history = old
 		return err
 	}
-	return nil
-}
-
-// restoreSpecialized reinstalls a recovered specialized model into a
-// registered (not yet promoted) version's bundle without journaling.
-func (r *Registry) restoreSpecialized(version string, serviceID int, m *core.Model) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.versions[version]
-	if !ok {
-		return fmt.Errorf("serving: unknown version %q", version)
-	}
-	b.Attach(serviceID, m)
 	return nil
 }
 
@@ -193,42 +180,6 @@ func (r *Registry) Rollback() (string, error) {
 		return "", err
 	}
 	return prev, nil
-}
-
-// SetSpecialized installs (or replaces) a per-service specialized model in
-// the active version via copy-on-write: a new bundle and a new snapshot
-// are built and swapped atomically, so concurrent diagnoses see either the
-// old or the new model set, never a map mid-mutation. The model enters the
-// bundle through core.Bundle.Attach: one whose trunk holds the general
-// model's bits shares its pass, any other is served in a pass of its own.
-func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
-	if m == nil {
-		return fmt.Errorf("serving: nil specialized model for service %d", serviceID)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur := r.cur.Load()
-	if cur == nil {
-		return ErrNoModel
-	}
-	old := r.versions[cur.version]
-	nb := core.NewBundle(old.General)
-	for id, sm := range old.Specialized {
-		nb.Specialized[id] = sm
-	}
-	nb.Attach(serviceID, m)
-	snap, err := r.buildSnapshot(cur.version, nb)
-	if err != nil {
-		return err
-	}
-	if r.persist != nil {
-		if err := r.persist.recordSpecialize(cur.version, serviceID, m); err != nil {
-			return fmt.Errorf("serving: journal specialization: %w", err)
-		}
-	}
-	r.versions[cur.version] = nb
-	r.cur.Store(snap)
-	return nil
 }
 
 // buildSnapshot builds one session per worker, called with r.mu held.

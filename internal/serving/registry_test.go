@@ -58,38 +58,6 @@ func TestRegistryPromoteAndRollbackWalkHistory(t *testing.T) {
 	}
 }
 
-func TestRegistrySetSpecializedNeedsActiveVersion(t *testing.T) {
-	m, _ := fixture(t)
-	r := NewRegistry(1)
-	if err := r.SetSpecialized(0, m); err != ErrNoModel {
-		t.Fatalf("err = %v, want ErrNoModel", err)
-	}
-	if err := r.AddModel("v1", m); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Promote("v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetSpecialized(3, m); err != nil {
-		t.Fatal(err)
-	}
-	infos := r.Versions()
-	if len(infos) != 1 || !infos[0].Active {
-		t.Fatalf("versions: %+v", infos)
-	}
-	if len(infos[0].Specialized) != 1 || infos[0].Specialized[0] != 3 {
-		t.Fatalf("specialized set %v, want [3]", infos[0].Specialized)
-	}
-	// The session routes the specialized service to its own head.
-	snap := r.current()
-	if _, svc := snap.sessions[0].ModelFor(3); svc != 3 {
-		t.Fatal("specialized session not routed")
-	}
-	if _, svc := snap.sessions[0].ModelFor(7); svc != -1 {
-		t.Fatal("unknown service must fall back to general")
-	}
-}
-
 func TestRegistryLoadDir(t *testing.T) {
 	m, _ := fixture(t)
 	dir := t.TempDir()

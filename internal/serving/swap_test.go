@@ -15,8 +15,8 @@ import (
 // from the general model (ModelService -1) and "v-spec" carries a
 // specialized model for the probed service (ModelService == ServiceID), so
 // a response whose version label and serving model disagree would prove a
-// mixed-version batch. Run with -race this also exercises the
-// SetSpecialized/Promote vs Diagnose data race the registry exists to fix.
+// mixed-version batch. Run with -race this also exercises the Promote vs
+// Diagnose data race the registry exists to fix.
 func TestHotSwapUnderLoad(t *testing.T) {
 	m, _ := fixture(t)
 	e := New(Config{BatchMax: 8, QueueDepth: 256, Workers: 2})
@@ -31,16 +31,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if err := reg.AddModel("v-plain", m); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddModel("v-spec", m); err != nil {
-		t.Fatal(err)
-	}
 	req := sampleRequest(t)
-	if err := reg.Promote("v-spec"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SetSpecialized(req.ServiceID, m); err != nil {
-		t.Fatal(err)
-	}
+	promoteHead(t, reg, "v-spec", req.ServiceID, m)
 	if err := reg.Promote("v-plain"); err != nil {
 		t.Fatal(err)
 	}
