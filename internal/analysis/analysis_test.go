@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -276,6 +278,61 @@ func TestDiagnoseBatchValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET status %d", resp.StatusCode)
 	}
+}
+
+// TestNonFiniteDiagnosisRefused: every feature at 1e300 overflows the
+// network into NaN probabilities, which JSON cannot carry. The diagnosis
+// is refused — a 400 alone, its own error slot in a batch whose other rows
+// are answered — where it was a 200 with an empty body, and the continual
+// plane never sees it.
+func TestNonFiniteDiagnosisRefused(t *testing.T) {
+	_, url, _, store := newContinualService(t)
+	good := *sampleRequest(t)
+	extreme := good
+	extreme.Features = make([]float64, len(good.Features))
+	for i := range extreme.Features {
+		extreme.Features[i] = 1e300
+	}
+
+	payload, _ := json.Marshal(extreme)
+	status, body := post(t, url+"/v1/diagnose", payload)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "not finite") {
+		t.Fatalf("extreme row: status %d, body %q; want 400 naming the non-finite diagnosis", status, body)
+	}
+
+	batch := BatchRequest{Requests: make([]DiagnoseRequest, 9)}
+	for i := range batch.Requests {
+		batch.Requests[i] = good
+	}
+	batch.Requests[4] = extreme
+	payload, _ = json.Marshal(batch)
+	status, body = post(t, url+"/v1/diagnose-batch", payload)
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); status != http.StatusOK || err != nil {
+		t.Fatalf("batch: status %d, decode error %v, body %q", status, err, body)
+	}
+	for i := range batch.Requests {
+		if refused := i == 4; (resp.Responses[i] == nil) != refused || (resp.Errors[i] != "") != refused {
+			t.Errorf("slot %d: response %v, error %q", i, resp.Responses[i] != nil, resp.Errors[i])
+		}
+	}
+	if n := store.Len(); n != 8 {
+		t.Errorf("continual store holds %d samples, want the 8 finite diagnoses", n)
+	}
+}
+
+func post(t *testing.T, url string, payload []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
 }
 
 func TestConcurrentDiagnoses(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"sort"
@@ -249,7 +250,7 @@ var mBatchSize = telemetry.Default().Histogram("http.diagnose_batch.size", telem
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, &req, decodeBatch) {
 		return
 	}
 	if len(req.Requests) == 0 || len(req.Requests) > maxBatch {
@@ -279,18 +280,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, errs := s.engine.SubmitAll(r.Context(), subs)
 	for k, i := range slots {
-		if errs[k] != nil {
-			resp.Errors[i] = errs[k].Error()
-			continue
+		err := errs[k]
+		if err == nil {
+			resp.Responses[i], err = s.respond(&req.Requests[i], subs[k].Layout, results[k])
 		}
-		resp.Responses[i] = s.respond(&req.Requests[i], subs[k].Layout, results[k])
+		if err != nil {
+			resp.Errors[i] = err.Error()
+		}
 	}
 	obs.WriteJSON(w, resp)
 }
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var req DiagnoseRequest
-	if !decodeBody(w, r, &req) {
+	if !readRequest(w, r, &req, decodeDiagnose) {
 		return
 	}
 	resp, err := s.diagnose(r.Context(), &req, false)
@@ -336,7 +339,7 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 	if err != nil {
 		return nil, err
 	}
-	return s.respond(req, sub.Layout, res), nil
+	return s.respond(req, sub.Layout, res)
 }
 
 // validate checks a request against the active model's deployment layout
@@ -363,14 +366,17 @@ func (s *Server) validate(req *DiagnoseRequest) (*serving.Request, error) {
 	return &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}, nil
 }
 
-// respond feeds a served diagnosis to the continual plane, when there is
-// one, and shapes the client's reply.
-func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving.Result) *DiagnoseResponse {
-	diag := res.Diagnosis
-	if ctrl := s.loop.Load(); ctrl != nil {
-		s.feedContinual(ctrl, req, layout, diag)
-	}
+// errNonFinite refuses a diagnosis JSON cannot carry. An input far outside
+// the training range (every feature 1e300) overflows the network into NaN
+// probabilities; encoded, that reply would be a 200 with an empty body.
+var errNonFinite = errors.New("analysis: diagnosis is not finite (input outside the model's numeric range)")
 
+// respond shapes the client's reply and feeds the served diagnosis to the
+// continual plane, when there is one. A diagnosis whose coarse
+// distribution, unknown weight or returned scores are not finite is
+// refused with errNonFinite and fed nowhere.
+func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving.Result) (*DiagnoseResponse, error) {
+	diag := res.Diagnosis
 	topK := req.TopK
 	if topK <= 0 {
 		topK = 5
@@ -378,6 +384,21 @@ func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving
 	if topK > layout.NumFeatures() {
 		topK = layout.NumFeatures()
 	}
+	top := diag.Top(topK)
+	ok := finite(diag.UnknownWeight)
+	for _, p := range diag.Coarse {
+		ok = ok && finite(p)
+	}
+	for _, j := range top {
+		ok = ok && finite(diag.Final[j])
+	}
+	if !ok {
+		return nil, errNonFinite
+	}
+	if ctrl := s.loop.Load(); ctrl != nil {
+		s.feedContinual(ctrl, req, layout, diag)
+	}
+
 	resp := &DiagnoseResponse{
 		Family:        diag.Family.String(),
 		Coarse:        diag.Coarse,
@@ -386,7 +407,7 @@ func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving
 		ModelVersion:  res.Version,
 		Causes:        make([]Cause, 0, topK),
 	}
-	for _, j := range diag.Top(topK) {
+	for _, j := range top {
 		resp.Causes = append(resp.Causes, Cause{
 			Feature: j,
 			Name:    layout.FeatureName(j),
@@ -394,8 +415,10 @@ func (s *Server) respond(req *DiagnoseRequest, layout probe.Layout, res *serving
 			Score:   diag.Final[j],
 		})
 	}
-	return resp
+	return resp, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	bundle, version, err := s.engine.Registry().ActiveBundle()

@@ -163,6 +163,3 @@ func (m *Model) Scores(x []float64) []float64 {
 
 // Causes returns the number of root-cause classes.
 func (m *Model) Causes() int { return m.causes }
-
-// SpecificLikelihoods returns how many (feature, class) KDEs were fitted.
-func (m *Model) SpecificLikelihoods() int { return len(m.specific) }

@@ -144,7 +144,7 @@ func TestMaxKDEPointsCapsSupport(t *testing.T) {
 			t.Fatalf("likelihood %v has %d support points", key, k.Len())
 		}
 	}
-	if m.SpecificLikelihoods() == 0 {
+	if len(m.specific) == 0 {
 		t.Fatal("no specific likelihoods fitted")
 	}
 }

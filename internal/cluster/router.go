@@ -3,17 +3,17 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"diagnet/internal/analysis"
+	"diagnet/internal/jsonscan"
 	"diagnet/internal/obs"
 	"diagnet/internal/resilience"
 	"diagnet/internal/telemetry"
@@ -313,44 +313,28 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, rt.pool.Status())
 }
 
-// The batch envelopes of the analysis plane's /v1/diagnose-batch, every
-// element left as the bytes it arrived in: the router splits and merges on
-// element boundaries and reads nothing inside one.
-type (
-	batchRequest struct {
-		Requests []json.RawMessage `json:"requests"`
-	}
-	batchResponse struct {
-		Responses []json.RawMessage `json:"responses"`
-		Errors    []string          `json:"errors"`
-	}
-)
-
-// encodeRaw writes v as JSON without HTML escaping, which would rewrite
-// the strings inside a RawMessage element.
-func encodeRaw(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(v)
-}
-
 // handleBatch scatter-gathers a batch: the request list is split into
 // contiguous chunks (one per ready replica, no smaller than batchChunk),
 // the chunks run in parallel, each through the same failover loop as a
 // single request, and the per-chunk responses are merged back in request
 // order. One failed chunk fails the whole batch with that chunk's status
 // — partial batches would silently drop incidents from bulk post-mortems.
+//
+// The router forwards; it does not decode. One validating scan of the
+// envelope (scanBatch) finds where each element starts and ends, each
+// chunk is those elements' bytes inside a fresh envelope, and the merged
+// reply is the replicas' own response and error slots, byte for byte.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	elems, space, err := scanBatch(body)
+	if err != nil {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	n := len(req.Requests)
+	n := len(elems)
 	if n == 0 || n > maxBatch {
 		http.Error(w, fmt.Sprintf("batch size must be in [1, %d]", maxBatch), http.StatusBadRequest)
 		return
@@ -363,16 +347,24 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		span.SetAttr("batch.chunks", ways)
 	}
 
-	merged := batchResponse{Responses: make([]json.RawMessage, n), Errors: make([]string, n)}
-	failed := make(chan attemptOutcome, ways) // one slot per chunk: a send never blocks
-	var wg sync.WaitGroup
+	// Every chunk's payload is cut from one buffer: compacting never
+	// lengthens the elements, so it holds them all plus an envelope each.
 	chunk := (n + ways - 1) / ways
-	for off := 0; off < n; off += chunk {
-		end := min(off+chunk, n)
+	parts := make([]chunkReply, (n+chunk-1)/chunk)
+	payloads := make([]byte, 0, len(body)+len(parts)*len(requestsOpen+requestsClose))
+	failed := make(chan attemptOutcome, len(parts)) // one slot per chunk: a send never blocks
+	var wg sync.WaitGroup
+	for k := range parts {
+		off, end := k*chunk, min((k+1)*chunk, n)
+		start := len(payloads)
+		payloads = append(payloads, requestsOpen...)
+		payloads = appendElements(payloads, body, elems[off:end], space)
+		payloads = append(payloads, requestsClose...)
+		payload := payloads[start:len(payloads):len(payloads)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if fail := rt.routeChunk(r.Context(), req.Requests[off:end], merged.Responses[off:end], merged.Errors[off:end]); fail != nil {
+			if fail := rt.routeChunk(r.Context(), payload, end-off, &parts[k]); fail != nil {
 				failed <- *fail
 			}
 		}()
@@ -382,33 +374,165 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	case out := <-failed:
 		writeUpstream(w, out)
 	default:
+		merged := mergeReplies(parts)
 		w.Header().Set("Content-Type", "application/json")
-		if err := encodeRaw(w, merged); err != nil {
-			slog.Warn("cluster: merged batch reply not written", "err", err)
-		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(merged)))
+		w.Write(merged)
 	}
 }
 
-// routeChunk sends one contiguous run of batch elements through route and
-// copies the replica's answer into the merged reply's matching slots; a
-// non-nil result is the outcome that fails the batch. A reply without
-// exactly one response and one error slot per element is a failure like
-// any other — merged as it stands it would be a null response beside an
-// empty error, an incident dropped without a word.
-func (rt *Router) routeChunk(ctx context.Context, elems, responses []json.RawMessage, errs []string) *attemptOutcome {
-	var payload bytes.Buffer
-	if err := encodeRaw(&payload, batchRequest{elems}); err != nil {
-		return &attemptOutcome{err: err}
-	}
-	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload.Bytes())
+// The envelopes the router writes: around each chunk's elements, and
+// around the merged reply's two slot lists.
+const (
+	requestsOpen  = `{"requests":[`
+	requestsClose = `]}`
+	mergedOpen    = `{"responses":[`
+	mergedMiddle  = `],"errors":[`
+	mergedClose   = "]}\n"
+)
+
+// chunkReply is one chunk's answer as the router keeps it: the replica's
+// body, and where its response and error slots lie in it.
+type chunkReply struct {
+	body              []byte
+	responses, errors []span
+	space             bool // whitespace in the body, to compact away
+}
+
+// routeChunk sends one chunk of n elements through route and records the
+// replica's answer in reply; a non-nil result is the outcome that fails
+// the batch. A reply that does not parse, or lacks exactly one response
+// and one error slot per element, is a failure like any other — merged as
+// it stands it would be a null response beside an empty error, an incident
+// dropped without a word.
+func (rt *Router) routeChunk(ctx context.Context, payload []byte, n int, reply *chunkReply) *attemptOutcome {
+	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload)
 	if out.err != nil || out.status != http.StatusOK {
 		return &out
 	}
-	var part batchResponse
-	if err := json.Unmarshal(out.body, &part); err != nil || len(part.Responses) != len(elems) || len(part.Errors) != len(elems) {
+	*reply = scanReply(out.body)
+	if len(reply.responses) != n || len(reply.errors) != n {
 		return &attemptOutcome{err: fmt.Errorf("replica %s returned a malformed batch chunk", out.rep.Name())}
 	}
-	copy(responses, part.Responses)
-	copy(errs, part.Errors)
 	return nil
+}
+
+// mergeReplies writes the merged batch reply, every slot as its replica
+// sent it, into one buffer sized for all of them.
+func mergeReplies(parts []chunkReply) []byte {
+	size := len(mergedOpen + mergedMiddle + mergedClose)
+	for _, p := range parts {
+		size += len(p.body)
+	}
+	out := append(make([]byte, 0, size), mergedOpen...)
+	for k, p := range parts {
+		if k > 0 {
+			out = append(out, ',')
+		}
+		out = appendElements(out, p.body, p.responses, p.space)
+	}
+	out = append(out, mergedMiddle...)
+	for k, p := range parts {
+		if k > 0 {
+			out = append(out, ',')
+		}
+		out = appendElements(out, p.body, p.errors, p.space)
+	}
+	return append(out, mergedClose...)
+}
+
+// span is where one array element's bytes lie in a document.
+type span struct{ start, end int }
+
+// appendElements appends the consecutive elements elems of doc, comma
+// separated and compacted — one by one when space says the scan met
+// whitespace, for only then can there be any to remove.
+func appendElements(dst, doc []byte, elems []span, space bool) []byte {
+	if !space {
+		return append(dst, doc[elems[0].start:elems[len(elems)-1].end]...)
+	}
+	for k, e := range elems {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonscan.AppendCompact(dst, doc[e.start:e.end])
+	}
+	return dst
+}
+
+var (
+	batchFields = []string{"requests"}
+	replyFields = []string{"responses", "errors"}
+)
+
+// scanBatch validates a batch request in one pass and returns its
+// elements' spans. It accepts exactly what json.Unmarshal accepts into
+// {"requests": []json.RawMessage} — a null document or a null or absent
+// list is no elements, a repeated key's last list wins — and space
+// reports whitespace among the elements.
+func scanBatch(body []byte) (elems []span, space bool, err error) {
+	s := jsonscan.New(body)
+	err = s.Object(func(key []byte) error {
+		if jsonscan.Field(key, batchFields) != 0 {
+			return s.Skip()
+		}
+		var err error
+		elems, space, err = scanArray(&s, s.Skip)
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	return elems, space, err
+}
+
+// scanReply validates a replica's batch reply as json.Unmarshal would
+// into {"responses": []json.RawMessage, "errors": []string} and records
+// its slots. A reply that does not parse has none, which no chunk accepts.
+func scanReply(body []byte) chunkReply {
+	s := jsonscan.New(body)
+	reply := chunkReply{body: body}
+	err := s.Object(func(key []byte) error {
+		var err error
+		space := false
+		switch jsonscan.Field(key, replyFields) {
+		case 0:
+			reply.responses, space, err = scanArray(&s, s.Skip)
+		case 1:
+			reply.errors, space, err = scanArray(&s, func() error {
+				if null, err := s.Null(); null || err != nil {
+					return err
+				}
+				_, _, err := s.String()
+				return err
+			})
+		default:
+			return s.Skip()
+		}
+		reply.space = reply.space || space
+		return err
+	})
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		return chunkReply{}
+	}
+	return reply
+}
+
+// scanArray reads an array (a null has no elements), checking each
+// element with elem, and returns the elements' spans and whether
+// whitespace occurs among them.
+func scanArray(s *jsonscan.Scanner, elem func() error) ([]span, bool, error) {
+	s.Next()
+	s.Space = false
+	var elems []span
+	err := s.Array(func() error {
+		start := s.Pos()
+		err := elem()
+		elems = append(elems, span{start, s.Pos()})
+		return err
+	})
+	return elems, s.Space, err
 }

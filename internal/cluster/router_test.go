@@ -438,6 +438,8 @@ func TestBatchChunkFailureFailsWhole(t *testing.T) {
 		{"short responses", reply(http.StatusOK, `{"responses":[{},{},{}],"errors":["","","",""]}`), http.StatusServiceUnavailable},
 		{"short errors", reply(http.StatusOK, `{"responses":[{},null,{},{}],"errors":[""]}`), http.StatusServiceUnavailable},
 		{"not JSON", reply(http.StatusOK, `{"responses":[`), http.StatusServiceUnavailable},
+		{"error slot not a string", reply(http.StatusOK, `{"responses":[{},{},{},{}],"errors":["","",7,""]}`), http.StatusServiceUnavailable},
+		{"bytes after the reply", reply(http.StatusOK, `{"responses":[{},{},{},{}],"errors":["","","",""]} {}`), http.StatusServiceUnavailable},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := newFakeReplica(t, tc.handle)

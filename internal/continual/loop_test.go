@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -88,12 +89,14 @@ func pump(t *testing.T, e *serving.Engine, src *atomic.Pointer[dataset.Dataset],
 	}
 }
 
-// waitState polls the controller until it reaches `want`.
+// waitState polls the controller until it is in `want`, or has entered
+// it since the call began.
 func waitState(t *testing.T, c *Controller, want State, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
+	start := time.Now()
+	deadline := start.Add(timeout)
 	for {
-		if got := c.State(); got == want {
+		if got := c.State(); got == want || enteredSince(c, want, start) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -103,6 +106,19 @@ func waitState(t *testing.T, c *Controller, want State, timeout time.Duration) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// enteredSince reports whether the controller's transition tail records
+// an entry into state at or after since. A transient state (promoting,
+// which the watchdog may leave within milliseconds) can come and go
+// between two polls of State.
+func enteredSince(c *Controller, state State, since time.Time) bool {
+	for _, tr := range c.Status().Transitions {
+		if tr.To == state && !tr.Time.Before(since) {
+			return true
+		}
+	}
+	return false
 }
 
 // triggerWindow is the drift trigger's window: drift.Config's default.
@@ -412,13 +428,20 @@ func TestLoopWatchdogRollsBack(t *testing.T) {
 	defer store.Close()
 
 	// The candidate is behavior-identical to the incumbent (a clean
-	// clone): promotion is trivially safe at vetting time.
+	// clone): promotion is trivially safe at vetting time. There is one
+	// candidate: after the rollback the drift trigger starts a new cycle,
+	// and a second promotion racing the assertions below would replace
+	// the restored version they check.
 	clone := cloneModel(t)
+	var trained atomic.Bool
 	ctrl, err := NewController(Config{
 		Engine: e,
 		Store:  store,
 		Gate:   GateConfig{MinShadowSamples: 32, MaxPSI: 100, MaxLatencyRatio: 100},
 		TrainFunc: func(ctx context.Context) (*TrainOutcome, error) {
+			if trained.Swap(true) {
+				return nil, errors.New("one candidate per test")
+			}
 			return &TrainOutcome{Bundle: core.NewBundle(clone), Epochs: 1}, nil
 		},
 		ShadowTimeout:   10 * time.Second,

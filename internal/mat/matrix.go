@@ -153,17 +153,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Equal reports whether a and b have the same shape and all elements are
 // within tol of each other.
 func Equal(a, b *Matrix, tol float64) bool {

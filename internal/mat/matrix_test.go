@@ -212,16 +212,6 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	m := FromRows([][]float64{{-5, 2}, {3, -4}})
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	if New(0, 0).MaxAbs() != 0 {
-		t.Fatal("empty MaxAbs should be 0")
-	}
-}
-
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ.
 func TestMulTransposeProperty(t *testing.T) {
 	f := func(seed int64) bool {

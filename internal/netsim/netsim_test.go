@@ -34,9 +34,6 @@ func TestPaperRegionSets(t *testing.T) {
 	if got := FaultRegions(); len(got) != 5 {
 		t.Fatalf("FaultRegions = %v", got)
 	}
-	if got := ServiceRegions(); len(got) != 3 {
-		t.Fatalf("ServiceRegions = %v", got)
-	}
 }
 
 func TestHaversineSanity(t *testing.T) {

@@ -63,9 +63,6 @@ func HiddenLandmarks() []int { return []int{EAST, GRAV, SEAT} }
 // (§IV-A-e): the regions involving services — SEAT, BEAU, GRAV, AMST, SING.
 func FaultRegions() []int { return []int{SEAT, BEAU, GRAV, AMST, SING} }
 
-// ServiceRegions returns the regions hosting mock-up services (§IV-A-a).
-func ServiceRegions() []int { return []int{GRAV, SEAT, SING} }
-
 // earthRadiusKm is the mean Earth radius.
 const earthRadiusKm = 6371.0
 

@@ -11,11 +11,6 @@ import (
 // cross-entropy loss, the standard numerically stable formulation.
 type SoftmaxCrossEntropy struct{}
 
-// Softmax writes the row-wise softmax of logits into a new matrix.
-func Softmax(logits *mat.Matrix) *mat.Matrix {
-	return softmaxInto(mat.New(logits.Rows, logits.Cols), logits)
-}
-
 // softmaxInto writes the row-wise softmax of logits into p and returns p.
 func softmaxInto(p, logits *mat.Matrix) *mat.Matrix {
 	for i := 0; i < logits.Rows; i++ {

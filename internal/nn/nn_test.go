@@ -17,7 +17,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for i := range logits.Data {
 		logits.Data[i] = rng.NormFloat64() * 10
 	}
-	p := Softmax(logits)
+	p := softmaxInto(mat.New(logits.Rows, logits.Cols), logits)
 	for i := 0; i < p.Rows; i++ {
 		var s float64
 		for _, v := range p.Row(i) {
@@ -34,7 +34,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxNumericallyStable(t *testing.T) {
 	logits := mat.FromRows([][]float64{{1000, 1001, 999}})
-	p := Softmax(logits)
+	p := softmaxInto(mat.New(logits.Rows, logits.Cols), logits)
 	for _, v := range p.Row(0) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("softmax overflow: %v", p.Row(0))

@@ -30,6 +30,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,6 +39,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -134,14 +137,29 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// WriteJSON writes v as a JSON response. A value that does not encode
-// leaves the client a 200 with a cut-off body, so the error is logged: a
-// blank document must not be silent.
+// jsonReplies holds the buffers WriteJSON encodes into before it writes.
+var jsonReplies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// WriteJSON writes v as a JSON response with a declared Content-Length.
+// Encoding into a pooled buffer first is what lets it declare one: a
+// large reply streamed straight to the connection goes out chunked, and a
+// reader that cannot size its buffer from the header — the router taking
+// a replica's batch reply — grows one by doubling instead. A value that
+// does not encode (a NaN, say) is logged and answered 500, not a 200 with
+// an empty body.
 func WriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	buf := jsonReplies.Get().(*bytes.Buffer)
+	defer jsonReplies.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		slog.Warn("obs: JSON response not written", "type", fmt.Sprintf("%T", v), "err", err)
+		http.Error(w, "internal error: response not encodable", http.StatusInternalServerError)
+		return
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }
 
 // ListenAndServe is how diagnetd and diagnet-router serve: h on addr with

@@ -451,14 +451,18 @@ func TestFederatorScrapesJSON(t *testing.T) {
 }
 
 // TestWriteJSONLogsEncodeError pins that a value encoding/json refuses is
-// reported, not silently served as an empty 200.
+// logged and answered 500, not silently served as an empty 200.
 func TestWriteJSONLogsEncodeError(t *testing.T) {
 	var logged bytes.Buffer
 	prev := slog.Default()
 	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
 	defer slog.SetDefault(prev)
-	WriteJSON(httptest.NewRecorder(), map[string]float64{"x": math.NaN()})
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, map[string]float64{"x": math.NaN()})
 	if !strings.Contains(logged.String(), "JSON response not written") {
 		t.Errorf("encode error not logged: %q", logged.String())
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d for a value that does not encode, want 500 (body %q)", rec.Code, rec.Body)
 	}
 }

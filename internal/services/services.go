@@ -94,15 +94,6 @@ func (s Service) Resources(client int, nearest func(int) int) []Resource {
 	return res
 }
 
-// TotalBytes returns the payload volume of one page load.
-func (s Service) TotalBytes(client int, nearest func(int) int) int {
-	var sum int
-	for _, r := range s.Resources(client, nearest) {
-		sum += r.Bytes
-	}
-	return sum
-}
-
 // Catalog returns the twelve deployed services: the six archetypes spread
 // over the three service regions (§IV-A-a), two instantiations each. The
 // second group's host rotation is offset so that BEAU-dependent archetypes
@@ -125,7 +116,3 @@ func Catalog() []Service {
 // TrainingSet returns the eight services the general model trains on
 // (§IV-F: "a general model on a subset of eight initial services").
 func TrainingSet() []Service { return Catalog()[:8] }
-
-// ExtraSet returns the remaining services, used to evaluate per-service
-// specialization on services outside the general training set.
-func ExtraSet() []Service { return Catalog()[8:] }

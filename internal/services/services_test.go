@@ -40,11 +40,13 @@ func TestTrainingAndExtraSplit(t *testing.T) {
 	if len(TrainingSet()) != 8 {
 		t.Fatalf("training set %d, want 8 (paper §IV-F)", len(TrainingSet()))
 	}
-	if len(TrainingSet())+len(ExtraSet()) != len(Catalog()) {
-		t.Fatal("split does not cover catalog")
+	for i, s := range TrainingSet() {
+		if s.ID != i {
+			t.Fatalf("training service %d has ID %d: not the catalog's first eight", i, s.ID)
+		}
 	}
-	if TrainingSet()[0].ID != 0 || ExtraSet()[0].ID != 8 {
-		t.Fatal("split IDs wrong")
+	if n := len(Catalog()) - len(TrainingSet()); n != 4 {
+		t.Fatalf("%d services outside the training set, want 4", n)
 	}
 }
 
@@ -90,8 +92,15 @@ func TestResourcesPerKind(t *testing.T) {
 }
 
 func TestImageServicesAreHeavy(t *testing.T) {
-	light := Service{Kind: Single, Host: netsim.GRAV}.TotalBytes(netsim.TOKY, nearestStub)
-	heavy := Service{Kind: ImageFar, Host: netsim.GRAV}.TotalBytes(netsim.TOKY, nearestStub)
+	pageBytes := func(s Service) int {
+		var sum int
+		for _, r := range s.Resources(netsim.TOKY, nearestStub) {
+			sum += r.Bytes
+		}
+		return sum
+	}
+	light := pageBytes(Service{Kind: Single, Host: netsim.GRAV})
+	heavy := pageBytes(Service{Kind: ImageFar, Host: netsim.GRAV})
 	if heavy < 50*light {
 		t.Fatalf("image service only %dx heavier than single", heavy/light)
 	}

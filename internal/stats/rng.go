@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 )
@@ -101,9 +100,4 @@ func (l *LockedRand) Shuffle(n int, swap func(i, j int)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.r.Shuffle(n, swap)
-}
-
-// LogNorm draws a log-normal variate exp(N(mu, sigma)).
-func LogNorm(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
 }

@@ -155,15 +155,6 @@ func TestNewRandReproducible(t *testing.T) {
 	}
 }
 
-func TestLogNormPositive(t *testing.T) {
-	rng := NewRand(10, 0)
-	for i := 0; i < 100; i++ {
-		if LogNorm(rng, 0, 1) <= 0 {
-			t.Fatal("LogNorm must be positive")
-		}
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
