@@ -162,10 +162,47 @@ func FuzzLoadModelFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
+	f.Add(forestFeatureBeyondInt32(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := LoadBundle(bytes.NewReader(data)); err == nil {
 			return
 		}
 		Load(bytes.NewReader(data))
 	})
+}
+
+// forestFeatureBeyondInt32 is the golden model file with its forest's first
+// split reading feature 2³², which the forest's resident int32 would keep
+// as feature 0: Load must refuse it.
+func forestFeatureBeyondInt32(f *testing.F) []byte {
+	blob, err := os.ReadFile(filepath.Join("testdata", "model.golden.gob"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := Load(bytes.NewReader(blob))
+	if err != nil {
+		f.Fatal(err)
+	}
+	aux := m.Aux.Wire()
+	root := &aux.Trees[0].Nodes[0]
+	if root.Left < 0 {
+		f.Fatal("the golden forest's first tree is a single leaf")
+	}
+	root.Feature = 1 << 32
+	var wire modelWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wire); err != nil {
+		f.Fatal(err)
+	}
+	var auxBuf, out bytes.Buffer
+	if err := gob.NewEncoder(&auxBuf).Encode(aux); err != nil {
+		f.Fatal(err)
+	}
+	wire.Aux = auxBuf.Bytes()
+	if err := gob.NewEncoder(&out).Encode(wire); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(out.Bytes())); err == nil {
+		f.Fatal("Load accepted a forest split on feature 2³²")
+	}
+	return out.Bytes()
 }

@@ -22,9 +22,12 @@ func DefaultConfig() Config {
 	return Config{Trees: 50, Tree: TreeConfig{MaxDepth: 10}}
 }
 
-// Forest is a fitted random forest classifier.
+// Forest is a fitted random forest classifier, held in the flat form its
+// wire stores: each tree's nodes in preorder, and every leaf's entries in
+// one slab.
 type Forest struct {
-	trees   []*Tree
+	trees   [][]node
+	leaves  []entry
 	classes int
 }
 
@@ -36,7 +39,8 @@ func Fit(x [][]float64, labels []int, classes int, cfg Config) *Forest {
 	if cfg.Trees <= 0 {
 		cfg.Trees = 50
 	}
-	f := &Forest{trees: make([]*Tree, cfg.Trees), classes: classes}
+	f := &Forest{trees: make([][]node, cfg.Trees), classes: classes}
+	leaves := make([][]entry, cfg.Trees)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Trees {
 		workers = cfg.Trees
@@ -53,7 +57,7 @@ func Fit(x [][]float64, labels []int, classes int, cfg Config) *Forest {
 				for i := range boot {
 					boot[i] = rng.Intn(len(x))
 				}
-				f.trees[ti] = FitTree(x, labels, classes, boot, cfg.Tree, rng)
+				f.trees[ti], leaves[ti] = fitTree(x, labels, classes, boot, cfg.Tree, rng)
 			}
 		}()
 	}
@@ -62,6 +66,16 @@ func Fit(x [][]float64, labels []int, classes int, cfg Config) *Forest {
 	}
 	close(next)
 	wg.Wait()
+	// Move each tree's leaves into the forest's slab, in tree order.
+	for ti, nodes := range f.trees {
+		base := int32(len(f.leaves))
+		for i := range nodes {
+			if nodes[i].isLeaf() {
+				nodes[i].feature += base
+			}
+		}
+		f.leaves = append(f.leaves, leaves[ti]...)
+	}
 	return f
 }
 
@@ -71,49 +85,36 @@ func (f *Forest) Classes() int { return f.classes }
 // Trees returns the number of fitted estimators.
 func (f *Forest) Trees() int { return len(f.trees) }
 
-// PredictProba averages the leaf distributions of all trees.
-func (f *Forest) PredictProba(x []float64) []float64 {
-	dist := make([]float64, f.classes)
-	for _, t := range f.trees {
-		for k, v := range t.PredictProba(x) {
-			dist[k] += v
-		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for k := range dist {
-		dist[k] *= inv
-	}
-	return dist
-}
-
 // Width returns the shortest input the forest can score: one past the
 // largest feature any of its splits reads.
 func (f *Forest) Width() int {
 	w := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !n.isLeaf() {
-			w = max(w, n.Feature+1)
-			walk(n.Left)
-			walk(n.Right)
+	for _, nodes := range f.trees {
+		for _, n := range nodes {
+			if !n.isLeaf() {
+				w = max(w, int(n.feature)+1)
+			}
 		}
-	}
-	for _, t := range f.trees {
-		walk(t.root)
 	}
 	return w
 }
 
-// Predict returns the arg-max class for x.
-func (f *Forest) Predict(x []float64) int {
-	dist := f.PredictProba(x)
-	arg := 0
-	for k, v := range dist {
-		if v > dist[arg] {
-			arg = k
+// leaf returns the entries of the leaf x falls into in the tree nodes.
+func (f *Forest) leaf(nodes []node, x []float64) []entry {
+	i := 0
+	for !nodes[i].isLeaf() {
+		if x[nodes[i].feature] <= nodes[i].threshold {
+			i++
+		} else {
+			i = int(nodes[i].right)
 		}
 	}
-	return arg
+	return f.entries(nodes[i])
+}
+
+// entries returns the slab run of the leaf n.
+func (f *Forest) entries(n node) []entry {
+	return f.leaves[n.feature : n.feature-n.right]
 }
 
 // Extensible is the paper's extensible random-forest baseline (§IV-B-a):
@@ -149,20 +150,22 @@ func (e *Extensible) Scores(x []float64) []float64 {
 // ScoresInto is Scores writing into a caller-provided buffer of Causes()
 // elements and allocating nothing: the batch-friendly entry point serving
 // workers use. The trees' leaf distributions are summed into out in tree
-// order, as PredictProba sums them, so both give the same bits. It returns
-// out.
+// order; a class a leaf does not list would add +0, which leaves every sum
+// (starting at +0) with the same bits, so it is skipped. It returns out.
 func (e *Extensible) ScoresInto(x, out []float64) []float64 {
 	if len(out) != e.causes {
 		panic("forest: ScoresInto buffer has wrong length")
 	}
 	clear(out)
 	var unknown float64
-	for _, t := range e.forest.trees {
-		dist := t.PredictProba(x)
-		for k := range out {
-			out[k] += dist[k]
+	for _, nodes := range e.forest.trees {
+		for _, en := range e.forest.leaf(nodes, x) {
+			if int(en.class) == e.causes {
+				unknown += en.p
+			} else {
+				out[en.class] += en.p
+			}
 		}
-		unknown += dist[e.causes]
 	}
 	inv := 1 / float64(len(e.forest.trees))
 	share := unknown * inv / float64(e.causes)
@@ -170,11 +173,6 @@ func (e *Extensible) ScoresInto(x, out []float64) []float64 {
 		out[k] = out[k]*inv + share
 	}
 	return out
-}
-
-// UnknownScore returns the probability mass assigned to the unknown class.
-func (e *Extensible) UnknownScore(x []float64) []float64 {
-	return e.forest.PredictProba(x)
 }
 
 // Causes returns the number of concrete root-cause classes.

@@ -3,6 +3,7 @@ package forest
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -21,17 +22,121 @@ func gaussianBlobs(rng *rand.Rand, n int) ([][]float64, []int) {
 	return x, labels
 }
 
+// oracleNode is a tree node linked by pointers: the form the forest was
+// held in before its wire's flat form became its resident form. Built from
+// a forest's wire and walked one pointer at a time, it is the reference the
+// flat walk is checked against.
+type oracleNode struct {
+	feature     int
+	threshold   float64
+	left, right *oracleNode
+	dist        []float64
+}
+
+// oracle links each tree of w.
+func oracle(w Wire) []*oracleNode {
+	var roots []*oracleNode
+	for _, ft := range w.Trees {
+		nodes := make([]oracleNode, len(ft.Nodes))
+		for i, fn := range ft.Nodes {
+			nodes[i] = oracleNode{feature: fn.Feature, threshold: fn.Threshold, dist: fn.Dist}
+			if fn.Left >= 0 {
+				nodes[i].left, nodes[i].right = &nodes[fn.Left], &nodes[fn.Right]
+			}
+		}
+		roots = append(roots, &nodes[0])
+	}
+	return roots
+}
+
+// oracleOf links each tree of f.
+func oracleOf(f *Forest) []*oracleNode {
+	return oracle((&Extensible{forest: f, causes: f.classes - 1}).Wire())
+}
+
+// predictProba returns the class distribution of the leaf x falls into.
+func (n *oracleNode) predictProba(x []float64) []float64 {
+	for n.left != nil {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.dist
+}
+
+// depth returns the depth of the tree (a single leaf has depth 0).
+func (n *oracleNode) depth() int {
+	if n.left == nil {
+		return 0
+	}
+	return max(n.left.depth(), n.right.depth()) + 1
+}
+
+// oracleProba averages the leaf distributions of all trees.
+func oracleProba(trees []*oracleNode, x []float64) []float64 {
+	dist := make([]float64, len(trees[0].predictProba(x)))
+	for _, t := range trees {
+		for k, v := range t.predictProba(x) {
+			dist[k] += v
+		}
+	}
+	inv := 1 / float64(len(trees))
+	for k := range dist {
+		dist[k] *= inv
+	}
+	return dist
+}
+
+// oracleScores is ScoresInto over dense distributions: every class of
+// every tree's leaf added in tree order.
+func oracleScores(trees []*oracleNode, causes int, x []float64) []float64 {
+	out := make([]float64, causes)
+	var unknown float64
+	for _, t := range trees {
+		dist := t.predictProba(x)
+		for k := range out {
+			out[k] += dist[k]
+		}
+		unknown += dist[causes]
+	}
+	inv := 1 / float64(len(trees))
+	share := unknown * inv / float64(causes)
+	for k := range out {
+		out[k] = out[k]*inv + share
+	}
+	return out
+}
+
+// argmax returns the first class of the largest probability.
+func argmax(dist []float64) int {
+	arg := 0
+	for k, v := range dist {
+		if v > dist[arg] {
+			arg = k
+		}
+	}
+	return arg
+}
+
+// fitOne grows one tree on every row, as a forest of that tree.
+func fitOne(x [][]float64, labels []int, classes int, cfg TreeConfig, rng *rand.Rand) *Forest {
+	nodes, leaves := fitTree(x, labels, classes, nil, cfg, rng)
+	return &Forest{trees: [][]node{nodes}, leaves: leaves, classes: classes}
+}
+
 func TestTreeFitsPureSplit(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {10}, {11}, {12}}
 	labels := []int{0, 0, 0, 1, 1, 1}
-	tree := FitTree(x, labels, 2, nil, TreeConfig{MaxFeatures: 1}, rand.New(rand.NewSource(1)))
+	tree := oracleOf(fitOne(x, labels, 2, TreeConfig{MaxFeatures: 1}, rand.New(rand.NewSource(1))))[0]
 	for i, row := range x {
-		if tree.Predict(row) != labels[i] {
+		if argmax(tree.predictProba(row)) != labels[i] {
 			t.Fatalf("row %d misclassified", i)
 		}
 	}
-	if tree.Depth() != 1 {
-		t.Fatalf("trivially separable data should give depth 1, got %d", tree.Depth())
+	if tree.depth() != 1 {
+		t.Fatalf("trivially separable data should give depth 1, got %d", tree.depth())
 	}
 }
 
@@ -43,8 +148,8 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		x[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		labels[i] = rng.Intn(3)
 	}
-	tree := FitTree(x, labels, 3, nil, TreeConfig{MaxDepth: 4, MaxFeatures: 3}, rng)
-	if d := tree.Depth(); d > 4 {
+	tree := oracleOf(fitOne(x, labels, 3, TreeConfig{MaxDepth: 4, MaxFeatures: 3}, rng))[0]
+	if d := tree.depth(); d > 4 {
 		t.Fatalf("depth %d exceeds max 4", d)
 	}
 }
@@ -52,10 +157,10 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 func TestTreeLeafDistributionSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, labels := gaussianBlobs(rng, 100)
-	tree := FitTree(x, labels, 2, nil, TreeConfig{MaxDepth: 3}, rng)
+	tree := oracleOf(fitOne(x, labels, 2, TreeConfig{MaxDepth: 3}, rng))[0]
 	for _, row := range x {
 		var s float64
-		for _, p := range tree.PredictProba(row) {
+		for _, p := range tree.predictProba(row) {
 			s += p
 		}
 		if math.Abs(s-1) > 1e-9 {
@@ -67,11 +172,11 @@ func TestTreeLeafDistributionSumsToOne(t *testing.T) {
 func TestTreePureNodeStopsEarly(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	labels := []int{1, 1, 1}
-	tree := FitTree(x, labels, 2, nil, TreeConfig{}, rand.New(rand.NewSource(4)))
-	if tree.Depth() != 0 {
+	tree := oracleOf(fitOne(x, labels, 2, TreeConfig{}, rand.New(rand.NewSource(4))))[0]
+	if tree.depth() != 0 {
 		t.Fatal("pure data must give a single leaf")
 	}
-	if p := tree.PredictProba([]float64{5}); p[1] != 1 {
+	if p := tree.predictProba([]float64{5}); p[1] != 1 {
 		t.Fatalf("leaf dist = %v", p)
 	}
 }
@@ -79,10 +184,10 @@ func TestTreePureNodeStopsEarly(t *testing.T) {
 func TestForestAccuracyOnBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, labels := gaussianBlobs(rng, 400)
-	f := Fit(x, labels, 2, Config{Trees: 20, Tree: TreeConfig{MaxDepth: 6}, Seed: 1})
+	trees := oracleOf(Fit(x, labels, 2, Config{Trees: 20, Tree: TreeConfig{MaxDepth: 6}, Seed: 1}))
 	correct := 0
 	for i, row := range x {
-		if f.Predict(row) == labels[i] {
+		if argmax(oracleProba(trees, row)) == labels[i] {
 			correct++
 		}
 	}
@@ -101,11 +206,14 @@ func TestForestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	f2 := Fit(x, labels, 2, cfg)
 	runtime.GOMAXPROCS(old)
 	probe := []float64{0.5, -0.2}
-	p1, p2 := f1.PredictProba(probe), f2.PredictProba(probe)
+	p1, p2 := oracleProba(oracleOf(f1), probe), oracleProba(oracleOf(f2), probe)
 	for k := range p1 {
 		if p1[k] != p2[k] {
 			t.Fatalf("forest depends on GOMAXPROCS: %v vs %v", p1, p2)
 		}
+	}
+	if !reflect.DeepEqual(f1, f2) {
+		t.Fatal("the fitted forest depends on GOMAXPROCS")
 	}
 }
 
@@ -115,7 +223,7 @@ func TestForestProbaNormalized(t *testing.T) {
 	f := Fit(x, labels, 10, Config{Trees: 5, Tree: TreeConfig{MaxDepth: 4}, Seed: 2})
 	_ = labels
 	var s float64
-	for _, p := range f.PredictProba(x[0]) {
+	for _, p := range oracleProba(oracleOf(f), x[0]) {
 		s += p
 	}
 	if math.Abs(s-1) > 1e-9 {
@@ -180,9 +288,9 @@ func TestExtensibleScoreMassConserved(t *testing.T) {
 	}
 }
 
-// ScoresInto sums the trees as PredictProba does, so its scores are the
-// forest's distribution with the unknown mass spread, bit for bit — and it
-// writes them into the caller's buffer without allocating.
+// ScoresInto sums the trees as the pointer walk's predictProba does, so its
+// scores are the forest's distribution with the unknown mass spread, bit
+// for bit — and it writes them into the caller's buffer without allocating.
 func TestScoresIntoMatchesPredictProbaAndAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x, labels := gaussianBlobs(rng, 200)
@@ -192,9 +300,10 @@ func TestScoresIntoMatchesPredictProbaAndAllocatesNothing(t *testing.T) {
 		}
 	}
 	e := FitExtensible(x, labels, 2, Config{Trees: 50, Tree: TreeConfig{MaxDepth: 6}, Seed: 5})
+	trees := oracle(e.Wire())
 	out := make([]float64, e.Causes())
 	for _, row := range x {
-		dist := e.Forest().PredictProba(row)
+		dist := oracleProba(trees, row)
 		share := dist[2] / 2
 		e.ScoresInto(row, out)
 		for k, v := range out {
@@ -223,7 +332,7 @@ func TestFitTreeEmptyPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	FitTree(nil, nil, 2, nil, TreeConfig{}, rand.New(rand.NewSource(1)))
+	fitTree(nil, nil, 2, nil, TreeConfig{}, rand.New(rand.NewSource(1)))
 }
 
 // Property: forests never emit negative probabilities, and deeper forests
@@ -232,9 +341,9 @@ func TestForestProbaNonNegativeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, labels := gaussianBlobs(rng, 60)
-		fo := Fit(x, labels, 2, Config{Trees: 3, Tree: TreeConfig{MaxDepth: 3}, Seed: seed})
+		fo := oracleOf(Fit(x, labels, 2, Config{Trees: 3, Tree: TreeConfig{MaxDepth: 3}, Seed: seed}))
 		for _, row := range x {
-			for _, p := range fo.PredictProba(row) {
+			for _, p := range oracleProba(fo, row) {
 				if p < 0 || p > 1+1e-12 {
 					return false
 				}
@@ -252,4 +361,57 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.Trees != 50 || cfg.Tree.MaxDepth != 10 {
 		t.Fatalf("DefaultConfig = %+v, want 50 trees depth 10 (Table I)", cfg)
 	}
+}
+
+// FuzzForestScores checks the flat walk against the pointer walk: for any
+// input — NaN, ±Inf, ±0, or a feature exactly on a split's threshold (a
+// bit of snap per feature) — and any value in one leaf entry (a −0, a NaN
+// or a negative one included), ScoresInto gives the oracle's scores bit
+// for bit.
+func FuzzForestScores(f *testing.F) {
+	fitted := goldenForest()
+	thresholds := make([][]float64, 6)
+	for _, ft := range fitted.Wire().Trees {
+		for _, fn := range ft.Nodes {
+			if fn.Left >= 0 {
+				thresholds[fn.Feature] = append(thresholds[fn.Feature], fn.Threshold)
+			}
+		}
+	}
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(0), uint16(0), 0.5)
+	f.Add(math.NaN(), inf, -inf, negZero, 0.0, 1.0, uint8(0), uint16(1), negZero)
+	f.Add(1.0, -1.0, 2.0, -2.0, 3.0, -3.0, uint8(0x3f), uint16(7), math.NaN())
+	f.Add(negZero, negZero, negZero, negZero, negZero, negZero, uint8(0x15), uint16(300), -0.25)
+	f.Fuzz(func(t *testing.T, x0, x1, x2, x3, x4, x5 float64, snap uint8, at uint16, p float64) {
+		x := []float64{x0, x1, x2, x3, x4, x5}
+		for j, thr := range thresholds {
+			if snap&(1<<j) != 0 && len(thr) > 0 {
+				x[j] = thr[math.Float64bits(x[j])%uint64(len(thr))]
+			}
+		}
+		w := fitted.Wire()
+		// Overwrite one entry of one leaf, counting leaves across trees.
+		var leaves []flatNode
+		for _, ft := range w.Trees {
+			for _, fn := range ft.Nodes {
+				if fn.Left < 0 {
+					leaves = append(leaves, fn)
+				}
+			}
+		}
+		leaf := leaves[int(at)%len(leaves)]
+		leaf.Dist[int(at)%len(leaf.Dist)] = p
+		e, err := w.Extensible()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.ScoresInto(x, make([]float64, e.Causes()))
+		want := oracleScores(oracle(w), e.Causes(), x)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("x %v, leaf entry %v: cause %d scores %v, the pointer walk %v", x, p, k, got[k], want[k])
+			}
+		}
+	})
 }

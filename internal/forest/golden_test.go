@@ -62,9 +62,10 @@ type forestExpect struct {
 
 func expectOf(e *Extensible) forestExpect {
 	exp := forestExpect{Trees: e.Forest().Trees(), Causes: e.Causes()}
+	trees := oracle(e.Wire())
 	for _, p := range goldenProbes() {
 		exp.Scores = append(exp.Scores, e.Scores(p))
-		exp.Unknown = append(exp.Unknown, e.UnknownScore(p))
+		exp.Unknown = append(exp.Unknown, oracleProba(trees, p))
 	}
 	return exp
 }

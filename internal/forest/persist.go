@@ -4,10 +4,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // flatNode is the serialized form of a tree node. Children are indices
-// into the flat node array; -1 marks a leaf.
+// into the flat node array, numbered in preorder; -1 marks a leaf.
 type flatNode struct {
 	Feature   int
 	Threshold float64
@@ -21,51 +22,6 @@ type flatTree struct {
 	Classes int
 }
 
-func (t *Tree) flatten() flatTree {
-	ft := flatTree{Classes: t.classes}
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		idx := len(ft.Nodes)
-		ft.Nodes = append(ft.Nodes, flatNode{Left: -1, Right: -1})
-		if n.isLeaf() {
-			ft.Nodes[idx].Dist = n.Dist
-			return idx
-		}
-		ft.Nodes[idx].Feature = n.Feature
-		ft.Nodes[idx].Threshold = n.Threshold
-		l := walk(n.Left)
-		r := walk(n.Right)
-		ft.Nodes[idx].Left = l
-		ft.Nodes[idx].Right = r
-		return idx
-	}
-	walk(t.root)
-	return ft
-}
-
-func (ft flatTree) unflatten() (*Tree, error) {
-	if len(ft.Nodes) == 0 {
-		return nil, fmt.Errorf("forest: empty tree")
-	}
-	nodes := make([]node, len(ft.Nodes))
-	for i, fn := range ft.Nodes {
-		nodes[i] = node{Feature: fn.Feature, Threshold: fn.Threshold, Dist: fn.Dist}
-		if fn.Left < 0 && len(fn.Dist) != ft.Classes {
-			return nil, fmt.Errorf("forest: leaf of %d classes in a tree of %d", len(fn.Dist), ft.Classes)
-		}
-		if fn.Left >= 0 {
-			// flatten numbers nodes in preorder, so a child comes after
-			// its parent; anything else could be a cycle.
-			if fn.Left <= i || fn.Left >= len(nodes) || fn.Right <= i || fn.Right >= len(nodes) || fn.Feature < 0 {
-				return nil, fmt.Errorf("forest: corrupt tree indices")
-			}
-			nodes[i].Left = &nodes[fn.Left]
-			nodes[i].Right = &nodes[fn.Right]
-		}
-	}
-	return &Tree{root: &nodes[0], classes: ft.Classes}, nil
-}
-
 // Wire is the gob form of an Extensible, for formats that embed it inline
 // (core's bundle). It is an alias so that Save's stream keeps naming its
 // type forestWire.
@@ -77,17 +33,46 @@ type forestWire struct {
 	Causes  int
 }
 
+// toForest copies wire into the resident form after checking every tree:
+// a split's left child is the node after it and its right child a later
+// node of the tree (anything else could be a cycle), its feature is not
+// negative and both fit an int32, and a leaf lists one probability per
+// class. A leaf keeps each entry whose bits are not +0 — a −0 or a NaN
+// too — so that the wire it gives back is the one it was read from.
 func (wire forestWire) toForest() (*Forest, error) {
-	f := &Forest{classes: wire.Classes}
-	for _, ft := range wire.Trees {
+	f := &Forest{trees: make([][]node, len(wire.Trees)), classes: wire.Classes}
+	for ti, ft := range wire.Trees {
 		if ft.Classes != wire.Classes {
 			return nil, fmt.Errorf("forest: tree of %d classes in a forest of %d", ft.Classes, wire.Classes)
 		}
-		t, err := ft.unflatten()
-		if err != nil {
-			return nil, err
+		if len(ft.Nodes) == 0 {
+			return nil, fmt.Errorf("forest: empty tree")
 		}
-		f.trees = append(f.trees, t)
+		nodes := make([]node, len(ft.Nodes))
+		for i, fn := range ft.Nodes {
+			if fn.Left >= 0 {
+				if fn.Left != i+1 || fn.Right <= i || fn.Right >= len(nodes) || fn.Right > math.MaxInt32 ||
+					fn.Feature < 0 || fn.Feature > math.MaxInt32 {
+					return nil, fmt.Errorf("forest: corrupt tree indices")
+				}
+				nodes[i] = node{threshold: fn.Threshold, feature: int32(fn.Feature), right: int32(fn.Right)}
+				continue
+			}
+			if len(fn.Dist) != ft.Classes {
+				return nil, fmt.Errorf("forest: leaf of %d classes in a tree of %d", len(fn.Dist), ft.Classes)
+			}
+			lo := len(f.leaves)
+			for k, p := range fn.Dist {
+				if math.Float64bits(p) != 0 {
+					f.leaves = append(f.leaves, entry{class: int32(k), p: p})
+				}
+			}
+			if len(f.leaves) > math.MaxInt32 {
+				return nil, fmt.Errorf("forest: more than %d leaf entries", math.MaxInt32)
+			}
+			nodes[i] = node{feature: int32(lo), right: int32(lo - len(f.leaves))}
+		}
+		f.trees[ti] = nodes
 	}
 	if len(f.trees) == 0 {
 		return nil, fmt.Errorf("forest: no trees in stream")
@@ -109,11 +94,24 @@ func LoadExtensible(r io.Reader) (*Extensible, error) {
 	return wire.Extensible()
 }
 
-// Wire returns e's gob form.
+// Wire returns e's gob form, each leaf's distribution dense again.
 func (e *Extensible) Wire() Wire {
-	wire := forestWire{Classes: e.forest.classes, Causes: e.causes}
-	for _, t := range e.forest.trees {
-		wire.Trees = append(wire.Trees, t.flatten())
+	f := e.forest
+	wire := forestWire{Trees: make([]flatTree, len(f.trees)), Classes: f.classes, Causes: e.causes}
+	for ti, nodes := range f.trees {
+		ft := flatTree{Nodes: make([]flatNode, len(nodes)), Classes: f.classes}
+		for i, n := range nodes {
+			if n.isLeaf() {
+				dist := make([]float64, f.classes)
+				for _, en := range f.entries(n) {
+					dist[en.class] = en.p
+				}
+				ft.Nodes[i] = flatNode{Left: -1, Right: -1, Dist: dist}
+			} else {
+				ft.Nodes[i] = flatNode{Feature: int(n.feature), Threshold: n.threshold, Left: i + 1, Right: int(n.right)}
+			}
+		}
+		wire.Trees[ti] = ft
 	}
 	return wire
 }

@@ -13,19 +13,27 @@ import (
 	"sort"
 )
 
-// node is one tree node. Leaves carry a class distribution; internal nodes
-// carry a split.
+// node is one tree node, held in the preorder its wire numbers it by: a
+// split's left child is the node right after it.
 type node struct {
-	// Split (internal nodes): go left when x[Feature] <= Threshold.
-	Feature   int
-	Threshold float64
-	Left      *node
-	Right     *node
-	// Distribution (leaves): class probabilities.
-	Dist []float64
+	// Split: go left when x[feature] <= threshold, else to node right.
+	threshold float64
+	// feature is a split's feature and a leaf's first entry in the
+	// forest's slab.
+	feature int32
+	// right is a split's right child, which comes after the split, so it
+	// is positive; a leaf holds the negated count of its entries.
+	right int32
 }
 
-func (n *node) isLeaf() bool { return n.Left == nil }
+func (n node) isLeaf() bool { return n.right <= 0 }
+
+// entry is one class probability of a leaf. A leaf keeps only the entries
+// whose bits are not +0: the dense distribution's other classes.
+type entry struct {
+	class int32
+	p     float64
+}
 
 // TreeConfig controls a single CART tree.
 type TreeConfig struct {
@@ -44,18 +52,13 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// Tree is a fitted CART decision tree.
-type Tree struct {
-	root    *node
-	classes int
-}
-
-// FitTree grows a tree on rows X (n×m as slices) with integer labels using
+// fitTree grows a tree on rows X (n×m as slices) with integer labels using
 // Gini impurity. idx selects which rows participate (bootstrap support);
-// pass nil for all rows.
-func FitTree(x [][]float64, labels []int, classes int, idx []int, cfg TreeConfig, rng *rand.Rand) *Tree {
+// pass nil for all rows. It returns the tree's nodes and its leaves'
+// entries, which each leaf indexes from 0.
+func fitTree(x [][]float64, labels []int, classes int, idx []int, cfg TreeConfig, rng *rand.Rand) ([]node, []entry) {
 	if len(x) == 0 {
-		panic("forest: FitTree on empty dataset")
+		panic("forest: fitTree on empty dataset")
 	}
 	if len(x) != len(labels) {
 		panic(fmt.Sprintf("forest: %d rows vs %d labels", len(x), len(labels)))
@@ -79,9 +82,8 @@ func FitTree(x [][]float64, labels []int, classes int, idx []int, cfg TreeConfig
 		maxFeat = m
 	}
 	b := &builder{x: x, labels: labels, classes: classes, cfg: cfg, maxFeat: maxFeat, rng: rng}
-	t := &Tree{classes: classes}
-	t.root = b.grow(idx, 0)
-	return t
+	b.grow(idx, 0)
+	return b.nodes, b.leaves
 }
 
 type builder struct {
@@ -91,27 +93,36 @@ type builder struct {
 	cfg     TreeConfig
 	maxFeat int
 	rng     *rand.Rand
+	nodes   []node
+	leaves  []entry
 }
 
-func (b *builder) leaf(idx []int) *node {
+func (b *builder) leaf(idx []int) {
 	dist := make([]float64, b.classes)
 	for _, i := range idx {
 		dist[b.labels[i]]++
 	}
 	n := float64(len(idx))
-	for k := range dist {
-		dist[k] /= n
+	lo := len(b.leaves)
+	for k, c := range dist {
+		if c != 0 {
+			b.leaves = append(b.leaves, entry{class: int32(k), p: c / n})
+		}
 	}
-	return &node{Dist: dist}
+	b.nodes = append(b.nodes, node{feature: int32(lo), right: int32(lo - len(b.leaves))})
 }
 
-func (b *builder) grow(idx []int, depth int) *node {
+// grow appends the subtree over idx in preorder: the split, then its left
+// subtree, then its right one. The left subtree draws from the RNG first.
+func (b *builder) grow(idx []int, depth int) {
 	if len(idx) < b.cfg.MinSamplesSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || b.pure(idx) {
-		return b.leaf(idx)
+		b.leaf(idx)
+		return
 	}
 	feat, thr, ok := b.bestSplit(idx)
 	if !ok {
-		return b.leaf(idx)
+		b.leaf(idx)
+		return
 	}
 	var left, right []int
 	for _, i := range idx {
@@ -122,14 +133,14 @@ func (b *builder) grow(idx []int, depth int) *node {
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return b.leaf(idx)
+		b.leaf(idx)
+		return
 	}
-	return &node{
-		Feature:   feat,
-		Threshold: thr,
-		Left:      b.grow(left, depth+1),
-		Right:     b.grow(right, depth+1),
-	}
+	at := len(b.nodes)
+	b.nodes = append(b.nodes, node{feature: int32(feat), threshold: thr})
+	b.grow(left, depth+1)
+	b.nodes[at].right = int32(len(b.nodes))
+	b.grow(right, depth+1)
 }
 
 func (b *builder) pure(idx []int) bool {
@@ -194,43 +205,4 @@ func (b *builder) bestSplit(idx []int) (feature int, threshold float64, ok bool)
 		}
 	}
 	return feature, threshold, ok
-}
-
-// PredictProba returns the class distribution of the leaf x falls into.
-func (t *Tree) PredictProba(x []float64) []float64 {
-	n := t.root
-	for !n.isLeaf() {
-		if x[n.Feature] <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Dist
-}
-
-// Predict returns the arg-max class for x.
-func (t *Tree) Predict(x []float64) int {
-	dist := t.PredictProba(x)
-	arg := 0
-	for k, v := range dist {
-		if v > dist[arg] {
-			arg = k
-		}
-	}
-	return arg
-}
-
-// Depth returns the depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n.isLeaf() {
-		return 0
-	}
-	l, r := depthOf(n.Left), depthOf(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }

@@ -295,6 +295,7 @@ type LandPool struct {
 	x        *mat.Matrix
 	ell      int
 	filtered []float64 // per sample: ell*F filter activations
+	order    []int     // per sample and filter: the ascending order of its ell activations
 	nCached  int
 }
 
@@ -332,19 +333,16 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		lp.filtered = make([]float64, need)
 	}
 	lp.filtered = lp.filtered[:x.Rows*ell*lp.F]
-
-	needSort := false
-	for _, op := range lp.Ops {
-		if _, ok := op.(sortedPoolOp); ok {
-			needSort = true
-		}
+	needSort := lp.needSort()
+	if need := x.Rows * ell * lp.F; needSort && cap(lp.order) < need {
+		lp.order = make([]int, need)
 	}
 
 	out := lp.ws.Matrix(x.Rows, lp.OutWidth()) // every element is written below
 	kern := lp.Kernel.Value
 	bias := lp.Bias.Value.Data
 	vals := lp.ws.vector(ell)
-	idx := lp.ws.indices(ell)
+	var idx []int
 	for s := 0; s < x.Rows; s++ {
 		row := x.Row(s)
 		fcache := lp.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
@@ -356,14 +354,15 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 			}
 		}
 		// Pooling: out[o·F+fi] = Ω_o over λ of F[λ][fi]. The ascending
-		// order is computed once per filter and shared by every
-		// order-statistic op.
+		// order is computed once per filter, shared by every
+		// order-statistic op and kept for Backward.
 		orow := out.Row(s)
 		for fi := 0; fi < lp.F; fi++ {
 			for l := 0; l < ell; l++ {
 				vals[l] = fcache[l*lp.F+fi]
 			}
 			if needSort {
+				idx = lp.sortOrder(s, fi)
 				insertionArgsort(vals, idx)
 			}
 			for o, op := range lp.Ops {
@@ -378,6 +377,23 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		copy(orow[len(lp.Ops)*lp.F:], row[ell*lp.K:])
 	}
 	return out
+}
+
+// needSort reports whether an op of the layer reads the ascending order.
+func (lp *LandPool) needSort() bool {
+	for _, op := range lp.Ops {
+		if _, ok := op.(sortedPoolOp); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// sortOrder returns the slot of order that holds the ascending order of
+// sample s's filter fi activations.
+func (lp *LandPool) sortOrder(s, fi int) []int {
+	at := (s*lp.F + fi) * lp.ell
+	return lp.order[at : at+lp.ell : at+lp.ell]
 }
 
 // Backward propagates gradients through pooling and convolution,
@@ -399,14 +415,9 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	if lp.Bias.accumulates() {
 		dbias = lp.Bias.grad().Data
 	}
-	needSort := false
-	for _, op := range lp.Ops {
-		if _, ok := op.(sortedPoolOp); ok {
-			needSort = true
-		}
-	}
+	needSort := lp.needSort()
 	vals := lp.ws.vector(ell)
-	idx := lp.ws.indices(ell)
+	var idx []int
 	dvals := lp.ws.vector(ell)
 	dfilt := lp.ws.vector(ell * lp.F)
 	for s := 0; s < lp.x.Rows; s++ {
@@ -423,7 +434,7 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 				vals[l] = fcache[l*lp.F+fi]
 			}
 			if needSort {
-				insertionArgsort(vals, idx)
+				idx = lp.sortOrder(s, fi) // Forward's, of these very values
 			}
 			for i := range dvals {
 				dvals[i] = 0
