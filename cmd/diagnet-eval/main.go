@@ -18,7 +18,7 @@ import (
 
 func main() {
 	dataPath := flag.String("data", "dataset.gob", "dataset file from diagnet-datagen")
-	modelPath := flag.String("model", "model.gob", "model file from diagnet-train")
+	modelPath := flag.String("model", "model.gob", "bundle file from diagnet-train; its general model is evaluated")
 	flag.Parse()
 
 	df, err := os.Open(*dataPath)
@@ -34,11 +34,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := diagnet.Load(mf)
+	b, err := diagnet.LoadBundle(mf)
 	mf.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := b.General
 
 	_, test := data.Split(0.8, diagnet.HiddenLandmarks(), 13)
 	layout := diagnet.FullLayout()

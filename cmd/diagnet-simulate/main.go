@@ -26,7 +26,7 @@ import (
 func main() {
 	faultsFlag := flag.String("faults", "loss@GRAV", "comma-separated kind@REGION faults")
 	clientFlag := flag.String("client", "AMST", "client region name")
-	modelPath := flag.String("model", "", "optional trained model for diagnosis")
+	modelPath := flag.String("model", "", "optional bundle file from diagnet-train; its general model diagnoses")
 	tick := flag.Int64("tick", 42, "simulation tick (diurnal congestion phase)")
 	flag.Parse()
 
@@ -91,11 +91,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := diagnet.Load(f)
+	b, err := diagnet.LoadBundle(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := b.General
 	prober := probe.Prober{W: world}
 	x := prober.Sample(client, layout, env, nil)
 	diag := model.Diagnose(x, layout)

@@ -106,7 +106,7 @@ func record(args []string) {
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "trace.gob", "trace file")
-	modelPath := fs.String("model", "", "optional model for offline diagnosis")
+	modelPath := fs.String("model", "", "optional bundle file from diagnet-train; its general model diagnoses offline")
 	fs.Parse(args)
 
 	f, err := os.Open(*in)
@@ -124,11 +124,12 @@ func replay(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model, err = diagnet.Load(mf)
+		b, err := diagnet.LoadBundle(mf)
 		mf.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
+		model = b.General
 	}
 
 	layout := tr.Layout()

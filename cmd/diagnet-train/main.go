@@ -1,7 +1,8 @@
 // Command diagnet-train trains a general DiagNet model on a dataset
-// produced by diagnet-datagen and writes it to disk; with -bundle it also
-// specializes a head per service (§IV-F) and writes general model and
-// heads as one bundle file, which diagnetd -model or -model-dir serves.
+// produced by diagnet-datagen and writes it to disk as a bundle with no
+// heads; with -bundle it also specializes a head per service (§IV-F) and
+// writes general model and heads as a second bundle. diagnetd -model or
+// -model-dir serves either file.
 //
 // Usage:
 //
@@ -19,7 +20,7 @@ import (
 
 func main() {
 	dataPath := flag.String("data", "dataset.gob", "dataset file from diagnet-datagen")
-	out := flag.String("out", "model.gob", "output model file (general model)")
+	out := flag.String("out", "model.gob", "output file: the general model as a bundle with no heads")
 	bundle := flag.String("bundle", "", "write general + specialized models as one bundle file")
 	epochs := flag.Int("epochs", 0, "override training epochs (0 = Table I default)")
 	seed := flag.Int64("seed", 1, "training seed")
@@ -76,7 +77,7 @@ func writeModel(m *diagnet.Model, path string) error {
 		return err
 	}
 	defer f.Close()
-	return m.Save(f)
+	return diagnet.NewBundle(m).Save(f)
 }
 
 func last(xs []float64) float64 {

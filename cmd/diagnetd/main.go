@@ -18,10 +18,11 @@
 // the boot below completes, and again while draining).
 //
 // The boot and teardown order is analysis.Open / Server.Close (DESIGN.md
-// §18). -model takes a bare model or a diagnet-train -bundle file and
-// serves it as version "boot"; with -model-dir every *.gob is a version
-// named after its file and the lexically last (or -serve-version) boots,
-// so date-stamped names serve the newest; POST /v1/models loads, promotes
+// §18). -model takes a bundle, either file diagnet-train writes (-out is a
+// bundle with no heads), and serves it as version "boot"; with -model-dir
+// every *.gob is a version named after its file and the lexically last (or
+// -serve-version) boots, so date-stamped names serve the newest; POST
+// /v1/models loads, promotes
 // (warm-up, then an atomic swap under live traffic) and rolls back at
 // runtime (§11). A version's per-service specialized heads are the ones
 // its bundle carries. With -state-dir every promotion and rollback is
@@ -79,7 +80,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var opt analysis.Options
 	addr := fs.String("addr", ":8421", "listen address")
-	fs.StringVar(&opt.ModelPath, "model", "model.gob", "model or bundle file")
+	fs.StringVar(&opt.ModelPath, "model", "model.gob", "bundle file from diagnet-train (-out or -bundle)")
 	fs.StringVar(&opt.ModelDir, "model-dir", "", "directory of *.gob model versions; overrides -model and enables POST /v1/models load")
 	fs.StringVar(&opt.ServeVersion, "serve-version", "", "version to promote at boot (default: lexically last in -model-dir)")
 	fs.StringVar(&opt.StateDir, "state-dir", "", "durable state directory: journal + checkpoints of the model lifecycle (empty = in-memory only)")

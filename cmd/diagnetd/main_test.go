@@ -45,7 +45,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := model.Save(f); err != nil {
+	if err := core.NewBundle(model).Save(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -13,7 +13,8 @@
 // The package exposes four layers of functionality:
 //
 //   - The inference model: DefaultConfig, TrainGeneral, (*Model).Specialize,
-//     (*Model).Diagnose, Save/Load.
+//     (*Model).Diagnose, and the one model file: NewBundle, (*Bundle).Save
+//     and LoadBundle (a lone model is a bundle with no services).
 //   - The simulated multi-cloud deployment used by the paper's evaluation:
 //     NewWorld, Generate, Catalog and friends (see DESIGN.md for how the
 //     simulator substitutes the authors' testbed).
@@ -319,9 +320,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func TrainGeneral(train *Dataset, knownRegions []int, cfg Config) *TrainResult {
 	return core.TrainGeneral(train, knownRegions, cfg)
 }
-
-// Load reads a model written by (*Model).Save.
-func Load(r io.Reader) (*Model, error) { return core.Load(r) }
 
 // Bundle packages a general model with its specialized variants.
 type Bundle = core.Bundle

@@ -31,16 +31,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("diagnosis over %d features", len(diag.Final))
 	}
 
-	// Save/Load through the facade.
+	// Save/Load through the facade: a lone model is a bundle with no
+	// services.
 	var buf bytes.Buffer
-	if err := res.Model.Save(&buf); err != nil {
+	if err := NewBundle(res.Model).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag2 := loaded.Diagnose(deg.Samples[0].Features, layout)
+	diag2 := loaded.General.Diagnose(deg.Samples[0].Features, layout)
 	if diag2.Ranked()[0] != diag.Ranked()[0] {
 		t.Fatal("loaded model ranks differently")
 	}

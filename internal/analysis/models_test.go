@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"diagnet/internal/core"
 )
 
 func postModels(t *testing.T, url string, act ModelAction) (*http.Response, ModelActionResult) {
@@ -39,7 +41,7 @@ func TestModelsEndpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(f); err != nil {
+	if err := core.NewBundle(m).Save(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -68,7 +68,7 @@ func TestOpenRecoversBeforeReady(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Save(f); err != nil {
+		if err := core.NewBundle(m).Save(f); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()

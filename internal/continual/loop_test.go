@@ -326,14 +326,14 @@ func cloneModel(t *testing.T) *core.Model {
 	t.Helper()
 	m, _ := fixture(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := core.NewBundle(m).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := core.Load(&buf)
+	clone, err := core.LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clone
+	return clone.General
 }
 
 // scrambledModel clones the fixture model and negates every weight: still

@@ -88,7 +88,9 @@ type trainerCkpt struct {
 	Hash uint64
 	// Epoch is the number of epochs finished.
 	Epoch int
-	// Model is the in-progress candidate (core.Model.Save bytes).
+	// Model is the in-progress candidate, saved as a bundle with no
+	// services (core.Bundle.Save). A checkpoint of an older model format
+	// does not load, and its retrain starts again at epoch 0.
 	Model []byte
 }
 
@@ -174,8 +176,8 @@ func (t *Trainer) dataHash(base *core.Model, train *dataset.Dataset) uint64 {
 	}
 	put(uint64(t.cfg.Epochs))
 	put(uint64(t.cfg.Seed))
-	// Hash the base weights directly — Model.Save gob output is not
-	// byte-stable (map-ordered fields), the parameter walk is.
+	// Hash the base weights directly: the parameter walk covers what a
+	// resume must match, without encoding the whole model file.
 	for _, p := range base.Net.Params() {
 		for _, v := range p.Value.Data {
 			put(math.Float64bits(v))
@@ -209,11 +211,11 @@ func (t *Trainer) loadCheckpoint(hash uint64) (*core.Model, int) {
 	if ck.Hash != hash || ck.Epoch <= 0 {
 		return nil, 0
 	}
-	m, err := core.Load(bytes.NewReader(ck.Model))
+	b, err := core.LoadBundle(bytes.NewReader(ck.Model))
 	if err != nil {
 		return nil, 0
 	}
-	return m, ck.Epoch
+	return b.General, ck.Epoch
 }
 
 func (t *Trainer) saveCheckpoint(hash uint64, epoch int, m *core.Model) {
@@ -221,7 +223,7 @@ func (t *Trainer) saveCheckpoint(hash uint64, epoch int, m *core.Model) {
 		return
 	}
 	var mb bytes.Buffer
-	if err := m.Save(&mb); err != nil {
+	if err := core.NewBundle(m).Save(&mb); err != nil {
 		return
 	}
 	var buf bytes.Buffer

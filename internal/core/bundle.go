@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -53,22 +52,12 @@ func (b *Bundle) ModelFor(serviceID int) *Model {
 	return b.General
 }
 
-// bundleWire is the gob format of a bundle. It decodes both versions,
-// because gob leaves a field the stream does not carry at its zero value.
-//
-// Version 1 is General, the general model's Save bytes, and per service in
-// ServiceIDs the Save bytes of its complete model in Specialized: a trunk
-// and a forest per model, which LoadBundle folds back into one of each.
-//
-// Version 2, what Save writes, is Base, the general model inline, and one
-// entry per specialized service in ascending order of service. Nothing in
+// bundleWire is the gob format of a bundle, the one model file: Base, the
+// general model inline, and one entry per specialized service in ascending
+// order of service. A lone model is a bundle with no services. Nothing in
 // it is a map or a nested gob stream, so its bytes are a function of the
 // bundle.
 type bundleWire struct {
-	General     []byte
-	ServiceIDs  []int
-	Specialized [][]byte
-
 	Base     modelForm
 	Services []serviceForm
 }
@@ -85,7 +74,7 @@ type modelForm struct {
 	ServiceID      int
 }
 
-// serviceForm is one specialized model of a version-2 bundle: a head over
+// serviceForm is one specialized model of a bundle: a head over
 // the general model's trunk (headOnly) as the values and freeze flags of
 // its head's parameters, any other model complete, in Model.
 type serviceForm struct {
@@ -95,8 +84,8 @@ type serviceForm struct {
 	Model  *modelForm
 }
 
-// Save writes the bundle to w, as version 2. Saving a bundle twice, or
-// saving what LoadBundle made of its bytes, gives the same bytes.
+// Save writes the bundle to w. Saving a bundle twice, or saving what
+// LoadBundle made of its bytes, gives the same bytes.
 func (b *Bundle) Save(w io.Writer) error {
 	g := b.General
 	wire := bundleWire{Base: formOf(g)}
@@ -151,8 +140,8 @@ func (f *modelForm) model() (*Model, error) {
 }
 
 // headOnly reports whether the bundle's model m for service id is a head
-// over the general model g's trunk, which is all a version-2 bundle needs
-// to store of it: m's trunk is g's (sameTrunk) and frozen, its layers are
+// over the general model g's trunk, which is all a bundle needs to store
+// of it: m's trunk is g's (sameTrunk) and frozen, its layers are
 // g's layers, and its forest and normalizer are g's (Attach makes them so)
 // as are its configuration, layouts and known regions.
 func headOnly(g, m *Model, id int) bool {
@@ -200,20 +189,15 @@ func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, err
 	return net, nil
 }
 
-// LoadBundle reads a bundle written by Save, of either version, and every
-// specialized model enters it through Attach. A version-2 head is built
-// directly over the general model's trunk (overTrunk): no second trunk or
-// forest is decoded. A version-1 bundle carries a complete model per
-// service; a forest whose bytes equal the general model's is not even
-// decoded, and Attach folds each bit-equal trunk onto the general's, so
-// it too is loaded with one trunk and one forest.
+// LoadBundle reads a bundle written by Save, and every specialized model
+// enters it through Attach. A head is built directly over the general
+// model's trunk (overTrunk): no second trunk or forest is decoded. Any
+// other file, a model or bundle of an older format among them, is an
+// error.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
-	}
-	if wire.General != nil {
-		return loadV1(&wire)
 	}
 	general, err := wire.Base.model()
 	if err != nil {
@@ -233,26 +217,6 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 			return nil, fmt.Errorf("core: load bundle service %d: %w", e.ID, err)
 		}
 		b.Attach(e.ID, m)
-	}
-	return b, nil
-}
-
-// loadV1 reads a version-1 bundle.
-func loadV1(wire *bundleWire) (*Bundle, error) {
-	if len(wire.Specialized) != len(wire.ServiceIDs) {
-		return nil, fmt.Errorf("core: load bundle: %d models for %d services", len(wire.Specialized), len(wire.ServiceIDs))
-	}
-	gw, general, err := load(bytes.NewReader(wire.General), nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: load bundle general: %w", err)
-	}
-	b := NewBundle(general)
-	for i, id := range wire.ServiceIDs {
-		_, m, err := load(bytes.NewReader(wire.Specialized[i]), gw, general)
-		if err != nil {
-			return nil, fmt.Errorf("core: load bundle service %d: %w", id, err)
-		}
-		b.Attach(id, m)
 	}
 	return b, nil
 }

@@ -64,11 +64,11 @@ func TestLoadBundleGarbage(t *testing.T) {
 	}
 }
 
-// v1FixtureBundle is the bundle testdata/bundle.v1.golden.gob holds, as the
-// version-1 writer saved it: the synthetic general model, service 3 as a
-// head over its trunk with head weights of its own, and service 5 as a
-// private copy of the whole network with one trunk bit flipped.
-func v1FixtureBundle() *Bundle {
+// fixtureBundle is the bundle testdata/bundle.golden.gob holds: the
+// synthetic general model, service 3 as a head over its trunk with head
+// weights of its own, and service 5 as a private copy of the whole network
+// with one trunk bit flipped.
+func fixtureBundle() *Bundle {
 	g := syntheticModel(6, []int{24, 12})
 	b := NewBundle(g)
 	head := g.derive(headOver(g.Net), 3)
@@ -99,110 +99,142 @@ func fixtureRows(b *Bundle) []Row {
 	return rows
 }
 
-// The committed version-1 bundle still loads, to one forest and two trunks
-// (the diverged service keeps its own), with every parameter bit-equal to
-// the bundle it was saved from; re-saved it becomes version 2, and both
-// loads answer identically.
-func TestBundleV1GoldenLoads(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "bundle.v1.golden.gob"))
-	if err != nil {
-		t.Fatal(err)
+// The committed bundle loads to one forest and two trunks (the diverged
+// service keeps its own), with every parameter bit-equal to the bundle it
+// was saved from, and answers as that bundle does. Re-saved, it keeps
+// service 3 as a head and service 5 complete, and Save∘LoadBundle∘Save
+// gives Save∘LoadBundle's bytes.
+func TestBundleGoldenLoads(t *testing.T) {
+	golden := goldenBundle(t)
+	assertResident(t, "golden", golden, 2, 1)
+	src := fixtureBundle()
+	if !reflect.DeepEqual(paramBits(src.General.Net), paramBits(golden.General.Net)) {
+		t.Fatal("general: the loaded parameters differ from the saved ones")
 	}
-	v1, err := LoadBundle(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResident(t, "version 1", v1, 2, 1)
-	src := v1FixtureBundle()
 	for id, m := range src.Specialized {
-		if !reflect.DeepEqual(paramBits(m.Net), paramBits(v1.Specialized[id].Net)) {
+		if !reflect.DeepEqual(paramBits(m.Net), paramBits(golden.Specialized[id].Net)) {
 			t.Fatalf("service %d: the loaded parameters differ from the saved ones", id)
 		}
 	}
+	rows := fixtureRows(src)
+	want := src.NewSession().DiagnoseRows(context.Background(), rows)
+	if got := golden.NewSession().DiagnoseRows(context.Background(), rows); !reflect.DeepEqual(want, got) {
+		t.Fatal("the golden bundle diagnoses differently from the bundle it was saved from")
+	}
 
-	var buf bytes.Buffer
-	if err := v1.Save(&buf); err != nil {
+	var first bytes.Buffer
+	if err := golden.Save(&first); err != nil {
 		t.Fatal(err)
 	}
 	var wire bundleWire
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(first.Bytes())).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
-	if wire.General != nil || len(wire.Services) != 2 || wire.Services[0].Model != nil || wire.Services[1].Model == nil {
-		t.Fatal("Save must write version 2: service 3 as a head, service 5 as a complete model")
+	if len(wire.Services) != 2 || wire.Services[0].Model != nil || wire.Services[1].Model == nil {
+		t.Fatal("Save must write service 3 as a head and service 5 as a complete model")
 	}
-	v2, err := LoadBundle(&buf)
+	again, err := LoadBundle(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResident(t, "version 2", v2, 2, 1)
-	rows := fixtureRows(src)
-	want := v1.NewSession().DiagnoseRows(context.Background(), rows)
-	if got := v2.NewSession().DiagnoseRows(context.Background(), rows); !reflect.DeepEqual(want, got) {
-		t.Fatal("the version-2 re-save diagnoses differently from the version-1 bundle")
+	var second bytes.Buffer
+	if err := again.Save(&second); err != nil {
+		t.Fatal(err)
 	}
-	if got := src.NewSession().DiagnoseRows(context.Background(), rows); !reflect.DeepEqual(want, got) {
-		t.Fatal("the version-1 bundle diagnoses differently from the bundle it was saved from")
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Save∘LoadBundle∘Save differs from Save∘LoadBundle")
 	}
 }
 
-// FuzzLoadModelFile feeds a file under -model-dir to the two decoders it
-// meets at boot, LoadBundle and then Load (serving's loadBundleOrModel): a
-// malformed file is an error, never a panic.
-func FuzzLoadModelFile(f *testing.F) {
-	for _, name := range []string{"bundle.v1.golden.gob", "model.golden.gob"} {
-		blob, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
+// legacyModel and legacyBundle have the shape of the two retired model
+// formats: one model whose network and forest are nested gob streams, and
+// a bundle of such models, one per service.
+type legacyModel struct {
+	Cfg            Config
+	TrainLandmarks []int
+	FullLandmarks  []int
+	Known          []int
+	Norm           probe.Normalizer
+	Net            []byte
+	Aux            []byte
+	ServiceID      int
+}
+
+type legacyBundle struct {
+	General     []byte
+	ServiceIDs  []int
+	Specialized [][]byte
+}
+
+// legacyBlobs encodes the fixture bundle in both retired formats.
+func legacyBlobs(t testing.TB) (model, bundle []byte) {
+	t.Helper()
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
 		}
-		f.Add(blob)
+		return buf.Bytes()
 	}
-	var v2 bytes.Buffer
-	if err := v1FixtureBundle().Save(&v2); err != nil {
+	b := fixtureBundle()
+	modelOf := func(m *Model) []byte {
+		return encode(legacyModel{
+			Cfg: m.Cfg, TrainLandmarks: m.TrainLayout.Landmarks, FullLandmarks: m.FullLayout.Landmarks,
+			Known: sortedKnown(m.Known), Norm: *m.Norm, Net: encode(m.Net.Wire()), Aux: encode(m.Aux.Wire()),
+			ServiceID: m.ServiceID,
+		})
+	}
+	model = modelOf(b.General)
+	return model, encode(legacyBundle{General: model, ServiceIDs: []int{3, 5}, Specialized: [][]byte{modelOf(b.Specialized[3]), modelOf(b.Specialized[5])}})
+}
+
+// A lone model file and a bundle of nested model streams, the two formats
+// before the one bundle, are refused with an error.
+func TestLoadBundleRefusesRetiredFormats(t *testing.T) {
+	model, bundle := legacyBlobs(t)
+	for name, blob := range map[string][]byte{"model": model, "bundle of models": bundle} {
+		if _, err := LoadBundle(bytes.NewReader(blob)); err == nil {
+			t.Fatalf("LoadBundle accepted a %s file of a retired format", name)
+		}
+	}
+}
+
+// FuzzLoadModelFile feeds a file under -model-dir to the decoder it meets
+// at boot, LoadBundle: a malformed file is an error, never a panic.
+func FuzzLoadModelFile(f *testing.F) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "bundle.golden.gob"))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
-	f.Add(forestFeatureBeyondInt32(f))
+	f.Add(blob)
+	f.Add(forestFeatureBeyondInt32(f, blob))
+	model, bundle := legacyBlobs(f)
+	f.Add(model)
+	f.Add(bundle)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := LoadBundle(bytes.NewReader(data)); err == nil {
-			return
-		}
-		Load(bytes.NewReader(data))
+		LoadBundle(bytes.NewReader(data))
 	})
 }
 
-// forestFeatureBeyondInt32 is the golden model file with its forest's first
+// forestFeatureBeyondInt32 is the golden bundle with its forest's first
 // split reading feature 2³², which the forest's resident int32 would keep
-// as feature 0: Load must refuse it.
-func forestFeatureBeyondInt32(f *testing.F) []byte {
-	blob, err := os.ReadFile(filepath.Join("testdata", "model.golden.gob"))
-	if err != nil {
+// as feature 0: LoadBundle must refuse it.
+func forestFeatureBeyondInt32(f *testing.F, blob []byte) []byte {
+	var wire bundleWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wire); err != nil {
 		f.Fatal(err)
 	}
-	m, err := Load(bytes.NewReader(blob))
-	if err != nil {
-		f.Fatal(err)
-	}
-	aux := m.Aux.Wire()
-	root := &aux.Trees[0].Nodes[0]
+	root := &wire.Base.Aux.Trees[0].Nodes[0]
 	if root.Left < 0 {
 		f.Fatal("the golden forest's first tree is a single leaf")
 	}
 	root.Feature = 1 << 32
-	var wire modelWire
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&wire); err != nil {
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&wire); err != nil {
 		f.Fatal(err)
 	}
-	var auxBuf, out bytes.Buffer
-	if err := gob.NewEncoder(&auxBuf).Encode(aux); err != nil {
-		f.Fatal(err)
-	}
-	wire.Aux = auxBuf.Bytes()
-	if err := gob.NewEncoder(&out).Encode(wire); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := Load(bytes.NewReader(out.Bytes())); err == nil {
-		f.Fatal("Load accepted a forest split on feature 2³²")
+	if _, err := LoadBundle(bytes.NewReader(out.Bytes())); err == nil {
+		f.Fatal("LoadBundle accepted a forest split on feature 2³²")
 	}
 	return out.Bytes()
 }

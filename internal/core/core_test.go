@@ -258,22 +258,28 @@ func TestSpecializeFromSpecializedPanics(t *testing.T) {
 	spec.Specialize(train, train.Samples[0].Service)
 }
 
+// A lone model is saved as a bundle with no services and comes back as
+// that bundle's general model.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := trainedModel(t)
 	_, test := trainTestData(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := NewBundle(m).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	b, err := LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(b.Specialized) != 0 {
+		t.Fatalf("a lone model loaded with %d services", len(b.Specialized))
+	}
+	loaded := b.General
 	s := &test.Samples[0]
 	a := m.Diagnose(s.Features, test.Layout)
-	b := loaded.Diagnose(s.Features, test.Layout)
+	c := loaded.Diagnose(s.Features, test.Layout)
 	for j := range a.Final {
-		if math.Abs(a.Final[j]-b.Final[j]) > 1e-12 {
+		if math.Abs(a.Final[j]-c.Final[j]) > 1e-12 {
 			t.Fatal("loaded model diagnoses differently")
 		}
 	}
@@ -282,15 +288,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("xx")); err == nil {
-		t.Fatal("want error")
-	}
-}
-
 // A forest that splits on a feature beyond the full layout is refused at
-// load, by Load and by LoadBundle alike, instead of indexing past the
-// zero-filled input on the first diagnosis.
+// load instead of indexing past the zero-filled input on the first
+// diagnosis.
 func TestLoadRejectsForestSplitBeyondFullLayout(t *testing.T) {
 	m := syntheticModel(6, []int{24, 12})
 	wire := m.Aux.Wire()
@@ -305,13 +305,6 @@ func TestLoadRejectsForestSplitBeyondFullLayout(t *testing.T) {
 	}
 
 	var blob bytes.Buffer
-	if err := m.Save(&blob); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&blob); err == nil {
-		t.Fatal("Load accepted a forest that splits beyond the full layout")
-	}
-	blob.Reset()
 	if err := NewBundle(m).Save(&blob); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math"
@@ -118,18 +119,20 @@ func expectFrom(m *Model) goldenExpect {
 	return e
 }
 
-// TestGoldenModelFormat pins the persisted model format: the committed
-// fixture bytes must decode into a model whose diagnosis of a fixed input
-// matches the committed expectations. A format change that breaks old
-// saved models (renamed wire fields, reordered layouts, changed
-// normalizer transform) fails here loudly instead of silently corrupting
-// deployments that load pre-change models.
+// TestGoldenModelFormat pins the model file: the committed bundle must
+// decode into one whose general model's diagnosis of a fixed input matches
+// the committed expectations. A format change that breaks files already
+// written (renamed wire fields, reordered layouts, changed normalizer
+// transform) fails here loudly instead of silently corrupting deployments
+// that load them. The committed bytes are those of a bundle written while
+// bundleWire still declared the fields of its first format, as every
+// deployed file was; -update rewrites them with today's Save.
 func TestGoldenModelFormat(t *testing.T) {
-	gobPath := filepath.Join("testdata", "model.golden.gob")
+	gobPath := filepath.Join("testdata", "bundle.golden.gob")
 	jsonPath := filepath.Join("testdata", "model.golden.json")
 
 	if *update {
-		m := syntheticModel(6, []int{24, 12})
+		b := fixtureBundle()
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -137,31 +140,23 @@ func TestGoldenModelFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Save(f); err != nil {
+		if err := b.Save(f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.MarshalIndent(expectFrom(m), "", "  ")
+		js, err := json.MarshalIndent(expectFrom(b.General), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(jsonPath, append(js, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Log("golden fixtures updated")
 	}
 
-	f, err := os.Open(gobPath)
-	if err != nil {
-		t.Fatalf("missing fixture (regenerate with -update): %v", err)
-	}
-	defer f.Close()
-	m, err := Load(f)
-	if err != nil {
-		t.Fatalf("golden model no longer loads — the model format changed incompatibly: %v", err)
-	}
+	m := goldenBundle(t).General
 	raw, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
@@ -199,38 +194,34 @@ func TestGoldenModelFormat(t *testing.T) {
 	}
 }
 
-// TestGoldenModelRoundTrip re-saves the loaded fixture and checks the
-// second generation still behaves identically — Save∘Load must be
-// idempotent, not merely load-compatible.
-func TestGoldenModelRoundTrip(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "model.golden.gob"))
+// goldenBundle decodes the committed bundle.
+func goldenBundle(t testing.TB) *Bundle {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "bundle.golden.gob"))
 	if err != nil {
 		t.Fatalf("missing fixture (regenerate with -update): %v", err)
 	}
-	m, err := Load(f)
-	f.Close()
+	b, err := LoadBundle(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("the golden bundle no longer loads — the model format changed incompatibly: %v", err)
+	}
+	return b
+}
+
+// TestGoldenModelRoundTrip re-saves the loaded fixture and checks the
+// second generation still behaves identically — Save∘LoadBundle must be
+// idempotent, not merely load-compatible.
+func TestGoldenModelRoundTrip(t *testing.T) {
+	m := goldenBundle(t)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(t.TempDir(), "roundtrip.gob")
-	out, err := os.Create(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(out); err != nil {
-		t.Fatal(err)
-	}
-	out.Close()
-	in, err := os.Open(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	m2, err := Load(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := expectFrom(m), expectFrom(m2)
+	a, b := expectFrom(m.General), expectFrom(m2.General)
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if string(aj) != string(bj) {

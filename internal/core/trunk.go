@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 
 	"diagnet/internal/nn"
@@ -16,10 +15,10 @@ import (
 //
 // Specialize and Retrain(HeadOnly) build a Model.Net whose trunk
 // parameters alias the source network's value matrices — frozen, never
-// written by training (nn.Param) — and own only the head, and a model that
-// enters a bundle with a private copy of the general trunk is folded onto
-// it (Bundle.Attach). Model.Net stays a complete network either way, so
-// persistence, Clone and ParamCount see no difference.
+// written by training (nn.Param) — and own only the head, and LoadBundle
+// builds each stored head over the general model's trunk (overTrunk).
+// Model.Net stays a complete network either way, so persistence, Clone and
+// ParamCount see no difference.
 //
 // The invariant, enforced by identity and not by convention: a head only
 // ever consumes activations of the trunk its own Model.Net aliases. A
@@ -81,46 +80,17 @@ func sameTrunk(a, b []*nn.Param) bool {
 	return true
 }
 
-// foldTrunk returns net with its trunk aliased onto the trunk `onto` when
-// the two hold the same bits (Float64bits-equal, parameter by parameter):
-// a view of net — head matrices and freeze flags as they are — whose trunk
-// parameters read onto's matrices. A trunk that is already onto's, or that
-// differs in any bit or shape, is left alone and net itself is returned.
-func foldTrunk(net *nn.Network, onto []*nn.Param) *nn.Network {
-	own := trunkParams(net)
-	if sameTrunk(own, onto) || len(own) != len(onto) {
-		return net
-	}
-	for i, p := range own {
-		a, b := p.Value, onto[i].Value
-		if a.Rows != b.Rows || a.Cols != b.Cols {
-			return net
-		}
-		for j, v := range a.Data {
-			if math.Float64bits(v) != math.Float64bits(b.Data[j]) {
-				return net
-			}
-		}
-	}
-	folded := net.View()
-	for i, p := range trunkParams(folded) {
-		p.Value = onto[i].Value
-	}
-	return folded
-}
-
 // Attach installs m as the bundle's model for a service and returns the
 // model the bundle now holds. It is how a decoded file (LoadBundle) or a
 // model trained elsewhere enters a bundle, and it makes the bundle hold
-// the general model's trunk, forest and normalizer once: a
-// trunk that is bit-equal to the general's is aliased onto it, an equal
-// forest or normalizer is replaced by the general's. Whatever differs
+// the general model's forest and normalizer once: an equal forest or
+// normalizer is replaced by the general's (a service Save wrote complete,
+// for its diverged trunk, carries the general's forest). Whatever differs
 // stays private, so a foreign or diverged model is served as it is (in its
-// own trunk pass). m itself is never modified: when anything is folded the
-// bundle holds a new Model that shares m's head.
+// own trunk pass). m itself is never modified: when anything is shared the
+// bundle holds a new Model that shares m's network.
 func (b *Bundle) Attach(serviceID int, m *Model) *Model {
 	g := b.General
-	net := foldTrunk(m.Net, trunkParams(g.Net))
 	aux, norm := m.Aux, m.Norm
 	if aux != g.Aux && reflect.DeepEqual(aux, g.Aux) {
 		aux = g.Aux
@@ -128,8 +98,8 @@ func (b *Bundle) Attach(serviceID int, m *Model) *Model {
 	if norm != g.Norm && reflect.DeepEqual(norm, g.Norm) {
 		norm = g.Norm
 	}
-	if net != m.Net || aux != m.Aux || norm != m.Norm {
-		m = m.derive(net, m.ServiceID)
+	if aux != m.Aux || norm != m.Norm {
+		m = m.derive(m.Net, m.ServiceID)
 		m.Aux, m.Norm = aux, norm
 	}
 	b.Specialized[serviceID] = m

@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"diagnet/internal/forest"
@@ -50,11 +48,12 @@ func assertResident(t *testing.T, when string, b *Bundle, trunks, forests int) {
 
 // A bundle holds the frozen extractor and the forest once (the serving
 // package's twin of this test covers registration and journal recovery):
-// after SpecializeAll, after Save → LoadBundle of those bytes — which carry
-// both once, plus each service's head — and after a model trained
-// elsewhere with the same trunk is attached. A specialized model whose trunk differs from
-// the general's in a single bit keeps it private, is passed in its own
-// trunk group, and answers exactly what it answers standing alone.
+// after SpecializeAll and after Save → LoadBundle of those bytes, which
+// carry both once, plus each service's head. A model decoded on its own
+// shares the forest once attached, and keeps its trunk. A specialized
+// model whose trunk differs from the general's in a single bit keeps it
+// private, is passed in its own trunk group, and answers exactly what it
+// answers standing alone.
 func TestBundleHoldsOneTrunkOneForest(t *testing.T) {
 	b := trainedBundle(t)
 	assertResident(t, "after SpecializeAll", b, 1, 1)
@@ -67,7 +66,7 @@ func TestBundleHoldsOneTrunkOneForest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var general bytes.Buffer
-	if err := b.General.Save(&general); err != nil {
+	if err := NewBundle(b.General).Save(&general); err != nil {
 		t.Fatal(err)
 	}
 	heads := 0 // at most nine bytes per float64 in gob
@@ -89,27 +88,29 @@ func TestBundleHoldsOneTrunkOneForest(t *testing.T) {
 		t.Fatal("the loaded bundle diagnoses differently from the one that was saved")
 	}
 
-	// Attach never touches the model it is given, and folds a private but
-	// bit-equal copy (a model decoded on its own, as journal recovery does).
+	// Attach never touches the model it is given, and gives a model decoded
+	// on its own (from a bundle of its own here) the general model's forest
+	// and normalizer. Its trunk, bit-equal but separately allocated, stays
+	// its own.
 	var svc int
 	for svc = range b.Specialized {
 	}
 	var one bytes.Buffer
-	if err := b.Specialized[svc].Save(&one); err != nil {
+	if err := NewBundle(b.Specialized[svc]).Save(&one); err != nil {
 		t.Fatal(err)
 	}
-	alone, err := Load(&one)
+	lone, err := LoadBundle(&one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aloneTrunk := trunkParams(alone.Net)[2].Value
-	if held := loaded.Attach(svc, alone); held == alone || held.Aux != loaded.General.Aux || held.Net.Params()[4].Value != alone.Net.Params()[4].Value {
-		t.Fatal("attaching a bit-equal private copy must hold a folded model that shares the general forest and the copy's head")
+	alone := lone.General
+	if held := loaded.Attach(svc, alone); held == alone || held.Aux != loaded.General.Aux || held.Norm != loaded.General.Norm || held.Net != alone.Net {
+		t.Fatal("attaching a separately decoded model must hold one that shares the general forest and normalizer and keeps the model's network")
 	}
-	if trunkParams(alone.Net)[2].Value != aloneTrunk || alone.Aux == loaded.General.Aux {
+	if alone.Aux == loaded.General.Aux || alone.Norm == loaded.General.Norm {
 		t.Fatal("Attach modified the model it was given")
 	}
-	assertResident(t, "after attaching a separately decoded model", loaded, 1, 1)
+	assertResident(t, "after attaching a separately decoded model", loaded, 2, 1)
 
 	// One flipped bit: the trunk stays private through Save → LoadBundle.
 	diverged := b.Specialized[svc].derive(b.Specialized[svc].Net.Clone(), svc)
@@ -176,14 +177,14 @@ func TestDerivedModelsAliasTheTrunk(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := headOnly.Model.Save(&buf); err != nil {
+	if err := NewBundle(headOnly.Model).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := LoadBundle(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range back.Net.Params() {
+	for i, p := range back.General.Net.Params() {
 		if p.Frozen != (i < k) {
 			t.Fatalf("param %d decoded with Frozen = %v", i, p.Frozen)
 		}
@@ -246,15 +247,13 @@ func TestAttentionOfSharedTrunkPassMatchesFiniteDifferences(t *testing.T) {
 }
 
 // Saving a bundle twice gives the same bytes, and so does saving what
-// LoadBundle made of them — for heads over the general trunk and for a
-// complete private model (the diverged service of the version-1 fixture):
-// nothing in the version-2 form is a map or a nested stream. A model's own
-// Save is stable wherever it decides the order: Known is sorted, and the
-// forest, the normalizer and the layouts encode deterministically. (Its
-// network bytes are compared decoded: gob walks nn.LayerSpec's Ints map in
-// map order, and the pinned nn.snapshot format keeps that map.)
+// LoadBundle made of them — for heads over the general trunk, for a
+// complete private model (the diverged service of the golden fixture) and
+// for a lone model: nothing in the bundle's form is a map or a nested
+// stream, and Known is sorted.
 func TestSaveTwiceSameBytes(t *testing.T) {
-	for name, b := range map[string]*Bundle{"trained": trainedBundle(t), "fixture": v1FixtureBundle()} {
+	trained := trainedBundle(t)
+	for name, b := range map[string]*Bundle{"trained": trained, "fixture": fixtureBundle(), "lone": NewBundle(trained.General)} {
 		save := func(b *Bundle) []byte {
 			var buf bytes.Buffer
 			if err := b.Save(&buf); err != nil {
@@ -275,42 +274,6 @@ func TestSaveTwiceSameBytes(t *testing.T) {
 		if !bytes.Equal(first, save(loaded)) {
 			t.Fatalf("%s bundle: saving the loaded bundle gives other bytes", name)
 		}
-	}
-
-	m := trainedBundle(t).General
-	decode := func() (modelWire, []byte) {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var w modelWire
-		if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
-			t.Fatal(err)
-		}
-		net := w.Net
-		w.Net = nil
-		return w, net
-	}
-	first, firstNet := decode()
-	for i := 0; i < 20; i++ {
-		again, net := decode()
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("save %d differs from the first outside the network bytes (Known %v vs %v)", i, first.Known, again.Known)
-		}
-		a, err := nn.Load(bytes.NewReader(firstNet))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := nn.Load(bytes.NewReader(net))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(paramBits(a), paramBits(b)) {
-			t.Fatalf("save %d encodes different weights", i)
-		}
-	}
-	if !sort.IntsAreSorted(first.Known) || len(first.Known) != len(m.Known) {
-		t.Fatalf("Known saved as %v", first.Known)
 	}
 }
 

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -70,6 +71,30 @@ func expectOf(e *Extensible) forestExpect {
 	return exp
 }
 
+// encode writes e's Wire form with gob, as core's bundle embeds it.
+func encode(t *testing.T, e *Extensible) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(e.Wire()); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// decode rebuilds the forest whose Wire form raw encodes.
+func decode(t *testing.T, raw []byte) *Extensible {
+	t.Helper()
+	var w Wire
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	e, err := w.Extensible()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestGoldenExtensibleFormat guards the gob wire format and the fitted
 // ensemble's behavior: the committed fixture must still load, score exactly
 // as recorded, and — since the wire struct contains no maps — re-encode to
@@ -81,10 +106,7 @@ func TestGoldenExtensibleFormat(t *testing.T) {
 
 	if *update {
 		e := goldenForest()
-		var buf bytes.Buffer
-		if err := e.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf := encode(t, e)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +128,7 @@ func TestGoldenExtensibleFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	e, err := LoadExtensible(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := decode(t, raw)
 	var want forestExpect
 	js, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -127,13 +146,9 @@ func TestGoldenExtensibleFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Byte-stable re-encode: the wire format has no maps, so saving the
+	// Byte-stable re-encode: the wire format has no maps, so encoding the
 	// loaded forest must reproduce the fixture exactly.
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
+	if buf := encode(t, e); !bytes.Equal(buf.Bytes(), raw) {
 		t.Fatalf("re-encoded forest differs from fixture (%d vs %d bytes)", buf.Len(), len(raw))
 	}
 }
@@ -153,15 +168,7 @@ func TestGoldenExtensibleRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(js, &want); err != nil {
 		t.Fatal(err)
 	}
-	e := goldenForest()
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadExtensible(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := decode(t, encode(t, goldenForest()).Bytes())
 	if err := compareScores(expectOf(loaded), want); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package forest
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -22,9 +20,9 @@ type flatTree struct {
 	Classes int
 }
 
-// Wire is the gob form of an Extensible, for formats that embed it inline
-// (core's bundle). It is an alias so that Save's stream keeps naming its
-// type forestWire.
+// Wire is the gob form of an Extensible, which core's bundle embeds
+// inline. It is an alias so that a gob stream keeps naming its type
+// forestWire, as every bundle written so far does.
 type Wire = forestWire
 
 type forestWire struct {
@@ -78,20 +76,6 @@ func (wire forestWire) toForest() (*Forest, error) {
 		return nil, fmt.Errorf("forest: no trees in stream")
 	}
 	return f, nil
-}
-
-// Save writes the extensible wrapper with gob.
-func (e *Extensible) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(e.Wire())
-}
-
-// LoadExtensible reads an extensible wrapper written by Save.
-func LoadExtensible(r io.Reader) (*Extensible, error) {
-	var wire forestWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("forest: load extensible: %w", err)
-	}
-	return wire.Extensible()
 }
 
 // Wire returns e's gob form, each leaf's distribution dense again.

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,14 +78,7 @@ func TestDropoutRateValidation(t *testing.T) {
 func TestDropoutSpecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewNetwork(NewDense(4, 8, rng), NewReLU(), NewDropout(0.25, rng), NewDense(8, 2, rng))
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, net)
 	d, ok := loaded.Layers[2].(*Dropout)
 	if !ok {
 		t.Fatal("dropout layer lost in round trip")

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -192,14 +191,7 @@ func TestViewsRunConcurrently(t *testing.T) {
 // matrices; the first training pass allocates them.
 func TestGradAllocatedOnFirstTrainingUse(t *testing.T) {
 	net := attentionNet(28, 3)
-	var saved bytes.Buffer
-	if err := net.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(saved.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, net)
 	x := normalBatch(29, 4, 5*3+2)
 	for _, n := range []*Network{net, loaded, net.Clone()} {
 		n.ZeroGrads()

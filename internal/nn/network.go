@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -148,42 +146,12 @@ func Argmax(xs []float64) int {
 	return arg
 }
 
-// snapshot is the gob wire format of a network.
-type snapshot struct {
-	Specs  []LayerSpec
-	Values [][]float64
-	Frozen []bool
-}
-
-// Save writes the network's architecture and parameters to w with gob.
-func (n *Network) Save(w io.Writer) error {
-	var s snapshot
-	for _, l := range n.Layers {
-		s.Specs = append(s.Specs, l.Spec())
-	}
-	for _, p := range n.Params() {
-		s.Values = append(s.Values, p.Value.Data)
-		s.Frozen = append(s.Frozen, p.Frozen)
-	}
-	return gob.NewEncoder(w).Encode(&s)
-}
-
-// Load reads a network previously written by Save. A stream that decodes
-// but does not describe a network (build has the checks) is an error.
-func Load(r io.Reader) (*Network, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	return build(s.Specs, s.Values, s.Frozen)
-}
-
-// Wire is a network in a form whose gob encoding is a function of the
-// network alone, for formats that embed a network inline (core's bundle):
-// Save's snapshot with each LayerSpec's Ints map written as its keys,
-// sorted, and their values — gob walks a map in random order, so Save's
-// bytes are not stable. The Values of a Wire built by Network.Wire alias
-// the network's matrices.
+// Wire is the serialized form of a network, which core's bundle embeds
+// inline: each layer's LayerSpec, with its Ints map written as its keys,
+// sorted, and their values (gob walks a map in random order, so its bytes
+// would not be a function of the network), then every parameter's values
+// and freeze flag. The Values of a Wire built by Network.Wire alias the
+// network's matrices.
 type Wire struct {
 	Specs  []SpecWire
 	Values [][]float64
@@ -220,7 +188,7 @@ func (n *Network) Wire() Wire {
 	return w
 }
 
-// Network builds the network w describes, as Load does.
+// Network builds the network w describes.
 func (w Wire) Network() (*Network, error) {
 	specs := make([]LayerSpec, len(w.Specs))
 	for i, sw := range w.Specs {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,20 +174,32 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	}
 }
 
+// roundTrip rebuilds net from the gob encoding of its Wire form, as a
+// model file stores it.
+func roundTrip(t *testing.T, net *Network) *Network {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(net.Wire()); err != nil {
+		t.Fatal(err)
+	}
+	var w Wire
+	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := w.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lp := NewLandPool(5, 8, 5, DefaultPoolOps(), rng)
 	net := NewNetwork(lp, NewDense(lp.OutWidth(), 16, rng), NewReLU(), NewDense(16, 7, rng))
 	lp.Kernel.Frozen = true
 
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, net)
 	x, _ := randBatch(rng, 3, 7*5+5, 7)
 	a := net.Forward(x)
 	b := loaded.Forward(x)
@@ -198,66 +211,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not gob")); err == nil {
-		t.Fatal("want error")
-	}
-}
-
-// A stream that decodes as a snapshot but does not describe a network is
-// an error, not a panic: a malformed model file must not crash the process
-// that loads it.
+// A Wire that does not describe a network is an error, not a panic: a
+// malformed model file must not crash the process that loads it.
 func TestLoadRejectsMalformedSnapshots(t *testing.T) {
-	valid := func() snapshot {
+	valid := func() Wire {
 		rng := rand.New(rand.NewSource(3))
 		lp := NewLandPool(5, 4, 2, DefaultPoolOps()[:3], rng)
-		net := NewNetwork(lp, NewDense(lp.OutWidth(), 6, rng), NewReLU(), NewDropout(0.1, rng), NewDense(6, 3, rng))
-		var s snapshot
-		for _, l := range net.Layers {
-			s.Specs = append(s.Specs, l.Spec())
-		}
-		for _, p := range net.Params() {
-			s.Values = append(s.Values, p.Value.Data)
-			s.Frozen = append(s.Frozen, p.Frozen)
-		}
-		return s
+		return NewNetwork(lp, NewDense(lp.OutWidth(), 6, rng), NewReLU(), NewDropout(0.1, rng), NewDense(6, 3, rng)).Wire()
 	}
-	for name, spoil := range map[string]func(s *snapshot){
-		"short freeze list":       func(s *snapshot) { s.Frozen = s.Frozen[:0] },
-		"negative dimension":      func(s *snapshot) { s.Specs[4].Ints["out"] = -3 },
-		"zero filters":            func(s *snapshot) { s.Specs[0].Ints["f"] = 0 },
-		"negative local features": func(s *snapshot) { s.Specs[0].Ints["local"] = -1 },
-		"unknown layer":           func(s *snapshot) { s.Specs[2].Kind = "conv" },
-		"unknown pool op":         func(s *snapshot) { s.Specs[0].Strings[1] = "median" },
-		"percentile above 100":    func(s *snapshot) { s.Specs[0].Strings[1] = "p150" },
-		"dropout rate of one":     func(s *snapshot) { s.Specs[3].Strings = []string{"1"} },
-		"dense after wrong width": func(s *snapshot) { s.Specs[4].Ints["in"] = 5 },
-		"short weight":            func(s *snapshot) { s.Values[2] = s.Values[2][:7] },
-		"missing params":          func(s *snapshot) { s.Values, s.Frozen = s.Values[:5], s.Frozen[:5] },
-		"extra params":            func(s *snapshot) { s.Values, s.Frozen = append(s.Values, []float64{1}), append(s.Frozen, false) },
+	set := func(w *Wire, layer int, key string, v int) {
+		sw := &w.Specs[layer]
+		sw.Ints[slices.Index(sw.Keys, key)] = v
+	}
+	for name, spoil := range map[string]func(w *Wire){
+		"short freeze list":       func(w *Wire) { w.Frozen = w.Frozen[:0] },
+		"negative dimension":      func(w *Wire) { set(w, 4, "out", -3) },
+		"zero filters":            func(w *Wire) { set(w, 0, "f", 0) },
+		"negative local features": func(w *Wire) { set(w, 0, "local", -1) },
+		"keys without values":     func(w *Wire) { w.Specs[0].Ints = w.Specs[0].Ints[:1] },
+		"unknown layer":           func(w *Wire) { w.Specs[2].Kind = "conv" },
+		"unknown pool op":         func(w *Wire) { w.Specs[0].Strings[1] = "median" },
+		"percentile above 100":    func(w *Wire) { w.Specs[0].Strings[1] = "p150" },
+		"dropout rate of one":     func(w *Wire) { w.Specs[3].Strings = []string{"1"} },
+		"dense after wrong width": func(w *Wire) { set(w, 4, "in", 5) },
+		"short weight":            func(w *Wire) { w.Values[2] = w.Values[2][:7] },
+		"missing params":          func(w *Wire) { w.Values, w.Frozen = w.Values[:5], w.Frozen[:5] },
+		"extra params":            func(w *Wire) { w.Values, w.Frozen = append(w.Values, []float64{1}), append(w.Frozen, false) },
 	} {
-		s := valid()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-			t.Fatal(err)
+		w := valid()
+		if _, err := w.Network(); err != nil {
+			t.Fatalf("the valid wire does not load: %v", err)
 		}
-		if _, err := Load(&buf); err != nil {
-			t.Fatalf("the valid snapshot does not load: %v", err)
-		}
-		spoil(&s)
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil {
+		spoil(&w)
+		if _, err := w.Network(); err == nil {
 			t.Errorf("%s: loaded without an error", name)
 		}
 	}
 }
 
 // A network's Wire form rebuilds it with its freeze flags into matrices of
-// its own, and encodes to the same bytes every time (Save does not: gob
-// walks LayerSpec.Ints in map order).
+// its own, and encodes to the same bytes every time (a LayerSpec would
+// not: gob walks its Ints in map order).
 func TestWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lp := NewLandPool(5, 8, 5, DefaultPoolOps(), rng)

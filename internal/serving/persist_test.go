@@ -321,7 +321,7 @@ func TestRegistryRecoversStateWithSpecializeRecords(t *testing.T) {
 			}
 			if withFile {
 				var buf bytes.Buffer
-				if err := m.Save(&buf); err != nil {
+				if err := core.NewBundle(m).Save(&buf); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(filepath.Join(dir, file), buf.Bytes(), 0o644); err != nil {

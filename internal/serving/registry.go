@@ -255,13 +255,15 @@ func (r *Registry) Versions() []VersionInfo {
 	return out
 }
 
-// LoadFile registers one model or bundle file as a version. Bare models
-// and bundles share the same gob envelope trick diagnetd used: try the
-// bundle decoder first, then fall back to a single general model.
+// LoadFile registers one bundle file (core.LoadBundle) as a version.
 func (r *Registry) LoadFile(version, path string) error {
-	b, err := loadBundleOrModel(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("serving: %w", err)
+	}
+	b, err := core.LoadBundle(bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("serving: %s: %w", path, err)
 	}
 	return r.Add(version, b)
 }
@@ -291,21 +293,4 @@ func (r *Registry) LoadDir(dir string) ([]string, error) {
 		versions = append(versions, version)
 	}
 	return versions, nil
-}
-
-// loadBundleOrModel reads a file as a bundle, falling back to a single
-// general model wrapped in a fresh bundle.
-func loadBundleOrModel(path string) (*core.Bundle, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("serving: %w", err)
-	}
-	if b, err := core.LoadBundle(bytes.NewReader(data)); err == nil {
-		return b, nil
-	}
-	m, err := core.Load(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("serving: %s is neither a bundle nor a model: %w", path, err)
-	}
-	return core.NewBundle(m), nil
 }

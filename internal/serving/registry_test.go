@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,25 +63,16 @@ func TestRegistryPromoteAndRollbackWalkHistory(t *testing.T) {
 func TestRegistryLoadDir(t *testing.T) {
 	m, _ := fixture(t)
 	dir := t.TempDir()
-	for _, name := range []string{"v2.gob", "v1.gob"} {
+	for _, name := range []string{"v2.gob", "v1.gob", "v3-bundle.gob"} {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Save(f); err != nil {
+		if err := core.NewBundle(m).Save(f); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
 	}
-	// A bundle file loads through the same path.
-	bf, err := os.Create(filepath.Join(dir, "v3-bundle.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.NewBundle(m).Save(bf); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
 	// Non-gob files are ignored.
 	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("x"), 0o644)
 
@@ -112,5 +105,35 @@ func TestRegistryLoadFileRejectsGarbage(t *testing.T) {
 	}
 	if err := r.LoadFile("missing", filepath.Join(t.TempDir(), "nope.gob")); err == nil {
 		t.Fatal("missing file registered as a model")
+	}
+}
+
+// A bundle that LoadBundle refuses is reported with its path and the
+// decoder's own reason: here a specialized head whose first parameter has
+// 3 values.
+func TestRegistryLoadFileNamesWhyABundleWasRefused(t *testing.T) {
+	m, test := fixture(t)
+	svc := test.Degraded().Samples[0].Service
+	spec := m.Specialize(test, svc).Model
+	head := spec.Net.Params()[4].Value
+	head.Data = head.Data[:3]
+	b := core.NewBundle(m)
+	b.Specialized[svc] = spec
+	var blob bytes.Buffer
+	if err := b.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "short-head.gob")
+	if err := os.WriteFile(path, blob.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := NewRegistry(1).LoadFile("short-head", path)
+	if err == nil {
+		t.Fatal("a bundle with a short head registered")
+	}
+	for _, want := range []string{path, fmt.Sprintf("service %d", svc), "head param 0 has 3 values"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadFile error %q does not name %q", err, want)
+		}
 	}
 }

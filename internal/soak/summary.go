@@ -108,9 +108,6 @@ func floorGrowth(samples []int, slack int) ([2]int, bool) {
 	return [2]int{}, false
 }
 
-// Passed reports whether the run satisfied every invariant.
-func (s *Summary) Passed() bool { return len(s.Violations) == 0 }
-
 // WriteJSON writes the summary (indented) to path, creating parent
 // directories as needed.
 func (s *Summary) WriteJSON(path string) error {
