@@ -3,31 +3,27 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"diagnet/internal/jsonscan"
+	"diagnet/internal/obs"
 )
 
-// readRequest reads the bounded body of a diagnose route in one piece,
-// presized when the client declared its length, and decodes it with
-// decode. An oversized body is a 413 and anything else that fails a 400;
-// it reports whether decoding succeeded (the error response is already
-// written otherwise).
+// readRequest reads the bounded body of a diagnose route in one pooled
+// buffer (obs.ReadBody), presized when the client declared its length, and
+// decodes it with decode. The buffer goes back to the pool as soon as it is
+// decoded: the decoder copies every value it keeps into a slice of its own
+// (the continual plane keeps those, not the body), and its errors are
+// formatted when they are made. An oversized body is a 413 and anything
+// else that fails a 400; it reports whether decoding succeeded (the error
+// response is already written otherwise).
 func readRequest[T any](w http.ResponseWriter, r *http.Request, v *T, decode func([]byte, *T) error) bool {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	var data []byte
-	var err error
-	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
-		data = make([]byte, n)
-		_, err = io.ReadFull(body, data)
-	} else {
-		data, err = io.ReadAll(body)
-	}
+	data, err := obs.ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, maxRequestBytes)
 	if err == nil {
 		err = decode(data, v)
+		obs.Recycle(data)
 	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError

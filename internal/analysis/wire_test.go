@@ -1,11 +1,19 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"diagnet/internal/obs"
 )
 
 // FuzzDecodeRequest holds the diagnose routes' decoder to encoding/json:
@@ -79,6 +87,71 @@ func TestDecodeRequestNestingLimit(t *testing.T) {
 		wantErr, gotErr := json.Unmarshal([]byte(body), &want), decodeBatch([]byte(body), &got)
 		checkDecoded(t, "batch", body, wantErr, gotErr, want, got)
 	}
+}
+
+// TestRequestBodyReleasedAfterDecode: readRequest hands the body's pooled
+// buffer back as soon as it is decoded. What it decoded owns its memory —
+// scribbling over every buffer of the body's size class leaves the request
+// as it was — and a 400 quoting the body keeps its text while concurrent
+// requests reuse the buffer.
+func TestRequestBodyReleasedAfterDecode(t *testing.T) {
+	body := `{"service_id":3,"landmarks":[0,1,2],"features":[1.5,-2.25,1e3],"top_k":2}`
+	var req DiagnoseRequest
+	r := httptest.NewRequest(http.MethodPost, "/v1/diagnose", strings.NewReader(body))
+	if !readRequest(httptest.NewRecorder(), r, &req, decodeDiagnose) {
+		t.Fatal("readRequest refused a valid body")
+	}
+	for range 8 {
+		b := obs.Buffer(len(body))
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = '9'
+		}
+		defer obs.Recycle(b)
+	}
+	want := DiagnoseRequest{ServiceID: 3, Landmarks: []int{0, 1, 2}, Features: []float64{1.5, -2.25, 1e3}, TopK: 2}
+	if !reflect.DeepEqual(req, want) {
+		t.Fatalf("decoded request changed with the buffer: %+v, want %+v", req, want)
+	}
+
+	_, ts := newService(t)
+	good, _ := json.Marshal(sampleRequest(t))
+	const clients, rounds = 4, 25
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				lit := fmt.Sprintf("%d.%06d", c+1, i)
+				bad := `{"service_id":1,"landmarks":[0],"features":[1],"top_k":` + lit + `}`
+				route, body := "/v1/diagnose", bad
+				if i%2 == 1 {
+					route, body = "/v1/diagnose-batch", `{"requests":[`+bad+`]}`
+				}
+				for _, p := range []struct {
+					route, body string
+					status      int
+					quote       string
+				}{
+					{route, body, http.StatusBadRequest, "cannot decode number " + lit + " into int"},
+					{"/v1/diagnose", string(good), http.StatusOK, `"family"`},
+				} {
+					resp, err := http.Post(ts.URL+p.route, "application/json", bytes.NewReader([]byte(p.body)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					out, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != p.status || !strings.Contains(string(out), p.quote) {
+						t.Errorf("%s: status %d, body %q; want %d with %q", p.route, resp.StatusCode, out, p.status, p.quote)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func checkDecoded[T any](t *testing.T, what, body string, wantErr, gotErr error, want, got T) {

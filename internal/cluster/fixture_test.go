@@ -280,14 +280,20 @@ func newTestRouter(t testing.TB, urls []string, cfg Config) *Router {
 // postJSON posts body to the router and returns status + response body.
 func postJSON(t testing.TB, client *http.Client, url string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	status, out, err := postRaw(client, url, body)
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
+	return status, out
+}
+
+// postRaw is postJSON for a client goroutine, which must not call t.Fatal.
+func postRaw(client *http.Client, url string, body []byte) (int, []byte, error) {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read %s: %v", url, err)
-	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, err
 }

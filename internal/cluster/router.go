@@ -128,7 +128,7 @@ func (o attemptOutcome) definitive() bool {
 }
 
 // writeUpstream relays an upstream response (or routing failure) to the
-// client.
+// client, then hands the response body back to the pool.
 func writeUpstream(w http.ResponseWriter, out attemptOutcome) {
 	if out.err != nil {
 		http.Error(w, "cluster: "+out.err.Error(), http.StatusServiceUnavailable)
@@ -142,6 +142,7 @@ func writeUpstream(w http.ResponseWriter, out attemptOutcome) {
 	}
 	w.WriteHeader(out.status)
 	w.Write(out.body)
+	obs.Recycle(out.body)
 }
 
 // route sends one request to the pool, one attempt at a time on the
@@ -150,7 +151,7 @@ func writeUpstream(w http.ResponseWriter, out attemptOutcome) {
 // and moves on; a transport error or a 5xx fails over to the next. A
 // request whose client went away stops where it is — neither failed over
 // nor blamed on the replica.
-func (rt *Router) route(ctx context.Context, method, path string, body []byte) attemptOutcome {
+func (rt *Router) route(ctx context.Context, method, path string, body payload) attemptOutcome {
 	var failed, loaded attemptOutcome // the last transient failure and the last 429
 	failover := false                 // the previous attempt failed transiently
 	for _, rep := range rt.pool.Ranked() {
@@ -202,7 +203,7 @@ func (rt *Router) route(ctx context.Context, method, path string, body []byte) a
 // for a definitive answer only, feeds the replica's latency EWMA: a replica
 // that fails or sheds instantly must not look like the fastest one to the
 // placement tiebreak.
-func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string, body []byte) attemptOutcome {
+func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string, body payload) attemptOutcome {
 	// Outstanding from before the round trip, so a concurrently ranked
 	// request (a sibling scatter chunk) sees this replica as busy.
 	rep.outstanding.Add(1)
@@ -238,20 +239,29 @@ func (rt *Router) attempt(ctx context.Context, rep *Replica, method, path string
 	return out
 }
 
-// exchange is the HTTP round trip of one attempt.
-func (rt *Router) exchange(ctx context.Context, rep *Replica, method, path string, body []byte) attemptOutcome {
+// exchange is the HTTP round trip of one attempt. The reply body is read
+// into a pooled buffer (obs.ReadBody) that the outcome's final holder
+// recycles.
+func (rt *Router) exchange(ctx context.Context, rep *Replica, method, path string, body payload) attemptOutcome {
 	out := attemptOutcome{rep: rep}
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
+	var unleased io.Reader
+	if body.data != nil && body.lease == nil {
+		unleased = bytes.NewReader(body.data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, rep.name+path, reader)
+	req, err := http.NewRequestWithContext(ctx, method, rep.name+path, unleased)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	if body != nil {
+	if body.data != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if body.lease != nil {
+		req.ContentLength = int64(len(body.data))
+		req.Body = body.open()
+		// The transport rewinds a request it may resend (a reused
+		// connection that died before the request was written).
+		req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 	}
 	tracing.Inject(ctx, req.Header)
 	resp, err := rt.client.Do(req)
@@ -259,32 +269,19 @@ func (rt *Router) exchange(ctx context.Context, rep *Replica, method, path strin
 		out.err = err
 		return out
 	}
-	// Bounded tail drain before Close: readBounded may stop short of EOF
+	// Bounded tail drain before Close: ReadBody may stop short of EOF
 	// (Content-Length fast path, maxBody cap), and an undrained body costs
 	// the keep-alive connection on every proxied request.
 	defer resilience.DrainClose(resp.Body, 32<<10)
 	out.status, out.header = resp.StatusCode, resp.Header
-	out.body, out.err = readBounded(io.LimitReader(resp.Body, maxBody), resp.ContentLength)
+	out.body, out.err = obs.ReadBody(io.LimitReader(resp.Body, maxBody), resp.ContentLength, maxBody)
 	return out
 }
 
-// readBounded reads r, which the caller has capped at maxBody, to its end.
-// When the peer declared a length the buffer is allocated once at that
-// size — io.ReadAll's doubling growth costs several copies on a typical
-// multi-kilobyte diagnose body, and the proxy path holds every body in
-// memory (failover needs a replayable request).
-func readBounded(r io.Reader, declared int64) ([]byte, error) {
-	if declared > 0 && declared <= maxBody {
-		body := make([]byte, declared)
-		n, err := io.ReadFull(r, body)
-		return body[:n], err
-	}
-	return io.ReadAll(r)
-}
-
-// readBody reads a request body, answering 413 past maxBody.
+// readBody reads a request body into a pooled buffer, answering 413 past
+// maxBody.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readBounded(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
+	body, err := obs.ReadBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength, maxBody)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -297,16 +294,95 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
+// A lease is a pooled buffer the router forwards from, shared by the
+// handler that filled it and every request body the transport is handed
+// over it. The handler holds one reference and each body another, dropped
+// when the transport closes it: the RoundTripper contract lets a transport
+// read a body after RoundTrip has returned, on a failed or abandoned
+// attempt too, and Close is the one point after which it will not. The
+// last reference recycles the buffer; a body the transport never closes
+// leaves it to the GC.
+type lease struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+func newLease(buf []byte) *lease {
+	l := &lease{buf: buf}
+	l.refs.Store(1)
+	return l
+}
+
+// release drops one reference.
+func (l *lease) release() {
+	if l.refs.Add(-1) == 0 {
+		obs.Recycle(l.buf)
+	}
+}
+
+// payload is one request body the router forwards: data, bytes of the
+// lease's buffer, or with no lease bytes the GC reclaims. The zero payload
+// is no body.
+type payload struct {
+	data  []byte
+	lease *lease
+}
+
+// open returns a fresh reader over the payload that holds a reference to
+// its lease until closed.
+func (p payload) open() io.ReadCloser {
+	p.lease.refs.Add(1)
+	return &leasedBody{rest: p.data, lease: p.lease}
+}
+
+// leasedBody is one request body over a lease. Read and Close exclude each
+// other, so a transport that closes a body while another of its goroutines
+// still reads it cannot have the buffer recycled under that read.
+type leasedBody struct {
+	mu    sync.Mutex
+	rest  []byte
+	lease *lease // nil once closed
+}
+
+func (b *leasedBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.lease == nil:
+		return 0, http.ErrBodyReadAfterClose
+	case len(b.rest) == 0:
+		return 0, io.EOF
+	}
+	n := copy(p, b.rest)
+	b.rest = b.rest[n:]
+	return n, nil
+}
+
+func (b *leasedBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.lease != nil {
+		b.lease.release()
+		b.lease, b.rest = nil, nil
+	}
+	return nil
+}
+
+// handleDiagnose forwards the client's body as it arrived, unleased: a
+// leased body is not a bytes.Reader, so net/http would flush the headers
+// on their own and copy a one-sample body through a buffer of its size —
+// as much allocation as recycling it saves, and a write more. The body is
+// left to the GC; the relayed reply goes back to the pool.
 func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	writeUpstream(w, rt.route(r.Context(), http.MethodPost, "/v1/diagnose", body))
+	writeUpstream(w, rt.route(r.Context(), http.MethodPost, "/v1/diagnose", payload{data: body}))
 }
 
 func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
-	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", nil))
+	writeUpstream(w, rt.route(r.Context(), http.MethodGet, "/v1/model", payload{}))
 }
 
 func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
@@ -323,12 +399,16 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // The router forwards; it does not decode. One validating scan of the
 // envelope (scanBatch) finds where each element starts and ends, each
 // chunk is those elements' bytes inside a fresh envelope, and the merged
-// reply is the replicas' own response and error slots, byte for byte.
+// reply is the replicas' own response and error slots, byte for byte. The
+// client's body, the chunks' buffer, every chunk reply and the merged reply
+// are pooled; each goes back once the reply is written (the chunks' buffer
+// through its lease, when the transport has closed every body over it).
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
+	defer obs.Recycle(body)
 	elems, space, err := scanBatch(body)
 	if err != nil {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
@@ -351,7 +431,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// lengthens the elements, so it holds them all plus an envelope each.
 	chunk := (n + ways - 1) / ways
 	parts := make([]chunkReply, (n+chunk-1)/chunk)
-	payloads := make([]byte, 0, len(body)+len(parts)*len(requestsOpen+requestsClose))
+	payloads := obs.Buffer(len(body) + len(parts)*len(requestsOpen+requestsClose))
+	chunks := newLease(payloads)
+	defer chunks.release()
 	failed := make(chan attemptOutcome, len(parts)) // one slot per chunk: a send never blocks
 	var wg sync.WaitGroup
 	for k := range parts {
@@ -360,11 +442,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		payloads = append(payloads, requestsOpen...)
 		payloads = appendElements(payloads, body, elems[off:end], space)
 		payloads = append(payloads, requestsClose...)
-		payload := payloads[start:len(payloads):len(payloads)]
+		p := payloads[start:len(payloads):len(payloads)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if fail := rt.routeChunk(r.Context(), payload, end-off, &parts[k]); fail != nil {
+			if fail := rt.routeChunk(r.Context(), payload{p, chunks}, end-off, &parts[k]); fail != nil {
 				failed <- *fail
 			}
 		}()
@@ -378,6 +460,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(merged)))
 		w.Write(merged)
+		obs.Recycle(merged)
+	}
+	for _, p := range parts {
+		obs.Recycle(p.body)
 	}
 }
 
@@ -405,8 +491,8 @@ type chunkReply struct {
 // and one error slot per element, is a failure like any other — merged as
 // it stands it would be a null response beside an empty error, an incident
 // dropped without a word.
-func (rt *Router) routeChunk(ctx context.Context, payload []byte, n int, reply *chunkReply) *attemptOutcome {
-	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", payload)
+func (rt *Router) routeChunk(ctx context.Context, body payload, n int, reply *chunkReply) *attemptOutcome {
+	out := rt.route(ctx, http.MethodPost, "/v1/diagnose-batch", body)
 	if out.err != nil || out.status != http.StatusOK {
 		return &out
 	}
@@ -418,13 +504,13 @@ func (rt *Router) routeChunk(ctx context.Context, payload []byte, n int, reply *
 }
 
 // mergeReplies writes the merged batch reply, every slot as its replica
-// sent it, into one buffer sized for all of them.
+// sent it, into one pooled buffer sized for all of them.
 func mergeReplies(parts []chunkReply) []byte {
 	size := len(mergedOpen + mergedMiddle + mergedClose)
 	for _, p := range parts {
 		size += len(p.body)
 	}
-	out := append(make([]byte, 0, size), mergedOpen...)
+	out := append(obs.Buffer(size), mergedOpen...)
 	for k, p := range parts {
 		if k > 0 {
 			out = append(out, ',')

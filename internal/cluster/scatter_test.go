@@ -42,6 +42,11 @@ func (c *chunkRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	encodeRaw(w, resp)
 }
 
+// echoRecorder answers every batch element with itself.
+func echoRecorder() *chunkRecorder {
+	return &chunkRecorder{reply: func(elem json.RawMessage) (json.RawMessage, string) { return elem, "" }}
+}
+
 // take returns what was recorded and resets the recorder.
 func (c *chunkRecorder) take() []json.RawMessage {
 	c.mu.Lock()
@@ -178,7 +183,7 @@ func FuzzRouteBatch(f *testing.F) {
 	f.Add(`[]`)
 	f.Add(`{`)
 
-	rec := &chunkRecorder{reply: func(elem json.RawMessage) (json.RawMessage, string) { return elem, "" }}
+	rec := echoRecorder()
 	a, b := newFakeReplica(f, rec), newFakeReplica(f, rec)
 	rt := newTestRouter(f, []string{a.url(), b.url()}, Config{HealthInterval: time.Hour})
 

@@ -192,12 +192,14 @@ func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, err
 // LoadBundle reads a bundle written by Save, and every specialized model
 // enters it through Attach. A head is built directly over the general
 // model's trunk (overTrunk): no second trunk or forest is decoded. Any
-// other file, a model or bundle of an older format among them, is an
-// error.
+// other file is an error; one that does not decode as a bundle at all —
+// a single-model or version-1 bundle file of an older build among them —
+// says how to make a current one, with gob's error as the cause.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: load bundle: %w", err)
+		return nil, fmt.Errorf("core: load bundle: not a version-2 bundle; a single-model or version-1 bundle file of an older build is no longer read: "+
+			"train it again with diagnet-train (-out for the general model, -bundle for per-service heads): %w", err)
 	}
 	general, err := wire.Base.model()
 	if err != nil {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"diagnet/internal/forest"
 	"diagnet/internal/probe"
 )
 
@@ -189,14 +193,52 @@ func legacyBlobs(t testing.TB) (model, bundle []byte) {
 }
 
 // A lone model file and a bundle of nested model streams, the two formats
-// before the one bundle, are refused with an error.
+// before the one bundle, are refused with an error that names the format
+// it wanted and how to make one, and wraps gob's own complaint.
 func TestLoadBundleRefusesRetiredFormats(t *testing.T) {
 	model, bundle := legacyBlobs(t)
 	for name, blob := range map[string][]byte{"model": model, "bundle of models": bundle} {
-		if _, err := LoadBundle(bytes.NewReader(blob)); err == nil {
+		_, err := LoadBundle(bytes.NewReader(blob))
+		if err == nil {
 			t.Fatalf("LoadBundle accepted a %s file of a retired format", name)
 		}
+		for _, want := range []string{"not a version-2 bundle", "train it again with diagnet-train", "type mismatch"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s file: error %q does not say %q", name, err, want)
+			}
+		}
+		if errors.Unwrap(err) == nil {
+			t.Errorf("%s file: error %q wraps no cause", name, err)
+		}
 	}
+}
+
+// tinyBundle is a valid bundle a few kilobytes long, small enough for the
+// fuzzer to mutate many times a second: two filters, one hidden layer of
+// four units, a two-tree forest and one head over the trunk.
+func tinyBundle(f *testing.F) []byte {
+	g := syntheticModel(2, []int{4})
+	causes := g.FullLayout.NumFeatures()
+	rng := rand.New(rand.NewSource(5))
+	xs, labels := make([][]float64, 24), make([]int, 24)
+	for i := range xs {
+		xs[i] = make([]float64, causes)
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()
+		}
+		labels[i] = i % 4
+	}
+	g.Aux = forest.FitExtensible(xs, labels, causes, forest.Config{Trees: 2, Tree: forest.TreeConfig{MaxDepth: 2}, Seed: 3})
+	b := NewBundle(g)
+	b.Specialized[3] = g.derive(headOver(g.Net), 3)
+	var buf bytes.Buffer
+	if err := b.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := LoadBundle(bytes.NewReader(buf.Bytes())); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzLoadModelFile feeds a file under -model-dir to the decoder it meets
@@ -206,6 +248,7 @@ func FuzzLoadModelFile(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(tinyBundle(f))
 	f.Add(blob)
 	f.Add(forestFeatureBeyondInt32(f, blob))
 	model, bundle := legacyBlobs(f)

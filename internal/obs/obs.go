@@ -30,12 +30,13 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"os"
 	"os/signal"
@@ -137,8 +138,95 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// jsonReplies holds the buffers WriteJSON encodes into before it writes.
-var jsonReplies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// Wire buffers. Each request, chunk and reply body on the diagnose path
+// lives for one request, so both tiers take them from one pool of
+// power-of-two size classes and hand each back (Recycle) once nothing can
+// still read it (DESIGN.md §11). A class holds buffers of exactly its size;
+// a body past the largest class is allocated and left to the GC, which
+// bounds what the pool retains.
+const (
+	minBufferClass = 9  // 512 B
+	maxBufferClass = 20 // 1 MiB
+)
+
+var buffers [maxBufferClass - minBufferClass + 1]sync.Pool
+
+// Buffer returns an empty buffer with room for n bytes, from the pool when
+// n fits a size class.
+func Buffer(n int) []byte {
+	c := minBufferClass
+	if n > 1<<minBufferClass {
+		c = bits.Len(uint(n - 1))
+	}
+	if c > maxBufferClass {
+		return make([]byte, 0, n)
+	}
+	if b, ok := buffers[c-minBufferClass].Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, 0, 1<<c)
+}
+
+// Recycle hands b, a buffer from Buffer or ReadBody, back to the pool. The
+// caller must hold the last reference to it: nothing may read or write b
+// afterwards. A buffer of no class (nil among them) is left to the GC.
+func Recycle(b []byte) {
+	c := bits.Len(uint(cap(b))) - 1
+	if c < minBufferClass || c > maxBufferClass || cap(b) != 1<<c {
+		return
+	}
+	b = b[:0]
+	buffers[c-minBufferClass].Put(&b)
+}
+
+// ReadBody reads r, which the caller has capped at limit, to its end into a
+// pooled buffer; Recycle it when done. When the peer declared a length the
+// buffer is taken once at that size: io.ReadAll's doubling growth costs
+// several copies on a typical multi-kilobyte diagnose body, and the proxy
+// path holds every body in memory (failover needs a replayable request).
+// Otherwise it grows through the size classes. On an error the buffer is
+// already back in the pool and nil is returned.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > 0 && declared <= limit {
+		b := Buffer(int(declared))[:declared]
+		if _, err := io.ReadFull(r, b); err != nil {
+			Recycle(b)
+			return nil, err
+		}
+		return b, nil
+	}
+	b := Buffer(0)
+	for {
+		if len(b) == cap(b) {
+			grown := append(Buffer(2*cap(b)), b...)
+			Recycle(b)
+			b = grown
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		switch {
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			Recycle(b)
+			return nil, err
+		}
+	}
+}
+
+// jsonReply is the buffer WriteJSON encodes into, taken from the wire pool
+// at the size the encoder writes.
+type jsonReply []byte
+
+func (b *jsonReply) Write(p []byte) (int, error) {
+	if len(*b)+len(p) > cap(*b) {
+		grown := append(Buffer(len(*b)+len(p)), *b...)
+		Recycle(*b)
+		*b = grown
+	}
+	*b = append(*b, p...)
+	return len(p), nil
+}
 
 // WriteJSON writes v as a JSON response with a declared Content-Length.
 // Encoding into a pooled buffer first is what lets it declare one: a
@@ -148,18 +236,17 @@ var jsonReplies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // does not encode (a NaN, say) is logged and answered 500, not a 200 with
 // an empty body.
 func WriteJSON(w http.ResponseWriter, v any) {
-	buf := jsonReplies.Get().(*bytes.Buffer)
-	defer jsonReplies.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	var buf jsonReply
+	defer func() { Recycle(buf) }()
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		slog.Warn("obs: JSON response not written", "type", fmt.Sprintf("%T", v), "err", err)
 		http.Error(w, "internal error: response not encodable", http.StatusInternalServerError)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes())
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf)
 }
 
 // ListenAndServe is how diagnetd and diagnet-router serve: h on addr with

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"diagnet/internal/telemetry"
@@ -464,5 +466,36 @@ func TestWriteJSONLogsEncodeError(t *testing.T) {
 	}
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status %d for a value that does not encode, want 500 (body %q)", rec.Code, rec.Body)
+	}
+}
+
+// TestWireBuffers pins the pool's size classes and ReadBody's three reads:
+// a declared length presizes one buffer, an undeclared one grows through
+// the classes, and a failed read returns nothing.
+func TestWireBuffers(t *testing.T) {
+	for _, n := range []int{0, 1, 512, 513, 3000, 1 << 20} {
+		b := Buffer(n)
+		if len(b) != 0 || cap(b) < max(n, 512) || cap(b)&(cap(b)-1) != 0 {
+			t.Errorf("Buffer(%d): len %d cap %d, want an empty power-of-two buffer of at least max(n, 512)", n, len(b), cap(b))
+		}
+		Recycle(b)
+	}
+	if b := Buffer(1<<20 + 1); cap(b) != 1<<20+1 {
+		t.Errorf("Buffer past the largest class: cap %d, want exactly %d", cap(b), 1<<20+1)
+	}
+
+	body := bytes.Repeat([]byte("0123456789"), 700)
+	for _, declared := range []int64{int64(len(body)), -1, 0} {
+		got, err := ReadBody(bytes.NewReader(body), declared, 1<<20)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("declared %d: read %d bytes, err %v; want the %d-byte body", declared, len(got), err, len(body))
+		}
+		Recycle(got)
+	}
+	if got, err := ReadBody(bytes.NewReader(body[:100]), int64(len(body)), 1<<20); err != io.ErrUnexpectedEOF || got != nil {
+		t.Errorf("short body: %d bytes, err %v; want nil and io.ErrUnexpectedEOF", len(got), err)
+	}
+	if got, err := ReadBody(iotest.ErrReader(errors.New("boom")), -1, 1<<20); err == nil || got != nil {
+		t.Errorf("failing reader: %d bytes, err %v; want nil and the error", len(got), err)
 	}
 }
