@@ -84,19 +84,15 @@ func MetricsRegistryDefault() *MetricsRegistry { return telemetry.Default() }
 func SetTelemetryEnabled(on bool) { telemetry.SetEnabled(on) }
 
 // Request-tracing types (DESIGN.md §12). Distinct from Trace/RecordTrace
-// below, which record probe *sessions* for replay: a request trace (Span,
-// TraceRecord) follows one diagnosis execution across agent, analysis
-// service, serving engine and core pipeline, keyed by a W3C traceparent.
+// below, which record probe *sessions* for replay: a request trace (Span)
+// follows one diagnosis execution across agent, analysis service, serving
+// engine and core pipeline, keyed by a W3C traceparent.
 type (
 	// Span is one timed operation inside a request trace; nil is a valid
 	// no-op span (tracing disabled).
 	Span = tracing.Span
 	// SpanContext is the propagated trace identity (trace ID, span ID).
 	SpanContext = tracing.SpanContext
-	// TraceRecord is one completed, retrievable request trace.
-	TraceRecord = tracing.TraceRecord
-	// TraceSummary is the listing form of a kept trace.
-	TraceSummary = tracing.TraceSummary
 	// TracingConfig tunes sampling, the slow threshold and ring capacities.
 	TracingConfig = tracing.Config
 )
@@ -105,20 +101,9 @@ type (
 // root) on the process-wide tracer; see internal/tracing for semantics.
 var StartSpan = tracing.StartSpan
 
-// SetTracingEnabled toggles request-trace recording process-wide; disabled,
-// every instrumented call site costs one atomic load plus a branch.
-func SetTracingEnabled(on bool) { tracing.SetEnabled(on) }
-
 // ConfigureTracing tunes the process-wide tracer (sampling rate, slow
 // threshold, ring capacities).
 func ConfigureTracing(cfg TracingConfig) { tracing.Configure(cfg) }
-
-// Traces lists the kept request traces, newest first: slow and error
-// traces always, normal traffic subject to head sampling.
-func Traces() []TraceSummary { return tracing.Default().Traces() }
-
-// TraceByID returns one kept request trace by its hex trace ID.
-func TraceByID(id string) (*TraceRecord, bool) { return tracing.Default().Trace(id) }
 
 // NewLogHandler returns the shared slog handler DiagNet commands use: text
 // or json output with trace_id/span_id stamped from the record's context.

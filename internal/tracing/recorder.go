@@ -1,13 +1,17 @@
 package tracing
 
 import (
+	"encoding/hex"
+	"math"
 	"sort"
 	"sync"
 	"time"
 )
 
-// TraceRecord is one completed trace: the root span's identity plus every
-// span recorded before the root ended (flat; Tree nests them).
+// TraceRecord is one completed trace as a reader receives it: the root
+// span's identity plus every span recorded before the root ended (flat;
+// Tree nests them). It is a copy, built under the recorder's mutex, and
+// shares no memory with the recorder's storage.
 type TraceRecord struct {
 	TraceID      string     `json:"trace_id"`
 	Root         string     `json:"root"`
@@ -17,6 +21,19 @@ type TraceRecord struct {
 	Slow         bool       `json:"slow"`
 	DroppedSpans int        `json:"dropped_spans,omitempty"`
 	Spans        []SpanData `json:"spans"`
+}
+
+// SpanData is one completed span as a reader receives it.
+type SpanData struct {
+	TraceID    string         `json:"trace_id"`
+	SpanID     string         `json:"span_id"`
+	ParentID   string         `json:"parent_id,omitempty"`
+	Name       string         `json:"name"`
+	Start      time.Time      `json:"start"`
+	DurationMs float64        `json:"duration_ms"`
+	Attrs      map[string]any `json:"attrs,omitempty"`
+	Links      []SpanContext  `json:"links,omitempty"`
+	Error      string         `json:"error,omitempty"`
 }
 
 // TraceSummary is the listing view of one completed trace.
@@ -64,31 +81,249 @@ func (r *TraceRecord) Tree() []*SpanNode {
 	return roots
 }
 
+// spanOpen is the duration of a stored span that has not ended.
+const spanOpen = -1
+
+// spanRec is one span as a trace's storage holds it. The trace ID is the
+// storage's own; a zero parent is no parent.
+type spanRec struct {
+	name       string
+	err        string
+	start      int64   // wall clock, Unix nanoseconds
+	dur        float64 // milliseconds; spanOpen until End
+	id, parent [8]byte
+}
+
+// attrKind is the Go type an attribute value was set with.
+type attrKind uint8
+
+const (
+	attrOther attrKind = iota // recorded as null
+	attrString
+	attrBool
+	attrInt
+	attrFloat64
+)
+
+// attrRec is one attribute of the span in slot span: a string in str, any
+// other kind in num's bits.
+type attrRec struct {
+	key  string
+	str  string
+	num  uint64
+	span int32
+	kind attrKind
+}
+
+// value is the attribute as the Go value it was set with.
+func (a *attrRec) value() any {
+	switch a.kind {
+	case attrString:
+		return a.str
+	case attrBool:
+		return a.num == 1
+	case attrInt:
+		return int(int64(a.num))
+	case attrFloat64:
+		return math.Float64frombits(a.num)
+	}
+	return nil
+}
+
+// linkRec is one link of the span in slot span.
+type linkRec struct {
+	trace [16]byte
+	id    [8]byte
+	span  int32
+}
+
+// traceBuf is the storage of one local trace: its spans, the root in slot
+// 0, and their attributes and links, each a flat array indexed by span
+// slot. Spans write into it while the trace runs; when the root ends it is
+// sealed and handed to the recorder, which keeps it in a ring or, when
+// head sampling drops the trace, takes it back at once. Storage the rings
+// evict or never keep is reused for a later trace, arrays and all, so a
+// recorded trace allocates no span arrays once the rings are full. gen
+// counts the uses: a span of an earlier use finds it changed and writes
+// nothing.
+type traceBuf struct {
+	tracer *Tracer
+
+	mu      sync.Mutex
+	gen     uint64
+	id      [16]byte
+	max     int // spans stored beside the root
+	sampled bool
+	done    bool
+	dropped int
+	spans   []spanRec
+	attrs   []attrRec
+	links   []linkRec
+
+	// Set when the root ends; read-only while the trace is kept.
+	closed       int // spans that ended before the root did
+	failed, slow bool
+	next         *traceBuf // the next kept local root of the same trace ID
+}
+
+// open starts a new use of b for trace id, with root in slot 0, and
+// returns the use's generation.
+func (b *traceBuf) open(id [16]byte, sampled bool, max int, root spanRec) uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.gen++
+	b.id, b.sampled, b.max, b.done, b.dropped = id, sampled, max, false, 0
+	b.closed, b.failed, b.slow, b.next = 0, false, false, nil
+	// Clear what the last use stored so its strings can be collected.
+	clear(b.spans)
+	clear(b.attrs)
+	b.spans = append(b.spans[:0], root)
+	b.attrs, b.links = b.attrs[:0], b.links[:0]
+	return b.gen
+}
+
+// add stores one span, honoring the per-trace bound; b.mu is held.
+func (b *traceBuf) add(rec spanRec) bool {
+	if len(b.spans) > b.max {
+		b.dropped++
+		return false
+	}
+	b.spans = append(b.spans, rec)
+	return true
+}
+
+// reserve stores an open span of use gen and returns its slot, or -1 when
+// the bound is reached or the use is over.
+func (b *traceBuf) reserve(gen uint64, rec spanRec) int32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if gen != b.gen || b.done || !b.add(rec) {
+		return -1
+	}
+	return int32(len(b.spans) - 1)
+}
+
+// writable reports whether s may still write into b: it is stored, it has
+// not ended, and its trace is b's current, running one. b.mu is held.
+func (b *traceBuf) writable(s *Span) bool {
+	return s.gen == b.gen && !b.done && !s.ended && s.slot >= 0
+}
+
+// setAttr sets a on the span in slot, replacing an earlier value of the
+// same key; b.mu is held.
+func (b *traceBuf) setAttr(slot int32, a attrRec) {
+	a.span = slot
+	for i := len(b.attrs) - 1; i >= 0; i-- {
+		if b.attrs[i].span == slot && b.attrs[i].key == a.key {
+			b.attrs[i] = a
+			return
+		}
+	}
+	b.attrs = append(b.attrs, a)
+}
+
+// finish seals the trace once its root has ended and hands it to the
+// recorder. b.mu is held on entry and released.
+func (b *traceBuf) finish() {
+	b.done = true
+	for i := range b.spans {
+		if b.spans[i].dur != spanOpen {
+			b.closed++
+			b.failed = b.failed || b.spans[i].err != ""
+		}
+	}
+	cfg := b.tracer.cfg.Load()
+	b.slow = time.Duration(b.spans[0].dur*1e6) > cfg.SlowThreshold
+	slow, failed, sampled := b.slow, b.failed, b.sampled
+	b.mu.Unlock()
+
+	rec := &b.tracer.rec
+	switch {
+	case slow || failed:
+		if slow {
+			mTracesSlow.Inc()
+		}
+		if failed {
+			mTracesError.Inc()
+		}
+		mTracesRecorded.Inc()
+		rec.keep(b, true)
+	case sampled:
+		mTracesRecorded.Inc()
+		rec.keep(b, false)
+	default:
+		mTracesSampled.Inc()
+		rec.mu.Lock()
+		rec.release(b)
+		rec.mu.Unlock()
+	}
+}
+
+// appendSpans appends copies of the trace's ended spans to out, with
+// their attributes and links, under the hex trace ID traceID.
+func (b *traceBuf) appendSpans(out []SpanData, traceID string) []SpanData {
+	pos := make([]int, len(b.spans))
+	for i := range b.spans {
+		r := &b.spans[i]
+		if r.dur == spanOpen {
+			pos[i] = -1
+			continue
+		}
+		pos[i] = len(out)
+		sd := SpanData{TraceID: traceID, SpanID: hex.EncodeToString(r.id[:]), Name: r.name,
+			Start: time.Unix(0, r.start), DurationMs: r.dur, Error: r.err}
+		if r.parent != ([8]byte{}) {
+			sd.ParentID = hex.EncodeToString(r.parent[:])
+		}
+		out = append(out, sd)
+	}
+	for i := range b.attrs {
+		a := &b.attrs[i]
+		if p := pos[a.span]; p >= 0 {
+			if out[p].Attrs == nil {
+				out[p].Attrs = map[string]any{}
+			}
+			out[p].Attrs[a.key] = a.value()
+		}
+	}
+	for _, l := range b.links {
+		if p := pos[l.span]; p >= 0 {
+			out[p].Links = append(out[p].Links, SpanContext{TraceID: hex.EncodeToString(l.trace[:]), SpanID: hex.EncodeToString(l.id[:])})
+		}
+	}
+	return out
+}
+
+// maxIdle bounds the storage kept idle for reuse beyond what the rings
+// hold: enough for the traces a busy replica has in flight at once.
+const maxIdle = 64
+
 // recorder keeps completed traces in two FIFO rings: sampled traces, and
-// the always-keep ring of slow/error traces. Recording is one mutex
-// acquisition per completed *trace* (not per span), so the cost stays off
-// the per-request path.
+// the always-keep ring of slow/error traces. Its mutex is taken twice per
+// trace — to take storage when the root starts and to keep or release it
+// when the root ends — never per span.
 type recorder struct {
 	mu   sync.Mutex
 	ring ringBuf
 	slow ringBuf
-	byID map[string][]*TraceRecord
+	byID map[[16]byte]*traceBuf // kept local roots, chained by next
+	idle []*traceBuf            // storage to reuse
 }
 
-// ringBuf is a fixed-capacity FIFO of trace records.
+// ringBuf is a fixed-capacity FIFO of kept traces.
 type ringBuf struct {
-	recs []*TraceRecord
+	recs []*traceBuf
 	next int
 	size int
 }
 
-// add stores rec, returning the record it evicted (nil when none).
-func (rb *ringBuf) add(rec *TraceRecord) *TraceRecord {
+// add stores b, returning the trace it evicted (nil when none).
+func (rb *ringBuf) add(b *traceBuf) *traceBuf {
 	if len(rb.recs) == 0 {
-		return rec // capacity 0: drop immediately
+		return b // capacity 0: drop immediately
 	}
 	old := rb.recs[rb.next]
-	rb.recs[rb.next] = rec
+	rb.recs[rb.next] = b
 	rb.next = (rb.next + 1) % len(rb.recs)
 	if rb.size < len(rb.recs) {
 		rb.size++
@@ -101,63 +336,99 @@ func (rb *ringBuf) add(rec *TraceRecord) *TraceRecord {
 // records are discarded).
 func (r *recorder) resize(capacity, slowCapacity int) {
 	r.mu.Lock()
-	r.ring = ringBuf{recs: make([]*TraceRecord, capacity)}
-	r.slow = ringBuf{recs: make([]*TraceRecord, slowCapacity)}
-	r.byID = make(map[string][]*TraceRecord)
+	r.ring = ringBuf{recs: make([]*traceBuf, capacity)}
+	r.slow = ringBuf{recs: make([]*traceBuf, slowCapacity)}
+	r.byID = make(map[[16]byte]*traceBuf)
+	r.idle = nil
 	r.mu.Unlock()
+}
+
+// take returns storage for a new trace of t: idle storage when there is
+// some, else new.
+func (r *recorder) take(t *Tracer) *traceBuf {
+	r.mu.Lock()
+	if n := len(r.idle); n > 0 {
+		b := r.idle[n-1]
+		r.idle = r.idle[:n-1]
+		r.mu.Unlock()
+		return b
+	}
+	r.mu.Unlock()
+	return &traceBuf{tracer: t}
+}
+
+// release makes b's storage idle, for a later trace to reuse; r.mu is
+// held.
+func (r *recorder) release(b *traceBuf) {
+	if len(r.idle) < maxIdle {
+		r.idle = append(r.idle, b)
+	}
 }
 
 // keep stores one completed trace, evicting the oldest of its ring.
-func (r *recorder) keep(rec *TraceRecord, alwaysKeep bool) {
+func (r *recorder) keep(b *traceBuf, alwaysKeep bool) {
 	r.mu.Lock()
-	var evicted *TraceRecord
+	defer r.mu.Unlock()
+	rb := &r.ring
 	if alwaysKeep {
-		evicted = r.slow.add(rec)
-	} else {
-		evicted = r.ring.add(rec)
+		rb = &r.slow
 	}
-	if evicted != nil && evicted != rec {
+	switch evicted := rb.add(b); evicted {
+	case b:
+		r.release(b)
+		return
+	case nil:
+	default:
 		r.unindex(evicted)
+		r.release(evicted)
 	}
-	if evicted != rec {
-		r.byID[rec.TraceID] = append(r.byID[rec.TraceID], rec)
+	p := r.byID[b.id]
+	if p == nil {
+		r.byID[b.id] = b
+		return
 	}
-	r.mu.Unlock()
+	for p.next != nil {
+		p = p.next
+	}
+	p.next = b
 }
 
-// unindex removes one record pointer from the by-ID index.
-func (r *recorder) unindex(rec *TraceRecord) {
-	recs := r.byID[rec.TraceID]
-	for i, c := range recs {
-		if c == rec {
-			recs = append(recs[:i], recs[i+1:]...)
-			break
+// unindex removes one kept trace from the by-ID index.
+func (r *recorder) unindex(b *traceBuf) {
+	switch head := r.byID[b.id]; {
+	case head == b && b.next == nil:
+		delete(r.byID, b.id)
+	case head == b:
+		r.byID[b.id] = b.next
+	case head != nil:
+		for p := head; p.next != nil; p = p.next {
+			if p.next == b {
+				p.next = b.next
+				break
+			}
 		}
 	}
-	if len(recs) == 0 {
-		delete(r.byID, rec.TraceID)
-	} else {
-		r.byID[rec.TraceID] = recs
-	}
+	b.next = nil
 }
 
-// Traces lists every kept trace, newest first. See Tracer.Traces.
+// list returns every kept trace, newest first. See Tracer.Traces.
 func (r *recorder) list() []TraceSummary {
 	r.mu.Lock()
 	out := make([]TraceSummary, 0, r.ring.size+r.slow.size)
 	for _, rb := range []*ringBuf{&r.slow, &r.ring} {
-		for _, rec := range rb.recs {
-			if rec == nil {
+		for _, b := range rb.recs {
+			if b == nil {
 				continue
 			}
+			root := &b.spans[0]
 			out = append(out, TraceSummary{
-				TraceID:    rec.TraceID,
-				Root:       rec.Root,
-				Start:      rec.Start,
-				DurationMs: rec.DurationMs,
-				Spans:      len(rec.Spans),
-				Error:      rec.Error,
-				Slow:       rec.Slow,
+				TraceID:    hex.EncodeToString(b.id[:]),
+				Root:       root.name,
+				Start:      time.Unix(0, root.start),
+				DurationMs: root.dur,
+				Spans:      b.closed,
+				Error:      b.failed,
+				Slow:       b.slow,
 			})
 		}
 	}
@@ -166,31 +437,35 @@ func (r *recorder) list() []TraceSummary {
 	return out
 }
 
-// get returns the kept trace with the given ID. Multiple local roots of
-// the same trace (an in-process agent + server sharing one tracer) merge
-// into a single record.
+// get returns a copy of the kept trace with the given ID. Multiple local
+// roots of the same trace (an in-process agent + server sharing one
+// tracer) merge into a single record.
 func (r *recorder) get(id string) (*TraceRecord, bool) {
+	var key [16]byte
+	if !parseHex(key[:], id) {
+		return nil, false
+	}
 	r.mu.Lock()
-	recs := r.byID[id]
-	if len(recs) == 0 {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	b := r.byID[key]
+	if b == nil {
 		return nil, false
 	}
 	merged := &TraceRecord{TraceID: id}
-	for _, rec := range recs {
-		if merged.Start.IsZero() || rec.Start.Before(merged.Start) {
-			merged.Root = rec.Root
-			merged.Start = rec.Start
+	for ; b != nil; b = b.next {
+		root := &b.spans[0]
+		if start := time.Unix(0, root.start); merged.Start.IsZero() || start.Before(merged.Start) {
+			merged.Root = root.name
+			merged.Start = start
 		}
-		if rec.DurationMs > merged.DurationMs {
-			merged.DurationMs = rec.DurationMs
+		if root.dur > merged.DurationMs {
+			merged.DurationMs = root.dur
 		}
-		merged.Error = merged.Error || rec.Error
-		merged.Slow = merged.Slow || rec.Slow
-		merged.DroppedSpans += rec.DroppedSpans
-		merged.Spans = append(merged.Spans, rec.Spans...)
+		merged.Error = merged.Error || b.failed
+		merged.Slow = merged.Slow || b.slow
+		merged.DroppedSpans += b.dropped
+		merged.Spans = b.appendSpans(merged.Spans, id)
 	}
-	r.mu.Unlock()
 	return merged, true
 }
 
@@ -198,5 +473,5 @@ func (r *recorder) get(id string) (*TraceRecord, bool) {
 // slow/error ring plus the sampled ring.
 func (t *Tracer) Traces() []TraceSummary { return t.rec.list() }
 
-// Trace returns the kept trace with the given hex ID.
+// Trace returns a copy of the kept trace with the given hex ID.
 func (t *Tracer) Trace(id string) (*TraceRecord, bool) { return t.rec.get(id) }

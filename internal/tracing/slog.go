@@ -39,7 +39,8 @@ func (h *correlHandler) Enabled(ctx context.Context, level slog.Level) bool {
 
 func (h *correlHandler) Handle(ctx context.Context, r slog.Record) error {
 	if s := FromContext(ctx); s != nil {
-		r.AddAttrs(slog.String("trace_id", s.data.TraceID), slog.String("span_id", s.data.SpanID))
+		sc := s.Context()
+		r.AddAttrs(slog.String("trace_id", sc.TraceID), slog.String("span_id", sc.SpanID))
 	} else if rc, ok := ctx.Value(remoteKey{}).(SpanContext); ok {
 		r.AddAttrs(slog.String("trace_id", rc.TraceID), slog.String("span_id", rc.SpanID))
 	}

@@ -112,8 +112,7 @@ func (c *Clock) Mark(st *Stage) {
 	if sp := c.span; sp.sampled() {
 		// A completed child span from the two stamps: no context is
 		// threaded through the stage's code.
-		sp.buf.add(SpanData{TraceID: sp.data.TraceID, SpanID: newSpanID(), ParentID: sp.data.SpanID,
-			Name: st.name, Start: c.last, DurationMs: lap})
+		sp.mark(st.name, c.last, lap)
 	}
 	c.last = now
 }

@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,14 +167,26 @@ func newTraceID() [16]byte {
 }
 
 // newSpanID draws a random non-zero 8-byte span ID.
-func newSpanID() string {
+func newSpanID() [8]byte {
 	var id [8]byte
 	for {
 		binary.BigEndian.PutUint64(id[:], idRand.Uint64())
 		if id != ([8]byte{}) {
-			return hex.EncodeToString(id[:])
+			return id
 		}
 	}
+}
+
+// parseHex decodes s, lowercase hex of exactly 2·len(dst) digits, into
+// dst; it reports false, leaving dst partly written, on anything else.
+func parseHex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) || !isLowerHex(s) {
+		return false
+	}
+	for i := range dst {
+		dst[i] = byte(hexNibble(s[2*i])<<4 | hexNibble(s[2*i+1]))
+	}
+	return true
 }
 
 // sampled is the deterministic head-sampling decision for a trace ID: the
@@ -219,30 +230,24 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// SpanData is the immutable record of one completed span.
-type SpanData struct {
-	TraceID    string         `json:"trace_id"`
-	SpanID     string         `json:"span_id"`
-	ParentID   string         `json:"parent_id,omitempty"`
-	Name       string         `json:"name"`
-	Start      time.Time      `json:"start"`
-	DurationMs float64        `json:"duration_ms"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Links      []SpanContext  `json:"links,omitempty"`
-	Error      string         `json:"error,omitempty"`
-}
-
 // Span is one timed operation inside a trace. A nil *Span (tracing
-// disabled, or no span in the context) no-ops on every method. A span's
-// mutating methods are safe for concurrent use, though spans normally
-// have a single owner.
+// disabled, or no span in the context) no-ops on every method.
+//
+// A span holds only its identity and clock: its name, timing, attributes,
+// links and error are written into its trace's storage (a traceBuf), under
+// that storage's mutex, so the methods are safe for concurrent use. End
+// seals the span — a later SetAttr, SetError or Link is a no-op — because
+// once the trace is over its storage belongs to the recorder, which reuses
+// it for another trace.
 type Span struct {
-	buf   *traceBuf
-	start time.Time
-	ended atomic.Bool
-
-	mu   sync.Mutex
-	data SpanData
+	buf      *traceBuf
+	gen      uint64 // buf's generation at the trace's start; reuse bumps it
+	slot     int32  // index into buf.spans; -1 when the span is not stored
+	ended    bool   // guarded by buf.mu
+	inSample bool   // the trace passed head sampling
+	traceID  string // lowercase hex, shared by the trace's spans
+	id       [8]byte
+	start    time.Time
 }
 
 // StartSpan opens a span on the process-wide tracer. See Tracer.StartSpan.
@@ -267,45 +272,27 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 
 	cfg := t.cfg.Load()
 	var id [16]byte
-	parentID := ""
-	remoteSampled := false
-	if rc, ok := ctx.Value(remoteKey{}).(SpanContext); ok {
-		if raw, err := hex.DecodeString(rc.TraceID); err == nil && len(raw) == 16 {
-			copy(id[:], raw)
-			parentID = rc.SpanID
-			remoteSampled = rc.Sampled
-		}
+	var parentID [8]byte
+	s := &Span{start: now}
+	if rc, ok := ctx.Value(remoteKey{}).(SpanContext); ok && parseHex(id[:], rc.TraceID) && parseHex(parentID[:], rc.SpanID) {
+		s.traceID, s.inSample = rc.TraceID, rc.Sampled
+	} else {
+		id, parentID = newTraceID(), [8]byte{}
+		var buf [32]byte
+		hex.Encode(buf[:], id[:])
+		s.traceID = string(buf[:])
 	}
-	if id == ([16]byte{}) {
-		id = newTraceID()
-	}
-	buf := &traceBuf{
-		tracer:  t,
-		sampled: remoteSampled || sampled(id, cfg.SampleRate),
-		max:     cfg.MaxSpans,
-	}
-	s := &Span{buf: buf, start: now}
-	s.data = SpanData{
-		TraceID:  hex.EncodeToString(id[:]),
-		SpanID:   newSpanID(),
-		ParentID: parentID,
-		Name:     name,
-		Start:    now,
-	}
-	buf.root = s
+	s.inSample = s.inSample || sampled(id, cfg.SampleRate)
+	s.id = newSpanID()
+	s.buf = t.rec.take(t)
+	s.gen = s.buf.open(id, s.inSample, cfg.MaxSpans, spanRec{name: name, start: now.UnixNano(), dur: spanOpen, id: s.id, parent: parentID})
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
 // child opens a span named name under s, starting at now.
 func (s *Span) child(name string, now time.Time) *Span {
-	c := &Span{buf: s.buf, start: now}
-	c.data = SpanData{
-		TraceID:  s.data.TraceID,
-		SpanID:   newSpanID(),
-		ParentID: s.data.SpanID,
-		Name:     name,
-		Start:    now,
-	}
+	c := &Span{buf: s.buf, gen: s.gen, inSample: s.inSample, traceID: s.traceID, id: newSpanID(), start: now}
+	c.slot = s.buf.reserve(s.gen, spanRec{name: name, start: now.UnixNano(), dur: spanOpen, id: c.id, parent: s.id})
 	return c
 }
 
@@ -314,12 +301,12 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.TraceID
+	return s.traceID
 }
 
 // sampled reports whether the span's trace passed head sampling: only then
 // does a Clock record its laps as child spans.
-func (s *Span) sampled() bool { return s != nil && s.buf.sampled }
+func (s *Span) sampled() bool { return s != nil && s.inSample }
 
 // kept reports whether the recorder will keep the span's trace, as far as
 // a span that lasted d can tell: it was sampled, the span failed, or d
@@ -329,12 +316,13 @@ func (s *Span) kept(d time.Duration) bool {
 	if s == nil {
 		return false
 	}
-	if s.buf.sampled || d > s.buf.tracer.cfg.Load().SlowThreshold {
+	if s.inSample || d > s.buf.tracer.cfg.Load().SlowThreshold {
 		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.data.Error != ""
+	b := s.buf
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return s.gen == b.gen && s.slot >= 0 && b.spans[s.slot].err != ""
 }
 
 // Context returns the span's identity for propagation and linking.
@@ -342,31 +330,58 @@ func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.data.TraceID, SpanID: s.data.SpanID, Sampled: s.buf.sampled}
+	var id [16]byte
+	hex.Encode(id[:], s.id[:])
+	return SpanContext{TraceID: s.traceID, SpanID: string(id[:]), Sampled: s.inSample}
 }
 
-// SetAttr attaches one key/value attribute.
+// SetAttr attaches one key/value attribute; setting a key again replaces
+// its value. A string, bool, int or float64 is recorded as it is; a value
+// of any other type is recorded as null.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.data.Attrs == nil {
-		s.data.Attrs = map[string]any{}
+	a := attrRec{key: key}
+	switch v := value.(type) {
+	case string:
+		a.kind, a.str = attrString, v
+	case bool:
+		a.kind = attrBool
+		if v {
+			a.num = 1
+		}
+	case int:
+		a.kind, a.num = attrInt, uint64(v)
+	case float64:
+		a.kind, a.num = attrFloat64, math.Float64bits(v)
 	}
-	s.data.Attrs[key] = value
-	s.mu.Unlock()
+	b := s.buf
+	b.mu.Lock()
+	if b.writable(s) {
+		b.setAttr(s.slot, a)
+	}
+	b.mu.Unlock()
 }
 
 // Link attaches a reference to a span in another trace (a micro-batch
-// span links the request spans it fused, and vice versa).
+// span links the request spans it fused, and vice versa). A reference
+// whose IDs are not lowercase hex of the W3C widths is ignored.
 func (s *Span) Link(ref SpanContext) {
-	if s == nil || ref.TraceID == "" {
+	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.data.Links = append(s.data.Links, SpanContext{TraceID: ref.TraceID, SpanID: ref.SpanID})
-	s.mu.Unlock()
+	var l linkRec
+	if !parseHex(l.trace[:], ref.TraceID) || !parseHex(l.id[:], ref.SpanID) {
+		return
+	}
+	b := s.buf
+	b.mu.Lock()
+	if b.writable(s) {
+		l.span = s.slot
+		b.links = append(b.links, l)
+	}
+	b.mu.Unlock()
 }
 
 // SetError marks the span (and therefore its trace) as failed; error
@@ -375,109 +390,55 @@ func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
-	s.data.Error = err.Error()
-	s.mu.Unlock()
+	msg := err.Error()
+	b := s.buf
+	b.mu.Lock()
+	if b.writable(s) {
+		b.spans[s.slot].err = msg
+	}
+	b.mu.Unlock()
 }
 
-// End completes the span. Ending the local root finalizes the trace into
-// the recorder; spans ending after that are counted as late and dropped.
-// End is idempotent.
+// End completes and seals the span. Ending the local root finalizes the
+// trace into the recorder; spans ending after that are counted as late
+// and dropped. End is idempotent.
 func (s *Span) End() {
-	if s == nil || s.ended.Swap(true) {
+	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.data.DurationMs = float64(time.Since(s.start).Nanoseconds()) / 1e6
-	data := s.data
-	s.mu.Unlock()
-	s.buf.finish(s, data)
-}
-
-// traceBuf accumulates the completed spans of one local trace. The local
-// root span owns it; when the root ends the buffer is sealed and handed
-// to the recorder.
-type traceBuf struct {
-	tracer  *Tracer
-	root    *Span
-	sampled bool
-	max     int
-
-	mu      sync.Mutex
-	spans   []SpanData
-	done    bool
-	dropped int
-}
-
-// add appends one completed span, honoring the per-trace bound.
-func (b *traceBuf) add(data SpanData) {
+	d := float64(time.Since(s.start).Nanoseconds()) / 1e6
+	b := s.buf
 	b.mu.Lock()
-	switch {
-	case b.done:
+	if s.ended {
 		b.mu.Unlock()
-		mSpansLate.Inc()
 		return
-	case len(b.spans) >= b.max:
-		b.dropped++
-	default:
-		b.spans = append(b.spans, data)
 	}
-	b.mu.Unlock()
-}
-
-// finish records one ended span; the root's finish seals the trace and
-// hands it to the recorder.
-func (b *traceBuf) finish(s *Span, data SpanData) {
-	b.mu.Lock()
-	if b.done {
+	s.ended = true
+	if s.gen != b.gen || b.done {
 		b.mu.Unlock()
 		mSpansLate.Inc()
 		return
 	}
-	if len(b.spans) >= b.max && s != b.root {
-		b.dropped++
-	} else {
-		b.spans = append(b.spans, data)
+	if s.slot >= 0 {
+		b.spans[s.slot].dur = d
 	}
-	if s != b.root {
+	if s.slot != 0 {
 		b.mu.Unlock()
 		return
 	}
-	b.done = true
-	spans := b.spans
-	dropped := b.dropped
-	b.mu.Unlock()
+	b.finish() // unlocks b.mu
+}
 
-	cfg := b.tracer.cfg.Load()
-	rec := &TraceRecord{
-		TraceID:      data.TraceID,
-		Root:         data.Name,
-		Start:        data.Start,
-		DurationMs:   data.DurationMs,
-		Slow:         time.Duration(data.DurationMs*1e6) > cfg.SlowThreshold,
-		DroppedSpans: dropped,
-		Spans:        spans,
+// mark records a completed child span of s named name — a Clock's lap,
+// timed by its two stamps rather than by a Span of its own.
+func (s *Span) mark(name string, start time.Time, ms float64) {
+	id := newSpanID()
+	b := s.buf
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if s.gen != b.gen || b.done {
+		mSpansLate.Inc()
+		return
 	}
-	for i := range spans {
-		if spans[i].Error != "" {
-			rec.Error = true
-			break
-		}
-	}
-	switch {
-	case rec.Slow || rec.Error:
-		if rec.Slow {
-			mTracesSlow.Inc()
-		}
-		if rec.Error {
-			mTracesError.Inc()
-		}
-		mTracesRecorded.Inc()
-		b.tracer.rec.keep(rec, true)
-	case b.sampled:
-		mTracesRecorded.Inc()
-		b.tracer.rec.keep(rec, false)
-	default:
-		mTracesSampled.Inc()
-	}
+	b.add(spanRec{name: name, start: start.UnixNano(), dur: ms, id: id, parent: s.id})
 }
