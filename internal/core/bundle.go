@@ -52,11 +52,12 @@ func (b *Bundle) ModelFor(serviceID int) *Model {
 	return b.General
 }
 
-// bundleWire is the gob format of a bundle, the one model file: Base, the
-// general model inline, and one entry per specialized service in ascending
-// order of service. A lone model is a bundle with no services. Nothing in
-// it is a map or a nested gob stream, so its bytes are a function of the
-// bundle.
+// bundleWire is the gob format of a bundle, the one model file (version
+// 3): Base, the general model inline, and one entry per specialized
+// service in strictly ascending order of service ID, every ID ≥ 0. A lone
+// model is a bundle with no services. Every network parameter is one
+// nn.Floats byte string. Nothing in it is a map or a nested gob stream, so
+// its bytes are a function of the bundle.
 type bundleWire struct {
 	Base     modelForm
 	Services []serviceForm
@@ -79,18 +80,22 @@ type modelForm struct {
 // its head's parameters, any other model complete, in Model.
 type serviceForm struct {
 	ID     int
-	Head   [][]float64
+	Head   []nn.Floats
 	Frozen []bool
 	Model  *modelForm
 }
 
 // Save writes the bundle to w. Saving a bundle twice, or saving what
-// LoadBundle made of its bytes, gives the same bytes.
+// LoadBundle made of its bytes, gives the same bytes. A specialized model
+// under a negative service ID, which LoadBundle would refuse, is an error.
 func (b *Bundle) Save(w io.Writer) error {
 	g := b.General
 	wire := bundleWire{Base: formOf(g)}
 	ids := make([]int, 0, len(b.Specialized))
 	for id := range b.Specialized {
+		if id < 0 {
+			return fmt.Errorf("core: save bundle: a specialized model for service %d; service IDs are ≥ 0", id)
+		}
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
@@ -166,9 +171,10 @@ func headOnly(g, m *Model, id int) bool {
 }
 
 // overTrunk returns a network with g's layers whose trunk parameters alias
-// g's matrices, frozen, and whose head parameters are fresh matrices
-// holding a copy of head's values, with frozen's flags.
-func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, error) {
+// g's matrices, frozen, and whose head parameters are matrices over head's
+// values, with frozen's flags: head is fresh from the decoder, and the
+// network owns it from then on.
+func overTrunk(g *nn.Network, head []nn.Floats, frozen []bool) (*nn.Network, error) {
 	net := g.View()
 	ps := net.Params()
 	k := len(trunkParams(net))
@@ -183,7 +189,7 @@ func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, err
 		if len(v) != len(p.Value.Data) {
 			return nil, fmt.Errorf("core: load: head param %d has %d values, want %d", i, len(v), len(p.Value.Data))
 		}
-		p.Value = mat.FromSlice(p.Value.Rows, p.Value.Cols, slices.Clone(v))
+		p.Value = mat.FromSlice(p.Value.Rows, p.Value.Cols, v)
 		p.Frozen = frozen[i]
 	}
 	return net, nil
@@ -192,14 +198,21 @@ func overTrunk(g *nn.Network, head [][]float64, frozen []bool) (*nn.Network, err
 // LoadBundle reads a bundle written by Save, and every specialized model
 // enters it through Attach. A head is built directly over the general
 // model's trunk (overTrunk): no second trunk or forest is decoded. Any
-// other file is an error; one that does not decode as a bundle at all —
-// a single-model or version-1 bundle file of an older build among them —
-// says how to make a current one, with gob's error as the cause.
+// other file is an error. One that does not decode as a bundle at all —
+// a version-2 or version-1 bundle or a single-model file of an older
+// build among them — says how to make a current one, with gob's error as
+// the cause. A service list Save would not have written — out of
+// ascending order, repeated, or below 0 — is an error naming the entry.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: load bundle: not a version-2 bundle; a single-model or version-1 bundle file of an older build is no longer read: "+
+		return nil, fmt.Errorf("core: load bundle: not a version-3 bundle; a version-2 or version-1 bundle or a single-model file of an older build is no longer read: "+
 			"train it again with diagnet-train (-out for the general model, -bundle for per-service heads): %w", err)
+	}
+	for i, e := range wire.Services {
+		if e.ID < 0 || i > 0 && e.ID <= wire.Services[i-1].ID {
+			return nil, fmt.Errorf("core: load bundle: service entry %d is service %d; Save writes services in strictly ascending order of ID, from 0", i, e.ID)
+		}
 	}
 	general, err := wire.Base.model()
 	if err != nil {

@@ -124,9 +124,10 @@ func expectFrom(m *Model) goldenExpect {
 // the committed expectations. A format change that breaks files already
 // written (renamed wire fields, reordered layouts, changed normalizer
 // transform) fails here loudly instead of silently corrupting deployments
-// that load them. The committed bytes are those of a bundle written while
-// bundleWire still declared the fields of its first format, as every
-// deployed file was; -update rewrites them with today's Save.
+// that load them. The committed bytes are a version-3 bundle (each
+// parameter one little-endian byte string); testdata/bundle.v2.gob keeps
+// the same bundle as version 2 wrote it, which LoadBundle refuses.
+// -update rewrites the version-3 file with today's Save.
 func TestGoldenModelFormat(t *testing.T) {
 	gobPath := filepath.Join("testdata", "bundle.golden.gob")
 	jsonPath := filepath.Join("testdata", "model.golden.json")

@@ -250,10 +250,13 @@ func TestAttentionOfSharedTrunkPassMatchesFiniteDifferences(t *testing.T) {
 // LoadBundle made of them — for heads over the general trunk, for a
 // complete private model (the diverged service of the golden fixture) and
 // for a lone model: nothing in the bundle's form is a map or a nested
-// stream, and Known is sorted.
+// stream, and Known is sorted. Every parameter loads with the bits it was
+// saved with, the values a float64 rounding or a canonical NaN would lose
+// among them (specialBundle).
 func TestSaveTwiceSameBytes(t *testing.T) {
 	trained := trainedBundle(t)
-	for name, b := range map[string]*Bundle{"trained": trained, "fixture": fixtureBundle(), "lone": NewBundle(trained.General)} {
+	special := specialBundle()
+	for name, b := range map[string]*Bundle{"trained": trained, "fixture": fixtureBundle(), "lone": NewBundle(trained.General), "special values": special} {
 		save := func(b *Bundle) []byte {
 			var buf bytes.Buffer
 			if err := b.Save(&buf); err != nil {
@@ -274,7 +277,30 @@ func TestSaveTwiceSameBytes(t *testing.T) {
 		if !bytes.Equal(first, save(loaded)) {
 			t.Fatalf("%s bundle: saving the loaded bundle gives other bytes", name)
 		}
+		if b != special {
+			continue
+		}
+		for id, m := range map[int]*Model{-1: b.General, 3: b.Specialized[3], 5: b.Specialized[5]} {
+			if !reflect.DeepEqual(paramBits(m.Net), paramBits(loaded.ModelFor(id).Net)) {
+				t.Errorf("model %d: a parameter loads with other bits than it was saved with", id)
+			}
+		}
 	}
+}
+
+// specialBundle is the golden fixture with −0, a NaN with a payload, the
+// smallest subnormal and ±MaxFloat64 planted in the general model's trunk
+// and head, in service 3's head and in service 5's private network.
+func specialBundle() *Bundle {
+	b := fixtureBundle()
+	special := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001), math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	for _, m := range []*Model{b.General, b.Specialized[3], b.Specialized[5]} {
+		ps := m.Net.Params()
+		for _, p := range []*nn.Param{ps[0], ps[len(ps)-2]} {
+			copy(p.Value.Data[1:], special)
+		}
+	}
+	return b
 }
 
 // BenchmarkMixedPass is the bulk_mixed_routed micro-batch in isolation: 28

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -150,12 +152,47 @@ func Argmax(xs []float64) int {
 // inline: each layer's LayerSpec, with its Ints map written as its keys,
 // sorted, and their values (gob walks a map in random order, so its bytes
 // would not be a function of the network), then every parameter's values
-// and freeze flag. The Values of a Wire built by Network.Wire alias the
-// network's matrices.
+// (one Floats each) and freeze flag. The Values of a Wire built by
+// Network.Wire alias the network's matrices.
 type Wire struct {
 	Specs  []SpecWire
-	Values [][]float64
+	Values []Floats
 	Frozen []bool
+
+	// aliased is set by Network.Wire: Values are another network's
+	// matrices, which a network built from w must copy. A decoded Wire
+	// (gob leaves the field false) owns its Values, and gives them away.
+	aliased bool
+}
+
+// Floats is a parameter's values on the wire: one byte string holding
+// each value's IEEE-754 bits, little-endian, eight bytes a value. Gob
+// would write a []float64 element by element, up to nine bytes each, and
+// decode it as slowly; a byte string is one length and a copy, and it
+// keeps every bit (−0, NaN payloads, subnormals).
+type Floats []float64
+
+// GobEncode returns f's bytes.
+func (f Floats) GobEncode() ([]byte, error) {
+	b := make([]byte, 8*len(f))
+	for i, v := range f {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b, nil
+}
+
+// GobDecode sets f to fresh storage holding the values b encodes. A
+// length that is not a whole number of values is an error.
+func (f *Floats) GobDecode(b []byte) error {
+	if len(b)%8 != 0 {
+		return fmt.Errorf("nn: a parameter of %d bytes is not a whole number of float64 values", len(b))
+	}
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*f = v
+	return nil
 }
 
 // SpecWire is a LayerSpec with a sorted key order.
@@ -168,7 +205,7 @@ type SpecWire struct {
 
 // Wire returns the network's Wire form.
 func (n *Network) Wire() Wire {
-	var w Wire
+	w := Wire{aliased: true}
 	for _, l := range n.Layers {
 		spec := l.Spec()
 		sw := SpecWire{Kind: spec.Kind, Strings: spec.Strings}
@@ -188,7 +225,10 @@ func (n *Network) Wire() Wire {
 	return w
 }
 
-// Network builds the network w describes.
+// Network builds the network w describes. Its parameters hold w's Values
+// themselves when w was decoded, and copies of them when Network.Wire
+// built w, so a network never shares a matrix with the one its Wire came
+// from.
 func (w Wire) Network() (*Network, error) {
 	specs := make([]LayerSpec, len(w.Specs))
 	for i, sw := range w.Specs {
@@ -201,17 +241,17 @@ func (w Wire) Network() (*Network, error) {
 		}
 		specs[i] = LayerSpec{Kind: sw.Kind, Ints: ints, Strings: sw.Strings}
 	}
-	return build(specs, w.Values, w.Frozen)
+	return build(specs, w.Values, w.Frozen, w.aliased)
 }
 
-// build assembles a saved network. Every parameter is a fresh matrix
-// holding a copy of its saved values — nothing is initialized at random
-// first — and a saved network that is not one is an error, never a panic:
-// an unknown layer or pooling op, a dimension below one, a dropout rate
-// outside [0, 1), a parameter whose length is not its layer's dimensions,
-// a Dense whose input is not the width below it, or a count of values or
-// freeze flags that is not the architecture's.
-func build(specs []LayerSpec, values [][]float64, frozen []bool) (*Network, error) {
+// build assembles a saved network. Every parameter is a matrix over its
+// saved values — a copy of them if clone is set, nothing initialized at
+// random first — and a saved network that is not one is an error, never
+// a panic: an unknown layer or pooling op, a dimension below one, a
+// dropout rate outside [0, 1), a parameter whose length is not its
+// layer's dimensions, a Dense whose input is not the width below it, or a
+// count of values or freeze flags that is not the architecture's.
+func build(specs []LayerSpec, values []Floats, frozen []bool, clone bool) (*Network, error) {
 	if len(frozen) != len(values) {
 		return nil, fmt.Errorf("nn: load: %d freeze flags for %d params", len(frozen), len(values))
 	}
@@ -219,7 +259,7 @@ func build(specs []LayerSpec, values [][]float64, frozen []bool) (*Network, erro
 	width := -1 // the output width of the layers so far; -1 while any width fits
 	rest := values
 	for i, spec := range specs {
-		l, err := buildLayer(spec, rest)
+		l, err := buildLayer(spec, rest, clone)
 		if err != nil {
 			return nil, fmt.Errorf("nn: load: layer %d: %w", i, err)
 		}
@@ -246,16 +286,16 @@ func build(specs []LayerSpec, values [][]float64, frozen []bool) (*Network, erro
 }
 
 // buildLayer builds the layer spec describes around the leading entries of
-// values, one per parameter.
-func buildLayer(spec LayerSpec, values [][]float64) (Layer, error) {
+// values, one per parameter, copied if clone is set.
+func buildLayer(spec LayerSpec, values []Floats, clone bool) (Layer, error) {
 	switch spec.Kind {
 	case "dense":
 		in, out := spec.Ints["in"], spec.Ints["out"]
-		w, err := loadParam(fmt.Sprintf("dense_%dx%d_w", in, out), in, out, values, 0)
+		w, err := loadParam(fmt.Sprintf("dense_%dx%d_w", in, out), in, out, values, 0, clone)
 		if err != nil {
 			return nil, err
 		}
-		b, err := loadParam(fmt.Sprintf("dense_%dx%d_b", in, out), 1, out, values, 1)
+		b, err := loadParam(fmt.Sprintf("dense_%dx%d_b", in, out), 1, out, values, 1, clone)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +311,11 @@ func buildLayer(spec LayerSpec, values [][]float64) (Layer, error) {
 		if local < 0 {
 			return nil, fmt.Errorf("landpool: %d local features", local)
 		}
-		kernel, err := loadParam("landpool_kernel", f, k, values, 0)
+		kernel, err := loadParam("landpool_kernel", f, k, values, 0, clone)
 		if err != nil {
 			return nil, err
 		}
-		bias, err := loadParam("landpool_bias", 1, f, values, 1)
+		bias, err := loadParam("landpool_bias", 1, f, values, 1, clone)
 		if err != nil {
 			return nil, err
 		}
@@ -296,8 +336,9 @@ func buildLayer(spec LayerSpec, values [][]float64) (Layer, error) {
 	}
 }
 
-// loadParam returns a rows×cols parameter holding a copy of values[i].
-func loadParam(name string, rows, cols int, values [][]float64, i int) (*Param, error) {
+// loadParam returns a rows×cols parameter over values[i], or over a copy
+// of it if clone is set.
+func loadParam(name string, rows, cols int, values []Floats, i int, clone bool) (*Param, error) {
 	if i >= len(values) {
 		return nil, fmt.Errorf("%s: missing from the file", name)
 	}
@@ -305,7 +346,10 @@ func loadParam(name string, rows, cols int, values [][]float64, i int) (*Param, 
 	if rows < 1 || cols < 1 || len(v)%cols != 0 || len(v)/cols != rows {
 		return nil, fmt.Errorf("%s: %d values for %d×%d", name, len(v), rows, cols)
 	}
-	return &Param{Name: name, Value: mat.FromSlice(rows, cols, slices.Clone(v))}, nil
+	if clone {
+		v = slices.Clone(v)
+	}
+	return &Param{Name: name, Value: mat.FromSlice(rows, cols, v)}, nil
 }
 
 // View returns an inference view of the network: fresh layers with their

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -282,6 +283,57 @@ func TestWireRoundTrip(t *testing.T) {
 		if src := net.Params()[i]; p.Frozen != src.Frozen || &p.Value.Data[0] == &src.Value.Data[0] {
 			t.Fatalf("param %d: want the source's freeze flag on a copy of its values", i)
 		}
+	}
+}
+
+// A Wire fresh from the decoder gives its values to the network it builds:
+// each parameter is a matrix over the decoded slice, not a second copy.
+func TestDecodedWireIsAdopted(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	lp := NewLandPool(5, 4, 2, DefaultPoolOps()[:3], rng)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(NewNetwork(lp, NewDense(lp.OutWidth(), 3, rng)).Wire()); err != nil {
+		t.Fatal(err)
+	}
+	var w Wire
+	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	net, err := w.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range net.Params() {
+		if &p.Value.Data[0] != &w.Values[i][0] {
+			t.Fatalf("param %d: a copy of the decoded values", i)
+		}
+	}
+}
+
+// Floats stores each value as its eight little-endian bytes, so every bit
+// survives the wire, and a byte string that is no whole number of values
+// is an error.
+func TestFloatsKeepEveryBit(t *testing.T) {
+	want := []uint64{0, 1 << 63, 0x7ff8000000000001, 0x7ff0000000000001, 1, 0x7fefffffffffffff, 0xffefffffffffffff, 0x3ff0000000000000}
+	f := make(Floats, len(want))
+	for i, b := range want {
+		f[i] = math.Float64frombits(b)
+	}
+	raw, err := f.GobEncode()
+	if err != nil || len(raw) != 8*len(want) || binary.LittleEndian.Uint64(raw[8*2:]) != want[2] {
+		t.Fatalf("encoded %x, %v", raw, err)
+	}
+	var g Floats
+	if err := g.GobDecode(raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range g {
+		if math.Float64bits(v) != want[i] {
+			t.Errorf("value %d: bits %#x, want %#x", i, math.Float64bits(v), want[i])
+		}
+	}
+	if err := g.GobDecode(raw[:len(raw)-1]); err == nil {
+		t.Error("decoded a byte string of 63 bytes")
 	}
 }
 

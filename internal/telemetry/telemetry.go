@@ -11,7 +11,8 @@
 // GET /v1/metrics, diagnet-agent via its -metrics listener.
 //
 // The hot-path cost is one atomic add per counter event and one binary
-// search plus two atomic adds per histogram observation; stage timing
+// search plus two atomic adds per histogram observation (a traced one also
+// takes its bucket's exemplar lock, and allocates nothing); stage timing
 // (tracing.Clock) adds one time.Now per stage boundary and can be switched
 // off entirely with SetEnabled(false) (see the overhead benchmark in
 // internal/core).
@@ -107,8 +108,17 @@ type Histogram struct {
 	bounds    []float64
 	counts    []atomic.Int64 // len(bounds)+1, last is overflow
 	count     atomic.Int64
-	sum       atomic.Uint64              // float64 bits, CAS-accumulated
-	exemplars []atomic.Pointer[Exemplar] // per bucket, latest observation wins
+	sum       atomic.Uint64  // float64 bits, CAS-accumulated
+	exemplars []exemplarSlot // per bucket, latest observation wins
+}
+
+// exemplarSlot is one bucket's latest traced observation. A lock guards
+// it, not an atomic pointer: swapping in a pointer would allocate an
+// Exemplar per observation, and a reader must see a value and trace ID
+// that one observation wrote together.
+type exemplarSlot struct {
+	mu sync.Mutex
+	ex Exemplar // TraceID "" until the first traced observation
 }
 
 // Exemplar ties one concrete observation to the trace that produced it —
@@ -134,7 +144,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    b,
 		counts:    make([]atomic.Int64, len(b)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(b)+1),
+		exemplars: make([]exemplarSlot, len(b)+1),
 	}
 }
 
@@ -149,7 +159,10 @@ func (h *Histogram) Observe(v float64) { h.observe(v) }
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := h.observe(v)
 	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID})
+		s := &h.exemplars[i]
+		s.mu.Lock()
+		s.ex = Exemplar{Value: v, TraceID: traceID}
+		s.mu.Unlock()
 	}
 }
 
@@ -203,8 +216,15 @@ func (h *Histogram) Cumulative() []int64 {
 func (h *Histogram) Point(name string) HistogramPoint {
 	p := HistogramPoint{Name: name, Bounds: append([]float64(nil), h.bounds...), Cumulative: h.Cumulative(), Sum: h.Sum()}
 	for i := len(h.counts) - 1; i >= 0 && p.Exemplar == nil; i-- {
-		if h.counts[i].Load() > 0 {
-			p.Exemplar = h.exemplars[i].Load()
+		if h.counts[i].Load() == 0 {
+			continue
+		}
+		s := &h.exemplars[i]
+		s.mu.Lock()
+		ex := s.ex
+		s.mu.Unlock()
+		if ex.TraceID != "" {
+			p.Exemplar = &ex
 		}
 	}
 	return p

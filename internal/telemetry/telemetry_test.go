@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -235,6 +236,56 @@ func TestHistogramExemplar(t *testing.T) {
 	h2.ObserveExemplar(1, "")
 	if p2 := h2.Point(""); p2.Count() != 1 || p2.Exemplar != nil {
 		t.Fatalf("empty-trace observation mishandled: %+v", p2)
+	}
+}
+
+// A traced observation allocates nothing: the trace ID is kept as it was
+// handed in, in the bucket's slot.
+func TestObserveExemplarAllocatesNothing(t *testing.T) {
+	h := NewHistogram(nil)
+	id := "4bf92f3577b34da6a3ce929d0e0e4736"
+	if n := testing.AllocsPerRun(200, func() { h.ObserveExemplar(12, id) }); n != 0 {
+		t.Fatalf("ObserveExemplar allocates %v times a call, want 0", n)
+	}
+}
+
+// Observers racing each other and Export into one bucket: every exemplar
+// an export reads is a value and trace ID that one observation wrote
+// together (run under -race).
+func TestExemplarIsOneObservation(t *testing.T) {
+	const writers, each = 4, 500
+	r := New()
+	h := r.Histogram("h", []float64{1})
+	ids := make([]string, writers*each)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("trace-%d", i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := w * each; j < (w+1)*each; j++ {
+				h.ObserveExemplar(float64(2+j), ids[j])
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for exports := 0; ; exports++ {
+		select {
+		case <-done:
+			if exports == 0 {
+				t.Log("every observation landed before the first export")
+			}
+			return
+		default:
+		}
+		for _, p := range r.Export().Histograms {
+			if ex := p.Exemplar; ex != nil && ids[int(ex.Value)-2] != ex.TraceID {
+				t.Fatalf("exemplar %+v: the value of one observation and the trace of another", *ex)
+			}
+		}
 	}
 }
 
