@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"diagnet/internal/dataset"
-	"diagnet/internal/experiments"
 	"diagnet/internal/landmark"
 	"diagnet/internal/netsim"
 	"diagnet/internal/probe"
@@ -20,12 +19,12 @@ import (
 
 var (
 	labOnce  sync.Once
-	benchLab *experiments.Lab
+	benchLab *Lab
 )
 
-func sharedLab() *experiments.Lab {
+func sharedLab() *Lab {
 	labOnce.Do(func() {
-		benchLab = experiments.NewLab(experiments.Quick(), nil)
+		benchLab = NewLab(QuickProfile(), nil)
 	})
 	return benchLab
 }
@@ -54,7 +53,7 @@ func sharedData() *dataset.Dataset {
 func BenchmarkTableI_TrainGeneral(b *testing.B) {
 	data := sharedData()
 	train, _ := data.Split(0.8, HiddenLandmarks(), 13)
-	cfg := experiments.Quick().Config
+	cfg := QuickProfile().Config
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -55,6 +55,7 @@ import (
 	"diagnet/internal/analysis"
 	"diagnet/internal/landmark"
 	"diagnet/internal/resilience"
+	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
 
@@ -258,9 +259,9 @@ func serveMetrics(addr string, prober *landmark.MultiProber) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
-			Metrics   diagnet.MetricsExport             `json:"metrics"`
+			Metrics   telemetry.Export                  `json:"metrics"`
 			Landmarks map[string]diagnet.LandmarkHealth `json:"landmarks"`
-		}{diagnet.Metrics(), prober.Health()})
+		}{telemetry.Default().Export(), prober.Health()})
 	})
 	slog.Info("metrics listening", "url", "http://"+addr+"/metrics")
 	err := http.ListenAndServe(addr, mux)

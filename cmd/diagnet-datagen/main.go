@@ -8,12 +8,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"diagnet"
+	"diagnet/internal/durable"
 )
 
 func main() {
@@ -37,23 +39,23 @@ func main() {
 	fmt.Fprintf(os.Stderr, "generated %d samples: %d nominal, %d degraded (%d near hidden landmarks)\n",
 		c.Total, c.Nominal, c.Degraded, c.HiddenFaultDegraded)
 
-	f, err := os.Create(*out)
-	if err != nil {
+	// Each file is encoded in memory and published whole: a failed write
+	// exits non-zero, and a kill mid-write leaves no truncated file.
+	var buf bytes.Buffer
+	if err := data.Save(&buf); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := data.Save(f); err != nil {
+	if err := durable.WriteFile(*out, buf.Bytes()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
 	if *csvOut != "" {
-		cf, err := os.Create(*csvOut)
-		if err != nil {
+		buf.Reset()
+		if err := data.ExportCSV(&buf); err != nil {
 			log.Fatal(err)
 		}
-		defer cf.Close()
-		if err := data.ExportCSV(cf); err != nil {
+		if err := durable.WriteFile(*csvOut, buf.Bytes()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvOut)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -23,6 +24,7 @@ import (
 
 	"diagnet"
 	"diagnet/internal/collector"
+	"diagnet/internal/durable"
 	"diagnet/internal/netsim"
 )
 
@@ -92,12 +94,13 @@ func record(args []string) {
 			degraded++
 		}
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	// Encoded in memory and published whole: a failed write exits
+	// non-zero, and a kill mid-write leaves no truncated trace.
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := tr.Save(f); err != nil {
+	if err := durable.WriteFile(*out, buf.Bytes()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "recorded %d rounds (%d degraded) to %s\n", tr.Len(), degraded, *out)

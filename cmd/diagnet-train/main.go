@@ -10,12 +10,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"diagnet"
+	"diagnet/internal/durable"
 )
 
 func main() {
@@ -47,7 +49,13 @@ func main() {
 	res := diagnet.TrainGeneral(train, diagnet.KnownRegions(), cfg)
 	fmt.Fprintf(os.Stderr, "general model trained: %d epochs, final val loss %.4f\n",
 		res.History.Epochs(), last(res.History.ValLoss))
-	if err := writeModel(res.Model, *out); err != nil {
+	// Each file is encoded in memory and published whole: a failed write
+	// exits non-zero, and a kill mid-write leaves no truncated model.
+	var buf bytes.Buffer
+	if err := diagnet.NewBundle(res.Model).Save(&buf); err != nil {
+		log.Fatal(err)
+	}
+	if err := durable.WriteFile(*out, buf.Bytes()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
@@ -59,25 +67,15 @@ func main() {
 			ids = append(ids, svc.ID)
 		}
 		b.SpecializeAll(train, ids)
-		f, err := os.Create(*bundle)
-		if err != nil {
+		buf.Reset()
+		if err := b.Save(&buf); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := b.Save(f); err != nil {
+		if err := durable.WriteFile(*bundle, buf.Bytes()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote bundle %s (%d specialized models)\n", *bundle, len(b.Specialized))
 	}
-}
-
-func writeModel(m *diagnet.Model, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return diagnet.NewBundle(m).Save(f)
 }
 
 func last(xs []float64) float64 {

@@ -10,18 +10,26 @@
 // predictions back onto individual input features, a multi-label score
 // weighting step, and ensemble averaging with an extensible random forest.
 //
-// The package exposes four layers of functionality:
+// The package exposes the paper's five layers:
 //
-//   - The inference model: DefaultConfig, TrainGeneral, (*Model).Specialize,
-//     (*Model).Diagnose, and the one model file: NewBundle, (*Bundle).Save
+//   - The inference model and its file: DefaultConfig, TrainGeneral,
+//     (*Model).Specialize, (*Model).Diagnose, and NewBundle, (*Bundle).Save
 //     and LoadBundle (a lone model is a bundle with no services).
 //   - The simulated multi-cloud deployment used by the paper's evaluation:
 //     NewWorld, Generate, Catalog and friends (see DESIGN.md for how the
 //     simulator substitutes the authors' testbed).
-//   - The live measurement plane: LandmarkServer and LandmarkProber, a
-//     real HTTP landmark service and its client.
+//   - The live measurement plane: LandmarkServer, a real HTTP landmark
+//     service, and its clients NewProber and the fault-tolerant
+//     NewMultiProber, with NewFlakyHandler for chaos tests.
+//   - The client agent, the client box of Fig. 1: NewAgent over a
+//     MeasurementSource (NewSimSource), and RecordTrace/LoadTrace to
+//     record and replay a probing session.
 //   - The experiment harness regenerating every figure of the paper:
 //     NewLab and the Fig5..Fig10/Ablation methods.
+//
+// The analysis service, its serving engine and the replicated tier are
+// run by cmd/diagnetd and cmd/diagnet-router; examples/operate boots
+// them in one process.
 //
 // A minimal end-to-end session:
 //
@@ -36,11 +44,8 @@ package diagnet
 
 import (
 	"io"
-	"log/slog"
 	"net/http"
 
-	"diagnet/internal/analysis"
-	"diagnet/internal/cluster"
 	"diagnet/internal/collector"
 	"diagnet/internal/core"
 	"diagnet/internal/dataset"
@@ -50,66 +55,9 @@ import (
 	"diagnet/internal/probe"
 	"diagnet/internal/resilience"
 	"diagnet/internal/services"
-	"diagnet/internal/serving"
-	"diagnet/internal/telemetry"
-	"diagnet/internal/tracing"
 )
 
-// Telemetry types (DESIGN.md §10). Every layer of the pipeline records into
-// one process-wide registry; Metrics exports it.
-type (
-	// MetricsExport is a point-in-time copy of every counter, gauge and
-	// histogram in the process, sorted by name (JSON-marshalable; the
-	// document the daemons serve at /v1/metrics).
-	MetricsExport = telemetry.Export
-	// HistogramPoint is one latency/size distribution with its full
-	// bucket state: Count, Sum, any Quantile, the tail exemplar.
-	HistogramPoint = telemetry.HistogramPoint
-	// MetricsRegistry is a named-metric registry; Default() is the
-	// process-wide one all DiagNet packages record into.
-	MetricsRegistry = telemetry.Registry
-)
-
-// Metrics exports the process-wide telemetry registry: per-stage Diagnose
-// timings, HTTP route latencies, probing-plane health counters, training
-// progress. Serve it as JSON or feed it to a scraper.
-func Metrics() MetricsExport { return telemetry.Default().Export() }
-
-// MetricsRegistryDefault returns the process-wide registry itself, for
-// callers that want to add their own counters next to DiagNet's.
-func MetricsRegistryDefault() *MetricsRegistry { return telemetry.Default() }
-
-// SetTelemetryEnabled toggles latency timing globally (counters stay on).
-// Disabled timing reduces instrumentation to one atomic load per stage.
-func SetTelemetryEnabled(on bool) { telemetry.SetEnabled(on) }
-
-// Request-tracing types (DESIGN.md §12). Distinct from Trace/RecordTrace
-// below, which record probe *sessions* for replay: a request trace (Span)
-// follows one diagnosis execution across agent, analysis service, serving
-// engine and core pipeline, keyed by a W3C traceparent.
-type (
-	// Span is one timed operation inside a request trace; nil is a valid
-	// no-op span (tracing disabled).
-	Span = tracing.Span
-	// SpanContext is the propagated trace identity (trace ID, span ID).
-	SpanContext = tracing.SpanContext
-	// TracingConfig tunes sampling, the slow threshold and ring capacities.
-	TracingConfig = tracing.Config
-)
-
-// StartSpan opens a span as a child of the one in ctx (or a new trace
-// root) on the process-wide tracer; see internal/tracing for semantics.
-var StartSpan = tracing.StartSpan
-
-// ConfigureTracing tunes the process-wide tracer (sampling rate, slow
-// threshold, ring capacities).
-func ConfigureTracing(cfg TracingConfig) { tracing.Configure(cfg) }
-
-// NewLogHandler returns the shared slog handler DiagNet commands use: text
-// or json output with trace_id/span_id stamped from the record's context.
-func NewLogHandler(w io.Writer, format string) slog.Handler { return tracing.NewLogHandler(w, format) }
-
-// Model and training types.
+// The inference model and its file.
 type (
 	// Config carries the Table I hyperparameters of the inference model.
 	Config = core.Config
@@ -119,9 +67,26 @@ type (
 	TrainResult = core.TrainResult
 	// Diagnosis is the ranked root-cause output for one degraded sample.
 	Diagnosis = core.Diagnosis
+	// Bundle packages a general model with its specialized variants.
+	Bundle = core.Bundle
 )
 
-// Simulation and data types.
+// DefaultConfig returns the paper's Table I hyperparameters.
+func DefaultConfig() Config { return core.DefaultConfig() }
+
+// TrainGeneral trains a general DiagNet model on a training split, using
+// the landmarks of knownRegions (§IV-A-d hides the rest until inference).
+func TrainGeneral(train *Dataset, knownRegions []int, cfg Config) *TrainResult {
+	return core.TrainGeneral(train, knownRegions, cfg)
+}
+
+// NewBundle wraps a general model into a bundle.
+func NewBundle(general *Model) *Bundle { return core.NewBundle(general) }
+
+// LoadBundle reads a bundle written by (*Bundle).Save.
+func LoadBundle(r io.Reader) (*Bundle, error) { return core.LoadBundle(r) }
+
+// The simulated deployment and its data.
 type (
 	// World is the simulated multi-cloud deployment.
 	World = netsim.World
@@ -139,19 +104,56 @@ type (
 	Dataset = dataset.Dataset
 	// GenConfig controls dataset generation.
 	GenConfig = dataset.GenConfig
-	// Sample is one (client, service, scenario) observation.
-	Sample = dataset.Sample
 	// Layout describes a feature-vector arrangement over landmarks.
 	Layout = probe.Layout
-	// Family is a coarse fault family.
-	Family = probe.Family
-	// Metric is one of the k per-landmark measurements.
-	Metric = probe.Metric
 	// Service is a mock-up online service (Table II).
 	Service = services.Service
 )
 
-// Measurement-plane types.
+// The fault kinds the examples inject; internal/netsim has all six
+// §IV-A-e families.
+const (
+	FaultServiceDelay = netsim.FaultServiceDelay
+	FaultLoss         = netsim.FaultLoss
+)
+
+// NewWorld builds the simulated ten-region, four-provider deployment.
+func NewWorld(cfg WorldConfig) *World { return netsim.NewWorld(cfg) }
+
+// DefaultRegions lists the ten regions of the default world.
+func DefaultRegions() []Region { return netsim.DefaultRegions() }
+
+// HiddenLandmarks returns the landmark regions hidden during training in
+// the paper's evaluation (EAST, GRAV, SEAT).
+func HiddenLandmarks() []int { return netsim.HiddenLandmarks() }
+
+// KnownRegions returns all default regions minus the hidden landmarks —
+// the training-time landmark set of the paper.
+func KnownRegions() []int { return experiments.KnownRegionsOf(netsim.HiddenLandmarks()) }
+
+// NewFault returns a fault of the given kind with the paper's magnitude.
+func NewFault(kind FaultKind, region int) Fault { return netsim.NewFault(kind, region) }
+
+// Generate produces a labeled dataset from the simulated deployment.
+func Generate(cfg GenConfig) *Dataset { return dataset.Generate(cfg) }
+
+// LoadDataset reads a dataset written by (*Dataset).Save.
+func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
+
+// FullLayout returns the feature layout over all ten landmarks (m = 55).
+func FullLayout() Layout { return probe.FullLayout() }
+
+// NewLayout builds a layout over an arbitrary landmark region set.
+func NewLayout(landmarks []int) Layout { return probe.NewLayout(landmarks) }
+
+// Catalog returns the twelve deployed mock-up services (Table II
+// archetypes across the three service regions).
+func Catalog() []Service { return services.Catalog() }
+
+// TrainingServices returns the eight services the general model trains on.
+func TrainingServices() []Service { return services.TrainingSet() }
+
+// The live measurement plane.
 type (
 	// LandmarkServer is the stateless public HTTP landmark service.
 	LandmarkServer = landmark.Server
@@ -177,9 +179,10 @@ type (
 	FlakyConfig = landmark.FlakyConfig
 	// RetryPolicy retries transient failures with capped backoff.
 	RetryPolicy = resilience.RetryPolicy
-	// BreakerConfig tunes per-landmark circuit breakers.
-	BreakerConfig = resilience.BreakerConfig
 )
+
+// NewProber returns a landmark prober with keep-alive transport.
+func NewProber(cfg ProberConfig) *LandmarkProber { return landmark.NewProber(cfg) }
 
 // NewMultiProber returns a fault-tolerant multi-landmark prober.
 func NewMultiProber(cfg MultiProberConfig) *MultiProber { return landmark.NewMultiProber(cfg) }
@@ -189,81 +192,7 @@ func NewFlakyHandler(inner http.Handler, cfg FlakyConfig) *FlakyHandler {
 	return landmark.NewFlakyHandler(inner, cfg)
 }
 
-// Experiment harness types.
-type (
-	// Lab is a fully trained evaluation pipeline.
-	Lab = experiments.Lab
-	// Profile sizes an experiment run.
-	Profile = experiments.Profile
-)
-
-// Analysis-service types (the central box of Fig. 1).
-type (
-	// AnalysisServer serves diagnoses over HTTP from trained models.
-	AnalysisServer = analysis.Server
-	// AnalysisClient talks to a remote analysis service.
-	AnalysisClient = analysis.Client
-	// DiagnoseRequest is the analysis service's request payload.
-	DiagnoseRequest = analysis.DiagnoseRequest
-	// DiagnoseResponse is the analysis service's answer.
-	DiagnoseResponse = analysis.DiagnoseResponse
-)
-
-// NewAnalysisServer wraps a general model as an HTTP diagnosis service.
-func NewAnalysisServer(general *Model) *AnalysisServer { return analysis.NewServer(general) }
-
-// NewAnalysisClient returns a client for an analysis service.
-func NewAnalysisClient(baseURL string) *AnalysisClient { return analysis.NewClient(baseURL) }
-
-// Serving-engine types (DESIGN.md §11): micro-batching from backlog, the
-// versioned model registry with atomic hot swap, and admission control.
-type (
-	// ServingEngine coalesces concurrent diagnoses into fused micro-batches.
-	ServingEngine = serving.Engine
-	// ServingConfig tunes batching, queueing and the worker pool.
-	ServingConfig = serving.Config
-	// ServingRequest is one diagnosis submission to the engine.
-	ServingRequest = serving.Request
-	// ServingResult is a diagnosis plus its model-version provenance.
-	ServingResult = serving.Result
-	// ModelRegistry holds named model versions and the active snapshot.
-	ModelRegistry = serving.Registry
-	// ModelVersionInfo describes one registered model version.
-	ModelVersionInfo = serving.VersionInfo
-)
-
-// NewServingEngine starts a serving engine; promote a version through its
-// Registry before submitting.
-func NewServingEngine(cfg ServingConfig) *ServingEngine { return serving.New(cfg) }
-
-// NewAnalysisServerFromEngine wraps an externally configured serving
-// engine as an HTTP diagnosis service.
-func NewAnalysisServerFromEngine(e *ServingEngine) *AnalysisServer {
-	return analysis.NewServerFromEngine(e)
-}
-
-// Replicated serving tier (DESIGN.md §14): cmd/diagnet-router fans
-// traffic across diagnetd replicas with health- and load-aware
-// placement, failover, scatter-gather batches and honored backpressure.
-type (
-	// ClusterRouter routes client traffic across a replica pool; it is an
-	// http.Handler serving the same /v1 API as one replica.
-	ClusterRouter = cluster.Router
-	// ClusterConfig tunes routing, health sweeps and breakers.
-	ClusterConfig = cluster.Config
-	// ClusterStats is the router's failover/backpressure counters.
-	ClusterStats = cluster.Stats
-	// ClusterReplicaStatus is one replica's health/load snapshot.
-	ClusterReplicaStatus = cluster.ReplicaStatus
-)
-
-// NewClusterRouter fronts the given diagnetd replica base URLs; Close it
-// to stop the health sweeper.
-func NewClusterRouter(urls []string, cfg ClusterConfig) *ClusterRouter {
-	return cluster.NewRouter(urls, cfg)
-}
-
-// Client-agent types (the client box of Fig. 1).
+// The client agent (the client box of Fig. 1).
 type (
 	// Agent is the periodic probing loop with QoE-triggered events.
 	Agent = collector.Agent
@@ -297,72 +226,13 @@ func RecordTrace(src MeasurementSource, layout Layout, ticks []int64) *Trace {
 // LoadTrace reads a trace written by (*Trace).Save.
 func LoadTrace(r io.Reader) (*Trace, error) { return collector.LoadTrace(r) }
 
-// DefaultConfig returns the paper's Table I hyperparameters.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// TrainGeneral trains a general DiagNet model on a training split, using
-// the landmarks of knownRegions (§IV-A-d hides the rest until inference).
-func TrainGeneral(train *Dataset, knownRegions []int, cfg Config) *TrainResult {
-	return core.TrainGeneral(train, knownRegions, cfg)
-}
-
-// Bundle packages a general model with its specialized variants.
-type Bundle = core.Bundle
-
-// NewBundle wraps a general model into a bundle.
-func NewBundle(general *Model) *Bundle { return core.NewBundle(general) }
-
-// LoadBundle reads a bundle written by (*Bundle).Save.
-func LoadBundle(r io.Reader) (*Bundle, error) { return core.LoadBundle(r) }
-
-// NewWorld builds the simulated ten-region, four-provider deployment.
-func NewWorld(cfg WorldConfig) *World { return netsim.NewWorld(cfg) }
-
-// DefaultRegions lists the ten regions of the default world.
-func DefaultRegions() []Region { return netsim.DefaultRegions() }
-
-// HiddenLandmarks returns the landmark regions hidden during training in
-// the paper's evaluation (EAST, GRAV, SEAT).
-func HiddenLandmarks() []int { return netsim.HiddenLandmarks() }
-
-// KnownRegions returns all default regions minus the hidden landmarks —
-// the training-time landmark set of the paper.
-func KnownRegions() []int { return experiments.KnownRegionsOf(netsim.HiddenLandmarks()) }
-
-// NewFault returns a fault of the given kind with the paper's magnitude.
-func NewFault(kind FaultKind, region int) Fault { return netsim.NewFault(kind, region) }
-
-// Injectable fault kinds (§IV-A-e).
-const (
-	FaultRate         = netsim.FaultRate
-	FaultServiceDelay = netsim.FaultServiceDelay
-	FaultGatewayDelay = netsim.FaultGatewayDelay
-	FaultJitter       = netsim.FaultJitter
-	FaultLoss         = netsim.FaultLoss
-	FaultCPUStress    = netsim.FaultCPUStress
+// The experiment harness.
+type (
+	// Lab is a fully trained evaluation pipeline.
+	Lab = experiments.Lab
+	// Profile sizes an experiment run.
+	Profile = experiments.Profile
 )
-
-// Generate produces a labeled dataset from the simulated deployment.
-func Generate(cfg GenConfig) *Dataset { return dataset.Generate(cfg) }
-
-// LoadDataset reads a dataset written by (*Dataset).Save.
-func LoadDataset(r io.Reader) (*Dataset, error) { return dataset.Load(r) }
-
-// FullLayout returns the feature layout over all ten landmarks (m = 55).
-func FullLayout() Layout { return probe.FullLayout() }
-
-// NewLayout builds a layout over an arbitrary landmark region set.
-func NewLayout(landmarks []int) Layout { return probe.NewLayout(landmarks) }
-
-// Catalog returns the twelve deployed mock-up services (Table II
-// archetypes across the three service regions).
-func Catalog() []Service { return services.Catalog() }
-
-// TrainingServices returns the eight services the general model trains on.
-func TrainingServices() []Service { return services.TrainingSet() }
-
-// NewProber returns a landmark prober with keep-alive transport.
-func NewProber(cfg ProberConfig) *LandmarkProber { return landmark.NewProber(cfg) }
 
 // NewLab builds a fully trained evaluation pipeline for an experiment
 // profile; its Fig5..Fig10 and Ablation methods regenerate the paper's

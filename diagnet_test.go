@@ -64,8 +64,13 @@ func TestFacadeConstantsAndCatalog(t *testing.T) {
 	if f.Magnitude != 1 {
 		t.Fatal("fault magnitude")
 	}
-	if QuickProfile().Name != "quick" || DefaultProfile().Name != "default" || PaperProfile().Name != "paper" {
-		t.Fatal("profiles")
+	// The figure profiles grow from CI size to the paper's collection
+	// (213k nominal + 30k faulty samples).
+	quick, def, paper := QuickProfile(), DefaultProfile(), PaperProfile()
+	if !(quick.NominalSamples < def.NominalSamples && def.NominalSamples < paper.NominalSamples) ||
+		paper.NominalSamples != 213000 || paper.FaultSamples != 30000 {
+		t.Fatalf("profiles %q %d, %q %d, %q %d+%d", quick.Name, quick.NominalSamples,
+			def.Name, def.NominalSamples, paper.Name, paper.NominalSamples, paper.FaultSamples)
 	}
 }
 

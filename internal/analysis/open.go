@@ -22,8 +22,8 @@ type Options struct {
 	// The model source, first one set wins. ModelDir registers every
 	// *.gob in it as a version named after its file, boots ServeVersion
 	// (default: the lexically last) and enables POST /v1/models "load";
-	// Bundle (in memory) and ModelPath (a model or bundle file) become
-	// version "boot".
+	// Bundle (in memory) and ModelPath (a bundle file, the one model file
+	// core.LoadBundle reads) become version "boot".
 	ModelDir     string
 	ServeVersion string
 	Bundle       *core.Bundle

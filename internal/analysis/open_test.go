@@ -200,7 +200,8 @@ func TestOpenContinualTapsServing(t *testing.T) {
 // requests its handlers answer are what a shadowing candidate is vetted
 // on. A cycle is triggered over HTTP, then diagnoses are POSTed until the
 // candidate is promoted; its shadow evidence is those requests, replayed
-// through it and the incumbent.
+// through it and the incumbent. Once promoted, the candidate answers the
+// next diagnosis.
 func TestOpenVetsCandidateOnServedTraffic(t *testing.T) {
 	m, _ := fixture(t)
 	opt := openOptions(t, t.TempDir())
@@ -249,6 +250,9 @@ func TestOpenVetsCandidateOnServedTraffic(t *testing.T) {
 	}
 	if got := s.Engine().Registry().Active(); got != "retrain-000001" {
 		t.Fatalf("active version %q after promotion", got)
+	}
+	if res, err := s.Diagnose(sampleRequest(t)); err != nil || res.ModelVersion != "retrain-000001" {
+		t.Fatalf("diagnosis after promotion: %+v, %v; want one served by retrain-000001", res, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -172,4 +173,39 @@ func TestTraceExemplarLoop(t *testing.T) {
 		return // stale but still resolvable: the loop holds
 	}
 	t.Skipf("tail exemplar %s predates this test and was evicted by earlier tests' traffic; loop not checkable", stale)
+}
+
+// TestClientContinuesCallerTrace: Client.Diagnose carries the caller's
+// span as a W3C traceparent, so the service's spans join the caller's
+// trace — the agent's round, the route, the batch and the pipeline are
+// one trace under the agent's trace ID.
+func TestClientContinuesCallerTrace(t *testing.T) {
+	_, ts := newService(t)
+	ctx, span := tracing.StartSpan(context.Background(), "agent.round")
+	traceID := span.TraceID()
+	_, err := NewClient(ts.URL).Diagnose(ctx, sampleRequest(t))
+	span.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []string{"agent.round", "http.diagnose", "serving.submit", "serving.batch", "core.session_diagnose"}
+	var tree traceTreeJSON
+	for deadline := time.Now().Add(2 * time.Second); !findChain(tree.Spans, chain); {
+		if time.Now().After(deadline) {
+			raw, _ := json.MarshalIndent(tree, "", "  ")
+			t.Fatalf("trace %s lacks the nested chain %v:\n%s", traceID, chain, raw)
+		}
+		time.Sleep(10 * time.Millisecond)
+		r, err := http.Get(ts.URL + "/v1/traces/" + traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StatusCode == http.StatusOK {
+			err = json.NewDecoder(r.Body).Decode(&tree)
+		}
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 
 	"diagnet/internal/dataset"
 	"diagnet/internal/forest"
@@ -198,16 +199,20 @@ func overTrunk(g *nn.Network, head []nn.Floats, frozen []bool) (*nn.Network, err
 // LoadBundle reads a bundle written by Save, and every specialized model
 // enters it through Attach. A head is built directly over the general
 // model's trunk (overTrunk): no second trunk or forest is decoded. Any
-// other file is an error. One that does not decode as a bundle at all —
-// a version-2 or version-1 bundle or a single-model file of an older
-// build among them — says how to make a current one, with gob's error as
-// the cause. A service list Save would not have written — out of
-// ascending order, repeated, or below 0 — is an error naming the entry.
+// other file is an error. One that does not decode has gob's error as the
+// cause: a file of a retired format — a version-2 or version-1 bundle or
+// a single-model file of an older build — says how to make a current
+// one, and any other says it is damaged or truncated. A service list Save
+// would not have written — out of ascending order, repeated, or below 0 —
+// is an error naming the entry.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: load bundle: not a version-3 bundle; a version-2 or version-1 bundle or a single-model file of an older build is no longer read: "+
-			"train it again with diagnet-train (-out for the general model, -bundle for per-service heads): %w", err)
+		if retiredFormat(err) {
+			return nil, fmt.Errorf("core: load bundle: not a version-3 bundle; a version-2 or version-1 bundle or a single-model file of an older build is no longer read: "+
+				"train it again with diagnet-train (-out for the general model, -bundle for per-service heads): %w", err)
+		}
+		return nil, fmt.Errorf("core: load bundle: a damaged or truncated version-3 bundle: %w", err)
 	}
 	for i, e := range wire.Services {
 		if e.ID < 0 || i > 0 && e.ID <= wire.Services[i-1].ID {
@@ -234,4 +239,14 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 		b.Attach(e.ID, m)
 	}
 	return b, nil
+}
+
+// retiredFormat reports whether err is how gob refuses a file of a retired
+// format: a single-model file or a version-1 bundle shares no field with
+// bundleWire, and a version-2 bundle holds each parameter as the
+// []float64 that version 3 decodes into nn.Floats.
+func retiredFormat(err error) bool {
+	msg := err.Error()
+	return strings.Contains(msg, "type mismatch") && strings.Contains(msg, "bundleWire") ||
+		strings.Contains(msg, "wrong type ([]nn.Floats)")
 }

@@ -326,10 +326,25 @@ func malformedParams(t testing.TB) map[string][]byte {
 
 // A parameter of a length its layer cannot hold is an error, never a
 // panic, whether it is no whole number of values or the wrong number.
+// Damage to a version-3 file — a parameter that is no whole number of
+// values, or the file cut short — is reported as damage, not as a file of
+// a retired format that must be trained again.
 func TestLoadBundleRefusesMalformedParams(t *testing.T) {
-	for name, blob := range malformedParams(t) {
-		if _, err := LoadBundle(bytes.NewReader(blob)); err == nil {
+	blobs := malformedParams(t)
+	golden, err := os.ReadFile(filepath.Join("testdata", "bundle.golden.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs["truncated"] = golden[:len(golden)/2]
+	for name, blob := range blobs {
+		_, err := LoadBundle(bytes.NewReader(blob))
+		switch {
+		case err == nil:
 			t.Errorf("%s: LoadBundle accepted the parameter", name)
+		case strings.Contains(err.Error(), "train it again"):
+			t.Errorf("%s: a damaged version-3 file is reported as a retired format: %v", name, err)
+		case name != "wrong length" && !strings.Contains(err.Error(), "damaged or truncated"):
+			t.Errorf("%s: a file that does not decode is not reported as damaged: %v", name, err)
 		}
 	}
 }

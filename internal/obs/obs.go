@@ -83,7 +83,7 @@ var DiagnoseRoute = RouteMetrics("http", "diagnose")
 // the route's requests and errors (status ≥ 400 or panic) under the
 // RouteMetrics names, tracks the <prefix>.inflight gauge, and times the
 // route as the stage "<prefix>.<route>" — all in the GIVEN registry, so
-// several replicas in one process (soak, tests, the observability example)
+// several replicas in one process (soak, tests)
 // each keep their own. The stage's span is the request's: an incoming W3C
 // traceparent continues the caller's trace, otherwise the route starts a
 // fresh local root. The response echoes the trace ID in X-Trace-Id so a

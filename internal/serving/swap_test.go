@@ -15,7 +15,8 @@ import (
 // from the general model (ModelService -1) and "v-spec" carries a
 // specialized model for the probed service (ModelService == ServiceID), so
 // a response whose version label and serving model disagree would prove a
-// mixed-version batch. Run with -race this also exercises the Promote vs
+// mixed-version batch. A rollback afterwards serves its version on the
+// very next request. Run with -race this also exercises the Promote vs
 // Diagnose data race the registry exists to fix.
 func TestHotSwapUnderLoad(t *testing.T) {
 	m, _ := fixture(t)
@@ -102,4 +103,19 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 	t.Logf("served %d by v-plain, %d by v-spec across %d swaps",
 		byVer[0].Load(), byVer[1].Load(), swaps)
+
+	// A rollback after the swaps is served at once: the next request is
+	// answered by the version it rolled back to.
+	for _, v := range []string{"v-plain", "v-spec"} {
+		if err := reg.Promote(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if prev, err := reg.Rollback(); err != nil || prev != "v-plain" {
+		t.Fatalf("rollback -> %q, %v; want v-plain", prev, err)
+	}
+	res, err := e.SubmitWait(deadCtx, req)
+	if err != nil || res.Version != "v-plain" || res.ModelService != -1 {
+		t.Fatalf("after rollback: %+v, %v; want v-plain serving the general model", res, err)
+	}
 }

@@ -6,28 +6,20 @@ import (
 	"log/slog"
 )
 
-// NewLogHandler is the shared slog handler setup for DiagNet commands: a
-// text or JSON handler on w, wrapped so every record logged with a
-// context carrying a span (or an extracted remote span context) is
-// stamped with trace_id and span_id — the join key between logs and the
-// traces served by GET /v1/traces.
-func NewLogHandler(w io.Writer, format string) slog.Handler {
+// NewLogger is the shared slog setup for DiagNet commands: a text or JSON
+// handler on w, wrapped so every record logged with a context carrying a
+// span (or an extracted remote span context) is stamped with trace_id and
+// span_id — the join key between logs and the traces served by
+// GET /v1/traces.
+func NewLogger(w io.Writer, format string) *slog.Logger {
 	var inner slog.Handler
 	if format == "json" {
 		inner = slog.NewJSONHandler(w, nil)
 	} else {
 		inner = slog.NewTextHandler(w, nil)
 	}
-	return CorrelateHandler(inner)
+	return slog.New(&correlHandler{inner: inner})
 }
-
-// NewLogger is NewLogHandler wrapped in a *slog.Logger.
-func NewLogger(w io.Writer, format string) *slog.Logger {
-	return slog.New(NewLogHandler(w, format))
-}
-
-// CorrelateHandler wraps any slog.Handler with trace correlation.
-func CorrelateHandler(inner slog.Handler) slog.Handler { return &correlHandler{inner: inner} }
 
 type correlHandler struct {
 	inner slog.Handler

@@ -1,6 +1,7 @@
 package tracing
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -225,5 +226,25 @@ func TestTraceRecordJSONRoundTrip(t *testing.T) {
 	}
 	if back.TraceID != rec.TraceID || len(back.Spans) != 2 {
 		t.Fatalf("round trip mangled record: %+v", back)
+	}
+}
+
+// TestLoggerStampsTrace: a record logged under a span's context carries
+// that span's trace_id and span_id, the join key between logs and
+// GET /v1/traces; a record logged without a span carries neither.
+func TestLoggerStampsTrace(t *testing.T) {
+	var buf bytes.Buffer
+	log := NewLogger(&buf, "text")
+	ctx, span := newTestTracer(Config{}).StartSpan(context.Background(), "agent.round")
+	sc := span.Context()
+	log.InfoContext(ctx, "QoE degraded")
+	span.End()
+	if line := buf.String(); !strings.Contains(line, "trace_id="+sc.TraceID) || !strings.Contains(line, "span_id="+sc.SpanID) {
+		t.Fatalf("a record under span %s/%s lacks its IDs: %s", sc.TraceID, sc.SpanID, line)
+	}
+	buf.Reset()
+	log.InfoContext(context.Background(), "idle")
+	if strings.Contains(buf.String(), "trace_id") {
+		t.Fatalf("a record without a span was stamped: %s", buf.String())
 	}
 }
