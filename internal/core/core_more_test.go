@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"diagnet/internal/dataset"
@@ -183,4 +186,42 @@ func TestUnknownWeightZeroWhenAllLandmarksKnown(t *testing.T) {
 	if diag.UnknownWeight != 0 {
 		t.Fatalf("w_U = %v with no unknown landmarks", diag.UnknownWeight)
 	}
+}
+
+// TrainGeneral fits the forest beside the network, and forest fitting and
+// the matrix products both shard over GOMAXPROCS; the model they give must
+// not depend on it.
+func TestTrainGeneralIndependentOfParallelism(t *testing.T) {
+	train, _ := trainTestData(t)
+	cfg := testConfig()
+	cfg.Epochs = 2
+	saved := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var buf bytes.Buffer
+		if err := NewBundle(TrainGeneral(train, knownRegions(), cfg).Model).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if one, two := saved(1), saved(2); !bytes.Equal(one, two) {
+		t.Fatalf("the bundle trained at GOMAXPROCS 1 (%d B) differs from the one at 2 (%d B)", len(one), len(two))
+	}
+}
+
+// The forest refuses a non-finite feature on the goroutine it is fitted
+// on; TrainGeneral raises that panic to its caller.
+func TestTrainGeneralRaisesTheForestsPanic(t *testing.T) {
+	train, _ := trainTestData(t)
+	small := &dataset.Dataset{Layout: train.Layout, Samples: append([]dataset.Sample(nil), train.Samples[:80]...)}
+	s := &small.Samples[5]
+	s.Features = append([]float64(nil), s.Features...)
+	s.Features[len(s.Features)-1] = math.Inf(1)
+	cfg := testConfig()
+	cfg.Epochs = 1
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "non-finite feature +Inf at row 5") {
+			t.Fatalf("panic %q, want the forest's refusal of row 5", msg)
+		}
+	}()
+	TrainGeneral(small, knownRegions(), cfg)
 }

@@ -105,13 +105,26 @@ func TrainGeneral(train *dataset.Dataset, knownRegions []int, cfg Config) *Train
 		ServiceID:   -1,
 	}
 
-	// Coarse classifier.
+	// The auxiliary forest on zero-filled full-layout features is fitted
+	// beside the coarse classifier: the two only read the samples and each
+	// draws from its own seed, so the model is the one fitting them in
+	// turn would give. A panic of the forest's is raised here, on the
+	// caller's goroutine.
+	var auxPanic any
+	auxDone := make(chan struct{})
+	go func() {
+		defer close(auxDone)
+		defer func() { auxPanic = recover() }()
+		m.Aux = fitAux(train, known, cfg)
+	}()
+
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m.Net = buildNet(cfg, rng)
 	hist := m.fitCoarse(train, nn.TrainConfig{Epochs: cfg.Epochs, Patience: cfg.Patience, Seed: cfg.Seed})
-
-	// Auxiliary forest on zero-filled full-layout features.
-	m.Aux = fitAux(train, known, cfg)
+	<-auxDone
+	if auxPanic != nil {
+		panic(auxPanic)
+	}
 	return &TrainResult{Model: m, History: hist}
 }
 

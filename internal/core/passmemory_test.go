@@ -11,12 +11,12 @@ import (
 // pass comes from the session's one nn.Workspace (DESIGN.md §8, "Pass
 // memory"). The pass, postprocess and LandPool allocate no matrix of
 // their own; Dense hands a workspace matrix to the product as dst — only
-// the training-mode weight gradient may still ask the driver for a fresh
-// one — and ReLU works in place.
+// the training-mode weight-gradient product, allocated once per layer,
+// comes from elsewhere — and ReLU works in place.
 func TestPassOwnsItsMemory(t *testing.T) {
 	pass := regexp.MustCompile(`mat\.New\(|\.Clone\(\)|Mul(T2)?\(nil,`)
 	dense := regexp.MustCompile(`mat\.New\(|\.Clone\(\)|Mul(T[12])?\(nil,`)
-	weightGrad := regexp.MustCompile(`d\.W\.grad\(\)\.AddInPlace\(mat\.MulT1\(nil, d\.x, dout\)\)$`)
+	weightGrad := regexp.MustCompile(`^\t\t\td\.dw = mat\.New\(d\.In, d\.Out\)$`)
 
 	for path, fresh := range map[string]*regexp.Regexp{
 		"session.go":        pass,

@@ -32,13 +32,18 @@ type Forest struct {
 }
 
 // Fit trains cfg.Trees CART trees on bootstrap resamples of (x, labels).
+// It ranks every feature column once, and the trees share the ranks.
 // Trees are fitted in parallel across GOMAXPROCS workers; each tree derives
 // its own RNG stream from cfg.Seed, so the fitted ensemble is identical
-// regardless of parallelism.
+// regardless of parallelism. A non-finite feature is refused with a panic.
 func Fit(x [][]float64, labels []int, classes int, cfg Config) *Forest {
 	if cfg.Trees <= 0 {
 		cfg.Trees = 50
 	}
+	if len(x) != len(labels) {
+		panic(fmt.Sprintf("forest: %d rows vs %d labels", len(x), len(labels)))
+	}
+	cols := rankColumns(x)
 	f := &Forest{trees: make([][]node, cfg.Trees), classes: classes}
 	leaves := make([][]entry, cfg.Trees)
 	workers := runtime.GOMAXPROCS(0)
@@ -57,7 +62,7 @@ func Fit(x [][]float64, labels []int, classes int, cfg Config) *Forest {
 				for i := range boot {
 					boot[i] = rng.Intn(len(x))
 				}
-				f.trees[ti], leaves[ti] = fitTree(x, labels, classes, boot, cfg.Tree, rng)
+				f.trees[ti], leaves[ti] = fitTree(cols, labels, classes, boot, cfg.Tree, rng)
 			}
 		}()
 	}

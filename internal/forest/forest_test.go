@@ -122,7 +122,11 @@ func argmax(dist []float64) int {
 
 // fitOne grows one tree on every row, as a forest of that tree.
 func fitOne(x [][]float64, labels []int, classes int, cfg TreeConfig, rng *rand.Rand) *Forest {
-	nodes, leaves := fitTree(x, labels, classes, nil, cfg, rng)
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	nodes, leaves := fitTree(rankColumns(x), labels, classes, idx, cfg, rng)
 	return &Forest{trees: [][]node{nodes}, leaves: leaves, classes: classes}
 }
 
@@ -332,7 +336,7 @@ func TestFitTreeEmptyPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	fitTree(nil, nil, 2, nil, TreeConfig{}, rand.New(rand.NewSource(1)))
+	Fit(nil, nil, 2, Config{Trees: 1})
 }
 
 // Property: forests never emit negative probabilities, and deeper forests

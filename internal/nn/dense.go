@@ -32,6 +32,7 @@ type Dense struct {
 
 	ws *Workspace  // where the outputs of both passes come from (nil: the heap)
 	x  *mat.Matrix // cached input for backward
+	dw *mat.Matrix // the last training Backward's xᵀ·dout, added into W's gradient
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -59,13 +60,17 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward returns dx = dout·Wᵀ and, in training mode, accumulates
 // dW = xᵀ·dout and db = colsum(dout) for the parameters that are not
-// frozen.
+// frozen. The product xᵀ·dout goes to one matrix the layer keeps for every
+// batch, and is added to W's gradient from there.
 func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
 	if d.W.accumulates() {
-		d.W.grad().AddInPlace(mat.MulT1(nil, d.x, dout))
+		if d.dw == nil {
+			d.dw = mat.New(d.In, d.Out)
+		}
+		d.W.grad().AddInPlace(mat.MulT1(d.dw, d.x, dout))
 	}
 	if d.B.accumulates() {
 		db := d.B.grad().Data

@@ -112,6 +112,14 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 	var bestWeights [][]float64
 	sinceBest := 0
 
+	// One minibatch matrix and label slice serve every batch: each batch
+	// overwrites the rows and labels the one before it used.
+	width := 0
+	for _, g := range groups {
+		width = max(width, g.X.Cols)
+	}
+	bx, bxData, byData := new(mat.Matrix), make([]float64, cfg.BatchSize*width), make([]int, cfg.BatchSize)
+
 	type batchRef struct{ group, lo, hi int }
 	lowest := t.Net.lowestTrainable()
 	t.Net.SetTraining(true)
@@ -137,8 +145,8 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 			g := groups[ref.group]
 			order := orders[ref.group]
 			n := ref.hi - ref.lo
-			bx := mat.New(n, g.X.Cols)
-			by := make([]int, n)
+			*bx = mat.Matrix{Rows: n, Cols: g.X.Cols, Data: bxData[:n*g.X.Cols]}
+			by := byData[:n]
 			for i := 0; i < n; i++ {
 				copy(bx.Row(i), g.X.Row(order[ref.lo+i]))
 				by[i] = g.Labels[order[ref.lo+i]]
