@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"testing"
 	"time"
 
@@ -114,20 +116,32 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
+// exemplarChildEnv marks the child process TestTraceExemplarLoop runs
+// its check in.
+const exemplarChildEnv = "DIAGNET_EXEMPLAR_LOOP_CHILD"
+
 // TestTraceExemplarLoop closes the metrics↔traces loop: after traffic,
 // the diagnose route's latency histogram exposes a tail exemplar whose
 // trace ID resolves against the trace store. The histogram and the trace
-// ring are process globals shared with every other test in this package,
-// so the current tail exemplar can predate this test — and its trace may
-// have been legitimately evicted by the flood of traces those tests
-// produced. The loop guarantee is therefore only checkable when the
-// exemplar is one of this test's own requests (whose traces three
-// requests cannot have evicted).
+// ring are process globals; in this package's process the tail exemplar
+// is whichever earlier test's request was slowest, and the flood of
+// traces those tests produced may have evicted it. So the check runs in
+// a child process running only this test, where every exemplar is one
+// of its own requests and none of their traces can have been evicted.
 func TestTraceExemplarLoop(t *testing.T) {
-	_, ts := newService(t)
+	if os.Getenv(exemplarChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTraceExemplarLoop$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), exemplarChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestTraceExemplarLoop")) {
+			t.Fatalf("child run of the exemplar loop check: %v\n%s", err, out)
+		}
+		return
+	}
 
+	_, ts := newService(t)
 	ours := make(map[string]bool)
-	drive := func() {
+	for i := 0; i < 3; i++ {
 		req, err := json.Marshal(sampleRequest(t))
 		if err != nil {
 			t.Fatal(err)
@@ -138,41 +152,31 @@ func TestTraceExemplarLoop(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if id := resp.Header.Get("X-Trace-Id"); id != "" {
-			ours[id] = true
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("diagnose: status %d", resp.StatusCode)
 		}
+		id := resp.Header.Get("X-Trace-Id")
+		if id == "" {
+			t.Fatal("diagnose response carries no X-Trace-Id")
+		}
+		ours[id] = true
 	}
 
-	exemplarID := func() string {
-		ex := fetchExport(t, ts.URL)
-		h, ok := ex.Histogram("http.diagnose.latency_ms")
-		if !ok {
-			t.Fatal("no http.diagnose.latency_ms histogram in /v1/metrics")
-		}
-		if h.Exemplar == nil || h.Exemplar.TraceID == "" {
-			t.Fatal("diagnose latency histogram has no trace exemplar")
-		}
-		return h.Exemplar.TraceID
+	ex := fetchExport(t, ts.URL)
+	h, ok := ex.Histogram("http.diagnose.latency_ms")
+	if !ok {
+		t.Fatal("no http.diagnose.latency_ms histogram in /v1/metrics")
 	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	stale := ""
-	for time.Now().Before(deadline) {
-		drive()
-		id := exemplarID()
-		if !ours[id] {
-			stale = id // predates this test; keep driving — a tail
-			continue   // observation of ours may displace it
-		}
-		if _, ok := tracing.Default().Trace(id); ok {
-			return
-		}
-		t.Fatalf("exemplar trace %s from this test not retrievable", id)
+	if h.Exemplar == nil || h.Exemplar.TraceID == "" {
+		t.Fatal("diagnose latency histogram has no trace exemplar")
 	}
-	if _, ok := tracing.Default().Trace(stale); ok {
-		return // stale but still resolvable: the loop holds
+	id := h.Exemplar.TraceID
+	if !ours[id] {
+		t.Fatalf("tail exemplar %s is none of this process's requests %v", id, ours)
 	}
-	t.Skipf("tail exemplar %s predates this test and was evicted by earlier tests' traffic; loop not checkable", stale)
+	if _, ok := tracing.Default().Trace(id); !ok {
+		t.Fatalf("exemplar trace %s not retrievable", id)
+	}
 }
 
 // TestClientContinuesCallerTrace: Client.Diagnose carries the caller's
