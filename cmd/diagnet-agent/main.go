@@ -1,15 +1,16 @@
-// Command diagnet-agent is the deployable client-side agent: it
-// periodically probes live landmark servers (landmarkd instances), times a
-// monitored service URL as its QoE signal, and submits the measurement
-// snapshot to a diagnetd analysis service whenever the load time degrades
-// against its own history.
+// Command diagnet-agent is the deployable client-side agent: a
+// collector.Agent over a collector.LiveSource. Each round probes live
+// landmark servers (landmarkd instances) and times a monitored service
+// URL as its QoE signal; the agent submits the round's measurements to a
+// diagnetd analysis service whenever the load time degrades against its
+// own history (collector's rule, -degrade-ratio × the median nominal load
+// + 40 ms).
 //
 // The probing plane is fault-tolerant: landmarks are probed concurrently
 // with per-landmark retries and circuit breakers, and a round that loses
 // some landmarks still produces a degraded-mode diagnosis from the
-// surviving subset (DiagNet's LandPooling/ZeroMask extensibility makes the
-// model accept any landmark list, §IV-B-a). Only when fewer than
-// -min-landmarks survive is the round abandoned.
+// surviving subset. Only when fewer than -min-landmarks survive is the
+// round abandoned.
 //
 // Usage:
 //
@@ -33,26 +34,24 @@
 // model's world, in the same order as -landmarks.
 //
 // -metrics serves GET /metrics on the given address: the process-wide
-// telemetry snapshot (probing rounds, per-landmark latencies, breaker
-// transitions) plus per-landmark health, as one JSON document.
+// telemetry snapshot (agent and probing rounds, per-landmark latencies,
+// breaker transitions) plus per-landmark health, as one JSON document.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"diagnet"
 	"diagnet/internal/analysis"
+	"diagnet/internal/collector"
 	"diagnet/internal/landmark"
 	"diagnet/internal/resilience"
 	"diagnet/internal/telemetry"
@@ -72,7 +71,7 @@ func main() {
 	analysisURL := flag.String("analysis", "", "diagnetd base URL")
 	serviceID := flag.Int("service-id", -1, "service ID for specialized-model routing")
 	interval := flag.Duration("interval", 30*time.Second, "probing interval")
-	degradeRatio := flag.Float64("degrade-ratio", 1.5, "QoE degradation threshold vs median load time")
+	degradeRatio := flag.Float64("degrade-ratio", collector.DegradeRatio, "QoE degradation threshold vs median load time")
 	rounds := flag.Int("rounds", 0, "stop after N rounds (0 = run forever)")
 	minLandmarks := flag.Int("min-landmarks", 1, "fewest surviving landmarks for a degraded-mode diagnosis")
 	roundTimeout := flag.Duration("round-timeout", 60*time.Second, "deadline for one probing round across all landmarks")
@@ -125,7 +124,10 @@ func main() {
 		// got an answer for, before the first new probing round.
 		uploads.resubmit(client)
 	}
-	var history []float64
+	agent := collector.NewAgent(&collector.LiveSource{
+		Prober: prober, URLs: urls, Regions: regions,
+		ServiceURL: *serviceURL, MinLandmarks: *minLandmarks,
+	}, *degradeRatio)
 
 	for round := 0; *rounds == 0 || round < *rounds; round++ {
 		start := time.Now()
@@ -135,78 +137,27 @@ func main() {
 		// the server's spans part of the same trace.
 		ctx, span := tracing.StartSpan(context.Background(), "agent.round")
 		span.SetAttr("round", round)
-		snap, err := probeRound(ctx, prober, urls, regions, *minLandmarks)
+		r, degraded, err := agent.Step(ctx, int64(round))
 		if err != nil {
 			slog.WarnContext(ctx, "round abandoned", "round", round, "err", err)
 			span.SetError(err)
-			span.End()
-			sleepRemainder(start, *interval)
-			continue
-		}
-		if len(snap.Lost) > 0 {
-			slog.WarnContext(ctx, "degraded probing plane", "round", round,
-				"lost", len(snap.Lost), "landmarks", len(urls),
-				"lost_urls", strings.Join(snap.Lost, ","))
-		}
-
-		loadMs, err := timePageLoad(*serviceURL)
-		if err != nil {
-			slog.WarnContext(ctx, "QoE fetch failed", "err", err)
-			span.SetError(err)
-			span.End()
-			sleepRemainder(start, *interval)
-			continue
-		}
-		degraded := false
-		if len(history) >= 5 {
-			if med := median(history); loadMs > med**degradeRatio {
-				degraded = true
-			}
-		}
-		span.SetAttr("degraded", degraded)
-		slog.InfoContext(ctx, "round complete", "round", round,
-			"probed", len(snap.Regions), "landmarks", len(urls),
-			"page_load_ms", loadMs, "degraded", degraded)
-
-		if degraded {
-			req := &analysis.DiagnoseRequest{
-				ServiceID: *serviceID,
-				Landmarks: snap.Regions,
-				Features:  snap.Features,
-				TopK:      5,
-			}
-			// Journal before uploading: the snapshot survives a crash (or
-			// analysis outage) between here and the acknowledgement below.
-			var seq uint64
-			journaled := false
-			if uploads != nil {
-				if seq, err = uploads.append(req); err != nil {
-					slog.WarnContext(ctx, "upload journal append failed", "err", err)
-				} else {
-					journaled = true
-				}
-			}
-			resp, err := client.Diagnose(ctx, req)
-			if err != nil {
-				slog.ErrorContext(ctx, "diagnosis failed", "err", err,
-					"journaled", journaled)
-				span.SetError(err)
-			} else {
-				if journaled {
-					if err := uploads.ack(seq); err != nil {
-						slog.WarnContext(ctx, "upload journal ack failed", "err", err)
-					}
-				}
-				slog.InfoContext(ctx, "diagnosis", "family", resp.Family)
-				for i, c := range resp.Causes {
-					slog.InfoContext(ctx, "cause", "rank", i+1, "name", c.Name,
-						"family", c.Family, "score", c.Score)
-				}
-			}
 		} else {
-			history = append(history, loadMs)
-			if len(history) > 96 {
-				history = history[1:]
+			if len(r.Lost) > 0 {
+				slog.WarnContext(ctx, "degraded probing plane", "round", round,
+					"lost", len(r.Lost), "landmarks", len(urls),
+					"lost_urls", strings.Join(r.Lost, ","))
+			}
+			span.SetAttr("degraded", degraded)
+			slog.InfoContext(ctx, "round complete", "round", round,
+				"probed", len(r.Landmarks), "landmarks", len(urls),
+				"page_load_ms", r.LoadMs, "degraded", degraded)
+			if degraded {
+				diagnose(ctx, span, client, uploads, &analysis.DiagnoseRequest{
+					ServiceID: *serviceID,
+					Landmarks: r.Landmarks,
+					Features:  r.Features,
+					TopK:      5,
+				})
 			}
 		}
 		span.End()
@@ -214,38 +165,37 @@ func main() {
 	}
 }
 
-// roundSnapshot is the surviving-subset view of one probing round.
-type roundSnapshot struct {
-	// Regions lists the region indices of the landmarks that answered,
-	// in probing order — the Landmarks field of a DiagnoseRequest.
-	Regions []int
-	// Features is the feature vector under that (possibly reduced) layout.
-	Features []float64
-	// Lost names the landmark URLs that produced no measurement.
-	Lost []string
-}
-
-// probeRound probes all landmarks and assembles the degraded-mode feature
-// vector from whatever subset survived. It fails only when fewer than
-// minLandmarks landmarks answered.
-func probeRound(ctx context.Context, prober *landmark.MultiProber, urls []string, regions []int, minLandmarks int) (*roundSnapshot, error) {
-	results, _ := prober.ProbeAll(ctx, urls)
-	snap := &roundSnapshot{}
-	var ms []landmark.Measurement
-	for i, r := range results {
-		if r.OK() {
-			ms = append(ms, r.Measurement)
-			snap.Regions = append(snap.Regions, regions[i])
+// diagnose uploads one degraded round and logs the ranked causes. With an
+// upload journal, the request is journaled first and acknowledged only
+// once diagnetd answers: it survives a crash (or analysis outage) between
+// the two.
+func diagnose(ctx context.Context, span *tracing.Span, client *analysis.Client, uploads *uploadLog, req *analysis.DiagnoseRequest) {
+	var seq uint64
+	journaled := false
+	if uploads != nil {
+		var err error
+		if seq, err = uploads.append(req); err != nil {
+			slog.WarnContext(ctx, "upload journal append failed", "err", err)
 		} else {
-			snap.Lost = append(snap.Lost, urls[i])
+			journaled = true
 		}
 	}
-	if len(ms) < minLandmarks {
-		return nil, fmt.Errorf("only %d/%d landmarks answered (min %d); skipping round",
-			len(ms), len(urls), minLandmarks)
+	resp, err := client.Diagnose(ctx, req)
+	if err != nil {
+		slog.ErrorContext(ctx, "diagnosis failed", "err", err, "journaled", journaled)
+		span.SetError(err)
+		return
 	}
-	snap.Features = landmark.Features(ms, nil, landmark.LocalMetrics{})
-	return snap, nil
+	if journaled {
+		if err := uploads.ack(seq); err != nil {
+			slog.WarnContext(ctx, "upload journal ack failed", "err", err)
+		}
+	}
+	slog.InfoContext(ctx, "diagnosis", "family", resp.Family)
+	for i, c := range resp.Causes {
+		slog.InfoContext(ctx, "cause", "rank", i+1, "name", c.Name,
+			"family", c.Family, "score", c.Score)
+	}
 }
 
 // serveMetrics exposes the telemetry export and per-landmark health as
@@ -266,30 +216,6 @@ func serveMetrics(addr string, prober *landmark.MultiProber) {
 	slog.Info("metrics listening", "url", "http://"+addr+"/metrics")
 	err := http.ListenAndServe(addr, mux)
 	slog.Error("metrics listener exited", "err", err)
-}
-
-// timePageLoad fetches a URL and returns the wall-clock duration in ms.
-func timePageLoad(url string) (float64, error) {
-	start := time.Now()
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode >= 400 {
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return float64(time.Since(start).Microseconds()) / 1000, nil
-}
-
-func median(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return sorted[len(sorted)/2]
 }
 
 func splitNonEmpty(s string) []string {

@@ -9,6 +9,7 @@ import (
 
 	"diagnet"
 	"diagnet/internal/analysis"
+	"diagnet/internal/collector"
 	"diagnet/internal/core"
 	"diagnet/internal/dataset"
 	"diagnet/internal/forest"
@@ -44,6 +45,14 @@ func trainedModel(t *testing.T) *core.Model {
 		model = core.TrainGeneral(train, known, cfg).Model
 	})
 	return model
+}
+
+// liveRound runs one collector.LiveSource round over the fleet, timing
+// the page load of the first landmark's /ping.
+func liveRound(prober *landmark.MultiProber, urls []string, regions []int, minLandmarks int) (collector.Round, error) {
+	src := &collector.LiveSource{Prober: prober, URLs: urls, Regions: regions,
+		ServiceURL: urls[0] + "/ping", MinLandmarks: minLandmarks}
+	return src.Round(context.Background(), 0)
 }
 
 // chaosFleet starts `total` landmark servers, the last `flaky` of them
@@ -82,7 +91,7 @@ func TestChaosRoundPartialDiagnosis(t *testing.T) {
 	})
 
 	start := time.Now()
-	snap, err := probeRound(context.Background(), prober, urls, regions, 5)
+	snap, err := liveRound(prober, urls, regions, 5)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +99,12 @@ func TestChaosRoundPartialDiagnosis(t *testing.T) {
 	if elapsed > 20*time.Second {
 		t.Fatalf("round took %v, deadline 20s", elapsed)
 	}
-	if len(snap.Regions) != 7 {
-		t.Fatalf("surviving landmarks %v, want the 7 healthy ones", snap.Regions)
+	if len(snap.Landmarks) != 7 {
+		t.Fatalf("surviving landmarks %v, want the 7 healthy ones", snap.Landmarks)
 	}
-	for i, r := range snap.Regions {
+	for i, r := range snap.Landmarks {
 		if r != i {
-			t.Fatalf("healthy subset wrong: %v", snap.Regions)
+			t.Fatalf("healthy subset wrong: %v", snap.Landmarks)
 		}
 	}
 	if len(snap.Lost) != 3 {
@@ -113,7 +122,7 @@ func TestChaosRoundPartialDiagnosis(t *testing.T) {
 	client := analysis.NewClient(ts.URL)
 	resp, err := client.Diagnose(context.Background(), &analysis.DiagnoseRequest{
 		ServiceID: -1,
-		Landmarks: snap.Regions,
+		Landmarks: snap.Landmarks,
 		Features:  snap.Features,
 		TopK:      5,
 	})
@@ -133,7 +142,7 @@ func TestProbeRoundTooFewLandmarks(t *testing.T) {
 		RoundTimeout: 10 * time.Second,
 		Retry:        diagnet.RetryPolicy{MaxAttempts: 1},
 	})
-	if _, err := probeRound(context.Background(), prober, urls, []int{0, 1, 2}, 1); err == nil {
+	if _, err := liveRound(prober, urls, []int{0, 1, 2}, 1); err == nil {
 		t.Fatal("round with zero surviving landmarks must fail")
 	}
 }
@@ -145,11 +154,11 @@ func TestProbeRoundFullFleet(t *testing.T) {
 		Prober:       landmark.ProberConfig{Pings: 2, DownloadBytes: 16 << 10, UploadBytes: 8 << 10, Timeout: 3 * time.Second},
 		RoundTimeout: 15 * time.Second,
 	})
-	snap, err := probeRound(context.Background(), prober, urls, []int{3, 1, 4, 1}, 4)
+	snap, err := liveRound(prober, urls, []int{3, 1, 4, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Lost) != 0 || len(snap.Regions) != 4 {
+	if len(snap.Lost) != 0 || len(snap.Landmarks) != 4 {
 		t.Fatalf("full fleet degraded: %+v", snap)
 	}
 	if len(snap.Features) != 4*int(probe.NumMetrics)+probe.NumLocal {
@@ -186,17 +195,17 @@ func TestChaosRecoveryAcrossRounds(t *testing.T) {
 	// Rounds 1-2: flaky landmark fails, circuit opens; degraded rounds
 	// still succeed on the healthy landmark.
 	for round := 0; round < 2; round++ {
-		snap, err := probeRound(context.Background(), prober, urls, regions, 1)
+		snap, err := liveRound(prober, urls, regions, 1)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if len(snap.Regions) != 1 || snap.Regions[0] != 0 {
-			t.Fatalf("round %d: regions %v", round, snap.Regions)
+		if len(snap.Landmarks) != 1 || snap.Landmarks[0] != 0 {
+			t.Fatalf("round %d: regions %v", round, snap.Landmarks)
 		}
 	}
 	// Round 3: circuit open → the sick landmark is skipped outright.
 	downloads := sick.Stats().Downloads
-	if _, err := probeRound(context.Background(), prober, urls, regions, 1); err != nil {
+	if _, err := liveRound(prober, urls, regions, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sick.Stats().Downloads != downloads {
@@ -205,11 +214,11 @@ func TestChaosRecoveryAcrossRounds(t *testing.T) {
 	// Heal, wait out the cooldown: next round recovers both landmarks.
 	fh.SetConfig(landmark.FlakyConfig{})
 	advance(61 * time.Second)
-	snap, err := probeRound(context.Background(), prober, urls, regions, 1)
+	snap, err := liveRound(prober, urls, regions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Regions) != 2 {
+	if len(snap.Landmarks) != 2 {
 		t.Fatalf("recovered round still degraded: %+v", snap)
 	}
 	if h := prober.Health()[sts.URL]; h.State != "closed" {

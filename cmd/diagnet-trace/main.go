@@ -1,8 +1,9 @@
 // Command diagnet-trace records and replays probing sessions: record runs
 // a simulated client session (with optional scheduled faults) into a trace
-// file; replay feeds a recorded trace back through a collector agent and,
-// with -model, diagnoses every QoE degradation offline — the post-mortem
-// workflow of §III-A.
+// file of features and page-load times; replay feeds a recorded trace back
+// through a collector agent, which flags degraded rounds by the same rule
+// as a live agent, and, with -model, diagnoses each of them offline — the
+// post-mortem workflow of §III-A.
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -72,8 +74,7 @@ func record(args []string) {
 		log.Fatal(err)
 	}
 
-	layout := diagnet.FullLayout()
-	src := collector.NewSimSource(world, client, catalog[*serviceID], layout, func(tick int64) []netsim.Fault {
+	src := collector.NewSimSource(world, client, catalog[*serviceID], diagnet.FullLayout(), func(tick int64) []netsim.Fault {
 		var active []netsim.Fault
 		for _, sf := range schedule {
 			if tick >= sf.since {
@@ -87,12 +88,9 @@ func record(args []string) {
 	for i := range tickList {
 		tickList[i] = int64(i)
 	}
-	tr := diagnet.RecordTrace(src, layout, tickList)
-	degraded := 0
-	for _, d := range tr.Degraded {
-		if d {
-			degraded++
-		}
+	tr, err := diagnet.RecordTrace(context.Background(), src, tickList)
+	if err != nil {
+		log.Fatal(err)
 	}
 	// Encoded in memory and published whole: a failed write exits
 	// non-zero, and a kill mid-write leaves no truncated trace.
@@ -103,7 +101,7 @@ func record(args []string) {
 	if err := durable.WriteFile(*out, buf.Bytes()); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "recorded %d rounds (%d degraded) to %s\n", tr.Len(), degraded, *out)
+	fmt.Fprintf(os.Stderr, "recorded %d rounds to %s\n", tr.Len(), *out)
 }
 
 func replay(args []string) {
@@ -136,20 +134,15 @@ func replay(args []string) {
 	}
 
 	layout := tr.Layout()
-	agent := diagnet.NewAgent(tr.Replay(), layout.NumFeatures(), diagnet.AgentConfig{})
-	for i := 0; i < tr.Len(); i++ {
-		tick := tr.Ticks[i]
-		ev, degraded := agent.Step(tick)
+	agent := diagnet.NewAgent(tr.Replay())
+	for _, tick := range tr.Ticks {
+		r, degraded, _ := agent.Step(context.Background(), tick) // a replayed round never fails
 		if !degraded {
 			continue
 		}
-		fmt.Printf("tick %d: degraded; pre-filter flags:", tick)
-		for _, j := range ev.Anomalies {
-			fmt.Printf(" %s", layout.FeatureName(j))
-		}
-		fmt.Println()
+		fmt.Printf("tick %d: degraded, page load %.0f ms\n", tick, r.LoadMs)
 		if model != nil {
-			diag := model.Diagnose(ev.Features, layout)
+			diag := model.Diagnose(r.Features, layout)
 			fmt.Printf("  diagnosis: family=%v, top causes:", diag.Family)
 			for _, j := range diag.Ranked()[:3] {
 				fmt.Printf(" %s(%.3f)", layout.FeatureName(j), diag.Final[j])
@@ -157,7 +150,7 @@ func replay(args []string) {
 			fmt.Println()
 		}
 	}
-	steps, events, _ := agent.Stats()
+	steps, events := agent.Stats()
 	fmt.Fprintf(os.Stderr, "replayed %d rounds, %d degradations\n", steps, events)
 }
 

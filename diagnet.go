@@ -43,6 +43,7 @@
 package diagnet
 
 import (
+	"context"
 	"io"
 	"net/http"
 
@@ -194,21 +195,18 @@ func NewFlakyHandler(inner http.Handler, cfg FlakyConfig) *FlakyHandler {
 
 // The client agent (the client box of Fig. 1).
 type (
-	// Agent is the periodic probing loop with QoE-triggered events.
+	// Agent is the periodic probing loop that flags QoE-degraded rounds.
 	Agent = collector.Agent
-	// AgentConfig tunes the agent.
-	AgentConfig = collector.Config
-	// AgentEvent is one QoE degradation with its measurement snapshot.
-	AgentEvent = collector.Event
-	// MeasurementSource abstracts where an agent's samples come from.
+	// MeasurementSource abstracts where an agent's rounds come from.
 	MeasurementSource = collector.Source
 	// Trace is a recorded probing session (record/replay).
 	Trace = collector.Trace
 )
 
-// NewAgent builds a probing agent over a measurement source.
-func NewAgent(source MeasurementSource, features int, cfg AgentConfig) *Agent {
-	return collector.NewAgent(source, features, cfg)
+// NewAgent builds a probing agent over a measurement source, with the
+// default degradation ratio.
+func NewAgent(source MeasurementSource) *Agent {
+	return collector.NewAgent(source, collector.DegradeRatio)
 }
 
 // NewSimSource adapts the simulated world as a measurement source for one
@@ -218,9 +216,9 @@ func NewSimSource(w *World, client int, svc Service, layout Layout, faultsAt fun
 	return collector.NewSimSource(w, client, svc, layout, faultsAt, seed)
 }
 
-// RecordTrace samples a source at the given ticks into a replayable trace.
-func RecordTrace(src MeasurementSource, layout Layout, ticks []int64) *Trace {
-	return collector.RecordTrace(src, layout, ticks)
+// RecordTrace runs a source at the given ticks into a replayable trace.
+func RecordTrace(ctx context.Context, src MeasurementSource, ticks []int64) (*Trace, error) {
+	return collector.RecordTrace(ctx, src, ticks)
 }
 
 // LoadTrace reads a trace written by (*Trace).Save.

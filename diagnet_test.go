@@ -2,6 +2,7 @@ package diagnet
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -90,7 +91,10 @@ func TestFacadeAgentAndTrace(t *testing.T) {
 	for i := range ticks {
 		ticks[i] = int64(i)
 	}
-	tr := RecordTrace(src, layout, ticks)
+	tr, err := RecordTrace(context.Background(), src, ticks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -99,10 +103,10 @@ func TestFacadeAgentAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent := NewAgent(loaded.Replay(), layout.NumFeatures(), AgentConfig{Warmup: 5})
+	agent := NewAgent(loaded.Replay())
 	events := 0
 	for _, tick := range ticks {
-		if _, degraded := agent.Step(tick); degraded {
+		if _, degraded, _ := agent.Step(context.Background(), tick); degraded {
 			events++
 		}
 	}

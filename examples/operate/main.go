@@ -85,24 +85,24 @@ func run(out io.Writer) error {
 		}
 		return nil
 	}, 5)
-	agent := diagnet.NewAgent(source, layout.NumFeatures(), diagnet.AgentConfig{Warmup: 12, ZThreshold: 4})
+	agent := diagnet.NewAgent(source)
 
 	// Probe up to 70 rounds; the first degraded one is diagnosed through
 	// the router.
+	ctx := context.Background()
 	for tick := int64(0); tick < 70; tick++ {
-		ev, degraded := agent.Step(tick)
+		r, degraded, err := agent.Step(ctx, tick)
+		if err != nil {
+			return err
+		}
 		if !degraded {
 			continue
 		}
-		fmt.Fprintf(out, "\ntick %d: QoE degraded — local pre-filter flags:", ev.Tick)
-		for _, j := range ev.Anomalies {
-			fmt.Fprintf(out, " %s", layout.FeatureName(j))
-		}
-		fmt.Fprintln(out)
-		resp, err := client.Diagnose(context.Background(), &analysis.DiagnoseRequest{
+		fmt.Fprintf(out, "\ntick %d: QoE degraded — page load %.0f ms\n", tick, r.LoadMs)
+		resp, err := client.Diagnose(ctx, &analysis.DiagnoseRequest{
 			ServiceID: svc.ID,
-			Landmarks: layout.Landmarks,
-			Features:  ev.Features,
+			Landmarks: r.Landmarks,
+			Features:  r.Features,
 			TopK:      3,
 		})
 		if err != nil {

@@ -3,203 +3,124 @@ package collector
 import (
 	"context"
 	"testing"
-	"time"
 
 	"diagnet/internal/netsim"
 	"diagnet/internal/probe"
 	"diagnet/internal/services"
+	"diagnet/internal/stats"
 )
 
-func newSimSource(faultsAt func(int64) []netsim.Fault) (*SimSource, probe.Layout) {
+func newSimSource(faultsAt func(int64) []netsim.Fault) *SimSource {
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
-	layout := probe.FullLayout()
 	svc := services.Service{ID: 0, Kind: services.ImageLocal, Host: netsim.GRAV}
-	return NewSimSource(w, netsim.AMST, svc, layout, faultsAt, 5), layout
+	return NewSimSource(w, netsim.AMST, svc, probe.FullLayout(), faultsAt, 5)
 }
 
+func step(t *testing.T, a *Agent, tick int64) (Round, bool) {
+	t.Helper()
+	r, degraded, err := a.Step(context.Background(), tick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, degraded
+}
+
+// The load-time baseline flags the first round of an injected loss fault
+// and none of the nominal rounds before it.
 func TestBaselineFlagsInjectedAnomaly(t *testing.T) {
 	faultFrom := int64(50)
-	src, layout := newSimSource(func(tick int64) []netsim.Fault {
+	src := newSimSource(func(tick int64) []netsim.Fault {
 		if tick >= faultFrom {
 			return []netsim.Fault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV)}
 		}
 		return nil
 	})
-	agent := NewAgent(src, layout.NumFeatures(), Config{Warmup: 10, ZThreshold: 4})
-
-	// Warm up on nominal ticks.
+	agent := NewAgent(src, DegradeRatio)
 	for tick := int64(0); tick < faultFrom; tick++ {
-		if _, degraded := agent.Step(tick); degraded {
-			t.Fatalf("degraded during nominal warm-up at tick %d", tick)
+		if _, degraded := step(t, agent, tick); degraded {
+			t.Fatalf("degraded during nominal rounds at tick %d", tick)
 		}
 	}
-	// The loss fault must both degrade QoE and be flagged by the baseline.
-	ev, degraded := agent.Step(faultFrom)
+	r, degraded := step(t, agent, faultFrom)
 	if !degraded {
-		t.Fatal("loss fault did not trigger an event")
+		t.Fatalf("loss fault did not trigger an event (load %.1f ms, history median %.1f ms)", r.LoadMs, stats.Percentile(agent.history, 50))
 	}
-	lossIdx := layout.FeatureIndex(layout.LandmarkPos(netsim.GRAV), probe.MetricLoss)
-	found := false
-	for _, j := range ev.Anomalies {
-		if j == lossIdx {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("baseline anomalies %v miss the loss feature %d", ev.Anomalies, lossIdx)
+	if len(r.Features) != probe.FullLayout().NumFeatures() {
+		t.Fatalf("event carries %d features", len(r.Features))
 	}
 }
 
+// Until warmupRounds nominal rounds exist, nothing is degraded.
 func TestBaselineWarmup(t *testing.T) {
-	b := NewBaseline(3, 5)
-	if b.Ready() {
-		t.Fatal("ready before any update")
-	}
-	for i := 0; i < 5; i++ {
-		b.Update([]float64{1, 2, 3})
-	}
-	if !b.Ready() {
-		t.Fatal("not ready after warmup")
-	}
-	// Constant features: zero variance, no anomalies even for new values.
-	if z := b.ZScores([]float64{1, 2, 3}); z[0] != 0 || z[1] != 0 {
-		t.Fatal("z-scores on constant history should be 0")
-	}
-}
-
-func TestBaselineZScores(t *testing.T) {
-	b := NewBaseline(1, 2)
-	for _, v := range []float64{0, 1, 0, 1, 0, 1, 0, 1} {
-		b.Update([]float64{v})
-	}
-	// mean 0.5, std 0.5 → value 3 is z=5.
-	z := b.ZScores([]float64{3})
-	if z[0] < 4.9 || z[0] > 5.1 {
-		t.Fatalf("z = %v, want 5", z[0])
-	}
-	if got := b.Anomalies([]float64{3}, 4); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("anomalies %v", got)
-	}
-	if got := b.Anomalies([]float64{0.5}, 4); got != nil {
-		t.Fatalf("nominal flagged: %v", got)
-	}
-}
-
-func TestBaselineWrongWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
+	loads := loadSeries{100, 100, 5000, 100, 100, 5000}
+	agent := NewAgent(loads, DegradeRatio)
+	for tick := range loads {
+		_, degraded := step(t, agent, int64(tick))
+		if want := tick == len(loads)-1; degraded != want {
+			t.Fatalf("tick %d: degraded=%v, want %v", tick, degraded, want)
 		}
-	}()
-	NewBaseline(2, 2).Update([]float64{1})
+	}
 }
 
+// The history keeps the last historyRounds nominal load times.
 func TestAgentWindowBounded(t *testing.T) {
-	src, layout := newSimSource(nil)
-	agent := NewAgent(src, layout.NumFeatures(), Config{Window: 10})
-	for tick := int64(0); tick < 50; tick++ {
-		agent.Step(tick)
+	loads := make(loadSeries, 200)
+	for i := range loads {
+		loads[i] = 100 + 0.1*float64(i)
 	}
-	hist, ticks := agent.History()
-	if len(hist) != 10 || len(ticks) != 10 {
-		t.Fatalf("history %d/%d, want 10", len(hist), len(ticks))
+	agent := NewAgent(loads, DegradeRatio)
+	for tick := range loads {
+		step(t, agent, int64(tick))
 	}
-	if ticks[0] != 40 || ticks[9] != 49 {
-		t.Fatalf("ring buffer kept wrong ticks: %v", ticks)
+	if len(agent.history) != historyRounds || agent.history[0] != loads[len(loads)-historyRounds] {
+		t.Fatalf("history holds %d loads from %.1f ms, want the last %d", len(agent.history), agent.history[0], historyRounds)
 	}
-	steps, events, dropped := agent.Stats()
-	if steps != 50 || events != 0 || dropped != 0 {
-		t.Fatalf("stats %d/%d/%d", steps, events, dropped)
+	if steps, events := agent.Stats(); steps != 200 || events != 0 {
+		t.Fatalf("stats %d/%d", steps, events)
 	}
 }
 
+// Degraded loads stay out of the history, so a fault on every other round
+// is caught on every one of them.
 func TestAgentDegradedSamplesDoNotPoisonBaseline(t *testing.T) {
-	// Alternate nominal and faulty ticks; the baseline must reflect only
-	// nominal ones so the anomaly stays detectable throughout.
-	src, layout := newSimSource(func(tick int64) []netsim.Fault {
-		if tick%2 == 1 && tick > 30 {
-			return []netsim.Fault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV)}
-		}
-		return nil
-	})
-	agent := NewAgent(src, layout.NumFeatures(), Config{Warmup: 10, ZThreshold: 4})
-	lossIdx := layout.FeatureIndex(layout.LandmarkPos(netsim.GRAV), probe.MetricLoss)
-	flagged := 0
-	total := 0
-	for tick := int64(0); tick < 100; tick++ {
-		ev, degraded := agent.Step(tick)
-		if degraded {
-			total++
-			for _, j := range ev.Anomalies {
-				if j == lossIdx {
-					flagged++
-				}
-			}
+	loads := make(loadSeries, 100)
+	degradedRounds := 0
+	for i := range loads {
+		loads[i] = 100
+		if i%2 == 1 && i > 30 {
+			loads[i] = 200
+			degradedRounds++
 		}
 	}
-	if total == 0 {
-		t.Fatal("no degradations")
+	agent := NewAgent(loads, DegradeRatio)
+	for tick := range loads {
+		if _, degraded := step(t, agent, int64(tick)); degraded != (loads[tick] == 200) {
+			t.Fatalf("tick %d: degraded=%v at %.0f ms", tick, degraded, loads[tick])
+		}
 	}
-	if flagged < total*9/10 {
-		t.Fatalf("loss feature flagged on %d/%d events; baseline poisoned?", flagged, total)
+	if _, events := agent.Stats(); events != degradedRounds {
+		t.Fatalf("%d events for %d degraded rounds", events, degradedRounds)
 	}
 }
 
-func TestAgentRunDropsOnFullChannel(t *testing.T) {
-	// Every tick degrades; with an unbuffered, never-drained channel the
-	// agent must keep stepping rather than block.
-	src, layout := newSimSource(func(tick int64) []netsim.Fault {
-		return []netsim.Fault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV)}
-	})
-	agent := NewAgent(src, layout.NumFeatures(), Config{})
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	out := make(chan Event) // nobody reads
-	done := make(chan struct{})
-	go func() {
-		agent.Run(ctx, time.Millisecond, 0, out)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run blocked on a full channel")
+// A live round that loses a landmark is narrower than the last one; the
+// agent judges it by its load time alone.
+func TestAgentAcceptsChangingLandmarks(t *testing.T) {
+	rounds := []Round{
+		{Landmarks: []int{0, 1}, Features: make([]float64, probe.NewLayout([]int{0, 1}).NumFeatures()), LoadMs: 100},
+		{Landmarks: []int{0}, Features: make([]float64, probe.NewLayout([]int{0}).NumFeatures()), LoadMs: 100},
 	}
-	steps, events, dropped := agent.Stats()
-	if steps < 10 || events < 10 {
-		t.Fatalf("agent stalled: %d steps, %d events", steps, events)
-	}
-	// Nobody read the channel, so every degradation event was dropped
-	// and the drop counter must say so.
-	if dropped == 0 {
-		t.Fatal("drops not counted")
-	}
-	if dropped > events {
-		t.Fatalf("%d drops for %d events", dropped, events)
+	agent := NewAgent(roundSeries(rounds), DegradeRatio)
+	for tick := 0; tick < 10; tick++ {
+		if r, _ := step(t, agent, int64(tick)); len(r.Landmarks) != 2-tick%2 {
+			t.Fatalf("tick %d answered from %v", tick, r.Landmarks)
+		}
 	}
 }
 
-func TestAgentRunWithContext(t *testing.T) {
-	src, layout := newSimSource(func(tick int64) []netsim.Fault {
-		return []netsim.Fault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV)}
-	})
-	agent := NewAgent(src, layout.NumFeatures(), Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	out := make(chan Event, 4)
-	done := make(chan struct{})
-	go func() {
-		agent.Run(ctx, time.Millisecond, 0, out)
-		close(done)
-	}()
-	select {
-	case <-out:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event within deadline")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop on cancel")
-	}
+// roundSeries is a Source that cycles through fixed rounds.
+type roundSeries []Round
+
+func (s roundSeries) Round(_ context.Context, tick int64) (Round, error) {
+	return s[int(tick)%len(s)], nil
 }

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"context"
+
 	"diagnet/internal/netsim"
 	"diagnet/internal/probe"
 	"diagnet/internal/qoe"
@@ -38,13 +40,15 @@ func (s *SimSource) env(tick int64) netsim.Env {
 	return e
 }
 
-// Sample implements Source.
-func (s *SimSource) Sample(tick int64) []float64 {
-	prober := probe.Prober{W: s.World}
-	return prober.Sample(s.Client, s.Layout, s.env(tick), stats.NewRand(s.Seed, tick))
-}
-
-// Degraded implements Source.
-func (s *SimSource) Degraded(tick int64) bool {
-	return s.q.Degraded(s.Client, s.Service, s.env(tick))
+// Round implements Source: the probed features and a noisy page load,
+// both drawn from the tick's seeded stream.
+func (s *SimSource) Round(_ context.Context, tick int64) (Round, error) {
+	env := s.env(tick)
+	rng := stats.NewRand(s.Seed, tick)
+	features := probe.Prober{W: s.World}.Sample(s.Client, s.Layout, env, rng)
+	return Round{
+		Landmarks: s.Layout.Landmarks,
+		Features:  features,
+		LoadMs:    s.q.LoadTime(s.Client, s.Service, env, rng),
+	}, nil
 }

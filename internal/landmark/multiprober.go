@@ -137,6 +137,9 @@ func NewMultiProber(cfg MultiProberConfig) *MultiProber {
 	}
 }
 
+// RoundTimeout is the deadline of one ProbeAll round.
+func (mp *MultiProber) RoundTimeout() time.Duration { return mp.cfg.RoundTimeout }
+
 // state returns (creating if needed) the record for a landmark URL.
 func (mp *MultiProber) state(url string) *landmarkState {
 	mp.mu.Lock()
