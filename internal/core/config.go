@@ -32,9 +32,6 @@ type Config struct {
 	Patience  int
 	// SpecializeEpochs bounds fine-tuning of per-service models.
 	SpecializeEpochs int
-	// Dropout inserts inverted-dropout layers after each hidden ReLU
-	// (0 = off, the paper's Table I configuration).
-	Dropout float64
 	// Forest configures the auxiliary random forest (paper: Gini, 50
 	// estimators, depth 10).
 	Forest forest.Config

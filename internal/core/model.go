@@ -62,9 +62,6 @@ func buildNet(cfg Config, rng *rand.Rand) *nn.Network {
 	in := lp.OutWidth()
 	for _, h := range cfg.Hidden {
 		layers = append(layers, nn.NewDense(in, h, rng), nn.NewReLU())
-		if cfg.Dropout > 0 {
-			layers = append(layers, nn.NewDropout(cfg.Dropout, rng))
-		}
 		in = h
 	}
 	layers = append(layers, nn.NewDense(in, int(probe.NumFamilies), rng))

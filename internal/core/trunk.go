@@ -7,11 +7,10 @@ import (
 )
 
 // A DiagNet network is a trunk and a head (§IV-F). The trunk is the
-// LandPooling layer, the first fully connected layer and the
-// parameter-free layers that follow it (its activation, its Dropout when
-// configured): the global feature extractor that every service shares. The
-// head is the rest: the final layers a service specializes. A network with
-// a single Dense layer keeps that layer as its head.
+// LandPooling layer, the first fully connected layer and its activation:
+// the global feature extractor that every service shares. The head is the
+// rest: the final layers a service specializes. A network with a single
+// Dense layer keeps that layer as its head.
 //
 // Specialize and Retrain(HeadOnly) build a Model.Net whose trunk
 // parameters alias the source network's value matrices — frozen, never

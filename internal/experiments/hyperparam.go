@@ -41,18 +41,16 @@ func (l *Lab) Hyperparams() *HyperparamResult {
 		ops       []string
 		filters   int
 		optimizer string
-		dropout   float64
 	}
 	base := l.Profile.Config
 	variants := []variant{
-		{"Ω={avg}", []string{"avg"}, base.Filters, "sgd", 0},
-		{"Ω={min,max}", []string{"min", "max"}, base.Filters, "sgd", 0},
-		{"Ω={min,max,avg,var}", []string{"min", "max", "avg", "var"}, base.Filters, "sgd", 0},
-		{"Ω=Table I (13 ops)", base.PoolOpNames, base.Filters, "sgd", 0},
-		{"f=" + fmt.Sprint(base.Filters/3), base.PoolOpNames, base.Filters / 3, "sgd", 0},
-		{"f=" + fmt.Sprint(base.Filters*2), base.PoolOpNames, base.Filters * 2, "sgd", 0},
-		{"Adam instead of SGD", base.PoolOpNames, base.Filters, "adam", 0},
-		{"dropout 0.2", base.PoolOpNames, base.Filters, "sgd", 0.2},
+		{"Ω={avg}", []string{"avg"}, base.Filters, "sgd"},
+		{"Ω={min,max}", []string{"min", "max"}, base.Filters, "sgd"},
+		{"Ω={min,max,avg,var}", []string{"min", "max", "avg", "var"}, base.Filters, "sgd"},
+		{"Ω=Table I (13 ops)", base.PoolOpNames, base.Filters, "sgd"},
+		{"f=" + fmt.Sprint(base.Filters/3), base.PoolOpNames, base.Filters / 3, "sgd"},
+		{"f=" + fmt.Sprint(base.Filters*2), base.PoolOpNames, base.Filters * 2, "sgd"},
+		{"Adam instead of SGD", base.PoolOpNames, base.Filters, "adam"},
 	}
 
 	res := &HyperparamResult{}
@@ -61,7 +59,6 @@ func (l *Lab) Hyperparams() *HyperparamResult {
 		cfg.PoolOpNames = v.ops
 		cfg.Filters = v.filters
 		cfg.Optimizer = v.optimizer
-		cfg.Dropout = v.dropout
 		l.logf("hyperparams: training variant %d/%d (%s)", vi+1, len(variants), v.label)
 		start := time.Now()
 		tr := core.TrainGeneral(l.Train, l.Known, cfg)

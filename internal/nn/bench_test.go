@@ -67,21 +67,26 @@ func BenchmarkTableIForward(b *testing.B) {
 	}
 }
 
+// BenchmarkTableITrainStep is one minibatch of a fit, the step FitGroups
+// runs: forward, loss and backward on the fit's workspace, then the SGD
+// update. A warm step allocates nothing of its own: run with -benchmem
+// -cpu 1,2 — what it reports at -cpu 2 is the matrix products' goroutine
+// fan-out (mat's BenchmarkGemm).
 func BenchmarkTableITrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	net, _ := tableINet(rng)
 	x, labels := benchBatch(rng, 64, 7)
 	tr := NewTrainer(net)
-	var ce SoftmaxCrossEntropy
-	net.SetTraining(true)
+	fit, params := net.trainingView(new(Workspace)), net.Params()
+	fit.SetTraining(true)
+	lowest := fit.lowestTrainable()
+	for i := 0; i < 2; i++ { // the first step sizes the workspace, the second grows it
+		tr.step(fit, params, lowest, x, labels)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		logits := net.Forward(x)
-		_, dlogits := ce.Loss(logits, labels)
-		net.Backward(dlogits)
-		tr.Opt.Step(net.Params())
+		tr.step(fit, params, lowest, x, labels)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
 // (one sample per row) and Backward consumes the gradient of the loss with
-// respect to Forward's output, accumulates parameter gradients when its
-// network is in training mode (Network.SetTraining), and returns the
-// gradient with respect to Forward's input. Outside training mode neither
-// pass writes a Param, so any number of views (Network.View) may run over
-// one set of weights. The matrices both passes return belong to the
-// workspace of the layer's view (Network.ViewIn; the heap when it has
-// none), and a layer may overwrite the matrix it is given (ReLU does).
+// respect to Forward's output, stores the gradients of the parameters that
+// are not frozen when its network is in training mode
+// (Network.SetTraining), and returns the gradient with respect to
+// Forward's input. Outside training mode neither pass writes a Param, so
+// any number of views (Network.View) may run over one set of weights. The
+// matrices both passes return belong to the workspace of the layer's view
+// (Network.ViewIn; the heap when it has none), and a layer may overwrite
+// the matrix it is given (ReLU does).
 type Layer interface {
 	Forward(x *mat.Matrix) *mat.Matrix
 	Backward(dout *mat.Matrix) *mat.Matrix
@@ -32,7 +33,6 @@ type Dense struct {
 
 	ws *Workspace  // where the outputs of both passes come from (nil: the heap)
 	x  *mat.Matrix // cached input for backward
-	dw *mat.Matrix // the last training Backward's xᵀ·dout, added into W's gradient
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -58,22 +58,19 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 	return y
 }
 
-// Backward returns dx = dout·Wᵀ and, in training mode, accumulates
-// dW = xᵀ·dout and db = colsum(dout) for the parameters that are not
-// frozen. The product xᵀ·dout goes to one matrix the layer keeps for every
-// batch, and is added to W's gradient from there.
+// Backward returns dx = dout·Wᵀ and, in training mode, stores
+// dW = xᵀ·dout and db = colsum(dout) as the gradients of the parameters
+// that are not frozen.
 func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	if d.W.accumulates() {
-		if d.dw == nil {
-			d.dw = mat.New(d.In, d.Out)
-		}
-		d.W.grad().AddInPlace(mat.MulT1(d.dw, d.x, dout))
+	if d.W.learns() {
+		mat.MulT1(d.W.grad(), d.x, dout)
 	}
-	if d.B.accumulates() {
+	if d.B.learns() {
 		db := d.B.grad().Data
+		clear(db)
 		for i := 0; i < dout.Rows; i++ {
 			for j, v := range dout.Row(i) {
 				db[j] += v
@@ -94,8 +91,8 @@ func (d *Dense) Spec() LayerSpec {
 // ReLU applies max(0, x) element-wise, in place: Forward overwrites its
 // input and Backward the gradient it is given, and each returns the matrix
 // it was passed. In every network buildLayer can produce, that input is the
-// output of the Dense or Dropout below and that gradient the output of the
-// layer above (or the loss seed) — matrices nobody reads again.
+// output of the Dense below and that gradient the output of the layer above
+// (or the loss seed) — matrices nobody reads again.
 type ReLU struct {
 	mask []bool
 }

@@ -11,7 +11,7 @@ import (
 // lossOf runs a fresh forward pass and returns the cross-entropy loss.
 func lossOf(net *Network, x *mat.Matrix, labels []int) float64 {
 	var ce SoftmaxCrossEntropy
-	loss, _ := ce.Loss(net.Forward(x), labels)
+	loss, _ := ce.Loss(nil, net.Forward(x), labels)
 	return loss
 }
 
@@ -20,10 +20,9 @@ func lossOf(net *Network, x *mat.Matrix, labels []int) float64 {
 func checkParamGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int, tol float64) {
 	t.Helper()
 	var ce SoftmaxCrossEntropy
-	net.SetTraining(true) // parameter gradients accumulate only in training mode
-	net.ZeroGrads()
+	net.SetTraining(true) // parameter gradients are stored only in training mode
 	logits := net.Forward(x)
-	_, dlogits := ce.Loss(logits, labels)
+	_, dlogits := ce.Loss(nil, logits, labels)
 	net.Backward(dlogits)
 	net.SetTraining(false)
 
@@ -51,7 +50,7 @@ func checkInputGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int
 	t.Helper()
 	var ce SoftmaxCrossEntropy
 	logits := net.Forward(x)
-	_, dlogits := ce.Loss(logits, labels)
+	_, dlogits := ce.Loss(nil, logits, labels)
 	dx := net.Backward(dlogits)
 
 	const h = 1e-5

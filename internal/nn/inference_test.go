@@ -194,7 +194,6 @@ func TestGradAllocatedOnFirstTrainingUse(t *testing.T) {
 	loaded := roundTrip(t, net)
 	x := normalBatch(29, 4, 5*3+2)
 	for _, n := range []*Network{net, loaded, net.Clone()} {
-		n.ZeroGrads()
 		n.InputGradientBatch(x, nil)
 		for i, p := range n.Params() {
 			if p.Grad != nil {

@@ -397,8 +397,8 @@ func (lp *LandPool) sortOrder(s, fi int) []int {
 }
 
 // Backward propagates gradients through pooling and convolution,
-// returning input gradients and, in training mode, accumulating the
-// gradients of the kernel and bias unless they are frozen.
+// returning input gradients and, in training mode, storing the gradients
+// of the kernel and bias unless they are frozen.
 func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	if lp.x == nil || dout.Rows != lp.nCached || dout.Cols != lp.OutWidth() {
 		panic("nn: LandPool.Backward shape mismatch with Forward")
@@ -409,11 +409,13 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	kern := lp.Kernel.Value
 	var dkern *mat.Matrix // nil outside training mode and when frozen
 	var dbias []float64
-	if lp.Kernel.accumulates() {
+	if lp.Kernel.learns() {
 		dkern = lp.Kernel.grad()
+		dkern.Zero() // the batch's samples are summed into it
 	}
-	if lp.Bias.accumulates() {
+	if lp.Bias.learns() {
 		dbias = lp.Bias.grad().Data
+		clear(dbias)
 	}
 	needSort := lp.needSort()
 	vals := lp.ws.vector(ell)

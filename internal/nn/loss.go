@@ -39,9 +39,9 @@ func softmaxRow(z, out []float64) {
 
 // Loss returns the mean cross-entropy of logits against integer class
 // labels, plus the gradient with respect to the logits (softmax − onehot,
-// scaled by 1/n).
-func (l SoftmaxCrossEntropy) Loss(logits *mat.Matrix, labels []int) (float64, *mat.Matrix) {
-	return l.WeightedLoss(logits, labels, nil)
+// scaled by 1/n), a matrix from ws (nil: the heap).
+func (l SoftmaxCrossEntropy) Loss(ws *Workspace, logits *mat.Matrix, labels []int) (float64, *mat.Matrix) {
+	return l.WeightedLoss(ws, logits, labels, nil)
 }
 
 // WeightedLoss is Loss with optional per-class weights (class-balanced
@@ -49,14 +49,14 @@ func (l SoftmaxCrossEntropy) Loss(logits *mat.Matrix, labels []int) (float64, *m
 // because nominal samples vastly outnumber each fault family (§IV-A-e
 // injects faults uniformly to avoid bias; the weighting neutralizes the
 // remaining nominal/faulty imbalance).
-func (SoftmaxCrossEntropy) WeightedLoss(logits *mat.Matrix, labels []int, weights []float64) (float64, *mat.Matrix) {
+func (SoftmaxCrossEntropy) WeightedLoss(ws *Workspace, logits *mat.Matrix, labels []int, weights []float64) (float64, *mat.Matrix) {
 	if logits.Rows != len(labels) {
 		panic(fmt.Sprintf("nn: loss: %d rows vs %d labels", logits.Rows, len(labels)))
 	}
 	if weights != nil && len(weights) != logits.Cols {
 		panic(fmt.Sprintf("nn: loss: %d weights for %d classes", len(weights), logits.Cols))
 	}
-	grad := mat.New(logits.Rows, logits.Cols)
+	grad := ws.Matrix(logits.Rows, logits.Cols) // every element is written below
 	var total, wsum float64
 	for i := 0; i < logits.Rows; i++ {
 		prow := grad.Row(i)

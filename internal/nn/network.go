@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -23,7 +22,8 @@ type Network struct {
 	Layers []Layer
 
 	// ws is where a pass over the network takes its matrices from: the
-	// workspace of a session's view (ViewIn), nil — the heap — otherwise.
+	// workspace of a session's view (ViewIn) or of a fit (Trainer.Fit), nil —
+	// the heap — otherwise.
 	ws *Workspace
 }
 
@@ -40,7 +40,7 @@ func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward propagates dout from the output back to the input and returns
 // the gradient with respect to the input batch; in training mode it also
-// accumulates parameter gradients.
+// stores the gradient of every parameter that is not frozen.
 func (n *Network) Backward(dout *mat.Matrix) *mat.Matrix {
 	return n.backwardFrom(0, dout)
 }
@@ -92,8 +92,15 @@ func (n *Network) ParamCount() (total, trainable int) {
 	return total, trainable
 }
 
-// ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() { zeroGrads(n.Params()) }
+// SetTraining switches the network between training and inference mode:
+// Backward stores parameter gradients only in training mode. Trainer.Fit
+// toggles it; a network is in inference mode by default, where Forward and
+// Backward read the parameters and never write them.
+func (n *Network) SetTraining(training bool) {
+	for _, p := range n.Params() {
+		p.training = training
+	}
+}
 
 // InputGradientBatch returns, for every row of the b×n batch x, the
 // gradient of that row's ideal-label cross-entropy loss
@@ -248,9 +255,9 @@ func (w Wire) Network() (*Network, error) {
 // saved values — a copy of them if clone is set, nothing initialized at
 // random first — and a saved network that is not one is an error, never
 // a panic: an unknown layer or pooling op, a dimension below one, a
-// dropout rate outside [0, 1), a parameter whose length is not its
-// layer's dimensions, a Dense whose input is not the width below it, or a
-// count of values or freeze flags that is not the architecture's.
+// parameter whose length is not its layer's dimensions, a Dense whose
+// input is not the width below it, or a count of values or freeze flags
+// that is not the architecture's.
 func build(specs []LayerSpec, values []Floats, frozen []bool, clone bool) (*Network, error) {
 	if len(frozen) != len(values) {
 		return nil, fmt.Errorf("nn: load: %d freeze flags for %d params", len(frozen), len(values))
@@ -321,16 +328,7 @@ func buildLayer(spec LayerSpec, values []Floats, clone bool) (Layer, error) {
 		}
 		return &LandPool{K: k, F: f, NumLocal: local, Ops: ops, Kernel: kernel, Bias: bias}, nil
 	case "dropout":
-		var rate float64
-		if len(spec.Strings) == 1 {
-			if _, err := fmt.Sscanf(spec.Strings[0], "%g", &rate); err != nil {
-				return nil, fmt.Errorf("bad dropout rate %q", spec.Strings[0])
-			}
-		}
-		if !(rate >= 0 && rate < 1) {
-			return nil, fmt.Errorf("dropout rate %v out of [0,1)", rate)
-		}
-		return NewDropout(rate, rand.New(rand.NewSource(0))), nil
+		return nil, fmt.Errorf("dropout layers are not supported")
 	default:
 		return nil, fmt.Errorf("unknown layer kind %q", spec.Kind)
 	}
@@ -370,20 +368,26 @@ func (n *Network) View() *Network { return n.ViewIn(nil) }
 func (n *Network) ViewIn(ws *Workspace) *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
-		switch l := l.(type) {
-		case *Dense:
-			layers[i] = &Dense{In: l.In, Out: l.Out, W: l.W.view(), B: l.B.view(), ws: ws}
-		case *LandPool:
-			layers[i] = &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: l.Kernel.view(), Bias: l.Bias.view(), ws: ws}
-		case *ReLU:
-			layers[i] = NewReLU()
-		case *Dropout:
-			layers[i] = NewDropout(l.Rate, rand.New(rand.NewSource(0)))
-		default:
+		if layers[i] = rebuild(l, ws, (*Param).view); layers[i] == nil {
 			panic(fmt.Sprintf("nn: View: unknown layer type %T", l))
 		}
 	}
 	return &Network{Layers: layers, ws: ws}
+}
+
+// rebuild returns a layer like l with caches of its own, whose passes take
+// their matrices from ws and whose parameters are param of l's; nil for a
+// layer type it does not know.
+func rebuild(l Layer, ws *Workspace, param func(*Param) *Param) Layer {
+	switch l := l.(type) {
+	case *Dense:
+		return &Dense{In: l.In, Out: l.Out, W: param(l.W), B: param(l.B), ws: ws}
+	case *LandPool:
+		return &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: param(l.Kernel), Bias: param(l.Bias), ws: ws}
+	case *ReLU:
+		return NewReLU()
+	}
+	return nil
 }
 
 // Sub returns layers [lo, hi) of n as a network on n's workspace.

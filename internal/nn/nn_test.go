@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func TestSoftmaxNumericallyStable(t *testing.T) {
 func TestLossMatchesManual(t *testing.T) {
 	logits := mat.FromRows([][]float64{{0, 0, 0}})
 	var ce SoftmaxCrossEntropy
-	loss, grad := ce.Loss(logits, []int{2})
+	loss, grad := ce.Loss(nil, logits, []int{2})
 	if math.Abs(loss-math.Log(3)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln 3", loss)
 	}
@@ -70,7 +71,7 @@ func TestLossLabelOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	var ce SoftmaxCrossEntropy
-	ce.Loss(mat.New(1, 3), []int{3})
+	ce.Loss(nil, mat.New(1, 3), []int{3})
 }
 
 func TestReLUForwardBackward(t *testing.T) {
@@ -218,7 +219,7 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 	valid := func() Wire {
 		rng := rand.New(rand.NewSource(3))
 		lp := NewLandPool(5, 4, 2, DefaultPoolOps()[:3], rng)
-		return NewNetwork(lp, NewDense(lp.OutWidth(), 6, rng), NewReLU(), NewDropout(0.1, rng), NewDense(6, 3, rng)).Wire()
+		return NewNetwork(lp, NewDense(lp.OutWidth(), 6, rng), NewReLU(), NewDense(6, 3, rng)).Wire()
 	}
 	set := func(w *Wire, layer int, key string, v int) {
 		sw := &w.Specs[layer]
@@ -226,15 +227,15 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 	}
 	for name, spoil := range map[string]func(w *Wire){
 		"short freeze list":       func(w *Wire) { w.Frozen = w.Frozen[:0] },
-		"negative dimension":      func(w *Wire) { set(w, 4, "out", -3) },
+		"negative dimension":      func(w *Wire) { set(w, 3, "out", -3) },
 		"zero filters":            func(w *Wire) { set(w, 0, "f", 0) },
 		"negative local features": func(w *Wire) { set(w, 0, "local", -1) },
 		"keys without values":     func(w *Wire) { w.Specs[0].Ints = w.Specs[0].Ints[:1] },
 		"unknown layer":           func(w *Wire) { w.Specs[2].Kind = "conv" },
 		"unknown pool op":         func(w *Wire) { w.Specs[0].Strings[1] = "median" },
 		"percentile above 100":    func(w *Wire) { w.Specs[0].Strings[1] = "p150" },
-		"dropout rate of one":     func(w *Wire) { w.Specs[3].Strings = []string{"1"} },
-		"dense after wrong width": func(w *Wire) { set(w, 4, "in", 5) },
+		"dropout layer":           func(w *Wire) { w.Specs[2] = SpecWire{Kind: "dropout", Strings: []string{"0.1"}} },
+		"dense after wrong width": func(w *Wire) { set(w, 3, "in", 5) },
 		"short weight":            func(w *Wire) { w.Values[2] = w.Values[2][:7] },
 		"missing params":          func(w *Wire) { w.Values, w.Frozen = w.Values[:5], w.Frozen[:5] },
 		"extra params":            func(w *Wire) { w.Values, w.Frozen = append(w.Values, []float64{1}), append(w.Frozen, false) },
@@ -244,8 +245,11 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 			t.Fatalf("the valid wire does not load: %v", err)
 		}
 		spoil(&w)
-		if _, err := w.Network(); err == nil {
+		_, err := w.Network()
+		if err == nil {
 			t.Errorf("%s: loaded without an error", name)
+		} else if name == "dropout layer" && !strings.Contains(err.Error(), "dropout") {
+			t.Errorf("the refusal of a dropout layer does not name it: %v", err)
 		}
 	}
 }

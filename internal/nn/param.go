@@ -19,8 +19,8 @@ import (
 	"diagnet/internal/mat"
 )
 
-// Param is one trainable tensor: its value, the gradient accumulated by the
-// latest training-mode backward pass, and a freeze flag honoured by
+// Param is one trainable tensor: its value, the gradient the latest
+// training-mode backward pass stored, and a freeze flag honoured by
 // optimizers. Grad is nil until the parameter is first trained: a network
 // loaded only to serve holds one matrix per parameter, and the Params of
 // an inference view (Network.View) never get one.
@@ -31,8 +31,8 @@ type Param struct {
 	Frozen bool
 
 	// training is set while the owning network is in training mode
-	// (Network.SetTraining): only then does its layer's Backward accumulate
-	// into Grad. Outside it a pass reads Value and writes nothing here.
+	// (Network.SetTraining): only then does its layer's Backward store
+	// Grad. Outside it a pass reads Value and writes nothing here.
 	training bool
 }
 
@@ -40,7 +40,7 @@ func newParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, Value: mat.New(rows, cols)}
 }
 
-// grad returns the gradient accumulator, allocating it on first use.
+// grad returns the gradient matrix, allocating it on first use.
 func (p *Param) grad() *mat.Matrix {
 	if p.Grad == nil {
 		p.Grad = mat.New(p.Value.Rows, p.Value.Cols)
@@ -48,11 +48,11 @@ func (p *Param) grad() *mat.Matrix {
 	return p.Grad
 }
 
-// accumulates reports whether a backward pass adds into p's gradient: only
-// in training mode, and never for a frozen parameter — a frozen Param may
+// learns reports whether a backward pass stores p's gradient: only in
+// training mode, and never for a frozen parameter — a frozen Param may
 // alias the matrices of a model that is being served (core's shared
 // trunk), so training neither allocates a gradient for it nor writes it.
-func (p *Param) accumulates() bool { return p.training && !p.Frozen }
+func (p *Param) learns() bool { return p.training && !p.Frozen }
 
 // view returns a Param that aliases p's value and carries no gradient.
 func (p *Param) view() *Param {
@@ -65,14 +65,5 @@ func glorotInit(p *Param, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range p.Value.Data {
 		p.Value.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// zeroGrads clears the gradients of every param in ps that has one.
-func zeroGrads(ps []*Param) {
-	for _, p := range ps {
-		if p.Grad != nil {
-			p.Grad.Zero()
-		}
 	}
 }

@@ -35,11 +35,14 @@ func NewSGD() *SGD {
 }
 
 // Step applies one update to every non-frozen parameter and advances the
-// decay schedule.
+// decay schedule. The clip factor is applied inside the update, to the
+// gradient each element reads; Grad itself is left as the backward pass
+// stored it.
 func (o *SGD) Step(params []*Param) {
 	if o.velocity == nil {
 		o.velocity = make(map[*Param]*mat.Matrix)
 	}
+	scale := 1.0
 	if o.ClipNorm > 0 {
 		var sq float64
 		for _, p := range params {
@@ -51,12 +54,7 @@ func (o *SGD) Step(params []*Param) {
 			}
 		}
 		if norm := math.Sqrt(sq); norm > o.ClipNorm {
-			scale := o.ClipNorm / norm
-			for _, p := range params {
-				if !p.Frozen {
-					p.Grad.Scale(scale)
-				}
-			}
+			scale = o.ClipNorm / norm
 		}
 	}
 	lr := o.LR / (1 + o.Decay*float64(o.step))
@@ -70,14 +68,28 @@ func (o *SGD) Step(params []*Param) {
 			v = mat.New(p.Value.Rows, p.Value.Cols)
 			o.velocity[p] = v
 		}
-		for i, g := range p.Grad.Data {
-			v.Data[i] = o.Momentum*v.Data[i] - lr*g
-			if o.Nesterov {
-				p.Value.Data[i] += o.Momentum*v.Data[i] - lr*g
-			} else {
-				p.Value.Data[i] += v.Data[i]
-			}
+		o.update(p.Value.Data, v.Data, p.Grad.Data, lr, scale)
+	}
+}
+
+// update moves the weights w and velocities vel of one parameter along its
+// gradient grad, each element scaled by scale (a product by 1 leaves
+// every number as it is).
+func (o *SGD) update(w, vel, grad []float64, lr, scale float64) {
+	w, vel = w[:len(grad)], vel[:len(grad)]
+	m := o.Momentum
+	if o.Nesterov {
+		for i, g := range grad {
+			g *= scale
+			vel[i] = m*vel[i] - lr*g
+			w[i] += m*vel[i] - lr*g
 		}
+		return
+	}
+	for i, g := range grad {
+		g *= scale
+		vel[i] = m*vel[i] - lr*g
+		w[i] += vel[i]
 	}
 }
 

@@ -109,7 +109,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 		}
 	}
 	bestVal := math.Inf(1)
-	var bestWeights [][]float64
+	var best []float64 // the trainable values at the best validation loss
 	sinceBest := 0
 
 	// One minibatch matrix and label slice serve every batch: each batch
@@ -121,12 +121,14 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 	bx, bxData, byData := new(mat.Matrix), make([]float64, cfg.BatchSize*width), make([]int, cfg.BatchSize)
 
 	type batchRef struct{ group, lo, hi int }
-	lowest := t.Net.lowestTrainable()
-	t.Net.SetTraining(true)
-	defer t.Net.SetTraining(false)
+	net, params := t.Net.trainingView(new(Workspace)), t.Net.Params()
+	lowest := net.lowestTrainable()
+	net.SetTraining(true)
+	defer net.SetTraining(false)
+	var refs []batchRef
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
-		var refs []batchRef
+		refs = refs[:0]
 		for gi, order := range orders {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for lo := 0; lo < len(order); lo += cfg.BatchSize {
@@ -151,12 +153,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 				copy(bx.Row(i), g.X.Row(order[ref.lo+i]))
 				by[i] = g.Labels[order[ref.lo+i]]
 			}
-			t.Net.ZeroGrads()
-			logits := t.Net.Forward(bx)
-			loss, dlogits := t.Loss.WeightedLoss(logits, by, t.ClassWeights)
-			t.Net.backwardFrom(lowest, dlogits)
-			t.Opt.Step(t.Net.Params())
-			epochLoss += loss
+			epochLoss += t.step(net, params, lowest, bx, by)
 			batches++
 		}
 		epochLoss /= float64(batches)
@@ -168,16 +165,19 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 
 		valLoss := math.NaN()
 		if valX != nil && valX.Rows > 0 {
-			t.Net.SetTraining(false)
-			valLoss = t.Evaluate(valX, valLabels)
-			t.Net.SetTraining(true)
+			net.ws.Reset()
+			valLoss = t.evaluate(net, valX, valLabels)
 			hist.ValLoss = append(hist.ValLoss, valLoss)
 			mValLoss.Set(valLoss)
 			if valLoss < bestVal-1e-6 {
 				bestVal = valLoss
 				hist.BestEpoch = epoch
 				sinceBest = 0
-				bestWeights = snapshotWeights(t.Net)
+				if best == nil {
+					_, trainable := t.Net.ParamCount()
+					best = make([]float64, 0, trainable)
+				}
+				best = snapshot(best, params)
 			} else {
 				sinceBest++
 			}
@@ -194,17 +194,47 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 			break
 		}
 	}
-	if bestWeights != nil {
-		restoreWeights(t.Net, bestWeights)
+	if best != nil {
+		restore(params, best)
 	}
 	return hist
+}
+
+// trainingView returns the network a fit runs: n's layers with caches of
+// their own on ws, over n's own Params — so the weights, gradients and the
+// optimizer state keyed by them stay n's, outside the workspace. A layer of
+// a type rebuild does not know runs as it is.
+func (n *Network) trainingView(ws *Workspace) *Network {
+	own := func(p *Param) *Param { return p }
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
+		if layers[i] = rebuild(l, ws, own); layers[i] == nil {
+			layers[i] = l
+		}
+	}
+	return &Network{Layers: layers, ws: ws}
+}
+
+// step is one minibatch of a fit on net, a training view: forward, loss,
+// backward to the lowest trainable layer, then one optimizer update of
+// params. It resets net's workspace first and returns the batch's loss.
+func (t *Trainer) step(net *Network, params []*Param, lowest int, x *mat.Matrix, labels []int) float64 {
+	net.ws.Reset()
+	loss, dlogits := t.Loss.WeightedLoss(net.ws, net.Forward(x), labels, t.ClassWeights)
+	net.backwardFrom(lowest, dlogits)
+	t.Opt.Step(params)
+	return loss
 }
 
 // Evaluate returns the mean cross-entropy loss on (x, labels) without
 // updating any parameter, using the trainer's class weights if set.
 func (t *Trainer) Evaluate(x *mat.Matrix, labels []int) float64 {
-	logits := t.Net.Forward(x)
-	loss, _ := t.Loss.WeightedLoss(logits, labels, t.ClassWeights)
+	return t.evaluate(t.Net, x, labels)
+}
+
+// evaluate is Evaluate on net, on net's workspace.
+func (t *Trainer) evaluate(net *Network, x *mat.Matrix, labels []int) float64 {
+	loss, _ := t.Loss.WeightedLoss(net.ws, net.Forward(x), labels, t.ClassWeights)
 	return loss
 }
 
@@ -224,26 +254,25 @@ func (t *Trainer) Accuracy(x *mat.Matrix, labels []int) float64 {
 	return float64(correct) / float64(x.Rows)
 }
 
-// snapshotWeights copies the values of the trainable parameters, indexed
-// like n.Params(); a frozen parameter's entry stays nil.
-func snapshotWeights(n *Network) [][]float64 {
-	ps := n.Params()
-	ws := make([][]float64, len(ps))
-	for i, p := range ps {
+// snapshot copies the values of the trainable parameters among ps, in
+// order, into buf and returns it.
+func snapshot(buf []float64, ps []*Param) []float64 {
+	buf = buf[:0]
+	for _, p := range ps {
 		if !p.Frozen {
-			ws[i] = append([]float64(nil), p.Value.Data...)
+			buf = append(buf, p.Value.Data...)
 		}
 	}
-	return ws
+	return buf
 }
 
-// restoreWeights writes a snapshot back. Frozen parameters are never
-// written: the fit did not move them, and their matrices may belong to a
-// model other goroutines are serving.
-func restoreWeights(n *Network, ws [][]float64) {
-	for i, p := range n.Params() {
+// restore writes a snapshot back. Frozen parameters are never written: the
+// fit did not move them, and their matrices may belong to a model other
+// goroutines are serving.
+func restore(ps []*Param, buf []float64) {
+	for _, p := range ps {
 		if !p.Frozen {
-			copy(p.Value.Data, ws[i])
+			buf = buf[copy(p.Value.Data, buf):]
 		}
 	}
 }

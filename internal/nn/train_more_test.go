@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -57,9 +58,9 @@ func TestWeightedLossPrioritizesRareClass(t *testing.T) {
 	logits := mat.FromRows([][]float64{{0, 0}, {0, 0}})
 	labels := []int{0, 1}
 	// Uniform weights: gradient symmetric.
-	_, g0 := ce.WeightedLoss(logits, labels, nil)
+	_, g0 := ce.WeightedLoss(nil, logits, labels, nil)
 	// Class 1 weighted 3×: its row's gradient grows relative to class 0's.
-	_, g1 := ce.WeightedLoss(logits, labels, []float64{1, 3})
+	_, g1 := ce.WeightedLoss(nil, logits, labels, []float64{1, 3})
 	ratio0 := math.Abs(g1.At(0, 0)) / math.Abs(g0.At(0, 0))
 	ratio1 := math.Abs(g1.At(1, 1)) / math.Abs(g0.At(1, 1))
 	if !(ratio1 > ratio0) {
@@ -78,8 +79,8 @@ func TestWeightedLossMatchesUnweighted(t *testing.T) {
 		labels[i] = rng.Intn(3)
 	}
 	var ce SoftmaxCrossEntropy
-	l0, g0 := ce.Loss(logits, labels)
-	l1, g1 := ce.WeightedLoss(logits, labels, []float64{1, 1, 1})
+	l0, g0 := ce.Loss(nil, logits, labels)
+	l1, g1 := ce.WeightedLoss(nil, logits, labels, []float64{1, 1, 1})
 	if math.Abs(l0-l1) > 1e-12 || !mat.Equal(g0, g1, 1e-12) {
 		t.Fatal("unit weights must equal unweighted loss")
 	}
@@ -92,7 +93,7 @@ func TestWeightedLossBadWeightsPanics(t *testing.T) {
 		}
 	}()
 	var ce SoftmaxCrossEntropy
-	ce.WeightedLoss(mat.New(1, 3), []int{0}, []float64{1})
+	ce.WeightedLoss(nil, mat.New(1, 3), []int{0}, []float64{1})
 }
 
 func TestSGDClipNorm(t *testing.T) {
@@ -169,6 +170,20 @@ func TestOnEpochHook(t *testing.T) {
 	}
 }
 
+// After Fit the network is back in inference mode: a backward pass over it
+// writes no gradient.
+func TestTrainerTogglesTrainingMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	net := NewNetwork(NewDense(2, 8, rng), NewReLU(), NewDense(8, 2, rng))
+	x, labels := randBatch(rng, 50, 2, 2)
+	NewTrainer(net).Fit(x, labels, nil, nil, TrainConfig{Epochs: 2, BatchSize: 10, Seed: 1})
+	before := paramBits(net)
+	net.InputGradientBatch(x, nil)
+	if !slices.Equal(before, paramBits(net)) {
+		t.Fatal("network left in training mode after Fit: a backward pass wrote its gradients")
+	}
+}
+
 // backwardCounter counts the Backward calls that reach a layer.
 type backwardCounter struct {
 	Layer
@@ -225,5 +240,52 @@ func TestFitNeverTouchesFrozenParams(t *testing.T) {
 				t.Fatalf("head param %d[%d]: %v fitted over the frozen layers, %v fitted alone on their activations", i, j, got.Value.Data[j], v)
 			}
 		}
+	}
+}
+
+// allocated returns how many heap objects, and bytes, f allocates: the
+// fewest of five calls, so that what the runtime allocates now and then
+// meanwhile (its scavenger's timers, a new thread) does not count.
+func allocated(f func()) (objects, bytes uint64) {
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects, bytes = min(objects, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// A fit's memory is its workspace and state it allocates once. The first
+// epoch sizes the workspace for the minibatches, and the first validation
+// pass, larger than a minibatch, overflows it once — the next Reset grows
+// it. From then on an epoch allocates nothing: a 4-epoch fit allocates no
+// more than a 2-epoch one, apart from the growth of its History.
+func TestFitAllocatesOnlyInItsFirstEpochs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	x, labels := randBatch(rng, 200, 7*3+2, 4)
+	valX, valLabels := randBatch(rng, 40, 7*3+2, 4)
+	fit := func(epochs int) (objects, bytes uint64) {
+		return allocated(func() {
+			NewTrainer(attentionNet(42, 3)).Fit(x, labels, valX, valLabels, TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 43})
+		})
+	}
+	history := func(epochs int) (objects, bytes uint64) {
+		return allocated(func() {
+			h := &History{}
+			for i := 0; i < epochs; i++ {
+				h.TrainLoss, h.ValLoss = append(h.TrainLoss, 0), append(h.ValLoss, 0)
+			}
+		})
+	}
+	n2, b2 := fit(2)
+	n4, b4 := fit(4)
+	hn2, hb2 := history(2)
+	hn4, hb4 := history(4)
+	if n4-(hn4-hn2) > n2 || b4-(hb4-hb2) > b2 {
+		t.Fatalf("a 4-epoch fit allocates %d objects (%d B), a 2-epoch fit %d (%d B); History's growth is %d (%d B)",
+			n4, b4, n2, b2, hn4-hn2, hb4-hb2)
 	}
 }

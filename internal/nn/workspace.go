@@ -19,7 +19,7 @@ import "diagnet/internal/mat"
 //
 // The nil *Workspace is the heap: every request is a fresh zeroed
 // allocation and Reset does nothing. That is what a Network outside a
-// session — training, a plain View or Clone — runs on, through the same
+// session and a fit — a plain View or Clone — runs on, through the same
 // calls.
 type Workspace struct {
 	floats slab[float64]
