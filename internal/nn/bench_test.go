@@ -80,7 +80,7 @@ func BenchmarkTableITrainStep(b *testing.B) {
 	fit, params := net.trainingView(new(Workspace)), net.Params()
 	fit.SetTraining(true)
 	lowest := fit.lowestTrainable()
-	for i := 0; i < 2; i++ { // the first step sizes the workspace, the second grows it
+	for i := 0; i < 2; i++ { // the first step overflows the workspace, the second's Reset grows it
 		tr.step(fit, params, lowest, x, labels)
 	}
 	b.ReportAllocs()
