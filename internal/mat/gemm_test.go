@@ -78,16 +78,74 @@ func fillOperand(rng *rand.Rand, m *Matrix, zeroShare float64, wild bool) {
 	}
 }
 
+// reluShare is the share of zeros a ReLU leaves in the activations of the
+// trained Table-I network: 83 % of the 512-wide layer's, per row.
+const reluShare = 0.83
+
+// shapeReLU adds to the m×k operand A (element (i, kk) at a.Data[i*aI+kk*aK])
+// the zeros a ReLU leaves beyond scattered ones, each of which is a path of
+// the kernels that skip them: whole zero columns (a unit dead for every
+// sample), a step at which all four rows of a tile are zero, and a tile
+// whose rows are zero over a whole panel depth — the first (a tile that is
+// +0 with no step to run) or those past it (a resumed pass with nothing to
+// add).
+func shapeReLU(rng *rand.Rand, a *Matrix, m, k, aI, aK int) {
+	zero := func(i0, i1, k0, k1 int) {
+		for i := i0; i < i1; i++ {
+			for kk := k0; kk < k1; kk++ {
+				a.Data[i*aI+kk*aK] = 0
+			}
+		}
+	}
+	for kk := 0; kk < k; kk++ {
+		if rng.Intn(8) == 0 {
+			zero(0, m, kk, kk+1)
+		}
+	}
+	for i := 0; i+tileRows <= m; i += tileRows {
+		for kk := 0; kk < k; kk++ {
+			if rng.Intn(4) == 0 {
+				zero(i, i+tileRows, kk, kk+1)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			zero(i, i+tileRows, panelDepth, k)
+		}
+		if rng.Intn(4) == 0 {
+			zero(i, i+tileRows, 0, min(panelDepth, k))
+		}
+	}
+}
+
+// fillA fills A (of a product's m×k left operand in a) with zeroShare
+// zeros, ReLU-shaped (shapeReLU) from a share of one half on.
+func fillA(rng *rand.Rand, a *Matrix, m, k, aI, aK int, zeroShare float64, wild bool) {
+	fillOperand(rng, a, zeroShare, wild)
+	if zeroShare >= 0.5 {
+		shapeReLU(rng, a, m, k, aI, aK)
+	}
+}
+
+// maskOf returns the m×n mask of a masked MulT2: zeroShare of it zero, in
+// the ReLU's shape from one half on (a mask is the layer input a ReLU left).
+func maskOf(rng *rand.Rand, m, n int, zeroShare float64) *Matrix {
+	mask := New(m, n)
+	fillA(rng, mask, m, n, n, 1, zeroShare, false)
+	return mask
+}
+
 // checkBitIdentical multiplies random operands of the given result shape
 // with all three products and compares each against its scalar reference,
-// and that against the naive one.
-func checkBitIdentical(t testing.TB, seed int64, m, n, k int, wild bool) {
+// and that against the naive one. zeroShare is the share of zeros in A (and
+// in the mask of a masked MulT2, checked against the masked reference).
+func checkBitIdentical(t testing.TB, seed int64, m, n, k int, zeroShare float64, wild bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for _, p := range products {
 		ar, ac, br, bc := p.shapes(m, n, k)
 		a, b := New(ar, ac), New(br, bc)
-		fillOperand(rng, a, 0.2, wild)
+		aI, aK, _, _ := p.strides(a, b)
+		fillA(rng, a, m, k, aI, aK, zeroShare, wild)
 		fillOperand(rng, b, 0.05, wild)
 		want, got := New(m, n), New(m, n)
 		want.Fill(math.NaN()) // a reused dst must be overwritten, not added to
@@ -108,6 +166,29 @@ func checkBitIdentical(t testing.TB, seed int64, m, n, k int, wild bool) {
 			t.Fatalf("%s %dx%dx%d seed %d: element (%d,%d) = %x (%v), scalar reference %x (%v)",
 				p.name, m, n, k, seed, i/n, i%n, math.Float64bits(g), g, math.Float64bits(w), w)
 		}
+		if p.name == "MulT2" {
+			checkMasked(t, rng, a, b, want, zeroShare, fmt.Sprintf("%dx%dx%d seed %d", m, n, k, seed))
+		}
+	}
+}
+
+// checkMasked compares MulT2Masked of a and b with the unmasked product
+// want, set to +0 where the mask is zero.
+func checkMasked(t testing.TB, rng *rand.Rand, a, b, want *Matrix, zeroShare float64, what string) {
+	t.Helper()
+	mask := maskOf(rng, want.Rows, want.Cols, zeroShare)
+	masked := want.Clone()
+	for i, v := range mask.Data {
+		if v == 0 {
+			masked.Data[i] = 0
+		}
+	}
+	got := New(want.Rows, want.Cols)
+	got.Fill(math.NaN())
+	MulT2Masked(got, a, b, mask)
+	if i := firstBitDiff(got.Data, masked.Data); i >= 0 {
+		t.Fatalf("MulT2Masked %s: element (%d,%d) = %v, masked reference %v (mask %v)",
+			what, i/want.Cols, i%want.Cols, got.Data[i], masked.Data[i], mask.Data[i])
 	}
 }
 
@@ -144,47 +225,73 @@ func TestGemmBitIdenticalToScalar(t *testing.T) {
 			shapes = append(shapes, [3]int{rows, nk[0], nk[1]})
 		}
 	}
+	// Each shape dense-ish, wild, and with the zeros of a ReLU, which the
+	// kernels skip.
 	for i, s := range shapes {
-		checkBitIdentical(t, int64(i), s[0], s[1], s[2], false)
-		checkBitIdentical(t, int64(100+i), s[0], s[1], s[2], true)
+		checkBitIdentical(t, int64(i), s[0], s[1], s[2], 0.2, false)
+		checkBitIdentical(t, int64(100+i), s[0], s[1], s[2], 0.2, true)
+		checkBitIdentical(t, int64(200+i), s[0], s[1], s[2], reluShare, false)
+		checkBitIdentical(t, int64(300+i), s[0], s[1], s[2], reluShare, true)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		checkBitIdentical(t, rng.Int63(), rng.Intn(40), rng.Intn(40), rng.Intn(2*panelDepth+40), i%2 == 0)
+		checkBitIdentical(t, rng.Int63(), rng.Intn(40), rng.Intn(40), rng.Intn(2*panelDepth+40), rng.Float64(), i%2 == 0)
 	}
 }
 
 func FuzzGemmBitIdentical(f *testing.F) {
-	f.Add(int64(1), uint8(64), uint8(128), uint16(317), true)
-	f.Add(int64(2), uint8(3), uint8(7), uint16(0), false)
-	f.Add(int64(3), uint8(9), uint8(17), uint16(2*panelDepth+1), true)
-	f.Add(int64(4), uint8(1), uint8(128), uint16(7), true)
-	f.Add(int64(5), uint8(2), uint8(61), uint16(317), false)
-	f.Add(int64(6), uint8(3), uint8(32), uint16(panelDepth+2), true)
-	f.Fuzz(func(t *testing.T, seed int64, m, n uint8, k uint16, wild bool) {
-		checkBitIdentical(t, seed, int(m), int(n), int(k%(3*panelDepth)), wild)
+	f.Add(int64(1), uint8(64), uint8(128), uint16(317), uint8(51), true)
+	f.Add(int64(2), uint8(3), uint8(7), uint16(0), uint8(51), false)
+	f.Add(int64(3), uint8(9), uint8(17), uint16(2*panelDepth+1), uint8(51), true)
+	f.Add(int64(4), uint8(1), uint8(128), uint16(7), uint8(51), true)
+	f.Add(int64(5), uint8(2), uint8(61), uint16(317), uint8(51), false)
+	f.Add(int64(6), uint8(3), uint8(32), uint16(panelDepth+2), uint8(51), true)
+	f.Add(int64(7), uint8(1), uint8(128), uint16(512), uint8(212), false)
+	f.Add(int64(8), uint8(16), uint8(64), uint16(2*panelDepth+9), uint8(212), false)
+	f.Add(int64(9), uint8(2), uint8(200), uint16(128), uint8(230), true)
+	f.Fuzz(func(t *testing.T, seed int64, m, n uint8, k uint16, zeros uint8, wild bool) {
+		checkBitIdentical(t, seed, int(m), int(n), int(k%(3*panelDepth)), float64(zeros)/255, wild)
 	})
 }
 
 // Row i of a B-row product is the one-row product of row i: what lets the
 // serving engine fuse requests into one pass without changing an answer,
-// whichever kernel the size of the pass selects.
+// whichever kernel the size of the pass selects — and whether the first row
+// of the batch, which decides for all of them, sends them down a zero-
+// skipping path or not. So the rows are half zeros, ReLU-shaped, or a mix
+// whose first row is dense, and the input gradient is also masked.
 func TestGemmRowsIndependentOfBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	all, w := New(64, 317), New(317, 512)
-	fillOperand(rng, all, 0.5, false)
+	w := New(317, 512)
 	fillOperand(rng, w, 0, false)
 	wt := w.T()
-	for _, rows := range []int{1, 2, 3, 5, 7, 64} {
-		a := FromSlice(rows, all.Cols, all.Data[:rows*all.Cols])
-		batch, batchT2 := Mul(nil, a, w), MulT2(nil, a, wt)
-		for i := 0; i < rows; i++ {
-			row := FromSlice(1, a.Cols, a.Row(i))
-			if j := firstBitDiff(batch.Row(i), Mul(nil, row, w).Data); j >= 0 {
-				t.Fatalf("Mul: row %d col %d differs between the %d-row batch and the single-row pass", i, j, rows)
-			}
-			if j := firstBitDiff(batchT2.Row(i), MulT2(nil, row, wt).Data); j >= 0 {
-				t.Fatalf("MulT2: row %d col %d differs between the %d-row batch and the single-row pass", i, j, rows)
+	for _, mix := range []struct {
+		zeros      float64
+		denseFirst bool
+	}{{0.5, false}, {reluShare, false}, {reluShare, true}} {
+		all, dy := New(64, 317), New(64, 512)
+		fillA(rng, all, 64, 317, 317, 1, mix.zeros, false)
+		fillA(rng, dy, 64, 512, 512, 1, mix.zeros, false)
+		mask := maskOf(rng, 64, 317, mix.zeros)
+		if mix.denseFirst {
+			fillOperand(rng, FromSlice(1, 317, all.Row(0)), 0, false)
+			fillOperand(rng, FromSlice(1, 512, dy.Row(0)), 0, false)
+			fillOperand(rng, FromSlice(1, 317, mask.Row(0)), 0, false)
+		}
+		for _, rows := range []int{1, 2, 3, 5, 7, 9, 64} {
+			a, d, m := FromSlice(rows, 317, all.Data[:rows*317]), FromSlice(rows, 512, dy.Data[:rows*512]), FromSlice(rows, 317, mask.Data[:rows*317])
+			batch, batchT2, batchMasked := Mul(nil, a, w), MulT2(nil, a, wt), MulT2Masked(nil, d, w, m)
+			for i := 0; i < rows; i++ {
+				row, drow, mrow := FromSlice(1, 317, a.Row(i)), FromSlice(1, 512, d.Row(i)), FromSlice(1, 317, m.Row(i))
+				if j := firstBitDiff(batch.Row(i), Mul(nil, row, w).Data); j >= 0 {
+					t.Fatalf("Mul: row %d col %d differs between the %d-row batch and the single-row pass", i, j, rows)
+				}
+				if j := firstBitDiff(batchT2.Row(i), MulT2(nil, row, wt).Data); j >= 0 {
+					t.Fatalf("MulT2: row %d col %d differs between the %d-row batch and the single-row pass", i, j, rows)
+				}
+				if j := firstBitDiff(batchMasked.Row(i), MulT2Masked(nil, drow, w, mrow).Data); j >= 0 {
+					t.Fatalf("MulT2Masked: row %d col %d differs between the %d-row batch and the single-row pass", i, j, rows)
+				}
 			}
 		}
 	}
@@ -195,17 +302,27 @@ func TestGemmDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// Tiled shapes with ragged bottom and right edges, more and fewer panels
 	// than workers, one below the tile height, and one the row kernel computes
 	// that is large enough to be shared out by rows.
+	// Dense operands, and ReLU-shaped ones that the kernels skip zeros of.
 	for _, s := range [][3]int{{67, 133, 300}, {13, 17, 4100}, {130, 9, 515}, {3, 200, 400}, {7, 330, 512}} {
-		for _, p := range products {
-			ar, ac, br, bc := p.shapes(s[0], s[1], s[2])
-			rng := rand.New(rand.NewSource(int64(s[0])))
-			a, b := randomMatrix(rng, ar, ac), randomMatrix(rng, br, bc)
-			runtime.GOMAXPROCS(1)
-			seq := p.mul(nil, a, b)
-			for _, procs := range []int{2, 3, 8} {
-				runtime.GOMAXPROCS(procs)
-				if par := p.mul(nil, a, b); firstBitDiff(seq.Data, par.Data) >= 0 {
-					t.Fatalf("%s %v: result depends on GOMAXPROCS (%d)", p.name, s, procs)
+		for _, zeros := range []float64{0, reluShare} {
+			for _, p := range products {
+				ar, ac, br, bc := p.shapes(s[0], s[1], s[2])
+				rng := rand.New(rand.NewSource(int64(s[0])))
+				a, b := randomMatrix(rng, ar, ac), randomMatrix(rng, br, bc)
+				aI, aK, _, _ := p.strides(a, b)
+				fillA(rng, a, s[0], s[2], aI, aK, zeros, false)
+				mul := p.mul
+				if p.name == "MulT2" && zeros > 0 {
+					mask := maskOf(rng, s[0], s[1], zeros)
+					mul = func(dst, a, b *Matrix) *Matrix { return MulT2Masked(dst, a, b, mask) }
+				}
+				runtime.GOMAXPROCS(1)
+				seq := mul(nil, a, b)
+				for _, procs := range []int{2, 3, 8} {
+					runtime.GOMAXPROCS(procs)
+					if par := mul(nil, a, b); firstBitDiff(seq.Data, par.Data) >= 0 {
+						t.Fatalf("%s %v, %.2f zeros: result depends on GOMAXPROCS (%d)", p.name, s, zeros, procs)
+					}
 				}
 			}
 		}
@@ -263,23 +380,39 @@ func TestMulAliasPanics(t *testing.T) {
 	}
 }
 
+// reluShares is the share of zeros the trained Table-I network's ReLUs
+// leave in an activation (and in the gradient below it), by width; the
+// 317-wide LandPooling output is no ReLU's.
+var reluShares = map[int]float64{512: 0.827, 128: 0.758}
+
 // The Table-I dense layers (317→512, 512→128) at the batch sizes the serving
 // engine produces (a fragmented batch is passes of one to three rows, a
-// ragged one ends past its last whole tile), with a dense left operand and
-// with the half-zero one a ReLU leaves (the scalar loops skip zeros, the
-// kernels do not). dst is reused: run with -benchmem -cpu 1,2 to see that
+// ragged one ends past its last whole tile), with a dense left operand, the
+// half-zero one of an untrained ReLU (the scalar loops skip zeros, the
+// kernels only when fewer than rowDenseFrom eighths are live), and the
+// "relu" operands of the trained network (reluShares: the layer input, the
+// output gradient, and the input gradient masked by the input where that is
+// a ReLU's output). dst is reused: run with -benchmem -cpu 1,2 to see that
 // nothing is allocated per call beyond the goroutine fan-out.
 func BenchmarkGemm(b *testing.B) {
 	for _, layer := range [][2]int{{317, 512}, {512, 128}} {
 		in, out := layer[0], layer[1]
 		for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 32, 64} {
-			for _, zeros := range []float64{0, 0.5} {
+			for _, kind := range []string{"dense", "halfzero", "relu"} {
 				rng := rand.New(rand.NewSource(5))
 				x, w, dy := New(batch, in), randomMatrix(rng, in, out), randomMatrix(rng, batch, out)
-				fillOperand(rng, x, zeros, false)
-				kind := "dense"
-				if zeros > 0 {
-					kind = "halfzero"
+				var mask *Matrix
+				switch kind {
+				case "halfzero":
+					fillOperand(rng, x, 0.5, false)
+				case "relu":
+					fillA(rng, x, batch, in, in, 1, reluShares[in], false)
+					fillA(rng, dy, batch, out, out, 1, reluShares[out], false)
+					if reluShares[in] > 0 {
+						mask = x
+					}
+				default:
+					fillOperand(rng, x, 0, false)
 				}
 				name := fmt.Sprintf("%dx%dx%d/%s", batch, in, out, kind)
 				run := func(op string, dst, l, r *Matrix, mul func(dst, a, b *Matrix) *Matrix) {
@@ -293,8 +426,10 @@ func BenchmarkGemm(b *testing.B) {
 				}
 				run("Mul", New(batch, out), x, w, Mul)   // forward
 				run("MulT1", New(in, out), x, dy, MulT1) // weight gradient
-				if zeros == 0 {
-					run("MulT2", New(batch, in), dy, w, MulT2) // input gradient
+				if kind != "halfzero" {
+					run("MulT2", New(batch, in), dy, w, func(dst, a, b *Matrix) *Matrix { // input gradient
+						return MulT2Masked(dst, a, b, mask)
+					})
 				}
 			}
 		}

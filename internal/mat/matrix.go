@@ -1,19 +1,25 @@
 // Package mat provides the small dense float64 matrix and vector kernels
 // used throughout DiagNet: storage, BLAS-1 style helpers and the three
-// matrix products of a dense layer (Mul, MulT1, MulT2).
+// matrix products of a dense layer (Mul, MulT1, MulT2), and MulT2Masked, the
+// input gradient of a dense layer above a ReLU: a·bᵀ where a mask of the
+// output's shape is nonzero and +0 where it is zero, the masked elements not
+// computed.
 //
 // The products share one driver (mul.go): the right-hand operand is packed
 // into 8-column panels, each reused for every 4-row tile of the left-hand
 // operand, and a tile is accumulated in registers by an AVX2 micro-kernel
-// (gemm_amd64.s). Products shorter than a tile, the ragged edges of larger
-// ones, and every product on a machine without the kernel run scalar loops.
+// (gemm_amd64.s); products too short to tile, and the rows past the last
+// tile, run a row kernel on the right-hand operand in place. Both skip the
+// zeros a ReLU leaves in the left-hand operand: a tile the steps at which
+// all four of its rows are zero, a row its zero elements. The ragged edges,
+// and every product on a machine without the kernels, run scalar loops.
 //
 // The package is deliberately minimal — it implements exactly the
 // operations the neural network and the baselines need — and its results
 // are deterministic: every output element is reduced in index order by
 // separately rounded multiplies and adds, so its bits depend neither on
-// GOMAXPROCS, nor on which of the two code paths computed it, nor on how
-// many other rows were multiplied in the same call.
+// GOMAXPROCS, nor on which code path computed it or whether it skipped the
+// zeros, nor on how many other rows were multiplied in the same call.
 package mat
 
 import (

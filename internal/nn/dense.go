@@ -12,11 +12,13 @@ import (
 // respect to Forward's output, stores the gradients of the parameters that
 // are not frozen when its network is in training mode
 // (Network.SetTraining), and returns the gradient with respect to
-// Forward's input. Outside training mode neither pass writes a Param, so
-// any number of views (Network.View) may run over one set of weights. The
-// matrices both passes return belong to the workspace of the layer's view
-// (Network.ViewIn; the heap when it has none), and a layer may overwrite
-// the matrix it is given (ReLU does).
+// Forward's input — where a Dense's input is a ReLU's output, only where
+// that output is nonzero, the rest +0 as the ReLU's Backward makes it
+// anyway (Dense.Backward). Outside training mode neither pass writes a
+// Param, so any number of views (Network.View) may run over one set of
+// weights. The matrices both passes return belong to the workspace of the
+// layer's view (Network.ViewIn; the heap when it has none), and a layer may
+// overwrite the matrix it is given (ReLU does).
 type Layer interface {
 	Forward(x *mat.Matrix) *mat.Matrix
 	Backward(dout *mat.Matrix) *mat.Matrix
@@ -33,6 +35,10 @@ type Dense struct {
 
 	ws *Workspace  // where the outputs of both passes come from (nil: the heap)
 	x  *mat.Matrix // cached input for backward
+
+	// afterReLU is set when the layer below is a ReLU (markReLUInputs):
+	// Backward then computes dx only where that ReLU's output is nonzero.
+	afterReLU bool
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -60,7 +66,10 @@ func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
 
 // Backward returns dx = dout·Wᵀ and, in training mode, stores
 // dW = xᵀ·dout and db = colsum(dout) as the gradients of the parameters
-// that are not frozen.
+// that are not frozen. In a network whose layer below this one is a ReLU,
+// dx is masked by the input: +0 wherever x is zero, which is exactly what
+// that ReLU's Backward writes there, and those elements are not computed
+// (mat.MulT2Masked). A ReLU leaves most of them zero.
 func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
@@ -77,7 +86,24 @@ func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
 			}
 		}
 	}
-	return mat.MulT2(d.ws.Matrix(dout.Rows, d.In), dout, d.W.Value)
+	var mask *mat.Matrix
+	if d.afterReLU {
+		mask = d.x
+	}
+	return mat.MulT2Masked(d.ws.Matrix(dout.Rows, d.In), dout, d.W.Value, mask)
+}
+
+// markReLUInputs sets afterReLU on every Dense of layers whose layer below
+// is a ReLU. A layer keeps the mark in a network built over a part of its
+// layers (Network.Sub): the ReLU's Backward still runs on what it returns.
+func markReLUInputs(layers []Layer) {
+	for i := 1; i < len(layers); i++ {
+		if _, ok := layers[i-1].(*ReLU); ok {
+			if d, ok := layers[i].(*Dense); ok {
+				d.afterReLU = true
+			}
+		}
+	}
 }
 
 // Params returns the layer's weight and bias.

@@ -163,19 +163,26 @@ type PercentilePool struct{ P float64 }
 // Name implements PoolOp.
 func (p PercentilePool) Name() string { return fmt.Sprintf("p%02.0f", p.P) }
 
+// anchor is where a percentile of n values lies in their ascending order:
+// between positions lo and hi, frac of the way to hi.
+type anchor struct {
+	lo, hi int
+	frac   float64
+}
+
 // rank returns the interpolation anchors for n values.
-func (p PercentilePool) rank(n int) (lo, hi int, frac float64) {
+func (p PercentilePool) rank(n int) anchor {
 	if n == 1 {
-		return 0, 0, 0
+		return anchor{}
 	}
 	r := p.P / 100 * float64(n-1)
-	lo = int(r)
-	frac = r - float64(lo)
-	hi = lo
-	if frac > 0 {
-		hi = lo + 1
+	a := anchor{lo: int(r)}
+	a.frac = r - float64(a.lo)
+	a.hi = a.lo
+	if a.frac > 0 {
+		a.hi = a.lo + 1
 	}
-	return lo, hi, frac
+	return a
 }
 
 // Forward implements PoolOp.
@@ -195,16 +202,25 @@ func (p PercentilePool) Backward(vals []float64, g float64, dvals []float64) {
 
 // ForwardSorted implements sortedPoolOp.
 func (p PercentilePool) ForwardSorted(vals []float64, idx []int) float64 {
-	lo, hi, frac := p.rank(len(vals))
-	return vals[idx[lo]]*(1-frac) + vals[idx[hi]]*frac
+	return forwardAt(vals, idx, p.rank(len(vals)))
 }
 
 // BackwardSorted implements sortedPoolOp.
 func (p PercentilePool) BackwardSorted(vals []float64, idx []int, g float64, dvals []float64) {
-	lo, hi, frac := p.rank(len(vals))
-	dvals[idx[lo]] += g * (1 - frac)
-	if hi != lo {
-		dvals[idx[hi]] += g * frac
+	backwardAt(vals, idx, p.rank(len(vals)), g, dvals)
+}
+
+// forwardAt is the percentile at anchor a of vals, whose ascending order
+// is idx.
+func forwardAt(vals []float64, idx []int, a anchor) float64 {
+	return vals[idx[a.lo]]*(1-a.frac) + vals[idx[a.hi]]*a.frac
+}
+
+// backwardAt routes g onto the order statistics of anchor a.
+func backwardAt(vals []float64, idx []int, a anchor, g float64, dvals []float64) {
+	dvals[idx[a.lo]] += g * (1 - a.frac)
+	if a.hi != a.lo {
+		dvals[idx[a.hi]] += g * a.frac
 	}
 }
 
@@ -297,6 +313,7 @@ type LandPool struct {
 	filtered []float64 // per sample: ell*F filter activations
 	order    []int     // per sample and filter: the ascending order of its ell activations
 	nCached  int
+	anchors  []anchor // per op: where a PercentilePool reads at ell landmarks
 }
 
 // NewLandPool builds a LandPool layer with Glorot-initialized kernel.
@@ -342,6 +359,7 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 	kern := lp.Kernel.Value
 	bias := lp.Bias.Value.Data
 	vals := lp.ws.vector(ell)
+	anchors := lp.anchorsAt(ell)
 	var idx []int
 	for s := 0; s < x.Rows; s++ {
 		row := x.Row(s)
@@ -366,9 +384,12 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 				insertionArgsort(vals, idx)
 			}
 			for o, op := range lp.Ops {
-				if so, ok := op.(sortedPoolOp); ok {
-					orow[o*lp.F+fi] = so.ForwardSorted(vals, idx)
-				} else {
+				switch op := op.(type) {
+				case PercentilePool:
+					orow[o*lp.F+fi] = forwardAt(vals, idx, anchors[o])
+				case sortedPoolOp:
+					orow[o*lp.F+fi] = op.ForwardSorted(vals, idx)
+				default:
 					orow[o*lp.F+fi] = op.Forward(vals)
 				}
 			}
@@ -377,6 +398,22 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		copy(orow[len(lp.Ops)*lp.F:], row[ell*lp.K:])
 	}
 	return out
+}
+
+// anchorsAt returns the anchor of every PercentilePool of the layer at ell
+// landmarks, indexed like Ops: it depends on ell alone, so it is computed
+// once per pass and not per sample and filter.
+func (lp *LandPool) anchorsAt(ell int) []anchor {
+	if cap(lp.anchors) < len(lp.Ops) {
+		lp.anchors = make([]anchor, len(lp.Ops))
+	}
+	lp.anchors = lp.anchors[:len(lp.Ops)]
+	for o, op := range lp.Ops {
+		if p, ok := op.(PercentilePool); ok {
+			lp.anchors[o] = p.rank(ell)
+		}
+	}
+	return lp.anchors
 }
 
 // needSort reports whether an op of the layer reads the ascending order.
@@ -422,6 +459,7 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 	var idx []int
 	dvals := lp.ws.vector(ell)
 	dfilt := lp.ws.vector(ell * lp.F)
+	anchors := lp.anchorsAt(ell)
 	for s := 0; s < lp.x.Rows; s++ {
 		row := lp.x.Row(s)
 		drow := dx.Row(s)
@@ -446,9 +484,12 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 				if g == 0 {
 					continue
 				}
-				if so, ok := op.(sortedPoolOp); ok {
-					so.BackwardSorted(vals, idx, g, dvals)
-				} else {
+				switch op := op.(type) {
+				case PercentilePool:
+					backwardAt(vals, idx, anchors[o], g, dvals)
+				case sortedPoolOp:
+					op.BackwardSorted(vals, idx, g, dvals)
+				default:
 					op.Backward(vals, g, dvals)
 				}
 			}

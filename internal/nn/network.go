@@ -27,8 +27,12 @@ type Network struct {
 	ws *Workspace
 }
 
-// NewNetwork wraps layers into a network.
-func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
+// NewNetwork wraps layers into a network. Every network, view and training
+// view is built here, which marks each Dense above a ReLU (markReLUInputs).
+func NewNetwork(layers ...Layer) *Network {
+	markReLUInputs(layers)
+	return &Network{Layers: layers}
+}
 
 // Forward runs the batch x through every layer.
 func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
@@ -372,7 +376,9 @@ func (n *Network) ViewIn(ws *Workspace) *Network {
 			panic(fmt.Sprintf("nn: View: unknown layer type %T", l))
 		}
 	}
-	return &Network{Layers: layers, ws: ws}
+	net := NewNetwork(layers...)
+	net.ws = ws
+	return net
 }
 
 // rebuild returns a layer like l with caches of its own, whose passes take

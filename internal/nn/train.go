@@ -212,7 +212,9 @@ func (n *Network) trainingView(ws *Workspace) *Network {
 			layers[i] = l
 		}
 	}
-	return &Network{Layers: layers, ws: ws}
+	net := NewNetwork(layers...)
+	net.ws = ws
+	return net
 }
 
 // step is one minibatch of a fit on net, a training view: forward, loss,
