@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"time"
 
@@ -13,6 +14,53 @@ import (
 	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
+
+// runTop is a terminal fleet view over a diagnet-router's observability
+// plane: fleet QPS, windowed p50/p99, error rate, SLO error-budget
+// remaining, and per-replica health — the operator's one-glance answer to
+// "is the fleet OK right now".
+//
+//	diagnet top -router http://localhost:8420            one-shot snapshot
+//	diagnet top -router http://localhost:8420 -watch     refresh every -interval
+//
+// The QPS and latency columns are windowed: each refresh subtracts the
+// previous federated histogram from the current one, so the numbers
+// describe the last interval, not the process lifetime. One-shot mode
+// takes two samples -interval apart to get one window.
+//
+// top needs the router started with -federate-interval (the fleet view is
+// the federated one); the SLO column appears when the router also has
+// -slo-target.
+func runTop(args []string) error {
+	fs := newFlags("top", "")
+	router := fs.String("router", "http://localhost:8420", "diagnet-router base URL")
+	interval := fs.Duration("interval", 2*time.Second, "sample window (and refresh period with -watch)")
+	watch := fs.Bool("watch", false, "refresh continuously instead of one snapshot")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	prev, err := collect(client, *router)
+	if err != nil {
+		return err
+	}
+	for {
+		time.Sleep(*interval)
+		cur, err := collect(client, *router)
+		if err != nil {
+			return err
+		}
+		if *watch {
+			fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
+		}
+		render(os.Stdout, prev, cur)
+		if !*watch {
+			return nil
+		}
+		prev = cur
+	}
+}
 
 // metricPassRows is the serving engine's rows-per-pass histogram; the
 // diagnose route's own metrics are named by obs.DiagnoseRoute.

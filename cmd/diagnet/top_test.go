@@ -14,7 +14,7 @@ import (
 	"diagnet/internal/tracing"
 )
 
-// fakeRouter serves the three endpoints diagnet-top reads, with swappable
+// fakeRouter serves the three endpoints diagnet top reads, with swappable
 // fleet views so a test can present two samples.
 type fakeRouter struct {
 	view     obs.FleetView

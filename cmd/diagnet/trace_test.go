@@ -29,6 +29,12 @@ func TestParseFaults(t *testing.T) {
 			t.Errorf("fault %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
+	// simulate's specs are the tick-less form: active from tick 0.
+	got, err = parseFaults("loss@GRAV,rate@SING", regions)
+	if err != nil || len(got) != 2 || got[0] != (scheduledFault{netsim.NewFault(netsim.FaultLoss, netsim.GRAV), 0}) ||
+		got[1] != (scheduledFault{netsim.NewFault(netsim.FaultRate, netsim.SING), 0}) {
+		t.Errorf("tick-less specs: %v, %v", got, err)
+	}
 	if got, err := parseFaults("", regions); err != nil || got != nil {
 		t.Errorf("empty spec: %v, %v", got, err)
 	}

@@ -1,5 +1,5 @@
 // Command diagnetd serves the root-cause analysis service (Fig. 1): it
-// loads one or more model versions trained by diagnet-train and answers
+// loads one or more model versions trained by diagnet train and answers
 // diagnosis requests over HTTP through the batched serving engine.
 //
 // Usage:
@@ -18,7 +18,7 @@
 // the boot below completes, and again while draining).
 //
 // The boot and teardown order is analysis.Open / Server.Close (DESIGN.md
-// §18). -model takes a bundle, either file diagnet-train writes (-out is a
+// §18). -model takes a bundle, either file diagnet train writes (-out is a
 // bundle with no heads), and serves it as version "boot"; with -model-dir
 // every *.gob is a version named after its file and the lexically last (or
 // -serve-version) boots, so date-stamped names serve the newest; POST
@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var opt analysis.Options
 	addr := fs.String("addr", ":8421", "listen address")
-	fs.StringVar(&opt.ModelPath, "model", "model.gob", "bundle file from diagnet-train (-out or -bundle)")
+	fs.StringVar(&opt.ModelPath, "model", "model.gob", "bundle file from diagnet train (-out or -bundle)")
 	fs.StringVar(&opt.ModelDir, "model-dir", "", "directory of *.gob model versions; overrides -model and enables POST /v1/models load")
 	fs.StringVar(&opt.ServeVersion, "serve-version", "", "version to promote at boot (default: lexically last in -model-dir)")
 	fs.StringVar(&opt.StateDir, "state-dir", "", "durable state directory: journal + checkpoints of the model lifecycle (empty = in-memory only)")

@@ -19,8 +19,8 @@
 //     NewWorld, Generate, Catalog and friends (see DESIGN.md for how the
 //     simulator substitutes the authors' testbed).
 //   - The live measurement plane: LandmarkServer, a real HTTP landmark
-//     service, and its clients NewProber and the fault-tolerant
-//     NewMultiProber, with NewFlakyHandler for chaos tests.
+//     service, and its client, the fault-tolerant NewMultiProber, with
+//     NewFlakyHandler for chaos tests.
 //   - The client agent, the client box of Fig. 1: NewAgent over a
 //     MeasurementSource (NewSimSource), and RecordTrace/LoadTrace to
 //     record and replay a probing session.
@@ -158,8 +158,6 @@ func TrainingServices() []Service { return services.TrainingSet() }
 type (
 	// LandmarkServer is the stateless public HTTP landmark service.
 	LandmarkServer = landmark.Server
-	// LandmarkProber measures landmarks over HTTP.
-	LandmarkProber = landmark.Prober
 	// ProberConfig tunes the probing cost.
 	ProberConfig = landmark.ProberConfig
 	// Measurement is one landmark probe result.
@@ -181,9 +179,6 @@ type (
 	// RetryPolicy retries transient failures with capped backoff.
 	RetryPolicy = resilience.RetryPolicy
 )
-
-// NewProber returns a landmark prober with keep-alive transport.
-func NewProber(cfg ProberConfig) *LandmarkProber { return landmark.NewProber(cfg) }
 
 // NewMultiProber returns a fault-tolerant multi-landmark prober.
 func NewMultiProber(cfg MultiProberConfig) *MultiProber { return landmark.NewMultiProber(cfg) }

@@ -10,7 +10,7 @@
 //
 //	diagnetd -model model.gob -addr :8421 ; diagnetd -model model.gob -addr :8422
 //	diagnet-router -replicas http://localhost:8421,http://localhost:8422
-//	diagnet-agent -analysis http://localhost:8420 ...
+//	diagnet agent -analysis http://localhost:8420 ...
 package main
 
 import (

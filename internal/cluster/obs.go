@@ -122,7 +122,7 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 }
 
 // Federator exposes the federation plane (nil when disabled) — tests and
-// diagnet-top use it in-process.
+// diagnet top use it in-process.
 func (rt *Router) Federator() *obs.Federator {
 	if rt.obs == nil {
 		return nil

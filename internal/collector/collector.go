@@ -4,7 +4,7 @@
 // degrades against its own nominal history. The paper's prototype runs this loop
 // inside an automated Chromium browser (§IV-A-c); here it is one Go agent
 // over three sources of rounds: live landmarks (LiveSource, what
-// cmd/diagnet-agent runs), the simulator (SimSource) and a recorded
+// `diagnet agent` runs), the simulator (SimSource) and a recorded
 // session (Replay).
 package collector
 
@@ -27,7 +27,7 @@ var (
 // degradeSlackMs, once warmupRounds nominal rounds exist. DESIGN.md §19
 // has the per-family measurement that chose it.
 const (
-	// DegradeRatio is the default ratio (diagnet-agent -degrade-ratio).
+	// DegradeRatio is the default ratio (diagnet agent -degrade-ratio).
 	DegradeRatio   = 1.25
 	degradeSlackMs = 40
 	warmupRounds   = 5

@@ -210,7 +210,7 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		if retiredFormat(err) {
 			return nil, fmt.Errorf("core: load bundle: not a version-3 bundle; a version-2 or version-1 bundle or a single-model file of an older build is no longer read: "+
-				"train it again with diagnet-train (-out for the general model, -bundle for per-service heads): %w", err)
+				"train it again with diagnet train (-out for the general model, -bundle for per-service heads): %w", err)
 		}
 		return nil, fmt.Errorf("core: load bundle: a damaged or truncated version-3 bundle: %w", err)
 	}

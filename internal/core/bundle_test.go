@@ -210,7 +210,7 @@ func TestLoadBundleRefusesRetiredFormats(t *testing.T) {
 		if err == nil {
 			t.Fatalf("LoadBundle accepted a %s file of a retired format", c.name)
 		}
-		for _, want := range []string{"not a version-3 bundle", "train it again with diagnet-train", c.cause} {
+		for _, want := range []string{"not a version-3 bundle", "train it again with diagnet train", c.cause} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s file: error %q does not say %q", c.name, err, want)
 			}

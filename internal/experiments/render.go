@@ -15,14 +15,6 @@ func newTable(header ...string) *table { return &table{header: header} }
 
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addRowf(label string, format string, vals ...float64) {
-	cells := []string{label}
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.addRow(cells...)
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

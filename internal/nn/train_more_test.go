@@ -267,9 +267,18 @@ func TestFitAllocatesOnlyInItsFirstEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, labels := randBatch(rng, 200, 7*3+2, 4)
 	valX, valLabels := randBatch(rng, 40, 7*3+2, 4)
+	// The trainers are built before the measurement: NewDense names its
+	// parameters with fmt.Sprintf, whose printers come from a sync.Pool
+	// that a GC empties and that -race drops puts from at random, so
+	// building the network inside it counted a new printer now and then.
 	fit := func(epochs int) (objects, bytes uint64) {
+		var trainers []*Trainer
+		for range 5 {
+			trainers = append(trainers, NewTrainer(attentionNet(42, 3)))
+		}
 		return allocated(func() {
-			NewTrainer(attentionNet(42, 3)).Fit(x, labels, valX, valLabels, TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 43})
+			trainers[0].Fit(x, labels, valX, valLabels, TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 43})
+			trainers = trainers[1:]
 		})
 	}
 	history := func(epochs int) (objects, bytes uint64) {

@@ -61,7 +61,7 @@ func MetricsHandler(reg *telemetry.Registry) http.HandlerFunc {
 
 // RouteNames are the registry names Instrument records one HTTP route
 // under. Everything that reads a route's metrics — the SLO objectives,
-// diagnet-top — takes the names from here, so the scheme is spelled once.
+// diagnet top — takes the names from here, so the scheme is spelled once.
 type RouteNames struct {
 	Requests string // counter
 	Errors   string // counter: status ≥ 400 or panic

@@ -21,7 +21,7 @@ import (
 // micro-batch, so diagnoses never wait on a swap and a swap never observes
 // a half-updated model set. A registered version is the bundle it was
 // added with: nothing installs models into it afterwards, so per-service
-// heads ship inside the bundle (core.Bundle, diagnet-train -bundle).
+// heads ship inside the bundle (core.Bundle, diagnet train -bundle).
 type Registry struct {
 	workers int
 

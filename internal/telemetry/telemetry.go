@@ -8,7 +8,7 @@
 // attention pass, how often probe rounds degrade, how many events the
 // collector drops. Every layer of the pipeline records into the default
 // registry; diagnetd and the router serve its Export as JSON at
-// GET /v1/metrics, diagnet-agent via its -metrics listener.
+// GET /v1/metrics, diagnet agent via its -metrics listener.
 //
 // The hot-path cost is one atomic add per counter event and one binary
 // search plus two atomic adds per histogram observation (a traced one also
