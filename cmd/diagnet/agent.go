@@ -16,6 +16,7 @@ import (
 	"diagnet/internal/analysis"
 	"diagnet/internal/collector"
 	"diagnet/internal/durable"
+	"diagnet/internal/resilience"
 	"diagnet/internal/telemetry"
 	"diagnet/internal/tracing"
 )
@@ -63,6 +64,8 @@ func runAgent(args []string) error {
 	rounds := fs.Int("rounds", 0, "stop after N rounds (0 = run forever)")
 	minLandmarks := fs.Int("min-landmarks", 1, "fewest surviving landmarks for a degraded-mode diagnosis")
 	newProber := multiProberFlags(fs)
+	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive failures that open a landmark's circuit")
+	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Minute, "open-circuit cooldown before a half-open ping")
 	metricsAddr := fs.String("metrics", "", "serve GET /metrics (telemetry + landmark health) on this address (empty = off)")
 	stateDir := fs.String("state-dir", "", "journal degraded-round snapshots here; pending uploads survive a crash (empty = off)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
@@ -85,7 +88,10 @@ func runAgent(args []string) error {
 		return usagef("-min-landmarks out of range [1, %d]", len(urls))
 	}
 
-	prober := newProber(diagnet.ProberConfig{})
+	prober := newProber(diagnet.ProberConfig{}, resilience.BreakerConfig{
+		FailureThreshold: *breakerThreshold,
+		Cooldown:         *breakerCooldown,
+	})
 	client := analysis.NewClient(*analysisURL)
 	if *metricsAddr != "" {
 		go serveMetrics(*metricsAddr, prober)

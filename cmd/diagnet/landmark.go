@@ -37,11 +37,10 @@ func runLandmark(args []string) error {
 
 // runProbe measures one or more landmark servers from this client and
 // prints the per-landmark metric vector — the live counterpart of the
-// simulator's probing plane. Landmarks are probed as the agent probes
-// them: concurrently, with per-landmark retries and circuit breakers;
-// unreachable ones are reported instead of aborting the run (partial
-// telemetry is the normal case, not an error), and the run fails only
-// when every landmark does.
+// simulator's probing plane. Landmarks are probed concurrently with
+// per-landmark retries; unreachable ones are reported instead of aborting
+// the run (partial telemetry is the normal case, not an error), and the
+// run fails only when every landmark does.
 func runProbe(args []string) error {
 	fs := newFlags("probe", "URL...")
 	pings := fs.Int("pings", 7, "RTT samples per landmark")
@@ -61,7 +60,7 @@ func runProbe(args []string) error {
 		DownloadBytes: *downloadKB << 10,
 		UploadBytes:   *uploadKB << 10,
 		Timeout:       *timeout,
-	})
+	}, resilience.BreakerConfig{})
 	results, partial := prober.ProbeAll(context.Background(), fs.Args())
 
 	fmt.Printf("%-32s %10s %10s %12s %12s %9s\n", "landmark", "rtt(ms)", "jitter(ms)", "down(Mbps)", "up(Mbps)", "attempts")
@@ -87,22 +86,17 @@ func runProbe(args []string) error {
 // multiProberFlags declares on fs the flags of the fault-tolerant prober
 // that agent and probe share, and returns the constructor that reads them
 // once fs is parsed.
-func multiProberFlags(fs *flag.FlagSet) func(diagnet.ProberConfig) *diagnet.MultiProber {
+func multiProberFlags(fs *flag.FlagSet) func(diagnet.ProberConfig, resilience.BreakerConfig) *diagnet.MultiProber {
 	concurrency := fs.Int("probe-concurrency", 4, "landmarks probed in parallel")
 	roundTimeout := fs.Duration("round-timeout", 60*time.Second, "deadline for one probing round across all landmarks")
 	retryAttempts := fs.Int("retry-attempts", 2, "probe attempts per landmark per round")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive failures that open a landmark's circuit")
-	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Minute, "open-circuit cooldown before a half-open ping")
-	return func(cfg diagnet.ProberConfig) *diagnet.MultiProber {
+	return func(cfg diagnet.ProberConfig, breaker resilience.BreakerConfig) *diagnet.MultiProber {
 		return diagnet.NewMultiProber(diagnet.MultiProberConfig{
 			Prober:        cfg,
 			MaxConcurrent: *concurrency,
 			RoundTimeout:  *roundTimeout,
 			Retry:         resilience.RetryPolicy{MaxAttempts: *retryAttempts},
-			Breaker: resilience.BreakerConfig{
-				FailureThreshold: *breakerThreshold,
-				Cooldown:         *breakerCooldown,
-			},
+			Breaker:       breaker,
 		})
 	}
 }

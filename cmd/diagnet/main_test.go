@@ -74,6 +74,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"train", "-specialize"},
 		{"trace"},
 		{"probe"},
+		{"probe", "-breaker-threshold", "1", "http://127.0.0.1:1"}, // an agent-only flag
 		{"agent"},
 		{"figures", "-profile", "huge"},
 		{"simulate", "-faults", "loss@NOWHERE"},

@@ -243,12 +243,15 @@ func TestFitNeverTouchesFrozenParams(t *testing.T) {
 	}
 }
 
-// allocated returns how many heap objects, and bytes, f allocates: the
-// fewest of five calls, so that what the runtime allocates now and then
-// meanwhile (its scavenger's timers, a new thread) does not count.
-func allocated(f func()) (objects, bytes uint64) {
+// allocated returns how many heap objects, and bytes, a call of the
+// function prepare returns allocates: the fewest of five calls, each
+// prepared outside the measurement, so that what the runtime allocates
+// now and then meanwhile (its scavenger's timers, a new thread) does not
+// count.
+func allocated(prepare func() func()) (objects, bytes uint64) {
 	objects, bytes = math.MaxUint64, math.MaxUint64
 	for range 5 {
+		f := prepare()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
@@ -267,25 +270,23 @@ func TestFitAllocatesOnlyInItsFirstEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, labels := randBatch(rng, 200, 7*3+2, 4)
 	valX, valLabels := randBatch(rng, 40, 7*3+2, 4)
-	// The trainers are built before the measurement: NewDense names its
+	// Each trainer is built before its measurement: NewDense names its
 	// parameters with fmt.Sprintf, whose printers come from a sync.Pool
 	// that a GC empties and that -race drops puts from at random, so
 	// building the network inside it counted a new printer now and then.
 	fit := func(epochs int) (objects, bytes uint64) {
-		var trainers []*Trainer
-		for range 5 {
-			trainers = append(trainers, NewTrainer(attentionNet(42, 3)))
-		}
-		return allocated(func() {
-			trainers[0].Fit(x, labels, valX, valLabels, TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 43})
-			trainers = trainers[1:]
+		return allocated(func() func() {
+			tr := NewTrainer(attentionNet(42, 3))
+			return func() { tr.Fit(x, labels, valX, valLabels, TrainConfig{Epochs: epochs, BatchSize: 16, Seed: 43}) }
 		})
 	}
 	history := func(epochs int) (objects, bytes uint64) {
-		return allocated(func() {
-			h := &History{}
-			for i := 0; i < epochs; i++ {
-				h.TrainLoss, h.ValLoss = append(h.TrainLoss, 0), append(h.ValLoss, 0)
+		return allocated(func() func() {
+			return func() {
+				h := &History{}
+				for i := 0; i < epochs; i++ {
+					h.TrainLoss, h.ValLoss = append(h.TrainLoss, 0), append(h.ValLoss, 0)
+				}
 			}
 		})
 	}
