@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"diagnet/internal/experiments"
@@ -16,7 +17,7 @@ import (
 func runFigures(args []string) error {
 	fs := newFlags("figures", "")
 	profileName := fs.String("profile", "default", "experiment profile: quick, default or paper")
-	fig := fs.String("fig", "all", "which figure to regenerate: 5, 6, 7, 8, 9, 10, ablation or all")
+	fig := fs.String("fig", "all", "which figures to regenerate, comma-separated: 5, 6, 7, 8, 9, 10, ablation, hyper, availability, perservice, disentangle, seeds or all")
 	outDir := fs.String("out", "", "optional directory to also write per-figure reports to")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -37,11 +38,6 @@ func runFigures(args []string) error {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 	}
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-
 	// The lab is built on first use, by the first figure that needs one.
 	var lab *experiments.Lab
 	onLab := func(fig func(*experiments.Lab) report) func() report {
@@ -57,7 +53,7 @@ func runFigures(args []string) error {
 	// builds two extra pipelines and the robustness study one pipeline per
 	// seed: those, and the availability and per-service tables, run only
 	// when named.
-	for _, f := range []struct {
+	figs := []struct {
 		key, name string
 		inAll     bool
 		run       func() report
@@ -74,7 +70,20 @@ func runFigures(args []string) error {
 		{"perservice", "perservice", false, onLab(func(l *experiments.Lab) report { return l.PerService() })},
 		{"disentangle", "disentangle", false, func() report { return experiments.Disentangle(profile, logf) }},
 		{"seeds", "seeds", false, func() report { return experiments.Robustness(profile, 3, logf) }},
-	} {
+	}
+	keys := []string{"all"}
+	for _, f := range figs {
+		keys = append(keys, f.key)
+	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(*fig, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(keys, f) {
+			return usagef("-fig: no figure %q; the figures are %s", f, strings.Join(keys, ", "))
+		}
+		want[f] = true
+	}
+	for _, f := range figs {
 		if !want[f.key] && !(f.inAll && want["all"]) {
 			continue
 		}

@@ -77,6 +77,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"probe", "-breaker-threshold", "1", "http://127.0.0.1:1"}, // an agent-only flag
 		{"agent"},
 		{"figures", "-profile", "huge"},
+		{"figures", "-fig", "bogus"},
 		{"simulate", "-faults", "loss@NOWHERE"},
 	} {
 		if code, stderr := runDiagnet(t, t.TempDir(), args...); code != 2 {

@@ -58,6 +58,9 @@ type Transition struct {
 // keepTransitions bounds the in-memory transition tail served by Status.
 const keepTransitions = 32
 
+// holdoutFrac of labeled samples is withheld for the gate's accuracy proxy.
+const holdoutFrac = 0.2
+
 // Config wires a Controller to the serving plane.
 type Config struct {
 	// Engine is the serving engine whose registry holds the incumbent and
@@ -81,11 +84,6 @@ type Config struct {
 	// MinSamples is the least buffered samples before any cycle starts
 	// (default 256).
 	MinSamples int
-	// HoldoutFrac of labeled samples is withheld for the gate's accuracy
-	// proxy (default 0.2).
-	HoldoutFrac float64
-	// Classes is the coarse-family count (default probe.NumFamilies).
-	Classes int
 	// WatchWindow is how long the regression watchdog runs after a
 	// promotion (default 2m).
 	WatchWindow time.Duration
@@ -109,8 +107,6 @@ type Config struct {
 	// TrainFunc overrides the trainer (tests). It must return a candidate
 	// bundle ready for the registry.
 	TrainFunc func(ctx context.Context) (*TrainOutcome, error)
-	// Logger receives progress lines (default slog.Default).
-	Logger *slog.Logger
 	// Now supplies the clock (default time.Now).
 	Now func() time.Time
 }
@@ -125,12 +121,6 @@ func (c Config) withDefaults() Config {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 256
 	}
-	if c.HoldoutFrac <= 0 {
-		c.HoldoutFrac = 0.2
-	}
-	if c.Classes <= 0 {
-		c.Classes = int(probe.NumFamilies)
-	}
 	if c.WatchWindow <= 0 {
 		c.WatchWindow = 2 * time.Minute
 	}
@@ -139,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Logger == nil {
-		c.Logger = slog.Default()
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -248,7 +235,7 @@ func NewController(cfg Config) (*Controller, error) {
 		cfg:          cfg,
 		gate:         cfg.Gate.withDefaults(),
 		state:        StateIdle,
-		driftTrigger: drift.NewDetector(cfg.Classes, drift.Config{}),
+		driftTrigger: drift.NewDetector(int(probe.NumFamilies), drift.Config{}),
 		trigger:      make(chan string, 1),
 	}
 	c.driftTrigger.Reset() // the first full window of served traffic is the reference
@@ -438,12 +425,12 @@ func (c *Controller) transition(to State, reason string) {
 	c.mu.Unlock()
 
 	mState.Set(stateCode[to])
-	c.cfg.Logger.Info("continual transition",
+	slog.Info("continual transition",
 		"from", tr.From, "to", tr.To, "reason", reason, "cycle", tr.Cycle, "version", tr.Version)
 	if c.jn != nil {
 		if payload, err := json.Marshal(tr); err == nil {
 			if err := c.jn.Append(payload); err != nil {
-				c.cfg.Logger.Warn("continual: journal transition", "err", err)
+				slog.Warn("continual: journal transition", "err", err)
 			}
 		}
 	}
@@ -642,7 +629,7 @@ func (c *Controller) fail(span *tracing.Span, msg string) {
 	c.mu.Lock()
 	c.lastErr = msg
 	c.mu.Unlock()
-	c.cfg.Logger.Warn("continual cycle failed", "err", msg)
+	slog.Warn("continual cycle failed", "err", msg)
 	c.transition(StateCollecting, msg)
 }
 
@@ -656,7 +643,7 @@ func (c *Controller) fail(span *tracing.Span, msg string) {
 // model that panics on a replayed request fails the phase, not the
 // process.
 func (c *Controller) shadow(ctx context.Context, queue <-chan core.Row, incumbent, candidate *core.Bundle) (eval *shadowEvaluator, err error) {
-	eval = newShadowEvaluator(c.cfg.Classes, c.cfg.Seed+int64(c.cycle))
+	eval = newShadowEvaluator(int(probe.NumFamilies), c.cfg.Seed+int64(c.cycle))
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("a model panicked on a replayed request: %v", rec)
@@ -719,7 +706,7 @@ func (c *Controller) train(ctx context.Context) (*TrainOutcome, error) {
 	c.mu.Lock()
 	seed := c.cfg.Seed + int64(c.cycle)
 	c.mu.Unlock()
-	train, holdout := c.cfg.Store.Export(base.FullLayout, c.cfg.HoldoutFrac, seed)
+	train, holdout := c.cfg.Store.Export(base.FullLayout, holdoutFrac, seed)
 	if train.Len() == 0 {
 		return nil, errors.New("continual: export produced no training samples")
 	}
@@ -738,7 +725,7 @@ func (c *Controller) buildWatchdog(eval *shadowEvaluator) *drift.Detector {
 	if len(baseline) < 8 {
 		return nil
 	}
-	det := drift.NewDetector(c.cfg.Classes, drift.Config{
+	det := drift.NewDetector(int(probe.NumFamilies), drift.Config{
 		WindowSize:   c.cfg.WatchWindowSize,
 		PSIThreshold: c.cfg.WatchPSI,
 	})
@@ -774,7 +761,7 @@ func (c *Controller) checkWatchdog() {
 			c.lastErr = fmt.Sprintf("regression detected (%s) but rollback failed: %v", st.Reason, err)
 			msg := c.lastErr
 			c.mu.Unlock()
-			c.cfg.Logger.Error("continual rollback failed", "err", msg)
+			slog.Error("continual rollback failed", "err", msg)
 			c.transition(StateCollecting, msg)
 			return
 		}

@@ -113,6 +113,11 @@ func (e *shadowEvaluator) Summary() ShadowSummary {
 // vetted.
 func (e *shadowEvaluator) Baseline() [][]float64 { return e.refSample }
 
+// minAgree is the required agreement rate with the incumbent when no
+// labeled holdout exists — the only accuracy proxy available under pure
+// pseudo-labeling.
+const minAgree = 0.85
+
 // GateConfig sets the promotion criteria. Zero values take the defaults;
 // set a criterion negative to effectively disable it (MinGain) or very
 // large (MaxPSI, MaxLatencyRatio).
@@ -123,10 +128,6 @@ type GateConfig struct {
 	// MinGain is the required labeled-holdout accuracy improvement,
 	// candidate − incumbent (default 0: the candidate must not be worse).
 	MinGain float64
-	// MinAgree is the required agreement rate with the incumbent when no
-	// labeled holdout exists (default 0.85) — the only accuracy proxy
-	// available under pure pseudo-labeling.
-	MinAgree float64
 	// MaxPSI bounds the candidate's prediction-distribution shift against
 	// the incumbent over identical traffic (default 0.25, the detector's
 	// "major shift" threshold).
@@ -139,9 +140,6 @@ type GateConfig struct {
 func (c GateConfig) withDefaults() GateConfig {
 	if c.MinShadowSamples == 0 {
 		c.MinShadowSamples = 64
-	}
-	if c.MinAgree == 0 {
-		c.MinAgree = 0.85
 	}
 	if c.MaxPSI == 0 {
 		c.MaxPSI = 0.25
@@ -171,8 +169,8 @@ func (c GateConfig) Decide(train *TrainOutcome, shadow ShadowSummary) Decision {
 			return Decision{false, fmt.Sprintf("holdout gain %.4f < %.4f (candidate %.4f, incumbent %.4f on %d labeled)",
 				gain, c.MinGain, train.HoldoutCandidate, train.HoldoutIncumbent, train.HoldoutSamples)}
 		}
-	} else if shadow.AgreeRate < c.MinAgree {
-		return Decision{false, fmt.Sprintf("no labeled holdout and agreement %.4f < %.4f", shadow.AgreeRate, c.MinAgree)}
+	} else if shadow.AgreeRate < minAgree {
+		return Decision{false, fmt.Sprintf("no labeled holdout and agreement %.4f < %.4f", shadow.AgreeRate, minAgree)}
 	}
 	if shadow.PSI > c.MaxPSI {
 		return Decision{false, fmt.Sprintf("prediction shift PSI %.4f > %.4f", shadow.PSI, c.MaxPSI)}

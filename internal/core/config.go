@@ -40,15 +40,10 @@ type Config struct {
 
 // DefaultConfig returns Table I's hyperparameters.
 func DefaultConfig() Config {
-	ops := nn.DefaultPoolOps()
-	names := make([]string, len(ops))
-	for i, op := range ops {
-		names[i] = op.Name()
-	}
 	return Config{
 		Filters:          24,
 		Hidden:           []int{512, 128},
-		PoolOpNames:      names,
+		PoolOpNames:      nn.DefaultPoolOps(),
 		Optimizer:        "sgd",
 		LearningRate:     0.05,
 		Momentum:         0.9,

@@ -56,8 +56,7 @@ type TrainResult struct {
 // buildNet assembles the Table I architecture for k features per landmark
 // and NumLocal local features.
 func buildNet(cfg Config, rng *rand.Rand) *nn.Network {
-	ops := nn.PoolOpsByName(cfg.PoolOpNames)
-	lp := nn.NewLandPool(int(probe.NumMetrics), cfg.Filters, probe.NumLocal, ops, rng)
+	lp := nn.NewLandPool(int(probe.NumMetrics), cfg.Filters, probe.NumLocal, cfg.PoolOpNames, rng)
 	layers := []nn.Layer{lp}
 	in := lp.OutWidth()
 	for _, h := range cfg.Hidden {

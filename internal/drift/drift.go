@@ -26,10 +26,11 @@ type Config struct {
 	// PSIThreshold raises the drift signal (conventional rule of thumb:
 	// <0.1 stable, 0.1–0.25 moderate, >0.25 major; default 0.25).
 	PSIThreshold float64
-	// ConfidenceDrop raises the signal when the mean top-1 probability
-	// falls this far below the reference mean (default 0.15).
-	ConfidenceDrop float64
 }
+
+// confidenceDrop raises the signal when the mean top-1 probability falls
+// this far below the reference mean.
+const confidenceDrop = 0.15
 
 func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
@@ -37,9 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PSIThreshold <= 0 {
 		c.PSIThreshold = 0.25
-	}
-	if c.ConfidenceDrop <= 0 {
-		c.ConfidenceDrop = 0.15
 	}
 	return c
 }
@@ -186,7 +184,7 @@ func (d *Detector) Status() Status {
 	case s.PSI > d.cfg.PSIThreshold:
 		s.Drifted = true
 		s.Reason = fmt.Sprintf("prediction distribution shifted (PSI %.3f > %.3f)", s.PSI, d.cfg.PSIThreshold)
-	case s.ConfidenceDelta > d.cfg.ConfidenceDrop:
+	case s.ConfidenceDelta > confidenceDrop:
 		s.Drifted = true
 		s.Reason = fmt.Sprintf("confidence dropped %.2f → %.2f", refConf, liveConf)
 	default:

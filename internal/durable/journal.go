@@ -32,7 +32,7 @@ import (
 //	8-byte magic "DJNL\x00\x00\x00\x01"
 //	repeated records: u32 payload length (LE) | u32 CRC32C(payload) | payload
 //
-// The length prefix is bounded by MaxRecordBytes so a corrupt length
+// The length prefix is bounded by maxRecordBytes so a corrupt length
 // cannot drive a multi-gigabyte allocation during replay.
 var segMagic = []byte("DJNL\x00\x00\x00\x01")
 
@@ -90,9 +90,10 @@ type Options struct {
 	// SegmentBytes caps one segment file; appends past the cap rotate to
 	// a fresh segment (default 4 MiB).
 	SegmentBytes int64
-	// MaxRecordBytes bounds one record's payload (default 16 MiB).
-	MaxRecordBytes int
 }
+
+// maxRecordBytes bounds one record's payload.
+const maxRecordBytes = 16 << 20
 
 func (o Options) withDefaults() Options {
 	if o.BatchAppends <= 0 {
@@ -100,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
 	}
 	return o
 }
@@ -198,7 +196,7 @@ func (j *Journal) segments() ([]uint64, error) {
 func (j *Journal) repair(segs []uint64) error {
 	for i, idx := range segs {
 		path := filepath.Join(j.dir, segName(idx))
-		valid, clean, err := scanSegmentFile(path, j.opt.MaxRecordBytes, nil)
+		valid, clean, err := scanSegmentFile(path, maxRecordBytes, nil)
 		if err != nil {
 			return err
 		}
@@ -240,7 +238,7 @@ func (j *Journal) Replay(fn func(payload []byte) error) error {
 		return err
 	}
 	for _, idx := range segs {
-		_, _, err := scanSegmentFile(filepath.Join(j.dir, segName(idx)), j.opt.MaxRecordBytes, func(p []byte) error {
+		_, _, err := scanSegmentFile(filepath.Join(j.dir, segName(idx)), maxRecordBytes, func(p []byte) error {
 			mReplayed.Inc()
 			return fn(p)
 		})
@@ -271,9 +269,6 @@ func scanSegmentFile(path string, maxRecord int, fn func([]byte) error) (valid i
 // Exposed (rather than kept private) so the fuzzer can drive the exact
 // parser the recovery path uses.
 func scanSegment(r io.Reader, maxRecord int, fn func([]byte) error) (valid int64, clean bool, err error) {
-	if maxRecord <= 0 {
-		maxRecord = 16 << 20
-	}
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return 0, false, nil // too short for a header: whole file is torn
@@ -349,8 +344,8 @@ func (j *Journal) Append(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("durable: empty record")
 	}
-	if len(payload) > j.opt.MaxRecordBytes {
-		return fmt.Errorf("durable: record %d bytes exceeds max %d", len(payload), j.opt.MaxRecordBytes)
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("durable: record %d bytes exceeds max %d", len(payload), maxRecordBytes)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -55,9 +55,10 @@ type MultiProberConfig struct {
 	// Breaker configures the per-landmark circuit breakers (default:
 	// 3 consecutive failures open; 30s cooldown).
 	Breaker resilience.BreakerConfig
-	// PingTimeout caps the cheap half-open recovery ping (default 5s).
-	PingTimeout time.Duration
 }
+
+// pingTimeout caps the cheap half-open recovery ping.
+const pingTimeout = 5 * time.Second
 
 func (c MultiProberConfig) withDefaults() MultiProberConfig {
 	if c.MaxConcurrent <= 0 {
@@ -68,9 +69,6 @@ func (c MultiProberConfig) withDefaults() MultiProberConfig {
 	}
 	if c.Retry.MaxAttempts <= 0 {
 		c.Retry.MaxAttempts = 2
-	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -231,7 +229,7 @@ func (mp *MultiProber) probeOne(ctx context.Context, index int, url string) (res
 		// Probe-through recovery: one cheap ping decides instead of a
 		// full multi-MiB probe. Only a responsive landmark graduates to
 		// the full measurement below.
-		pingCtx, cancel := context.WithTimeout(ctx, mp.cfg.PingTimeout)
+		pingCtx, cancel := context.WithTimeout(ctx, pingTimeout)
 		err := mp.prober.ping(pingCtx, url)
 		cancel()
 		if err != nil {

@@ -120,37 +120,32 @@ func (d *Dense) Spec() LayerSpec {
 // output of the Dense below and that gradient the output of the layer above
 // (or the loss seed) — matrices nobody reads again.
 type ReLU struct {
-	mask []bool
+	y *mat.Matrix // Forward's rectified output
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward rectifies x in place and records the active mask.
+// Forward rectifies x in place: every element that is not positive, NaN
+// and −0 among them, becomes +0.
 func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
+		if !(v > 0) {
 			x.Data[i] = 0
 		}
 	}
+	r.y = x
 	return x
 }
 
-// Backward zeroes, in place, the gradients where the forward input was
-// non-positive.
+// Backward zeroes, in place, the gradients where Forward's output is 0,
+// which is where its input was not positive.
 func (r *ReLU) Backward(dout *mat.Matrix) *mat.Matrix {
-	if len(r.mask) != len(dout.Data) {
+	if r.y == nil || len(r.y.Data) != len(dout.Data) {
 		panic("nn: ReLU.Backward shape mismatch with Forward")
 	}
-	for i := range dout.Data {
-		if !r.mask[i] {
+	for i, v := range r.y.Data {
+		if v == 0 {
 			dout.Data[i] = 0
 		}
 	}

@@ -7,161 +7,55 @@ import (
 	"diagnet/internal/mat"
 )
 
-// PoolOp is one commutative global pooling function Ω applied across the
-// landmark axis (paper §III-C). Forward reduces the per-landmark values of
-// one filter to a scalar; Backward distributes the output gradient g back
-// onto the per-landmark values, accumulating into dvals.
-type PoolOp interface {
-	Name() string
-	Forward(vals []float64) float64
-	Backward(vals []float64, g float64, dvals []float64)
+// poolKind is what a pooling op computes.
+type poolKind uint8
+
+const (
+	percentile poolKind = iota // linear interpolation between closest ranks
+	mean
+	variance // population variance
+)
+
+// poolOp is one of the commutative global pooling functions Ω applied
+// across the landmark axis (paper §III-C). Ω is a closed set: a percentile
+// of the landmark values, or their mean or variance. min and max are the
+// percentiles p0 and p100.
+type poolOp struct {
+	name string // canonical, as Spec writes it
+	kind poolKind
+	p    float64 // the percentile, in [0, 100]
 }
 
-// MaxPool selects the maximum across landmarks.
-type MaxPool struct{}
+// DefaultPoolOps returns the names of the paper's Ω set (Table I): min,
+// max, avg, variance and the deciles p10 … p90.
+func DefaultPoolOps() []string {
+	return []string{"min", "max", "avg", "var", "p10", "p20", "p30", "p40", "p50", "p60", "p70", "p80", "p90"}
+}
 
-// Name implements PoolOp.
-func (MaxPool) Name() string { return "max" }
-
-// Forward implements PoolOp.
-func (MaxPool) Forward(vals []float64) float64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
+// parsePoolOps builds the ops of names, reporting an unknown name, or a
+// percentile outside [0, 100], as an error.
+func parsePoolOps(names []string) ([]poolOp, error) {
+	ops := make([]poolOp, len(names))
+	for i, n := range names {
+		switch n {
+		case "min":
+			ops[i] = poolOp{name: n, kind: percentile, p: 0}
+		case "max":
+			ops[i] = poolOp{name: n, kind: percentile, p: 100}
+		case "avg":
+			ops[i] = poolOp{name: n, kind: mean}
+		case "var":
+			ops[i] = poolOp{name: n, kind: variance}
+		default:
+			var p float64
+			if _, err := fmt.Sscanf(n, "p%f", &p); err != nil || !(p >= 0 && p <= 100) {
+				return nil, fmt.Errorf("unknown pool op %s", n)
+			}
+			ops[i] = poolOp{name: fmt.Sprintf("p%02.0f", p), kind: percentile, p: p}
 		}
 	}
-	return m
+	return ops, nil
 }
-
-// Backward routes the gradient to the arg-max landmark.
-func (MaxPool) Backward(vals []float64, g float64, dvals []float64) {
-	arg := 0
-	for i, v := range vals {
-		if v > vals[arg] {
-			arg = i
-		}
-	}
-	dvals[arg] += g
-}
-
-// MinPool selects the minimum across landmarks.
-type MinPool struct{}
-
-// Name implements PoolOp.
-func (MinPool) Name() string { return "min" }
-
-// Forward implements PoolOp.
-func (MinPool) Forward(vals []float64) float64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Backward routes the gradient to the arg-min landmark.
-func (MinPool) Backward(vals []float64, g float64, dvals []float64) {
-	arg := 0
-	for i, v := range vals {
-		if v < vals[arg] {
-			arg = i
-		}
-	}
-	dvals[arg] += g
-}
-
-// AvgPool averages across landmarks.
-type AvgPool struct{}
-
-// Name implements PoolOp.
-func (AvgPool) Name() string { return "avg" }
-
-// Forward implements PoolOp.
-func (AvgPool) Forward(vals []float64) float64 {
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
-}
-
-// Backward spreads the gradient uniformly.
-func (AvgPool) Backward(vals []float64, g float64, dvals []float64) {
-	w := g / float64(len(vals))
-	for i := range dvals {
-		dvals[i] += w
-	}
-}
-
-// VarPool computes the population variance across landmarks.
-type VarPool struct{}
-
-// Name implements PoolOp.
-func (VarPool) Name() string { return "var" }
-
-// Forward implements PoolOp.
-func (VarPool) Forward(vals []float64) float64 {
-	n := float64(len(vals))
-	var mean float64
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= n
-	var s float64
-	for _, v := range vals {
-		d := v - mean
-		s += d * d
-	}
-	return s / n
-}
-
-// Backward uses d var/d v_i = 2 (v_i − mean) / n.
-func (VarPool) Backward(vals []float64, g float64, dvals []float64) {
-	n := float64(len(vals))
-	var mean float64
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= n
-	for i, v := range vals {
-		dvals[i] += g * 2 * (v - mean) / n
-	}
-}
-
-// sortedPoolOp is implemented by ops that can reuse a shared ascending
-// argsort of the landmark values, letting LandPool sort once per
-// (sample, filter) instead of once per op — the hot path of both training
-// and attention.
-type sortedPoolOp interface {
-	ForwardSorted(vals []float64, idx []int) float64
-	BackwardSorted(vals []float64, idx []int, g float64, dvals []float64)
-}
-
-// ForwardSorted implements sortedPoolOp.
-func (MinPool) ForwardSorted(vals []float64, idx []int) float64 { return vals[idx[0]] }
-
-// BackwardSorted implements sortedPoolOp.
-func (MinPool) BackwardSorted(vals []float64, idx []int, g float64, dvals []float64) {
-	dvals[idx[0]] += g
-}
-
-// ForwardSorted implements sortedPoolOp.
-func (MaxPool) ForwardSorted(vals []float64, idx []int) float64 { return vals[idx[len(idx)-1]] }
-
-// BackwardSorted implements sortedPoolOp.
-func (MaxPool) BackwardSorted(vals []float64, idx []int, g float64, dvals []float64) {
-	dvals[idx[len(idx)-1]] += g
-}
-
-// PercentilePool computes the p-th percentile across landmarks with linear
-// interpolation between closest ranks.
-type PercentilePool struct{ P float64 }
-
-// Name implements PoolOp.
-func (p PercentilePool) Name() string { return fmt.Sprintf("p%02.0f", p.P) }
 
 // anchor is where a percentile of n values lies in their ascending order:
 // between positions lo and hi, frac of the way to hi.
@@ -170,12 +64,12 @@ type anchor struct {
 	frac   float64
 }
 
-// rank returns the interpolation anchors for n values.
-func (p PercentilePool) rank(n int) anchor {
+// rank returns the interpolation anchors of percentile op for n values.
+func (op poolOp) rank(n int) anchor {
 	if n == 1 {
 		return anchor{}
 	}
-	r := p.P / 100 * float64(n-1)
+	r := op.p / 100 * float64(n-1)
 	a := anchor{lo: int(r)}
 	a.frac = r - float64(a.lo)
 	a.hi = a.lo
@@ -185,39 +79,18 @@ func (p PercentilePool) rank(n int) anchor {
 	return a
 }
 
-// Forward implements PoolOp.
-func (p PercentilePool) Forward(vals []float64) float64 {
-	idx := make([]int, len(vals))
-	insertionArgsort(vals, idx)
-	return p.ForwardSorted(vals, idx)
-}
-
-// Backward routes the gradient onto the one or two order statistics the
-// interpolation touched.
-func (p PercentilePool) Backward(vals []float64, g float64, dvals []float64) {
-	idx := make([]int, len(vals))
-	insertionArgsort(vals, idx)
-	p.BackwardSorted(vals, idx, g, dvals)
-}
-
-// ForwardSorted implements sortedPoolOp.
-func (p PercentilePool) ForwardSorted(vals []float64, idx []int) float64 {
-	return forwardAt(vals, idx, p.rank(len(vals)))
-}
-
-// BackwardSorted implements sortedPoolOp.
-func (p PercentilePool) BackwardSorted(vals []float64, idx []int, g float64, dvals []float64) {
-	backwardAt(vals, idx, p.rank(len(vals)), g, dvals)
-}
-
 // forwardAt is the percentile at anchor a of vals, whose ascending order
-// is idx.
+// is idx. At an exact rank it reads the one value, so that an infinite
+// activation pools to itself and not to ∞·0 = NaN.
 func forwardAt(vals []float64, idx []int, a anchor) float64 {
+	if a.hi == a.lo {
+		return vals[idx[a.lo]]
+	}
 	return vals[idx[a.lo]]*(1-a.frac) + vals[idx[a.hi]]*a.frac
 }
 
 // backwardAt routes g onto the order statistics of anchor a.
-func backwardAt(vals []float64, idx []int, a anchor, g float64, dvals []float64) {
+func backwardAt(idx []int, a anchor, g float64, dvals []float64) {
 	dvals[idx[a.lo]] += g * (1 - a.frac)
 	if a.hi != a.lo {
 		dvals[idx[a.hi]] += g * a.frac
@@ -238,49 +111,13 @@ func insertionArgsort(vals []float64, idx []int) {
 	}
 }
 
-// DefaultPoolOps returns the paper's Ω set (Table I): min, max, avg,
-// variance and the deciles p10 … p90.
-func DefaultPoolOps() []PoolOp {
-	ops := []PoolOp{MinPool{}, MaxPool{}, AvgPool{}, VarPool{}}
-	for p := 10.0; p <= 90; p += 10 {
-		ops = append(ops, PercentilePool{P: p})
+// meanOf is the mean of vals.
+func meanOf(vals []float64) float64 {
+	var s float64
+	for _, v := range vals {
+		s += v
 	}
-	return ops
-}
-
-// PoolOpsByName rebuilds a pooling-op list from its names (a Config's).
-// Unknown names cause a panic.
-func PoolOpsByName(names []string) []PoolOp {
-	ops, err := poolOpsByName(names)
-	if err != nil {
-		panic("nn: " + err.Error())
-	}
-	return ops
-}
-
-// poolOpsByName is PoolOpsByName reporting an unknown name, or a
-// percentile outside [0, 100], as an error.
-func poolOpsByName(names []string) ([]PoolOp, error) {
-	ops := make([]PoolOp, len(names))
-	for i, n := range names {
-		switch n {
-		case "min":
-			ops[i] = MinPool{}
-		case "max":
-			ops[i] = MaxPool{}
-		case "avg":
-			ops[i] = AvgPool{}
-		case "var":
-			ops[i] = VarPool{}
-		default:
-			var p float64
-			if _, err := fmt.Sscanf(n, "p%f", &p); err != nil || !(p >= 0 && p <= 100) {
-				return nil, fmt.Errorf("unknown pool op %s", n)
-			}
-			ops[i] = PercentilePool{P: p}
-		}
-	}
-	return ops, nil
+	return s / float64(len(vals))
 }
 
 // LandPool is the paper's non-overlapping convolution with global pooling
@@ -289,10 +126,10 @@ func poolOpsByName(names []string) ([]PoolOp, error) {
 //	[landmark₀ (K feats) | landmark₁ (K feats) | … | NumLocal local feats]
 //
 // Each landmark's K features are projected through a shared kernel
-// Kernel ∈ R^{F×K} plus bias to F filter activations; every pooling op in
-// Ops then reduces the landmark axis, yielding len(Ops)·F values. Local
+// Kernel ∈ R^{F×K} plus bias to F filter activations; every pooling op of
+// Ω then reduces the landmark axis, yielding |Ω|·F values. Local
 // features bypass the convolution and are concatenated after the pooled
-// block, so the layer's output width — len(Ops)·F + NumLocal — does not
+// block, so the layer's output width — |Ω|·F + NumLocal — does not
 // depend on how many landmarks the sample carries. This is what makes the
 // model root-cause extensible: landmarks may appear or disappear between
 // training and inference without any architectural change.
@@ -300,7 +137,7 @@ type LandPool struct {
 	K        int // features per landmark
 	F        int // number of convolution filters
 	NumLocal int // trailing local features passed through
-	Ops      []PoolOp
+	ops      []poolOp
 
 	Kernel *Param // F×K
 	Bias   *Param // 1×F
@@ -313,16 +150,21 @@ type LandPool struct {
 	filtered []float64 // per sample: ell*F filter activations
 	order    []int     // per sample and filter: the ascending order of its ell activations
 	nCached  int
-	anchors  []anchor // per op: where a PercentilePool reads at ell landmarks
+	anchors  []anchor // per op: where a percentile reads at ell landmarks
 }
 
-// NewLandPool builds a LandPool layer with Glorot-initialized kernel.
-func NewLandPool(k, f, numLocal int, ops []PoolOp, rng *rand.Rand) *LandPool {
+// NewLandPool builds a LandPool layer with Glorot-initialized kernel whose
+// Ω is the ops named (DefaultPoolOps). An unknown name causes a panic.
+func NewLandPool(k, f, numLocal int, names []string, rng *rand.Rand) *LandPool {
+	ops, err := parsePoolOps(names)
+	if err != nil {
+		panic("nn: " + err.Error())
+	}
 	lp := &LandPool{
 		K:        k,
 		F:        f,
 		NumLocal: numLocal,
-		Ops:      ops,
+		ops:      ops,
 		Kernel:   newParam("landpool_kernel", f, k),
 		Bias:     newParam("landpool_bias", 1, f),
 	}
@@ -330,8 +172,8 @@ func NewLandPool(k, f, numLocal int, ops []PoolOp, rng *rand.Rand) *LandPool {
 	return lp
 }
 
-// OutWidth returns the layer's output width: len(Ops)·F + NumLocal.
-func (lp *LandPool) OutWidth() int { return len(lp.Ops)*lp.F + lp.NumLocal }
+// OutWidth returns the layer's output width: |Ω|·F + NumLocal.
+func (lp *LandPool) OutWidth() int { return len(lp.ops)*lp.F + lp.NumLocal }
 
 // landmarks returns how many landmarks an input of the given width carries.
 func (lp *LandPool) landmarks(cols int) int {
@@ -350,7 +192,7 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		lp.filtered = make([]float64, need)
 	}
 	lp.filtered = lp.filtered[:x.Rows*ell*lp.F]
-	needSort := lp.needSort()
+	needSort, needMean := lp.needs()
 	if need := x.Rows * ell * lp.F; needSort && cap(lp.order) < need {
 		lp.order = make([]int, need)
 	}
@@ -372,8 +214,8 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 			}
 		}
 		// Pooling: out[o·F+fi] = Ω_o over λ of F[λ][fi]. The ascending
-		// order is computed once per filter, shared by every
-		// order-statistic op and kept for Backward.
+		// order is computed once per filter, shared by every percentile
+		// and kept for Backward; the mean once, shared by avg and var.
 		orow := out.Row(s)
 		for fi := 0; fi < lp.F; fi++ {
 			for l := 0; l < ell; l++ {
@@ -383,47 +225,59 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 				idx = lp.sortOrder(s, fi)
 				insertionArgsort(vals, idx)
 			}
-			for o, op := range lp.Ops {
-				switch op := op.(type) {
-				case PercentilePool:
+			var m float64
+			if needMean {
+				m = meanOf(vals)
+			}
+			for o, op := range lp.ops {
+				switch op.kind {
+				case percentile:
 					orow[o*lp.F+fi] = forwardAt(vals, idx, anchors[o])
-				case sortedPoolOp:
-					orow[o*lp.F+fi] = op.ForwardSorted(vals, idx)
-				default:
-					orow[o*lp.F+fi] = op.Forward(vals)
+				case mean:
+					orow[o*lp.F+fi] = m
+				case variance:
+					var sq float64
+					for _, v := range vals {
+						d := v - m
+						sq += d * d
+					}
+					orow[o*lp.F+fi] = sq / float64(ell)
 				}
 			}
 		}
 		// Local features pass through.
-		copy(orow[len(lp.Ops)*lp.F:], row[ell*lp.K:])
+		copy(orow[len(lp.ops)*lp.F:], row[ell*lp.K:])
 	}
 	return out
 }
 
-// anchorsAt returns the anchor of every PercentilePool of the layer at ell
-// landmarks, indexed like Ops: it depends on ell alone, so it is computed
-// once per pass and not per sample and filter.
+// anchorsAt returns the anchor of every percentile of the layer at ell
+// landmarks, indexed like its ops: it depends on ell alone, so it is
+// computed once per pass and not per sample and filter.
 func (lp *LandPool) anchorsAt(ell int) []anchor {
-	if cap(lp.anchors) < len(lp.Ops) {
-		lp.anchors = make([]anchor, len(lp.Ops))
+	if cap(lp.anchors) < len(lp.ops) {
+		lp.anchors = make([]anchor, len(lp.ops))
 	}
-	lp.anchors = lp.anchors[:len(lp.Ops)]
-	for o, op := range lp.Ops {
-		if p, ok := op.(PercentilePool); ok {
-			lp.anchors[o] = p.rank(ell)
+	lp.anchors = lp.anchors[:len(lp.ops)]
+	for o, op := range lp.ops {
+		if op.kind == percentile {
+			lp.anchors[o] = op.rank(ell)
 		}
 	}
 	return lp.anchors
 }
 
-// needSort reports whether an op of the layer reads the ascending order.
-func (lp *LandPool) needSort() bool {
-	for _, op := range lp.Ops {
-		if _, ok := op.(sortedPoolOp); ok {
-			return true
+// needs reports whether an op of the layer reads the ascending order (a
+// percentile) and whether one reads the mean (avg or var).
+func (lp *LandPool) needs() (sorted, moments bool) {
+	for _, op := range lp.ops {
+		if op.kind == percentile {
+			sorted = true
+		} else {
+			moments = true
 		}
 	}
-	return false
+	return sorted, moments
 }
 
 // sortOrder returns the slot of order that holds the ascending order of
@@ -454,7 +308,7 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 		dbias = lp.Bias.grad().Data
 		clear(dbias)
 	}
-	needSort := lp.needSort()
+	needSort, needMean := lp.needs()
 	vals := lp.ws.vector(ell)
 	var idx []int
 	dvals := lp.ws.vector(ell)
@@ -479,18 +333,28 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 			for i := range dvals {
 				dvals[i] = 0
 			}
-			for o, op := range lp.Ops {
+			var m float64
+			if needMean {
+				m = meanOf(vals)
+			}
+			// The ops add into dvals in Ω order.
+			for o, op := range lp.ops {
 				g := grow[o*lp.F+fi]
 				if g == 0 {
 					continue
 				}
-				switch op := op.(type) {
-				case PercentilePool:
-					backwardAt(vals, idx, anchors[o], g, dvals)
-				case sortedPoolOp:
-					op.BackwardSorted(vals, idx, g, dvals)
-				default:
-					op.Backward(vals, g, dvals)
+				switch op.kind {
+				case percentile:
+					backwardAt(idx, anchors[o], g, dvals)
+				case mean:
+					w := g / float64(ell)
+					for i := range dvals {
+						dvals[i] += w
+					}
+				case variance: // d var/d v_i = 2 (v_i − mean) / n
+					for i, v := range vals {
+						dvals[i] += g * 2 * (v - m) / float64(ell)
+					}
 				}
 			}
 			for l := 0; l < ell; l++ {
@@ -516,7 +380,7 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 			}
 		}
 		// Local passthrough backward.
-		copy(drow[ell*lp.K:], grow[len(lp.Ops)*lp.F:])
+		copy(drow[ell*lp.K:], grow[len(lp.ops)*lp.F:])
 	}
 	return dx
 }
@@ -526,9 +390,9 @@ func (lp *LandPool) Params() []*Param { return []*Param{lp.Kernel, lp.Bias} }
 
 // Spec implements Layer.
 func (lp *LandPool) Spec() LayerSpec {
-	names := make([]string, len(lp.Ops))
-	for i, op := range lp.Ops {
-		names[i] = op.Name()
+	names := make([]string, len(lp.ops))
+	for i, op := range lp.ops {
+		names[i] = op.name
 	}
 	return LayerSpec{
 		Kind:    "landpool",

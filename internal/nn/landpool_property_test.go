@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"diagnet/internal/mat"
@@ -29,17 +30,31 @@ const propTol = 1e-9
 
 // randomOps draws a nonempty op set that always includes the four ops the
 // subset-bound checks name, plus a few random percentiles.
-func randomOps(rng *rand.Rand) []PoolOp {
-	ops := []PoolOp{MinPool{}, MaxPool{}, AvgPool{}, VarPool{}}
+func randomOps(rng *rand.Rand) []string {
+	ops := []string{"min", "max", "avg", "var"}
 	for n := rng.Intn(4); n > 0; n-- {
-		ops = append(ops, PercentilePool{P: float64(rng.Intn(99) + 1)})
+		ops = append(ops, fmt.Sprintf("p%02d", rng.Intn(99)+1))
 	}
 	return ops
 }
 
+// pool runs the ops named over vals through a one-filter LandPool whose
+// kernel is 1 and bias 0, so that each activation is its value: out[o] is
+// op o over vals and, given the output gradients g, dvals is what the ops
+// route back onto vals.
+func pool(names []string, vals, g []float64) (out, dvals []float64) {
+	lp := NewLandPool(1, 1, 0, names, rand.New(rand.NewSource(1)))
+	lp.Kernel.Value.Data[0] = 1
+	out = slices.Clone(lp.Forward(mat.FromRows([][]float64{vals})).Data)
+	if g != nil {
+		dvals = lp.Backward(mat.FromRows([][]float64{g})).Data
+	}
+	return out, dvals
+}
+
 // randomLayer draws a LandPool with Glorot-initialized kernel plus a
 // random non-zero bias (a zero bias would mask bias-handling bugs).
-func randomLayer(rng *rand.Rand, k, f, local int, ops []PoolOp) *LandPool {
+func randomLayer(rng *rand.Rand, k, f, local int, ops []string) *LandPool {
 	lp := NewLandPool(k, f, local, ops, rng)
 	for i := range lp.Bias.Value.Data {
 		lp.Bias.Value.Data[i] = rng.NormFloat64()
@@ -147,12 +162,13 @@ func TestLandPoolSubsetConsistency(t *testing.T) {
 			for i, l := range subset {
 				vals[i] = act[l][fi]
 			}
+			direct, _ := pool(ops, vals, nil)
 			for o, op := range ops {
-				want := op.Forward(vals)
+				want := direct[o]
 				got := orow[o*f+fi]
 				if math.Abs(got-want) > propTol {
 					t.Fatalf("trial %d: op %s filter %d: layer says %g, direct pooling of subset activations says %g",
-						trial, op.Name(), fi, got, want)
+						trial, op, fi, got, want)
 				}
 			}
 		}
@@ -163,7 +179,7 @@ func TestLandPoolSubsetConsistency(t *testing.T) {
 				fullMin := frow[opIndex(ops, "min")*f+fi]
 				fullMax := frow[opIndex(ops, "max")*f+fi]
 				v := orow[o*f+fi]
-				switch op.Name() {
+				switch op {
 				case "min":
 					if v < fullMin-propTol {
 						t.Fatalf("trial %d: subset min %g below full min %g", trial, v, fullMin)
@@ -176,12 +192,11 @@ func TestLandPoolSubsetConsistency(t *testing.T) {
 					if v < fullMin-propTol || v > fullMax+propTol {
 						t.Fatalf("trial %d: subset avg %g outside full envelope [%g, %g]", trial, v, fullMin, fullMax)
 					}
-				default:
-					if _, isPct := op.(PercentilePool); isPct {
-						if v < fullMin-propTol || v > fullMax+propTol {
-							t.Fatalf("trial %d: subset %s %g outside full envelope [%g, %g]",
-								trial, op.Name(), v, fullMin, fullMax)
-						}
+				case "var": // a spread, not one of the values: no envelope
+				default: // a percentile
+					if v < fullMin-propTol || v > fullMax+propTol {
+						t.Fatalf("trial %d: subset %s %g outside full envelope [%g, %g]",
+							trial, op, v, fullMin, fullMax)
 					}
 				}
 			}
@@ -198,41 +213,49 @@ func TestLandPoolSubsetConsistency(t *testing.T) {
 
 // TestLandPoolPercentileLadderMonotone: on any fixed input, percentiles
 // must be monotone in P — an ordering property the interpolation could
-// silently break.
+// silently break — and run from the smallest value (p00, min) to the
+// largest (p100, max).
 func TestLandPoolPercentileLadderMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
+	ladder := []string{"min", "p00", "max", "p100"}
+	for p := 5; p <= 95; p += 5 {
+		ladder = append(ladder, fmt.Sprintf("p%02d", p))
+	}
 	for trial := 0; trial < 40; trial++ {
 		ell := rng.Intn(8) + 1
 		vals := make([]float64, ell)
 		for i := range vals {
 			vals[i] = rng.NormFloat64()
 		}
+		out, _ := pool(ladder, vals, nil)
 		prev := math.Inf(-1)
-		for p := 5.0; p <= 95; p += 5 {
-			v := PercentilePool{P: p}.Forward(vals)
-			if v < prev-propTol {
-				t.Fatalf("trial %d: p%.0f = %g < p%.0f = %g (not monotone)", trial, p, v, p-5, prev)
+		for o := 4; o < len(ladder); o++ {
+			if out[o] < prev-propTol {
+				t.Fatalf("trial %d: %s = %g < %s = %g (not monotone)", trial, ladder[o], out[o], ladder[o-1], prev)
 			}
-			prev = v
+			prev = out[o]
 		}
-		lo := MinPool{}.Forward(vals)
-		hi := MaxPool{}.Forward(vals)
-		if p0 := (PercentilePool{P: 0}).Forward(vals); math.Abs(p0-lo) > propTol {
-			t.Fatalf("trial %d: p0 %g != min %g", trial, p0, lo)
+		lo, hi := slices.Min(vals), slices.Max(vals)
+		for o, want := range []float64{lo, lo, hi, hi} {
+			if out[o] != want {
+				t.Fatalf("trial %d: %s = %g, want %g", trial, ladder[o], out[o], want)
+			}
 		}
-		if p100 := (PercentilePool{P: 100}).Forward(vals); math.Abs(p100-hi) > propTol {
-			t.Fatalf("trial %d: p100 %g != max %g", trial, p100, hi)
-		}
+	}
+	// At an exact rank a percentile reads the one value there, so an
+	// infinite activation pools to itself and not to ∞·0 = NaN.
+	inf := []float64{math.Inf(1), 1, math.Inf(-1)}
+	out, _ := pool([]string{"min", "p00", "p50", "p100", "max"}, inf, nil)
+	if want := []float64{inf[2], inf[2], 1, inf[0], inf[0]}; !slices.Equal(out, want) {
+		t.Fatalf("min, p00, p50, p100, max of %v = %v, want %v", inf, out, want)
 	}
 }
 
 // opIndex finds the position of a named op in the set (the test always
 // includes min/max/avg).
-func opIndex(ops []PoolOp, name string) int {
-	for i, op := range ops {
-		if op.Name() == name {
-			return i
-		}
+func opIndex(ops []string, name string) int {
+	if i := slices.Index(ops, name); i >= 0 {
+		return i
 	}
 	panic(fmt.Sprintf("op %s not in set", name))
 }

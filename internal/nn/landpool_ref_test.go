@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -198,12 +199,12 @@ func FuzzLandPoolMatchesReference(f *testing.F) {
 				names[i] = fmt.Sprintf("p%02d", rng.Intn(101))
 			}
 		}
-		lp := NewLandPool(k, nf, local, PoolOpsByName(names), rng)
+		lp := NewLandPool(k, nf, local, names, rng)
 		for i := range lp.Bias.Value.Data {
 			lp.Bias.Value.Data[i] = rng.NormFloat64()
 		}
 		NewNetwork(lp).SetTraining(true)
-		if got := lp.Spec().Strings; fmt.Sprint(got) != fmt.Sprint(names) {
+		if got := lp.Spec().Strings; !slices.Equal(got, names) {
 			t.Fatalf("Spec names %v, built from %v", got, names)
 		}
 		for pass := 0; pass < 2; pass++ {

@@ -314,7 +314,7 @@ func buildLayer(spec LayerSpec, values []Floats, clone bool) (Layer, error) {
 	case "relu":
 		return NewReLU(), nil
 	case "landpool":
-		ops, err := poolOpsByName(spec.Strings)
+		ops, err := parsePoolOps(spec.Strings)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ func buildLayer(spec LayerSpec, values []Floats, clone bool) (Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LandPool{K: k, F: f, NumLocal: local, Ops: ops, Kernel: kernel, Bias: bias}, nil
+		return &LandPool{K: k, F: f, NumLocal: local, ops: ops, Kernel: kernel, Bias: bias}, nil
 	case "dropout":
 		return nil, fmt.Errorf("dropout layers are not supported")
 	default:
@@ -389,7 +389,7 @@ func rebuild(l Layer, ws *Workspace, param func(*Param) *Param) Layer {
 	case *Dense:
 		return &Dense{In: l.In, Out: l.Out, W: param(l.W), B: param(l.B), ws: ws}
 	case *LandPool:
-		return &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, Ops: l.Ops, Kernel: param(l.Kernel), Bias: param(l.Bias), ws: ws}
+		return &LandPool{K: l.K, F: l.F, NumLocal: l.NumLocal, ops: l.ops, Kernel: param(l.Kernel), Bias: param(l.Bias), ws: ws}
 	case *ReLU:
 		return NewReLU()
 	}

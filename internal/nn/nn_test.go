@@ -445,8 +445,10 @@ func TestPoolOpsPermutationInvariantProperty(t *testing.T) {
 		for i, j := range perm {
 			shuffled[i] = vals[j]
 		}
-		for _, op := range ops {
-			if math.Abs(op.Forward(vals)-op.Forward(shuffled)) > 1e-12 {
+		a, _ := pool(ops, vals, nil)
+		b, _ := pool(ops, shuffled, nil)
+		for o := range ops {
+			if math.Abs(a[o]-b[o]) > 1e-12 {
 				return false
 			}
 		}
@@ -468,9 +470,8 @@ func TestPoolBackwardMassProperty(t *testing.T) {
 			vals[i] = rng.NormFloat64()
 		}
 		g := rng.NormFloat64()
-		for _, op := range []PoolOp{AvgPool{}, MinPool{}, MaxPool{}, PercentilePool{P: 30}} {
-			dvals := make([]float64, n)
-			op.Backward(vals, g, dvals)
+		for _, op := range []string{"avg", "min", "max", "p30"} {
+			_, dvals := pool([]string{op}, vals, []float64{g})
 			var s float64
 			for _, d := range dvals {
 				s += d
@@ -486,17 +487,23 @@ func TestPoolBackwardMassProperty(t *testing.T) {
 	}
 }
 
+// The op names a layer is built from come back from its Spec, written
+// canonically ("p5" is p05), and pool alike when built again.
 func TestPoolOpsByNameRoundTrip(t *testing.T) {
-	ops := DefaultPoolOps()
-	names := make([]string, len(ops))
-	for i, op := range ops {
-		names[i] = op.Name()
-	}
-	rebuilt := PoolOpsByName(names)
-	vals := []float64{3, 1, 4, 1, 5}
-	for i := range ops {
-		if ops[i].Forward(vals) != rebuilt[i].Forward(vals) {
-			t.Fatalf("op %s does not round-trip", names[i])
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ names, canonical []string }{
+		{DefaultPoolOps(), DefaultPoolOps()},
+		{[]string{"p5", "p0", "p100", "max"}, []string{"p05", "p00", "p100", "max"}},
+	} {
+		spec := NewLandPool(1, 1, 0, c.names, rng).Spec().Strings
+		if !slices.Equal(spec, c.canonical) {
+			t.Fatalf("ops %v: Spec names %v, want %v", c.names, spec, c.canonical)
+		}
+		vals := []float64{3, 1, 4, 1, 5}
+		a, _ := pool(c.names, vals, nil)
+		b, _ := pool(spec, vals, nil)
+		if !slices.Equal(a, b) {
+			t.Fatalf("ops %v pool %v, rebuilt from Spec %v", c.names, a, b)
 		}
 	}
 }
@@ -507,7 +514,7 @@ func TestPoolOpsByNameUnknownPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	PoolOpsByName([]string{"median-ish"})
+	NewLandPool(1, 1, 0, []string{"min", "median-ish"}, rand.New(rand.NewSource(1)))
 }
 
 // Extreme inputs must never produce NaN/Inf anywhere in the pipeline.

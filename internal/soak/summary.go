@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"diagnet/internal/durable"
 )
 
 // Summary is the machine-readable record of one soak run. It carries the
@@ -108,8 +110,9 @@ func floorGrowth(samples []int, slack int) ([2]int, bool) {
 	return [2]int{}, false
 }
 
-// WriteJSON writes the summary (indented) to path, creating parent
-// directories as needed.
+// WriteJSON publishes the summary (indented) at path through
+// durable.WriteFile, creating parent directories as needed: a soak killed
+// mid-write leaves the previous file or none, never a truncated one.
 func (s *Summary) WriteJSON(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -118,5 +121,5 @@ func (s *Summary) WriteJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return durable.WriteFile(path, append(b, '\n'))
 }
